@@ -20,6 +20,7 @@
 #include "router/elastic_router.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace ccsim;
 
@@ -79,6 +80,67 @@ BM_EventQueueBimodal(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueBimodal);
+
+/**
+ * The sharded kernel's per-window cost when almost nothing happens: 261
+ * partitions (the L2 campaign's 260 pods + spine), of which partitions 0
+ * and 1 bounce @p balls messages over a registered edge, so every window
+ * holds one or two events and the rest is barrier overhead. One ball
+ * leaves one busy partition per window (run inline); two keep both busy
+ * (a worker handoff per window).
+ */
+struct SparseBarrierRig {
+    static constexpr int kPartitions = 261;
+    static constexpr sim::TimePs kLatency = 1500;  // the L1<->L2 trunk
+
+    sim::ShardedEventQueue sq;
+
+    static sim::ShardedEventQueue::Config config()
+    {
+        sim::ShardedEventQueue::Config qc;
+        qc.partitions = kPartitions;
+        qc.threads = 2;
+        return qc;
+    }
+
+    explicit SparseBarrierRig(int balls) : sq(config())
+    {
+        sq.registerCrossEdge(0, 1, kLatency);
+        sq.registerCrossEdge(1, 0, kLatency);
+        for (int b = 0; b < balls; ++b)
+            sq.partition(b).schedule(1, [this, b] { bounce(b); });
+    }
+
+    void bounce(int p)
+    {
+        const int to = 1 - p;
+        sq.postCross(p, to, sq.partition(p).now() + kLatency,
+                     [this, to] { bounce(to); });
+    }
+
+    /** Run @p windows barrier windows; returns the windows actually run. */
+    std::uint64_t run(int windows)
+    {
+        const std::uint64_t before = sq.windowsRun();
+        sq.runFor(static_cast<sim::TimePs>(windows) * kLatency);
+        return sq.windowsRun() - before;
+    }
+};
+
+void
+BM_ShardedSparseBarrier(benchmark::State &state)
+{
+    SparseBarrierRig rig(static_cast<int>(state.range(0)));
+    std::uint64_t windows = 0;
+    for (auto _ : state)
+        windows += rig.run(100);
+    benchmark::DoNotOptimize(windows);
+    state.SetItemsProcessed(static_cast<std::int64_t>(windows));
+    state.counters["ns_per_window"] = benchmark::Counter(
+        static_cast<double>(windows),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ShardedSparseBarrier)->Arg(1)->Arg(2);
 
 void
 BM_PacketPoolMakePacket(benchmark::State &state)
@@ -267,6 +329,17 @@ measureKernelTrajectory()
         const double ops =
             static_cast<double>(eq.eventsExecuted() + eq.eventsCancelled());
         v["kernel.bimodal_cancel.events_per_sec"] = ops / secs;
+    }
+    for (const int balls : {1, 2}) {
+        // Mirrors BM_ShardedSparseBarrier: host time per barrier window.
+        SparseBarrierRig rig(balls);
+        const auto t0 = Clock::now();
+        const std::uint64_t windows = rig.run(20000);
+        const double secs =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        v[balls == 1 ? "kernel.sparse_barrier.ns_per_window"
+                     : "kernel.sparse_barrier.handoff_ns_per_window"] =
+            1e9 * secs / static_cast<double>(windows);
     }
     {
         const auto t0 = Clock::now();

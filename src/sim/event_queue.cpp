@@ -351,19 +351,22 @@ TimerWheelQueue::unloadDue()
     dueSlotAbs = -1;
 }
 
-TimePs
-TimerWheelQueue::nextEventTime()
+void
+TimerWheelQueue::refreshNext()
 {
-    const Next src = ensureNext();
     TimePs when = kTimeNever;
-    if (src == Next::kDue)
-        when = due[duePos].when;
-    else if (src == Next::kOverflow)
-        when = overflow.front().when;
-    // Release the committed due slot: holding it across subsequent
-    // schedule() calls could let later-slot events hide behind it.
-    unloadDue();
-    return when;
+    if (liveCount != 0) {
+        const Next src = ensureNext();
+        if (src == Next::kDue)
+            when = due[duePos].when;
+        else if (src == Next::kOverflow)
+            when = overflow.front().when;
+        // Release the committed due slot: holding it across subsequent
+        // schedule() calls could let later-slot events hide behind it.
+        unloadDue();
+    }
+    nextBound = when;
+    nextExact = true;
 }
 
 EventId
@@ -377,6 +380,12 @@ TimerWheelQueue::schedule(TimePs when, EventFn fn)
     if (liveCount > peakLive)
         peakLive = liveCount;
     place(idx, when);
+    // Every live event is at or after the bound, so an event at or below
+    // it is the new head.
+    if (when <= nextBound) {
+        nextBound = when;
+        nextExact = true;
+    }
     return (static_cast<EventId>(pool[idx].gen) << 32) |
            static_cast<EventId>(idx + 1);
 }
@@ -399,6 +408,7 @@ TimerWheelQueue::cancel(EventId id)
     --liveCount;
     ++cancelledCount;
     ++deadParked;
+    nextExact = false;  // it may have been the head
     maybeSweep();
 }
 
@@ -446,8 +456,13 @@ bool
 TimerWheelQueue::step()
 {
     const std::uint32_t idx = takeNext();
-    if (idx == kInvalidRecord)
+    if (idx == kInvalidRecord) {
+        nextBound = kTimeNever;
+        nextExact = true;
         return false;
+    }
+    // The head leaves; the bound stays a valid (now inexact) lower bound.
+    nextExact = false;
     Record &r = pool[idx];
     const TimePs when = r.when;
     EventFn fn = std::move(r.fn);
@@ -462,20 +477,32 @@ TimerWheelQueue::step()
 void
 TimerWheelQueue::runUntil(TimePs limit)
 {
+    if (nextBound > limit) {
+        // Nothing is due: the common case for an idle sharded partition.
+        if (currentTime < limit)
+            currentTime = limit;
+        return;
+    }
     while (true) {
         const std::uint32_t idx = takeNext();
-        if (idx == kInvalidRecord)
+        if (idx == kInvalidRecord) {
+            nextBound = kTimeNever;
+            nextExact = true;
             break;
+        }
         if (pool[idx].when > limit) {
             // Put it back (keeping its sequence number, so FIFO order
             // is unaffected) and return the rest of the due buffer to
             // the wheel: the buffer must never outlive the run that
             // committed to its slot, or later schedules could slip in
-            // ahead of it unseen.
-            place(idx, pool[idx].when);
+            // ahead of it unseen. It is the head, so the bound is exact.
+            nextBound = pool[idx].when;
+            nextExact = true;
+            place(idx, nextBound);
             unloadDue();
             break;
         }
+        nextExact = false;
         Record &r = pool[idx];
         const TimePs when = r.when;
         EventFn fn = std::move(r.fn);

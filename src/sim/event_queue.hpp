@@ -146,11 +146,18 @@ class TimerWheelQueue
      * Timestamp of the next live event without executing it, or
      * kTimeNever if the queue is empty.
      *
-     * Used by ShardedEventQueue to compute conservative sync windows.
-     * Not const: positioning the wheel may cascade slots and reclaim
-     * tombstones, but the observable (time, seq) order is unchanged.
+     * Used by ShardedEventQueue to compute conservative sync windows, so
+     * it is O(1) whenever the cached next-event time is exact (see
+     * `nextBound`). Not const: otherwise it positions the wheel, which may
+     * cascade slots and reclaim tombstones, but the observable (time,
+     * seq) order is unchanged.
      */
-    TimePs nextEventTime();
+    TimePs nextEventTime()
+    {
+        if (!nextExact)
+            refreshNext();
+        return nextBound;
+    }
 
     // --- kernel-health accounting (exported as sim.queue.* probes) ---
 
@@ -223,6 +230,16 @@ class TimerWheelQueue
     std::int64_t dueSlotAbs = -1;  ///< absolute level-0 slot of `due`, or -1
 
     TimePs currentTime = 0;
+    /**
+     * A lower bound on the next live event's time (kTimeNever: none),
+     * equal to it while `nextExact` holds. schedule() lowers it and, when
+     * it does, makes it exact; cancel() and step() clear exactness;
+     * runUntil() and nextEventTime() re-establish it whenever they locate
+     * the next event or drain. runUntil(limit) below the bound returns in
+     * O(1), which is what keeps idle sharded partitions free per window.
+     */
+    TimePs nextBound = kTimeNever;
+    bool nextExact = true;
     std::uint64_t nextSeq = 1;
     std::size_t liveCount = 0;
     std::size_t peakLive = 0;
@@ -255,6 +272,8 @@ class TimerWheelQueue
     std::uint32_t takeNext();
     /** Return unconsumed due-buffer events to the wheel (for runUntil). */
     void unloadDue();
+    /** Locate the next event and make `nextBound` exact. */
+    void refreshNext();
     void maybeSweep();
 };
 

@@ -6,6 +6,31 @@
 
 namespace ccsim::sim {
 
+namespace {
+
+/**
+ * Spin iterations a waiting worker or coordinator polls the handoff
+ * atomics before it blocks on a condition variable: about 12 us at the
+ * ~25 ns a `pause` takes on current x86 server cores. The next phase
+ * usually starts within a few microseconds; a longer gap (a run of
+ * inline windows, the end of a run) falls back to the condition
+ * variables. Longer spins measured no faster on an idle host and
+ * markedly slower when other processes compete for the cores.
+ */
+constexpr int kSpinIters = 512;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
 ShardedEventQueue::ShardedEventQueue(Config cfg) : config(cfg)
 {
     if (cfg.partitions < 1)
@@ -22,6 +47,7 @@ ShardedEventQueue::ShardedEventQueue(Config cfg) : config(cfg)
         part->outbox.resize(static_cast<std::size_t>(cfg.partitions));
         parts.push_back(std::move(part));
     }
+    nextTimes.assign(static_cast<std::size_t>(cfg.partitions), kTimeNever);
     edgeLatency.assign(static_cast<std::size_t>(cfg.partitions),
                        std::vector<TimePs>(
                            static_cast<std::size_t>(cfg.partitions), 0));
@@ -32,7 +58,8 @@ ShardedEventQueue::~ShardedEventQueue()
     if (!workers.empty()) {
         {
             std::lock_guard<std::mutex> lk(mu);
-            shutdown = true;
+            shutdown.store(true, std::memory_order_relaxed);
+            phaseEpoch.fetch_add(1, std::memory_order_release);
         }
         cvStart.notify_all();
         for (std::thread &t : workers)
@@ -106,8 +133,10 @@ ShardedEventQueue::postCross(int src, int dst, TimePs when, EventFn fn)
                when, " ps is at or below the window floor ", floorTime,
                " ps (edge ", src, " -> ", dst, ")");
     Partition &sp = *parts[static_cast<std::size_t>(src)];
-    sp.outbox[static_cast<std::size_t>(dst)].push_back(
-        CrossMsg{when, sp.crossSeq++, std::move(fn)});
+    std::vector<CrossMsg> &box = sp.outbox[static_cast<std::size_t>(dst)];
+    if (box.empty())
+        sp.dirty.push_back(dst);
+    box.push_back(CrossMsg{when, sp.crossSeq++, std::move(fn)});
 }
 
 void
@@ -149,19 +178,24 @@ ShardedEventQueue::start()
                 if (lat > 0)
                     resolvedWindow = std::min(resolvedWindow, lat);
     }
-    if (nThreads > 1)
+    if (nThreads > 1) {
+        // Spinning only pays when every thread has a core of its own.
+        const unsigned cores = std::thread::hardware_concurrency();
+        spinLimit = cores >= static_cast<unsigned>(nThreads) ? kSpinIters : 0;
         for (int w = 1; w < nThreads; ++w)
             workers.emplace_back(&ShardedEventQueue::workerLoop, this, w);
+    }
 }
 
 void
 ShardedEventQueue::runPartitionShare(int workerIdx)
 {
     // Phase state is stable while the phase runs: the coordinator wrote
-    // it under `mu` before waking the workers and does not touch it
-    // again until every worker has checked in.
-    for (int p = workerIdx; p < partitionCount(); p += nThreads) {
-        EventQueue &eq = parts[static_cast<std::size_t>(p)]->eq;
+    // it before publishing the epoch and does not touch it again until
+    // every worker has checked in.
+    for (std::size_t i = static_cast<std::size_t>(workerIdx);
+         i < busyParts.size(); i += static_cast<std::size_t>(nThreads)) {
+        EventQueue &eq = parts[static_cast<std::size_t>(busyParts[i])]->eq;
         if (phaseDrain)
             eq.runAll();
         else
@@ -173,51 +207,90 @@ void
 ShardedEventQueue::workerLoop(int workerIdx)
 {
     std::uint64_t seenEpoch = 0;
+    const auto published = [&] {
+        return phaseEpoch.load(std::memory_order_acquire) != seenEpoch;
+    };
     while (true) {
-        {
+        for (int i = 0; i < spinLimit && !published(); ++i)
+            cpuRelax();
+        if (!published()) {
             std::unique_lock<std::mutex> lk(mu);
-            cvStart.wait(lk, [&] {
-                return shutdown || phaseEpoch != seenEpoch;
-            });
-            if (shutdown)
-                return;
-            seenEpoch = phaseEpoch;
+            cvStart.wait(lk, published);
         }
+        // The coordinator publishes the next phase only after every
+        // worker has finished this one, so the epoch moved exactly once.
+        ++seenEpoch;
+        if (shutdown.load(std::memory_order_relaxed))
+            return;
         runPartitionShare(workerIdx);
-        {
+        if (phasePending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            // Last one in. Taking `mu` orders this wake-up after the
+            // coordinator's predicate check, so it cannot be lost.
             std::lock_guard<std::mutex> lk(mu);
-            --phasePending;
+            cvDone.notify_one();
         }
-        cvDone.notify_one();
     }
 }
 
 void
 ShardedEventQueue::runWindow(TimePs e, bool drain)
 {
-    phaseEnd = e;
-    phaseDrain = drain;
-    if (nThreads == 1) {
-        runPartitionShare(0);
+    const auto due = [&](TimePs t) {
+        return t != kTimeNever && (drain || t <= e);
+    };
+    busyParts.clear();
+    if (nThreads > 1)
+        for (std::size_t p = 0; p < nextTimes.size(); ++p)
+            if (due(nextTimes[p]))
+                busyParts.push_back(static_cast<int>(p));
+    if (busyParts.size() <= 1) {
+        // Nothing to overlap: a handoff would cost more than the window.
+        // Idle partitions only advance now() (O(1)).
+        for (auto &p : parts) {
+            if (drain)
+                p->eq.runAll();
+            else
+                p->eq.runUntil(e);
+        }
         return;
     }
+    phaseEnd = e;
+    phaseDrain = drain;
+    phasePending.store(nThreads - 1, std::memory_order_relaxed);
     {
+        // Under `mu`, so a worker between its predicate check and its
+        // wait cannot miss the new epoch.
         std::lock_guard<std::mutex> lk(mu);
-        phasePending = nThreads - 1;
-        ++phaseEpoch;
+        phaseEpoch.fetch_add(1, std::memory_order_release);
     }
     cvStart.notify_all();
     runPartitionShare(0);
-    std::unique_lock<std::mutex> lk(mu);
-    cvDone.wait(lk, [&] { return phasePending == 0; });
+    // Idle partitions only advance now(). Doing that here rather than on
+    // their workers keeps their cache lines on this core, where the next
+    // t0 scan reads them.
+    if (!drain)
+        for (std::size_t p = 0; p < nextTimes.size(); ++p)
+            if (!due(nextTimes[p]))
+                parts[p]->eq.runUntil(e);
+    const auto done = [this] {
+        return phasePending.load(std::memory_order_acquire) == 0;
+    };
+    for (int i = 0; i < spinLimit && !done(); ++i)
+        cpuRelax();
+    if (!done()) {
+        std::unique_lock<std::mutex> lk(mu);
+        cvDone.wait(lk, done);
+    }
 }
 
 TimePs
 ShardedEventQueue::minNextEventTime()
 {
     TimePs t0 = kTimeNever;
-    for (auto &p : parts)
-        t0 = std::min(t0, p->eq.nextEventTime());
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+        nextTimes[p] = parts[p]->eq.nextEventTime();
+        t0 = std::min(t0, nextTimes[p]);
+    }
     return t0;
 }
 
@@ -234,7 +307,14 @@ ShardedEventQueue::windowEndFor(TimePs t0) const
 void
 ShardedEventQueue::flushOutboxes()
 {
-    const int P = partitionCount();
+    std::vector<std::pair<int, int>> routes;  // touched (dst, src) outboxes
+    for (int src = 0; src < partitionCount(); ++src) {
+        std::vector<int> &dirty = parts[static_cast<std::size_t>(src)]->dirty;
+        for (const int dst : dirty)
+            routes.emplace_back(dst, src);
+        dirty.clear();
+    }
+    std::sort(routes.begin(), routes.end());
     struct Item {
         TimePs when;
         int src;
@@ -242,16 +322,16 @@ ShardedEventQueue::flushOutboxes()
         EventFn *fn;
     };
     std::vector<Item> items;
-    for (int dst = 0; dst < P; ++dst) {
+    for (std::size_t first = 0; first < routes.size();) {
+        const int dst = routes[first].first;
+        std::size_t last = first;
         items.clear();
-        for (int src = 0; src < P; ++src) {
-            for (CrossMsg &m :
-                 parts[static_cast<std::size_t>(src)]
-                     ->outbox[static_cast<std::size_t>(dst)])
+        for (; last < routes.size() && routes[last].first == dst; ++last) {
+            const int src = routes[last].second;
+            for (CrossMsg &m : parts[static_cast<std::size_t>(src)]
+                                   ->outbox[static_cast<std::size_t>(dst)])
                 items.push_back(Item{m.when, src, m.seq, &m.fn});
         }
-        if (items.empty())
-            continue;
         // (when, src partition, per-src post order): a total order that
         // does not depend on thread count or barrier wall-clock timing.
         std::sort(items.begin(), items.end(),
@@ -273,8 +353,8 @@ ShardedEventQueue::flushOutboxes()
             deq.schedule(it.when, std::move(*it.fn));
             ++crossMessageCount;
         }
-        for (int src = 0; src < P; ++src)
-            parts[static_cast<std::size_t>(src)]
+        for (; first < last; ++first)
+            parts[static_cast<std::size_t>(routes[first].second)]
                 ->outbox[static_cast<std::size_t>(dst)]
                 .clear();
     }

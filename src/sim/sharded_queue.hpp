@@ -9,9 +9,10 @@
  * full sequential `EventQueue`. The partition structure is fixed by the
  * *topology* (in ccsim, one partition per pod plus one for the spine),
  * while the number of *worker threads* T is an independent execution
- * parameter: partition p always runs on worker p mod T, and every
- * partition's event stream is executed strictly sequentially. All
- * nondeterminism from thread scheduling is therefore confined to *which
+ * parameter: within a window each partition runs on exactly one thread
+ * (see "Barrier cost" for which), and every partition's event stream is
+ * executed strictly sequentially. All nondeterminism from thread
+ * scheduling is therefore confined to *which
  * wall-clock instant* a partition's window executes — never to the order
  * of events inside a partition, and never to the order cross-partition
  * messages are delivered (see below). The same master seed produces
@@ -46,6 +47,20 @@
  * registerCrossEdge rejects any edge whose latency is below the
  * configured window (sub-lookahead links are a configuration error).
  *
+ * ## Barrier cost
+ *
+ * A window costs O(touched outboxes + partitions), with a per-partition
+ * term of a few loads, not O(P^2): each source records the destinations
+ * whose outbox it made non-empty, so the flush visits only those (src,
+ * dst) pairs; the queues cache an exact next-event time, so the t0 scan
+ * and an idle partition's runUntil(E) are O(1); a window in which at
+ * most one partition has an event <= E runs inline on the coordinator.
+ * Otherwise the partitions with work are dealt round-robin to the T
+ * threads while the coordinator advances the idle ones itself (keeping
+ * their cache lines on its core), and the handoff spins briefly on an
+ * atomic epoch before falling back to condition variables. None of this
+ * changes the sequence of windows (t0, E).
+ *
  * ## Barrier hooks
  *
  * Observability sampling must happen at deterministic simulated times,
@@ -54,11 +69,13 @@
  * "next deadline" bounds future windows so the hook fires exactly at
  * its requested times. Metrics flush is lock-free in the sense that the
  * parallel phase takes no locks: each partition mutates only its own
- * registry shard, and the barrier (a mutex/condvar handshake) publishes
- * those writes to the coordinator before hooks read them.
+ * registry shard, and the barrier (an acquire/release handshake on an
+ * atomic epoch and pending count) publishes those writes to the
+ * coordinator before hooks read them.
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <condition_variable>
 #include <functional>
@@ -214,6 +231,8 @@ class ShardedEventQueue
     struct Partition {
         EventQueue eq;
         std::vector<std::vector<CrossMsg>> outbox;  ///< indexed by dst
+        /** Destinations whose outbox went non-empty since the last flush. */
+        std::vector<int> dirty;
         std::uint64_t crossSeq = 0;
     };
 
@@ -238,23 +257,43 @@ class ShardedEventQueue
     std::uint64_t windowsRunCount = 0;
     std::uint64_t crossMessageCount = 0;
 
+    // --- coordinator scratch, reused across barriers ---
+    std::vector<TimePs> nextTimes;  ///< per partition, from the t0 scan
+    /**
+     * Partitions with an event in the running window, dealt round-robin
+     * to workers: busyParts[i] runs on worker i mod T.
+     */
+    std::vector<int> busyParts;
+
     // --- worker pool (empty when nThreads == 1) ---
+    // A phase is published by bumping phaseEpoch (release) under `mu`;
+    // workers and the coordinator spin briefly on the atomics before
+    // blocking on the condition variables.
     std::vector<std::thread> workers;
     std::mutex mu;
     std::condition_variable cvStart;
     std::condition_variable cvDone;
-    std::uint64_t phaseEpoch = 0;
-    int phasePending = 0;
+    std::atomic<std::uint64_t> phaseEpoch{0};
+    std::atomic<int> phasePending{0};
     TimePs phaseEnd = 0;
     bool phaseDrain = false;  ///< runAll() phase: drain instead of runUntil
-    bool shutdown = false;
+    std::atomic<bool> shutdown{false};
+    int spinLimit = 0;  ///< handoff spin iterations before blocking
 
     void start();
     void workerLoop(int workerIdx);
     void runPartitionShare(int workerIdx);
-    /** Run every partition to @p e (or drain if @p drain) and barrier. */
+    /**
+     * Run every partition to @p e (or drain if @p drain) and barrier:
+     * inline on the coordinator when at most one partition has work.
+     * @pre nextTimes is current (minNextEventTime ran since the last
+     * change to any partition).
+     */
     void runWindow(TimePs e, bool drain);
-    /** Min next-event time across partitions (kTimeNever if all empty). */
+    /**
+     * Min next-event time across partitions (kTimeNever if all empty);
+     * also refreshes nextTimes.
+     */
     TimePs minNextEventTime();
     /** Window end from t0, saturating (kTimeNever if unbounded). */
     TimePs windowEndFor(TimePs t0) const;

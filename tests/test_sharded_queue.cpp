@@ -16,11 +16,20 @@
  * at registration), barrier-hook deadline scheduling, the
  * nextEventTime() peek both backends grew for the coordinator, and the
  * counter-based Rng::forStream per-shard stream derivation.
+ *
+ * The ShardedBarrier suite guards the cheap barrier (dirty-outbox flush,
+ * cached next-event times, inline single-partition windows): sparse
+ * traffic still merges in total order, edits made outside a window
+ * invalidate the cached times, every partition sits at the window end
+ * after each barrier, and the window-end sequence matches one captured
+ * with the original full-scan barrier.
  */
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -353,6 +362,205 @@ TEST(ShardedDeterminism, RingWorkloadIsByteIdenticalAcrossThreadCounts)
                 << "(events " << got.events << " vs " << ref.events
                 << ", cross " << got.cross << " vs " << ref.cross << ")";
         }
+    }
+}
+
+// --- barrier cost: sparse activity must not change what runs ------------
+
+std::unique_ptr<sim::ShardedEventQueue>
+makeMesh(int parts, int threads, sim::TimePs latency)
+{
+    sim::ShardedEventQueue::Config qc;
+    qc.partitions = parts;
+    qc.threads = threads;
+    auto sq = std::make_unique<sim::ShardedEventQueue>(qc);
+    for (int s = 0; s < parts; ++s)
+        for (int d = 0; d < parts; ++d)
+            if (s != d)
+                sq->registerCrossEdge(s, d, latency);
+    return sq;
+}
+
+TEST(ShardedBarrier, SparseCrossPostsDeliverInTotalOrder)
+{
+    // 33 partitions, three of them active: only the touched outboxes are
+    // flushed, and they must still merge in (when, src, seq) order.
+    for (int threads : {1, 2, 4, 8}) {
+        auto sq = makeMesh(33, threads, 1000);
+        std::vector<std::tuple<sim::TimePs, int, int>> arrivals;
+        for (int src : {32, 19}) {
+            sq->partition(src).schedule(10, [&sq, &arrivals, src] {
+                for (int k = 0; k < 3; ++k)
+                    sq->postCross(src, 4, 5000, [&sq, &arrivals, src, k] {
+                        arrivals.emplace_back(sq->partition(4).now(), src, k);
+                    });
+                sq->postCross(src, 4, 4000, [&sq, &arrivals, src] {
+                    arrivals.emplace_back(sq->partition(4).now(), src, 9);
+                });
+            });
+        }
+        sq->runAll();
+        EXPECT_EQ(sq->crossMessages(), 8u) << threads << " workers";
+        const std::vector<std::tuple<sim::TimePs, int, int>> want = {
+            {4000, 19, 9}, {4000, 32, 9}, {5000, 19, 0}, {5000, 19, 1},
+            {5000, 19, 2}, {5000, 32, 0}, {5000, 32, 1}, {5000, 32, 2}};
+        EXPECT_EQ(arrivals, want) << threads << " workers";
+    }
+}
+
+/** Window ends recorded by a no-deadline hook, plus partition 3's log. */
+struct CacheRun {
+    std::vector<sim::TimePs> windowEnds;
+    std::vector<sim::TimePs> idleRuns;  ///< partition 3 execution times
+    bool allAtWindowEnd = true;
+};
+
+CacheRun
+runCacheInvalidation(int threads)
+{
+    sim::ShardedEventQueue::Config qc;
+    qc.partitions = 4;
+    qc.threads = threads;
+    sim::ShardedEventQueue sq(qc);
+    sq.registerCrossEdge(0, 1, 1000);
+    sq.registerCrossEdge(1, 0, 1000);
+
+    CacheRun res;
+    sq.atBarrier([&](sim::TimePs e) {
+        res.windowEnds.push_back(e);
+        for (int p = 0; p < sq.partitionCount(); ++p)
+            res.allAtWindowEnd &= sq.partition(p).now() == e;
+        return sim::kTimeNever;
+    });
+    // At its deadline this hook schedules onto partition 3, idle until
+    // then: the next window must start at that event.
+    sq.atBarrier(
+        [&](sim::TimePs e) {
+            if (e < 3000)
+                return sim::TimePs{3000};
+            if (e == 3000)
+                sq.partition(3).schedule(e + 500, [&] {
+                    res.idleRuns.push_back(sq.partition(3).now());
+                });
+            return sim::kTimeNever;
+        },
+        3000);
+    sq.partition(0).schedule(100, [] {});
+    const sim::EventId head = sq.partition(2).schedule(50000, [] {});
+    sq.partition(1).schedule(80000, [] {});
+    sq.runUntil(10000);
+
+    // Cancel partition 2's head between runs: no window may end at its
+    // old time + W - 1.
+    sq.partition(2).cancel(head);
+    sq.runUntil(60000);
+    // Schedule below partition 1's cached head between runs.
+    sq.partition(1).schedule(65000, [] {});
+    sq.runUntil(100000);
+    return res;
+}
+
+TEST(ShardedBarrier, CacheInvalidatedFromOutsideAWindow)
+{
+    const std::vector<sim::TimePs> want = {1099,  3000,  4499,  10000, 60000,
+                                           65999, 80999, 100000};
+    for (int threads : {1, 2, 4}) {
+        const CacheRun got = runCacheInvalidation(threads);
+        EXPECT_EQ(got.windowEnds, want) << threads << " workers";
+        EXPECT_EQ(got.idleRuns, (std::vector<sim::TimePs>{3500}))
+            << threads << " workers";
+        EXPECT_TRUE(got.allAtWindowEnd) << threads << " workers";
+    }
+}
+
+/**
+ * A sparse 33-partition workload with every kind of window bound: three
+ * active partitions exchanging randomized cross traffic, a sampling hook
+ * with periodic deadlines that also wakes idle partitions, a one-shot
+ * requestBarrier, and an edit between two runs. Returns the window-end
+ * sequence seen by a no-deadline hook, which also checks that every
+ * partition's now() equals each window end.
+ */
+std::vector<sim::TimePs>
+sparseWindowEnds(int threads, bool &allAtWindowEnd)
+{
+    constexpr int kParts = 33;
+    constexpr sim::TimePs kLatency = 1000;
+    const std::vector<int> active = {2, 17, 30};
+    auto sqp = makeMesh(kParts, threads, kLatency);
+    sim::ShardedEventQueue &sq = *sqp;
+
+    std::vector<sim::TimePs> ends;
+    allAtWindowEnd = true;
+    sq.atBarrier([&](sim::TimePs e) {
+        ends.push_back(e);
+        for (int p = 0; p < kParts; ++p)
+            allAtWindowEnd &= sq.partition(p).now() == e;
+        return sim::kTimeNever;
+    });
+
+    std::vector<sim::Rng> rngs;
+    for (int p = 0; p < kParts; ++p)
+        rngs.push_back(sim::Rng::forStream(2016, static_cast<unsigned>(p)));
+    std::function<void(int, int)> fire = [&](int p, int hops) {
+        if (hops == 0)
+            return;
+        sim::Rng &rng = rngs[static_cast<std::size_t>(p)];
+        const sim::TimePs now = sq.partition(p).now();
+        if (rng.next() % 3 == 0)
+            sq.partition(p).schedule(
+                now + static_cast<sim::TimePs>(rng.next() % 700),
+                [&fire, p, hops] { fire(p, hops - 1); });
+        const int dst = active[rng.next() % active.size()];
+        if (dst != p)
+            sq.postCross(p, dst,
+                         now + kLatency +
+                             static_cast<sim::TimePs>(rng.next() % 4000),
+                         [&fire, dst, hops] { fire(dst, hops - 1); });
+    };
+    for (int p : active)
+        sq.partition(p).schedule(10 + p, [&fire, p] { fire(p, 40); });
+
+    // Every 7 ns sample; at each sample wake an idle partition that posts
+    // into an active one.
+    sq.atBarrier(
+        [&](sim::TimePs e) {
+            if (e % 7000 != 0)
+                return (e / 7000 + 1) * 7000;
+            const int idle = 5 + static_cast<int>((e / 7000) % 9);
+            sq.partition(idle).schedule(e + 300, [&sq, &fire, idle] {
+                sq.postCross(idle, 17, sq.partition(idle).now() + 1500,
+                             [&fire] { fire(17, 3); });
+            });
+            return e + 7000;
+        },
+        7000);
+    sq.requestBarrier(12345);
+    const sim::EventId late = sq.partition(25).schedule(45000, [] {});
+    sq.runUntil(30000);
+    sq.partition(25).cancel(late);
+    sq.partition(11).schedule(31000, [&sq, &fire] {
+        sq.postCross(11, 30, sq.partition(11).now() + 2000,
+                     [&fire] { fire(30, 5); });
+    });
+    sq.runUntil(60000);
+    return ends;
+}
+
+TEST(ShardedBarrier, WindowEndsPinnedAcrossWorkerCounts)
+{
+    // Captured with the O(P^2) barrier that scanned every partition and
+    // every (src, dst) outbox each window; the sequence must not move.
+    const std::vector<sim::TimePs> golden = {
+        1011,  2366,  3422,  6138,  7000,  8282,  9799,  12345, 14000, 15299,
+        16799, 18180, 21000, 22299, 23799, 24851, 26848, 28000, 29299, 30000,
+        31999, 33100, 35000, 36299, 37799, 41505, 42000, 43113, 44799, 46543,
+        48013, 49000, 50299, 51799, 53516, 56000, 57207, 58799, 60000};
+    for (int threads : {1, 2, 4, 8}) {
+        bool allAtWindowEnd = false;
+        const auto ends = sparseWindowEnds(threads, allAtWindowEnd);
+        EXPECT_EQ(ends, golden) << threads << " workers";
+        EXPECT_TRUE(allAtWindowEnd) << threads << " workers";
     }
 }
 
