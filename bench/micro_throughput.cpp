@@ -277,6 +277,64 @@ BM_ErMessageRouting(benchmark::State &state)
 BENCHMARK(BM_ErMessageRouting);
 
 /**
+ * The production shell's crossbar: 11 ports (PCIe, DRAM, LTL and 8 role
+ * slots) and 2 VCs, with every port sending 16-flit messages to the
+ * others at once, so most outputs have competing inputs every cycle.
+ */
+struct ErShellRig {
+    static constexpr int kPorts = 11;
+    static constexpr int kMessagesPerPort = 8;
+    static constexpr std::uint32_t kMessageBytes = 16 * 32;  // 16 flits
+
+    sim::EventQueue eq;
+    router::ElasticRouter er;
+    std::vector<std::unique_ptr<router::ErEndpoint>> eps;
+
+    static router::ErConfig config()
+    {
+        router::ErConfig cfg;
+        cfg.numPorts = kPorts;
+        cfg.numVcs = 2;
+        return cfg;
+    }
+
+    ErShellRig() : er(eq, config())
+    {
+        for (int p = 0; p < kPorts; ++p) {
+            eps.push_back(std::make_unique<router::ErEndpoint>(eq, er, p, p));
+            er.setOutputSink(p, eps.back().get());
+        }
+    }
+
+    /** Send one round of messages and drain it; returns flits routed. */
+    std::uint64_t round()
+    {
+        const std::uint64_t before = er.flitsRouted();
+        for (int i = 0; i < kMessagesPerPort; ++i) {
+            for (int p = 0; p < kPorts; ++p)
+                eps[p]->sendMessage((p + 1 + i) % kPorts, i % 2,
+                                    kMessageBytes);
+        }
+        eq.runAll();
+        return er.flitsRouted() - before;
+    }
+};
+
+void
+BM_ErShellCrossbar(benchmark::State &state)
+{
+    ErShellRig rig;
+    std::uint64_t flits = 0;
+    for (auto _ : state)
+        flits += rig.round();
+    state.SetItemsProcessed(static_cast<std::int64_t>(flits));
+    state.counters["ns_per_flit"] = benchmark::Counter(
+        static_cast<double>(flits),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ErShellCrossbar);
+
+/**
  * Directly timed kernel measurements for the benchmark trajectory.
  * These deliberately bypass google-benchmark so the recorded numbers
  * have one clean definition (fixed event count, one timed region) that
@@ -340,6 +398,17 @@ measureKernelTrajectory()
         v[balls == 1 ? "kernel.sparse_barrier.ns_per_window"
                      : "kernel.sparse_barrier.handoff_ns_per_window"] =
             1e9 * secs / static_cast<double>(windows);
+    }
+    {
+        // Mirrors BM_ErShellCrossbar: host time per flit through the ER.
+        ErShellRig rig;
+        std::uint64_t flits = 0;
+        const auto t0 = Clock::now();
+        for (int i = 0; i < 200; ++i)
+            flits += rig.round();
+        const double secs =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        v["kernel.er.ns_per_flit"] = 1e9 * secs / static_cast<double>(flits);
     }
     {
         const auto t0 = Clock::now();

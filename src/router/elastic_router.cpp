@@ -1,8 +1,49 @@
 #include "router/elastic_router.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hpp"
 
 namespace ccsim::router {
+
+namespace {
+
+constexpr int kWordBits = 64;
+
+int
+wordsFor(int bits)
+{
+    return (bits + kWordBits - 1) / kWordBits;
+}
+
+/** Index of the first set bit of @p mask in [@p from, @p end), or end. */
+int
+firstSetBit(const std::uint64_t *mask, int from, int end)
+{
+    while (from < end) {
+        const std::uint64_t bits =
+            mask[from / kWordBits] >> (from % kWordBits);
+        if (bits)
+            return std::min(end, from + std::countr_zero(bits));
+        from = (from / kWordBits + 1) * kWordBits;
+    }
+    return end;
+}
+
+void
+setBit(std::uint64_t *mask, int bit)
+{
+    mask[bit / kWordBits] |= std::uint64_t{1} << (bit % kWordBits);
+}
+
+void
+clearBit(std::uint64_t *mask, int bit)
+{
+    mask[bit / kWordBits] &= ~(std::uint64_t{1} << (bit % kWordBits));
+}
+
+}  // namespace
 
 ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
     : queue(eq), cfg(std::move(config))
@@ -17,12 +58,18 @@ ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
         in.vcs.resize(cfg.numVcs);
     for (auto &out : outputs)
         out.vcOwner.assign(cfg.numVcs, -1);
+    slots = cfg.numPorts * cfg.numVcs;
+    slotWords = wordsFor(slots);
+    candidates.assign(std::size_t(cfg.numPorts) * slotWords, 0);
+    activeOutputs.assign(wordsFor(cfg.numPorts), 0);
 }
 
 void
 ElasticRouter::setOutputSink(int port, FlitSink *sink)
 {
-    outputs.at(port).sink = sink;
+    OutputPort &out = outputs.at(port);
+    out.sink = sink;
+    out.tailFlitsOnly = sink != nullptr && sink->tailFlitsOnly();
 }
 
 void
@@ -46,18 +93,21 @@ ElasticRouter::canAccept(int port, int vc) const
 }
 
 void
-ElasticRouter::injectFlit(int port, const Flit &flit)
+ElasticRouter::injectFlit(int port, Flit flit)
 {
     if (!canAccept(port, flit.vc))
         sim::panicf(cfg.name, ": injectFlit without credit (port ", port,
                     " vc ", flit.vc, ")");
     InputPort &in = inputs[port];
-    InputVc &ivc = in.vcs[flit.vc];
+    const int vc = flit.vc;
+    InputVc &ivc = in.vcs[vc];
     if (cfg.policy == CreditPolicy::kElastic &&
         static_cast<int>(ivc.fifo.size()) >= cfg.perVcReservedFlits) {
         ++in.sharedUsed;
     }
-    ivc.fifo.push_back(flit);
+    ivc.fifo.push_back(std::move(flit));
+    if (ivc.fifo.size() == 1)
+        addCandidate(port, vc);
     ++totalBuffered;
     statPeakBuffered = std::max(statPeakBuffered, totalBuffered);
     if (port < static_cast<int>(obsFlitsIn.size()) && obsFlitsIn[port])
@@ -120,16 +170,31 @@ ElasticRouter::routeOf(const Flit &flit) const
     return out;
 }
 
-bool
-ElasticRouter::anyWork() const
+void
+ElasticRouter::addCandidate(int port, int vc)
 {
-    for (const auto &in : inputs) {
-        for (const auto &ivc : in.vcs) {
-            if (!ivc.fifo.empty())
-                return true;
-        }
+    const InputVc &ivc = inputs[port].vcs[vc];
+    const Flit &front = ivc.fifo.front();
+    // Route the head flit; body/tail follow the locked output.
+    int target = ivc.lockedOutput;
+    if (front.isHead()) {
+        target = routeOf(front);
+    } else if (target < 0) {
+        sim::panicf(cfg.name, ": wormhole corruption on input ", port,
+                    " vc ", vc, " (body flit without a head)");
     }
-    return false;
+    setBit(&candidates[std::size_t(target) * slotWords],
+           port * cfg.numVcs + vc);
+    setBit(activeOutputs.data(), target);
+}
+
+void
+ElasticRouter::removeCandidate(int out_idx, int slot)
+{
+    std::uint64_t *mask = &candidates[std::size_t(out_idx) * slotWords];
+    clearBit(mask, slot);
+    if (firstSetBit(mask, 0, slots) == slots)
+        clearBit(activeOutputs.data(), out_idx);
 }
 
 void
@@ -168,82 +233,97 @@ ElasticRouter::tick()
 {
     const sim::TimePs now = queue.now();
     // Per-cycle separable allocation: each output grants at most one
-    // input; each input sends at most one flit.
-    std::vector<bool> inputUsed(cfg.numPorts, false);
-
-    for (int out_idx = 0; out_idx < cfg.numPorts; ++out_idx) {
-        OutputPort &out = outputs[out_idx];
+    // input; each input sends at most one flit. Only outputs that some
+    // front flit targets are visited, in port order; each walks its
+    // candidates round-robin from its pointer, the same order as a scan
+    // of every (input, vc) slot.
+    const int ports = cfg.numPorts;
+    for (int out_idx = firstSetBit(activeOutputs.data(), 0, ports);
+         out_idx < ports;
+         out_idx = firstSetBit(activeOutputs.data(), out_idx + 1, ports)) {
+        const OutputPort &out = outputs[out_idx];
         if (out.sink == nullptr || out.nextFree > now)
             continue;
-        // Round-robin over (input, vc) pairs starting at the pointer.
-        const int slots = cfg.numPorts * cfg.numVcs;
-        for (int k = 0; k < slots; ++k) {
-            const int slot = (out.rrPointer + k) % slots;
-            const int in_idx = slot / cfg.numVcs;
-            const int vc = slot % cfg.numVcs;
-            if (inputUsed[in_idx])
-                continue;
-            InputVc &ivc = inputs[in_idx].vcs[vc];
-            if (ivc.fifo.empty())
-                continue;
-            Flit &head = ivc.fifo.front();
-            // Route the head flit; body/tail follow the locked output.
-            int target;
-            if (head.isHead()) {
-                target = routeOf(head);
-            } else {
-                target = ivc.lockedOutput;
+        const std::uint64_t *mask =
+            &candidates[std::size_t(out_idx) * slotWords];
+        const int start = out.rrPointer;
+        auto grantFirst = [&](int from, int end) {
+            for (int slot = firstSetBit(mask, from, end); slot < end;
+                 slot = firstSetBit(mask, slot + 1, end)) {
+                if (tryGrant(out_idx, slot, now))
+                    return true;
             }
-            if (target != out_idx)
-                continue;
-            // Wormhole VC ownership on the output.
-            int &owner = out.vcOwner[vc];
-            if (head.isHead()) {
-                if (owner != -1 && owner != in_idx)
-                    continue;  // VC busy with another message
-                owner = in_idx;
-                ivc.lockedOutput = out_idx;
-            } else if (owner != in_idx) {
-                sim::panicf(cfg.name, ": wormhole corruption on output ",
-                            out_idx, " vc ", vc);
-            }
-
-            // Grant: move the flit.
-            Flit flit = std::move(ivc.fifo.front());
-            ivc.fifo.pop_front();
-            --totalBuffered;
-            inputUsed[in_idx] = true;
-            out.rrPointer = (slot + 1) % slots;
-            out.nextFree = now + out.cyclesPerFlit * cyclePs;
-            ++statFlitsRouted;
-            if (out_idx < static_cast<int>(obsFlitsOut.size()) &&
-                obsFlitsOut[out_idx])
-                obsFlitsOut[out_idx]->inc();
-            if (flit.isTail()) {
-                ++statTails;
-                owner = -1;
-                ivc.lockedOutput = -1;
-                if (flit.msg->trace.sampled && flowRec) {
-                    // Whole crossbar traversal: injection through the
-                    // pipeline to the output sink handoff.
-                    flowRec->recordSpan(flit.msg->trace, obsHop,
-                                        obs::Component::kCompute,
-                                        flit.msg->createdAt,
-                                        now + cfg.pipelineCycles * cyclePs);
-                }
-            }
-            releaseCredit(in_idx, vc);
-            FlitSink *sink = out.sink;
-            queue.scheduleAfter(cfg.pipelineCycles * cyclePs,
-                                [sink, flit] { sink->acceptFlit(flit); });
-            break;  // this output granted for this cycle
-        }
+            return false;
+        };
+        if (!grantFirst(start, slots))
+            grantFirst(0, start);
     }
 
-    if (anyWork()) {
+    if (totalBuffered > 0) {
         ++statBusyCycles;
         scheduleTick();
     }
+}
+
+bool
+ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
+{
+    const int in_idx = slot / cfg.numVcs;
+    const int vc = slot % cfg.numVcs;
+    InputPort &in = inputs[in_idx];
+    if (in.grantedAt == now)
+        return false;
+    InputVc &ivc = in.vcs[vc];
+    OutputPort &out = outputs[out_idx];
+    // Wormhole VC ownership on the output.
+    int &owner = out.vcOwner[vc];
+    if (ivc.fifo.front().isHead()) {
+        if (owner != -1 && owner != in_idx)
+            return false;  // VC busy with another message
+        owner = in_idx;
+        ivc.lockedOutput = out_idx;
+    } else if (owner != in_idx) {
+        sim::panicf(cfg.name, ": wormhole corruption on output ", out_idx,
+                    " vc ", vc);
+    }
+
+    // Grant: move the flit.
+    Flit flit = std::move(ivc.fifo.front());
+    ivc.fifo.pop_front();
+    removeCandidate(out_idx, slot);
+    --totalBuffered;
+    in.grantedAt = now;
+    out.rrPointer = (slot + 1) % slots;
+    out.nextFree = now + out.cyclesPerFlit * cyclePs;
+    ++statFlitsRouted;
+    if (out_idx < static_cast<int>(obsFlitsOut.size()) &&
+        obsFlitsOut[out_idx])
+        obsFlitsOut[out_idx]->inc();
+    const bool tail = flit.isTail();
+    if (tail) {
+        ++statTails;
+        owner = -1;
+        ivc.lockedOutput = -1;
+        if (flit.msg->trace.sampled && flowRec) {
+            // Whole crossbar traversal: injection through the
+            // pipeline to the output sink handoff.
+            flowRec->recordSpan(flit.msg->trace, obsHop,
+                                obs::Component::kCompute,
+                                flit.msg->createdAt,
+                                now + cfg.pipelineCycles * cyclePs);
+        }
+    }
+    if (!ivc.fifo.empty())
+        addCandidate(in_idx, vc);
+    releaseCredit(in_idx, vc);
+    if (tail || !out.tailFlitsOnly) {
+        FlitSink *sink = out.sink;
+        queue.scheduleAfter(cfg.pipelineCycles * cyclePs,
+                            [sink, flit = std::move(flit)] {
+                                sink->acceptFlit(flit);
+                            });
+    }
+    return true;
 }
 
 ErEndpoint::ErEndpoint(sim::EventQueue &eq, ElasticRouter &router, int p,
@@ -321,7 +401,7 @@ ErEndpoint::pump(int vc)
 {
     auto &q = pending[vc];
     while (!q.empty() && er.canAccept(port, vc)) {
-        er.injectFlit(port, q.front());
+        er.injectFlit(port, std::move(q.front()));
         q.pop_front();
     }
     if (!q.empty())

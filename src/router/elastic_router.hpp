@@ -71,7 +71,8 @@ class ElasticRouter
     /**
      * Set the routing function: maps a destination endpoint id to the
      * output port of *this* router. Defaults to identity (endpoint id ==
-     * local port), which is correct for a single-router shell.
+     * local port), which is correct for a single-router shell. Each head
+     * flit is routed once, when it reaches the front of its input VC.
      */
     void setRouteFn(std::function<int(int dst_endpoint)> fn)
     {
@@ -97,7 +98,7 @@ class ElasticRouter
      * @pre canAccept(port, flit.vc). Violations panic: the endpoint did
      *      not respect credit flow control.
      */
-    void injectFlit(int port, const Flit &flit);
+    void injectFlit(int port, Flit flit);
 
     /**
      * Register a callback fired whenever a credit frees at @p port
@@ -138,10 +139,13 @@ class ElasticRouter
     struct InputPort {
         std::vector<InputVc> vcs;
         int sharedUsed = 0;  ///< flits drawn from the shared pool
+        /** Cycle this input last sent a flit (one flit per cycle). */
+        sim::TimePs grantedAt = -1;
         std::function<void(int)> creditReturn;
     };
     struct OutputPort {
         FlitSink *sink = nullptr;
+        bool tailFlitsOnly = false;  ///< sink->tailFlitsOnly(), cached
         int cyclesPerFlit = 1;
         sim::TimePs nextFree = 0;  ///< earliest next flit departure time
         /** Which input owns each VC of this output (wormhole), or -1. */
@@ -156,6 +160,17 @@ class ElasticRouter
     std::vector<InputPort> inputs;
     std::vector<OutputPort> outputs;
     bool tickScheduled = false;
+
+    /**
+     * Arbitration candidates: bit (input * numVcs + vc) of output o's
+     * mask (words [o * slotWords, (o + 1) * slotWords)) is set while that
+     * input VC's front flit targets o. activeOutputs has bit o set while
+     * o's mask is non-empty.
+     */
+    int slots = 0;
+    int slotWords = 0;
+    std::vector<std::uint64_t> candidates;
+    std::vector<std::uint64_t> activeOutputs;
 
     /** Registry-owned per-port counters (null when not attached). */
     std::vector<sim::Counter *> obsFlitsIn;
@@ -172,7 +187,12 @@ class ElasticRouter
 
     void scheduleTick();
     void tick();
-    bool anyWork() const;
+    /** Grant output @p out_idx to candidate @p slot if it may send now. */
+    bool tryGrant(int out_idx, int slot, sim::TimePs now);
+    /** Route the new front flit of @p port / @p vc into a candidate set. */
+    void addCandidate(int port, int vc);
+    /** Drop candidate @p slot from output @p out_idx once granted. */
+    void removeCandidate(int out_idx, int slot);
     void releaseCredit(int port, int vc);
     int routeOf(const Flit &flit) const;
 };
@@ -213,6 +233,8 @@ class ErEndpoint : public FlitSink
     void sendMessage(const ErMessagePtr &msg);
 
     void acceptFlit(const Flit &flit) override;
+    /** Messages are reassembled at the tail, so only tails are needed. */
+    bool tailFlitsOnly() const override { return true; }
 
     int endpointId() const { return id; }
     int portIndex() const { return port; }

@@ -5,10 +5,10 @@
 namespace ccsim::router {
 
 void
-ErNetwork::connect(sim::EventQueue &eq, int src_router, int src_port,
-                   int dst_router, int dst_port)
+ErNetwork::connect(int src_router, int src_port, int dst_router,
+                   int dst_port)
 {
-    links.push_back(std::make_unique<ErLink>(eq, *routers[dst_router],
+    links.push_back(std::make_unique<ErLink>(*routers[dst_router],
                                              dst_port));
     routers[src_router]->setOutputSink(src_port, links.back().get());
 }
@@ -53,8 +53,8 @@ ErNetwork::ring(sim::EventQueue &eq, int n_routers,
                 const int fwd = (dst_router - r + n_routers) % n_routers;
                 return fwd <= n_routers - fwd ? port_cw : port_ccw;
             });
-        net->connect(eq, r, port_cw, (r + 1) % n_routers, port_ccw);
-        net->connect(eq, r, port_ccw, (r - 1 + n_routers) % n_routers,
+        net->connect(r, port_cw, (r + 1) % n_routers, port_ccw);
+        net->connect(r, port_ccw, (r - 1 + n_routers) % n_routers,
                      port_cw);
     }
     net->attachEndpoints(eq, endpoints_per_router);
@@ -100,12 +100,12 @@ ErNetwork::mesh(sim::EventQueue &eq, int width, int height,
                 return dy > y ? port_py : port_ny;
             });
             if (x + 1 < width) {
-                net->connect(eq, r, port_px, index(x + 1, y), port_nx);
-                net->connect(eq, index(x + 1, y), port_nx, r, port_px);
+                net->connect(r, port_px, index(x + 1, y), port_nx);
+                net->connect(index(x + 1, y), port_nx, r, port_px);
             }
             if (y + 1 < height) {
-                net->connect(eq, r, port_py, index(x, y + 1), port_ny);
-                net->connect(eq, index(x, y + 1), port_ny, r, port_py);
+                net->connect(r, port_py, index(x, y + 1), port_ny);
+                net->connect(index(x, y + 1), port_ny, r, port_py);
             }
         }
     }

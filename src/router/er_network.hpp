@@ -5,7 +5,7 @@
  * network topology, e.g., a ring or a 2-D mesh").
  *
  * Inter-router links carry their own credit loop: a link forwards a flit
- * into the downstream router only when that input port has a credit,
+ * into the downstream router only when that input VC has a credit,
  * buffering (bounded by the upstream output's wormhole) otherwise — the
  * same one-credit-per-flit discipline the paper's ER uses.
  */
@@ -23,47 +23,51 @@ namespace ccsim::router {
 /**
  * A credit-respecting unidirectional connection from one router's output
  * port into another router's input port.
+ *
+ * Flits wait in one FIFO per VC, so a flit blocked on one VC never holds
+ * back another VC (head-of-line blocking would deadlock multi-VC
+ * meshes). Every credit the downstream input frees calls the link back,
+ * which retries every VC, starting with the VC the credit came from.
  */
 class ErLink : public FlitSink
 {
   public:
-    ErLink(sim::EventQueue &eq, ElasticRouter &downstream, int in_port)
-        : queue(eq), er(downstream), inPort(in_port)
+    ErLink(ElasticRouter &downstream, int in_port)
+        : er(downstream), inPort(in_port),
+          pending(downstream.config().numVcs)
     {
-        er.setCreditReturnFn(inPort, [this](int) { pump(); });
+        er.setCreditReturnFn(inPort, [this](int vc) {
+            const int vcs = static_cast<int>(pending.size());
+            for (int k = 0; k < vcs; ++k)
+                pump((vc + k) % vcs);
+        });
     }
 
     void acceptFlit(const Flit &flit) override
     {
-        pending.push_back(flit);
-        pump();
+        pending[flit.vc].push_back(flit);
+        pump(flit.vc);
     }
 
-    std::size_t backlog() const { return pending.size(); }
+    std::size_t backlog() const
+    {
+        std::size_t n = 0;
+        for (const auto &q : pending)
+            n += q.size();
+        return n;
+    }
 
   private:
-    sim::EventQueue &queue;
     ElasticRouter &er;
     int inPort;
-    std::deque<Flit> pending;
-    bool retryArmed = false;
+    std::vector<std::deque<Flit>> pending;
 
-    void pump()
+    void pump(int vc)
     {
-        while (!pending.empty() && er.canAccept(inPort, pending.front().vc))
-        {
-            er.injectFlit(inPort, pending.front());
-            pending.pop_front();
-        }
-        if (!pending.empty() && !retryArmed) {
-            // Poll at the router clock until credits free (stands in
-            // for the RTL credit wire edge).
-            retryArmed = true;
-            queue.scheduleAfter(sim::cyclePeriod(er.config().clockMhz),
-                                [this] {
-                                    retryArmed = false;
-                                    pump();
-                                });
+        auto &q = pending[vc];
+        while (!q.empty() && er.canAccept(inPort, vc)) {
+            er.injectFlit(inPort, std::move(q.front()));
+            q.pop_front();
         }
     }
 };
@@ -123,8 +127,8 @@ class ErNetwork
     ErNetwork() = default;
 
     /** Wire a unidirectional link: src router port -> dst router port. */
-    void connect(sim::EventQueue &eq, int src_router, int src_port,
-                 int dst_router, int dst_port);
+    void connect(int src_router, int src_port, int dst_router,
+                 int dst_port);
     void attachEndpoints(sim::EventQueue &eq, int endpoints_per_router);
 };
 

@@ -67,12 +67,21 @@ struct Flit {
     }
 };
 
-/** Anything that can accept flits from an ER output port. */
+/**
+ * Anything that can accept flits from an ER output port.
+ *
+ * Delivery contract: the router hands the sink every flit, in order,
+ * unless tailFlitsOnly() is true; then it hands over only tail flits
+ * (a sink that acts on whole messages). Either way each flit arrives at
+ * the same simulated time. The router reads tailFlitsOnly() once, when
+ * the sink is attached.
+ */
 class FlitSink
 {
   public:
     virtual ~FlitSink() = default;
     virtual void acceptFlit(const Flit &flit) = 0;
+    virtual bool tailFlitsOnly() const { return false; }
 };
 
 }  // namespace ccsim::router

@@ -160,4 +160,44 @@ TEST(ErMesh, HotspotBackpressuresWithoutLoss)
     EXPECT_EQ(net->linkBacklog(), 0u);
 }
 
+TEST(ErMesh, BlockedVcDoesNotStallOtherVcInLinks)
+{
+    // Two-VC hotspot traffic over tight buffers. A link that queued both
+    // VCs in one FIFO let a blocked VC-0 flit hold back VC-1 flits behind
+    // it (head-of-line blocking) and deadlocked this mesh; per-VC link
+    // queues deliver everything. Bounded with runUntil because a
+    // deadlocked mesh never drains its event queue.
+    EventQueue eq;
+    router::ErConfig base;
+    base.perVcReservedFlits = 2;
+    base.sharedPoolFlits = 6;
+    auto net = ErNetwork::mesh(eq, 3, 2, 2, base);
+    const int n = net->numEndpoints();
+    int received = 0;
+    for (int e = 0; e < n; ++e) {
+        net->endpoint(e).setMessageHandler(
+            [&received](const ErMessagePtr &) { ++received; });
+    }
+    sim::Rng rng(613);
+    int expected = 0;
+    for (int i = 0; i < 600; ++i) {
+        const int src = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int dst =
+            rng.uniformInt(std::uint64_t{3}) == 0
+                ? 0
+                : static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int vc = static_cast<int>(rng.uniformInt(std::uint64_t{2}));
+        const auto bytes = static_cast<std::uint32_t>(
+            32 + rng.uniformInt(std::uint64_t{480}));
+        if (src == dst)
+            continue;
+        net->endpoint(src).sendMessage(dst, vc, bytes);
+        ++expected;
+    }
+    eq.runUntil(sim::fromMicros(2000));
+    EXPECT_EQ(received, expected);
+    EXPECT_EQ(net->linkBacklog(), 0u);
+    EXPECT_TRUE(eq.empty());
+}
+
 }  // namespace

@@ -160,6 +160,38 @@ TEST(ElasticRouter, InjectWithoutCreditPanics)
     EXPECT_DEATH(er.injectFlit(0, flit), "credit");
 }
 
+TEST(ElasticRouter, BadRoutePanics)
+{
+    EventQueue eq;
+    ElasticRouter er(eq, ErConfig{});
+    er.setRouteFn([](int) { return 99; });
+    router::Flit flit;
+    flit.dstEndpoint = 1;
+    EXPECT_DEATH(
+        {
+            er.injectFlit(0, flit);
+            eq.runAll();
+        },
+        "bad port 99");
+}
+
+TEST(ElasticRouter, BodyFlitWithoutHeadPanics)
+{
+    // A body flit at the front of an idle input VC has no wormhole to
+    // follow: the sender interleaved or dropped a head.
+    EventQueue eq;
+    ElasticRouter er(eq, ErConfig{});
+    router::Flit flit;
+    flit.kind = router::FlitKind::kBody;
+    flit.dstEndpoint = 1;
+    EXPECT_DEATH(
+        {
+            er.injectFlit(0, flit);
+            eq.runAll();
+        },
+        "wormhole corruption");
+}
+
 TEST(ElasticRouter, ElasticPolicySharesPoolAcrossVcs)
 {
     ErConfig cfg;

@@ -3,7 +3,8 @@
  * Property-based Elastic Router suites: across the parameterization the
  * paper calls out (ports, VCs, flit sizes, buffer policies), the router
  * must deliver every message, preserve per-(source, VC) order, never
- * exceed its buffer budget, and conserve flits.
+ * exceed its buffer budget, and conserve flits. Golden-trace tests pin
+ * the exact delivery times of seeded contended traffic.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "router/elastic_router.hpp"
+#include "router/er_network.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
@@ -225,6 +227,145 @@ TEST(ErThroughput, OutputSustainsOneFlitPerCycle)
     const double us = sim::toMicros(eq.now());
     EXPECT_GE(us, 5.8);
     EXPECT_LE(us, 7.5);  // small arbitration/pipeline overhead allowed
+}
+
+/** FNV-1a over 64-bit words: a stable digest of a delivery trace. */
+struct TraceHash {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void addRouter(const ElasticRouter &er)
+    {
+        add(er.flitsRouted());
+        add(er.busyCycles());
+        add(static_cast<std::uint64_t>(er.peakBufferedFlits()));
+    }
+};
+
+/**
+ * Hash every delivery (time, endpoint, source, VC, sequence) of seeded,
+ * contended traffic injected at staggered times into endpoints
+ * @p eps. Every message must arrive; returns the trace digest.
+ */
+TraceHash
+runGoldenTraffic(sim::EventQueue &eq,
+                 const std::vector<ErEndpoint *> &eps, int vcs,
+                 std::uint64_t seed, int messages)
+{
+    TraceHash hash;
+    int delivered = 0;
+    const int n = static_cast<int>(eps.size());
+    for (int e = 0; e < n; ++e) {
+        eps[e]->setMessageHandler(
+            [&hash, &eq, &delivered, e](const ErMessagePtr &m) {
+                hash.add(static_cast<std::uint64_t>(eq.now()));
+                hash.add(static_cast<std::uint64_t>(e));
+                hash.add(static_cast<std::uint64_t>(m->srcEndpoint));
+                hash.add(static_cast<std::uint64_t>(m->vc));
+                hash.add(static_cast<std::uint64_t>(
+                    *std::static_pointer_cast<int>(m->payload)));
+                ++delivered;
+            });
+    }
+    sim::Rng rng(seed);
+    for (int i = 0; i < messages; ++i) {
+        const int src = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int dst = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int vc = static_cast<int>(rng.uniformInt(std::uint64_t(vcs)));
+        const auto bytes =
+            static_cast<std::uint32_t>(1 + rng.uniformInt(std::uint64_t{700}));
+        const auto at = static_cast<sim::TimePs>(
+            rng.uniformInt(std::uint64_t(sim::fromMicros(4))));
+        eq.schedule(at, [&eps, src, dst, vc, bytes, i] {
+            eps[src]->sendMessage(dst, vc, bytes, std::make_shared<int>(i));
+        });
+    }
+    eq.runAll();
+    EXPECT_EQ(delivered, messages);
+    return hash;
+}
+
+TEST(ErGoldenTrace, SingleRouterDeliveryTracesMatchPinnedHashes)
+{
+    // Pinned digests of the exact delivery trace: any change to
+    // arbitration order, credit timing or pipeline latency moves them.
+    struct Case {
+        int ports;
+        int vcs;
+        CreditPolicy policy;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {2, 1, CreditPolicy::kElastic, 0x1e6492b14f797fa2ull},
+        {2, 1, CreditPolicy::kStatic, 0x2c8225c234d2d5c9ull},
+        {2, 2, CreditPolicy::kElastic, 0xae90cb6d77fef9a3ull},
+        {2, 2, CreditPolicy::kStatic, 0xf7ea47f2ad581fcdull},
+        {2, 4, CreditPolicy::kElastic, 0xb83814697c7530ddull},
+        {2, 4, CreditPolicy::kStatic, 0x082e22c87a1bbca2ull},
+        {4, 1, CreditPolicy::kElastic, 0x6efe92d2cf2bcb23ull},
+        {4, 1, CreditPolicy::kStatic, 0x8ba037400dfac865ull},
+        {4, 2, CreditPolicy::kElastic, 0x99dce0efa2402335ull},
+        {4, 2, CreditPolicy::kStatic, 0xa403412dde682aa2ull},
+        {4, 4, CreditPolicy::kElastic, 0x35162b42ea442867ull},
+        {4, 4, CreditPolicy::kStatic, 0xa027fb39eb357bb9ull},
+        {11, 1, CreditPolicy::kElastic, 0x4d79425e77d6ee2dull},
+        {11, 1, CreditPolicy::kStatic, 0x1335f9ce724a0dd1ull},
+        {11, 2, CreditPolicy::kElastic, 0x4f8ad921b3be8124ull},
+        {11, 2, CreditPolicy::kStatic, 0x968a6c160643fcf9ull},
+        {11, 4, CreditPolicy::kElastic, 0xbcab5c42d17d0b23ull},
+        {11, 4, CreditPolicy::kStatic, 0x78c2dcd21ad40812ull},
+    };
+    for (const Case &c : cases) {
+        sim::EventQueue eq;
+        ErConfig cfg;
+        cfg.numPorts = c.ports;
+        cfg.numVcs = c.vcs;
+        cfg.policy = c.policy;
+        cfg.perVcReservedFlits = 2;
+        cfg.sharedPoolFlits = 6;
+        cfg.staticPerVcFlits = 4;
+        ElasticRouter er(eq, cfg);
+        er.setOutputCyclesPerFlit(c.ports - 1, 3);  // one slow output
+        std::vector<std::unique_ptr<ErEndpoint>> owned;
+        std::vector<ErEndpoint *> eps;
+        for (int p = 0; p < c.ports; ++p) {
+            owned.push_back(std::make_unique<ErEndpoint>(eq, er, p, p));
+            er.setOutputSink(p, owned.back().get());
+            eps.push_back(owned.back().get());
+        }
+        const std::uint64_t seed = 1000u * c.ports + 10u * c.vcs +
+                                   (c.policy == CreditPolicy::kStatic);
+        TraceHash hash = runGoldenTraffic(eq, eps, c.vcs, seed,
+                                          60 * c.ports);
+        hash.addRouter(er);
+        EXPECT_EQ(hash.h, c.hash)
+            << "ports=" << c.ports << " vcs=" << c.vcs << " static="
+            << (c.policy == CreditPolicy::kStatic) << " got 0x" << std::hex
+            << hash.h;
+    }
+}
+
+TEST(ErGoldenTrace, OneVcMeshDeliveryTraceMatchesPinnedHash)
+{
+    sim::EventQueue eq;
+    ErConfig base;
+    base.numVcs = 1;
+    base.perVcReservedFlits = 2;
+    base.sharedPoolFlits = 6;  // tight: links back-pressure
+    auto net = router::ErNetwork::mesh(eq, 3, 2, 2, base);
+    std::vector<ErEndpoint *> eps;
+    for (int e = 0; e < net->numEndpoints(); ++e)
+        eps.push_back(&net->endpoint(e));
+    TraceHash hash = runGoldenTraffic(eq, eps, 1, 0x3e5, 400);
+    for (int r = 0; r < net->numRouters(); ++r)
+        hash.addRouter(net->router(r));
+    EXPECT_EQ(net->linkBacklog(), 0u);
+    EXPECT_EQ(hash.h, 0x4d3ac88f2666e85bull) << "got 0x" << std::hex << hash.h;
 }
 
 }  // namespace
