@@ -32,6 +32,7 @@
 #include "obs/metrics.hpp"
 #include "roles/ranking/ranking_role.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace ccsim;
 
@@ -97,7 +98,8 @@ main(int argc, char **argv)
     const double post_s = quick ? 0.5 : 3.0;  // post-recovery window
     const sim::TimePs kDrain = sim::fromMillis(50);  // degraded tail
 
-    sim::EventQueue eq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;  // must outlive the observability hub
+    sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
 
     // A small pod: 8 FPGA-equipped servers, one of which will die.
@@ -177,7 +179,7 @@ main(int argc, char **argv)
     const sim::TimePs t_fail = t_warm + sim::fromSeconds(pre_s);
 
     fault::FaultInjector injector(
-        eq, cloud,
+        sq, cloud,
         fault::FaultConfig{}.withSeed(7).withFpgaHardFail(t_fail, victim));
     injector.arm();
 
@@ -195,10 +197,10 @@ main(int argc, char **argv)
     };
     char buf[256];
 
-    // The injector's fault event was scheduled at arm(); this observer is
-    // scheduled after it, so FIFO ordering runs it once the fault (and
-    // the synchronous HaaS failover) has happened.
-    eq.schedule(t_fail, [&] {
+    // The injector fails the FPGA at the barrier pinned to t_fail; the
+    // run pauses there, so this observer sees the fault and the
+    // synchronous HaaS failover.
+    const auto snapFault = [&] {
         std::snprintf(buf, sizeof buf,
                       "FPGA on host %d hard-fails: fault.injected=%.0f "
                       "fault.fpga_failures=%.0f haas.failed=%.0f",
@@ -213,7 +215,7 @@ main(int argc, char **argv)
                       probe("haas.sm.rank.failovers"),
                       probe("haas.sm.rank.instances"));
         snap(buf);
-    });
+    };
 
     // Data-plane detection: the client's LTL engine exhausts retries on
     // the request connection and declares it failed.
@@ -260,9 +262,11 @@ main(int argc, char **argv)
     gen.start();
     const sim::TimePs t_end = t_fail + sim::fromMillis(quick ? 20 : 50) +
                               kDrain + sim::fromSeconds(post_s);
-    eq.runUntil(t_end);
+    sq.runUntil(t_fail);
+    snapFault();
+    sq.runUntil(t_end);
     gen.stop();
-    eq.runFor(sim::fromMillis(200));  // drain in-flight queries
+    sq.runFor(sim::fromMillis(200));  // drain in-flight queries
 
     // ---- report ---------------------------------------------------------
     std::printf("timeline (all figures read live from the obs "

@@ -47,6 +47,7 @@
 #include "obs/metrics.hpp"
 #include "roles/ranking/ranking_role.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace ccsim;
 
@@ -120,7 +121,8 @@ main(int argc, char **argv)
     const sim::TimePs kDark = sim::fromMillis(25);  // outage windows
     const sim::TimePs kFlap = 600 * sim::kMicrosecond;
 
-    sim::EventQueue eq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;  // must outlive the observability hub
+    sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
 
     // A small pod: 8 FPGA-equipped servers.
@@ -172,7 +174,7 @@ main(int argc, char **argv)
             .withSuspicion(3.0, 1.0, 1.0));
     hm.attachObservability(&hub);
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
     // ---- frontend data plane -------------------------------------------
     constexpr int kForwarders = 3;
@@ -191,7 +193,7 @@ main(int argc, char **argv)
     // completion p99) so it only expires during real outages; the hedge
     // delay adapts to the observed accel-stage p99.
     server.setRetryPolicy(
-        host::QueryRetryPolicy{}
+        serving::RequestPolicy{}
             .withDeadline(sim::fromMillis(3), 3)
             .withBackoff(200 * sim::kMicrosecond, 0.2)
             .withHedge()  // adaptive delay
@@ -281,7 +283,7 @@ main(int argc, char **argv)
     const sim::TimePs t_f = t_c + sim::fromMillis(60);
 
     fault::FaultInjector injector(
-        eq, cloud,
+        sq, cloud,
         fault::FaultConfig{}
             .withSeed(7)
             .withSelfReport(false)
@@ -311,25 +313,22 @@ main(int argc, char **argv)
 
     // Record when the monitor's failure report reaches the RM for each
     // victim (reportFailure marks the node's FpgaManager unhealthy).
-    // Polling that flag (rather than RM failure callbacks) covers nodes
+    // Checking that flag (rather than RM failure callbacks) covers nodes
     // that are back in the free pool when they fail: the RM only
     // notifies lease holders, but the detection bound applies to every
-    // registered node.
+    // registered node. The monitor judges hosts at barriers, so the
+    // check runs at every barrier, right after the monitor's own hook.
     std::vector<sim::TimePs> detectedAt(darkFaults.size(), -1);
-    std::function<void(std::size_t)> pollDetect = [&](std::size_t i) {
-        if (detectedAt[i] >= 0)
-            return;
-        const haas::FpgaManager *fm = rm.manager(darkFaults[i].host);
-        if (fm != nullptr && !fm->status().healthy) {
-            detectedAt[i] = eq.now();
-            return;
+    sq.atBarrier([&](sim::TimePs e) {
+        for (std::size_t i = 0; i < darkFaults.size(); ++i) {
+            if (detectedAt[i] >= 0 || e < darkFaults[i].at)
+                continue;
+            const haas::FpgaManager *fm = rm.manager(darkFaults[i].host);
+            if (fm != nullptr && !fm->status().healthy)
+                detectedAt[i] = e;
         }
-        if (eq.now() - darkFaults[i].at > 4 * darkFaults[i].bound)
-            return;  // give up: "never detected"
-        eq.scheduleAfter(10 * sim::kMicrosecond, [&, i] { pollDetect(i); });
-    };
-    for (std::size_t i = 0; i < darkFaults.size(); ++i)
-        eq.schedule(darkFaults[i].at, [&, i] { pollDetect(i); });
+        return sim::kTimeNever;
+    });
 
     // ---- timeline, reported from the observability registry ------------
     struct Entry {
@@ -365,12 +364,12 @@ main(int argc, char **argv)
     gen.start();
     const sim::TimePs t_end = t_f + kFlap + sim::fromMillis(20) +
                               sim::fromSeconds(post_s);
-    eq.runUntil(t_end);
+    sq.runUntil(t_end);
     gen.stop();
-    eq.runFor(sim::fromMillis(300));  // drain in-flight queries
+    sq.runFor(sim::fromMillis(300));  // drain in-flight queries
     reconciling = false;
     hm.stop();
-    eq.runFor(sim::fromMillis(1));  // let the last loop events expire
+    sq.runFor(sim::fromMillis(1));  // let the last loop events expire
 
     // ---- report --------------------------------------------------------
     std::printf("timeline (all figures read live from the obs "

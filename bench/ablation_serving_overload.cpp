@@ -47,6 +47,7 @@
 #include "roles/dnn_role.hpp"
 #include "serving/cluster_client.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace ccsim;
 
@@ -189,7 +190,8 @@ struct GreyResult {
 GreyResult
 runGreyFailure()
 {
-    sim::EventQueue eq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;  // must outlive the observability hub
+    sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
 
     net::TopologyConfig topo;
@@ -228,7 +230,7 @@ runGreyFailure()
             .withHeartbeat(sim::fromMillis(250), sim::kMillisecond)
             .withSuspicion(3.0, 1.0, 1.0));
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
     std::map<int, std::unique_ptr<DegradableAccelerator>> accels;
     std::vector<std::unique_ptr<roles::DnnRole>> role_storage;
@@ -276,7 +278,7 @@ runGreyFailure()
     eq.schedule(t_grey, poll);
 
     gen.start();
-    eq.runUntil(t_end);
+    sq.runUntil(t_end);
     gen.stop();
 
     r.ejected = t_eject != 0;

@@ -759,7 +759,8 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
 
     // Live telemetry (opt-in via CCSIM_TS): same stream as the l2
     // campaign, plus the ChaosEngine's injected/detected markers — the
-    // JSONL is byte-identical across --shards values.
+    // JSONL is byte-identical across --shards values, and its chaos
+    // markers match the single-queue run's.
     const std::string tsPath = obs::TimeSeriesHub::envPath();
     std::unique_ptr<obs::TimeSeriesHub> tsHub;
     std::unique_ptr<obs::SloEngine> slo;
@@ -779,7 +780,9 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
         cfg.timeSeries = tsHub.get();
     }
 
-    std::unique_ptr<sim::EventQueue> eq;
+    // Without --shards the cloud is a single-queue build driven by a
+    // one-partition kernel; either way the control plane (injector,
+    // monitor, chaos engine) runs at the same barriers.
     std::unique_ptr<sim::ShardedEventQueue> sq;
     std::unique_ptr<obs::Observability> hub;
     std::unique_ptr<obs::ShardedObservability> shardHubs;
@@ -795,15 +798,16 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     } else {
         hub = std::make_unique<obs::Observability>();
         cfg.obs = hub.get();
-        eq = std::make_unique<sim::EventQueue>();
-        cloud = std::make_unique<core::ConfigurableCloud>(*eq, cfg);
+        sq = std::make_unique<sim::ShardedEventQueue>();
+        cloud = std::make_unique<core::ConfigurableCloud>(sq->partition(0),
+                                                          cfg);
     }
     net::Topology &topo = cloud->topology();
-    // The control plane (RM, SM, HealthMonitor) lives on the spine
-    // partition, like the cloud's own resource manager.
-    sim::EventQueue &ctlq = sq ? sq->partition(p.pods) : *eq;
+    // The control plane (RM, SM, HealthMonitor) lives on the cloud's
+    // control queue: the spine partition when sharded.
+    sim::EventQueue &ctlq = cloud->controlQueue();
     obs::Observability *ctlHub =
-        sq ? &shardHubs->shard(0) : hub.get();
+        shardHubs ? &shardHubs->shard(0) : hub.get();
 
     if (tsHub) {
         slo = std::make_unique<obs::SloEngine>(*tsHub);
@@ -818,19 +822,10 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
         slo->attachObservability(ctlHub->registry);
     }
 
-    const auto runFor = [&](sim::TimePs d) {
-        if (sq)
-            sq->runFor(d);
-        else
-            eq->runFor(d);
-    };
-    const auto eventsExecuted = [&] {
-        return sq ? sq->eventsExecuted() : eq->eventsExecuted();
-    };
-    const auto nowPs = [&] { return sq ? sq->now() : eq->now(); };
+    const auto nowPs = [&] { return sq->now(); };
     const auto histFor = [&](int src) -> sim::LogHistogram & {
         obs::Observability &h =
-            sq ? shardHubs->shard(cloud->partitionOf(src)) : *hub;
+            shardHubs ? shardHubs->shard(cloud->partitionOf(src)) : *hub;
         return h.registry.histogram("ltl.node" + std::to_string(src) +
                                     ".rtt_us");
     };
@@ -847,9 +842,8 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     haas::LeaseConstraints lc;
     if (anti_affinity)
         lc.withAntiAffinity(p.maxPerRack, p.maxPerPod);
-    // Mass-migration throttle: self-pumped on the legacy kernel, pumped
-    // by the ChaosEngine at barriers on the sharded one.
-    sm.setMigrationPolicy(p.migrationGap, /*self_pump=*/sq == nullptr);
+    // Mass-migration throttle, pumped by the ChaosEngine at barriers.
+    sm.setMigrationPolicy(p.migrationGap, /*self_pump=*/false);
     sm.enableAutoHeal(p.instances, lc);
     if (!sm.deploy(p.instances, lc))
         sim::fatal("fig07 chaos: service deploy failed");
@@ -877,9 +871,9 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     watchRack(100, 0);  // control rack, far from every fault
     haas::HealthMonitorConfig hmc;
     hmc.withHeartbeat(100 * sim::kMicrosecond, 10 * sim::kMicrosecond)
-        // Streak weight 0: the drill isolates the heartbeat/domain path,
-        // so legacy and sharded kernels reach identical verdicts (passive
-        // LTL suspicion is legacy-only).
+        // Streak weight 0: the drill isolates the heartbeat/domain path.
+        // Passive LTL suspicion needs a single-queue cloud, and the drill
+        // must reach identical verdicts with and without --shards.
         .withSuspicion(3.0, 1.0, 0.0)
         .withDomainConviction(/*sweeps=*/2, /*min_hosts=*/p.hostsPerRack);
     haas::HealthMonitor hm(ctlq, rm, hmc);
@@ -890,14 +884,14 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     // --- fault injector (detection is the monitor's job) ---
     fault::FaultConfig fc;
     fc.withSeed(42).withSelfReport(false);
-    auto injector =
-        sq ? std::make_unique<fault::FaultInjector>(*sq, *cloud, fc)
-           : std::make_unique<fault::FaultInjector>(*eq, *cloud, fc);
+    fault::FaultInjector injector(*sq, *cloud, fc);
 
     // --- fluid background (flows through the dead rack must stall,
     // conservation stays exact) ---
-    auto fluid = sq ? std::make_unique<net::FluidTrafficModel>(*sq, topo)
-                    : std::make_unique<net::FluidTrafficModel>(*eq, topo);
+    auto fluid =
+        cloud->sharded()
+            ? std::make_unique<net::FluidTrafficModel>(*sq, topo)
+            : std::make_unique<net::FluidTrafficModel>(ctlq, topo);
     for (int i = 0; i < p.flows; ++i) {
         const auto u = static_cast<std::uint64_t>(i);
         const int src = static_cast<int>(mix64(u * 2 + 1) %
@@ -934,7 +928,7 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     fault::ChaosScenario scenario;
     scenario
         .withPhase("tor-death", torAt,
-                   [&] { injector->failTor(victimPod, victimRack); })
+                   [&] { injector.failTor(victimPod, victimRack); })
         .withTriggeredPhase(
             "rack-convicted", torAt,
             [&] { return hm.domainConvictions() > 0; },
@@ -954,32 +948,26 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
             [&] { evacuatedAt = nowPs(); })
         .withPhase("gray-spine", grayAt,
                    [&] {
-                       injector->graySpineDegrade(2, 0.001,
-                                                  500 * sim::kNanosecond);
+                       injector.graySpineDegrade(2, 0.001,
+                                                 500 * sim::kNanosecond);
                    })
         .withPhase("gray-clear", grayClearAt,
-                   [&] { injector->graySpineClear(2); })
+                   [&] { injector.graySpineClear(2); })
         .withPhase("maintenance-drain", maintAt, [&] {
-            injector->rollingMaintenance(130, 50 * sim::kMicrosecond,
-                                         60 * sim::kMicrosecond);
+            injector.rollingMaintenance(130, 50 * sim::kMicrosecond,
+                                        60 * sim::kMicrosecond);
         });
-    auto chaos =
-        sq ? std::make_unique<fault::ChaosEngine>(*sq, std::move(scenario))
-           : std::make_unique<fault::ChaosEngine>(*eq, std::move(scenario));
-    chaos->setPollPeriod(p.chaosPoll);
-    chaos->setFluidModel(fluid.get());
+    fault::ChaosEngine chaos(*sq, std::move(scenario));
+    chaos.setPollPeriod(p.chaosPoll);
+    chaos.setFluidModel(fluid.get());
     if (tsHub)
-        chaos->setMarkerHub(tsHub.get());
-    if (sq)
-        chaos->manageService(&sm);  // barrier-driven migration pump
-    chaos->watchHealth(&hm);
-    chaos->attachObservability(ctlHub);
+        chaos.setMarkerHub(tsHub.get());
+    chaos.manageService(&sm);  // barrier-driven migration pump
+    chaos.watchHealth(&hm);
+    chaos.attachObservability(ctlHub);
 
-    if (sq)
-        hm.startSharded(*sq);
-    else
-        hm.start();
-    chaos->start();
+    hm.startSharded(*sq);
+    chaos.start();
 
     const double build_s = wallSeconds(t0);
     std::printf("build: %.2f s, %d/%d servers materialized, victim rack "
@@ -1106,7 +1094,7 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
                                     });
             }
         }
-        runFor(p.windowLen);
+        sq->runFor(p.windowLen);
         ++windowsRun;
         harvest();
         for (const std::uint64_t id : batch)
@@ -1116,11 +1104,11 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
                     static_cast<unsigned long long>(nextId),
                     static_cast<unsigned long long>(deliveredCount),
                     pending.size(), sm.instances().size(),
-                    static_cast<unsigned long long>(chaos->phasesFired()));
+                    static_cast<unsigned long long>(chaos.phasesFired()));
     }
 
     // Drain in-flight frames, then harvest probe RTTs.
-    runFor(2 * p.windowLen);
+    sq->runFor(2 * p.windowLen);
     harvest();
     sim::LogHistogram rtt(obs::kDefaultHistMinValue,
                           obs::kDefaultHistBinsPerOctave);
@@ -1197,21 +1185,21 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
                 static_cast<unsigned long long>(c.fluidBytes));
     ok = ok && c.ok;
 
-    const bool phasesOk = chaos->done();
+    const bool phasesOk = chaos.done();
     if (!phasesOk)
         std::printf("chaos phases: FAIL (only %llu fired)\n",
-                    static_cast<unsigned long long>(chaos->phasesFired()));
+                    static_cast<unsigned long long>(chaos.phasesFired()));
     ok = ok && phasesOk;
 
     const double wall_s = wallSeconds(t0);
     const long rss_kb = checkRssBudget();
     const double evps =
-        wall_s > 0 ? static_cast<double>(eventsExecuted()) / wall_s : 0;
+        wall_s > 0 ? static_cast<double>(sq->eventsExecuted()) / wall_s : 0;
     std::printf("campaign: %.1f s wall, %.2f M events/s, %d windows, "
                 "%llu re-sends, %llu domain faults injected\n", wall_s,
                 evps / 1e6, windowsRun,
                 static_cast<unsigned long long>(resends),
-                static_cast<unsigned long long>(injector->domainFaults()));
+                static_cast<unsigned long long>(injector.domainFaults()));
     if (tsHub)
         std::printf("telemetry: %llu windows, %llu JSONL lines -> %s; "
                     "%llu alerts\n",

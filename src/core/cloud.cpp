@@ -71,6 +71,14 @@ ConfigurableCloud::ConfigurableCloud(sim::ShardedEventQueue &sq,
     build();
 }
 
+bool
+ConfigurableCloud::drivenBy(const sim::ShardedEventQueue &sq) const
+{
+    if (shards != nullptr)
+        return shards == &sq;
+    return sq.partitionCount() == 1 && &sq.partition(0) == &queue;
+}
+
 void
 ConfigurableCloud::validateSharded() const
 {
@@ -261,9 +269,9 @@ ConfigurableCloud::materializeServer(int host)
 
     hostStates[host] = std::move(state);
     ++materializedCount;
-    // Passive LTL timeout observers are legacy-only: on a sharded cloud
-    // they would call into the monitor from a worker mid-window; there
-    // the monitor's own barrier-driven sweeps are the only detector.
+    // Passive LTL timeout observers need a single-queue cloud: on a
+    // sharded one they would call into the monitor from a worker
+    // mid-window; there the barrier-driven sweeps are the only detector.
     if (healthMon != nullptr && shards == nullptr)
         installTimeoutObserver(host);
 }

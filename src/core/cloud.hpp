@@ -112,9 +112,9 @@ struct CloudConfig {
     /**
      * Live windowed time-series: the hub watches every instrumented
      * registry (the single hub, or all per-shard hubs) and is driven on
-     * its configured window — a periodic event on the legacy kernel, a
-     * barrier hook on the sharded one. Requires obs or shardObs; must
-     * outlive the cloud's simulation run. Null disables.
+     * its configured window — a periodic event on the single-queue
+     * build, a barrier hook on the sharded one. Requires obs or
+     * shardObs; must outlive the cloud's simulation run. Null disables.
      */
     obs::TimeSeriesHub *timeSeries = nullptr;
 
@@ -305,6 +305,12 @@ class LtlChannel
 class ConfigurableCloud
 {
   public:
+    /**
+     * Single-queue construction: every device schedules on @p eq. Fault
+     * injection, health monitoring and chaos campaigns run at barriers,
+     * so drive such a cloud through a one-partition ShardedEventQueue
+     * whose partition(0) is @p eq.
+     */
     ConfigurableCloud(sim::EventQueue &eq, CloudConfig cfg);
 
     /**
@@ -314,10 +320,9 @@ class ConfigurableCloud
      * @p sq from shardPlan(cfg) so the partition count and window match
      * the topology. Instrumentation must come through
      * cfg.shardObs (one hub per partition) rather than cfg.obs. Health
-     * monitoring (HealthMonitor::startSharded) and fault injection (the
-     * injector's ShardedEventQueue constructor) both run as barrier
-     * hooks on this kernel — see haas/health_monitor.hpp and
-     * fault/fault.hpp for the modes each supports.
+     * monitoring and fault injection run as barrier hooks here exactly
+     * as on a single-queue cloud; see fault/fault.hpp for the two fault
+     * modes only a single-queue cloud supports.
      */
     ConfigurableCloud(sim::ShardedEventQueue &sq, CloudConfig cfg);
 
@@ -431,8 +436,9 @@ class ConfigurableCloud
      * Wire @p hm to this cloud: installs the management-path
      * reachability probe and subscribes every shell's LTL engine so
      * retransmission-timeout streaks feed the monitor's passive
-     * suspicion (remote IPs are resolved to host indices). Call before
-     * hm.start(); @p hm must outlive the cloud's simulation run.
+     * suspicion (remote IPs are resolved to host indices; single-queue
+     * builds only). Call before hm.startSharded(); @p hm must outlive
+     * the cloud's simulation run.
      */
     void attachHealthMonitor(haas::HealthMonitor &hm);
 
@@ -458,7 +464,25 @@ class ConfigurableCloud
     /** True when built on the parallel (sharded) kernel. */
     bool sharded() const { return shards != nullptr; }
 
-    /** The sharded hubs the cloud was built with (null when legacy). */
+    /** True when servers are flyweight stubs until first touch. */
+    bool lazy() const { return config.lazyHosts; }
+
+    /**
+     * The queue the control plane (resource manager, fault injector,
+     * health monitor) runs on: the cloud's own queue on a single-queue
+     * build, the spine partition on a sharded one.
+     */
+    sim::EventQueue &controlQueue() { return queue; }
+
+    /**
+     * True when @p sq drives this cloud: it is the sharded build's
+     * kernel, or a one-partition kernel whose partition 0 is the
+     * single-queue build's queue. Barrier-driven components (fault
+     * injector, health monitor, chaos engine) require it.
+     */
+    bool drivenBy(const sim::ShardedEventQueue &sq) const;
+
+    /** The sharded hubs the cloud was built with (null single-queue). */
     obs::ShardedObservability *shardedObservability() const
     {
         return config.shardObs;
@@ -466,7 +490,7 @@ class ConfigurableCloud
 
     /**
      * The logical process a server executes on (== its pod). Valid in
-     * both modes; in the legacy build it is informational only.
+     * both modes; in the single-queue build it is informational only.
      */
     int partitionOf(int host) const
     {

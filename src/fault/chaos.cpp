@@ -14,15 +14,9 @@
 
 namespace ccsim::fault {
 
-ChaosEngine::ChaosEngine(sim::EventQueue &eq, ChaosScenario scenario)
-    : queue(&eq), phases(scenario.phases().begin(), scenario.phases().end())
-{
-}
-
 ChaosEngine::ChaosEngine(sim::ShardedEventQueue &squeue,
                          ChaosScenario scenario)
-    : sq(&squeue),
-      phases(scenario.phases().begin(), scenario.phases().end())
+    : sq(squeue), phases(scenario.phases().begin(), scenario.phases().end())
 {
 }
 
@@ -50,12 +44,6 @@ ChaosEngine::watchHealth(haas::HealthMonitor *hm)
     lastConvictions.push_back(hm->domainConvictions());
 }
 
-sim::TimePs
-ChaosEngine::tnow() const
-{
-    return sq != nullptr ? sq->now() : queue->now();
-}
-
 void
 ChaosEngine::start()
 {
@@ -64,62 +52,59 @@ ChaosEngine::start()
     started = true;
     if (phases.empty() && managed.empty() && watchedHealth.empty())
         return;
-    sim::TimePs first = sim::kTimeNever;
+    const sim::TimePs now = sq.now();
+    for (const ChaosPhase &p : phases)
+        if (p.when)
+            pollAt = std::min(pollAt, p.at);
+    if (!watchedHealth.empty())
+        pollAt = std::min(pollAt, now + pollPeriod);
+    sim::TimePs first = pollAt;
     for (const ChaosPhase &p : phases)
         first = std::min(first, p.at);
-    if (!watchedHealth.empty() || !managed.empty())
-        first = std::min(first, tnow() + pollPeriod);
-    if (sq != nullptr) {
-        sq->atBarrier([this](sim::TimePs e) { return step(e); }, first);
-        return;
-    }
-    if (first != sim::kTimeNever)
-        scheduleTick(first);
-}
-
-void
-ChaosEngine::scheduleTick(sim::TimePs at)
-{
-    if (tickScheduled)
-        return;
-    tickScheduled = true;
-    queue->schedule(std::max(at, queue->now()), [this] {
-        tickScheduled = false;
-        const sim::TimePs next = step(queue->now());
-        if (next != sim::kTimeNever)
-            scheduleTick(next);
-    });
+    if (!managed.empty())
+        first = std::min(first, now + pollPeriod);
+    sq.atBarrier([this](sim::TimePs e) { return step(e); }, first);
 }
 
 sim::TimePs
 ChaosEngine::step(sim::TimePs e)
 {
     // Fire due phases in declaration order: timed phases whose time has
-    // come, triggered phases whose predicate holds at this evaluation.
+    // come and, on a poll, triggered phases whose predicate holds.
+    // Barriers between polls never evaluate a trigger, so its firing
+    // time does not depend on where lookahead windows happen to end.
+    const bool poll = e >= pollAt;
     for (ChaosPhase &p : phases) {
         if (p.fired || e < p.at)
             continue;
-        if (p.when && !p.when())
+        if (p.when && (!poll || !p.when()))
             continue;
         firePhase(p);
     }
-    checkConvictions();
-
-    sim::TimePs next = sim::kTimeNever;
-    for (const ChaosPhase &p : phases) {
-        if (p.fired)
-            continue;
-        // A pending trigger is re-evaluated every pollPeriod once its
-        // earliest time has passed; a timed phase is exact.
-        if (p.when)
-            next = std::min(next, p.at > e ? p.at : e + pollPeriod);
-        else
-            next = std::min(next, p.at);
+    if (poll) {
+        checkConvictions();
+        pollAt = nextPoll(e);
     }
+
+    sim::TimePs next = pollAt;
+    for (const ChaosPhase &p : phases)
+        if (!p.fired && !p.when)
+            next = std::min(next, p.at);
     for (haas::ServiceManager *sm : managed)
         next = std::min(next, sm->pumpMigrations());
-    // Conviction markers (and trigger predicates watching detections)
-    // need a heartbeat while detectors are still working.
+    return next;
+}
+
+sim::TimePs
+ChaosEngine::nextPoll(sim::TimePs e) const
+{
+    // A pending trigger is first polled at its earliest time, then every
+    // pollPeriod. Conviction markers (and triggers watching detections)
+    // keep the grid going while detectors are still working.
+    sim::TimePs next = sim::kTimeNever;
+    for (const ChaosPhase &p : phases)
+        if (!p.fired && p.when)
+            next = std::min(next, p.at > e ? p.at : e + pollPeriod);
     if (!watchedHealth.empty() && !done())
         next = std::min(next, e + pollPeriod);
     return next;
@@ -135,7 +120,7 @@ ChaosEngine::firePhase(ChaosPhase &p)
     p.fired = true;
     ++statFired;
     firedNames.push_back(p.name);
-    CCSIM_LOG(sim::LogLevel::kWarn, "fault.chaos", tnow(), "phase \"",
+    CCSIM_LOG(sim::LogLevel::kWarn, "fault.chaos", sq.now(), "phase \"",
               p.name, "\" firing (", statFired, "/", phases.size(), ")");
     emitMarker(p.name, "injected");
     if (p.action)
@@ -172,7 +157,7 @@ ChaosEngine::emitMarker(const std::string &phase, const char *kind)
         return;
     std::ostringstream line;
     line << "{\"type\":\"chaos\",\"t_us\":";
-    obs::detail::jsonNumber(line, sim::toMicros(tnow()));
+    obs::detail::jsonNumber(line, sim::toMicros(sq.now()));
     line << ",\"phase\":\"";
     obs::detail::jsonEscape(line, phase);
     line << "\",\"kind\":\"" << kind << "\"}";

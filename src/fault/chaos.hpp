@@ -5,25 +5,27 @@
  * A chaos scenario is a declarative script of named phases: timed
  * phases fire at fixed simulated times ("at t=2ms, kill rack 3 of
  * pod 7"), triggered phases fire once a condition holds ("when the SLO
- * burn alert fires, drain the pod"). The ChaosEngine executes the
- * script on either kernel:
+ * burn alert fires, drain the pod"). The ChaosEngine runs the script as
+ * a barrier hook on a ShardedEventQueue (a single-queue simulation is
+ * its one-partition case). Phases fire between windows, when every
+ * partition is quiescent, so injections (which may touch any pod,
+ * materialize flyweight stubs, or fold the fluid model) are race-free
+ * and byte-identical on any worker count.
  *
- *  - legacy EventQueue: phases are plain events; triggered conditions
- *    are polled on a fixed period, so evaluation times — and therefore
- *    the whole campaign — are deterministic for a given seed.
- *  - ShardedEventQueue: the engine runs as a barrier hook. Phases fire
- *    between windows, when every partition is quiescent, so injections
- *    (which may touch any pod, materialize flyweight stubs, or fold the
- *    fluid model) are race-free and byte-identical on any worker count.
+ * Timed phases fire at the barrier pinned to their exact time.
+ * Triggered predicates and conviction markers are evaluated only on the
+ * engine's own poll grid: first at the earliest pending trigger time,
+ * then every poll period. Barriers that other hooks or the lookahead
+ * window add in between do not evaluate them, so a trigger fires at the
+ * same simulated time whatever the partition count.
  *
  * The engine is also the campaign's conductor: it pumps rate-limited
- * lease migrations for managed ServiceManagers (whose own
- * event-scheduling self-pump is legacy-only), folds the fluid traffic
- * model before each injection so flow integrals split exactly at the
- * fault boundary, and emits `{"type":"chaos",...}` JSONL markers into a
- * TimeSeriesHub — injected-phase and detected-conviction markers land
- * in the same stream as the SLO alerts, so ccsim_report can overlay
- * fault-injection against detection on one timeline.
+ * lease migrations for managed ServiceManagers at every barrier, folds
+ * the fluid traffic model before each injection so flow integrals split
+ * exactly at the fault boundary, and emits `{"type":"chaos",...}` JSONL
+ * markers into a TimeSeriesHub — injected-phase and detected-conviction
+ * markers land in the same stream as the SLO alerts, so ccsim_report
+ * can overlay fault-injection against detection on one timeline.
  */
 #pragma once
 
@@ -32,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/time.hpp"
 
 namespace ccsim::sim {
 class ShardedEventQueue;
@@ -79,8 +81,8 @@ class ChaosScenario
     }
 
     /**
-     * Fire @p action at the first evaluation point (poll tick / barrier)
-     * at or after @p earliest_at where @p when returns true.
+     * Fire @p action at the first poll at or after @p earliest_at where
+     * @p when returns true.
      */
     ChaosScenario &withTriggeredPhase(std::string name,
                                       sim::TimePs earliest_at,
@@ -102,13 +104,10 @@ class ChaosScenario
     std::vector<ChaosPhase> list;
 };
 
-/** Executes a ChaosScenario deterministically on either kernel. */
+/** Executes a ChaosScenario deterministically as a barrier hook. */
 class ChaosEngine
 {
   public:
-    /** Legacy kernel: phases and polls are ordinary events. */
-    ChaosEngine(sim::EventQueue &eq, ChaosScenario scenario);
-    /** Parallel kernel: the engine runs as a barrier hook. */
     ChaosEngine(sim::ShardedEventQueue &sq, ChaosScenario scenario);
 
     ChaosEngine(const ChaosEngine &) = delete;
@@ -123,19 +122,19 @@ class ChaosEngine
      */
     void setFluidModel(net::FluidTrafficModel *fm) { fluid = fm; }
 
-    /** Evaluation period for triggered phases (and conviction markers). */
+    /** Poll period for triggered phases (and conviction markers). */
     void setPollPeriod(sim::TimePs p);
 
     /**
-     * Pump @p sm 's rate-limited migration queue at every evaluation
-     * point; its next-due time bounds the engine's deadline. Required on
-     * the sharded kernel (pair with setMigrationPolicy(gap, false)).
+     * Pump @p sm 's rate-limited migration queue at every barrier; its
+     * next-due time bounds the engine's deadline. Pair with
+     * setMigrationPolicy(gap, false).
      */
     void manageService(haas::ServiceManager *sm);
 
     /**
      * Watch @p hm for new domain convictions and emit a "detected"
-     * chaos marker for each (at poll granularity).
+     * chaos marker for each (on the poll grid).
      */
     void watchHealth(haas::HealthMonitor *hm);
 
@@ -159,8 +158,7 @@ class ChaosEngine
     void attachObservability(obs::Observability *o);
 
   private:
-    sim::EventQueue *queue = nullptr;
-    sim::ShardedEventQueue *sq = nullptr;
+    sim::ShardedEventQueue &sq;
     std::vector<ChaosPhase> phases;
     sim::TimePs pollPeriod = 100 * sim::kMicrosecond;
     obs::TimeSeriesHub *markerHub = nullptr;
@@ -170,16 +168,17 @@ class ChaosEngine
     std::vector<std::uint64_t> lastConvictions;  // parallel to above
     std::vector<std::string> firedNames;
     bool started = false;
-    bool tickScheduled = false;
+    /** Next poll: triggers and conviction markers are evaluated here. */
+    sim::TimePs pollAt = sim::kTimeNever;
     std::uint64_t statFired = 0;
 
-    sim::TimePs tnow() const;
-    /** One evaluation: fire due phases, pump, mark; returns next due. */
+    /** One barrier: fire due phases, poll, pump; returns next due. */
     sim::TimePs step(sim::TimePs e);
+    /** The poll after one at @p e (kTimeNever when nothing is left). */
+    sim::TimePs nextPoll(sim::TimePs e) const;
     void firePhase(ChaosPhase &p);
     void checkConvictions();
     void emitMarker(const std::string &phase, const char *kind);
-    void scheduleTick(sim::TimePs at);
 };
 
 }  // namespace ccsim::fault

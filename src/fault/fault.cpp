@@ -42,30 +42,24 @@ faultKindName(FaultKind kind)
     return "unknown";
 }
 
-FaultInjector::FaultInjector(sim::EventQueue &eq,
+FaultInjector::FaultInjector(sim::ShardedEventQueue &squeue,
                              core::ConfigurableCloud &c, FaultConfig config)
-    : queue(eq), cloud(c), cfg(std::move(config)), rng(cfg.seed),
+    : sq(squeue), cloud(c), queue(c.controlQueue()), cfg(std::move(config)),
+      rng(cfg.seed),
       domainMap(c.topology().hostsPerRack(), c.topology().racksPerPod(),
                 c.topology().numPods())
 {
-    validate();
-    cloud.attachFaultInjector(this);
-    attachObservability();
-}
-
-FaultInjector::FaultInjector(sim::ShardedEventQueue &sq_,
-                             core::ConfigurableCloud &c, FaultConfig config)
-    : queue(sq_.partition(c.topology().numPods())), cloud(c),
-      cfg(std::move(config)), rng(cfg.seed), sq(&sq_),
-      domainMap(c.topology().hostsPerRack(), c.topology().racksPerPod(),
-                c.topology().numPods())
-{
+    if (!cloud.drivenBy(sq))
+        sim::panic("FaultInjector: the cloud is not driven by this "
+                   "ShardedEventQueue (build a sharded cloud on it, or a "
+                   "single-queue cloud on partition(0) of a one-partition "
+                   "queue)");
     validate();
     cloud.attachFaultInjector(this);
     attachObservability();
     // Every injection/recovery drains here, at a barrier whose window
     // end requestBarrier() pinned to the action's exact time.
-    sq->atBarrier([this](sim::TimePs e) { return drainPending(e); });
+    sq.atBarrier([this](sim::TimePs e) { return drainPending(e); });
 }
 
 FaultInjector::~FaultInjector()
@@ -98,10 +92,8 @@ FaultInjector::validate() const
         cfg.randomHorizon <= 0)
         sim::fatal("FaultConfig: random faults configured but "
                    "randomHorizon is zero; call withRandomHorizon()");
-    if (sq != nullptr && cfg.randomBurstsPerSec > 0.0)
-        sim::fatal("FaultConfig: random corruption bursts are not "
-                   "supported on a sharded cloud (the shared-RNG fault "
-                   "hooks would race across partitions)");
+    if (cfg.randomBurstsPerSec > 0.0)
+        requireSingleQueue("random corruption bursts");
     for (const FaultEvent &e : cfg.schedule)
         validateEvent(e);
 }
@@ -203,11 +195,9 @@ FaultInjector::validateEvent(const FaultEvent &e) const
             sim::fatalf("FaultConfig: ", name, " needs a positive stagger");
         break;
     }
-    if (sq != nullptr && (e.kind == FaultKind::kCorruptionBurst ||
-                          e.kind == FaultKind::kGracefulReconfig))
-        sim::fatalf("FaultConfig: ", name, " is not supported on a "
-                    "sharded cloud (cross-partition RNG / quiesce "
-                    "callbacks would break determinism)");
+    if (e.kind == FaultKind::kCorruptionBurst ||
+        e.kind == FaultKind::kGracefulReconfig)
+        requireSingleQueue(name);
 }
 
 void
@@ -222,25 +212,15 @@ FaultInjector::arm()
     scheduleRandom();
 }
 
-sim::TimePs
-FaultInjector::nowPs() const
-{
-    return sq != nullptr ? sq->now() : queue.now();
-}
-
 void
 FaultInjector::scheduleAction(sim::TimePs when, std::function<void()> fn)
 {
-    if (sq == nullptr) {
-        queue.schedule(std::max(when, queue.now()), std::move(fn));
-        return;
-    }
-    // During a barrier hook now() is the window end itself, so an
-    // action for "now" lands one picosecond later — still exact on any
-    // worker count, never inside an already-executed window.
-    const sim::TimePs t = std::max(when, sq->now() + 1);
+    // At a barrier now() is the window end itself, so an action for
+    // "now" lands one picosecond later — still exact on any worker
+    // count, never inside an already-executed window.
+    const sim::TimePs t = std::max(when, sq.now() + 1);
     pending.emplace(t, std::move(fn));
-    sq->requestBarrier(t);
+    sq.requestBarrier(t);
 }
 
 sim::TimePs
@@ -255,10 +235,10 @@ FaultInjector::drainPending(sim::TimePs e)
 }
 
 void
-FaultInjector::requireLegacy(const char *what) const
+FaultInjector::requireSingleQueue(const char *what) const
 {
-    if (sq != nullptr)
-        sim::fatalf("FaultInjector::", what, ": not supported on a "
+    if (cloud.sharded())
+        sim::fatalf("FaultInjector: ", what, " is not supported on a "
                     "sharded cloud (cross-partition RNG / quiesce "
                     "callbacks would break determinism)");
 }
@@ -422,7 +402,7 @@ void
 FaultInjector::corruptionBurst(int host, double drop_prob,
                                sim::TimePs duration)
 {
-    requireLegacy("corruptionBurst");
+    requireSingleQueue("corruptionBurst");
     checkHost(cloud, host, "corruptionBurst");
     if (drop_prob <= 0.0 || drop_prob > 1.0)
         sim::fatalf("FaultInjector::corruptionBurst: drop probability "
@@ -445,7 +425,7 @@ FaultInjector::corruptionBurst(int host, double drop_prob,
     };
     link.aToB().setFaultHook(hook);
     link.bToA().setFaultHook(hook);
-    queue.scheduleAfter(duration, [this, host, gen] {
+    scheduleAction(nowPs() + duration, [this, host, gen] {
         if (burstGen[host] != gen)
             return;  // superseded by a newer burst
         net::Link &l = cloud.topology().hostLink(host);
@@ -523,7 +503,7 @@ FaultInjector::reconfigPause(int host, sim::TimePs window)
 void
 FaultInjector::gracefulReconfig(int host, sim::TimePs window)
 {
-    requireLegacy("gracefulReconfig");
+    requireSingleQueue("gracefulReconfig");
     checkHost(cloud, host, "gracefulReconfig");
     if (window <= 0)
         sim::fatal("FaultInjector::gracefulReconfig: window must be "
@@ -540,7 +520,7 @@ FaultInjector::gracefulReconfig(int host, sim::TimePs window)
         cloud.shell(host).bridge().setDown(true);
         if (cfg.selfReport)
             cloud.resourceManager().reportFailure(host);
-        queue.scheduleAfter(window, [this, host] {
+        scheduleAction(nowPs() + window, [this, host] {
             releaseHostLink(host);
             // As with reconfigPause, a hard failure during the window
             // sticks; the engine then stays quiesced (rejecting).
@@ -917,9 +897,9 @@ FaultInjector::attachObservability()
             n += dead ? 1 : 0;
         return double(n);
     });
-    // Per-node probes stay legacy-only: a paper-scale sharded attach
-    // would register half a million of them.
-    if (sq != nullptr)
+    // Per-node probes need an eager single-queue cloud: a paper-scale
+    // flyweight or sharded attach would register half a million of them.
+    if (cloud.sharded() || cloud.lazy())
         return;
     for (int host = 0; host < cloud.numServers(); ++host) {
         const std::string node = "fault.node" + std::to_string(host);

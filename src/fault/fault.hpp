@@ -27,13 +27,18 @@
  * sim::Rng — schedules are deterministic per seed: same seed, byte-
  * identical metric snapshots.
  *
- * On a sharded cloud the injector is constructed with the
- * ShardedEventQueue: every injection and recovery is then executed at a
- * conservative-sync barrier (requestBarrier() pins a window end to the
- * exact injection time), so sharded runs stay byte-identical across
- * worker counts. The only modes that stay legacy-only are corruption
- * bursts and graceful reconfigs, whose shared-RNG fault hooks /
- * quiesce callbacks would race across partitions.
+ * The injector runs on the ShardedEventQueue that drives the cloud (a
+ * single-queue cloud is driven by a one-partition kernel). Every
+ * injection and recovery executes at a conservative-sync barrier —
+ * requestBarrier() pins a window end to the action's exact time — so
+ * runs are byte-identical across worker counts, and a single-queue and
+ * a sharded cloud see their faults at the same simulated times.
+ * Corruption bursts and graceful reconfigs need a single-queue cloud:
+ * their shared-RNG fault hooks and LTL quiesce callbacks run inside
+ * partitions and would race across them. A graceful reconfig's cut
+ * runs when the victim's LTL drain completes, inside a window; its end
+ * is pinned like any other action, so it lands exactly whenever a
+ * barrier falls between the cut and the end.
  */
 #pragma once
 
@@ -328,27 +333,26 @@ struct FaultConfig {
 };
 
 /**
- * Executes a FaultConfig against a running ConfigurableCloud via the
- * EventQueue. One injector per cloud (enforced through the cloud's
- * fault-injector slot); destroy the injector to free the slot.
+ * Executes a FaultConfig against a running ConfigurableCloud at the
+ * barriers of the ShardedEventQueue that drives it. One injector per
+ * cloud (enforced through the cloud's fault-injector slot); destroy the
+ * injector to free the slot.
  *
  * The imperative API (flapHostLink() etc.) can also be called directly —
- * scripted schedules go through exactly these entry points.
+ * scripted schedules go through exactly these entry points. Call it
+ * where the kernel is quiescent: between runs, from a chaos phase, or
+ * from another barrier hook.
  *
- * The injector must outlive the simulation run: scheduled faults and
- * their recovery actions capture it.
+ * The injector must outlive the simulation run: its barrier hook and
+ * pending recovery actions capture it.
  */
 class FaultInjector
 {
   public:
-    FaultInjector(sim::EventQueue &eq, core::ConfigurableCloud &cloud,
-                  FaultConfig cfg = {});
     /**
-     * Sharded-cloud injector: injections and recoveries execute at
-     * conservative-sync barriers (the kernel is asked for a window end
-     * at each exact injection time via requestBarrier()), keeping runs
-     * byte-identical across worker counts. Corruption bursts and
-     * graceful reconfigs are rejected in this mode.
+     * Panics unless @p sq drives @p cloud (see
+     * ConfigurableCloud::drivenBy). Actions run on the cloud's control
+     * queue.
      */
     FaultInjector(sim::ShardedEventQueue &sq, core::ConfigurableCloud &cloud,
                   FaultConfig cfg = {});
@@ -462,17 +466,20 @@ class FaultInjector
     /** Correlated domain-level faults injected (all four kinds). */
     std::uint64_t domainFaults() const { return statDomainFaults; }
 
-    /** Barrier time on a sharded cloud, event time on a legacy one. */
-    sim::TimePs nowPs() const;
+    /**
+     * The control queue's clock: the barrier time at a barrier, the
+     * event time inside a window (a single-queue cloud's LTL callbacks).
+     */
+    sim::TimePs nowPs() const { return queue.now(); }
 
     const FaultConfig &config() const { return cfg; }
 
   private:
-    sim::EventQueue &queue;
+    sim::ShardedEventQueue &sq;
     core::ConfigurableCloud &cloud;
+    sim::EventQueue &queue;  ///< the cloud's control queue
     FaultConfig cfg;
     sim::Rng rng;
-    sim::ShardedEventQueue *sq = nullptr;
     FailureDomainMap domainMap;
     bool armed = false;
 
@@ -490,9 +497,9 @@ class FaultInjector
     /** L2 spines currently gray-degraded. */
     std::map<int, bool> grayActive;
     /**
-     * Barrier-scheduled actions (sharded mode): drained at each barrier
-     * in (time, insertion) order — a total order independent of worker
-     * count. Every insert also pins a window end at the action's time.
+     * Barrier-scheduled actions: drained at each barrier in (time,
+     * insertion) order — a total order independent of worker count.
+     * Every insert also pins a window end at the action's time.
      */
     std::multimap<sim::TimePs, std::function<void()>> pending;
 
@@ -518,15 +525,14 @@ class FaultInjector
     void execute(const FaultEvent &e);
     void scheduleRandom();
     /**
-     * Run @p fn at @p when: directly on the event queue (legacy), or at
-     * the conservative-sync barrier whose window ends at @p when
-     * (sharded; clamped to the next picosecond if already past).
+     * Run @p fn at the conservative-sync barrier whose window ends at
+     * @p when (clamped to the next picosecond if already past).
      */
     void scheduleAction(sim::TimePs when, std::function<void()> fn);
     /** Barrier hook: execute due actions, return the next due time. */
     sim::TimePs drainPending(sim::TimePs e);
-    /** Fatal if this injector drives a sharded cloud. */
-    void requireLegacy(const char *what) const;
+    /** Fatal if @p what targets a sharded cloud. */
+    void requireSingleQueue(const char *what) const;
     void holdHostLink(int host);
     void releaseHostLink(int host);
     /** Install/remove gray degradation on one trunk channel. */

@@ -411,20 +411,6 @@ ServiceManager::teardown()
     hostLease.clear();
 }
 
-int
-ServiceManager::pickInstance()
-{
-    if (hosts.empty())
-        return -1;
-    // Thin shim over the serving layer's round-robin balancer. The
-    // balancer's free-running counter has exactly the legacy `rrNext`
-    // semantics (it survives membership changes), so pick sequences are
-    // bit-identical to the pre-serving implementation — pinned by
-    // ServiceManager.PickInstanceMatchesLegacySequence.
-    rrBalancer.setHosts(hosts);
-    return rrBalancer.pick(0, {});
-}
-
 void
 ServiceManager::attachObservability(obs::Observability *o)
 {

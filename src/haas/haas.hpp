@@ -311,16 +311,6 @@ class ServiceManager
      */
     bool scaleTo(int instances, LeaseConstraints constraints = {});
 
-    /**
-     * Round-robin load balancing over healthy instances (-1 if none).
-     *
-     * Legacy path: new code should route through serving::ClusterClient,
-     * which layers outlier ejection and pluggable policies on top of the
-     * same balancer. This shim delegates to a serving::RoundRobinBalancer
-     * and keeps the historical pick sequence bit-for-bit.
-     */
-    int pickInstance();
-
     /** Currently serving hosts. */
     const std::vector<int> &instances() const { return hosts; }
 
@@ -350,9 +340,10 @@ class ServiceManager
      * rack dying at one instant becomes a paced evacuation instead of a
      * thundering herd of acquire + reconfigure on the same tick.
      *
-     * With @p self_pump (legacy kernel) the SM schedules its own drain
-     * events. On a sharded cloud pass false and drive pumpMigrations()
-     * from a barrier hook (fault::ChaosEngine::manageService does this).
+     * With @p self_pump the SM schedules its own drain events on its
+     * queue. When the control plane runs at barriers, pass false and
+     * drive pumpMigrations() from a barrier hook
+     * (fault::ChaosEngine::manageService does this).
      * min_gap 0 disables the throttle.
      */
     void setMigrationPolicy(sim::TimePs min_gap, bool self_pump = true);
@@ -394,8 +385,6 @@ class ServiceManager
     RoleFactory roleFactory;
     std::vector<int> hosts;
     std::vector<std::uint64_t> hostLease;  // parallel to hosts
-    /** Legacy pickInstance() shim; serving::ClusterClient supersedes it. */
-    serving::RoundRobinBalancer rrBalancer;
     std::uint64_t statFailovers = 0;
     std::uint64_t statAutoHeals = 0;
     bool healSubscribed = false;

@@ -33,28 +33,6 @@ HealthMonitor::HealthMonitor(sim::EventQueue &eq, ResourceManager &rmgr,
     }
 }
 
-HealthMonitor::~HealthMonitor()
-{
-    stop();
-}
-
-void
-HealthMonitor::start()
-{
-    if (!probe)
-        sim::fatal("HealthMonitor::start: no reachability probe installed "
-                   "(call setProbe, or wire through "
-                   "ConfigurableCloud::attachHealthMonitor)");
-    if (running)
-        return;
-    running = true;
-    populateNodes();
-    sweepEvent = queue.scheduleAfter(cfg.heartbeatPeriod, [this] {
-        sweepEvent = sim::kNoEvent;
-        sweep();
-    });
-}
-
 void
 HealthMonitor::startSharded(sim::ShardedEventQueue &sq)
 {
@@ -62,13 +40,25 @@ HealthMonitor::startSharded(sim::ShardedEventQueue &sq)
         sim::fatal("HealthMonitor::startSharded: no reachability probe "
                    "installed (call setProbe, or wire through "
                    "ConfigurableCloud::attachHealthMonitor)");
+    bool owned = false;
+    for (int p = 0; p < sq.partitionCount() && !owned; ++p)
+        owned = &sq.partition(p) == &queue;
+    if (!owned)
+        sim::panic("HealthMonitor::startSharded: the monitor's queue is "
+                   "not a partition of this ShardedEventQueue");
     if (running)
         return;
     running = true;
-    shardQueue = &sq;
     populateNodes();
     nextSweepAt = sq.now() + cfg.heartbeatPeriod;
     nextEvalAt = 0;
+    if (shardQueue != nullptr) {
+        // Restart after stop(): the hook is still registered and wakes
+        // at the requested barrier.
+        sq.requestBarrier(nextSweepAt);
+        return;
+    }
+    shardQueue = &sq;
     // Barrier hooks run between windows, when every partition is
     // quiescent, so judging hosts (and the RM reports that triggers) is
     // race-free and ordered identically on any worker count.
@@ -109,36 +99,6 @@ void
 HealthMonitor::stop()
 {
     running = false;
-    if (sweepEvent != sim::kNoEvent) {
-        queue.cancel(sweepEvent);
-        sweepEvent = sim::kNoEvent;
-    }
-}
-
-void
-HealthMonitor::sweep()
-{
-    if (!running)
-        return;
-    // Ping in host-index order; all responses land at now + rtt, and the
-    // queue is FIFO at one timestamp, so results (and any failure or
-    // repair reports they trigger) are evaluated in host-index order.
-    pendingResults = nodesHealth.size();
-    sweepDomainMisses.clear();
-    for (auto &[host, nh] : nodesHealth) {
-        ++statHeartbeats;
-        const int h = host;
-        queue.scheduleAfter(cfg.heartbeatRtt, [this, h] {
-            // Reachability is evaluated when the pong would arrive, so a
-            // node that died (or rejoined) mid-flight is judged by its
-            // state at response time.
-            onHeartbeatResult(h, probe(h));
-        });
-    }
-    sweepEvent = queue.scheduleAfter(cfg.heartbeatPeriod, [this] {
-        sweepEvent = sim::kNoEvent;
-        sweep();
-    });
 }
 
 sim::TimePs
@@ -167,8 +127,8 @@ HealthMonitor::barrierStep(sim::TimePs e)
 void
 HealthMonitor::evaluateSweep()
 {
-    // The whole sweep is judged at one barrier (the pong time), host
-    // order ascending — exactly what the legacy per-pong events produce.
+    // The whole sweep is judged at one barrier (the pong time), in
+    // ascending host order.
     pendingResults = nodesHealth.size();
     sweepDomainMisses.clear();
     for (auto &[host, nh] : nodesHealth)
@@ -239,10 +199,8 @@ HealthMonitor::convictDomain(int domain)
     DomainState &ds = domainsHealth[domain];
     ds.convicted = true;
     ++statDomainConvictions;
-    const sim::TimePs t =
-        shardQueue != nullptr ? shardQueue->now() : queue.now();
-    CCSIM_LOG(sim::LogLevel::kWarn, "haas.health", t, "domain ", domain,
-              " convicted: all ", domainMembers[domain],
+    CCSIM_LOG(sim::LogLevel::kWarn, "haas.health", queue.now(), "domain ",
+              domain, " convicted: all ", domainMembers[domain],
               " watched hosts dark (one correlated failure, not ",
               domainMembers[domain], " detections)");
     // One rack-level event: members are marked failed together, without

@@ -30,11 +30,13 @@
  * members failed and reporting each to the RM — instead of accumulating
  * N independent per-host detections. One dead TOR is one event, not 24.
  *
- * On a sharded cloud, use startSharded(): sweeps and evaluations run as
- * barrier-hook steps at exact simulated times (send at the sweep
- * barrier, judge each host at the pong barrier one RTT later, in host
- * order), reproducing the legacy pong-time semantics deterministically
- * on any worker count. Passive LTL streak evidence is legacy-only.
+ * Sweeps run as barrier-hook steps of the ShardedEventQueue that drives
+ * the cloud (startSharded; a single-queue cloud is driven by a
+ * one-partition kernel): heartbeats go out at a sweep barrier and every
+ * host is judged at the pong barrier one RTT later, in host order, so
+ * verdicts are identical on any partition or worker count. Passive LTL
+ * streak evidence needs a single-queue cloud, whose timeout observers
+ * call into the monitor from inside a window.
  */
 #pragma once
 
@@ -139,8 +141,8 @@ struct HealthMonitorConfig {
  * The monitor does not know how to reach a node — the owner supplies a
  * reachability probe (ConfigurableCloud::attachHealthMonitor wires the
  * management-path view: bridge up and host link not admin-down). The
- * monitor must outlive start()..stop() and any engine feeding
- * reportTimeoutStreak().
+ * monitor must outlive the runs of the kernel it started on and any
+ * engine feeding reportTimeoutStreak().
  */
 class HealthMonitor
 {
@@ -150,37 +152,31 @@ class HealthMonitor
 
     HealthMonitor(sim::EventQueue &eq, ResourceManager &rm,
                   HealthMonitorConfig cfg = {});
-    ~HealthMonitor();
 
     HealthMonitor(const HealthMonitor &) = delete;
     HealthMonitor &operator=(const HealthMonitor &) = delete;
 
-    /** Install the reachability probe (required before start()). */
+    /** Install the reachability probe (required before startSharded()). */
     void setProbe(ProbeFn fn) { probe = std::move(fn); }
 
     /**
      * Begin heartbeat sweeps over every node currently registered with
-     * the ResourceManager (or the watchHosts() set, if one was given).
-     * Nodes are pinged in host-index order each sweep; the first sweep
-     * runs one period after start().
-     */
-    void start();
-
-    /**
-     * Begin barrier-driven sweeps on the parallel kernel: heartbeats go
-     * out at a sweep barrier, every host is judged (probe + evaluate,
-     * ascending order) at the barrier one RTT later, exactly as the
-     * legacy pong-time path would. At paper scale, set a watchHosts()
-     * set first — probing all 250k hosts would materialize the fleet.
+     * the ResourceManager (or the watchHosts() set, if one was given) as
+     * a barrier hook on @p sq, which must own the monitor's queue as one
+     * of its partitions (panics otherwise). The first sweep goes out one
+     * period after the call; every host is judged (probe + evaluate,
+     * ascending order) at the barrier one RTT after each sweep. At paper
+     * scale, set a watchHosts() set first — probing all 250k hosts would
+     * materialize the fleet.
      */
     void startSharded(sim::ShardedEventQueue &sq);
 
-    /** Cancel the sweep (passive suspicion reports still accumulate). */
+    /** Stop sweeping (passive suspicion reports still accumulate). */
     void stop();
 
     /**
      * Restrict monitoring to @p hosts (ascending duplicates ignored).
-     * Call before start()/startSharded(); empty = all registered nodes.
+     * Call before startSharded(); empty = all registered nodes.
      */
     void watchHosts(const std::vector<int> &hosts);
 
@@ -296,7 +292,6 @@ class HealthMonitor
     std::map<int, int> sweepDomainMisses;   ///< this sweep's misses
     /** Heartbeat results still outstanding this sweep. */
     std::size_t pendingResults = 0;
-    sim::EventId sweepEvent = sim::kNoEvent;
     bool running = false;
     sim::ShardedEventQueue *shardQueue = nullptr;
     sim::TimePs nextSweepAt = 0;
@@ -313,15 +308,14 @@ class HealthMonitor
     std::uint64_t statEvidenceReports = 0;
 
     void populateNodes();
-    void sweep();
     void onHeartbeatResult(int host, bool reachable);
     void addSuspicion(int host, double weight);
     /** End-of-sweep domain bookkeeping (conviction / re-arm). */
     void finishSweep();
     void convictDomain(int domain);
-    /** Sharded sweep state machine, run at every barrier. */
+    /** Sweep state machine, run at every barrier. */
     sim::TimePs barrierStep(sim::TimePs e);
-    /** Judge every watched host at pong time (sharded). */
+    /** Judge every watched host at pong time. */
     void evaluateSweep();
 };
 

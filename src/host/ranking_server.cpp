@@ -73,7 +73,7 @@ RankingServer::attachObservability(obs::Observability *o,
 }
 
 void
-RankingServer::setRetryPolicy(QueryRetryPolicy p)
+RankingServer::setRetryPolicy(serving::RequestPolicy p)
 {
     serving::validateRequestPolicy(p);
     policy = p;

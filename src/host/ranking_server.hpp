@@ -94,14 +94,6 @@ class LocalFpgaAccelerator : public FeatureAccelerator
     std::uint64_t statRequests = 0;
 };
 
-/**
- * Failure-handling policy for the accelerated feature stage. Grown into
- * the serving layer (PR 7): the policy type is serving::RequestPolicy so
- * the same tail-at-scale toolkit applies to every client of the pool;
- * this alias keeps existing RankingServer call sites compiling.
- */
-using QueryRetryPolicy = serving::RequestPolicy;
-
 /** One ranking server. */
 class RankingServer
 {
@@ -179,9 +171,9 @@ class RankingServer
      * (deadlines, bounded retry, hedging). Applies to queries dispatched
      * from now on.
      */
-    void setRetryPolicy(QueryRetryPolicy p);
+    void setRetryPolicy(serving::RequestPolicy p);
 
-    const QueryRetryPolicy &retryPolicy() const { return policy; }
+    const serving::RequestPolicy &retryPolicy() const { return policy; }
 
     /**
      * Supplier of an alternate healthy accelerator for retries and
@@ -286,7 +278,7 @@ class RankingServer
     std::function<bool(const std::string &)> admitFn;
     /** Tenant tag stamped on untagged submissions (set by attachCluster). */
     std::string defaultTenant;
-    QueryRetryPolicy policy;
+    serving::RequestPolicy policy;
     std::function<FeatureAccelerator *()> replicaPicker;
     /** In-flight accelerated feature stages, by token. Map nodes come
      * from the thread-local arena (sim::PoolAllocator), so the

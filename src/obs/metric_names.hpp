@@ -305,9 +305,11 @@ inline constexpr MetricPattern kMetricPatterns[] = {
     {"fault.domain.tors_dead", "gauge",
      "TOR switches currently held dark by the injector."},
     {"fault.nodes_down", "gauge", "Servers currently impaired."},
-    {"fault.node*.down", "gauge", "1 while this server is impaired."},
+    {"fault.node*.down", "gauge",
+     "1 while this server is impaired (eager single-queue clouds)."},
     {"fault.node*.downtime_us", "gauge",
-     "Accumulated impairment time of this server (microseconds)."},
+     "Accumulated impairment time of this server (microseconds; eager "
+     "single-queue clouds)."},
 };
 
 inline constexpr std::size_t kNumMetricPatterns =

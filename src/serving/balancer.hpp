@@ -7,9 +7,8 @@
  * interface separates *who owns an instance* (the lease set, still HaaS)
  * from *who routes a request to it* (a balancer policy):
  *
- *  - **round-robin** — the legacy policy, bit-compatible with the old
- *    ServiceManager::pickInstance() sequence (a free-running counter
- *    modulo the live host count);
+ *  - **round-robin** — the Service Managers' original static policy: a
+ *    free-running counter modulo the live host count;
  *  - **least-outstanding-requests** — full deterministic scan for the
  *    host with the fewest requests in flight (first-seen wins ties), the
  *    right default when backends can degrade unevenly;
@@ -77,9 +76,8 @@ class LoadBalancer
 };
 
 /**
- * The legacy policy: hosts[counter % hosts.size()], counter free-running
- * across host-set changes — exactly the sequence the pre-serving
- * ServiceManager::pickInstance() produced (regression-tested).
+ * hosts[counter % hosts.size()], with the counter free-running across
+ * host-set changes.
  */
 class RoundRobinBalancer : public LoadBalancer
 {

@@ -4,8 +4,8 @@
  * tail-at-scale toolkit of per-attempt deadlines, bounded retry with
  * exponential backoff + jitter, and hedged duplicates to a replica.
  *
- * Grown out of the RankingServer-specific QueryRetryPolicy (PR 5) into a
- * serving-layer type shared by every client of the accelerator pool:
+ * Grown out of RankingServer's own retry policy into a serving-layer
+ * type shared by every client of the accelerator pool:
  * hosts install it on their request path, and ClusterClient carries the
  * cluster-wide default handed out to attached servers. Defaults leave
  * everything off (a query blocks in the accelerator until someone calls

@@ -31,6 +31,8 @@ cpuRelax()
 
 }  // namespace
 
+ShardedEventQueue::ShardedEventQueue() : ShardedEventQueue(Config{}) {}
+
 ShardedEventQueue::ShardedEventQueue(Config cfg) : config(cfg)
 {
     if (cfg.partitions < 1)
@@ -405,10 +407,16 @@ ShardedEventQueue::runAll()
     start();
     flushOutboxes();
     while (true) {
+        while (!extraDeadlines.empty() && extraDeadlines.top() <= floorTime)
+            extraDeadlines.pop();
         const TimePs t0 = minNextEventTime();
-        if (t0 == kTimeNever)
+        // Pending one-shot deadlines count as work: an action pinned to
+        // a barrier must run even when no event precedes it.
+        const TimePs pinned =
+            extraDeadlines.empty() ? kTimeNever : extraDeadlines.top();
+        if (t0 == kTimeNever && pinned == kTimeNever)
             break;
-        const TimePs e = windowEndFor(t0);
+        const TimePs e = std::min(windowEndFor(t0), pinned);
         if (e == kTimeNever) {
             // Unbounded window: partitions are fully independent (no
             // cross edges), so each can drain in one phase.

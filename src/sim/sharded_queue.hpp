@@ -121,6 +121,12 @@ class ShardedEventQueue
         TimePs window = 0;
     };
 
+    /**
+     * One partition, no worker threads: the kernel of a single-queue
+     * simulation. Its lone window runs to the next run limit, hook
+     * deadline or requested barrier, so it pays no lookahead barriers.
+     */
+    ShardedEventQueue();
     explicit ShardedEventQueue(Config cfg);
     ShardedEventQueue(const ShardedEventQueue &) = delete;
     ShardedEventQueue &operator=(const ShardedEventQueue &) = delete;
@@ -184,7 +190,7 @@ class ShardedEventQueue
      * already past), at which point every registered barrier hook fires
      * with E == t. This is how barrier-scheduled actions (fault
      * injection, chaos phases) land at exact simulated times on any
-     * worker count. Like hook deadlines, ignored by runAll(). Callable
+     * worker count. Both runUntil() and runAll() honor it. Callable
      * from barrier hooks and between runs on the coordinator thread.
      */
     void requestBarrier(TimePs t);
@@ -201,9 +207,11 @@ class ShardedEventQueue
     void runFor(TimePs duration) { runUntil(now() + duration); }
 
     /**
-     * Run windows until every partition drains. Hook deadlines do not
-     * bound windows here (a forever-rescheduling sampler would prevent
-     * termination); hooks still fire at each barrier.
+     * Run windows until every partition drains and no requestBarrier()
+     * deadline is pending. One-shot deadlines bound windows exactly as
+     * in runUntil(); periodic hook deadlines do not (a forever-
+     * rescheduling sampler would prevent termination), but hooks still
+     * fire at each barrier.
      */
     void runAll();
 

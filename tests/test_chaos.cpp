@@ -97,16 +97,17 @@ TEST(CorrelatedFaults, TorDeathDarkensWholeLazyRack)
     // Regression: a TOR hard death aimed at a rack nobody ever touched
     // must materialize its stubs deterministically and darken every
     // member — not crash, not no-op.
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, domainCloud(true));
-    FaultInjector inj(eq, cloud);
+    FaultInjector inj(sq, cloud);
 
     const auto rack = inj.domains().rackHosts(inj.domains().rackId(1, 1));
     for (int h : rack)
         ASSERT_FALSE(cloud.serverMaterialized(h));
 
     inj.failTor(1, 1);
-    eq.runFor(sim::fromMicros(100));
+    sq.runFor(sim::fromMicros(100));
     EXPECT_TRUE(inj.torFailed(1, 1));
     EXPECT_EQ(inj.torFails(), 1u);
     EXPECT_EQ(inj.domainFaults(), 1u);
@@ -120,7 +121,7 @@ TEST(CorrelatedFaults, TorDeathDarkensWholeLazyRack)
         EXPECT_FALSE(cloud.serverMaterialized(h));
 
     inj.repairTor(1, 1);
-    eq.runFor(sim::fromMicros(100));
+    sq.runFor(sim::fromMicros(100));
     EXPECT_FALSE(inj.torFailed(1, 1));
     for (int h : rack)
         EXPECT_TRUE(cloud.nodeReachable(h));
@@ -130,14 +131,15 @@ TEST(CorrelatedFaults, BrownoutReachesNeverTouchedLazyRack)
 {
     // A switch-level brownout is pure switch state: it must work on a
     // rack whose hosts are all stubs, and clear on schedule.
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, domainCloud(true));
-    FaultInjector inj(eq, cloud);
+    FaultInjector inj(sq, cloud);
 
     inj.switchBrownout(1, 0, 0.5, true, sim::fromMicros(400));
-    eq.runFor(sim::fromMicros(100));
+    sq.runFor(sim::fromMicros(100));
     EXPECT_TRUE(cloud.topology().tor(1, 0).inBrownout());
-    eq.runFor(sim::fromMillis(1));
+    sq.runFor(sim::fromMillis(1));
     EXPECT_FALSE(cloud.topology().tor(1, 0).inBrownout());
 }
 
@@ -146,17 +148,18 @@ TEST(CorrelatedFaults, GraySpineStaysHeartbeatReachable)
     // Gray degradation is the nasty case: frames drop and latency
     // inflates, but no link is admin-down — every host still answers
     // the management path, so per-host liveness checks see nothing.
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, domainCloud(false));
-    FaultInjector inj(eq, cloud);
+    FaultInjector inj(sq, cloud);
 
     inj.graySpineDegrade(1, 0.01, 300 * sim::kNanosecond);
-    eq.runFor(sim::fromMicros(100));
+    sq.runFor(sim::fromMicros(100));
     EXPECT_EQ(inj.grayFaults(), 1u);
     for (int h = 0; h < cloud.numServers(); ++h)
         EXPECT_TRUE(cloud.nodeReachable(h));
     inj.graySpineClear(1);
-    eq.runFor(sim::fromMicros(100));
+    sq.runFor(sim::fromMicros(100));
 }
 
 // ---------------------------------------------------------------------
@@ -165,7 +168,8 @@ TEST(CorrelatedFaults, GraySpineStaysHeartbeatReachable)
 
 TEST(DomainConviction, DeadTorConvictsRackAsOneEvent)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::HealthMonitorConfig hc;
     hc.withHeartbeat(100 * sim::kMicrosecond, 10 * sim::kMicrosecond)
@@ -174,14 +178,14 @@ TEST(DomainConviction, DeadTorConvictsRackAsOneEvent)
     haas::HealthMonitor hm(eq, cloud.resourceManager(), hc);
     cloud.attachHealthMonitor(hm);
 
-    FaultInjector inj(eq, cloud, FaultConfig{}.withSelfReport(false));
-    hm.start();
-    eq.runFor(sim::fromMicros(250));
+    FaultInjector inj(sq, cloud, FaultConfig{}.withSelfReport(false));
+    hm.startSharded(sq);
+    sq.runFor(sim::fromMicros(250));
 
     inj.failTor(0, 1);
     // Running for exactly the advertised bound (plus one heartbeat of
     // slack for the in-flight sweep) must be enough to convict.
-    eq.runFor(hm.domainDetectionBound() + hc.heartbeatPeriod);
+    sq.runFor(hm.domainDetectionBound() + hc.heartbeatPeriod);
 
     EXPECT_EQ(hm.domainConvictions(), 1u);
     EXPECT_EQ(hm.detections(), 0u) << "a convicted rack must not also "
@@ -337,7 +341,7 @@ TEST(MigrationThrottle, MassFailureDrainsOnePerGap)
 
 TEST(ChaosEngine, TimedAndTriggeredPhasesFireInOrder)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
     bool armed = false;
     int torKilled = 0, drained = 0;
 
@@ -352,18 +356,18 @@ TEST(ChaosEngine, TimedAndTriggeredPhasesFireInOrder)
     std::ostringstream out;
     hub.exportTo(&out);
 
-    fault::ChaosEngine chaos(eq, sc);
+    fault::ChaosEngine chaos(sq, sc);
     chaos.setPollPeriod(50 * sim::kMicrosecond);
     chaos.setMarkerHub(&hub);
     chaos.start();
 
-    eq.runFor(sim::fromMicros(400));
+    sq.runFor(sim::fromMicros(400));
     EXPECT_EQ(torKilled, 1);
     EXPECT_EQ(drained, 0) << "trigger must wait for its predicate";
     EXPECT_FALSE(chaos.done());
 
     armed = true;
-    eq.runFor(sim::fromMicros(400));
+    sq.runFor(sim::fromMicros(400));
     EXPECT_EQ(drained, 1);
     EXPECT_TRUE(chaos.done());
     EXPECT_EQ(chaos.phasesFired(), 2u);
@@ -380,7 +384,8 @@ TEST(ChaosEngine, TimedAndTriggeredPhasesFireInOrder)
 
 TEST(ChaosEngine, EmitsDetectedMarkerOnDomainConviction)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::HealthMonitorConfig hc;
     hc.withHeartbeat(100 * sim::kMicrosecond, 10 * sim::kMicrosecond)
@@ -388,7 +393,7 @@ TEST(ChaosEngine, EmitsDetectedMarkerOnDomainConviction)
         .withDomainConviction(2, 4);
     haas::HealthMonitor hm(eq, cloud.resourceManager(), hc);
     cloud.attachHealthMonitor(hm);
-    FaultInjector inj(eq, cloud, FaultConfig{}.withSelfReport(false));
+    FaultInjector inj(sq, cloud, FaultConfig{}.withSelfReport(false));
 
     // The triggered phase keeps the engine polling until the monitor
     // convicts — the shape every campaign uses to react to detection.
@@ -404,14 +409,14 @@ TEST(ChaosEngine, EmitsDetectedMarkerOnDomainConviction)
         obs::TimeSeriesConfig{}.withWindow(sim::fromMillis(10)));
     std::ostringstream out;
     hub.exportTo(&out);
-    fault::ChaosEngine chaos(eq, sc);
+    fault::ChaosEngine chaos(sq, sc);
     chaos.setPollPeriod(50 * sim::kMicrosecond);
     chaos.setMarkerHub(&hub);
     chaos.watchHealth(&hm);
-    hm.start();
+    hm.startSharded(sq);
     chaos.start();
 
-    eq.runFor(sim::fromMillis(2));
+    sq.runFor(sim::fromMillis(2));
     EXPECT_EQ(hm.domainConvictions(), 1u);
     EXPECT_TRUE(reacted);
     const std::string lines = out.str();
@@ -422,16 +427,151 @@ TEST(ChaosEngine, EmitsDetectedMarkerOnDomainConviction)
 }
 
 // ---------------------------------------------------------------------
+// One control plane: single-queue and sharded clouds agree.
+// ---------------------------------------------------------------------
+
+/** Everything the agreement drill observes about its control plane. */
+struct DrillTrace {
+    std::vector<std::pair<std::string, TimePs>> phases;
+    std::uint64_t convictions = 0;
+    std::vector<TimePs> failovers;  ///< replacement role configurations
+    std::vector<int> instances;
+    std::vector<std::string> markers;
+};
+
+/**
+ * TOR death under a managed, rate-limited service, reacted to by two
+ * triggered phases. @p shards 0 builds a single-queue cloud on a
+ * one-partition kernel; N > 0 the sharded cloud with N workers.
+ */
+DrillTrace
+agreementDrill(int shards, bool chaos_first)
+{
+    auto cfg = domainCloud(false);
+    std::unique_ptr<sim::ShardedEventQueue> sq;
+    std::unique_ptr<core::ConfigurableCloud> cloud;
+    if (shards > 0) {
+        cfg.shards = shards;
+        sq = std::make_unique<sim::ShardedEventQueue>(
+            core::ConfigurableCloud::shardPlan(cfg));
+        cloud = std::make_unique<core::ConfigurableCloud>(*sq, cfg);
+    } else {
+        sq = std::make_unique<sim::ShardedEventQueue>();
+        cloud = std::make_unique<core::ConfigurableCloud>(sq->partition(0),
+                                                          cfg);
+    }
+    haas::ResourceManager &rm = cloud->resourceManager();
+    DrillTrace trace;
+
+    NullRole role;
+    bool deployed = false;
+    haas::ServiceManager sm(cloud->controlQueue(), rm, "svc", [&](int) {
+        if (deployed)
+            trace.failovers.push_back(sq->now());
+        return &role;
+    });
+    EXPECT_TRUE(sm.deploy(4));  // first fit: all of rack 0
+    sm.enableAutoHeal(4);
+    sm.setMigrationPolicy(50 * sim::kMicrosecond, /*self_pump=*/false);
+    deployed = true;
+
+    haas::HealthMonitorConfig hc;
+    hc.withHeartbeat(100 * sim::kMicrosecond, 10 * sim::kMicrosecond)
+        .withSuspicion(3.0, 1.0, 0.0)
+        .withDomainConviction(2, 4);
+    haas::HealthMonitor hm(cloud->controlQueue(), rm, hc);
+    cloud->attachHealthMonitor(hm);
+    FaultInjector inj(*sq, *cloud, FaultConfig{}.withSelfReport(false));
+
+    const auto mark = [&](const char *name) {
+        trace.phases.emplace_back(name, sq->now());
+    };
+    const TimePs torAt = sim::fromMicros(300);
+    fault::ChaosScenario sc;
+    sc.withPhase("tor-death", torAt,
+                 [&] {
+                     mark("tor-death");
+                     inj.failTor(0, 0);
+                 })
+        .withTriggeredPhase(
+            "convicted", torAt, [&] { return hm.domainConvictions() > 0; },
+            [&] { mark("convicted"); })
+        .withTriggeredPhase(
+            "evacuated", torAt,
+            [&] {
+                if (sm.instances().size() < 4u)
+                    return false;
+                for (int h : sm.instances())
+                    if (rm.nodeRack(h) == 0)
+                        return false;
+                return true;
+            },
+            [&] { mark("evacuated"); });
+    obs::TimeSeriesHub hub(
+        obs::TimeSeriesConfig{}.withWindow(sim::fromMillis(10)));
+    std::ostringstream out;
+    hub.exportTo(&out);
+    fault::ChaosEngine chaos(*sq, sc);
+    chaos.setPollPeriod(50 * sim::kMicrosecond);
+    chaos.setMarkerHub(&hub);
+    chaos.manageService(&sm);
+    chaos.watchHealth(&hm);
+    if (chaos_first) {
+        chaos.start();
+        hm.startSharded(*sq);
+    } else {
+        hm.startSharded(*sq);
+        chaos.start();
+    }
+
+    sq->runFor(sim::fromMillis(2));
+    EXPECT_TRUE(chaos.done());
+    trace.convictions = hm.domainConvictions();
+    trace.instances = sm.instances();
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);)
+        if (line.find("\"type\":\"chaos\"") != std::string::npos)
+            trace.markers.push_back(line);
+    return trace;
+}
+
+TEST(KernelAgreement, SingleQueueAndShardedDrillsAgree)
+{
+    // Chaos, fault injection and health sweeps all run at barriers, and
+    // triggers follow the engine's poll grid, so neither the partition
+    // count, the worker count nor hook registration order may move a
+    // single verdict.
+    const DrillTrace base = agreementDrill(0, false);
+    ASSERT_EQ(base.phases.size(), 3u);
+    EXPECT_EQ(base.convictions, 1u);
+    EXPECT_EQ(base.failovers.size(), 4u);
+    EXPECT_EQ(base.markers.size(), 4u);  // 3 phases + 1 detection
+    for (int shards : {0, 1, 2}) {
+        for (bool chaos_first : {false, true}) {
+            const DrillTrace t = agreementDrill(shards, chaos_first);
+            const std::string what = "shards=" + std::to_string(shards) +
+                                     (chaos_first ? " chaos first" : "");
+            EXPECT_EQ(t.phases, base.phases) << what;
+            EXPECT_EQ(t.convictions, base.convictions) << what;
+            EXPECT_EQ(t.failovers, base.failovers) << what;
+            EXPECT_EQ(t.instances, base.instances) << what;
+            EXPECT_EQ(t.markers, base.markers) << what;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Fluid interplay: dead hops stall flows without losing a byte.
 // ---------------------------------------------------------------------
 
 TEST(FluidFaults, TorDeathStallsFlowsConservatively)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     net::Topology &topo = cloud.topology();
     net::FluidTrafficModel fm(eq, topo);
-    FaultInjector inj(eq, cloud);
+    FaultInjector inj(sq, cloud);
 
     // One flow through the doomed rack, one witness flow elsewhere.
     const auto victim = fm.addFlow(topo.hostIndex(0, 0, 0),
@@ -439,20 +579,20 @@ TEST(FluidFaults, TorDeathStallsFlowsConservatively)
     const auto witness = fm.addFlow(topo.hostIndex(0, 1, 1),
                                     topo.hostIndex(1, 1, 2), 800'000'000);
 
-    eq.runFor(sim::fromMillis(1));
+    sq.runFor(sim::fromMillis(1));
     fm.foldAll();
     const std::uint64_t victimBytesAtCut = fm.flow(victim)->fluidBytes;
     EXPECT_GT(victimBytesAtCut, 0u);
 
     inj.failTor(0, 0);
-    eq.runFor(sim::fromMicros(10));
+    sq.runFor(sim::fromMicros(10));
     fm.foldAll();
     EXPECT_EQ(fm.stalledFlows(), 1u);
     EXPECT_TRUE(fm.flow(victim)->stalled);
     EXPECT_FALSE(fm.flow(witness)->stalled);
 
     // A stalled flow accrues nothing, however long the outage.
-    eq.runFor(sim::fromMillis(2));
+    sq.runFor(sim::fromMillis(2));
     fm.foldAll();
     EXPECT_EQ(fm.flow(victim)->fluidBytes, victimBytesAtCut);
     EXPECT_GT(fm.flow(witness)->fluidBytes, victimBytesAtCut);
@@ -460,10 +600,10 @@ TEST(FluidFaults, TorDeathStallsFlowsConservatively)
     // Repair un-stalls it at the next fold and accrual resumes from
     // there; conservation holds over the whole cut/repair history.
     inj.repairTor(0, 0);
-    eq.runFor(sim::fromMicros(10));
+    sq.runFor(sim::fromMicros(10));
     fm.foldAll();  // this fold discovers the healed path
     EXPECT_EQ(fm.stalledFlows(), 0u);
-    eq.runFor(sim::fromMillis(1));
+    sq.runFor(sim::fromMillis(1));
     fm.foldAll();
     EXPECT_GT(fm.flow(victim)->fluidBytes, victimBytesAtCut);
     EXPECT_GE(fm.stallTransitions(), 1u);

@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "roles/dnn_role.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -59,7 +60,8 @@ smallCloud()
 
 TEST(FaultInjection, ScriptedLinkFlapRecoversAllInFlightMessages)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloud());
     NullRole sink;
     ASSERT_GE(cloud.shell(5).addRole(&sink), 0);
@@ -68,7 +70,7 @@ TEST(FaultInjection, ScriptedLinkFlapRecoversAllInFlightMessages)
     // Cut the sender's TOR cable for 200 us in the middle of a 2 ms
     // message train: well inside LTL's 16 x 50 us retry budget, so the
     // flap must be invisible at the message level.
-    FaultInjector inj(eq, cloud,
+    FaultInjector inj(sq, cloud,
                       FaultConfig{}.withHostLinkFlap(
                           sim::fromMicros(500), 0, sim::fromMicros(200)));
     inj.arm();
@@ -81,7 +83,7 @@ TEST(FaultInjection, ScriptedLinkFlapRecoversAllInFlightMessages)
                              engine->sendMessage(conn, 256);
                          });
     }
-    eq.runFor(sim::fromMillis(10));
+    sq.runFor(sim::fromMillis(10));
 
     EXPECT_EQ(sink.received, kMessages);
     EXPECT_GT(engine->framesRetransmitted(), 0u);  // the flap bit frames
@@ -102,16 +104,14 @@ TEST(FaultInjection, ScriptedLinkFlapRecoversAllInFlightMessages)
 
 TEST(FaultInjection, CorruptionBurstIsRepairedByRetransmission)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloud());
     NullRole sink;
     ASSERT_GE(cloud.shell(1).addRole(&sink), 0);
     auto ch = cloud.openLtl(0, 1, sink.port);
 
-    FaultInjector inj(eq, cloud, FaultConfig{}.withSeed(7));
-    eq.schedule(sim::fromMicros(100), [&] {
-        inj.corruptionBurst(0, 0.5, sim::fromMicros(800));
-    });
+    FaultInjector inj(sq, cloud, FaultConfig{}.withSeed(7));
 
     auto *engine = cloud.shell(0).ltlEngine();
     const int kMessages = 40;
@@ -121,7 +121,11 @@ TEST(FaultInjection, CorruptionBurstIsRepairedByRetransmission)
                              engine->sendMessage(conn, 1024);
                          });
     }
-    eq.runFor(sim::fromMillis(20));
+    // The imperative API runs where the kernel is quiescent: here,
+    // between two runs.
+    sq.runUntil(sim::fromMicros(100));
+    inj.corruptionBurst(0, 0.5, sim::fromMicros(800));
+    sq.runUntil(sim::fromMillis(20));
 
     EXPECT_EQ(sink.received, kMessages);  // CRC drops all recovered
     EXPECT_GT(engine->framesRetransmitted(), 0u);
@@ -131,13 +135,14 @@ TEST(FaultInjection, CorruptionBurstIsRepairedByRetransmission)
     const auto drops = cloud.topology().hostLink(0).aToB().faultDrops();
     EXPECT_GT(drops, 0u);
     ch.send(512);
-    eq.runFor(sim::fromMillis(1));
+    sq.runFor(sim::fromMillis(1));
     EXPECT_EQ(cloud.topology().hostLink(0).aToB().faultDrops(), drops);
 }
 
 TEST(FaultInjection, FpgaHardFailureCausesExactlyOneFailover)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloud());
 
     std::vector<std::unique_ptr<roles::DnnRole>> role_storage;
@@ -152,13 +157,14 @@ TEST(FaultInjection, FpgaHardFailureCausesExactlyOneFailover)
     ASSERT_TRUE(sm.deploy(2));
     const int victim = sm.instances()[0];
 
-    FaultInjector inj(eq, cloud,
+    FaultInjector inj(sq, cloud,
                       FaultConfig{}.withFpgaHardFail(sim::fromMicros(50),
                                                      victim));
     inj.arm();
     // A duplicate hard-fail of the same node must be swallowed.
-    eq.schedule(sim::fromMicros(60), [&] { inj.failFpga(victim); });
-    eq.runFor(sim::fromMillis(5));
+    sq.runUntil(sim::fromMicros(60));
+    inj.failFpga(victim);
+    sq.runUntil(sim::fromMillis(5));
 
     EXPECT_EQ(sm.failovers(), 1u);
     EXPECT_EQ(sm.instances().size(), 2u);
@@ -177,21 +183,21 @@ TEST(FaultInjection, FpgaHardFailureCausesExactlyOneFailover)
 
 TEST(FaultInjection, ReconfigPauseReturnsNodeToPool)
 {
-    EventQueue eq;
-    core::ConfigurableCloud cloud(eq, smallCloud());
+    sim::ShardedEventQueue sq;
+    core::ConfigurableCloud cloud(sq.partition(0), smallCloud());
     const int free_before = cloud.resourceManager().freeCount();
 
-    FaultInjector inj(eq, cloud,
+    FaultInjector inj(sq, cloud,
                       FaultConfig{}.withReconfigPause(
                           sim::fromMicros(10), 3, sim::fromMicros(500)));
     inj.arm();
 
-    eq.runUntil(sim::fromMicros(200));
+    sq.runUntil(sim::fromMicros(200));
     EXPECT_TRUE(inj.nodeDown(3));
     EXPECT_TRUE(cloud.shell(3).bridge().down());
     EXPECT_EQ(cloud.resourceManager().failedCount(), 1);
 
-    eq.runUntil(sim::fromMillis(2));
+    sq.runUntil(sim::fromMillis(2));
     EXPECT_FALSE(inj.nodeDown(3));
     EXPECT_FALSE(cloud.shell(3).bridge().down());
     EXPECT_EQ(cloud.resourceManager().failedCount(), 0);
@@ -201,13 +207,14 @@ TEST(FaultInjection, ReconfigPauseReturnsNodeToPool)
 
 TEST(FaultInjection, SwitchBrownoutDropsAndClears)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloud());
     NullRole sink;
     ASSERT_GE(cloud.shell(1).addRole(&sink), 0);
     auto ch = cloud.openLtl(0, 1, sink.port);
 
-    FaultInjector inj(eq, cloud,
+    FaultInjector inj(sq, cloud,
                       FaultConfig{}.withSwitchBrownout(
                           sim::fromMicros(100), 0, 0, 0.4, true,
                           sim::fromMicros(600)));
@@ -223,7 +230,7 @@ TEST(FaultInjection, SwitchBrownoutDropsAndClears)
     eq.schedule(sim::fromMicros(300), [&] {
         EXPECT_TRUE(cloud.topology().tor(0, 0).inBrownout());
     });
-    eq.runFor(sim::fromMillis(20));
+    sq.runFor(sim::fromMillis(20));
 
     EXPECT_FALSE(cloud.topology().tor(0, 0).inBrownout());
     EXPECT_GT(cloud.topology().tor(0, 0).brownoutDrops(), 0u);
@@ -239,7 +246,8 @@ TEST(FaultInjection, SwitchBrownoutDropsAndClears)
 std::string
 faultRunSnapshot(std::uint64_t seed)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     auto cfg = smallCloud();
     cfg.obs = &hub;
@@ -248,7 +256,7 @@ faultRunSnapshot(std::uint64_t seed)
     cloud.shell(5).addRole(&sink);
     auto ch = cloud.openLtl(0, 5, sink.port);
 
-    FaultInjector inj(eq, cloud,
+    FaultInjector inj(sq, cloud,
                       FaultConfig{}
                           .withSeed(seed)
                           .withHostLinkFlap(sim::fromMicros(400), 0,
@@ -266,7 +274,7 @@ faultRunSnapshot(std::uint64_t seed)
                              engine->sendMessage(conn, 512);
                          });
     }
-    eq.runFor(sim::fromMillis(8));
+    sq.runFor(sim::fromMillis(8));
     return hub.registry.snapshotJson();
 }
 
@@ -333,20 +341,20 @@ TEST(LtlChannelHandle, MoveTransfersOwnership)
 
 TEST(LtlChannelHandle, FailedReflectsLtlConnectionState)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
     auto cfg = smallCloud();
     cfg.shellTemplate.ltl.maxRetries = 3;
-    core::ConfigurableCloud cloud(eq, cfg);
+    core::ConfigurableCloud cloud(sq.partition(0), cfg);
     NullRole sink;
     ASSERT_GE(cloud.shell(1).addRole(&sink), 0);
     auto ch = cloud.openLtl(0, 1, sink.port);
 
     // Permanently cut the cable: the send connection exhausts its
     // retries and is declared failed.
-    FaultInjector inj(eq, cloud);
+    FaultInjector inj(sq, cloud);
     inj.failFpga(1);
     ch.send(256);
-    eq.runFor(sim::fromMillis(5));
+    sq.runFor(sim::fromMillis(5));
     EXPECT_TRUE(ch.failed());
     EXPECT_GE(cloud.shell(0).ltlEngine()->connectionFailures(), 1u);
     // Closing a failed channel is clean (tolerant teardown).
@@ -385,22 +393,22 @@ TEST(ConfigValidation, BadCloudConfigsDie)
 
 TEST(ConfigValidation, BadFaultConfigsDie)
 {
-    EventQueue eq;
-    core::ConfigurableCloud cloud(eq, smallCloud());
+    sim::ShardedEventQueue sq;
+    core::ConfigurableCloud cloud(sq.partition(0), smallCloud());
 
-    EXPECT_DEATH(FaultInjector(eq, cloud,
+    EXPECT_DEATH(FaultInjector(sq, cloud,
                                FaultConfig{}.withHostLinkFlap(
                                    0, 99, sim::fromMicros(10))),
                  "targets host");
-    EXPECT_DEATH(FaultInjector(eq, cloud,
+    EXPECT_DEATH(FaultInjector(sq, cloud,
                                FaultConfig{}.withCorruptionBurst(
                                    0, 0, 1.5, sim::fromMicros(10))),
                  "rate must be in");
-    EXPECT_DEATH(FaultInjector(eq, cloud,
+    EXPECT_DEATH(FaultInjector(sq, cloud,
                                FaultConfig{}.withRandomFlaps(
                                    10.0, sim::fromMicros(10))),
                  "randomHorizon");
-    EXPECT_DEATH(FaultInjector(eq, cloud,
+    EXPECT_DEATH(FaultInjector(sq, cloud,
                                FaultConfig{}.withSwitchBrownout(
                                    0, 7, 0, 0.1, false,
                                    sim::fromMicros(10))),
@@ -409,23 +417,59 @@ TEST(ConfigValidation, BadFaultConfigsDie)
 
 TEST(ConfigValidation, SecondConcurrentInjectorDies)
 {
-    EventQueue eq;
-    core::ConfigurableCloud cloud(eq, smallCloud());
-    FaultInjector first(eq, cloud);
-    EXPECT_DEATH(FaultInjector(eq, cloud), "already");
+    sim::ShardedEventQueue sq;
+    core::ConfigurableCloud cloud(sq.partition(0), smallCloud());
+    FaultInjector first(sq, cloud);
+    EXPECT_DEATH(FaultInjector(sq, cloud), "already");
 }
 
 TEST(ConfigValidation, InjectorSlotFreedOnDestruction)
 {
-    EventQueue eq;
-    core::ConfigurableCloud cloud(eq, smallCloud());
+    sim::ShardedEventQueue sq;
+    core::ConfigurableCloud cloud(sq.partition(0), smallCloud());
     {
-        FaultInjector inj(eq, cloud);
+        FaultInjector inj(sq, cloud);
         EXPECT_EQ(cloud.faultInjector(), &inj);
     }
     EXPECT_EQ(cloud.faultInjector(), nullptr);
-    FaultInjector again(eq, cloud);  // slot is reusable
+    FaultInjector again(sq, cloud);  // slot is reusable
     EXPECT_EQ(cloud.faultInjector(), &again);
+}
+
+TEST(ConfigValidation, InjectorOnAnotherKernelDies)
+{
+    // The injector acts at the barriers of the kernel that drives the
+    // cloud; any other queue would never run its actions in step.
+    EventQueue eq;
+    core::ConfigurableCloud plain(eq, smallCloud());
+    sim::ShardedEventQueue sq;
+    EXPECT_DEATH(FaultInjector(sq, plain), "not driven by");
+
+    sim::ShardedEventQueue::Config two;
+    two.partitions = 2;
+    sim::ShardedEventQueue sq2(two);
+    core::ConfigurableCloud onTwo(sq2.partition(0), smallCloud());
+    EXPECT_DEATH(FaultInjector(sq2, onTwo), "not driven by");
+
+    auto cfg = smallCloud();
+    sim::ShardedEventQueue owner(core::ConfigurableCloud::shardPlan(cfg));
+    sim::ShardedEventQueue other(core::ConfigurableCloud::shardPlan(cfg));
+    core::ConfigurableCloud sharded(owner, cfg);
+    EXPECT_DEATH(FaultInjector(other, sharded), "not driven by");
+}
+
+TEST(ConfigValidation, SingleQueueOnlyFaultsDieOnShardedCloud)
+{
+    auto cfg = smallCloud();
+    sim::ShardedEventQueue sq(core::ConfigurableCloud::shardPlan(cfg));
+    core::ConfigurableCloud cloud(sq, cfg);
+    EXPECT_DEATH(FaultInjector(sq, cloud,
+                               FaultConfig{}.withCorruptionBurst(
+                                   0, 0, 0.5, sim::fromMicros(10))),
+                 "not supported on a sharded cloud");
+    FaultInjector inj(sq, cloud);
+    EXPECT_DEATH(inj.gracefulReconfig(0, sim::fromMicros(10)),
+                 "not supported on a sharded cloud");
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -476,7 +477,8 @@ tracedCloudConfig(obs::Observability *hub)
 std::string
 runFaultyCloudScenario()
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     core::ConfigurableCloud cloud(eq, tracedCloudConfig(&hub));
     CloudRole sink;
@@ -485,7 +487,7 @@ runFaultyCloudScenario()
 
     // Cut the sender's TOR cable mid-train: retransmission and recovery
     // happen while spans are recording.
-    fault::FaultInjector inj(eq, cloud,
+    fault::FaultInjector inj(sq, cloud,
                              fault::FaultConfig{}.withHostLinkFlap(
                                  sim::fromMicros(500), 0,
                                  sim::fromMicros(200)));
@@ -498,7 +500,7 @@ runFaultyCloudScenario()
                              engine->sendMessage(conn, 1408);
                          });
     }
-    eq.runUntil(sim::fromMicros(10000));
+    sq.runUntil(sim::fromMicros(10000));
 
     EXPECT_GT(cloud.shell(0).ltlEngine()->framesRetransmitted(), 0u);
     EXPECT_FALSE(hub.flows.exemplars().empty());
@@ -528,12 +530,13 @@ TEST(FlowTraceDeterminism, SameSeedRunsProduceIdenticalSpanDumps)
 
 TEST(MetricNames, EveryRegisteredPathMatchesADocumentedPattern)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     core::CloudConfig cfg = tracedCloudConfig(&hub);
     cfg.createNics = true;  // cover nic.* too
     core::ConfigurableCloud cloud(eq, cfg);
-    fault::FaultInjector inj(eq, cloud,
+    fault::FaultInjector inj(sq, cloud,
                              fault::FaultConfig{}.withHostLinkFlap(
                                  sim::fromMicros(100), 0,
                                  sim::fromMicros(50)));

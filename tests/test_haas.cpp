@@ -10,11 +10,10 @@
 #include <set>
 #include <vector>
 
-#include "core/cloud.hpp"
 #include "haas/haas.hpp"
 #include "haas/health_monitor.hpp"
-#include "roles/dnn_role.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -22,7 +21,6 @@ using namespace ccsim;
 using haas::FpgaManager;
 using haas::LeaseConstraints;
 using haas::ResourceManager;
-using haas::ServiceManager;
 using sim::EventQueue;
 
 /** A trivial role for configuration tests. */
@@ -34,7 +32,8 @@ struct StubRole : fpga::Role {
 };
 
 struct Pool {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     ResourceManager rm{eq};
     std::vector<std::unique_ptr<FpgaManager>> fms;
     std::vector<std::unique_ptr<StubRole>> roles;
@@ -238,74 +237,6 @@ TEST(FpgaManager, StatusReflectsHealth)
     EXPECT_EQ(fm.configureRole(&role), -1);
 }
 
-TEST(ServiceManager, RoundRobinLoadBalancing)
-{
-    Pool pool(6);
-    // Use a role factory but a null-shell pool: deploy() would fail on
-    // configure, so drive pickInstance() on a hand-rolled instance list
-    // via deploy of zero instances plus direct checks.
-    ServiceManager sm(pool.eq, pool.rm, "svc",
-                      [&](int) { return pool.makeRole(); });
-    EXPECT_EQ(sm.pickInstance(), -1);  // nothing deployed
-}
-
-TEST(ServiceManager, PickInstanceMatchesLegacySequence)
-{
-    // pickInstance() is now a shim over serving::RoundRobinBalancer.
-    // Replay the pre-serving implementation — `hosts[rrNext %
-    // hosts.size()]; ++rrNext;` with a free-running counter — side by
-    // side through deploys, scale-downs, scale-ups, and a failover, and
-    // require bit-identical pick sequences throughout.
-    EventQueue eq;
-    core::CloudConfig cfg;
-    cfg.topology.hostsPerRack = 4;
-    cfg.topology.racksPerPod = 2;
-    cfg.topology.l1PerPod = 2;
-    cfg.topology.pods = 1;
-    cfg.topology.l2Count = 1;
-    cfg.createNics = false;
-    core::ConfigurableCloud cloud(eq, cfg);
-
-    std::vector<std::unique_ptr<roles::DnnRole>> role_storage;
-    ServiceManager sm(eq, cloud.resourceManager(), "dnn",
-                      [&](int) -> fpga::Role * {
-                          role_storage.push_back(
-                              std::make_unique<roles::DnnRole>(eq));
-                          return role_storage.back().get();
-                      });
-
-    std::size_t legacy_next = 0;
-    auto legacy_pick = [&]() -> int {
-        const auto &hosts = sm.instances();
-        if (hosts.empty())
-            return -1;
-        const int host = hosts[legacy_next % hosts.size()];
-        ++legacy_next;
-        return host;
-    };
-    auto expect_same_picks = [&](int picks) {
-        for (int i = 0; i < picks; ++i) {
-            const int expected = legacy_pick();
-            EXPECT_EQ(sm.pickInstance(), expected)
-                << "diverged at pick " << i << " with "
-                << sm.instances().size() << " instances";
-        }
-    };
-
-    ASSERT_TRUE(sm.deploy(3));
-    expect_same_picks(7);  // not a multiple of 3: counter mid-cycle
-    ASSERT_TRUE(sm.scaleTo(2));
-    expect_same_picks(5);
-    ASSERT_TRUE(sm.scaleTo(5));
-    expect_same_picks(9);
-    // Failover replaces a host mid-sequence (membership change without
-    // a size change).
-    const int victim = sm.instances().front();
-    cloud.resourceManager().reportFailure(victim);
-    ASSERT_TRUE(sm.handleFailure(victim));
-    expect_same_picks(11);
-}
-
 TEST(HealthMonitor, EvidenceIdempotentPerSource)
 {
     Pool pool(4);
@@ -349,19 +280,30 @@ TEST(HealthMonitor, EvidenceLatchClearsOnHealthyHeartbeat)
     cfg.suspicionThreshold = 3.0;
     haas::HealthMonitor hm(pool.eq, pool.rm, cfg);
     hm.setProbe([](int) { return true; });
-    hm.start();
+    hm.startSharded(pool.sq);
 
     hm.reportEvidence(0, "serving.rank", 1.0);
     EXPECT_DOUBLE_EQ(hm.suspicion(0), 1.0);
 
     // A reachable heartbeat ends the episode: suspicion resets and the
     // source may count again when the node degrades anew.
-    pool.eq.runFor(cfg.heartbeatPeriod + cfg.heartbeatRtt + 1);
+    pool.sq.runFor(cfg.heartbeatPeriod + cfg.heartbeatRtt + 1);
     hm.stop();
     EXPECT_DOUBLE_EQ(hm.suspicion(0), 0.0);
     hm.reportEvidence(0, "serving.rank", 1.0);
     EXPECT_DOUBLE_EQ(hm.suspicion(0), 1.0);
     EXPECT_EQ(hm.evidenceReports(), 2u);
+}
+
+TEST(HealthMonitorDeath, StartOnAnotherKernelDies)
+{
+    // Sweeps run at the barriers of the kernel that owns the monitor's
+    // queue; any other kernel would judge hosts out of step.
+    Pool pool(2);
+    haas::HealthMonitor hm(pool.eq, pool.rm);
+    hm.setProbe([](int) { return true; });
+    sim::ShardedEventQueue other;
+    EXPECT_DEATH(hm.startSharded(other), "not a partition");
 }
 
 }  // namespace

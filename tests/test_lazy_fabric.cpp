@@ -17,6 +17,7 @@
 #include "haas/health_monitor.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -131,30 +132,31 @@ TEST(LazyFabric, FaultInjectorMaterializesStubDeterministically)
 {
     // Regression: injecting a fault into a not-yet-materialized host
     // must materialize it (deterministically), not crash or no-op.
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, podScaleConfig(true));
-    fault::FaultInjector inject(eq, cloud);
+    fault::FaultInjector inject(sq, cloud);
 
     const int victim = 7;
     ASSERT_FALSE(cloud.serverMaterialized(victim));
     inject.flapHostLink(victim, sim::fromMillis(1));
-    eq.runFor(sim::fromMillis(0.1));
+    sq.runFor(sim::fromMillis(0.1));
     EXPECT_TRUE(cloud.serverMaterialized(victim));
     EXPECT_FALSE(cloud.nodeReachable(victim));  // cable is down
-    eq.runFor(sim::fromMillis(2));
+    sq.runFor(sim::fromMillis(2));
     EXPECT_TRUE(cloud.nodeReachable(victim));   // flap healed
 
     // Hard-failing a stub works too, and the RM sees the failure.
     const int dead = 9;
     ASSERT_FALSE(cloud.serverMaterialized(dead));
     inject.failFpga(dead);
-    eq.runFor(sim::fromMillis(0.1));
+    sq.runFor(sim::fromMillis(0.1));
     EXPECT_TRUE(cloud.serverMaterialized(dead));
     EXPECT_FALSE(cloud.nodeReachable(dead));
     EXPECT_FALSE(cloud.fpgaManager(dead).status().healthy);
     EXPECT_EQ(cloud.resourceManager().failedCount(), 1);
     inject.repairFpga(dead);
-    eq.runFor(sim::fromMillis(0.1));
+    sq.runFor(sim::fromMillis(0.1));
     EXPECT_TRUE(cloud.nodeReachable(dead));
     EXPECT_EQ(cloud.resourceManager().failedCount(), 0);
 }
@@ -164,14 +166,15 @@ TEST(LazyFabric, HealthMonitorHeartbeatIsAMaterializingTouch)
     // A heartbeat probe is a management-path touch: one full sweep of a
     // lazy cloud materializes every host (and answers exactly like an
     // eager build would).
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, podScaleConfig(true));
     haas::HealthMonitorConfig hc;
     haas::HealthMonitor hm(eq, cloud.resourceManager(), hc);
     cloud.attachHealthMonitor(hm);
     EXPECT_EQ(cloud.materializedServers(), 0);
-    hm.start();
-    eq.runFor(2 * hc.heartbeatPeriod);
+    hm.startSharded(sq);
+    sq.runFor(2 * hc.heartbeatPeriod);
     EXPECT_EQ(cloud.materializedServers(), cloud.numServers());
     EXPECT_EQ(cloud.resourceManager().failedCount(), 0);
     hm.stop();

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "roles/ranking/ranking_role.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace ccsim;
 
@@ -71,21 +72,22 @@ struct StubAccel : host::FeatureAccelerator {
 
 TEST(HealthMonitor, DetectsDarkNodeWithinBoundAndRepairsOnRejoin)
 {
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloudConfig());
     auto &rm = cloud.resourceManager();
 
     haas::HealthMonitor hm(eq, rm);  // defaults: 100us period, threshold 3
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
-    eq.runFor(250 * sim::kMicrosecond);
+    sq.runFor(250 * sim::kMicrosecond);
     cloud.setHostLinkDown(3, true);
     const sim::TimePs dark_at = eq.now();
 
     // The detection bound is the worst case from going dark to the
     // failure report reaching the RM.
-    eq.runFor(hm.detectionBound());
+    sq.runFor(hm.detectionBound());
     EXPECT_EQ(hm.detections(), 1u);
     EXPECT_TRUE(hm.suspected(3));
     EXPECT_FALSE(rm.manager(3)->status().healthy);
@@ -95,7 +97,7 @@ TEST(HealthMonitor, DetectsDarkNodeWithinBoundAndRepairsOnRejoin)
 
     // Restore the link: consecutive healthy heartbeats drive the repair.
     cloud.setHostLinkDown(3, false);
-    eq.runFor(hm.config().heartbeatPeriod *
+    sq.runFor(hm.config().heartbeatPeriod *
               (hm.config().rejoinHeartbeats + 2));
     EXPECT_EQ(hm.rejoins(), 1u);
     EXPECT_FALSE(hm.suspected(3));
@@ -107,7 +109,8 @@ TEST(HealthMonitor, DetectsDarkNodeWithinBoundAndRepairsOnRejoin)
 
 TEST(HealthMonitor, PassiveLtlStreaksDetectWithoutHeartbeats)
 {
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloudConfig());
     auto &rm = cloud.resourceManager();
 
@@ -117,7 +120,7 @@ TEST(HealthMonitor, PassiveLtlStreaksDetectWithoutHeartbeats)
         haas::HealthMonitorConfig{}.withHeartbeat(sim::kSecond,
                                                   10 * sim::kMicrosecond));
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
     core::LtlChannel ch = cloud.openLtl(0, 1, fpga::kErPortRole0);
     cloud.setHostLinkDown(1, true);
@@ -125,7 +128,7 @@ TEST(HealthMonitor, PassiveLtlStreaksDetectWithoutHeartbeats)
 
     // Retransmission-timeout streaks feed suspicion: the dead peer is
     // suspected long before any heartbeat sweep.
-    eq.runFor(sim::fromMillis(2));
+    sq.runFor(sim::fromMillis(2));
     EXPECT_GE(hm.streakReports(), 3u);
     EXPECT_EQ(hm.detections(), 1u);
     EXPECT_EQ(hm.heartbeatsSent(), 0u);
@@ -216,7 +219,7 @@ TEST(RetryPolicy, DeadlineRetryCompletesOnReplica)
 
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                7);
-    server.setRetryPolicy(host::QueryRetryPolicy{}
+    server.setRetryPolicy(serving::RequestPolicy{}
                               .withDeadline(200 * sim::kMicrosecond, 3)
                               .withBackoff(50 * sim::kMicrosecond, 0.0));
     server.setReplicaPicker([&]() -> host::FeatureAccelerator * {
@@ -244,7 +247,7 @@ TEST(RetryPolicy, ExhaustionFallsBackToSoftwareAndIgnoresLateAcks)
 
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                7);
-    server.setRetryPolicy(host::QueryRetryPolicy{}
+    server.setRetryPolicy(serving::RequestPolicy{}
                               .withDeadline(100 * sim::kMicrosecond, 2)
                               .withBackoff(50 * sim::kMicrosecond, 0.0));
     // No replica: retries go back to the (dead) primary.
@@ -276,7 +279,7 @@ TEST(RetryPolicy, HedgedDuplicateWinsAndIsCounted)
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                7);
     server.setRetryPolicy(
-        host::QueryRetryPolicy{}.withHedge(100 * sim::kMicrosecond));
+        serving::RequestPolicy{}.withHedge(100 * sim::kMicrosecond));
     server.setReplicaPicker([&]() -> host::FeatureAccelerator * {
         return &replica;
     });
@@ -379,7 +382,8 @@ TEST(AutoHeal, DeployFailsGracefullyOnExhaustedPool)
 
 TEST(AutoHeal, SimultaneousFailureCallbacksArriveInHostIndexOrder)
 {
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(eq, smallCloudConfig());
     auto &rm = cloud.resourceManager();
 
@@ -393,14 +397,14 @@ TEST(AutoHeal, SimultaneousFailureCallbacksArriveInHostIndexOrder)
 
     haas::HealthMonitor hm(eq, rm);
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
     // Three nodes go dark at the same instant; one sweep crosses the
     // threshold for all of them, in host-index order.
-    eq.runFor(150 * sim::kMicrosecond);
+    sq.runFor(150 * sim::kMicrosecond);
     for (int host : {5, 2, 7})
         cloud.setHostLinkDown(host, true);
-    eq.runFor(hm.detectionBound());
+    sq.runFor(hm.detectionBound());
     hm.stop();
 
     EXPECT_EQ(order, (std::vector<int>{2, 5, 7}));
@@ -417,7 +421,8 @@ namespace {
 std::string
 miniChaosSnapshot()
 {
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     core::ConfigurableCloud cloud(
         eq, smallCloudConfig().withObservability(&hub));
@@ -426,14 +431,14 @@ miniChaosSnapshot()
     haas::HealthMonitor hm(eq, rm);
     hm.attachObservability(&hub);
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
     StubAccel primary(eq, 150 * sim::kMicrosecond);
     StubAccel replica(eq, 150 * sim::kMicrosecond);
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                31);
     server.attachObservability(&hub, "rank");
-    server.setRetryPolicy(host::QueryRetryPolicy{}
+    server.setRetryPolicy(serving::RequestPolicy{}
                               .withDeadline(sim::fromMillis(2), 3)
                               .withBackoff(100 * sim::kMicrosecond, 0.2)
                               .withHedge(300 * sim::kMicrosecond));
@@ -449,11 +454,11 @@ miniChaosSnapshot()
                 [&] { cloud.setHostLinkDown(3, false); });
 
     gen.start();
-    eq.runUntil(sim::fromMillis(20));
+    sq.runUntil(sim::fromMillis(20));
     gen.stop();
-    eq.runFor(sim::fromMillis(50));
+    sq.runFor(sim::fromMillis(50));
     hm.stop();
-    eq.runFor(sim::fromMillis(1));
+    sq.runFor(sim::fromMillis(1));
     return hub.registry.snapshotJson();
 }
 

@@ -246,6 +246,34 @@ TEST(ShardedEventQueue, BarrierHookFiresExactlyAtItsDeadlines)
     EXPECT_EQ(sampled, (std::vector<sim::TimePs>{1000, 2000, 3000, 4000}));
 }
 
+TEST(ShardedEventQueue, RunAllHonorsOneShotDeadlines)
+{
+    // runAll() must stop at a requested barrier rather than drain past
+    // it, exactly as runUntil() does; otherwise every barrier-pinned
+    // action (fault recoveries, chaos phases) fires late under runAll.
+    sim::ShardedEventQueue sq;
+    std::vector<sim::TimePs> ran;
+    sq.partition(0).schedule(500, [&] { ran.push_back(500); });
+    sq.partition(0).schedule(2000, [&] { ran.push_back(2000); });
+    std::vector<sim::TimePs> seen;
+    sq.atBarrier([&](sim::TimePs e) {
+        seen.push_back(e);
+        return sim::kTimeNever;
+    });
+    sq.requestBarrier(1000);
+    sq.runAll();
+    EXPECT_EQ(seen, (std::vector<sim::TimePs>{1000, 2000}));
+    EXPECT_EQ(ran, (std::vector<sim::TimePs>{500, 2000}));
+
+    // A deadline past the last event is still reached, and a periodic
+    // hook deadline does not keep runAll() going forever.
+    sq.atBarrier([](sim::TimePs e) { return e + 100; }, sq.now() + 100);
+    sq.requestBarrier(5000);
+    sq.runAll();
+    EXPECT_EQ(seen.back(), 5000);
+    EXPECT_EQ(sq.now(), 5000);
+}
+
 TEST(ShardedEventQueue, RunUntilAdvancesNowWithoutEvents)
 {
     sim::ShardedEventQueue::Config qc;

@@ -661,7 +661,8 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
     topo.l2Count = 1;
 
     obs::Observability obsHub;
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     core::ConfigurableCloud cloud(
         eq, core::CloudConfig{}.withTopology(topo).withObservability(
                 &obsHub));
@@ -676,7 +677,7 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
             .withHeartbeat(sim::kSecond, 10 * sim::kMicrosecond)
             .withMinLtlStreak(1000));
     cloud.attachHealthMonitor(hm);
-    hm.start();
+    hm.startSharded(sq);
 
     obs::TimeSeriesHub ts(obs::TimeSeriesConfig{}
                               .withWindow(100 * sim::kMicrosecond)
@@ -702,12 +703,12 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
     // telemetry window bad.
     core::LtlChannel ch = cloud.openLtl(0, 1, fpga::kErPortRole0);
     ch.send(1024);
-    eq.runFor(150 * sim::kMicrosecond);
+    sq.runFor(150 * sim::kMicrosecond);
     EXPECT_EQ(slo.alertsFired(), 0u);
     cloud.setHostLinkDown(0, true);
     const sim::TimePs darkAt = eq.now();
     ch.send(1024);
-    eq.runFor(2 * sim::kMillisecond);
+    sq.runFor(2 * sim::kMillisecond);
 
     // The burn-rate alert fired, named the failing host...
     ASSERT_GE(slo.alertsFired(), 1u);
