@@ -121,7 +121,7 @@ main(int argc, char **argv)
     const sim::TimePs kDark = sim::fromMillis(25);  // outage windows
     const sim::TimePs kFlap = 600 * sim::kMicrosecond;
 
-    sim::ShardedEventQueue sq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;
     sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
 

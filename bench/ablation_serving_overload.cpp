@@ -190,7 +190,7 @@ struct GreyResult {
 GreyResult
 runGreyFailure()
 {
-    sim::ShardedEventQueue sq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;
     sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
 

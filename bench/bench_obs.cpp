@@ -10,9 +10,11 @@
  *             throughput burn rates every window.
  *
  * Asserts the two telemetry invariants the dashboard work relies on:
- * rolling only ever *reads* simulation state (identical query counts in
- * all three runs), and the rollup is cheap (< 5% wall-clock overhead,
- * min-of-3 runs per config). Headline numbers land in BENCH_obs.json.
+ * rolling only ever *reads* simulation state and adds no events (it
+ * runs at barriers of the one-partition kernel, so query and event
+ * counts are identical in all three runs), and the rollup is cheap
+ * (< 5% wall-clock overhead, min-of-3 runs per config). Headline
+ * numbers land in BENCH_obs.json.
  */
 #include <algorithm>
 #include <chrono>
@@ -30,6 +32,7 @@
 #include "obs/timeseries.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace ccsim;
 
@@ -49,7 +52,8 @@ struct RunResult {
 RunResult
 runWorkload(Mode mode, double settle_s, double measure_s)
 {
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;  // one partition: a single-queue simulation
+    sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     auto accel = std::make_unique<host::LocalFpgaAccelerator>(eq);
     host::RankingServer server(eq, host::RankingServiceParams{},
@@ -69,7 +73,7 @@ runWorkload(Mode mode, double settle_s, double measure_s)
         ts->watchRegistry(&hub.registry);
         ts->registerSelfProbes(hub.registry);
         ts->exportTo(&jsonl);
-        ts->startSampling(eq);
+        ts->startSampling(sq);
     }
     if (mode == Mode::kSlo) {
         slo = std::make_unique<obs::SloEngine>(*ts);
@@ -94,11 +98,9 @@ runWorkload(Mode mode, double settle_s, double measure_s)
 
     const auto t0 = std::chrono::steady_clock::now();
     gen.start();
-    eq.runFor(sim::fromSeconds(settle_s + measure_s));
+    sq.runFor(sim::fromSeconds(settle_s + measure_s));
     gen.stop();
-    if (ts)
-        ts->stopSampling();
-    eq.runAll();
+    sq.runAll();
 
     RunResult r;
     r.wallSeconds = std::chrono::duration<double>(
@@ -174,15 +176,21 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.alerts));
     }
 
-    // Rolling must not perturb the simulation: same queries completed.
+    // Rolling must not perturb the simulation: same queries completed,
+    // and not a single event added (telemetry runs at barriers).
     const RunResult &off = best[0], &win = best[1], &wslo = best[2];
     if (win.queries != off.queries || wslo.queries != off.queries)
         sim::fatalf("bench_obs: telemetry perturbed the workload (",
                     off.queries, " / ", win.queries, " / ", wslo.queries,
                     " queries completed)");
-    std::printf("\nworkload invariance: OK (%llu queries in every "
-                "config)\n",
-                static_cast<unsigned long long>(off.queries));
+    if (win.events != off.events || wslo.events != off.events)
+        sim::fatalf("bench_obs: telemetry added events (", off.events,
+                    " / ", win.events, " / ", wslo.events,
+                    " events executed)");
+    std::printf("\nworkload invariance: OK (%llu queries, %llu events in "
+                "every config)\n",
+                static_cast<unsigned long long>(off.queries),
+                static_cast<unsigned long long>(off.events));
 
     const double overheadWin = win.wallSeconds / off.wallSeconds - 1.0;
     const double overheadSlo = wslo.wallSeconds / off.wallSeconds - 1.0;

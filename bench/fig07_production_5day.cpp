@@ -375,8 +375,9 @@ runL2Campaign(bool quick, int shard_threads)
         cfg.timeSeries = tsHub.get();
     }
 
-    // Either kernel; the campaign is byte-identical across thread counts.
-    std::unique_ptr<sim::EventQueue> eq;
+    // Without --shards the cloud is a single-queue build driven by a
+    // one-partition kernel; the campaign is byte-identical across
+    // thread counts.
     std::unique_ptr<sim::ShardedEventQueue> sq;
     std::unique_ptr<obs::Observability> hub;
     std::unique_ptr<obs::ShardedObservability> shardHubs;
@@ -392,9 +393,12 @@ runL2Campaign(bool quick, int shard_threads)
     } else {
         hub = std::make_unique<obs::Observability>();
         cfg.obs = hub.get();
-        eq = std::make_unique<sim::EventQueue>();
-        cloud = std::make_unique<core::ConfigurableCloud>(*eq, cfg);
+        sq = std::make_unique<sim::ShardedEventQueue>();
+        cloud = std::make_unique<core::ConfigurableCloud>(sq->partition(0),
+                                                          cfg);
     }
+    if (tsHub)
+        tsHub->startSampling(*sq);
     net::Topology &topo = cloud->topology();
 
     if (tsHub) {
@@ -418,26 +422,17 @@ runL2Campaign(bool quick, int shard_threads)
                 .withBudget(0.10)
                 .withWindows(40, 5)
                 .withBurnThreshold(2.0));
-        slo->attachObservability(sq ? shardHubs->shard(0).registry
-                                    : hub->registry);
+        slo->attachObservability(shardHubs ? shardHubs->shard(0).registry
+                                           : hub->registry);
     }
 
     const double build_s = wallSeconds(t0);
     std::printf("build: %.2f s, %d/%d servers materialized\n", build_s,
                 cloud->materializedServers(), cloud->numServers());
 
-    const auto runFor = [&](sim::TimePs d) {
-        if (sq)
-            sq->runFor(d);
-        else
-            eq->runFor(d);
-    };
-    const auto eventsExecuted = [&] {
-        return sq ? sq->eventsExecuted() : eq->eventsExecuted();
-    };
     const auto histFor = [&](int src) -> sim::LogHistogram & {
         obs::Observability &h =
-            sq ? shardHubs->shard(cloud->partitionOf(src)) : *hub;
+            shardHubs ? shardHubs->shard(cloud->partitionOf(src)) : *hub;
         return h.registry.histogram("ltl.node" + std::to_string(src) +
                                     ".rtt_us");
     };
@@ -461,8 +456,7 @@ runL2Campaign(bool quick, int shard_threads)
     }
 
     // --- hybrid fluid/packet background ---
-    auto fluid = sq ? std::make_unique<net::FluidTrafficModel>(*sq, topo)
-                    : std::make_unique<net::FluidTrafficModel>(*eq, topo);
+    auto fluid = std::make_unique<net::FluidTrafficModel>(*sq, topo);
     // The probe paths are the monitored paths: background flows whose
     // ECMP path shares a probe trunk get promoted to packet fidelity.
     for (const auto &pr : probes)
@@ -566,7 +560,7 @@ runL2Campaign(bool quick, int shard_threads)
             }
         }
 
-        runFor(p.windowLen);
+        sq->runFor(p.windowLen);
 
         // (4) back across the fidelity boundary: credit the delivered
         // packet bytes and return the flows to the fluid regime.
@@ -598,7 +592,7 @@ runL2Campaign(bool quick, int shard_threads)
     }
 
     // Drain in-flight frames, then harvest the probe RTT histograms.
-    runFor(2 * p.windowLen);
+    sq->runFor(2 * p.windowLen);
     for (const auto &pr : probes)
         rtt.merge(histFor(pr.src));
 
@@ -619,7 +613,7 @@ runL2Campaign(bool quick, int shard_threads)
     const double wall_s = wallSeconds(t0);
     const long rss_kb = checkRssBudget();
     const double evps =
-        wall_s > 0 ? static_cast<double>(eventsExecuted()) / wall_s : 0;
+        wall_s > 0 ? static_cast<double>(sq->eventsExecuted()) / wall_s : 0;
 
     std::printf("\ncross-pod LTL round trips (%llu samples):\n",
                 static_cast<unsigned long long>(rtt.count()));
@@ -802,6 +796,8 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
         cloud = std::make_unique<core::ConfigurableCloud>(sq->partition(0),
                                                           cfg);
     }
+    if (tsHub)
+        tsHub->startSampling(*sq);
     net::Topology &topo = cloud->topology();
     // The control plane (RM, SM, HealthMonitor) lives on the cloud's
     // control queue: the spine partition when sharded.

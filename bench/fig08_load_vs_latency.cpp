@@ -51,7 +51,8 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
               double demand_peak_qps, bool balancer,
               KernelLoad *kernel = nullptr, bool attribution = false)
 {
-    sim::EventQueue eq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;  // one partition: a single-queue simulation
+    sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     if (attribution) {
         // Flight-recorder sampling: 1-in-16 keeps recording cost small
@@ -86,7 +87,7 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
         if (!tsOut)
             sim::fatalf("fig08: cannot write CCSIM_TS path ", tsPath);
         ts->exportTo(&tsOut);
-        ts->startSampling(eq);
+        ts->startSampling(sq);
         slo = std::make_unique<obs::SloEngine>(*ts);
         obs::SloObjective lat;
         lat.name = use_fpga ? "fpga_rank_p999" : "sw_rank_p999";
@@ -111,9 +112,9 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
         if (balancer)
             admitted = std::min(admitted, admitted_cap);
         gen.setRate(admitted);
-        eq.runFor(sim::fromSeconds(1.5));
+        sq.runFor(sim::fromSeconds(1.5));
         server.clearStats();
-        eq.runFor(sim::fromSeconds(4.0));
+        sq.runFor(sim::fromSeconds(4.0));
         const double p999 = latency->percentile(99.9);
         points.push_back({admitted / kSoftwareNominalQps, p999});
         if (balancer) {
@@ -126,7 +127,6 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
         }
     }
     if (ts) {
-        ts->stopSampling();
         std::printf("  telemetry: %llu windows, %llu JSONL lines, %llu "
                     "SLO alerts -> %s\n",
                     static_cast<unsigned long long>(ts->windowsClosed()),

@@ -29,6 +29,7 @@
 #include "core/cloud.hpp"
 #include "fpga/shell.hpp"
 #include "obs/metrics.hpp"
+#include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
 #include "torus/torus.hpp"
 
@@ -52,7 +53,7 @@ struct NullRole : fpga::Role {
  * into one tier-level histogram.
  */
 sim::LogHistogram
-measurePairs(core::ConfigurableCloud &cloud, sim::EventQueue &eq,
+measurePairs(core::ConfigurableCloud &cloud, sim::ShardedEventQueue &sq,
              obs::Observability &hub,
              const std::vector<std::pair<int, int>> &pairs, int pings)
 {
@@ -65,17 +66,18 @@ measurePairs(core::ConfigurableCloud &cloud, sim::EventQueue &eq,
             sim::fatal("fig10: no role slot on destination shell");
         auto ch = cloud.openLtl(src, dst, roles.back()->port);
         auto *engine = cloud.shell(src).ltlEngine();
+        auto &q = cloud.queueFor(src);
         auto &rtt_hist = hub.registry.histogram(
             "ltl.node" + std::to_string(src) + ".rtt_us");
         rtt_hist.clear();  // pairs may share a source engine
         // Idle rate: 20 us spacing, far below saturation.
         for (int i = 0; i < pings; ++i) {
-            eq.scheduleAfter(i * 20 * sim::kMicrosecond,
-                             [engine, conn = ch.sendConn()] {
-                                 engine->sendMessage(conn, 64);
-                             });
+            q.scheduleAfter(i * 20 * sim::kMicrosecond,
+                            [engine, conn = ch.sendConn()] {
+                                engine->sendMessage(conn, 64);
+                            });
         }
-        eq.runFor((pings + 50) * 20 * sim::kMicrosecond);
+        sq.runFor((pings + 50) * 20 * sim::kMicrosecond);
         tier.merge(rtt_hist);
     }
     return tier;
@@ -141,7 +143,7 @@ main(int argc, char **argv)
                 "measured in LTL\n(data header generated -> ACK "
                 "received), multiple pairs per tier.\n\n");
 
-    sim::EventQueue eq;          // must outlive the observability hub
+    sim::ShardedEventQueue sq;  // one partition: a single-queue simulation
     obs::Observability hub;
     const std::string trace_path = obs::TraceWriter::envPath();
     if (!trace_path.empty()) {
@@ -162,11 +164,11 @@ main(int argc, char **argv)
     cfg.obs = &hub;
     if (attribution)
         cfg.withFlowTracing(/*sample_every=*/1, /*tail_capacity=*/32);
-    core::ConfigurableCloud cloud(eq, cfg);
+    core::ConfigurableCloud cloud(sq.partition(0), cfg);
 
     // Periodic probe sampling: feeds time-weighted averages and (when
     // CCSIM_TRACE is set) the counter tracks of the exported trace.
-    hub.registry.startSampling(eq, 100 * sim::kMicrosecond, &hub.trace);
+    hub.registry.startSampling(sq, 100 * sim::kMicrosecond, &hub.trace);
 
     const int kPings = quick ? 60 : 300;
     const int kPairs = quick ? 2 : 6;
@@ -176,7 +178,7 @@ main(int argc, char **argv)
     std::vector<std::pair<int, int>> l0_pairs;
     for (int k = 1; k <= kPairs; ++k)
         l0_pairs.push_back({0, k});
-    auto l0 = measurePairs(cloud, eq, hub, l0_pairs, kPings);
+    auto l0 = measurePairs(cloud, sq, hub, l0_pairs, kPings);
     if (attribution) {
         attributionChecked += tierAttribution(hub, "L0 (same TOR)");
         hub.flows.newWindow();
@@ -187,7 +189,7 @@ main(int argc, char **argv)
     std::vector<std::pair<int, int>> l1_pairs;
     for (int k = 0; k < kPairs; ++k)
         l1_pairs.push_back({k, 24 + k});
-    auto l1 = measurePairs(cloud, eq, hub, l1_pairs, kPings);
+    auto l1 = measurePairs(cloud, sq, hub, l1_pairs, kPings);
     if (attribution) {
         attributionChecked += tierAttribution(hub, "L1 (pod)");
         hub.flows.newWindow();
@@ -197,11 +199,9 @@ main(int argc, char **argv)
     std::vector<std::pair<int, int>> l2_pairs;
     for (int k = 0; k < kPairs; ++k)
         l2_pairs.push_back({k, 48 + k});
-    auto l2 = measurePairs(cloud, eq, hub, l2_pairs, kPings);
+    auto l2 = measurePairs(cloud, sq, hub, l2_pairs, kPings);
     if (attribution)
         attributionChecked += tierAttribution(hub, "L2 (datacenter)");
-
-    hub.registry.stopSampling();
 
     std::printf("  %-14s %9s %10s %10s %10s   %s\n", "tier",
                 "reachable", "avg(us)", "p99.9(us)", "max(us)",

@@ -29,13 +29,6 @@ ConfigurableCloud::validate(const CloudConfig &cfg)
     if (cfg.createNics && cfg.nicCableMeters < 0.0)
         sim::fatalf("CloudConfig: nicCableMeters must be non-negative "
                     "(got ", cfg.nicCableMeters, ")");
-    if (cfg.obsSamplePeriod < 0)
-        sim::fatalf("CloudConfig: obsSamplePeriod must be non-negative "
-                    "(got ", cfg.obsSamplePeriod, " ps)");
-    if (cfg.obsSamplePeriod > 0 && cfg.obs == nullptr &&
-        cfg.shardObs == nullptr)
-        sim::fatal("CloudConfig: obsSamplePeriod set but no observability "
-                   "hub attached; call withObservability(&hub) first");
     if (cfg.flowSampleEvery > 0 && cfg.obs == nullptr &&
         cfg.shardObs == nullptr)
         sim::fatal("CloudConfig: flowSampleEvery set but no observability "
@@ -163,9 +156,6 @@ ConfigurableCloud::build()
     }
 
     if (shards == nullptr) {
-        if (config.obs && config.obsSamplePeriod > 0)
-            config.obs->registry.startSampling(queue, config.obsSamplePeriod,
-                                               &config.obs->trace);
         if (config.obs && config.flowSampleEvery > 0) {
             auto &flows = config.obs->flows;
             flows.setEnabled(true);
@@ -174,8 +164,6 @@ ConfigurableCloud::build()
             flows.bindMetrics(config.obs->registry);
         }
     } else if (config.shardObs) {
-        if (config.obsSamplePeriod > 0)
-            config.shardObs->startSampling(*shards, config.obsSamplePeriod);
         if (config.flowSampleEvery > 0) {
             for (int s = 0; s < config.shardObs->shardCount(); ++s) {
                 auto &flows = config.shardObs->shard(s).flows;
@@ -189,24 +177,17 @@ ConfigurableCloud::build()
     }
 
     if (config.timeSeries != nullptr) {
+        // Watch every partition's registry (paths are disjoint by
+        // construction); self probes and the trace land on the first
+        // hub, like the kernel-health probes. validate() guarantees a
+        // hub; the kernel's owner starts the rolls.
         obs::TimeSeriesHub &ts = *config.timeSeries;
-        if (shards == nullptr) {
-            ts.watchRegistry(&config.obs->registry);
-            ts.registerSelfProbes(config.obs->registry);
-            ts.attachTrace(&config.obs->trace);
-            ts.startSampling(queue);
-        } else if (config.shardObs) {
-            // Watch every partition's registry (paths are disjoint by
-            // construction); self probes land in shard 0 like the
-            // kernel-health probes, and rolling runs from a barrier
-            // hook so the series are byte-identical across thread
-            // counts.
-            for (int s = 0; s < config.shardObs->shardCount(); ++s)
-                ts.watchRegistry(&config.shardObs->shard(s).registry);
-            ts.registerSelfProbes(config.shardObs->shard(0).registry);
-            ts.attachTrace(&config.shardObs->shard(0).trace);
-            ts.startSampling(*shards);
-        }
+        const int hubs =
+            shards == nullptr ? 1 : config.shardObs->shardCount();
+        for (int i = 0; i < hubs; ++i)
+            ts.watchRegistry(&hubFor(i)->registry);
+        ts.registerSelfProbes(hubFor(0)->registry);
+        ts.attachTrace(&hubFor(0)->trace);
     }
 }
 

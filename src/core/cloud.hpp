@@ -67,12 +67,6 @@ struct CloudConfig {
      */
     obs::Observability *obs = nullptr;
     /**
-     * When non-zero, the cloud starts periodic gauge sampling on the hub
-     * at this period (requires obs). The caller must stopSampling()
-     * before draining the event queue with runAll().
-     */
-    sim::TimePs obsSamplePeriod = 0;
-    /**
      * When non-zero, enable causal flow tracing on the hub's
      * FlightRecorder: 1-in-N flow sampling (1 = every flow), counters
      * bound into the registry (requires obs).
@@ -110,11 +104,13 @@ struct CloudConfig {
      */
     obs::ShardedObservability *shardObs = nullptr;
     /**
-     * Live windowed time-series: the hub watches every instrumented
-     * registry (the single hub, or all per-shard hubs) and is driven on
-     * its configured window — a periodic event on the single-queue
-     * build, a barrier hook on the sharded one. Requires obs or
-     * shardObs; must outlive the cloud's simulation run. Null disables.
+     * Live windowed time-series: the cloud makes the hub watch every
+     * instrumented registry (the single hub, or all per-shard hubs) and
+     * registers its `ts.*` self probes and trace on the first hub. The
+     * owner of the kernel starts the rolls with
+     * TimeSeriesHub::startSampling(sq) right after building the cloud.
+     * Requires obs or shardObs; must outlive the cloud's simulation run.
+     * Null disables.
      */
     obs::TimeSeriesHub *timeSeries = nullptr;
 
@@ -148,11 +144,6 @@ struct CloudConfig {
     CloudConfig &withObservability(obs::Observability *hub)
     {
         obs = hub;
-        return *this;
-    }
-    CloudConfig &withObsSamplePeriod(sim::TimePs period)
-    {
-        obsSamplePeriod = period;
         return *this;
     }
     CloudConfig &withFlowTracing(std::uint32_t sample_every,

@@ -6,15 +6,9 @@
 
 #include "obs/json_util.hpp"
 #include "sim/logging.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace ccsim::obs {
-
-MetricsRegistry::~MetricsRegistry()
-{
-    // Safe as long as the EventQueue outlives the registry (declare the
-    // queue first; see Observability usage in the benches/tests).
-    stopSampling();
-}
 
 void
 MetricsRegistry::checkNewPath(const std::string &path, const char *kind) const
@@ -287,42 +281,28 @@ MetricsRegistry::snapshotJson() const
 }
 
 void
-MetricsRegistry::startSampling(sim::EventQueue &eq, sim::TimePs period,
+MetricsRegistry::startSampling(sim::ShardedEventQueue &sq, sim::TimePs period,
                                TraceWriter *trace)
 {
     if (period <= 0)
         sim::fatal("MetricsRegistry::startSampling: period must be > 0");
-    stopSampling();
-    samplerQueue = &eq;
-    samplerPeriod = period;
+    if (samplerStarted)
+        sim::panic("MetricsRegistry::startSampling: already sampling "
+                   "(barrier hooks cannot be deregistered)");
+    samplerStarted = true;
     samplerTrace = trace;
-    scheduleTick();
-}
-
-void
-MetricsRegistry::stopSampling()
-{
-    if (samplerEvent != sim::kNoEvent) {
-        samplerQueue->cancel(samplerEvent);
-        samplerEvent = sim::kNoEvent;
-    }
-    samplerQueue = nullptr;
-}
-
-void
-MetricsRegistry::scheduleTick()
-{
-    samplerEvent = samplerQueue->scheduleAfter(samplerPeriod, [this] {
-        samplerEvent = sim::kNoEvent;
-        sampleTick();
-        scheduleTick();
-    });
-}
-
-void
-MetricsRegistry::sampleTick()
-{
-    sampleAt(samplerQueue->now());
+    const sim::TimePs first = sq.now() + period;
+    sq.atBarrier(
+        [this, period, due = first](sim::TimePs e) mutable -> sim::TimePs {
+            // The hook runs at every barrier; deadlines guarantee one
+            // lands exactly on each sampling instant.
+            if (e == due) {
+                sampleAt(e);
+                due += period;
+            }
+            return due;
+        },
+        first);
 }
 
 void

@@ -16,11 +16,12 @@
  *                     without duplicating bookkeeping in hot paths.
  *
  * The registry offers a deterministic JSON snapshot (paths emitted in
- * sorted order, fixed number formatting) and a periodic sampling hook
- * driven by the simulation EventQueue: every period the sampler reads
- * all probes, folds the values into time-weighted averages, and (when a
- * TraceWriter is attached) emits Chrome counter events — on the first
- * tick for every probe, afterwards only for probes whose value changed.
+ * sorted order, fixed number formatting) and periodic sampling at the
+ * barriers of the ShardedEventQueue that drives the simulation: every
+ * period the sampler reads all probes, folds the values into
+ * time-weighted averages, and (when a TraceWriter is attached) emits
+ * Chrome counter events — on the first tick for every probe, afterwards
+ * only for probes whose value changed.
  *
  * Observability is strictly read-only with respect to simulation state:
  * attaching a registry, sampling, or exporting never changes component
@@ -39,6 +40,10 @@
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
+
+namespace ccsim::sim {
+class ShardedEventQueue;
+}
 
 namespace ccsim::obs {
 
@@ -81,7 +86,6 @@ class MetricsRegistry
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-    ~MetricsRegistry();
 
     // --- registration / lookup (get-or-create; references are stable) ---
 
@@ -175,33 +179,27 @@ class MetricsRegistry
     // --- periodic sampling -------------------------------------------------
 
     /**
-     * Start sampling all probes every @p period of simulated time, with
-     * the first tick one period from now. When @p trace is non-null,
-     * each tick emits Chrome counter events (first tick: all probes;
-     * later ticks: probes whose value changed). Restarting replaces the
-     * previous schedule.
+     * Sample all probes every @p period of simulated time at barriers of
+     * @p sq: registers a barrier hook whose deadlines force a window end
+     * at each multiple of the period, the first one period from now. A
+     * sample at time T sees the state after every event at T. When
+     * @p trace is non-null, each tick emits Chrome counter events (first
+     * tick: all probes; later ticks: probes whose value changed). Call
+     * at most once: barrier hooks cannot be deregistered, so the
+     * registry must also outlive every later run of @p sq.
      */
-    void startSampling(sim::EventQueue &eq, sim::TimePs period,
+    void startSampling(sim::ShardedEventQueue &sq, sim::TimePs period,
                        TraceWriter *trace = nullptr);
-
-    /**
-     * Cancel the sampling schedule. Must be called before draining the
-     * queue with runAll(), since the sampler perpetually reschedules.
-     */
-    void stopSampling();
-
-    bool samplingActive() const { return samplerEvent != sim::kNoEvent; }
 
     /** Number of sampling ticks executed. */
     std::uint64_t samplesTaken() const { return samplerTicks; }
 
     /**
-     * Take one sampling tick at simulated time @p now without an event
-     * schedule: reads every probe and folds it into the time-weighted
-     * averages (and the Chrome trace, when one was attached via
-     * startSampling). The periodic sampler calls this from its event;
-     * a sharded simulation calls it from a barrier hook so probes are
-     * read at deterministic sync points rather than mid-window.
+     * Take one sampling tick at simulated time @p now: reads every probe
+     * and folds it into the time-weighted averages (and the Chrome
+     * trace, when one was attached via startSampling). The sampling hook
+     * calls this with no window in flight, so probes read quiescent
+     * state at deterministic times.
      */
     void sampleAt(sim::TimePs now);
 
@@ -219,15 +217,11 @@ class MetricsRegistry
     std::map<std::string, Probe> probes;
     std::uint64_t mutations = 0;
 
-    sim::EventQueue *samplerQueue = nullptr;
-    sim::EventId samplerEvent = sim::kNoEvent;
-    sim::TimePs samplerPeriod = 0;
+    bool samplerStarted = false;
     TraceWriter *samplerTrace = nullptr;
     std::uint64_t samplerTicks = 0;
 
     void checkNewPath(const std::string &path, const char *kind) const;
-    void scheduleTick();
-    void sampleTick();
 };
 
 /**

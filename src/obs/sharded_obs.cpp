@@ -85,21 +85,8 @@ void
 ShardedObservability::startSampling(sim::ShardedEventQueue &sq,
                                     sim::TimePs period)
 {
-    if (period <= 0)
-        sim::fatal("ShardedObservability::startSampling: period must be > 0");
-    const sim::TimePs first = sq.now() + period;
-    sq.atBarrier(
-        [this, period, due = first](sim::TimePs e) mutable -> sim::TimePs {
-            // The hook runs at every barrier; deadlines guarantee one
-            // lands exactly on each sampling instant.
-            if (e == due) {
-                for (const auto &hub : hubs)
-                    hub->registry.sampleAt(e);
-                due += period;
-            }
-            return due;
-        },
-        first);
+    for (const auto &hub : hubs)
+        hub->registry.startSampling(sq, period);
 }
 
 void

@@ -66,10 +66,8 @@ class ShardedObservability
 
     /**
      * Sample every shard's probes every @p period of simulated time, at
-     * barrier sync points: registers a barrier hook on @p sq whose
-     * deadlines force a window boundary at each multiple of the period
-     * (first tick one period after now, mirroring
-     * MetricsRegistry::startSampling). Probes are therefore read at
+     * barrier sync points: MetricsRegistry::startSampling on each shard's
+     * registry, in shard order. Probes are therefore read at
      * deterministic simulated times with no window in flight, not
      * mid-execution from another thread.
      */

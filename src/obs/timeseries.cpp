@@ -642,34 +642,6 @@ TimeSeriesHub::traceWindow(sim::TimePs now)
 }
 
 void
-TimeSeriesHub::startSampling(sim::EventQueue &eq)
-{
-    stopSampling();
-    samplerQueue = &eq;
-    scheduleTick();
-}
-
-void
-TimeSeriesHub::scheduleTick()
-{
-    samplerEvent = samplerQueue->scheduleAfter(cfg.window, [this] {
-        samplerEvent = sim::kNoEvent;
-        rollAt(samplerQueue->now());
-        scheduleTick();
-    });
-}
-
-void
-TimeSeriesHub::stopSampling()
-{
-    if (samplerEvent != sim::kNoEvent) {
-        samplerQueue->cancel(samplerEvent);
-        samplerEvent = sim::kNoEvent;
-    }
-    samplerQueue = nullptr;
-}
-
-void
 TimeSeriesHub::startSampling(sim::ShardedEventQueue &sq)
 {
     const sim::TimePs first = sq.now() + cfg.window;

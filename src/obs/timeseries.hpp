@@ -25,10 +25,11 @@
  *    in deterministic formatting, and an attached TraceWriter renders
  *    every series as Chrome counter events on the trace timeline.
  *
- * Driving: on a legacy EventQueue the hub schedules a periodic event;
- * on the parallel kernel it registers a ShardedEventQueue barrier hook
- * whose deadlines land exactly on window ends (the PR 6 mechanism), so
- * windowed series are byte-identical across 1/2/4/8 worker threads.
+ * Driving: the hub registers a ShardedEventQueue barrier hook whose
+ * deadlines land exactly on window ends, so a window sees every event
+ * up to and including its end, and windowed series are byte-identical
+ * across 1/2/4/8 worker threads. A single-queue simulation is a
+ * one-partition kernel and rolls the same way.
  * Rolling only ever *reads* simulation state: instrumented and bare
  * runs stay bit-identical.
  */
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -258,16 +258,11 @@ class TimeSeriesHub
      */
     void rollAt(sim::TimePs now);
 
-    /** Periodic driving on a legacy EventQueue (first window one period
-     * from now). Call stopSampling() before draining with runAll(). */
-    void startSampling(sim::EventQueue &eq);
-    void stopSampling();
-
     /**
-     * Barrier-hook driving on the parallel kernel: window ends become
-     * hook deadlines, so rolls happen at exact simulated times on the
-     * coordinator thread and the stream is byte-identical across worker
-     * thread counts.
+     * Barrier-hook driving (first window one period from now): window
+     * ends become hook deadlines, so rolls happen at exact simulated
+     * times on the coordinator thread and the stream is byte-identical
+     * across worker thread counts.
      */
     void startSampling(sim::ShardedEventQueue &sq);
 
@@ -369,10 +364,6 @@ class TimeSeriesHub
     std::uint64_t windowSeq = 0;
     std::uint64_t linesOut = 0;
 
-    sim::EventQueue *samplerQueue = nullptr;
-    sim::EventId samplerEvent = sim::kNoEvent;
-
-    void scheduleTick();
     bool includes(const std::string &path) const;
     void discover();
     void refreshAggregate(const std::string &name, Aggregate &agg);

@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -104,7 +105,8 @@ struct ObservedRun {
 ObservedRun
 runLtlWorkload(bool observed, bool traced)
 {
-    EventQueue eq;  // must outlive the observability hub
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     hub.trace.setEnabled(traced);
 
@@ -131,15 +133,14 @@ runLtlWorkload(bool observed, bool traced)
     auto ch = cloud.openLtl(0, 5, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();
     if (observed)
-        hub.registry.startSampling(eq, 50 * sim::kMicrosecond, &hub.trace);
+        hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
     for (int i = 0; i < 40; ++i) {
         eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                          [engine, conn = ch.sendConn()] {
                              engine->sendMessage(conn, 64);
                          });
     }
-    eq.runFor(sim::fromMillis(2));
-    hub.registry.stopSampling();
+    sq.runFor(sim::fromMillis(2));
 
     ObservedRun out;
     out.rtt = engine->rttUs().raw();

@@ -383,12 +383,12 @@ TEST(ConfigValidation, BadCloudConfigsDie)
     };
     EXPECT_DEATH(negative_cable(), "cable lengths");
 
-    auto sampling_without_hub = [&] {
+    auto flow_tracing_without_hub = [&] {
         auto cfg = smallCloud();
-        cfg.obsSamplePeriod = sim::fromMicros(50);
+        cfg.flowSampleEvery = 1;
         core::ConfigurableCloud cloud(eq, cfg);
     };
-    EXPECT_DEATH(sampling_without_hub(), "withObservability");
+    EXPECT_DEATH(flow_tracing_without_hub(), "withObservability");
 }
 
 TEST(ConfigValidation, BadFaultConfigsDie)

@@ -97,7 +97,8 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
     // indistinguishable — to the byte, across every metric — from the
     // eager build (same construction sequence, same RNG draws).
     auto run = [](bool lazy) {
-        EventQueue eq;
+        sim::ShardedEventQueue sq;
+        EventQueue &eq = sq.partition(0);
         obs::Observability hub;
         auto cfg = podScaleConfig(lazy);
         cfg.obs = &hub;
@@ -111,14 +112,13 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
         EXPECT_GE(cloud.shell(dst).addRole(&sink), 0);
         auto ch = cloud.openLtl(src, dst, sink.port);
         auto *engine = cloud.shell(src).ltlEngine();
-        hub.registry.startSampling(eq, 50 * sim::kMicrosecond, &hub.trace);
+        hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
         for (int i = 0; i < 40; ++i)
             eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                              [engine, conn = ch.sendConn()] {
                                  engine->sendMessage(conn, 64);
                              });
-        eq.runFor(sim::fromMillis(2));
-        hub.registry.stopSampling();
+        sq.runFor(sim::fromMillis(2));
         return std::pair<std::vector<double>, std::string>(
             engine->rttUs().raw(), hub.registry.snapshotJson());
     };
@@ -242,7 +242,8 @@ TEST(LazyFabric, WidenedPodAddressingIsBackwardCompatible)
 
 TEST(LazyFabric, FabricMemoryStatsAndGaugesTrackMaterialization)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     obs::Observability hub;
     auto cfg = podScaleConfig(true);
     cfg.obs = &hub;
@@ -265,9 +266,8 @@ TEST(LazyFabric, FabricMemoryStatsAndGaugesTrackMaterialization)
     EXPECT_LT(after.bytesPerHost, double(after.bytesPerServer));
 
     // The same numbers back the sim.mem.* gauges.
-    hub.registry.startSampling(eq, 50 * sim::kMicrosecond, &hub.trace);
-    eq.runFor(sim::fromMillis(1));
-    hub.registry.stopSampling();
+    hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
+    sq.runFor(sim::fromMillis(1));
     const std::string snap = hub.registry.snapshotJson();
     EXPECT_NE(snap.find("sim.mem.hosts"), std::string::npos);
     EXPECT_NE(snap.find("sim.mem.materialized_hosts"), std::string::npos);

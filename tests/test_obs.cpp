@@ -3,7 +3,7 @@
  * Observability layer tests: metrics registry registration / lookup /
  * hierarchy, deterministic JSON snapshots (parsed back by a minimal
  * in-test JSON reader), Chrome trace-event export validity, and the
- * EventQueue-driven periodic sampler checked against a hand-computed
+ * barrier-driven periodic sampler checked against a hand-computed
  * schedule.
  */
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -451,7 +452,8 @@ TEST(TraceWriter, ExportIsValidChromeTraceJson)
 
 TEST(Sampler, FollowsHandComputedSchedule)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     MetricsRegistry reg;
     double signal = 0.0;
     std::vector<sim::TimePs> tick_times;
@@ -461,13 +463,12 @@ TEST(Sampler, FollowsHandComputedSchedule)
     });
 
     const sim::TimePs period = 10 * sim::kMicrosecond;
-    reg.startSampling(eq, period);
-    EXPECT_TRUE(reg.samplingActive());
+    reg.startSampling(sq, period);
 
     // Signal becomes 100 at t=35us: ticks at 10,20,30 see 0; ticks at
     // 40..90 see 100.
     eq.scheduleAfter(35 * sim::kMicrosecond, [&signal] { signal = 100.0; });
-    eq.runUntil(95 * sim::kMicrosecond);
+    sq.runUntil(95 * sim::kMicrosecond);
 
     EXPECT_EQ(reg.samplesTaken(), 9u);  // ticks at 10,20,...,90 us
     EXPECT_EQ(tick_times.size(), 9u);
@@ -476,25 +477,42 @@ TEST(Sampler, FollowsHandComputedSchedule)
     // (10->40), 100 held 50us (40->90) => 100*50/80 = 62.5.
     EXPECT_DOUBLE_EQ(reg.probeTimeAverage("test.signal"), 62.5);
 
-    reg.stopSampling();
-    EXPECT_FALSE(reg.samplingActive());
-    eq.runAll();  // must terminate: the sampler no longer reschedules
+    sq.runAll();  // terminates: sampling deadlines do not bound runAll()
     EXPECT_EQ(reg.samplesTaken(), 9u);
+}
+
+TEST(Sampler, SampleSeesEveryEventAtItsInstant)
+{
+    // The sampler runs at the barrier after every event at its instant,
+    // including events scheduled after sampling started.
+    sim::ShardedEventQueue sq;
+    MetricsRegistry reg;
+    double signal = 0.0;
+    std::vector<double> seen;
+    reg.registerProbe("test.signal", [&] {
+        seen.push_back(signal);
+        return signal;
+    });
+    reg.startSampling(sq, 10 * sim::kMicrosecond);
+    sq.partition(0).schedule(10 * sim::kMicrosecond,
+                             [&signal] { signal = 1.0; });
+    sq.runUntil(20 * sim::kMicrosecond);
+    EXPECT_EQ(seen, (std::vector<double>{1.0, 1.0}));
 }
 
 TEST(Sampler, EmitsTraceCountersOnFirstTickThenOnChange)
 {
-    EventQueue eq;
+    sim::ShardedEventQueue sq;
     Observability hub;
     hub.trace.setEnabled(true);
     double changing = 0.0;
     hub.registry.registerProbe("a.changing", [&] { return changing; });
     hub.registry.registerProbe("b.constant", [] { return 5.0; });
 
-    hub.registry.startSampling(eq, 10 * sim::kMicrosecond, &hub.trace);
-    eq.scheduleAfter(15 * sim::kMicrosecond, [&] { changing = 1.0; });
-    eq.runUntil(45 * sim::kMicrosecond);  // ticks at 10,20,30,40
-    hub.registry.stopSampling();
+    hub.registry.startSampling(sq, 10 * sim::kMicrosecond, &hub.trace);
+    sq.partition(0).scheduleAfter(15 * sim::kMicrosecond,
+                                  [&] { changing = 1.0; });
+    sq.runUntil(45 * sim::kMicrosecond);  // ticks at 10,20,30,40
 
     // First tick: both probes emit. Later ticks: only a.changing, and
     // only once (at t=20) when its value actually changed.
@@ -503,16 +521,15 @@ TEST(Sampler, EmitsTraceCountersOnFirstTickThenOnChange)
               (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(Sampler, RestartReplacesSchedule)
+TEST(SamplerDeathTest, SecondStartDies)
 {
-    EventQueue eq;
+    // Barrier hooks cannot be deregistered, so a restart cannot replace
+    // the first schedule.
+    sim::ShardedEventQueue sq;
     MetricsRegistry reg;
-    reg.registerProbe("x.v", [] { return 1.0; });
-    reg.startSampling(eq, 10 * sim::kMicrosecond);
-    reg.startSampling(eq, 25 * sim::kMicrosecond);  // replaces the first
-    eq.runUntil(60 * sim::kMicrosecond);
-    reg.stopSampling();
-    EXPECT_EQ(reg.samplesTaken(), 2u);  // ticks at 25, 50
+    reg.startSampling(sq, 10 * sim::kMicrosecond);
+    EXPECT_DEATH(reg.startSampling(sq, 25 * sim::kMicrosecond),
+                 "already sampling");
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +538,8 @@ TEST(Sampler, RestartReplacesSchedule)
 
 TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
 {
-    EventQueue eq;  // declared before hub: queue must outlive sampler
+    sim::ShardedEventQueue sq;
+    EventQueue &eq = sq.partition(0);
     Observability hub;
     hub.trace.setEnabled(true);
 
@@ -547,15 +565,14 @@ TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
     auto ch = cloud.openLtl(0, 5, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();
 
-    hub.registry.startSampling(eq, 50 * sim::kMicrosecond, &hub.trace);
+    hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
     for (int i = 0; i < 20; ++i) {
         eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                          [engine, conn = ch.sendConn()] {
                              engine->sendMessage(conn, 256);
                          });
     }
-    eq.runFor(sim::fromMillis(1));
-    hub.registry.stopSampling();
+    sq.runFor(sim::fromMillis(1));
 
     // The acceptance bar for the trace: valid JSON, >= 4 component
     // families represented.

@@ -366,9 +366,10 @@ TEST(TimeSeriesHub, ExportsDeterministicJsonl)
     EXPECT_LT(lat, ops);
 }
 
-TEST(TimeSeriesHub, LegacyQueueSamplingRollsOnCadence)
+TEST(TimeSeriesHub, SingleQueueSamplingRollsOnCadence)
 {
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     obs::MetricsRegistry reg;
     sim::Counter &c = reg.counter("q.ticks");
     eq.scheduleAfter(50 * sim::kMicrosecond, [&c] { c.inc(); });
@@ -377,10 +378,9 @@ TEST(TimeSeriesHub, LegacyQueueSamplingRollsOnCadence)
     obs::TimeSeriesHub hub(
         obs::TimeSeriesConfig{}.withWindow(100 * sim::kMicrosecond));
     hub.watchRegistry(&reg);
-    hub.startSampling(eq);
-    eq.runFor(350 * sim::kMicrosecond);
-    hub.stopSampling();
-    eq.runAll();
+    hub.startSampling(sq);
+    sq.runFor(350 * sim::kMicrosecond);
+    sq.runAll();
 
     EXPECT_EQ(hub.windowsClosed(), 3u);
     const std::vector<obs::TsPoint> pts = hub.history("q.ticks", 0);
@@ -509,7 +509,8 @@ TEST(ShardedTelemetry, MergedShardSketchesMatchSingleQueueRun)
 {
     // Same workload on one sequential queue with ONE histogram fed the
     // union of every partition's samples.
-    sim::EventQueue eq;
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
     obs::MetricsRegistry reg;
     sim::LogHistogram &h = reg.histogram("all.lat");
     for (int p = 0; p < 8; ++p) {
@@ -521,10 +522,8 @@ TEST(ShardedTelemetry, MergedShardSketchesMatchSingleQueueRun)
     obs::TimeSeriesHub hub(
         obs::TimeSeriesConfig{}.withWindow(100 * sim::kMicrosecond));
     hub.watchRegistry(&reg);
-    hub.startSampling(eq);
-    eq.runFor(1200 * sim::kMicrosecond);
-    hub.stopSampling();
-    eq.runAll();
+    hub.startSampling(sq);
+    sq.runFor(1200 * sim::kMicrosecond);
 
     std::vector<double> single_p99, single_n;
     for (const obs::TsPoint &pt : hub.history("all.lat", 0)) {
@@ -683,7 +682,7 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
                               .withWindow(100 * sim::kMicrosecond)
                               .withInclude({"ltl.*"}));
     ts.watchRegistry(&obsHub.registry);
-    ts.startSampling(eq);
+    ts.startSampling(sq);
 
     obs::SloEngine slo(ts);
     slo.addObjective(
