@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
@@ -180,10 +181,13 @@ main(int argc, char **argv)
     const sim::TimePs t_warm = sim::fromSeconds(warm_s);
     const sim::TimePs t_fail = t_warm + sim::fromSeconds(pre_s);
 
-    fault::FaultInjector injector(
-        sq, cloud,
-        fault::FaultConfig{}.withSeed(7).withFpgaHardFail(t_fail, victim));
-    injector.arm();
+    fault::FaultInjector injector(sq, cloud,
+                                  fault::FaultConfig{}.withSeed(7));
+    fault::ChaosEngine chaos(
+        sq, fault::ChaosScenario{}.withPhase(
+                "fpga-hard-fail", t_fail,
+                [&] { injector.failFpga(victim); }));
+    chaos.start();
 
     // ---- timeline, reported from the observability registry -------------
     struct Entry {
@@ -199,8 +203,8 @@ main(int argc, char **argv)
     };
     char buf[256];
 
-    // The injector fails the FPGA at the barrier pinned to t_fail; the
-    // run pauses there, so this observer sees the fault and the
+    // The chaos phase fails the FPGA at the barrier pinned to t_fail;
+    // the run pauses there, so this observer sees the fault and the
     // synchronous HaaS failover.
     const auto snapFault = [&] {
         std::snprintf(buf, sizeof buf,

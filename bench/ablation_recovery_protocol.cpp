@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "haas/health_monitor.hpp"
 #include "host/load_generator.hpp"
@@ -283,16 +284,22 @@ main(int argc, char **argv)
     const sim::TimePs t_f = t_c + sim::fromMillis(60);
 
     fault::FaultInjector injector(
-        sq, cloud,
-        fault::FaultConfig{}
-            .withSeed(7)
-            .withSelfReport(false)
-            .withGracefulReconfig(t_g, v0, kDark)
-            .withReconfigPause(t_p, v1, kDark)
-            .withCorruptionBurst(t_c, client, 0.08,
-                                 400 * sim::kMicrosecond)
-            .withHostLinkFlap(t_f, v0, kFlap));
-    injector.arm();
+        sq, cloud, fault::FaultConfig{}.withSeed(7).withSelfReport(false));
+    fault::ChaosEngine chaos(
+        sq,
+        fault::ChaosScenario{}
+            .withPhase("graceful-reconfig", t_g,
+                       [&] { injector.gracefulReconfig(v0, kDark); })
+            .withPhase("reconfig-pause", t_p,
+                       [&] { injector.reconfigPause(v1, kDark); })
+            .withPhase("corruption-burst", t_c,
+                       [&] {
+                           injector.corruptionBurst(
+                               client, 0.08, 400 * sim::kMicrosecond);
+                       })
+            .withPhase("link-flap", t_f,
+                       [&] { injector.flapHostLink(v0, kFlap); }));
+    chaos.start();
 
     // Node-dark faults the monitor must detect. The graceful one drains
     // the victim's LTL engine before cutting, so its clock starts up to

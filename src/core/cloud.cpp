@@ -113,8 +113,6 @@ ConfigurableCloud::build()
         if (config.obs)
             obs::registerEventQueueProbes(config.obs->registry, queue);
         topo = std::make_unique<net::Topology>(queue, config.topology);
-        if (config.obs)
-            topo->attachObservability(config.obs);
     } else {
         // Kernel-health probes land in shard 0's registry; they are read
         // only at barriers (sampleAt runs from a barrier hook), where the
@@ -123,17 +121,17 @@ ConfigurableCloud::build()
             obs::registerShardProbes(config.shardObs->shard(0).registry,
                                      *shards);
         topo = std::make_unique<net::Topology>(*shards, config.topology);
-        if (config.shardObs)
-            topo->attachObservability(config.shardObs);
+    }
+    if (hubFor(0) != nullptr) {
+        std::vector<obs::Observability *> hubs;
+        for (int p = 0; p <= spinePartition; ++p)
+            hubs.push_back(hubFor(p));
+        topo->attachObservability(std::move(hubs));
     }
     rm = std::make_unique<haas::ResourceManager>(queue);
     if (auto *hub = hubFor(spinePartition))
         rm->attachObservability(hub);
-    registerMemoryProbes(shards == nullptr
-                             ? config.obs
-                             : (config.shardObs
-                                    ? &config.shardObs->shard(0)
-                                    : nullptr));
+    registerMemoryProbes(hubFor(0));
 
     const int n = topo->numHosts();
     hostStates.resize(n);

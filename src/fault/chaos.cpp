@@ -18,6 +18,10 @@ ChaosEngine::ChaosEngine(sim::ShardedEventQueue &squeue,
                          ChaosScenario scenario)
     : sq(squeue), phases(scenario.phases().begin(), scenario.phases().end())
 {
+    for (const ChaosPhase &p : phases)
+        if (p.at < 0)
+            sim::fatalf("ChaosEngine: phase \"", p.name,
+                        "\" scheduled at negative time ", p.at);
 }
 
 void

@@ -5,7 +5,11 @@
  * A chaos scenario is a declarative script of named phases: timed
  * phases fire at fixed simulated times ("at t=2ms, kill rack 3 of
  * pod 7"), triggered phases fire once a condition holds ("when the SLO
- * burn alert fires, drain the pod"). The ChaosEngine runs the script as
+ * burn alert fires, drain the pod"). It is the way to script faults:
+ * a phase's action calls the FaultInjector's API (fault/fault.hpp),
+ * from a one-host link flap to a pod-wide power event, and the
+ * injector runs the recoveries those calls schedule. A phase may not
+ * be timed before t = 0. The ChaosEngine runs the script as
  * a barrier hook on a ShardedEventQueue (a single-queue simulation is
  * its one-partition case). Phases fire between windows, when every
  * partition is quiescent, so injections (which may touch any pod,
@@ -68,7 +72,7 @@ struct ChaosPhase {
 class ChaosScenario
 {
   public:
-    /** Fire @p action at exactly @p at. */
+    /** Fire @p action at exactly @p at (>= 0). */
     ChaosScenario &withPhase(std::string name, sim::TimePs at,
                              std::function<void()> action)
     {
@@ -108,6 +112,7 @@ class ChaosScenario
 class ChaosEngine
 {
   public:
+    /** Dies if a phase of @p scenario is timed before t = 0. */
     ChaosEngine(sim::ShardedEventQueue &sq, ChaosScenario scenario);
 
     ChaosEngine(const ChaosEngine &) = delete;

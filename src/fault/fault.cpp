@@ -22,26 +22,6 @@ checkHost(core::ConfigurableCloud &cloud, int host, const char *what)
 
 }  // namespace
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::kHostLinkFlap: return "host_link_flap";
-    case FaultKind::kNicLinkFlap: return "nic_link_flap";
-    case FaultKind::kTrunkLinkFlap: return "trunk_link_flap";
-    case FaultKind::kCorruptionBurst: return "corruption_burst";
-    case FaultKind::kFpgaHardFail: return "fpga_hard_fail";
-    case FaultKind::kReconfigPause: return "reconfig_pause";
-    case FaultKind::kSwitchBrownout: return "switch_brownout";
-    case FaultKind::kGracefulReconfig: return "graceful_reconfig";
-    case FaultKind::kTorFail: return "tor_fail";
-    case FaultKind::kPodPowerEvent: return "pod_power_event";
-    case FaultKind::kGraySpineDegrade: return "gray_spine";
-    case FaultKind::kRollingMaintenance: return "rolling_maintenance";
-    }
-    return "unknown";
-}
-
 FaultInjector::FaultInjector(sim::ShardedEventQueue &squeue,
                              core::ConfigurableCloud &c, FaultConfig config)
     : sq(squeue), cloud(c), queue(c.controlQueue()), cfg(std::move(config)),
@@ -54,7 +34,6 @@ FaultInjector::FaultInjector(sim::ShardedEventQueue &squeue,
                    "ShardedEventQueue (build a sharded cloud on it, or a "
                    "single-queue cloud on partition(0) of a one-partition "
                    "queue)");
-    validate();
     cloud.attachFaultInjector(this);
     attachObservability();
     // Every injection/recovery drains here, at a barrier whose window
@@ -65,151 +44,6 @@ FaultInjector::FaultInjector(sim::ShardedEventQueue &squeue,
 FaultInjector::~FaultInjector()
 {
     cloud.detachFaultInjector(this);
-}
-
-void
-FaultInjector::validate() const
-{
-    if (cfg.randomFlapsPerSec < 0.0)
-        sim::fatalf("FaultConfig: randomFlapsPerSec must be non-negative "
-                    "(got ", cfg.randomFlapsPerSec, ")");
-    if (cfg.randomBurstsPerSec < 0.0)
-        sim::fatalf("FaultConfig: randomBurstsPerSec must be non-negative "
-                    "(got ", cfg.randomBurstsPerSec, ")");
-    if (cfg.randomFlapsPerSec > 0.0 && cfg.randomFlapDuration <= 0)
-        sim::fatal("FaultConfig: random flaps need a positive "
-                   "randomFlapDuration");
-    if (cfg.randomBurstsPerSec > 0.0 &&
-        (cfg.randomBurstRate <= 0.0 || cfg.randomBurstRate > 1.0))
-        sim::fatalf("FaultConfig: randomBurstRate must be in (0, 1] "
-                    "(got ", cfg.randomBurstRate, ")");
-    if (cfg.randomBurstsPerSec > 0.0 && cfg.randomBurstDuration <= 0)
-        sim::fatal("FaultConfig: random bursts need a positive "
-                   "randomBurstDuration");
-    if (cfg.randomHorizon < 0)
-        sim::fatal("FaultConfig: randomHorizon must be non-negative");
-    if ((cfg.randomFlapsPerSec > 0.0 || cfg.randomBurstsPerSec > 0.0) &&
-        cfg.randomHorizon <= 0)
-        sim::fatal("FaultConfig: random faults configured but "
-                   "randomHorizon is zero; call withRandomHorizon()");
-    if (cfg.randomBurstsPerSec > 0.0)
-        requireSingleQueue("random corruption bursts");
-    for (const FaultEvent &e : cfg.schedule)
-        validateEvent(e);
-}
-
-void
-FaultInjector::validateEvent(const FaultEvent &e) const
-{
-    const char *name = faultKindName(e.kind);
-    if (e.at < 0)
-        sim::fatalf("FaultConfig: ", name, " scheduled at negative time ",
-                    e.at);
-    switch (e.kind) {
-    case FaultKind::kHostLinkFlap:
-    case FaultKind::kNicLinkFlap:
-    case FaultKind::kReconfigPause:
-    case FaultKind::kGracefulReconfig:
-        checkHost(cloud, e.host, name);
-        if (e.duration <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive duration");
-        break;
-    case FaultKind::kFpgaHardFail:
-        checkHost(cloud, e.host, name);
-        break;
-    case FaultKind::kTrunkLinkFlap:
-        if (e.trunkIndex < 0 ||
-            e.trunkIndex >= cloud.topology().numTrunkLinks())
-            sim::fatalf("FaultConfig: trunk_link_flap targets trunk ",
-                        e.trunkIndex, " but the fabric has ",
-                        cloud.topology().numTrunkLinks(), " trunk cables");
-        if (e.duration <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive duration");
-        break;
-    case FaultKind::kCorruptionBurst:
-        checkHost(cloud, e.host, name);
-        if (e.rate <= 0.0 || e.rate > 1.0)
-            sim::fatalf("FaultConfig: corruption_burst rate must be in "
-                        "(0, 1] (got ", e.rate, ")");
-        if (e.duration <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive duration");
-        break;
-    case FaultKind::kSwitchBrownout:
-        if (e.pod < 0 || e.pod >= cloud.topology().numPods() ||
-            e.rack < 0 || e.rack >= cloud.topology().racksPerPod())
-            sim::fatalf("FaultConfig: switch_brownout targets TOR (pod ",
-                        e.pod, ", rack ", e.rack, ") outside the fabric");
-        if (e.rate < 0.0 || e.rate > 1.0)
-            sim::fatalf("FaultConfig: switch_brownout drop rate must be "
-                        "in [0, 1] (got ", e.rate, ")");
-        if (e.rate == 0.0 && !e.ecnStorm)
-            sim::fatal("FaultConfig: switch_brownout with zero drop rate "
-                       "and no ECN storm would do nothing");
-        if (e.duration <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive duration");
-        break;
-    case FaultKind::kTorFail:
-        if (e.pod < 0 || e.pod >= cloud.topology().numPods() ||
-            e.rack < 0 || e.rack >= cloud.topology().racksPerPod())
-            sim::fatalf("FaultConfig: tor_fail targets TOR (pod ", e.pod,
-                        ", rack ", e.rack, ") outside the fabric");
-        if (e.duration < 0)
-            sim::fatalf("FaultConfig: ", name,
-                        " duration must be non-negative (0 = permanent)");
-        break;
-    case FaultKind::kPodPowerEvent:
-        if (e.pod < 0 || e.pod >= cloud.topology().numPods())
-            sim::fatalf("FaultConfig: pod_power_event targets pod ", e.pod,
-                        " outside the fabric");
-        if (e.stagger < 0)
-            sim::fatalf("FaultConfig: ", name,
-                        " stagger must be non-negative");
-        if (e.duration <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive duration");
-        break;
-    case FaultKind::kGraySpineDegrade:
-        if (e.l2Index < 0 || e.l2Index >= cloud.topology().numL2())
-            sim::fatalf("FaultConfig: gray_spine targets L2 switch ",
-                        e.l2Index, " but the fabric has ",
-                        cloud.topology().numL2(), " spines");
-        if (e.rate < 0.0 || e.rate > 1.0)
-            sim::fatalf("FaultConfig: gray_spine drop rate must be in "
-                        "[0, 1] (got ", e.rate, ")");
-        if (e.extraLatency < 0)
-            sim::fatalf("FaultConfig: ", name,
-                        " extraLatency must be non-negative");
-        if (e.rate == 0.0 && e.extraLatency == 0)
-            sim::fatal("FaultConfig: gray_spine with zero drop rate and "
-                       "zero extra latency would do nothing");
-        if (e.duration < 0)
-            sim::fatalf("FaultConfig: ", name,
-                        " duration must be non-negative (0 = until clear)");
-        break;
-    case FaultKind::kRollingMaintenance:
-        if (e.pod < 0 || e.pod >= cloud.topology().numPods())
-            sim::fatalf("FaultConfig: rolling_maintenance targets pod ",
-                        e.pod, " outside the fabric");
-        if (e.duration <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive duration");
-        if (e.stagger <= 0)
-            sim::fatalf("FaultConfig: ", name, " needs a positive stagger");
-        break;
-    }
-    if (e.kind == FaultKind::kCorruptionBurst ||
-        e.kind == FaultKind::kGracefulReconfig)
-        requireSingleQueue(name);
-}
-
-void
-FaultInjector::arm()
-{
-    if (armed)
-        sim::fatal("FaultInjector::arm: already armed (arm() is one-shot; "
-                   "use the imperative API for extra faults)");
-    armed = true;
-    for (const FaultEvent &e : cfg.schedule)
-        scheduleAction(std::max(e.at, nowPs()), [this, e] { execute(e); });
-    scheduleRandom();
 }
 
 void
@@ -241,95 +75,6 @@ FaultInjector::requireSingleQueue(const char *what) const
         sim::fatalf("FaultInjector: ", what, " is not supported on a "
                     "sharded cloud (cross-partition RNG / quiesce "
                     "callbacks would break determinism)");
-}
-
-void
-FaultInjector::execute(const FaultEvent &e)
-{
-    switch (e.kind) {
-    case FaultKind::kHostLinkFlap:
-        flapHostLink(e.host, e.duration);
-        break;
-    case FaultKind::kNicLinkFlap:
-        flapNicLink(e.host, e.duration);
-        break;
-    case FaultKind::kTrunkLinkFlap:
-        flapTrunkLink(e.trunkIndex, e.duration);
-        break;
-    case FaultKind::kCorruptionBurst:
-        corruptionBurst(e.host, e.rate, e.duration);
-        break;
-    case FaultKind::kFpgaHardFail:
-        failFpga(e.host);
-        break;
-    case FaultKind::kReconfigPause:
-        reconfigPause(e.host, e.duration);
-        break;
-    case FaultKind::kGracefulReconfig:
-        gracefulReconfig(e.host, e.duration);
-        break;
-    case FaultKind::kSwitchBrownout:
-        switchBrownout(e.pod, e.rack, e.rate, e.ecnStorm, e.duration);
-        break;
-    case FaultKind::kTorFail:
-        failTor(e.pod, e.rack);
-        if (e.duration > 0) {
-            scheduleAction(nowPs() + e.duration,
-                           [this, p = e.pod, r = e.rack] {
-                               repairTor(p, r);
-                           });
-        }
-        break;
-    case FaultKind::kPodPowerEvent:
-        podPowerEvent(e.pod, e.stagger, e.duration);
-        break;
-    case FaultKind::kGraySpineDegrade:
-        graySpineDegrade(e.l2Index, e.rate, e.extraLatency);
-        if (e.duration > 0) {
-            scheduleAction(nowPs() + e.duration, [this, l2 = e.l2Index] {
-                graySpineClear(l2);
-            });
-        }
-        break;
-    case FaultKind::kRollingMaintenance:
-        rollingMaintenance(e.pod, e.duration, e.stagger);
-        break;
-    }
-}
-
-void
-FaultInjector::scheduleRandom()
-{
-    // All draws happen here, in a fixed order, so the whole random
-    // schedule is a pure function of the seed.
-    const sim::TimePs limit = nowPs() + cfg.randomHorizon;
-    if (cfg.randomFlapsPerSec > 0.0) {
-        const double gap = 1e12 / cfg.randomFlapsPerSec;  // ps
-        sim::TimePs t = nowPs();
-        for (;;) {
-            t += static_cast<sim::TimePs>(rng.exponential(gap));
-            if (t >= limit)
-                break;
-            const int host = rng.uniformInt(cloud.numServers());
-            scheduleAction(t, [this, host] {
-                flapHostLink(host, cfg.randomFlapDuration);
-            });
-        }
-    }
-    if (cfg.randomBurstsPerSec > 0.0) {
-        const double gap = 1e12 / cfg.randomBurstsPerSec;
-        sim::TimePs t = nowPs();
-        for (;;) {
-            t += static_cast<sim::TimePs>(rng.exponential(gap));
-            if (t >= limit)
-                break;
-            const int host = rng.uniformInt(cloud.numServers());
-            scheduleAction(t, [this, host] {
-                corruptionBurst(host, cfg.randomBurstRate,
-                                cfg.randomBurstDuration);
-            });
-        }
-    }
 }
 
 void

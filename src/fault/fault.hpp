@@ -5,9 +5,9 @@
  * The paper's production story (5,760 servers x 30 days) is a story
  * about failures: hard FPGA deaths, bad cables, rolling reconfigurations
  * — and the architecture's claim is that HaaS + LTL retransmission make
- * all of them locally survivable. The FaultInjector executes scripted or
- * seeded-random fault schedules against a live simulation so that claim
- * can be demonstrated end to end:
+ * all of them locally survivable. The FaultInjector applies those
+ * faults to a live simulation so that claim can be demonstrated end to
+ * end:
  *
  *  - link down/up flaps (NIC<->FPGA, FPGA<->TOR, inter-switch trunks);
  *  - bursty packet corruption (CRC drops -> LTL NACK/retransmit);
@@ -22,9 +22,19 @@
  *    frame loss and latency inflation that still answers heartbeats),
  *    and rolling per-rack maintenance drains.
  *
+ * Each fault is one call on the injector's imperative API. A
+ * ChaosScenario (fault/chaos.hpp) is the way to script when each call
+ * fires:
+ *
+ *     fault::FaultInjector inj(sq, cloud, FaultConfig{}.withSeed(7));
+ *     fault::ChaosEngine chaos(sq, fault::ChaosScenario{}
+ *         .withPhase("flap", t0, [&] { inj.flapHostLink(3, d); })
+ *         .withPhase("kill", t1, [&] { inj.failFpga(5); }));
+ *     chaos.start();
+ *
  * Every fault and recovery is observable under `fault.*` in the cloud's
  * obs::Observability hub, and — all randomness coming from one seeded
- * sim::Rng — schedules are deterministic per seed: same seed, byte-
+ * sim::Rng — a fault script is deterministic per seed: same seed, byte-
  * identical metric snapshots.
  *
  * The injector runs on the ShardedEventQueue that drives the cloud (a
@@ -46,7 +56,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "core/cloud.hpp"
 #include "fault/failure_domain.hpp"
@@ -59,100 +68,14 @@ class ShardedEventQueue;
 
 namespace ccsim::fault {
 
-/** The kinds of fault the injector can apply. */
-enum class FaultKind {
-    kHostLinkFlap,     ///< FPGA<->TOR cable down for `duration`
-    kNicLinkFlap,      ///< NIC<->FPGA cable down for `duration`
-    kTrunkLinkFlap,    ///< inter-switch trunk cable down for `duration`
-    kCorruptionBurst,  ///< host-link CRC drops with prob `rate`
-    kFpgaHardFail,     ///< permanent: node dark + RM failure report
-    kReconfigPause,    ///< node dark for `duration`, then repair + rejoin
-    kSwitchBrownout,   ///< TOR drop/ECN storm for `duration`
-    /**
-     * Planned reconfiguration done right: the node's LTL engine is
-     * quiesced (drain, then reject) before the node goes dark for
-     * `duration`, and LTL admission reopens on rejoin. Contrast with
-     * kReconfigPause, which yanks the node mid-traffic.
-     */
-    kGracefulReconfig,
-    /**
-     * TOR switch hard death: every host link in the rack goes dark
-     * simultaneously and the rack's uplink trunks are cut. `duration`
-     * 0 = permanent (until repairTor()).
-     */
-    kTorFail,
-    /** Pod power event: hosts die `stagger` apart, out for `duration`. */
-    kPodPowerEvent,
-    /**
-     * Gray L2-spine degradation: every trunk through spine `l2Index`
-     * drops frames with probability `rate` and/or inflates latency by
-     * `extraLatency` — while the hosts behind it still answer
-     * heartbeats. `duration` 0 = until graySpineClear().
-     */
-    kGraySpineDegrade,
-    /**
-     * Rolling maintenance: the pod's racks are drained one after
-     * another, each dark for `duration`, starts `stagger` apart.
-     */
-    kRollingMaintenance,
-};
-
-/** Human-readable kind name (for timelines and logs). */
-const char *faultKindName(FaultKind kind);
-
-/** One scripted fault. */
-struct FaultEvent {
-    FaultKind kind = FaultKind::kHostLinkFlap;
-    /** Absolute injection time. */
-    sim::TimePs at = 0;
-    /** Outage window (ignored for kFpgaHardFail). */
-    sim::TimePs duration = 0;
-    /** Target host (all kinds except trunk flaps / brownouts). */
-    int host = -1;
-    /** Target trunk cable (kTrunkLinkFlap). */
-    int trunkIndex = -1;
-    /** Target TOR (kSwitchBrownout, kTorFail) / pod (pod-level kinds). */
-    int pod = 0;
-    int rack = 0;
-    /** Target L2 spine switch (kGraySpineDegrade). */
-    int l2Index = 0;
-    /** Corruption / brownout / gray-spine drop probability. */
-    double rate = 0.0;
-    /** Mark every ECN-capable packet during a brownout. */
-    bool ecnStorm = false;
-    /** Per-host / per-rack start offset (kPodPowerEvent, kRolling...). */
-    sim::TimePs stagger = 0;
-    /** Gray-spine latency inflation per trunk hop. */
-    sim::TimePs extraLatency = 0;
-};
-
 /**
- * Fault-schedule configuration: a scripted event list, plus an optional
- * seeded-random background of host-link flaps and corruption bursts.
- * Fields can be set directly or through the fluent with*() setters; the
- * FaultInjector validates the result at construction.
+ * Injector configuration. Faults themselves are not configured here:
+ * they are calls on the FaultInjector, timed by ChaosScenario phases or
+ * made between runs.
  */
 struct FaultConfig {
-    /** Seed for the injector's RNG (random schedules + corruption). */
+    /** Seed for the injector's RNG (corruption and gray-spine draws). */
     std::uint64_t seed = 1;
-
-    /** Scripted faults, executed at their absolute times. */
-    std::vector<FaultEvent> schedule;
-
-    /** Random host-link flaps: mean arrivals per simulated second. */
-    double randomFlapsPerSec = 0.0;
-    /** Outage window of each random flap. */
-    sim::TimePs randomFlapDuration = 200 * sim::kMicrosecond;
-
-    /** Random corruption bursts: mean arrivals per simulated second. */
-    double randomBurstsPerSec = 0.0;
-    /** Per-packet drop probability during a random burst. */
-    double randomBurstRate = 0.01;
-    /** Length of each random burst. */
-    sim::TimePs randomBurstDuration = 500 * sim::kMicrosecond;
-
-    /** Horizon up to which random faults are generated at arm() time. */
-    sim::TimePs randomHorizon = 0;
 
     /**
      * Report failures/repairs to the Resource Manager from inside the
@@ -164,184 +87,28 @@ struct FaultConfig {
      */
     bool selfReport = true;
 
-    // --- fluent setters ---
-
     FaultConfig &withSeed(std::uint64_t s)
     {
         seed = s;
         return *this;
-    }
-    FaultConfig &withEvent(FaultEvent e)
-    {
-        schedule.push_back(e);
-        return *this;
-    }
-    FaultConfig &withHostLinkFlap(sim::TimePs at, int host,
-                                  sim::TimePs down_for)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kHostLinkFlap;
-        e.at = at;
-        e.host = host;
-        e.duration = down_for;
-        return withEvent(e);
-    }
-    FaultConfig &withNicLinkFlap(sim::TimePs at, int host,
-                                 sim::TimePs down_for)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kNicLinkFlap;
-        e.at = at;
-        e.host = host;
-        e.duration = down_for;
-        return withEvent(e);
-    }
-    FaultConfig &withTrunkLinkFlap(sim::TimePs at, int trunk,
-                                   sim::TimePs down_for)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kTrunkLinkFlap;
-        e.at = at;
-        e.trunkIndex = trunk;
-        e.duration = down_for;
-        return withEvent(e);
-    }
-    FaultConfig &withCorruptionBurst(sim::TimePs at, int host, double prob,
-                                     sim::TimePs duration)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kCorruptionBurst;
-        e.at = at;
-        e.host = host;
-        e.rate = prob;
-        e.duration = duration;
-        return withEvent(e);
-    }
-    FaultConfig &withFpgaHardFail(sim::TimePs at, int host)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kFpgaHardFail;
-        e.at = at;
-        e.host = host;
-        return withEvent(e);
-    }
-    FaultConfig &withReconfigPause(sim::TimePs at, int host,
-                                   sim::TimePs window)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kReconfigPause;
-        e.at = at;
-        e.host = host;
-        e.duration = window;
-        return withEvent(e);
-    }
-    FaultConfig &withGracefulReconfig(sim::TimePs at, int host,
-                                      sim::TimePs window)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kGracefulReconfig;
-        e.at = at;
-        e.host = host;
-        e.duration = window;
-        return withEvent(e);
     }
     FaultConfig &withSelfReport(bool report)
     {
         selfReport = report;
         return *this;
     }
-    FaultConfig &withSwitchBrownout(sim::TimePs at, int pod, int rack,
-                                    double drop_prob, bool ecn_storm,
-                                    sim::TimePs duration)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kSwitchBrownout;
-        e.at = at;
-        e.pod = pod;
-        e.rack = rack;
-        e.rate = drop_prob;
-        e.ecnStorm = ecn_storm;
-        e.duration = duration;
-        return withEvent(e);
-    }
-    FaultConfig &withTorFail(sim::TimePs at, int pod, int rack,
-                             sim::TimePs duration = 0)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kTorFail;
-        e.at = at;
-        e.pod = pod;
-        e.rack = rack;
-        e.duration = duration;
-        return withEvent(e);
-    }
-    FaultConfig &withPodPowerEvent(sim::TimePs at, int pod,
-                                   sim::TimePs stagger, sim::TimePs outage)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kPodPowerEvent;
-        e.at = at;
-        e.pod = pod;
-        e.stagger = stagger;
-        e.duration = outage;
-        return withEvent(e);
-    }
-    FaultConfig &withGraySpine(sim::TimePs at, int l2_index,
-                               double drop_prob, sim::TimePs extra_latency,
-                               sim::TimePs duration = 0)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kGraySpineDegrade;
-        e.at = at;
-        e.l2Index = l2_index;
-        e.rate = drop_prob;
-        e.extraLatency = extra_latency;
-        e.duration = duration;
-        return withEvent(e);
-    }
-    FaultConfig &withRollingMaintenance(sim::TimePs at, int pod,
-                                        sim::TimePs window,
-                                        sim::TimePs stagger)
-    {
-        FaultEvent e;
-        e.kind = FaultKind::kRollingMaintenance;
-        e.at = at;
-        e.pod = pod;
-        e.duration = window;
-        e.stagger = stagger;
-        return withEvent(e);
-    }
-    FaultConfig &withRandomFlaps(double per_sec, sim::TimePs down_for)
-    {
-        randomFlapsPerSec = per_sec;
-        randomFlapDuration = down_for;
-        return *this;
-    }
-    FaultConfig &withRandomBursts(double per_sec, double prob,
-                                  sim::TimePs duration)
-    {
-        randomBurstsPerSec = per_sec;
-        randomBurstRate = prob;
-        randomBurstDuration = duration;
-        return *this;
-    }
-    FaultConfig &withRandomHorizon(sim::TimePs horizon)
-    {
-        randomHorizon = horizon;
-        return *this;
-    }
 };
 
 /**
- * Executes a FaultConfig against a running ConfigurableCloud at the
- * barriers of the ShardedEventQueue that drives it. One injector per
+ * Injects faults into a running ConfigurableCloud; recoveries run at
+ * the barriers of the ShardedEventQueue that drives it. One injector per
  * cloud (enforced through the cloud's fault-injector slot); destroy the
  * injector to free the slot.
  *
- * The imperative API (flapHostLink() etc.) can also be called directly —
- * scripted schedules go through exactly these entry points. Call it
- * where the kernel is quiescent: between runs, from a chaos phase, or
- * from another barrier hook.
+ * Call the fault API where the kernel is quiescent: from a ChaosScenario
+ * phase (the way to fire a fault at an exact simulated time), between
+ * sq.runUntil() runs, or from another barrier hook. Each entry point
+ * validates its arguments and dies loudly on a bad target.
  *
  * The injector must outlive the simulation run: its barrier hook and
  * pending recovery actions capture it.
@@ -361,14 +128,7 @@ class FaultInjector
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
 
-    /**
-     * Schedule the scripted events, plus the seeded-random background up
-     * to randomHorizon. Call once; the events then fire as simulated
-     * time passes.
-     */
-    void arm();
-
-    // --- imperative fault API ---
+    // --- fault API ---
 
     /** Cut the host's FPGA<->TOR cable for @p down_for. */
     void flapHostLink(int host, sim::TimePs down_for);
@@ -414,7 +174,8 @@ class FaultInjector
      * at once — host links held in ascending host order, materializing
      * lazy stubs first — and the rack's TOR<->L1 uplinks are cut, so
      * fluid flows through the rack stall. Idempotent per rack; the
-     * injector owns the rack's uplinks until repairTor().
+     * injector owns the rack's uplinks until repairTor(). Dies if the
+     * rack is outside the fabric.
      */
     void failTor(int pod, int rack);
     /** Repair a dead TOR: uplinks restored, hosts released/rejoined. */
@@ -446,7 +207,7 @@ class FaultInjector
 
     // --- introspection ---
 
-    /** Faults injected so far (scripted + random + imperative). */
+    /** Faults injected so far. */
     std::uint64_t injected() const { return statInjected; }
     /** Recovery actions completed (links restored, nodes repaired). */
     std::uint64_t recovered() const { return statRecovered; }
@@ -481,7 +242,6 @@ class FaultInjector
     FaultConfig cfg;
     sim::Rng rng;
     FailureDomainMap domainMap;
-    bool armed = false;
 
     /** Nesting depth of active host-link outages per host. */
     std::map<int, int> darkDepth;
@@ -520,10 +280,6 @@ class FaultInjector
     std::uint64_t statMaintenance = 0;
     std::uint64_t statDomainFaults = 0;
 
-    void validate() const;
-    void validateEvent(const FaultEvent &e) const;
-    void execute(const FaultEvent &e);
-    void scheduleRandom();
     /**
      * Run @p fn at the conservative-sync barrier whose window ends at
      * @p when (clamped to the next picosecond if already past).

@@ -1,6 +1,6 @@
 #include "net/topology.hpp"
 
-#include "obs/sharded_obs.hpp"
+#include "obs/metrics.hpp"
 #include "sim/logging.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -127,11 +127,8 @@ Topology::materializeHost(int global_index)
     const int down = torsw.addPort(&link->bToA());
     link->attachB(torsw.portSink(down));
     torsw.addHostRoute(hp.addr, down);
-    if (legacyObs != nullptr) {
-        link->setFlowRecorder(&legacyObs->flows);
-    } else if (shardObs != nullptr) {
-        link->setFlowRecorder(&shardObs->shard(hp.pod).flows);
-    }
+    if (!partitionHubs.empty())
+        link->setFlowRecorder(&partitionHubs[podPartition(hp.pod)]->flows);
     hp.link = link.get();
     linkEndPartitions.emplace_back(podPartition(hp.pod),
                                    podPartition(hp.pod));
@@ -316,45 +313,29 @@ Topology::totalSwitchDrops() const
 }
 
 void
-Topology::attachObservability(obs::Observability *o)
+Topology::attachObservability(std::vector<obs::Observability *> hubs)
 {
-    legacyObs = o;
-    shardObs = nullptr;
-    for (const auto &sw : tors)
-        sw->attachObservability(o);
-    for (const auto &sw : l1Switches)
-        sw->attachObservability(o);
-    for (const auto &sw : l2Switches)
-        sw->attachObservability(o);
-    for (const auto &l : links)
-        l->setFlowRecorder(o ? &o->flows : nullptr);
-}
-
-void
-Topology::attachObservability(obs::ShardedObservability *so)
-{
-    if (so && so->shardCount() < config.pods + 1)
+    if (hubs.size() != static_cast<std::size_t>(config.pods + 1))
         sim::fatalf("Topology::attachObservability: need ", config.pods + 1,
-                    " shards (pods + spine), got ", so->shardCount());
-    shardObs = so;
-    legacyObs = nullptr;
+                    " hubs (pods + spine), got ", hubs.size());
+    partitionHubs = std::move(hubs);
     for (std::size_t t = 0; t < tors.size(); ++t) {
         const int pod = static_cast<int>(t) / config.racksPerPod;
-        tors[t]->attachObservability(so ? &so->shard(pod) : nullptr);
+        tors[t]->attachObservability(partitionHubs[podPartition(pod)]);
     }
     for (std::size_t i = 0; i < l1Switches.size(); ++i) {
         const int pod = static_cast<int>(i) / config.l1PerPod;
-        l1Switches[i]->attachObservability(so ? &so->shard(pod) : nullptr);
+        l1Switches[i]->attachObservability(partitionHubs[podPartition(pod)]);
     }
     for (const auto &sw : l2Switches)
-        sw->attachObservability(so ? &so->shard(spinePartition()) : nullptr);
+        sw->attachObservability(partitionHubs[spinePartition()]);
     // Flow spans are recorded transmit-side (Channel queues, serializes,
     // and traces on its own partition), so each direction of a
     // partition-crossing trunk gets its own end's recorder.
     for (std::size_t i = 0; i < links.size(); ++i) {
         const auto [pa, pb] = linkEndPartitions[i];
-        links[i]->aToB().setFlowRecorder(so ? &so->shard(pa).flows : nullptr);
-        links[i]->bToA().setFlowRecorder(so ? &so->shard(pb).flows : nullptr);
+        links[i]->aToB().setFlowRecorder(&partitionHubs[pa]->flows);
+        links[i]->bToA().setFlowRecorder(&partitionHubs[pb]->flows);
     }
 }
 

@@ -24,7 +24,7 @@ namespace ccsim::sim {
 class ShardedEventQueue;
 }
 namespace ccsim::obs {
-class ShardedObservability;
+struct Observability;
 }
 
 namespace ccsim::net {
@@ -227,19 +227,15 @@ class Topology
     std::uint64_t totalSwitchDrops() const;
 
     /**
-     * Attach every switch in the fabric to @p o (each exports under
-     * `switch.<its config name>.*`). Pass nullptr to detach.
+     * Attach the fabric to one hub per logical partition: @p hubs has
+     * numPods() + 1 entries indexed by partition (pods, then the spine;
+     * a single-queue cloud passes the same hub in every slot). Each
+     * switch registers with its partition's hub, and each channel
+     * records flow spans into its *transmit-side* partition's recorder,
+     * so no hub is ever touched by two worker threads. Host cables
+     * materialized later read the same table.
      */
-    void attachObservability(obs::Observability *o);
-
-    /**
-     * Partition-aware attach: every component registers with the hub of
-     * the shard it executes on (pod switches with shard(pod), the spine
-     * with shard(pods)), and each trunk channel records flow spans into
-     * its *transmit-side* shard's recorder, so no hub is ever touched by
-     * two worker threads. Pass nullptr to detach.
-     */
-    void attachObservability(obs::ShardedObservability *so);
+    void attachObservability(std::vector<obs::Observability *> hubs);
 
     /** The partition a pod's components run on (== the pod index). */
     int podPartition(int pod) const { return pod; }
@@ -262,9 +258,8 @@ class Topology
     /** TOR-port index of each host link's device side channel. */
     std::vector<Channel *> hostTxChannels;
     int materialized = 0;
-    /** Remembered attach state so lazily-created cables get recorders. */
-    obs::Observability *legacyObs = nullptr;
-    obs::ShardedObservability *shardObs = nullptr;
+    /** Hub per partition (empty = detached); read by lazy cables too. */
+    std::vector<obs::Observability *> partitionHubs;
 
     static std::shared_ptr<DelayModel> makeJitter(const TierParams &p);
     SwitchConfig makeSwitchConfig(const std::string &name,

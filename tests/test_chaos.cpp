@@ -382,6 +382,23 @@ TEST(ChaosEngine, TimedAndTriggeredPhasesFireInOrder)
     EXPECT_NE(lines.find("\"kind\":\"injected\""), std::string::npos);
 }
 
+TEST(ChaosEngineDeathTest, NegativePhaseTimeDies)
+{
+    sim::ShardedEventQueue sq;
+    auto timed = [&] {
+        fault::ChaosEngine chaos(
+            sq, fault::ChaosScenario{}.withPhase("early", -1, [] {}));
+    };
+    EXPECT_DEATH(timed(), "phase \"early\" scheduled at negative time");
+    auto triggered = [&] {
+        fault::ChaosEngine chaos(
+            sq, fault::ChaosScenario{}.withTriggeredPhase(
+                    "late", -sim::fromMicros(5), [] { return true; },
+                    [] {}));
+    };
+    EXPECT_DEATH(triggered(), "phase \"late\" scheduled at negative time");
+}
+
 TEST(ChaosEngine, EmitsDetectedMarkerOnDomainConviction)
 {
     sim::ShardedEventQueue sq;
@@ -626,18 +643,31 @@ shardedCorrelatedRun(int threads)
     sim::ShardedEventQueue sq(core::ConfigurableCloud::shardPlan(cfg));
     core::ConfigurableCloud cloud(sq, cfg);
 
-    FaultConfig fc;
-    fc.withSeed(7)
-        .withTorFail(sim::fromMicros(300), 0, 1, sim::fromMicros(900))
-        .withGraySpine(sim::fromMicros(500), 1, 0.02,
-                       200 * sim::kNanosecond, sim::fromMicros(600))
-        .withPodPowerEvent(sim::fromMicros(700), 1, sim::fromMicros(40),
-                           sim::fromMicros(300))
-        .withRollingMaintenance(sim::fromMicros(1600), 0,
-                                sim::fromMicros(200),
-                                sim::fromMicros(250));
-    FaultInjector inj(sq, cloud, fc);
-    inj.arm();
+    FaultInjector inj(sq, cloud, FaultConfig{}.withSeed(7));
+    fault::ChaosEngine chaos(
+        sq,
+        fault::ChaosScenario{}
+            .withPhase("tor-fail", sim::fromMicros(300),
+                       [&] { inj.failTor(0, 1); })
+            .withPhase("gray-spine", sim::fromMicros(500),
+                       [&] {
+                           inj.graySpineDegrade(1, 0.02,
+                                                200 * sim::kNanosecond);
+                       })
+            .withPhase("pod-power", sim::fromMicros(700),
+                       [&] {
+                           inj.podPowerEvent(1, sim::fromMicros(40),
+                                             sim::fromMicros(300));
+                       })
+            .withPhase("gray-clear", sim::fromMicros(1100),
+                       [&] { inj.graySpineClear(1); })
+            .withPhase("tor-repair", sim::fromMicros(1200),
+                       [&] { inj.repairTor(0, 1); })
+            .withPhase("maintenance", sim::fromMicros(1600), [&] {
+                inj.rollingMaintenance(0, sim::fromMicros(200),
+                                       sim::fromMicros(250));
+            }));
+    chaos.start();
 
     net::FluidTrafficModel fm(sq, cloud.topology());
     for (int k = 0; k < 6; ++k)

@@ -2,18 +2,22 @@
  * @file
  * Live fault injection (ccsim::fault) and the RAII LtlChannel handle:
  * scripted link flaps recover every in-flight LTL message, FPGA hard
- * failures drive exactly one HaaS failover, same-seed fault schedules
- * produce byte-identical metric snapshots, closed handles free their
- * connection-table entries, and bad configurations die loudly.
+ * failures drive exactly one HaaS failover, same-seed fault scripts
+ * produce byte-identical metric snapshots, a chaos phase and a call
+ * between runs inject the same fault, closed handles free their
+ * connection-table entries, and bad configurations and calls die
+ * loudly.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "roles/dnn_role.hpp"
@@ -23,6 +27,8 @@
 namespace {
 
 using namespace ccsim;
+using fault::ChaosEngine;
+using fault::ChaosScenario;
 using fault::FaultConfig;
 using fault::FaultInjector;
 using sim::EventQueue;
@@ -70,10 +76,12 @@ TEST(FaultInjection, ScriptedLinkFlapRecoversAllInFlightMessages)
     // Cut the sender's TOR cable for 200 us in the middle of a 2 ms
     // message train: well inside LTL's 16 x 50 us retry budget, so the
     // flap must be invisible at the message level.
-    FaultInjector inj(sq, cloud,
-                      FaultConfig{}.withHostLinkFlap(
-                          sim::fromMicros(500), 0, sim::fromMicros(200)));
-    inj.arm();
+    FaultInjector inj(sq, cloud);
+    ChaosEngine chaos(sq, ChaosScenario{}.withPhase(
+                              "flap", sim::fromMicros(500), [&] {
+                                  inj.flapHostLink(0, sim::fromMicros(200));
+                              }));
+    chaos.start();
 
     const int kMessages = 100;
     auto *engine = cloud.shell(0).ltlEngine();
@@ -157,10 +165,11 @@ TEST(FaultInjection, FpgaHardFailureCausesExactlyOneFailover)
     ASSERT_TRUE(sm.deploy(2));
     const int victim = sm.instances()[0];
 
-    FaultInjector inj(sq, cloud,
-                      FaultConfig{}.withFpgaHardFail(sim::fromMicros(50),
-                                                     victim));
-    inj.arm();
+    FaultInjector inj(sq, cloud);
+    ChaosEngine chaos(sq, ChaosScenario{}.withPhase(
+                              "fail", sim::fromMicros(50),
+                              [&] { inj.failFpga(victim); }));
+    chaos.start();
     // A duplicate hard-fail of the same node must be swallowed.
     sq.runUntil(sim::fromMicros(60));
     inj.failFpga(victim);
@@ -187,10 +196,12 @@ TEST(FaultInjection, ReconfigPauseReturnsNodeToPool)
     core::ConfigurableCloud cloud(sq.partition(0), smallCloud());
     const int free_before = cloud.resourceManager().freeCount();
 
-    FaultInjector inj(sq, cloud,
-                      FaultConfig{}.withReconfigPause(
-                          sim::fromMicros(10), 3, sim::fromMicros(500)));
-    inj.arm();
+    FaultInjector inj(sq, cloud);
+    ChaosEngine chaos(sq, ChaosScenario{}.withPhase(
+                              "pause", sim::fromMicros(10), [&] {
+                                  inj.reconfigPause(3, sim::fromMicros(500));
+                              }));
+    chaos.start();
 
     sq.runUntil(sim::fromMicros(200));
     EXPECT_TRUE(inj.nodeDown(3));
@@ -214,11 +225,13 @@ TEST(FaultInjection, SwitchBrownoutDropsAndClears)
     ASSERT_GE(cloud.shell(1).addRole(&sink), 0);
     auto ch = cloud.openLtl(0, 1, sink.port);
 
-    FaultInjector inj(sq, cloud,
-                      FaultConfig{}.withSwitchBrownout(
-                          sim::fromMicros(100), 0, 0, 0.4, true,
-                          sim::fromMicros(600)));
-    inj.arm();
+    FaultInjector inj(sq, cloud);
+    ChaosEngine chaos(sq, ChaosScenario{}.withPhase(
+                              "brownout", sim::fromMicros(100), [&] {
+                                  inj.switchBrownout(0, 0, 0.4, true,
+                                                     sim::fromMicros(600));
+                              }));
+    chaos.start();
 
     auto *engine = cloud.shell(0).ltlEngine();
     for (int i = 0; i < 60; ++i) {
@@ -240,42 +253,59 @@ TEST(FaultInjection, SwitchBrownoutDropsAndClears)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: a fault schedule is a pure function of its seed.
+// Determinism: a fault script is a pure function of its seed.
 // ---------------------------------------------------------------------
+
+/** A small cloud sending an 80-message LTL train from host 0 to 5. */
+struct TrainRun {
+    sim::ShardedEventQueue sq;
+    obs::Observability hub;
+    std::unique_ptr<core::ConfigurableCloud> cloud;
+    NullRole sink;
+    core::LtlChannel ch;
+
+    TrainRun()
+    {
+        auto cfg = smallCloud();
+        cfg.obs = &hub;
+        cloud = std::make_unique<core::ConfigurableCloud>(sq.partition(0),
+                                                          cfg);
+        cloud->shell(5).addRole(&sink);
+        ch = cloud->openLtl(0, 5, sink.port);
+        auto *engine = cloud->shell(0).ltlEngine();
+        for (int i = 0; i < 80; ++i) {
+            sq.partition(0).scheduleAfter(
+                i * 25 * sim::kMicrosecond,
+                [engine, conn = ch.sendConn()] {
+                    engine->sendMessage(conn, 512);
+                });
+        }
+    }
+};
 
 std::string
 faultRunSnapshot(std::uint64_t seed)
 {
-    sim::ShardedEventQueue sq;
-    EventQueue &eq = sq.partition(0);
-    obs::Observability hub;
-    auto cfg = smallCloud();
-    cfg.obs = &hub;
-    core::ConfigurableCloud cloud(eq, cfg);
-    NullRole sink;
-    cloud.shell(5).addRole(&sink);
-    auto ch = cloud.openLtl(0, 5, sink.port);
-
-    FaultInjector inj(sq, cloud,
-                      FaultConfig{}
-                          .withSeed(seed)
-                          .withHostLinkFlap(sim::fromMicros(400), 0,
-                                            sim::fromMicros(150))
-                          .withRandomFlaps(2000.0, sim::fromMicros(100))
-                          .withRandomBursts(1500.0, 0.3,
-                                            sim::fromMicros(200))
-                          .withRandomHorizon(sim::fromMillis(4)));
-    inj.arm();
-
-    auto *engine = cloud.shell(0).ltlEngine();
-    for (int i = 0; i < 80; ++i) {
-        eq.scheduleAfter(i * 25 * sim::kMicrosecond,
-                         [engine, conn = ch.sendConn()] {
-                             engine->sendMessage(conn, 512);
+    TrainRun run;
+    FaultInjector inj(run.sq, *run.cloud, FaultConfig{}.withSeed(seed));
+    // One flap plus corruption bursts on both ends of the train: the
+    // injector's seeded RNG decides every corrupted frame.
+    ChaosScenario script;
+    script.withPhase("flap", sim::fromMicros(400), [&] {
+        inj.flapHostLink(0, sim::fromMicros(150));
+    });
+    for (int k = 0; k < 6; ++k) {
+        script.withPhase("burst" + std::to_string(k),
+                         sim::fromMicros(200 + 550 * k), [&inj, k] {
+                             inj.corruptionBurst(k % 2 == 0 ? 0 : 5, 0.3,
+                                                 sim::fromMicros(200));
                          });
     }
-    sq.runFor(sim::fromMillis(8));
-    return hub.registry.snapshotJson();
+    ChaosEngine chaos(run.sq, script);
+    chaos.start();
+    run.sq.runFor(sim::fromMillis(8));
+    EXPECT_EQ(inj.injected(), 7u);
+    return run.hub.registry.snapshotJson();
 }
 
 TEST(FaultInjection, SameSeedScheduleIsByteIdentical)
@@ -287,6 +317,46 @@ TEST(FaultInjection, SameSeedScheduleIsByteIdentical)
     // fault.* metrics are part of the snapshot.
     EXPECT_NE(a.find("fault.injected"), std::string::npos);
     EXPECT_NE(a.find("fault.node0.downtime_us"), std::string::npos);
+    // The seed, not the script, picks which frames are corrupted.
+    EXPECT_NE(faultRunSnapshot(12), a);
+}
+
+/**
+ * The train with a 150 us flap of host 0's link injected at @p at:
+ * registry snapshot plus trace (which records the flap's instants).
+ */
+std::string
+flapSnapshot(sim::TimePs at, bool from_phase)
+{
+    TrainRun run;
+    run.hub.trace.setEnabled(true);  // pins the link_down/up instants
+    FaultInjector inj(run.sq, *run.cloud);
+    auto flap = [&] { inj.flapHostLink(0, sim::fromMicros(150)); };
+    std::optional<ChaosEngine> chaos;
+    if (from_phase) {
+        chaos.emplace(run.sq, ChaosScenario().withPhase("flap", at, flap));
+        chaos->start();
+    } else {
+        run.sq.runUntil(at);
+        flap();
+    }
+    run.sq.runUntil(sim::fromMillis(8));
+    EXPECT_EQ(inj.injected(), 1u);
+    EXPECT_EQ(inj.downtime(0), sim::fromMicros(150));
+    return run.hub.registry.snapshotJson() + run.hub.trace.json();
+}
+
+TEST(FaultInjection, ChaosPhaseAndCallBetweenRunsAgree)
+{
+    // The two ways to time a fault land it at the same instant: a phase
+    // fires at the barrier pinned to T, and sq.runUntil(T) stops at T
+    // after every event at T, like that barrier. The trace's
+    // link_down/link_up instants pin that instant exactly.
+    for (sim::TimePs at : {sim::fromMicros(400), sim::fromMicros(437) + 3}) {
+        const std::string phase = flapSnapshot(at, true);
+        EXPECT_EQ(phase, flapSnapshot(at, false)) << "at " << at << " ps";
+        EXPECT_NE(phase.find("fault.node0.downtime_us"), std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -393,26 +463,21 @@ TEST(ConfigValidation, BadCloudConfigsDie)
 
 TEST(ConfigValidation, BadFaultConfigsDie)
 {
+    // Every fault call validates its own arguments when it is made.
     sim::ShardedEventQueue sq;
     core::ConfigurableCloud cloud(sq.partition(0), smallCloud());
+    FaultInjector inj(sq, cloud);
+    const sim::TimePs d = sim::fromMicros(10);
 
-    EXPECT_DEATH(FaultInjector(sq, cloud,
-                               FaultConfig{}.withHostLinkFlap(
-                                   0, 99, sim::fromMicros(10))),
-                 "targets host");
-    EXPECT_DEATH(FaultInjector(sq, cloud,
-                               FaultConfig{}.withCorruptionBurst(
-                                   0, 0, 1.5, sim::fromMicros(10))),
-                 "rate must be in");
-    EXPECT_DEATH(FaultInjector(sq, cloud,
-                               FaultConfig{}.withRandomFlaps(
-                                   10.0, sim::fromMicros(10))),
-                 "randomHorizon");
-    EXPECT_DEATH(FaultInjector(sq, cloud,
-                               FaultConfig{}.withSwitchBrownout(
-                                   0, 7, 0, 0.1, false,
-                                   sim::fromMicros(10))),
+    EXPECT_DEATH(inj.flapHostLink(99, d), "targets host");
+    EXPECT_DEATH(inj.corruptionBurst(0, 1.5, d), "must be in");
+    EXPECT_DEATH(inj.switchBrownout(7, 0, 0.1, false, d),
                  "outside the fabric");
+    EXPECT_DEATH(inj.flapTrunkLink(cloud.topology().numTrunkLinks(), d),
+                 "out of range");
+    EXPECT_DEATH(inj.graySpineDegrade(0, 0.0, 0), "would do nothing");
+    EXPECT_DEATH(inj.failTor(0, 2), "rack-in-pod 2 out of range");
+    EXPECT_EQ(inj.injected(), 0u);
 }
 
 TEST(ConfigValidation, SecondConcurrentInjectorDies)
@@ -463,11 +528,9 @@ TEST(ConfigValidation, SingleQueueOnlyFaultsDieOnShardedCloud)
     auto cfg = smallCloud();
     sim::ShardedEventQueue sq(core::ConfigurableCloud::shardPlan(cfg));
     core::ConfigurableCloud cloud(sq, cfg);
-    EXPECT_DEATH(FaultInjector(sq, cloud,
-                               FaultConfig{}.withCorruptionBurst(
-                                   0, 0, 0.5, sim::fromMicros(10))),
-                 "not supported on a sharded cloud");
     FaultInjector inj(sq, cloud);
+    EXPECT_DEATH(inj.corruptionBurst(0, 0.5, sim::fromMicros(10)),
+                 "not supported on a sharded cloud");
     EXPECT_DEATH(inj.gracefulReconfig(0, sim::fromMicros(10)),
                  "not supported on a sharded cloud");
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "host/ranking_server.hpp"
 #include "ltl/ltl_engine.hpp"
@@ -471,7 +472,7 @@ tracedCloudConfig(obs::Observability *hub)
 }
 
 /**
- * Drive a small cloud under load with a scripted link flap armed, check
+ * Drive a small cloud under load with a scripted link flap, check
  * the attribution invariant on every exemplar, and return the span dump.
  */
 std::string
@@ -487,11 +488,12 @@ runFaultyCloudScenario()
 
     // Cut the sender's TOR cable mid-train: retransmission and recovery
     // happen while spans are recording.
-    fault::FaultInjector inj(sq, cloud,
-                             fault::FaultConfig{}.withHostLinkFlap(
-                                 sim::fromMicros(500), 0,
-                                 sim::fromMicros(200)));
-    inj.arm();
+    fault::FaultInjector inj(sq, cloud);
+    fault::ChaosEngine chaos(
+        sq, fault::ChaosScenario{}.withPhase(
+                "flap", sim::fromMicros(500),
+                [&] { inj.flapHostLink(0, sim::fromMicros(200)); }));
+    chaos.start();
 
     auto *engine = cloud.shell(0).ltlEngine();
     for (int i = 0; i < 100; ++i) {
@@ -536,11 +538,7 @@ TEST(MetricNames, EveryRegisteredPathMatchesADocumentedPattern)
     core::CloudConfig cfg = tracedCloudConfig(&hub);
     cfg.createNics = true;  // cover nic.* too
     core::ConfigurableCloud cloud(eq, cfg);
-    fault::FaultInjector inj(sq, cloud,
-                             fault::FaultConfig{}.withHostLinkFlap(
-                                 sim::fromMicros(100), 0,
-                                 sim::fromMicros(50)));
-    inj.arm();
+    fault::FaultInjector inj(sq, cloud);
     host::RankingServer server(eq, host::RankingServiceParams{}, nullptr);
     server.attachObservability(&hub, "rank");
 
