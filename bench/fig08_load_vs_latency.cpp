@@ -44,6 +44,7 @@ struct WindowPoint {
 struct KernelLoad {
     std::uint64_t eventsExecuted = 0;
     std::size_t peakLiveEvents = 0;
+    std::uint64_t wheelOverflows = 0;  ///< summed over the queues
 };
 
 std::vector<WindowPoint>
@@ -138,6 +139,7 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
         kernel->eventsExecuted += eq.eventsExecuted();
         kernel->peakLiveEvents =
             std::max(kernel->peakLiveEvents, eq.peakLiveEvents());
+        kernel->wheelOverflows += eq.wheelOverflows();
     }
     if (attribution) {
         const auto worst = hub.flows.worstFirst();
@@ -240,9 +242,11 @@ runShardedDatacenter(const std::vector<double> &trace, bool use_fpga,
 
     KernelLoad k;
     k.eventsExecuted = sq.eventsExecuted();
-    for (int p = 0; p < pods; ++p)
+    for (int p = 0; p < pods; ++p) {
         k.peakLiveEvents = std::max(k.peakLiveEvents,
                                     sq.partition(p).peakLiveEvents());
+        k.wheelOverflows += sq.partition(p).wheelOverflows();
+    }
     return k;
 }
 
@@ -330,6 +334,8 @@ main(int argc, char **argv)
             v[prefix + "workers"] = static_cast<double>(cores);
             v[prefix + "peak_live_events"] =
                 static_cast<double>(k.peakLiveEvents);
+            v[prefix + "wheel_overflows"] =
+                static_cast<double>(k.wheelOverflows);
             ccsim::bench::mergeBenchJson("BENCH_kernel.json", v);
             std::printf("-> BENCH_kernel.json (%s*)\n", prefix.c_str());
         }
@@ -405,6 +411,8 @@ main(int argc, char **argv)
         static_cast<double>(kernel.eventsExecuted) / wallSecs;
     v[prefix + "peak_live_events"] =
         static_cast<double>(kernel.peakLiveEvents);
+    v[prefix + "wheel_overflows"] =
+        static_cast<double>(kernel.wheelOverflows);
     const long rss = ccsim::bench::peakRssKb();
     if (rss >= 0)
         v[prefix + "rss_peak_kb"] = static_cast<double>(rss);

@@ -6,6 +6,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -65,7 +66,7 @@ void
 BM_EventQueueBimodal(benchmark::State &state)
 {
     // ccsim's real delay mix: sub-ns flit/link hops interleaved with
-    // 50 µs LTL retransmit timers, seven wheel levels apart.
+    // 50 µs LTL retransmit timers, which land in wheel levels 0 and 2.
     sim::EventQueue eq;
     std::int64_t sink = 0;
     for (auto _ : state) {
@@ -80,6 +81,53 @@ BM_EventQueueBimodal(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueBimodal);
+
+/**
+ * The sparse shape of rank_fig08 and serving_overload: 16 live timers,
+ * each re-arming itself after an exponential delay of 0.1-5 ms. Every
+ * event is a jump in simulated time the wheel must locate and bring
+ * down from an upper level, where the dense benchmarks above drain
+ * level 0 slot after slot.
+ */
+struct SparseTimers {
+    static constexpr int kTimers = 16;
+    static constexpr std::size_t kDelays = 4096;  // a power of two
+
+    sim::EventQueue eq;
+    std::vector<sim::TimePs> delays;
+    std::size_t next = 0;
+    std::int64_t fired = 0;
+
+    SparseTimers() : delays(kDelays)
+    {
+        sim::Rng rng(20161015);
+        for (sim::TimePs &d : delays)
+            d = sim::fromMillis(std::clamp(rng.exponential(1.0), 0.1, 5.0));
+        for (int t = 0; t < kTimers; ++t)
+            arm();
+    }
+
+    void arm()
+    {
+        eq.scheduleAfter(delays[next++ & (kDelays - 1)], [this] {
+            ++fired;
+            arm();
+        });
+    }
+};
+
+void
+BM_EventQueueSparseTimers(benchmark::State &state)
+{
+    SparseTimers rig;
+    for (auto _ : state) {
+        for (int i = 0; i < 1000; ++i)
+            rig.eq.step();
+    }
+    benchmark::DoNotOptimize(rig.fired);
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventQueueSparseTimers);
 
 /**
  * The sharded kernel's per-window cost when almost nothing happens: 261

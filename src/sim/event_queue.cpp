@@ -7,12 +7,12 @@ namespace ccsim::sim {
 
 namespace {
 
-/** Rotate-right that tolerates r == 0. */
-inline std::uint64_t
-ror64(std::uint64_t b, unsigned r)
-{
-    return r == 0 ? b : (b >> r) | (b << (64u - r));
-}
+/** (when, seq) order of due-buffer and overflow-heap entries. */
+constexpr auto earlier = [](const auto &a, const auto &b) {
+    if (a.when != b.when)
+        return a.when < b.when;
+    return a.seq < b.seq;
+};
 
 }  // namespace
 
@@ -58,109 +58,58 @@ TimerWheelQueue::freeRecord(std::uint32_t idx)
     freeList.push_back(idx);
 }
 
-bool
-TimerWheelQueue::placeInWheel(std::uint32_t idx, TimePs when)
+int
+TimerWheelQueue::levelOf(TimePs when) const
 {
-    for (int level = 0; level < kLevels; ++level) {
-        const int sh = shiftOf(level);
-        if (occupied[level] == 0) {
-            // Empty level: a stale cursor can only shrink the usable
-            // window, so pull it up to the current time for free.
-            const std::int64_t nowSlot = currentTime >> sh;
-            if (cursor[level] < nowSlot)
-                cursor[level] = nowSlot;
-        }
-        const std::int64_t slot = when >> sh;
-        const std::int64_t d = slot - cursor[level];
-        if (d >= 0 && d < kSlots) {
-            cells[level][slot & (kSlots - 1)].push_back(idx);
-            occupied[level] |= std::uint64_t{1} << (slot & (kSlots - 1));
-            return true;
-        }
-    }
-    return false;
+    // The highest 6-bit group in which `when` differs from the wheel
+    // time; OR-ing in a full low group maps "same level-0 slot" to 0.
+    const std::uint64_t diff =
+        (static_cast<std::uint64_t>(when ^ wheelTime) >> kSlotShift0) |
+        (kSlots - 1);
+    return (63 - std::countl_zero(diff)) / kSlotBits;
 }
 
 void
 TimerWheelQueue::place(std::uint32_t idx, TimePs when)
 {
-    if (placeInWheel(idx, when))
+    int level = levelOf(when);
+    if (level >= kLevels && dueSlotAbs < 0 &&
+        std::all_of(std::begin(occupied), std::end(occupied),
+                    [](std::uint64_t bits) { return bits == 0; })) {
+        // Nothing parked can go stale, so an empty wheel's time catches
+        // up with now() and the horizon is measured from there.
+        wheelTime = currentTime;
+        level = levelOf(when);
+    }
+    if (level < kLevels) {
+        const int slot =
+            static_cast<int>((when >> shiftOf(level)) & (kSlots - 1));
+        cells[level][slot].push_back(idx);
+        occupied[level] |= std::uint64_t{1} << slot;
         return;
+    }
     overflow.push_back(FarEvent{when, pool[idx].seq, idx});
     std::push_heap(overflow.begin(), overflow.end(), FarLater{});
     ++overflowCount;
 }
 
-std::int64_t
-TimerWheelQueue::nextOccupiedSlot(int level)
-{
-    const std::uint64_t rot =
-        ror64(occupied[level],
-              static_cast<unsigned>(cursor[level] & (kSlots - 1)));
-    return cursor[level] + std::countr_zero(rot);
-}
-
 void
-TimerWheelQueue::cascade(int level, std::int64_t slotAbs)
+TimerWheelQueue::pruneOverflowTop()
 {
-    auto &cell = cells[level][slotAbs & (kSlots - 1)];
-    std::vector<std::uint32_t> moved;
-    moved.swap(cell);
-    occupied[level] &= ~(std::uint64_t{1} << (slotAbs & (kSlots - 1)));
-
-    const TimePs slotStart = static_cast<TimePs>(slotAbs)
-                             << shiftOf(level);
-    // S is the global minimum slot start across all levels, so no
-    // occupied cell below `level` starts before it: raising empty-level
-    // cursors to it cannot orphan anything and guarantees the moved
-    // events fit a lower level on the common path.
-    for (int l = 0; l < level; ++l) {
-        if (occupied[l] == 0) {
-            const std::int64_t base =
-                std::max(slotStart, currentTime) >> shiftOf(l);
-            if (cursor[l] < base)
-                cursor[l] = base;
-        }
-    }
-    for (std::uint32_t idx : moved) {
-        Record &r = pool[idx];
-        if (r.state == SlotState::kDead) {
-            freeRecord(idx);
-            --deadParked;
-            continue;
-        }
-        // Re-park strictly below `level` (re-parking at the same level
-        // would loop). A stale-cursor miss falls through to the
-        // overflow heap, which the take path orders correctly.
-        bool placed = false;
-        for (int l = 0; l < level; ++l) {
-            const int sh = shiftOf(l);
-            if (occupied[l] == 0) {
-                const std::int64_t nowSlot = currentTime >> sh;
-                if (cursor[l] < nowSlot)
-                    cursor[l] = nowSlot;
-            }
-            const std::int64_t slot = r.when >> sh;
-            const std::int64_t d = slot - cursor[l];
-            if (d >= 0 && d < kSlots) {
-                cells[l][slot & (kSlots - 1)].push_back(idx);
-                occupied[l] |= std::uint64_t{1} << (slot & (kSlots - 1));
-                placed = true;
-                break;
-            }
-        }
-        if (!placed) {
-            overflow.push_back(FarEvent{r.when, r.seq, idx});
-            std::push_heap(overflow.begin(), overflow.end(), FarLater{});
-            ++overflowCount;
-        }
+    while (!overflow.empty() &&
+           pool[overflow.front().idx].state == SlotState::kDead) {
+        const std::uint32_t dead = overflow.front().idx;
+        std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
+        overflow.pop_back();
+        freeRecord(dead);
+        --deadParked;
     }
 }
 
 void
-TimerWheelQueue::drainSlot(std::int64_t slotAbs)
+TimerWheelQueue::loadDue(std::vector<std::uint32_t> &cell,
+                         std::int64_t slotAbs)
 {
-    auto &cell = cells[0][slotAbs & (kSlots - 1)];
     due.clear();
     duePos = 0;
     bool sorted = true;
@@ -171,30 +120,17 @@ TimerWheelQueue::drainSlot(std::int64_t slotAbs)
             --deadParked;
             continue;
         }
-        if (!due.empty()) {
-            const DueEntry &prev = due.back();
-            if (r.when < prev.when ||
-                (r.when == prev.when && r.seq < prev.seq))
-                sorted = false;
-        }
-        due.push_back(DueEntry{r.when, r.seq, idx});
+        const DueEntry e{r.when, r.seq, idx};
+        if (!due.empty() && earlier(e, due.back()))
+            sorted = false;
+        due.push_back(e);
     }
     cell.clear();
-    occupied[0] &= ~(std::uint64_t{1} << (slotAbs & (kSlots - 1)));
-    // Advancing to the first occupied slot never orphans cells, and it
-    // lets same-slot arrivals during the drain land back in this cell.
-    if (cursor[0] < slotAbs)
-        cursor[0] = slotAbs;
     dueSlotAbs = slotAbs;
     // Slots fill in schedule order, which for the common in-time-order
     // workload is already (when, seq) sorted: skip the sort then.
     if (!sorted)
-        std::sort(due.begin(), due.end(),
-                  [](const DueEntry &a, const DueEntry &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      return a.seq < b.seq;
-                  });
+        std::sort(due.begin(), due.end(), earlier);
 }
 
 void
@@ -216,12 +152,7 @@ TimerWheelQueue::mergeDueArrivals()
     }
     cell.clear();
     occupied[0] &= ~(std::uint64_t{1} << (dueSlotAbs & (kSlots - 1)));
-    std::sort(due.begin(), due.end(),
-              [](const DueEntry &a, const DueEntry &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  return a.seq < b.seq;
-              });
+    std::sort(due.begin(), due.end(), earlier);
 }
 
 bool
@@ -241,88 +172,94 @@ TimerWheelQueue::dueFrontLive()
     return false;
 }
 
-TimerWheelQueue::Next
-TimerWheelQueue::ensureNext()
+TimerWheelQueue::Head
+TimerWheelQueue::ensureNext(TimePs limit)
 {
     while (true) {
-        // Fast path: the committed slot's due buffer holds the global
-        // minimum (cascades ran before it was drained; later arrivals
-        // for the same slot merge in; anything else is strictly later),
-        // except for events parked in the far-future overflow heap.
+        // The due buffer holds the wheel's earliest events: the wheel
+        // time lies in its level-0 slot, so later arrivals for that slot
+        // land in the one cell merged here and every other parked event
+        // is strictly later. Only the overflow heap can hold an earlier
+        // one.
         if (dueSlotAbs >= 0) {
             mergeDueArrivals();
             if (dueFrontLive()) {
-                while (!overflow.empty() &&
-                       pool[overflow.front().idx].state == SlotState::kDead) {
-                    const std::uint32_t dead = overflow.front().idx;
-                    std::pop_heap(overflow.begin(), overflow.end(),
-                                  FarLater{});
-                    overflow.pop_back();
-                    freeRecord(dead);
-                    --deadParked;
-                }
-                if (!overflow.empty()) {
-                    const DueEntry &front = due[duePos];
-                    const FarEvent &top = overflow.front();
-                    if (top.when < front.when ||
-                        (top.when == front.when && top.seq < front.seq))
-                        return Next::kOverflow;
-                }
-                return Next::kDue;
+                pruneOverflowTop();
+                const DueEntry &front = due[duePos];
+                if (!overflow.empty() && earlier(overflow.front(), front))
+                    return {Next::kOverflow, overflow.front().when};
+                return {Next::kDue, front.when};
             }
         }
+        pruneOverflowTop();
 
-        // Prune cancelled overflow tops so the comparisons below see a
-        // live candidate.
-        while (!overflow.empty() &&
-               pool[overflow.front().idx].state == SlotState::kDead) {
-            const std::uint32_t dead = overflow.front().idx;
-            std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
-            overflow.pop_back();
-            freeRecord(dead);
-            --deadParked;
-        }
-
-        // Find the earliest occupied slot across all wheel levels.
-        int minLevel = -1;
-        std::int64_t minSlot = 0;
-        TimePs minStart = 0;
-        for (int level = 0; level < kLevels; ++level) {
-            if (occupied[level] == 0)
-                continue;
-            const std::int64_t slot = nextOccupiedSlot(level);
-            const TimePs start = static_cast<TimePs>(slot)
-                                 << shiftOf(level);
-            // On equal starts prefer the higher level so its slot is
-            // cascaded before the finer slot is drained (it may hold
-            // earlier events within the shared start).
-            if (minLevel < 0 || start <= minStart) {
-                minLevel = level;
-                minSlot = slot;
-                minStart = start;
-            }
-        }
-
-        if (minLevel < 0) {
+        int level = 0;
+        while (level < kLevels && occupied[level] == 0)
+            ++level;
+        if (level == kLevels) {
             // Wheel empty: the overflow heap alone orders what is left.
-            return overflow.empty() ? Next::kNone : Next::kOverflow;
+            if (overflow.empty())
+                return {Next::kNone, kTimeNever};
+            return {Next::kOverflow, overflow.front().when};
         }
-        if (!overflow.empty() && overflow.front().when < minStart)
-            return Next::kOverflow;
 
-        if (minLevel == 0)
-            drainSlot(minSlot);
-        else
-            cascade(minLevel, minSlot);
+        // The first occupied slot of the lowest occupied level holds the
+        // earliest parked events. Its events go to the due buffer when
+        // they share one level-0 slot; otherwise they are re-placed with
+        // the wheel time at the level-0 slot of the earliest of them,
+        // which takes that one straight to level 0.
+        const int slot = std::countr_zero(occupied[level]);
+        auto &cell = cells[level][slot];
+        TimePs base =
+            ((wheelTime >> shiftOf(1)) << shiftOf(1)) |
+            (static_cast<TimePs>(slot) << kSlotShift0);
+        TimePs first = kTimeNever;
+        bool oneSlot = true;
+        if (level > 0 || base > limit) {
+            TimePs last = 0;
+            std::size_t live = 0;
+            for (std::uint32_t idx : cell) {
+                const Record &r = pool[idx];
+                if (r.state == SlotState::kDead) {
+                    freeRecord(idx);
+                    --deadParked;
+                    continue;
+                }
+                cell[live++] = idx;
+                first = std::min(first, r.when);
+                last = std::max(last, r.when);
+            }
+            cell.resize(live);
+            if (live == 0) {
+                occupied[level] &= ~(std::uint64_t{1} << slot);
+                continue;
+            }
+            base = (first >> kSlotShift0) << kSlotShift0;
+            oneSlot = (first >> kSlotShift0) == (last >> kSlotShift0);
+        }
+        // The wheel time never passes the head, nor `limit`.
+        if (!overflow.empty() && overflow.front().when < base)
+            return {Next::kOverflow, overflow.front().when};
+        if (base > limit)
+            return {Next::kLater,
+                    overflow.empty() ? first
+                                     : std::min(first, overflow.front().when)};
+        wheelTime = base;
+        occupied[level] &= ~(std::uint64_t{1} << slot);
+        if (oneSlot) {
+            loadDue(cell, base >> kSlotShift0);
+        } else {
+            scratch.swap(cell);
+            for (std::uint32_t idx : scratch)
+                place(idx, pool[idx].when);
+            scratch.clear();
+        }
     }
 }
 
 std::uint32_t
-TimerWheelQueue::takeNext()
+TimerWheelQueue::detach(Next src)
 {
-    const Next src = ensureNext();
-    if (src == Next::kNone)
-        return kInvalidRecord;
     if (src == Next::kOverflow) {
         const std::uint32_t idx = overflow.front().idx;
         std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
@@ -333,39 +270,24 @@ TimerWheelQueue::takeNext()
 }
 
 void
-TimerWheelQueue::unloadDue()
+TimerWheelQueue::fire(std::uint32_t idx)
 {
-    if (dueSlotAbs < 0)
-        return;
-    for (std::size_t i = duePos; i < due.size(); ++i) {
-        const std::uint32_t idx = due[i].idx;
-        if (pool[idx].state == SlotState::kDead) {
-            freeRecord(idx);
-            --deadParked;
-        } else {
-            place(idx, pool[idx].when);
-        }
-    }
-    due.clear();
-    duePos = 0;
-    dueSlotAbs = -1;
+    // The head leaves; the bound stays a valid (now inexact) lower bound.
+    nextExact = false;
+    Record &r = pool[idx];
+    const TimePs when = r.when;
+    EventFn fn = std::move(r.fn);
+    --liveCount;
+    freeRecord(idx);
+    currentTime = when;
+    ++executedCount;
+    fn();
 }
 
 void
 TimerWheelQueue::refreshNext()
 {
-    TimePs when = kTimeNever;
-    if (liveCount != 0) {
-        const Next src = ensureNext();
-        if (src == Next::kDue)
-            when = due[duePos].when;
-        else if (src == Next::kOverflow)
-            when = overflow.front().when;
-        // Release the committed due slot: holding it across subsequent
-        // schedule() calls could let later-slot events hide behind it.
-        unloadDue();
-    }
-    nextBound = when;
+    nextBound = liveCount == 0 ? kTimeNever : ensureNext(currentTime).when;
     nextExact = true;
 }
 
@@ -455,22 +377,13 @@ TimerWheelQueue::maybeSweep()
 bool
 TimerWheelQueue::step()
 {
-    const std::uint32_t idx = takeNext();
-    if (idx == kInvalidRecord) {
+    const Head head = ensureNext(kTimeNever);
+    if (head.src == Next::kNone) {
         nextBound = kTimeNever;
         nextExact = true;
         return false;
     }
-    // The head leaves; the bound stays a valid (now inexact) lower bound.
-    nextExact = false;
-    Record &r = pool[idx];
-    const TimePs when = r.when;
-    EventFn fn = std::move(r.fn);
-    --liveCount;
-    freeRecord(idx);
-    currentTime = when;
-    ++executedCount;
-    fn();
+    fire(detach(head.src));
     return true;
 }
 
@@ -484,33 +397,15 @@ TimerWheelQueue::runUntil(TimePs limit)
         return;
     }
     while (true) {
-        const std::uint32_t idx = takeNext();
-        if (idx == kInvalidRecord) {
-            nextBound = kTimeNever;
+        const Head head = ensureNext(limit);
+        if (head.src == Next::kNone || head.when > limit) {
+            // The head stays where it is (the wheel time did not pass
+            // `limit`, so later schedules still order against it).
+            nextBound = head.when;
             nextExact = true;
             break;
         }
-        if (pool[idx].when > limit) {
-            // Put it back (keeping its sequence number, so FIFO order
-            // is unaffected) and return the rest of the due buffer to
-            // the wheel: the buffer must never outlive the run that
-            // committed to its slot, or later schedules could slip in
-            // ahead of it unseen. It is the head, so the bound is exact.
-            nextBound = pool[idx].when;
-            nextExact = true;
-            place(idx, nextBound);
-            unloadDue();
-            break;
-        }
-        nextExact = false;
-        Record &r = pool[idx];
-        const TimePs when = r.when;
-        EventFn fn = std::move(r.fn);
-        --liveCount;
-        freeRecord(idx);
-        currentTime = when;
-        ++executedCount;
-        fn();
+        fire(detach(head.src));
     }
     if (currentTime < limit)
         currentTime = limit;

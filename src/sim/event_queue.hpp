@@ -11,11 +11,11 @@
  *  - **TimerWheelQueue** (the default `EventQueue`) — a hierarchical
  *    timing wheel tuned for ccsim's bimodal delay distribution (sub-ns
  *    flit/link hops vs. multi-µs LTL retransmit timers): 8 levels of 64
- *    slots with 4.096 ns level-0 slots, a far-future overflow heap,
- *    freelist-pooled event records, inline small-buffer closures
- *    (sim::EventFn), and generation-counted handles giving O(1)
- *    cancel() that destroys the closure — and releases everything it
- *    captured — immediately.
+ *    slots with 4.096 ns level-0 slots, all anchored at one wheel time,
+ *    a far-future overflow heap, freelist-pooled event records, inline
+ *    small-buffer closures (sim::EventFn), and generation-counted
+ *    handles giving O(1) cancel() that destroys the closure — and
+ *    releases everything it captured — immediately.
  *
  *  - **BinaryHeapQueue** — the original binary-heap implementation, kept
  *    as the behavioural oracle for property tests and A/B determinism
@@ -61,16 +61,35 @@ inline constexpr EventId kNoEvent = 0;
  * generation counter, and the inline-SBO closure). The wheel itself
  * stores only 32-bit pool indices:
  *
- *  - 8 levels × 64 slots; level L slots are 2^(12+6L) ps wide, so level
- *    0 resolves 4.096 ns (sub-slot order is restored by sorting a slot
- *    on drain, which is cheap because slots are short at this width)
- *    and the wheel horizon is 64·2^54 ps ≈ 13 days of simulated time.
- *  - one 64-bit occupancy bitmap per level makes "next non-empty slot"
- *    a find-first-set, so sparse regions of simulated time are skipped
- *    in O(1) instead of slot-by-slot ticking.
- *  - events beyond the horizon (e.g. kTimeNever-style sentinels) go to
- *    a far-future overflow heap ordered by (time, seq) and migrate into
- *    the wheel when the horizon reaches them.
+ *  - 8 levels × 64 slots; level L slots are 2^(12+6L) ps wide: 4.096 ns
+ *    at level 0, 262 ns at level 1, 16.8 µs at level 2, 1.07 ms at
+ *    level 3, up to 5.0 h at level 7. Sub-slot order is restored by
+ *    sorting a level-0 slot when it is drained, which is cheap because
+ *    slots are short at this width.
+ *  - every level is anchored at one wheel time, which never passes
+ *    now(). An event goes to the level of the highest 6-bit group
+ *    (time bits 12+6L to 17+6L) in which its time differs from the wheel
+ *    time, into the slot its time names at that level. So a level-L
+ *    event sits strictly ahead of the wheel time's own level-L slot, no
+ *    level wraps, and the first occupied slot (a find-first-set on the
+ *    level's 64-bit occupancy bitmap) of the lowest occupied level holds
+ *    the earliest events. A 50 µs LTL timer lands in level 2, or in
+ *    level 3 when it crosses a 1.07 ms boundary.
+ *  - taking the next event moves the wheel time to the start of the
+ *    level-0 slot of that first slot's earliest event and re-places the
+ *    slot's events at lower levels, so the earliest one reaches level 0
+ *    in one step. A slot whose events all share one level-0 slot —
+ *    every level-0 slot, and a lone timer at any level — goes straight
+ *    into the sorted due buffer instead.
+ *  - nextEventTime() and a runUntil() that stops short of the next
+ *    event never move the wheel time past now(), so every event
+ *    scheduled afterwards, at any time >= now(), still finds its level.
+ *  - only events beyond the horizon — whose time differs from the wheel
+ *    time above bit 60, i.e. that lie past the end of the aligned 2^60 ps
+ *    (≈ 13.3 simulated days) span holding the wheel time, which an empty
+ *    wheel first moves up to now() — go to a far-future overflow heap
+ *    ordered by (time, seq), which the take path compares with the
+ *    wheel's head.
  *
  * cancel() checks the handle's generation against the pool record and,
  * when live, destroys the closure in place: O(1), no heap walk, and any
@@ -148,8 +167,9 @@ class TimerWheelQueue
      *
      * Used by ShardedEventQueue to compute conservative sync windows, so
      * it is O(1) whenever the cached next-event time is exact (see
-     * `nextBound`). Not const: otherwise it positions the wheel, which may
-     * cascade slots and reclaim tombstones, but the observable (time,
+     * `nextBound`). Not const: otherwise it reads the head's slot, which
+     * reclaims tombstones and may re-place slots that start by now(), but
+     * it never moves the wheel time past now() and the observable (time,
      * seq) order is unchanged.
      */
     TimePs nextEventTime()
@@ -211,11 +231,18 @@ class TimerWheelQueue
     std::vector<std::uint32_t> freeList;
     std::vector<std::uint32_t> cells[kLevels][kSlots];
     std::uint64_t occupied[kLevels] = {};  ///< bit s: cells[L][s] non-empty
-    std::int64_t cursor[kLevels] = {};     ///< absolute slot number per level
     std::vector<FarEvent> overflow;        ///< min-heap by (when, seq)
+    /**
+     * The anchor of every level (see the class comment): never above a
+     * pending event, and never above now() when a callback runs or a
+     * call returns.
+     */
+    TimePs wheelTime = 0;
+    /** A re-placed cell's entries; a member so its buffer is reused. */
+    std::vector<std::uint32_t> scratch;
 
     /**
-     * The slot currently being drained, as packed (when, seq, idx)
+     * The level-0 slot currently being drained, as packed (when, seq, idx)
      * entries sorted by (when, seq). Packing the sort key next to the
      * index keeps the drain sort cache-local instead of chasing pool
      * records, and lets the common already-in-order slot skip the sort.
@@ -248,30 +275,40 @@ class TimerWheelQueue
     std::uint64_t cancelledCount = 0;
     std::uint64_t overflowCount = 0;
 
-    static constexpr std::uint32_t kInvalidRecord = 0xffffffffu;
-
     std::uint32_t allocRecord(TimePs when, EventFn &&fn);
     void freeRecord(std::uint32_t idx);
-    /** Park @p idx in the wheel, or return false if beyond the horizon. */
-    bool placeInWheel(std::uint32_t idx, TimePs when);
+    /** The wheel level for @p when; kLevels or more: past the horizon. */
+    int levelOf(TimePs when) const;
+    /** Park @p idx at its level, or in the overflow heap past the horizon. */
     void place(std::uint32_t idx, TimePs when);
-    /** First occupied absolute slot at @p level. @pre level non-empty. */
-    std::int64_t nextOccupiedSlot(int level);
-    /** Move one higher-level slot's events down. */
-    void cascade(int level, std::int64_t slotAbs);
-    /** Move level-0 slot @p slotAbs into the due buffer. */
-    void drainSlot(std::int64_t slotAbs);
+    /** Pop cancelled records off the overflow heap's top. */
+    void pruneOverflowTop();
+    /** Move @p cell, whose events share level-0 slot @p slotAbs, to `due`. */
+    void loadDue(std::vector<std::uint32_t> &cell, std::int64_t slotAbs);
     /** Append new same-slot arrivals to `due` and restore sort order. */
     void mergeDueArrivals();
     /** Drop executed/dead prefix; true if a live due event is ready. */
     bool dueFrontLive();
-    enum class Next { kNone, kDue, kOverflow };
-    /** Position the structures so the globally next event is readable. */
-    Next ensureNext();
-    /** Detach and return the next event's record, or kInvalidRecord. */
-    std::uint32_t takeNext();
-    /** Return unconsumed due-buffer events to the wheel (for runUntil). */
-    void unloadDue();
+    /**
+     * Where the next event is: at the due front, at the overflow top,
+     * or (kLater) still in a wheel cell because it is due after the
+     * limit; `when` is its exact time, kTimeNever for kNone.
+     */
+    enum class Next { kNone, kDue, kOverflow, kLater };
+    struct Head {
+        Next src;
+        TimePs when;
+    };
+    /**
+     * Locate the next event, draining and re-placing wheel slots as
+     * needed, without moving the wheel time past @p limit: a kDue or
+     * kOverflow head is then readable.
+     */
+    Head ensureNext(TimePs limit);
+    /** Detach the next event's record from @p src (kDue or kOverflow). */
+    std::uint32_t detach(Next src);
+    /** Run the detached record @p idx. */
+    void fire(std::uint32_t idx);
     /** Locate the next event and make `nextBound` exact. */
     void refreshNext();
     void maybeSweep();
