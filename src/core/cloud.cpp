@@ -292,9 +292,11 @@ ConfigurableCloud::fabricMemoryStats() const
                     (config.createNics
                          ? static_cast<std::size_t>(materializedCount)
                          : 0);
-    // sizeof() undercounts (owned buffers, queues, tables are behind
-    // pointers) but tracks the same growth the RSS assertions bound;
-    // treat it as an order-of-magnitude gauge, not an audit.
+    // Empty queues own no heap (sim::Fifo allocates on its first push),
+    // so an idle cable, LTL connection or router VC costs its sizeof().
+    // Tables, names and buffers behind pointers are still not counted,
+    // so treat this as an order-of-magnitude gauge of the growth the
+    // RSS assertions bound, not an audit.
     s.bytesPerServer = sizeof(HostState) + sizeof(fpga::Shell) +
                        sizeof(haas::FpgaManager) + sizeof(net::Link) +
                        (config.createNics

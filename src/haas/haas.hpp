@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "serving/balancer.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 
 namespace ccsim::haas {
 
@@ -397,7 +397,7 @@ class ServiceManager
     sim::TimePs nextMigrationAllowed = 0;
     sim::TimePs lastMigrationAt = -1;
     sim::TimePs minGapObserved = sim::kTimeNever;
-    std::deque<LeaseConstraints> migrationQueue;
+    sim::Fifo<LeaseConstraints> migrationQueue;
     std::uint64_t statMigrationsQueued = 0;
 
     /** The acquire + configure half of a failover. */

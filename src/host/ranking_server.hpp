@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "serving/request_policy.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -265,7 +265,7 @@ class RankingServer
     FeatureAccelerator *accelerator;
     sim::Rng rng;
     int freeCores;
-    std::deque<PendingQuery> waiting;
+    sim::Fifo<PendingQuery> waiting;
     obs::Observability *obsHub = nullptr;
     std::string obsPrefix;  ///< "host.<node>"
     sim::LogHistogram *obsLatencyHist = nullptr;

@@ -17,7 +17,6 @@
  */
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "sim/stats.hpp"
 
 namespace ccsim::ltl {
@@ -284,8 +284,8 @@ class LtlEngine
         net::Ipv4Addr remoteIp;
         std::uint16_t remoteConn = 0;
         std::uint32_t nextSeq = 0;
-        std::deque<PendingFrame> sendQueue;
-        std::deque<UnackedFrame> unacked;
+        sim::Fifo<PendingFrame> sendQueue;
+        sim::Fifo<UnackedFrame> unacked;
         std::uint32_t unackedBytes = 0;
         sim::TimePs nextSendTime = 0;
         sim::EventId pumpEvent = sim::kNoEvent;

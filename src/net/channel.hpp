@@ -11,12 +11,12 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "sim/stats.hpp"
 
 namespace ccsim::sim {
@@ -219,7 +219,7 @@ class Channel
         sim::TimePs curStart = 0;
         sim::TimePs curEnd = 0;
     };
-    std::array<std::deque<TxEntry>, kNumTrafficClasses> txQueues;
+    std::array<sim::Fifo<TxEntry>, kNumTrafficClasses> txQueues;
     std::array<std::uint32_t, kNumTrafficClasses> queueBytes{};
     std::array<sim::TimePs, kNumTrafficClasses> pausedUntil{};
     std::array<PauseClock, kNumTrafficClasses> pauseClock{};

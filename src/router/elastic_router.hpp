@@ -16,7 +16,6 @@
  */
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "router/flit.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "sim/time.hpp"
 
 namespace ccsim::router {
@@ -132,7 +132,7 @@ class ElasticRouter
 
   private:
     struct InputVc {
-        std::deque<Flit> fifo;
+        sim::Fifo<Flit> fifo;
         /** Output port locked by the in-flight message, or -1. */
         int lockedOutput = -1;
     };
@@ -252,7 +252,7 @@ class ErEndpoint : public FlitSink
     std::function<void(const ErMessagePtr &)> handler;
 
     /** Pending (already segmented) flits awaiting credits, FIFO per VC. */
-    std::vector<std::deque<Flit>> pending;
+    std::vector<sim::Fifo<Flit>> pending;
     std::uint64_t txMessages = 0;
     std::uint64_t rxMessages = 0;
     std::uint64_t nextMsgId = 1;

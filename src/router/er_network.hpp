@@ -11,12 +11,12 @@
  */
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "router/elastic_router.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 
 namespace ccsim::router {
 
@@ -60,7 +60,7 @@ class ErLink : public FlitSink
   private:
     ElasticRouter &er;
     int inPort;
-    std::vector<std::deque<Flit>> pending;
+    std::vector<sim::Fifo<Flit>> pending;
 
     void pump(int vc)
     {
