@@ -2,7 +2,9 @@
  * @file
  * google-benchmark micro-benchmarks for the hot code paths: the
  * discrete-event kernel, the crypto datapath the crypto role executes,
- * the ranking feature engines, and flit routing through the ER.
+ * the ranking feature engines, flit routing through the ER, and the two
+ * fabric-wide lookups of the L2 campaign (HaaS pod leases and fluid
+ * re-rating).
  */
 #include <benchmark/benchmark.h>
 
@@ -15,8 +17,11 @@
 #include "bench_json.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/sha1.hpp"
+#include "haas/haas.hpp"
 #include "host/workload.hpp"
+#include "net/fluid.hpp"
 #include "net/packet.hpp"
+#include "net/topology.hpp"
 #include "roles/ranking/features.hpp"
 #include "router/elastic_router.hpp"
 #include "sim/event_queue.hpp"
@@ -381,6 +386,78 @@ BM_ErShellCrossbar(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ErShellCrossbar);
+
+/** The paper's L2 fabric shape: 24 x 40 x 260 = 249,600 hosts. */
+constexpr int kL2Pods = 260;
+constexpr int kL2RacksPerPod = 40;
+constexpr int kL2HostsPerRack = 24;
+
+void
+BM_LeaseAcquirePod(benchmark::State &state)
+{
+    // A pool of stub nodes (no FpgaManager, as in a lazy cloud); each
+    // iteration leases 8 hosts inside one pod and hands them back.
+    sim::EventQueue eq;
+    haas::ResourceManager rm(eq);
+    constexpr int kHostsPerPod = kL2RacksPerPod * kL2HostsPerRack;
+    for (int host = 0; host < kL2Pods * kHostsPerPod; ++host) {
+        const int pod = host / kHostsPerPod;
+        const int rack = host % kHostsPerPod / kL2HostsPerRack;
+        rm.registerNode(host, nullptr, pod, pod * kL2RacksPerPod + rack);
+    }
+    int pod = 0;
+    for (auto _ : state) {
+        haas::LeaseConstraints c;
+        const auto lease = rm.acquire("svc", 8, c.withPod(pod));
+        if (!lease) {
+            state.SkipWithError("pod exhausted");
+            break;
+        }
+        rm.release(lease->id);
+        pod = (pod + 1) % kL2Pods;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LeaseAcquirePod);
+
+void
+BM_FluidReRate(benchmark::State &state)
+{
+    // 20k background flows over the lazy L2 fabric, all re-rated once
+    // per iteration after a 5 ms window (so every re-rate also folds).
+    sim::EventQueue eq;
+    net::TopologyConfig cfg;
+    cfg.hostsPerRack = kL2HostsPerRack;
+    cfg.racksPerPod = kL2RacksPerPod;
+    cfg.l1PerPod = 2;
+    cfg.pods = kL2Pods;
+    cfg.l2Count = 4;
+    cfg.lazyHosts = true;
+    net::Topology topo(eq, cfg);
+    net::FluidTrafficModel fluid(eq, topo);
+    constexpr int kFlows = 20000;
+    constexpr std::uint64_t kBps = 400ull * 1000 * 1000;
+    sim::Rng rng(11);
+    const auto hosts = static_cast<std::uint64_t>(topo.numHosts());
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < kFlows; ++i) {
+        const int src = static_cast<int>(rng.uniformInt(hosts));
+        int dst = static_cast<int>(rng.uniformInt(hosts - 1));
+        if (dst >= src)
+            ++dst;
+        ids.push_back(fluid.addFlow(src, dst, kBps));
+    }
+    std::uint64_t window = 0;
+    for (auto _ : state) {
+        eq.runFor(5 * sim::kMillisecond);
+        ++window;
+        for (const std::uint64_t id : ids)
+            fluid.setRate(id,
+                          kBps / 2 + (id + window) % 1000 * kBps / 1000);
+    }
+    state.SetItemsProcessed(state.iterations() * kFlows);
+}
+BENCHMARK(BM_FluidReRate)->Unit(benchmark::kMillisecond);
 
 /**
  * Directly timed kernel measurements for the benchmark trajectory.

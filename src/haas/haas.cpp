@@ -1,6 +1,7 @@
 #include "haas/haas.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -38,15 +39,50 @@ FpgaManager::status() const
     return s;
 }
 
+ResourceManager::Node *
+ResourceManager::find(int host_index)
+{
+    return const_cast<Node *>(std::as_const(*this).find(host_index));
+}
+
+const ResourceManager::Node *
+ResourceManager::find(int host_index) const
+{
+    if (host_index < 0 || host_index >= static_cast<int>(nodes.size()))
+        return nullptr;
+    const Node &node = nodes[static_cast<std::size_t>(host_index)];
+    return node.state == NodeState::kUnregistered ? nullptr : &node;
+}
+
 void
 ResourceManager::registerNode(int host_index, FpgaManager *fm, int pod,
                               int rack)
 {
-    Node node;
-    node.fm = fm;
-    node.pod = pod;
-    node.rack = rack;
-    nodes[host_index] = node;
+    if (host_index < 0)
+        sim::fatalf("ResourceManager: negative host index ", host_index);
+    const auto host = static_cast<std::size_t>(host_index);
+    if (host >= nodes.size())
+        nodes.resize(host + 1);
+    Node &node = nodes[host];
+    if (node.state == NodeState::kUnregistered) {
+        ++registeredCount;
+    } else if (node.pod >= 0) {
+        // Re-registration replaces the whole record, pod included.
+        auto &old = podHosts[static_cast<std::size_t>(node.pod)];
+        old.erase(std::lower_bound(old.begin(), old.end(), host_index));
+    }
+    node = Node{fm, 0, pod, rack, NodeState::kUnallocated};
+    if (pod < 0)
+        return;  // in no pod: only unconstrained acquires can pick it
+    if (static_cast<std::size_t>(pod) >= podHosts.size())
+        podHosts.resize(static_cast<std::size_t>(pod) + 1);
+    auto &list = podHosts[static_cast<std::size_t>(pod)];
+    // Hosts usually register in ascending order: an append.
+    if (list.empty() || list.back() < host_index)
+        list.push_back(host_index);
+    else
+        list.insert(std::lower_bound(list.begin(), list.end(), host_index),
+                    host_index);
 }
 
 std::optional<Lease>
@@ -55,7 +91,8 @@ ResourceManager::acquire(const std::string &service, int count,
 {
     // First fit ascending, skipping hosts whose rack/pod already holds
     // the service's anti-affinity cap (counting both existing leases and
-    // picks made earlier in this very scan).
+    // picks made earlier in this very scan). A pod constraint scans only
+    // that pod's host list, which is in the same ascending order.
     std::vector<int> picked;
     std::map<int, int> pickedPerRack;
     std::map<int, int> pickedPerPod;
@@ -68,30 +105,41 @@ ResourceManager::acquire(const std::string &service, int count,
         const auto it = ledger_it->second.find(domain);
         return it == ledger_it->second.end() ? 0 : it->second;
     };
-    for (auto &[host, node] : nodes) {
+    // Consider one host; true once the lease is complete.
+    auto pick = [&](int host) {
+        const Node &node = nodes[static_cast<std::size_t>(host)];
         if (node.state != NodeState::kUnallocated)
-            continue;
-        if (constraints.requirePod >= 0 && node.pod != constraints.requirePod)
-            continue;
+            return false;
         if (constraints.maxPerRack >= 0 &&
             ledgerCount(rackLedger, svcRackCount.end(), node.rack) +
                     pickedPerRack[node.rack] >=
                 constraints.maxPerRack) {
             ++statAffinitySkips;
-            continue;
+            return false;
         }
         if (constraints.maxPerPod >= 0 &&
             ledgerCount(podLedger, svcPodCount.end(), node.pod) +
                     pickedPerPod[node.pod] >=
                 constraints.maxPerPod) {
             ++statAffinitySkips;
-            continue;
+            return false;
         }
         picked.push_back(host);
         ++pickedPerRack[node.rack];
         ++pickedPerPod[node.pod];
-        if (static_cast<int>(picked.size()) == count)
-            break;
+        return static_cast<int>(picked.size()) == count;
+    };
+    if (constraints.requirePod >= 0) {
+        const auto pod = static_cast<std::size_t>(constraints.requirePod);
+        if (pod < podHosts.size()) {
+            for (const int host : podHosts[pod])
+                if (pick(host))
+                    break;
+        }
+    } else {
+        for (int host = 0; host < static_cast<int>(nodes.size()); ++host)
+            if (pick(host))
+                break;
     }
     if (static_cast<int>(picked.size()) < count)
         return std::nullopt;
@@ -101,10 +149,11 @@ ResourceManager::acquire(const std::string &service, int count,
     lease.service = service;
     lease.hosts = picked;
     for (int host : picked) {
-        nodes[host].state = NodeState::kAllocated;
-        nodes[host].leaseId = lease.id;
-        ++svcRackCount[service][nodes[host].rack];
-        ++svcPodCount[service][nodes[host].pod];
+        Node &node = nodes[static_cast<std::size_t>(host)];
+        node.state = NodeState::kAllocated;
+        node.leaseId = lease.id;
+        ++svcRackCount[service][node.rack];
+        ++svcPodCount[service][node.pod];
     }
     leases[lease.id] = lease;
     return lease;
@@ -137,17 +186,17 @@ ResourceManager::release(std::uint64_t lease_id)
     if (it == leases.end())
         return;
     for (int host : it->second.hosts) {
-        auto nit = nodes.find(host);
-        if (nit == nodes.end())
+        Node *node = find(host);
+        if (node == nullptr)
             continue;
-        if (nit->second.state == NodeState::kAllocated &&
-            nit->second.leaseId == lease_id) {
-            nit->second.state = NodeState::kUnallocated;
-            nit->second.leaseId = 0;
-            dropPlacement(it->second.service, nit->second);
+        if (node->state == NodeState::kAllocated &&
+            node->leaseId == lease_id) {
+            node->state = NodeState::kUnallocated;
+            node->leaseId = 0;
+            dropPlacement(it->second.service, *node);
             // Reclaimed boards are handed back blank.
-            if (nit->second.fm)
-                nit->second.fm->clearRole();
+            if (node->fm)
+                node->fm->clearRole();
         }
     }
     leases.erase(it);
@@ -156,17 +205,17 @@ ResourceManager::release(std::uint64_t lease_id)
 void
 ResourceManager::reportFailure(int host_index)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    Node *node = find(host_index);
+    if (node == nullptr)
         return;
-    if (it->second.state == NodeState::kFailed)
+    if (node->state == NodeState::kFailed)
         return;  // idempotent: duplicate detections of one dead node
     ++statFailures;
-    const bool was_leased = it->second.state == NodeState::kAllocated;
-    const std::uint64_t lease_id = it->second.leaseId;
-    it->second.state = NodeState::kFailed;
-    if (it->second.fm)
-        it->second.fm->markUnhealthy();
+    const bool was_leased = node->state == NodeState::kAllocated;
+    const std::uint64_t lease_id = node->leaseId;
+    node->state = NodeState::kFailed;
+    if (node->fm)
+        node->fm->markUnhealthy();
     if (was_leased) {
         // Remove the node from the lease; the SM handles replacement.
         auto lit = leases.find(lease_id);
@@ -174,9 +223,9 @@ ResourceManager::reportFailure(int host_index)
             std::erase(lit->second.hosts, host_index);
             // The dead board no longer counts against its service's
             // anti-affinity caps (the lease release path skips it).
-            dropPlacement(lit->second.service, it->second);
+            dropPlacement(lit->second.service, *node);
         }
-        it->second.leaseId = 0;
+        node->leaseId = 0;
         // Index loop: a callback may subscribe further callbacks.
         for (std::size_t i = 0; i < onFailure.size(); ++i)
             onFailure[i](host_index, lease_id);
@@ -191,22 +240,22 @@ ResourceManager::reportDomainFailure(const std::vector<int> &host_indices)
     // domain cannot be handed a sibling that was about to be convicted.
     std::vector<std::pair<int, std::uint64_t>> notify;
     for (const int host : host_indices) {
-        auto it = nodes.find(host);
-        if (it == nodes.end() || it->second.state == NodeState::kFailed)
+        Node *node = find(host);
+        if (node == nullptr || node->state == NodeState::kFailed)
             continue;
         ++statFailures;
-        const bool was_leased = it->second.state == NodeState::kAllocated;
-        const std::uint64_t lease_id = it->second.leaseId;
-        it->second.state = NodeState::kFailed;
-        if (it->second.fm)
-            it->second.fm->markUnhealthy();
+        const bool was_leased = node->state == NodeState::kAllocated;
+        const std::uint64_t lease_id = node->leaseId;
+        node->state = NodeState::kFailed;
+        if (node->fm)
+            node->fm->markUnhealthy();
         if (was_leased) {
             auto lit = leases.find(lease_id);
             if (lit != leases.end()) {
                 std::erase(lit->second.hosts, host);
-                dropPlacement(lit->second.service, it->second);
+                dropPlacement(lit->second.service, *node);
             }
-            it->second.leaseId = 0;
+            node->leaseId = 0;
             notify.emplace_back(host, lease_id);
         }
     }
@@ -219,19 +268,19 @@ ResourceManager::reportDomainFailure(const std::vector<int> &host_indices)
 void
 ResourceManager::repair(int host_index)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    Node *node = find(host_index);
+    if (node == nullptr)
         return;
-    if (it->second.state != NodeState::kFailed)
+    if (node->state != NodeState::kFailed)
         return;  // healthy or leased nodes are not "repaired"
     ++statRepairs;
-    it->second.state = NodeState::kUnallocated;
-    it->second.leaseId = 0;
-    if (it->second.fm) {
-        it->second.fm->markHealthy();
+    node->state = NodeState::kUnallocated;
+    node->leaseId = 0;
+    if (node->fm) {
+        node->fm->markHealthy();
         // Repair re-images the board: the old role region is gone, so
         // the node can be re-leased and reconfigured from scratch.
-        it->second.fm->clearRole();
+        node->fm->clearRole();
     }
     for (std::size_t i = 0; i < onRepair.size(); ++i)
         onRepair[i](host_index);
@@ -240,8 +289,8 @@ ResourceManager::repair(int host_index)
 int
 ResourceManager::nodeRack(int host_index) const
 {
-    const auto it = nodes.find(host_index);
-    return it == nodes.end() ? -1 : it->second.rack;
+    const Node *node = find(host_index);
+    return node == nullptr ? -1 : node->rack;
 }
 
 int
@@ -268,9 +317,11 @@ std::vector<int>
 ResourceManager::hostIndices() const
 {
     std::vector<int> out;
-    out.reserve(nodes.size());
-    for (const auto &[host, node] : nodes)
-        out.push_back(host);
+    out.reserve(static_cast<std::size_t>(registeredCount));
+    for (int host = 0; host < static_cast<int>(nodes.size()); ++host)
+        if (nodes[static_cast<std::size_t>(host)].state !=
+            NodeState::kUnregistered)
+            out.push_back(host);
     return out;
 }
 
@@ -302,57 +353,56 @@ ResourceManager::attachObservability(obs::Observability *o)
 FpgaManager *
 ResourceManager::manager(int host_index)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    const Node *node = find(host_index);
+    if (node == nullptr)
         return nullptr;
-    if (it->second.fm == nullptr && resolver) {
+    if (node->fm == nullptr && resolver) {
         // Flyweight stub: materialize on first touch. The resolver
-        // calls back into setNodeManager; re-find in case it mutated
-        // the map (registering further nodes is allowed).
+        // calls back into setNodeManager; re-find in case it grew the
+        // table (registering further nodes is allowed).
         FpgaManager *fm = resolver(host_index);
-        it = nodes.find(host_index);
-        if (it == nodes.end())
+        node = find(host_index);
+        if (node == nullptr)
             return fm;
     }
-    return it->second.fm;
+    return node->fm;
 }
 
 void
 ResourceManager::setNodeManager(int host_index, FpgaManager *fm)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    Node *node = find(host_index);
+    if (node == nullptr)
         return;
-    it->second.fm = fm;
-    if (fm != nullptr && it->second.state == NodeState::kFailed)
+    node->fm = fm;
+    if (fm != nullptr && node->state == NodeState::kFailed)
         fm->markUnhealthy();
+}
+
+int
+ResourceManager::countState(NodeState state) const
+{
+    return static_cast<int>(std::count_if(
+        nodes.begin(), nodes.end(),
+        [state](const Node &node) { return node.state == state; }));
 }
 
 int
 ResourceManager::freeCount() const
 {
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(), [](const auto &kv) {
-            return kv.second.state == NodeState::kUnallocated;
-        }));
+    return countState(NodeState::kUnallocated);
 }
 
 int
 ResourceManager::allocatedCount() const
 {
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(), [](const auto &kv) {
-            return kv.second.state == NodeState::kAllocated;
-        }));
+    return countState(NodeState::kAllocated);
 }
 
 int
 ResourceManager::failedCount() const
 {
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(), [](const auto &kv) {
-            return kv.second.state == NodeState::kFailed;
-        }));
+    return countState(NodeState::kFailed);
 }
 
 ServiceManager::ServiceManager(sim::EventQueue &eq, ResourceManager &rmgr,

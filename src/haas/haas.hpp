@@ -130,7 +130,10 @@ class ResourceManager
     /**
      * Register a node's FPGA into the datacenter-wide pool. @p rack is
      * the node's global failure-domain id (the rack behind one TOR);
-     * anti-affinity constraints count against it.
+     * anti-affinity constraints count against it. @p host_index must be
+     * non-negative; registering hosts in ascending order is O(1) each.
+     * Re-registering a host replaces its record (and moves it to the new
+     * pod's list).
      */
     void registerNode(int host_index, FpgaManager *fm, int pod = 0,
                       int rack = 0);
@@ -226,7 +229,7 @@ class ResourceManager
     int freeCount() const;
     int allocatedCount() const;
     int failedCount() const;
-    int totalCount() const { return static_cast<int>(nodes.size()); }
+    int totalCount() const { return registeredCount; }
 
     /** A registered node's failure-domain (rack) id; -1 if unknown. */
     int nodeRack(int host_index) const;
@@ -250,17 +253,26 @@ class ResourceManager
     void attachObservability(obs::Observability *o);
 
   private:
-    enum class NodeState { kUnallocated, kAllocated, kFailed };
+    /** kUnregistered marks a hole in the dense node table. */
+    enum class NodeState { kUnregistered, kUnallocated, kAllocated, kFailed };
     struct Node {
         FpgaManager *fm = nullptr;
+        std::uint64_t leaseId = 0;
         int pod = 0;
         int rack = 0;  ///< global failure-domain id
-        NodeState state = NodeState::kUnallocated;
-        std::uint64_t leaseId = 0;
+        NodeState state = NodeState::kUnregistered;
     };
 
     sim::EventQueue &queue;
-    std::map<int, Node> nodes;
+    /**
+     * The pool, indexed by host: hosts are dense from 0 in every cloud,
+     * so a vector slot (32 B) replaces a map node (~80 B) per host and
+     * every lookup is an index.
+     */
+    std::vector<Node> nodes;
+    /** Registered hosts of each pod (index = pod id), ascending. */
+    std::vector<std::vector<int>> podHosts;
+    int registeredCount = 0;
     std::map<std::uint64_t, Lease> leases;
     std::uint64_t nextLeaseId = 1;
     std::vector<FailureFn> onFailure;
@@ -273,6 +285,11 @@ class ResourceManager
     std::uint64_t statRepairs = 0;
     std::uint64_t statAffinitySkips = 0;
 
+    /** The registered node at @p host_index, or nullptr. */
+    Node *find(int host_index);
+    const Node *find(int host_index) const;
+    /** Count registered nodes in @p state. */
+    int countState(NodeState state) const;
     /** Drop one @p service placement credit from @p node 's domains. */
     void dropPlacement(const std::string &service, const Node &node);
 };

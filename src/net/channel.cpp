@@ -50,7 +50,7 @@ Channel::isPaused(std::uint8_t priority) const
 }
 
 bool
-Channel::send(const PacketPtr &pkt, std::function<void()> on_transmitted)
+Channel::send(const PacketPtr &pkt, TxReleaseListener *release, int port)
 {
     const std::uint8_t prio = pkt->isPfc() ? 7 : pkt->priority;
     const std::uint32_t wire = pkt->wireBytes();
@@ -63,7 +63,7 @@ Channel::send(const PacketPtr &pkt, std::function<void()> on_transmitted)
                   int(prio));
         return false;
     }
-    TxEntry entry{pkt, std::move(on_transmitted)};
+    TxEntry entry{pkt, release, port};
     if (pkt->trace.sampled && flowRec) {
         entry.enqueuedAt = queue.now();
         entry.pauseBase = pausedTimeNow(prio);
@@ -177,6 +177,8 @@ Channel::tryTransmit()
         flowRec->recordSpan(entry.pkt->trace, label,
                             obs::Component::kSerialization, now, now + ser);
     }
+    // Every packet takes this path: the completion must stay inline.
+    static_assert(sizeof(TxEntry) + sizeof(this) <= sim::EventFn::kInlineSize);
     queue.scheduleAfter(ser, [this, e = std::move(entry)]() mutable {
         finishTransmit(std::move(e));
     });
@@ -190,7 +192,7 @@ Channel::finishTransmit(TxEntry entry)
     transmitting = false;
     // Fault model: a cut cable or corrupted-on-the-wire frame fails CRC
     // at the receiving MAC and is dropped there. The transmitter never
-    // learns — ingress accounting (onTransmitted) proceeds as normal.
+    // learns — ingress accounting (the release hook) proceeds as normal.
     const bool lost =
         adminDown ||
         (faultHook && !entry.pkt->isPfc() && faultHook(entry.pkt));
@@ -222,8 +224,8 @@ Channel::finishTransmit(TxEntry entry)
             });
         }
     }
-    if (entry.onTransmitted)
-        entry.onTransmitted();
+    if (entry.release)
+        entry.release->releaseTx(entry.releasePort, *entry.pkt);
     tryTransmit();
 }
 

@@ -25,6 +25,23 @@ class ShardedEventQueue;
 
 namespace ccsim::net {
 
+/**
+ * Told when a packet queued with Channel::send() has been fully
+ * serialized onto the wire (switches use it for ingress buffer
+ * accounting). A typed pointer plus a port keeps the transmit entry, and
+ * with it every transmit-completion event, inside sim::EventFn's inline
+ * buffer.
+ */
+class TxReleaseListener
+{
+  public:
+    /** @p pkt, queued with release port @p port, has left the channel. */
+    virtual void releaseTx(int port, const Packet &pkt) = 0;
+
+  protected:
+    ~TxReleaseListener() = default;
+};
+
 /** One direction of a link. */
 class Channel
 {
@@ -49,14 +66,15 @@ class Channel
      * queue for their priority is full; callers using lossless priorities
      * are expected to respect PFC back-pressure via queuedBytes().
      *
-     * @param pkt            The packet.
-     * @param on_transmitted Optional callback invoked when the last bit has
-     *                       been serialized onto the wire (used by switches
-     *                       for ingress buffer accounting).
+     * @param pkt     The packet.
+     * @param release Optional listener told, with @p port, when the last
+     *                bit has been serialized onto the wire; it runs after
+     *                the delivery has been scheduled.
+     * @param port    Passed back to @p release.
      * @return true if the packet was enqueued, false if dropped.
      */
-    bool send(const PacketPtr &pkt,
-              std::function<void()> on_transmitted = {});
+    bool send(const PacketPtr &pkt, TxReleaseListener *release = nullptr,
+              int port = 0);
 
     /**
      * Pause transmission of @p priority for @p duration from now.
@@ -203,7 +221,8 @@ class Channel
 
     struct TxEntry {
         PacketPtr pkt;
-        std::function<void()> onTransmitted;
+        TxReleaseListener *release = nullptr;
+        int releasePort = 0;
         sim::TimePs enqueuedAt = 0;  ///< sampled packets only
         sim::TimePs pauseBase = 0;   ///< pausedTimeNow() at enqueue
     };

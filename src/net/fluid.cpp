@@ -29,9 +29,9 @@ FluidTrafficModel::~FluidTrafficModel()
     // Unload whatever is still flowing so the channels a longer-lived
     // topology keeps serving are not left slowed forever. Stalled flows
     // already carry no rate on the hops.
-    for (auto &[id, f] : flows) {
-        if (!f->promoted && !f->stalled)
-            unloadPath(*f);
+    for (FluidFlow &f : flows) {
+        if (f.id != 0 && !f.promoted && !f.stalled)
+            unloadPath(f);
     }
 }
 
@@ -44,10 +44,9 @@ FluidTrafficModel::now() const
 FluidFlow &
 FluidTrafficModel::get(std::uint64_t id)
 {
-    auto it = flows.find(id);
-    if (it == flows.end())
+    if (flow(id) == nullptr)
         sim::fatalf("FluidTrafficModel: unknown flow id ", id);
-    return *it->second;
+    return flows[id - 1];
 }
 
 void
@@ -93,13 +92,13 @@ FluidTrafficModel::refreshStall(FluidFlow &f)
     f.stalled = dead;
 }
 
-void
-FluidTrafficModel::fold(FluidFlow &f)
+std::uint64_t
+FluidTrafficModel::advance(FluidFlow &f)
 {
     const sim::TimePs t = now();
     if (f.promoted) {
         f.lastFold = t;
-        return;
+        return 0;
     }
     // Path health is polled at fold granularity: the interval in which
     // the state flipped is written off entirely — no bytes accrue into
@@ -112,7 +111,7 @@ FluidTrafficModel::fold(FluidFlow &f)
     const sim::TimePs dt = t - f.lastFold;
     f.lastFold = t;
     if (f.stalled || wasStalled || dt <= 0 || f.rateBps == 0)
-        return;
+        return 0;
     // Exact integral in bit·ps; the remainder is carried so byte totals
     // are independent of the fold schedule.
     unsigned __int128 acc =
@@ -121,64 +120,71 @@ FluidTrafficModel::fold(FluidFlow &f)
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(acc / kBitPsPerByte);
     f.residualBitPs = acc % kBitPsPerByte;
+    f.fluidBytes += bytes;
+    expectedCredits += bytes * f.path.size();
+    return bytes;
+}
+
+void
+FluidTrafficModel::fold(FluidFlow &f)
+{
+    const std::uint64_t bytes = advance(f);
     if (bytes == 0)
         return;
-    f.fluidBytes += bytes;
     for (Channel *c : f.path)
         c->creditFluidBytes(bytes);
-    expectedCredits += bytes * f.path.size();
 }
 
 std::uint64_t
 FluidTrafficModel::addFlow(int src_host, int dst_host,
                            std::uint64_t rate_bps)
 {
-    auto f = std::allocate_shared<FluidFlow>(
-        sim::PoolAllocator<FluidFlow>{});
-    f->id = nextId++;
-    f->srcHost = src_host;
-    f->dstHost = dst_host;
-    f->rateBps = rate_bps;
-    f->lastFold = now();
-    f->path = topo.fluidPath(src_host, dst_host);
-    for (Channel *c : f->path)
+    FluidFlow &f = flows.emplace_back();
+    f.id = flows.size();
+    f.srcHost = src_host;
+    f.dstHost = dst_host;
+    f.rateBps = rate_bps;
+    f.lastFold = now();
+    f.path = topo.fluidPath(src_host, dst_host);
+    for (Channel *c : f.path)
         touched.insert(c);
-    f->stalled = pathDead(*f);
-    if (f->stalled)
+    f.stalled = pathDead(f);
+    if (f.stalled)
         ++statStalls;
     else
-        loadPath(*f);
-    const std::uint64_t id = f->id;
-    flows.emplace(id, std::move(f));
-    return id;
+        loadPath(f);
+    ++liveCount;
+    return f.id;
 }
 
 void
 FluidTrafficModel::setRate(std::uint64_t id, std::uint64_t rate_bps)
 {
     FluidFlow &f = get(id);
-    fold(f);
-    if (!f.promoted && !f.stalled)
-        unloadPath(f);
+    const std::uint64_t bytes = advance(f);
+    const std::uint64_t old = f.rateBps;
     f.rateBps = rate_bps;
-    if (!f.promoted && !f.stalled)
-        loadPath(f);
+    if (f.promoted || f.stalled)
+        return;  // no rate on the hops, and advance() owed them nothing
+    // One pass over the hops: credit the folded bytes and swap the rate.
+    for (Channel *c : f.path) {
+        c->creditFluidBytes(bytes);
+        c->removeFluidBps(old);
+        c->addFluidBps(rate_bps);
+    }
 }
 
 void
 FluidTrafficModel::removeFlow(std::uint64_t id)
 {
-    auto it = flows.find(id);
-    if (it == flows.end())
-        sim::fatalf("FluidTrafficModel: unknown flow id ", id);
-    FluidFlow &f = *it->second;
+    FluidFlow &f = get(id);
     fold(f);
     if (!f.promoted && !f.stalled)
         unloadPath(f);
-    retiredFluidBytes += f.fluidBytes;
-    retiredPacketBytes += f.packetBytes;
-    ++retiredFlows;
-    flows.erase(it);
+    // The record stays behind for verify()'s byte totals.
+    f.id = 0;
+    f.path = {};
+    --liveCount;
 }
 
 void
@@ -232,25 +238,29 @@ FluidTrafficModel::setMonitored(const Channel *c, bool is_monitored)
 }
 
 bool
-FluidTrafficModel::crossesMonitored(std::uint64_t id) const
+FluidTrafficModel::crossesMonitored(const FluidFlow &f) const
 {
-    auto it = flows.find(id);
-    if (it == flows.end())
-        return false;
-    for (const Channel *c : it->second->path) {
+    for (const Channel *c : f.path) {
         if (monitored.count(c) > 0)
             return true;
     }
     return false;
 }
 
+bool
+FluidTrafficModel::crossesMonitored(std::uint64_t id) const
+{
+    const FluidFlow *f = flow(id);
+    return f != nullptr && crossesMonitored(*f);
+}
+
 std::vector<std::uint64_t>
 FluidTrafficModel::flowsCrossingMonitored() const
 {
     std::vector<std::uint64_t> ids;
-    for (const auto &[id, f] : flows) {
-        if (!f->promoted && crossesMonitored(id))
-            ids.push_back(id);
+    for (const FluidFlow &f : flows) {
+        if (f.id != 0 && !f.promoted && crossesMonitored(f))
+            ids.push_back(f.id);
     }
     return ids;
 }
@@ -258,20 +268,19 @@ FluidTrafficModel::flowsCrossingMonitored() const
 void
 FluidTrafficModel::foldAll()
 {
-    for (auto &[id, f] : flows)
-        fold(*f);
+    for (FluidFlow &f : flows)
+        if (f.id != 0)
+            fold(f);
 }
 
 FluidConservation
 FluidTrafficModel::verify() const
 {
     FluidConservation c;
-    c.flows = retiredFlows + flows.size();
-    c.fluidBytes = retiredFluidBytes;
-    c.packetBytes = retiredPacketBytes;
-    for (const auto &[id, f] : flows) {
-        c.fluidBytes += f->fluidBytes;
-        c.packetBytes += f->packetBytes;
+    c.flows = flows.size();
+    for (const FluidFlow &f : flows) {
+        c.fluidBytes += f.fluidBytes;
+        c.packetBytes += f.packetBytes;
     }
     for (Channel *ch : touched)
         c.channelCredits += ch->fluidBytesDelivered();
@@ -284,16 +293,18 @@ std::size_t
 FluidTrafficModel::stalledFlows() const
 {
     std::size_t n = 0;
-    for (const auto &[id, f] : flows)
-        n += (!f->promoted && f->stalled) ? 1 : 0;
+    for (const FluidFlow &f : flows)
+        n += (f.id != 0 && !f.promoted && f.stalled) ? 1 : 0;
     return n;
 }
 
 const FluidFlow *
 FluidTrafficModel::flow(std::uint64_t id) const
 {
-    auto it = flows.find(id);
-    return it == flows.end() ? nullptr : it->second.get();
+    if (id == 0 || id > flows.size())
+        return nullptr;
+    const FluidFlow &f = flows[id - 1];
+    return f.id == 0 ? nullptr : &f;
 }
 
 }  // namespace ccsim::net

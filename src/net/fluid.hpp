@@ -26,14 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/pool.hpp"
 
 namespace ccsim::sim {
 class ShardedEventQueue;
@@ -41,8 +39,9 @@ class ShardedEventQueue;
 
 namespace ccsim::net {
 
-/** One background flow: a compact, pooled record. */
+/** One background flow: a compact record in the model's flow table. */
 struct FluidFlow {
+    /** The flow's id; 0 once the flow is removed. */
     std::uint64_t id = 0;
     int srcHost = 0;
     int dstHost = 0;
@@ -154,8 +153,8 @@ class FluidTrafficModel
     /** Check the conservation invariant over everything ever flowed. */
     FluidConservation verify() const;
 
-    std::size_t liveFlows() const { return flows.size(); }
-    std::uint64_t flowsAdded() const { return nextId - 1; }
+    std::size_t liveFlows() const { return liveCount; }
+    std::uint64_t flowsAdded() const { return flows.size(); }
 
     /** Live fluid flows currently stalled on a dead hop. */
     std::size_t stalledFlows() const;
@@ -163,33 +162,40 @@ class FluidTrafficModel
     /** Transitions into the stalled state (fault-interplay telemetry). */
     std::uint64_t stallTransitions() const { return statStalls; }
 
-    /** A live flow's record (nullptr if removed/unknown). */
+    /**
+     * A live flow's record (nullptr if removed/unknown). The pointer is
+     * valid until the next addFlow().
+     */
     const FluidFlow *flow(std::uint64_t id) const;
 
   private:
-    using FlowPtr = std::shared_ptr<FluidFlow>;
-    using FlowMap =
-        std::map<std::uint64_t, FlowPtr, std::less<std::uint64_t>,
-                 sim::PoolAllocator<std::pair<const std::uint64_t, FlowPtr>>>;
-
     Topology &topo;
     sim::EventQueue *eq = nullptr;
     sim::ShardedEventQueue *sq = nullptr;
-    FlowMap flows;
-    std::set<const Channel *> monitored;
+    /**
+     * Every flow ever added, at index id - 1 (ids are dense from 1). A
+     * removed flow keeps its byte totals for verify() but has id 0 and
+     * no path.
+     */
+    std::vector<FluidFlow> flows;
+    std::size_t liveCount = 0;
+    std::unordered_set<const Channel *> monitored;
     /** Every channel a flow was ever folded into (for verify()). */
     std::set<Channel *> touched;
-    std::uint64_t nextId = 1;
-    std::uint64_t retiredFluidBytes = 0;
-    std::uint64_t retiredPacketBytes = 0;
-    std::uint64_t retiredFlows = 0;
     std::uint64_t expectedCredits = 0;  ///< Σ folded bytes × hops
     std::uint64_t statStalls = 0;
 
     sim::TimePs now() const;
+    /** A live flow's record; fatal on an unknown id. */
     FluidFlow &get(std::uint64_t id);
+    /**
+     * Advance one flow's integral to now without touching its hops.
+     * Returns the bytes each hop is owed (counted in expectedCredits).
+     */
+    std::uint64_t advance(FluidFlow &f);
     /** Advance one flow's integral to now and credit its hops. */
     void fold(FluidFlow &f);
+    bool crossesMonitored(const FluidFlow &f) const;
     void loadPath(FluidFlow &f);
     void unloadPath(FluidFlow &f);
     /** True if any hop of the path is administratively down. */

@@ -198,14 +198,8 @@ Switch::forward(int in_port, int out_port, const PacketPtr &pkt)
                                   obsPrefix + ".ecn_mark", queue.now());
     }
 
-    std::function<void()> on_done;
-    if (isLossless(prio)) {
-        const std::int64_t wire = pkt->wireBytes();
-        on_done = [this, in_port, prio, wire] {
-            accountIngress(in_port, prio, -wire);
-        };
-    }
-    const bool ok = tx->send(pkt, std::move(on_done));
+    const bool ok =
+        tx->send(pkt, isLossless(prio) ? this : nullptr, in_port);
     if (!ok) {
         ++dropped;
         if (isLossless(prio)) {
@@ -219,6 +213,13 @@ Switch::forward(int in_port, int out_port, const PacketPtr &pkt)
     } else {
         ++forwarded;
     }
+}
+
+void
+Switch::releaseTx(int in_port, const Packet &pkt)
+{
+    accountIngress(in_port, pkt.priority,
+                   -static_cast<std::int64_t>(pkt.wireBytes()));
 }
 
 void

@@ -52,7 +52,7 @@ struct SwitchConfig {
 /**
  * An output-queued (per-channel) switch with ingress-based PFC accounting.
  */
-class Switch
+class Switch : private TxReleaseListener
 {
   public:
     Switch(sim::EventQueue &eq, SwitchConfig cfg);
@@ -187,6 +187,8 @@ class Switch
         return (config.losslessMask >> prio) & 1u;
     }
     void accountIngress(int in_port, std::uint8_t prio, std::int64_t delta);
+    /** A lossless packet from @p in_port left its egress channel. */
+    void releaseTx(int in_port, const Packet &pkt) override;
     void maybeSendXoff(int in_port, std::uint8_t prio);
     void refreshPfc(int in_port, std::uint8_t prio);
 };

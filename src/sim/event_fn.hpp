@@ -6,7 +6,7 @@
  * the library's small-object buffer (typically 16 bytes) onto the heap,
  * and required copyability. EventFn gives the kernel a 64-byte inline
  * buffer — sized so that every hot-path lambda in the simulator (channel
- * transmit completions carrying a PacketPtr plus a completion callback,
+ * transmit completions carrying a PacketPtr plus a release hook,
  * LTL retransmit timers, switch forwarding hops, elastic-router pipeline
  * stages, DRAM/PCIe completions) is stored inline and never touches the
  * allocator — and accepts move-only callables (e.g. captures holding a
@@ -29,8 +29,9 @@ class EventFn
     /**
      * Inline storage size in bytes. Chosen to cover the largest common
      * capture in the codebase: `Channel::tryTransmit`'s completion
-     * lambda carries a TxEntry (PacketPtr + std::function) plus `this`,
-     * 56 bytes on a 64-bit libstdc++.
+     * lambda carries a TxEntry (PacketPtr, release listener and port,
+     * two sampled-packet timestamps) plus `this`, 56 bytes on a 64-bit
+     * libstdc++; channel.cpp static_asserts that it fits.
      */
     static constexpr std::size_t kInlineSize = 64;
     /** Maximum alignment served by the inline buffer. */

@@ -249,7 +249,10 @@ TimerWheelQueue::ensureNext(TimePs limit)
         if (oneSlot) {
             loadDue(cell, base >> kSlotShift0);
         } else {
-            scratch.swap(cell);
+            // Copy rather than swap: every cell keeps the buffer it grew,
+            // so a warm wheel cascades without allocating.
+            scratch.assign(cell.begin(), cell.end());
+            cell.clear();
             for (std::uint32_t idx : scratch)
                 place(idx, pool[idx].when);
             scratch.clear();

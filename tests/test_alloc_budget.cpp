@@ -1,12 +1,15 @@
 /**
  * @file
- * Heap budget of idle fabric: an idle cable must cost little more than
+ * Heap budgets. Idle fabric: an idle cable must cost little more than
  * its two Channel objects and its names, because an empty queue owns no
- * heap (sim::Fifo allocates on its first push).
+ * heap (sim::Fifo allocates on its first push). Busy fabric: once warm,
+ * moving a packet through a switch allocates nothing, because every
+ * per-hop closure fits sim::EventFn's inline buffer.
  *
- * This binary replaces the global `operator new` with a byte counter and
- * measures the heap a construction takes. It is an executable of its own
- * so that the replacement never runs under the other suites.
+ * This binary replaces the global `operator new` with a byte and call
+ * counter and measures the heap a construction or a run takes. It is an
+ * executable of its own so that the replacement never runs under the
+ * other suites.
  */
 #include <gtest/gtest.h>
 
@@ -15,13 +18,18 @@
 #include <memory>
 #include <new>
 
+#include <vector>
+
 #include "net/channel.hpp"
+#include "net/packet.hpp"
+#include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
 
 std::size_t heapBytes = 0;
+std::size_t heapCalls = 0;
 
 }  // namespace
 
@@ -29,6 +37,7 @@ void *
 operator new(std::size_t size)
 {
     heapBytes += size;
+    ++heapCalls;
     if (void *p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -97,6 +106,65 @@ TEST(AllocBudget, LazyTopologyTrunksStayUnderBudget)
     EXPECT_LE(bytes / topo->numTrunkLinks(), kLazyFabricPerTrunkBudget)
         << bytes << " heap bytes for " << topo->numTrunkLinks()
         << " trunks";
+}
+
+/** Counts deliveries and keeps nothing. */
+class CountingSink : public net::PacketSink
+{
+  public:
+    void acceptPacket(const net::PacketPtr &) override { ++received; }
+    std::size_t received = 0;
+};
+
+TEST(AllocBudget, WarmLosslessSwitchHopsAllocateNothing)
+{
+    sim::EventQueue eq;
+    net::SwitchConfig cfg;
+    cfg.forwardingLatency = 450 * sim::kNanosecond;
+    net::Switch tor(eq, cfg);
+    // host 10 -> TOR -> host 11; hosts at end A, the TOR at end B.
+    net::Link up(eq, "h10-tor", 40.0, 2.0), down(eq, "tor-h11", 40.0, 2.0);
+    CountingSink h10, h11;
+    up.attachA(&h10);
+    down.attachA(&h11);
+    const int p10 = tor.addPort(&up.bToA());
+    const int p11 = tor.addPort(&down.bToA());
+    up.attachB(tor.portSink(p10));
+    down.attachB(tor.portSink(p11));
+    tor.addHostRoute({10}, p10);
+    tor.addHostRoute({11}, p11);
+
+    constexpr int kPackets = 64;
+    // Every burst starts at the same phase of the timing wheel's top
+    // level, so a warm burst reuses the wheel cells the warm-up grew.
+    constexpr int kPhaseBits = 60;
+    auto burst = [&] {
+        eq.runUntil(((eq.now() >> kPhaseBits) + 1) << kPhaseBits);
+        // The packets are built before the count starts: the budget
+        // covers only what moving them costs.
+        std::vector<net::PacketPtr> pkts;
+        for (int i = 0; i < kPackets; ++i) {
+            auto pkt = net::makePacket();
+            pkt->ipSrc = {10};
+            pkt->ipDst = {11};
+            pkt->payloadBytes = 1000;
+            pkt->priority = net::kTcLossless;
+            pkts.push_back(std::move(pkt));
+        }
+        const std::size_t before = heapCalls;
+        for (const net::PacketPtr &pkt : pkts)
+            up.aToB().send(pkt);
+        pkts.clear();
+        eq.runAll();
+        return heapCalls - before;
+    };
+    burst();  // warm-up: queue rings and wheel cells reach their size
+    burst();
+    const std::size_t calls = burst();
+    EXPECT_EQ(calls, 0u) << "operator new calls for " << kPackets
+                         << " lossless packets host -> TOR -> host";
+    EXPECT_EQ(h11.received, 3u * kPackets);
+    EXPECT_EQ(tor.pfcFramesSent(), 0u);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/cloud.hpp"
@@ -198,6 +200,113 @@ TEST(Fluid, MonitoredChannelsSelectCrossingFlows)
     EXPECT_EQ(crossing.front(), cross);
     fluid.setMonitored(hop, false);
     EXPECT_FALSE(fluid.crossesMonitored(cross));
+}
+
+TEST(Fluid, UnknownIdsHaveNoRecord)
+{
+    EventQueue eq;
+    net::Topology topo(eq, smallFabric());
+    net::FluidTrafficModel fluid(eq, topo);
+
+    const auto kept = fluid.addFlow(0, topo.numHosts() - 1, 1000);
+    const auto gone = fluid.addFlow(1, topo.numHosts() - 2, 1000);
+    // Every hop of both paths is monitored, so only the id decides.
+    for (const auto id : {kept, gone})
+        for (net::Channel *c : fluid.flow(id)->path)
+            fluid.setMonitored(c, true);
+    fluid.removeFlow(gone);
+
+    for (const std::uint64_t id : {std::uint64_t{0}, gone, gone + 1,
+                                   std::uint64_t{1000}}) {
+        EXPECT_EQ(fluid.flow(id), nullptr) << "id " << id;
+        EXPECT_FALSE(fluid.crossesMonitored(id)) << "id " << id;
+    }
+    ASSERT_NE(fluid.flow(kept), nullptr);
+    EXPECT_EQ(fluid.flow(kept)->id, kept);
+    EXPECT_TRUE(fluid.crossesMonitored(kept));
+}
+
+TEST(FluidDeathTest, RemovedIdIsUnknown)
+{
+    auto mutateRemoved = [](bool promote) {
+        EventQueue eq;
+        net::Topology topo(eq, smallFabric());
+        net::FluidTrafficModel fluid(eq, topo);
+        const auto id = fluid.addFlow(0, topo.numHosts() - 1, 1000);
+        fluid.removeFlow(id);
+        if (promote)
+            fluid.promote(id);
+        else
+            fluid.setRate(id, 2000);
+    };
+    EXPECT_DEATH(mutateRemoved(false), "unknown flow id");
+    EXPECT_DEATH(mutateRemoved(true), "unknown flow id");
+}
+
+TEST(Fluid, RemovalsKeepCountsOrderAndConservation)
+{
+    EventQueue eq;
+    net::Topology topo(eq, smallFabric());
+    net::FluidTrafficModel fluid(eq, topo);
+    sim::Rng rng(7);
+    const int hosts = topo.numHosts();
+    constexpr int kFlows = 40;
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < kFlows; ++i) {
+        const int src = int(rng.uniformInt(std::uint64_t(hosts)));
+        const int hop = 1 + int(rng.uniformInt(std::uint64_t(hosts - 1)));
+        const int dst = (src + hop) % hosts;
+        ids.push_back(fluid.addFlow(src, dst, 1'000'000 + 1000 * i));
+    }
+    // Monitor about a third of the hops the flows use.
+    for (const auto id : ids)
+        for (net::Channel *c : fluid.flow(id)->path)
+            if (rng.bernoulli(0.3))
+                fluid.setMonitored(c, true);
+
+    std::set<std::uint64_t> live(ids.begin(), ids.end());
+    std::set<std::uint64_t> promoted;
+    for (int window = 0; window < 8; ++window) {
+        eq.runFor(sim::fromSeconds(0.001 * (window + 1)));
+        // Interleave removals, re-rates and promotions across the table.
+        for (const auto id : ids) {
+            if (!live.count(id))
+                continue;
+            const auto dice = rng.uniformInt(std::uint64_t(10));
+            if (dice == 0) {
+                fluid.removeFlow(id);
+                live.erase(id);
+                promoted.erase(id);
+            } else if (dice == 1 && !promoted.count(id)) {
+                fluid.promote(id);
+                promoted.insert(id);
+            } else if (!promoted.count(id)) {
+                fluid.setRate(id, 500'000 + rng.uniformInt(
+                                      std::uint64_t(1'000'000)));
+            }
+        }
+        std::vector<std::uint64_t> expected;
+        for (const auto id : live)
+            if (!promoted.count(id) && fluid.crossesMonitored(id))
+                expected.push_back(id);
+        const auto crossing = fluid.flowsCrossingMonitored();
+        EXPECT_TRUE(std::is_sorted(crossing.begin(), crossing.end()));
+        EXPECT_EQ(crossing, expected) << "window " << window;
+        EXPECT_EQ(fluid.liveFlows(), live.size());
+        EXPECT_EQ(fluid.flowsAdded(), std::uint64_t(kFlows));
+        const auto c = fluid.verify();
+        EXPECT_TRUE(c.ok) << c.channelCredits << " vs "
+                          << c.expectedChannelCredits;
+        EXPECT_EQ(c.flows, std::uint64_t(kFlows));
+    }
+    ASSERT_LT(live.size(), std::size_t(kFlows));  // some were removed
+    // Ids keep counting after removals; they are never reused.
+    const auto next = fluid.addFlow(0, 1, 1000);
+    EXPECT_EQ(next, std::uint64_t(kFlows + 1));
+    EXPECT_EQ(fluid.liveFlows(), live.size() + 1);
+    EXPECT_EQ(fluid.flowsAdded(), std::uint64_t(kFlows + 1));
+    fluid.foldAll();
+    EXPECT_TRUE(fluid.verify().ok);
 }
 
 TEST(Fluid, ChannelReturnsToPristineWhenRatesCancel)

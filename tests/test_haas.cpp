@@ -6,13 +6,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "haas/haas.hpp"
 #include "haas/health_monitor.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
 
 namespace {
@@ -219,6 +224,259 @@ TEST(ResourceManager, MultipleSubscribersFireInSubscriptionOrder)
         "B.repair." + std::to_string(victim),
     };
     EXPECT_EQ(calls, expected);
+}
+
+/**
+ * The pool as a plain first-fit scan over an ordered host map: the
+ * reference the ResourceManager's dense table and per-pod lists must
+ * match decision for decision.
+ */
+class PoolOracle
+{
+  public:
+    enum class State { kFree, kAllocated, kFailed };
+    struct Node {
+        int pod = 0;
+        int rack = 0;
+        State state = State::kFree;
+        std::uint64_t lease = 0;
+    };
+    struct Held {
+        std::string service;
+        std::vector<int> hosts;
+    };
+
+    std::map<int, Node> nodes;
+    std::map<std::uint64_t, Held> leases;
+    std::map<std::string, std::map<int, int>> perRack, perPod;
+    std::uint64_t nextLease = 1;
+    std::uint64_t skips = 0;
+    /** (host, lease) in notification order. */
+    std::vector<std::pair<int, std::uint64_t>> failures;
+    std::vector<int> repairs;
+
+    void registerNode(int host, int pod, int rack)
+    {
+        nodes[host] = Node{pod, rack, State::kFree, 0};
+    }
+
+    std::optional<haas::Lease> acquire(const std::string &service,
+                                       int count, const LeaseConstraints &c)
+    {
+        std::vector<int> picked;
+        std::map<int, int> rackPicks, podPicks;
+        for (const auto &[host, node] : nodes) {
+            if (node.state != State::kFree)
+                continue;
+            if (c.requirePod >= 0 && node.pod != c.requirePod)
+                continue;
+            if (c.maxPerRack >= 0 &&
+                perRack[service][node.rack] + rackPicks[node.rack] >=
+                    c.maxPerRack) {
+                ++skips;
+                continue;
+            }
+            if (c.maxPerPod >= 0 &&
+                perPod[service][node.pod] + podPicks[node.pod] >=
+                    c.maxPerPod) {
+                ++skips;
+                continue;
+            }
+            picked.push_back(host);
+            ++rackPicks[node.rack];
+            ++podPicks[node.pod];
+            if (static_cast<int>(picked.size()) == count)
+                break;
+        }
+        if (static_cast<int>(picked.size()) < count)
+            return std::nullopt;
+        haas::Lease lease{nextLease++, service, picked};
+        for (const int host : picked) {
+            Node &node = nodes[host];
+            node.state = State::kAllocated;
+            node.lease = lease.id;
+            ++perRack[service][node.rack];
+            ++perPod[service][node.pod];
+        }
+        leases[lease.id] = Held{service, picked};
+        return lease;
+    }
+
+    void release(std::uint64_t id)
+    {
+        const auto it = leases.find(id);
+        if (it == leases.end())
+            return;
+        for (const int host : it->second.hosts) {
+            Node &node = nodes.at(host);
+            if (node.state == State::kAllocated && node.lease == id) {
+                node.state = State::kFree;
+                node.lease = 0;
+                drop(it->second.service, node);
+            }
+        }
+        leases.erase(it);
+    }
+
+    void reportDomainFailure(const std::vector<int> &hosts)
+    {
+        std::vector<std::pair<int, std::uint64_t>> notify;
+        for (const int host : hosts) {
+            const auto it = nodes.find(host);
+            if (it == nodes.end() || it->second.state == State::kFailed)
+                continue;
+            Node &node = it->second;
+            const bool leased = node.state == State::kAllocated;
+            const std::uint64_t id = node.lease;
+            node.state = State::kFailed;
+            node.lease = 0;
+            if (leased) {
+                const auto lit = leases.find(id);
+                if (lit != leases.end()) {
+                    std::erase(lit->second.hosts, host);
+                    drop(lit->second.service, node);
+                }
+                notify.emplace_back(host, id);
+            }
+        }
+        failures.insert(failures.end(), notify.begin(), notify.end());
+    }
+
+    void repair(int host)
+    {
+        const auto it = nodes.find(host);
+        if (it == nodes.end() || it->second.state != State::kFailed)
+            return;
+        it->second.state = State::kFree;
+        repairs.push_back(host);
+    }
+
+    int count(State state) const
+    {
+        int n = 0;
+        for (const auto &[host, node] : nodes)
+            n += node.state == state ? 1 : 0;
+        return n;
+    }
+
+    int ledger(const std::map<std::string, std::map<int, int>> &book,
+               const std::string &service, int domain) const
+    {
+        const auto sit = book.find(service);
+        if (sit == book.end())
+            return 0;
+        const auto it = sit->second.find(domain);
+        return it == sit->second.end() ? 0 : it->second;
+    }
+
+  private:
+    void drop(const std::string &service, const Node &node)
+    {
+        if (--perRack[service][node.rack] == 0)
+            perRack[service].erase(node.rack);
+        if (--perPod[service][node.pod] == 0)
+            perPod[service].erase(node.pod);
+    }
+};
+
+TEST(ResourceManager, MatchesFirstFitOracleOnRandomOps)
+{
+    constexpr int kHosts = 40;
+    constexpr int kPods = 4;
+    constexpr int kRacks = 8;
+    const std::vector<std::string> services = {"a", "b", "c"};
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        sim::Rng rng(seed);
+        EventQueue eq;
+        ResourceManager rm(eq);
+        PoolOracle oracle;
+        std::vector<std::pair<int, std::uint64_t>> failures;
+        std::vector<int> repairs;
+        rm.subscribeFailures([&](int host, std::uint64_t lease) {
+            failures.emplace_back(host, lease);
+        });
+        rm.subscribeRepairs([&](int host) { repairs.push_back(host); });
+        auto pick = [&](std::int64_t lo, std::int64_t hi) {
+            return static_cast<int>(rng.uniformInt(lo, hi));
+        };
+        for (int step = 0; step < 400; ++step) {
+            const int op = pick(0, 99);
+            if (op < 15) {
+                // Out of order, and sometimes into another pod.
+                const int host = pick(0, kHosts - 1);
+                const int pod = pick(0, kPods - 1);
+                const int rack = pod * 2 + pick(0, kRacks / kPods - 1);
+                rm.registerNode(host, nullptr, pod, rack);
+                oracle.registerNode(host, pod, rack);
+            } else if (op < 50) {
+                const std::string &svc =
+                    services[static_cast<std::size_t>(pick(0, 2))];
+                const int n = pick(1, 4);
+                LeaseConstraints c;
+                if (pick(0, 1) == 1)
+                    c.withPod(pick(0, kPods));  // kPods: a pod with no hosts
+                if (pick(0, 2) == 0)
+                    c.maxPerRack = pick(1, 2);
+                if (pick(0, 2) == 0)
+                    c.maxPerPod = pick(1, 3);
+                const auto got = rm.acquire(svc, n, c);
+                const auto want = oracle.acquire(svc, n, c);
+                ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+                if (got) {
+                    EXPECT_EQ(got->id, want->id);
+                    EXPECT_EQ(got->service, want->service);
+                    EXPECT_EQ(got->hosts, want->hosts) << "step " << step;
+                }
+            } else if (op < 65) {
+                const auto id = static_cast<std::uint64_t>(
+                    pick(1, static_cast<std::int64_t>(oracle.nextLease)));
+                rm.release(id);
+                oracle.release(id);
+            } else if (op < 77) {
+                const int host = pick(-1, kHosts);  // includes unknown hosts
+                rm.reportFailure(host);
+                oracle.reportDomainFailure({host});
+            } else if (op < 85) {
+                // A rack's worth of hosts, unsorted, with a duplicate.
+                std::vector<int> domain;
+                for (int i = pick(1, 4); i > 0; --i)
+                    domain.push_back(pick(0, kHosts - 1));
+                domain.push_back(domain.front());
+                rm.reportDomainFailure(domain);
+                oracle.reportDomainFailure(domain);
+            } else {
+                const int host = pick(0, kHosts);
+                rm.repair(host);
+                oracle.repair(host);
+            }
+
+            ASSERT_EQ(rm.freeCount(), oracle.count(PoolOracle::State::kFree))
+                << "step " << step;
+            ASSERT_EQ(rm.allocatedCount(),
+                      oracle.count(PoolOracle::State::kAllocated));
+            ASSERT_EQ(rm.failedCount(),
+                      oracle.count(PoolOracle::State::kFailed));
+            ASSERT_EQ(rm.totalCount(), static_cast<int>(oracle.nodes.size()));
+            ASSERT_EQ(rm.affinitySkips(), oracle.skips);
+            ASSERT_EQ(failures, oracle.failures);
+            ASSERT_EQ(repairs, oracle.repairs);
+        }
+        std::vector<int> hosts;
+        for (const auto &[host, node] : oracle.nodes) {
+            hosts.push_back(host);
+            EXPECT_EQ(rm.nodeRack(host), node.rack);
+        }
+        EXPECT_EQ(rm.hostIndices(), hosts);
+        for (const std::string &svc : services) {
+            for (int rack = 0; rack < kRacks; ++rack)
+                EXPECT_EQ(rm.serviceRackCount(svc, rack),
+                          oracle.ledger(oracle.perRack, svc, rack));
+            for (int pod = 0; pod < kPods; ++pod)
+                EXPECT_EQ(rm.servicePodCount(svc, pod),
+                          oracle.ledger(oracle.perPod, svc, pod));
+        }
+    }
 }
 
 TEST(FpgaManager, StatusReflectsHealth)
