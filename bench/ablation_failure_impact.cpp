@@ -13,43 +13,11 @@
 #include <memory>
 
 #include "core/cloud.hpp"
+#include "scenario_util.hpp"
 #include "sim/stats.hpp"
 #include "torus/torus.hpp"
 
 using namespace ccsim;
-
-namespace {
-
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
-
-double
-ltlRttUs(core::ConfigurableCloud &cloud, sim::EventQueue &eq, int src,
-         int dst, NullRole &role)
-{
-    auto ch = cloud.openLtl(src, dst, role.port);
-    auto *engine = cloud.shell(src).ltlEngine();
-    const std::size_t before = engine->rttUs().count();
-    for (int i = 0; i < 50; ++i) {
-        eq.scheduleAfter(i * 20 * sim::kMicrosecond,
-                         [engine, conn = ch.sendConn()] {
-                             engine->sendMessage(conn, 64);
-                         });
-    }
-    eq.runFor(sim::fromMillis(2));
-    const auto &samples = engine->rttUs().raw();
-    double sum = 0;
-    for (std::size_t i = before; i < samples.size(); ++i)
-        sum += samples[i];
-    return sum / static_cast<double>(samples.size() - before);
-}
-
-}  // namespace
 
 int
 main()
@@ -91,9 +59,9 @@ main()
     cfg.shellTemplate.ltl.maxConnections = 32;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    NullRole r1, r2;
+    bench::NullRole r1, r2;
     cloud.shell(2).addRole(&r1);
-    const double rtt_before = ltlRttUs(cloud, eq, 0, 2, r1);
+    const double rtt_before = bench::meanLtlRttUs(cloud, eq, 0, 2, r1, 50);
 
     // Host 1's FPGA — sitting between hosts 0 and 2 in the rack — goes
     // dark (buggy image: its own server is cut off).
@@ -102,7 +70,7 @@ main()
     eq.runFor(3 * sim::kSecond);
 
     cloud.shell(2).addRole(&r2);
-    const double rtt_after = ltlRttUs(cloud, eq, 0, 2, r2);
+    const double rtt_after = bench::meanLtlRttUs(cloud, eq, 0, 2, r2, 50);
     std::printf("  pair 0<->2 LTL RTT: %.2f us -> %.2f us after host 1's "
                 "FPGA fails (%+.1f%%)\n", rtt_before, rtt_after,
                 100.0 * (rtt_after - rtt_before) / rtt_before);

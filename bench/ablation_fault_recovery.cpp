@@ -17,72 +17,17 @@
  * timeline and the same latency table. Pass --quick for a shortened run
  * (CI smoke); both runs enforce the same pass/fail checks.
  */
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "core/cloud.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
-#include "host/load_generator.hpp"
-#include "host/ranking_server.hpp"
-#include "obs/metrics.hpp"
-#include "roles/ranking/ranking_role.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/sharded_queue.hpp"
+#include "scenario_util.hpp"
 
 using namespace ccsim;
-
-namespace {
-
-struct Sample {
-    sim::TimePs doneAt;
-    double ms;
-};
-
-double
-percentile(std::vector<double> v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(
-        std::max(0.0, p / 100.0 * static_cast<double>(v.size()) - 1.0));
-    return v[std::min(idx, v.size() - 1)];
-}
-
-struct PhaseStats {
-    std::size_t n = 0;
-    double mean = 0, p50 = 0, p99 = 0, max = 0;
-};
-
-PhaseStats
-phaseStats(const std::vector<Sample> &samples, sim::TimePs from,
-           sim::TimePs to)
-{
-    std::vector<double> v;
-    for (const auto &s : samples)
-        if (s.doneAt >= from && s.doneAt < to)
-            v.push_back(s.ms);
-    PhaseStats ps;
-    ps.n = v.size();
-    if (v.empty())
-        return ps;
-    double sum = 0;
-    for (double x : v)
-        sum += x;
-    ps.mean = sum / static_cast<double>(v.size());
-    ps.p50 = percentile(v, 50);
-    ps.p99 = percentile(v, 99);
-    ps.max = *std::max_element(v.begin(), v.end());
-    return ps;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -93,50 +38,19 @@ main(int argc, char **argv)
                 "end-to-end recovery ===%s\n\n",
                 quick ? "  [quick]" : "");
 
-    const double kQps = 2000.0;
     const double warm_s = quick ? 0.2 : 0.5;
     const double pre_s = quick ? 0.5 : 2.5;   // healthy baseline window
     const double post_s = quick ? 0.5 : 3.0;  // post-recovery window
     const sim::TimePs kDrain = sim::fromMillis(50);  // degraded tail
 
-    sim::ShardedEventQueue sq;
-    sim::EventQueue &eq = sq.partition(0);
-    obs::Observability hub;
-
-    // A small pod: 8 FPGA-equipped servers, one of which will die.
-    net::TopologyConfig topo;
-    topo.hostsPerRack = 4;
-    topo.racksPerPod = 2;
-    topo.l1PerPod = 2;
-    topo.pods = 1;
-    topo.l2Count = 1;
+    // The pod's single accelerator instance is the one that will die.
     fpga::ShellConfig shell;
     shell.ltl.maxConnections = 16;
-    const core::CloudConfig cfg = core::CloudConfig{}
-                                      .withTopology(topo)
-                                      .withShellTemplate(shell)
-                                      .withObservability(&hub);
-    core::ConfigurableCloud cloud(eq, cfg);
-    auto &rm = cloud.resourceManager();
-
-    // The frontend host is leased out of the pool so the accelerator
-    // service can never land on it.
-    auto frontend_lease = rm.acquire("ranking-frontend", 1);
-    if (!frontend_lease)
-        sim::fatal("ablation: empty pool");
-    const int client = frontend_lease->hosts.front();
-
-    // Ranking accelerator service, deployed through HaaS.
-    std::vector<std::unique_ptr<roles::RankingRole>> role_pool;
-    haas::ServiceManager sm(eq, rm, "rank", [&](int) {
-        roles::RankingRoleParams rp;
-        rp.occupancyPerDoc = 300 * sim::kNanosecond;
-        rp.fixedLatency = 40 * sim::kMicrosecond;
-        role_pool.push_back(std::make_unique<roles::RankingRole>(eq, rp));
-        return role_pool.back().get();
-    });
-    sm.attachObservability(&hub);
-    rm.subscribeFailures([&](int host, std::uint64_t) {
+    bench::RecoveryPod pod(shell);
+    sim::EventQueue &eq = pod.eq;
+    haas::ServiceManager &sm = pod.sm;
+    const int client = pod.client;
+    pod.rm.subscribeFailures([&](int host, std::uint64_t) {
         sm.handleFailure(host);  // control plane swaps in a spare
     });
     if (!sm.deploy(1))
@@ -144,83 +58,42 @@ main(int argc, char **argv)
     const int victim = sm.instances().front();
 
     roles::ForwarderRole forwarder;
-    if (cloud.shell(client).addRole(&forwarder) < 0)
+    if (pod.cloud.shell(client).addRole(&forwarder) < 0)
         sim::fatal("ablation: forwarder does not fit");
 
-    // Data-plane attachment to the current instance. Re-running this is
-    // the "re-point at the spare" step: the RAII channels close the dead
-    // connections and the new client replaces the host-rx handler. The
-    // old client goes first: its destructor clears that handler.
-    core::LtlChannel req_ch, rep_ch;  // must stay open while serving
-    std::unique_ptr<roles::RemoteRankingClient> remote;
-    auto connectTo = [&](int instance) {
-        remote.reset();
-        req_ch = cloud.openLtl(client, instance, fpga::kErPortRole0);
-        rep_ch = cloud.openLtl(instance, client, forwarder.port());
-        remote = std::make_unique<roles::RemoteRankingClient>(
-            eq, cloud.shell(client), forwarder, req_ch.sendConn(),
-            rep_ch.sendConn());
-    };
-    connectTo(victim);
+    // Data-plane attachment to the current instance; re-connecting it is
+    // the "re-point at the spare" step.
+    bench::RecoveryPod::Attachment att;
+    pod.connect(att, victim, forwarder);
 
-    host::RankingServer server(eq, host::RankingServiceParams{},
-                               remote.get(), 31);
-    server.attachObservability(&hub, "rank");
-
-    std::vector<Sample> samples;
-    host::PoissonLoadGenerator gen(
-        eq, kQps,
-        [&] {
-            server.submitQuery([&](sim::TimePs lat) {
-                samples.push_back({eq.now(), sim::toMillis(lat)});
-            });
-        },
-        37);
+    bench::RankingFrontend front(pod, att.client.get());
+    host::RankingServer &server = front.server;
 
     // ---- fault script ---------------------------------------------------
     const sim::TimePs t_warm = sim::fromSeconds(warm_s);
     const sim::TimePs t_fail = t_warm + sim::fromSeconds(pre_s);
 
-    fault::FaultInjector injector(sq, cloud,
+    fault::FaultInjector injector(pod.sq, pod.cloud,
                                   fault::FaultConfig{}.withSeed(7));
     fault::ChaosEngine chaos(
-        sq, fault::ChaosScenario{}.withPhase(
+        pod.sq, fault::ChaosScenario{}.withPhase(
                 "fpga-hard-fail", t_fail,
                 [&] { injector.failFpga(victim); }));
     chaos.start();
 
     // ---- timeline, reported from the observability registry -------------
-    struct Entry {
-        sim::TimePs at;
-        std::string text;
-    };
-    std::vector<Entry> timeline;
-    auto probe = [&](const std::string &p) {
-        return hub.registry.probeValue(p);
-    };
-    auto snap = [&](std::string text) {
-        timeline.push_back({eq.now(), std::move(text)});
-    };
-    char buf[256];
-
     // The chaos phase fails the FPGA at the barrier pinned to t_fail;
     // the run pauses there, so this observer sees the fault and the
     // synchronous HaaS failover.
     const auto snapFault = [&] {
-        std::snprintf(buf, sizeof buf,
-                      "FPGA on host %d hard-fails: fault.injected=%.0f "
-                      "fault.fpga_failures=%.0f haas.failed=%.0f",
-                      victim, probe("fault.injected"),
-                      probe("fault.fpga_failures"), probe("haas.failed"));
-        snap(buf);
-        std::snprintf(buf, sizeof buf,
-                      "HaaS control plane swaps in spare host %d: "
-                      "haas.sm.rank.failovers=%.0f "
-                      "haas.sm.rank.instances=%.0f",
-                      sm.instances().front(),
-                      probe("haas.sm.rank.failovers"),
-                      probe("haas.sm.rank.instances"));
-        snap(buf);
+        pod.note("FPGA on host %d hard-fails: fault.injected=%.0f "
+                 "fault.fpga_failures=%.0f haas.failed=%.0f",
+                 victim, pod.probe("fault.injected"),
+                 pod.probe("fault.fpga_failures"), pod.probe("haas.failed"));
+        pod.note("HaaS control plane swaps in spare host %d: "
+                 "haas.sm.rank.failovers=%.0f haas.sm.rank.instances=%.0f",
+                 sm.instances().front(), pod.probe("haas.sm.rank.failovers"),
+                 pod.probe("haas.sm.rank.instances"));
     };
 
     // Data-plane detection: the client's LTL engine exhausts retries on
@@ -229,57 +102,47 @@ main(int argc, char **argv)
     std::uint64_t rescued = 0;
     bool detected = false;
     const std::string ltl_prefix = "ltl.node" + std::to_string(client);
-    cloud.shell(client).ltlEngine()->setFailureHandler(
+    pod.cloud.shell(client).ltlEngine()->setFailureHandler(
         [&](std::uint16_t conn) {
-            if (detected || conn != req_ch.sendConn())
+            if (detected || conn != att.req.sendConn())
                 return;
             detected = true;
             t_detect = eq.now();
             server.setAccelerator(nullptr);
             rescued = server.failPendingToSoftware();
-            std::snprintf(buf, sizeof buf,
-                          "client LTL declares conn %u dead "
-                          "(%s.conn_failures=%.0f, %s.retransmits=%.0f); "
-                          "degraded to software, %llu blocked queries "
-                          "rescued",
-                          conn, ltl_prefix.c_str(),
-                          probe(ltl_prefix + ".conn_failures"),
-                          ltl_prefix.c_str(),
-                          probe(ltl_prefix + ".retransmits"),
-                          static_cast<unsigned long long>(rescued));
-            snap(buf);
+            pod.note("client LTL declares conn %u dead "
+                     "(%s.conn_failures=%.0f, %s.retransmits=%.0f); "
+                     "degraded to software, %llu blocked queries rescued",
+                     conn, ltl_prefix.c_str(),
+                     pod.probe(ltl_prefix + ".conn_failures"),
+                     ltl_prefix.c_str(),
+                     pod.probe(ltl_prefix + ".retransmits"),
+                     static_cast<unsigned long long>(rescued));
             // Service re-resolution: ask HaaS for the current instance
             // and re-point the data plane at it.
             eq.scheduleAfter(300 * sim::kMicrosecond, [&] {
                 const int spare = sm.instances().front();
-                connectTo(spare);
-                server.setAccelerator(remote.get());
+                pod.connect(att, spare, forwarder);
+                server.setAccelerator(att.client.get());
                 t_recover = eq.now();
-                std::snprintf(
-                    buf, sizeof buf,
-                    "frontend re-pointed at spare host %d; accelerated "
-                    "path restored (host.rank.sw_feature_queries=%.0f)",
-                    spare, probe("host.rank.sw_feature_queries"));
-                snap(buf);
+                pod.note("frontend re-pointed at spare host %d; accelerated "
+                         "path restored (host.rank.sw_feature_queries=%.0f)",
+                         spare, pod.probe("host.rank.sw_feature_queries"));
             });
         });
 
     // ---- run ------------------------------------------------------------
-    gen.start();
+    front.gen.start();
     const sim::TimePs t_end = t_fail + sim::fromMillis(quick ? 20 : 50) +
                               kDrain + sim::fromSeconds(post_s);
-    sq.runUntil(t_fail);
+    pod.sq.runUntil(t_fail);
     snapFault();
-    sq.runUntil(t_end);
-    gen.stop();
-    sq.runFor(sim::fromMillis(200));  // drain in-flight queries
+    pod.sq.runUntil(t_end);
+    front.gen.stop();
+    pod.sq.runFor(sim::fromMillis(200));  // drain in-flight queries
 
     // ---- report ---------------------------------------------------------
-    std::printf("timeline (all figures read live from the obs "
-                "registry):\n");
-    for (const auto &e : timeline)
-        std::printf("  [%10.1f us] %s\n", sim::toMicros(e.at),
-                    e.text.c_str());
+    pod.printTimeline();
 
     if (!detected || t_recover == 0) {
         std::printf("\nFAIL: fault was never detected/recovered\n");
@@ -287,20 +150,9 @@ main(int argc, char **argv)
     }
 
     const sim::TimePs post_from = t_recover + kDrain;
-    const PhaseStats pre = phaseStats(samples, t_warm, t_fail);
-    const PhaseStats during = phaseStats(samples, t_fail, post_from);
-    const PhaseStats post = phaseStats(samples, post_from, t_end);
-
-    std::printf("\nlatency by phase (query completion time, ms):\n");
-    std::printf("  %-22s %8s %8s %8s %8s %8s\n", "phase", "queries",
-                "mean", "p50", "p99", "max");
-    auto row = [](const char *name, const PhaseStats &s) {
-        std::printf("  %-22s %8zu %8.2f %8.2f %8.2f %8.2f\n", name, s.n,
-                    s.mean, s.p50, s.p99, s.max);
-    };
-    row("pre-fault (accel)", pre);
-    row("during (degraded)", during);
-    row("post-recovery", post);
+    const auto [pre, during, post] = front.phaseTable(
+        {t_warm, t_fail, post_from, t_end},
+        {"pre-fault (accel)", "during (degraded)", "post-recovery"});
 
     std::printf("\nrecovery summary:\n");
     std::printf("  fault -> detect:   %8.1f us (LTL retry exhaustion)\n",
@@ -310,24 +162,20 @@ main(int argc, char **argv)
     std::printf("  victim downtime:   %8.1f us and counting "
                 "(fault.node%d.downtime_us=%.1f)\n",
                 sim::toMicros(injector.downtime(victim)), victim,
-                probe("fault.node" + std::to_string(victim) +
+                pod.probe("fault.node" + std::to_string(victim) +
                       ".downtime_us"));
     std::printf("  queries rescued to software: %llu "
                 "(host.rank.sw_feature_queries=%.0f)\n",
                 static_cast<unsigned long long>(rescued),
-                probe("host.rank.sw_feature_queries"));
+                pod.probe("host.rank.sw_feature_queries"));
     std::printf("  frames on dead conn: abandoned=%.0f (sent=%.0f "
                 "acked=%.0f in_flight=%.0f)\n",
-                probe(ltl_prefix + ".frames_abandoned"),
-                probe(ltl_prefix + ".frames_sent"),
-                probe(ltl_prefix + ".frames_acked"),
-                probe(ltl_prefix + ".frames_in_flight"));
+                pod.probe(ltl_prefix + ".frames_abandoned"),
+                pod.probe(ltl_prefix + ".frames_sent"),
+                pod.probe(ltl_prefix + ".frames_acked"),
+                pod.probe(ltl_prefix + ".frames_in_flight"));
 
-    const double delta =
-        pre.p99 > 0 ? (post.p99 - pre.p99) / pre.p99 * 100.0 : 0.0;
-    std::printf("\npost-recovery p99 vs pre-fault baseline: %+.1f%% "
-                "(%.2f ms -> %.2f ms)\n",
-                delta, pre.p99, post.p99);
+    const double delta = bench::printP99Delta("post-recovery", pre, post);
 
     // The degraded window is short (~1.3 ms: detection + re-resolve),
     // so its p99 barely moves — the software-path excursion shows up in
@@ -339,7 +187,7 @@ main(int argc, char **argv)
         ok = false;
     }
     if (rescued + static_cast<std::uint64_t>(
-                      probe("host.rank.sw_feature_queries")) == 0) {
+                      pod.probe("host.rank.sw_feature_queries")) == 0) {
         std::printf("FAIL: no query ever took the software path\n");
         ok = false;
     }

@@ -33,78 +33,19 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/cloud.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "haas/health_monitor.hpp"
-#include "host/load_generator.hpp"
-#include "host/ranking_server.hpp"
 #include "obs/flow_trace.hpp"
-#include "obs/metrics.hpp"
-#include "roles/ranking/ranking_role.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/sharded_queue.hpp"
+#include "scenario_util.hpp"
 
 using namespace ccsim;
-
-namespace {
-
-struct Sample {
-    sim::TimePs doneAt;
-    double ms;
-};
-
-double
-percentile(std::vector<double> v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(
-        std::max(0.0, p / 100.0 * static_cast<double>(v.size()) - 1.0));
-    return v[std::min(idx, v.size() - 1)];
-}
-
-struct PhaseStats {
-    std::size_t n = 0;
-    double mean = 0, p50 = 0, p99 = 0, max = 0;
-};
-
-PhaseStats
-phaseStats(const std::vector<Sample> &samples, sim::TimePs from,
-           sim::TimePs to)
-{
-    std::vector<double> v;
-    for (const auto &s : samples)
-        if (s.doneAt >= from && s.doneAt < to)
-            v.push_back(s.ms);
-    PhaseStats ps;
-    ps.n = v.size();
-    if (v.empty())
-        return ps;
-    double sum = 0;
-    for (double x : v)
-        sum += x;
-    ps.mean = sum / static_cast<double>(v.size());
-    ps.p50 = percentile(v, 50);
-    ps.p99 = percentile(v, 99);
-    ps.max = *std::max_element(v.begin(), v.end());
-    return ps;
-}
-
-/** One frontend data-plane attachment to a service instance. */
-struct Attachment {
-    core::LtlChannel req, rep;
-    std::unique_ptr<roles::RemoteRankingClient> client;
-    int fwd = -1;  ///< forwarder-pool slot
-};
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -115,52 +56,23 @@ main(int argc, char **argv)
                 "detection & recovery protocol ===%s\n\n",
                 quick ? "  [quick]" : "");
 
-    const double kQps = 2000.0;
     const double warm_s = quick ? 0.2 : 0.5;
     const double pre_s = quick ? 0.3 : 2.0;   // healthy baseline window
     const double post_s = quick ? 0.4 : 2.5;  // post-repair window
     const sim::TimePs kDark = sim::fromMillis(25);  // outage windows
     const sim::TimePs kFlap = 600 * sim::kMicrosecond;
 
-    sim::ShardedEventQueue sq;
-    sim::EventQueue &eq = sq.partition(0);
-    obs::Observability hub;
-
-    // A small pod: 8 FPGA-equipped servers.
-    net::TopologyConfig topo;
-    topo.hostsPerRack = 4;
-    topo.racksPerPod = 2;
-    topo.l1PerPod = 2;
-    topo.pods = 1;
-    topo.l2Count = 1;
+    // Ranking accelerator service: two instances, self-healing; flow
+    // tracing samples one flow in 64.
     fpga::ShellConfig shell;
     shell.ltl.maxConnections = 32;
     shell.roleSlots = 4;  // the frontend hosts a forwarder pool
-    const core::CloudConfig cfg = core::CloudConfig{}
-                                      .withTopology(topo)
-                                      .withShellTemplate(shell)
-                                      .withObservability(&hub)
-                                      .withFlowTracing(64);
-    core::ConfigurableCloud cloud(eq, cfg);
-    auto &rm = cloud.resourceManager();
-
-    // The frontend host is leased out of the pool so the accelerator
-    // service can never land on it.
-    auto frontend_lease = rm.acquire("ranking-frontend", 1);
-    if (!frontend_lease)
-        sim::fatal("ablation: empty pool");
-    const int client = frontend_lease->hosts.front();
-
-    // Ranking accelerator service: two instances, self-healing.
-    std::vector<std::unique_ptr<roles::RankingRole>> role_pool;
-    haas::ServiceManager sm(eq, rm, "rank", [&](int) {
-        roles::RankingRoleParams rp;
-        rp.occupancyPerDoc = 300 * sim::kNanosecond;
-        rp.fixedLatency = 40 * sim::kMicrosecond;
-        role_pool.push_back(std::make_unique<roles::RankingRole>(eq, rp));
-        return role_pool.back().get();
-    });
-    sm.attachObservability(&hub);
+    bench::RecoveryPod pod(shell, 64);
+    sim::EventQueue &eq = pod.eq;
+    sim::ShardedEventQueue &sq = pod.sq;
+    core::ConfigurableCloud &cloud = pod.cloud;
+    haas::ServiceManager &sm = pod.sm;
+    const int client = pod.client;
     sm.enableAutoHeal(2);
     if (!sm.deploy(2))
         sim::fatal("ablation: deploy failed");
@@ -169,11 +81,11 @@ main(int argc, char **argv)
 
     // The failure detector: active heartbeats + passive LTL suspicion.
     haas::HealthMonitor hm(
-        eq, rm,
+        eq, pod.rm,
         haas::HealthMonitorConfig{}
             .withHeartbeat(100 * sim::kMicrosecond, 10 * sim::kMicrosecond)
             .withSuspicion(3.0, 1.0, 1.0));
-    hm.attachObservability(&hub);
+    hm.attachObservability(&pod.hub);
     cloud.attachHealthMonitor(hm);
     hm.startSharded(sq);
 
@@ -187,9 +99,8 @@ main(int argc, char **argv)
             sim::fatal("ablation: forwarder does not fit");
     }
 
-    host::RankingServer server(eq, host::RankingServiceParams{}, nullptr,
-                               31);
-    server.attachObservability(&hub, "rank");
+    bench::RankingFrontend front(pod, nullptr);
+    host::RankingServer &server = front.server;
     // The deadline sits above the healthy end-to-end accel tail (~2.6 ms
     // completion p99) so it only expires during real outages; the hedge
     // delay adapts to the observed accel-stage p99.
@@ -200,7 +111,7 @@ main(int argc, char **argv)
             .withHedge()  // adaptive delay
             .withHedgeQuantile(99.0, 500 * sim::kMicrosecond));
 
-    std::map<int, Attachment> attached;
+    std::map<int, bench::RecoveryPod::Attachment> attached;
     auto reconcile = [&] {
         const auto insts = sm.instances();
         // Detach instances the control plane has replaced (the RAII
@@ -224,12 +135,8 @@ main(int argc, char **argv)
                     f = f < 0 ? i : f;
             if (f < 0)
                 break;
-            Attachment a;
-            a.req = cloud.openLtl(client, inst, fpga::kErPortRole0);
-            a.rep = cloud.openLtl(inst, client, fwds[f]->port());
-            a.client = std::make_unique<roles::RemoteRankingClient>(
-                eq, cloud.shell(client), *fwds[f], a.req.sendConn(),
-                a.rep.sendConn());
+            bench::RecoveryPod::Attachment a;
+            pod.connect(a, inst, *fwds[f]);
             a.fwd = f;
             fwdBusy[f] = true;
             attached.emplace(inst, std::move(a));
@@ -262,19 +169,6 @@ main(int argc, char **argv)
         eq.scheduleAfter(500 * sim::kMicrosecond, [&] { reconcileLoop(); });
     };
     eq.scheduleAfter(500 * sim::kMicrosecond, [&] { reconcileLoop(); });
-
-    // ---- load ----------------------------------------------------------
-    std::vector<Sample> samples;
-    std::uint64_t submitted = 0;
-    host::PoissonLoadGenerator gen(
-        eq, kQps,
-        [&] {
-            ++submitted;
-            server.submitQuery([&](sim::TimePs lat) {
-                samples.push_back({eq.now(), sim::toMillis(lat)});
-            });
-        },
-        37);
 
     // ---- chaos script (hardware-only: selfReport off) ------------------
     const sim::TimePs t_warm = sim::fromSeconds(warm_s);
@@ -330,7 +224,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < darkFaults.size(); ++i) {
             if (detectedAt[i] >= 0 || e < darkFaults[i].at)
                 continue;
-            const haas::FpgaManager *fm = rm.manager(darkFaults[i].host);
+            const haas::FpgaManager *fm = pod.rm.manager(darkFaults[i].host);
             if (fm != nullptr && !fm->status().healthy)
                 detectedAt[i] = e;
         }
@@ -338,26 +232,14 @@ main(int argc, char **argv)
     });
 
     // ---- timeline, reported from the observability registry ------------
-    struct Entry {
-        sim::TimePs at;
-        std::string text;
-    };
-    std::vector<Entry> timeline;
-    auto probe = [&](const std::string &p) {
-        return hub.registry.probeValue(p);
-    };
-    char buf[256];
     auto snap = [&](const char *text) {
-        std::snprintf(buf, sizeof buf,
-                      "%s: haas.health.detections=%.0f "
-                      "haas.health.suspected=%.0f haas.failed=%.0f "
-                      "haas.sm.rank.failovers=%.0f "
-                      "haas.sm.rank.auto_heals=%.0f",
-                      text, probe("haas.health.detections"),
-                      probe("haas.health.suspected"), probe("haas.failed"),
-                      probe("haas.sm.rank.failovers"),
-                      probe("haas.sm.rank.auto_heals"));
-        timeline.push_back({eq.now(), buf});
+        pod.note("%s: haas.health.detections=%.0f haas.health.suspected=%.0f "
+                 "haas.failed=%.0f haas.sm.rank.failovers=%.0f "
+                 "haas.sm.rank.auto_heals=%.0f",
+                 text, pod.probe("haas.health.detections"),
+                 pod.probe("haas.health.suspected"), pod.probe("haas.failed"),
+                 pod.probe("haas.sm.rank.failovers"),
+                 pod.probe("haas.sm.rank.auto_heals"));
     };
     eq.schedule(t_g, [&] { snap("graceful reconfig begins (quiesce)"); });
     eq.schedule(t_g + kDark + kBound * 2,
@@ -368,45 +250,41 @@ main(int argc, char **argv)
     eq.schedule(t_f + kFlap + kBound * 2, [&] { snap("flap over"); });
 
     // ---- run -----------------------------------------------------------
-    gen.start();
+    front.gen.start();
     const sim::TimePs t_end = t_f + kFlap + sim::fromMillis(20) +
                               sim::fromSeconds(post_s);
     sq.runUntil(t_end);
-    gen.stop();
+    front.gen.stop();
     sq.runFor(sim::fromMillis(300));  // drain in-flight queries
     reconciling = false;
     hm.stop();
     sq.runFor(sim::fromMillis(1));  // let the last loop events expire
 
     // ---- report --------------------------------------------------------
-    std::printf("timeline (all figures read live from the obs "
-                "registry):\n");
-    for (const auto &e : timeline)
-        std::printf("  [%10.1f us] %s\n", sim::toMicros(e.at),
-                    e.text.c_str());
+    pod.printTimeline();
 
     std::printf("\ndetector: heartbeats=%.0f misses=%.0f detections=%.0f "
                 "rejoins=%.0f streak_reports=%.0f (bound %.0f us)\n",
-                probe("haas.health.heartbeats"),
-                probe("haas.health.misses"),
-                probe("haas.health.detections"),
-                probe("haas.health.rejoins"),
-                probe("haas.health.streak_reports"),
+                pod.probe("haas.health.heartbeats"),
+                pod.probe("haas.health.misses"),
+                pod.probe("haas.health.detections"),
+                pod.probe("haas.health.rejoins"),
+                pod.probe("haas.health.streak_reports"),
                 sim::toMicros(kBound));
     std::printf("frontend: deadline_expired=%.0f retries=%.0f hedges=%.0f "
                 "hedge_wins=%.0f sw_fallbacks=%.0f hedge_delay=%.0f us\n",
-                probe("host.rank.retry.deadline_expired"),
-                probe("host.rank.retry.attempts"),
-                probe("host.rank.retry.hedges"),
-                probe("host.rank.retry.hedge_wins"),
-                probe("host.rank.retry.sw_fallbacks"),
-                probe("host.rank.retry.hedge_delay_us"));
+                pod.probe("host.rank.retry.deadline_expired"),
+                pod.probe("host.rank.retry.attempts"),
+                pod.probe("host.rank.retry.hedges"),
+                pod.probe("host.rank.retry.hedge_wins"),
+                pod.probe("host.rank.retry.sw_fallbacks"),
+                pod.probe("host.rank.retry.hedge_delay_us"));
     const std::string v0ltl = "ltl.node" + std::to_string(v0);
     std::printf("victim LTL (node %d): quiesces=%.0f sends_rejected=%.0f "
                 "rejects_sent=%.0f\n",
-                v0, probe(v0ltl + ".quiesces"),
-                probe(v0ltl + ".sends_rejected"),
-                probe(v0ltl + ".rejects_sent"));
+                v0, pod.probe(v0ltl + ".quiesces"),
+                pod.probe(v0ltl + ".sends_rejected"),
+                pod.probe(v0ltl + ".rejects_sent"));
 
     bool ok = true;
 
@@ -434,16 +312,16 @@ main(int argc, char **argv)
         std::printf("detection within bound: OK\n");
 
     // 2. Zero lost queries.
-    const std::uint64_t done = samples.size();
+    const std::uint64_t done = front.samples.size();
     std::printf("\nqueries: submitted=%llu completed=%llu in_flight=%llu "
                 "(host.rank.completed=%.0f)\n",
-                static_cast<unsigned long long>(submitted),
+                static_cast<unsigned long long>(front.submitted),
                 static_cast<unsigned long long>(done),
                 static_cast<unsigned long long>(server.inFlight()),
-                probe("host.rank.completed"));
-    if (done != submitted || server.inFlight() != 0) {
+                pod.probe("host.rank.completed"));
+    if (done != front.submitted || server.inFlight() != 0) {
         std::printf("FAIL: lost queries: %lld\n",
-                    static_cast<long long>(submitted - done));
+                    static_cast<long long>(front.submitted - done));
         ok = false;
     } else {
         std::printf("lost queries: 0\n");
@@ -451,7 +329,7 @@ main(int argc, char **argv)
 
     // 3. Attribution invariant on every kept exemplar.
     std::uint64_t checked = 0;
-    for (const obs::FlowTrace *t : hub.flows.worstFirst()) {
+    for (const obs::FlowTrace *t : pod.hub.flows.worstFirst()) {
         const obs::LatencyAttribution a = obs::attributeLatency(*t);
         if (!a.consistent()) {
             std::printf("FAIL: attribution invariant violated for trace "
@@ -467,25 +345,10 @@ main(int argc, char **argv)
 
     // 4. Latency by phase; post-repair p99 near baseline.
     const sim::TimePs post_from = t_f + kFlap + sim::fromMillis(20);
-    const PhaseStats pre = phaseStats(samples, t_warm, t_g);
-    const PhaseStats during = phaseStats(samples, t_g, post_from);
-    const PhaseStats post = phaseStats(samples, post_from, t_end);
-    std::printf("\nlatency by phase (query completion time, ms):\n");
-    std::printf("  %-22s %8s %8s %8s %8s %8s\n", "phase", "queries",
-                "mean", "p50", "p99", "max");
-    auto row = [](const char *name, const PhaseStats &s) {
-        std::printf("  %-22s %8zu %8.2f %8.2f %8.2f %8.2f\n", name, s.n,
-                    s.mean, s.p50, s.p99, s.max);
-    };
-    row("pre-fault (accel)", pre);
-    row("during chaos", during);
-    row("post-repair", post);
-
-    const double delta =
-        pre.p99 > 0 ? (post.p99 - pre.p99) / pre.p99 * 100.0 : 0.0;
-    std::printf("\npost-repair p99 vs pre-fault baseline: %+.1f%% "
-                "(%.2f ms -> %.2f ms)\n",
-                delta, pre.p99, post.p99);
+    const auto [pre, during, post] = front.phaseTable(
+        {t_warm, t_g, post_from, t_end},
+        {"pre-fault (accel)", "during chaos", "post-repair"});
+    const double delta = bench::printP99Delta("post-repair", pre, post);
     if (!quick && std::abs(delta) > 5.0) {
         std::printf("FAIL: post-repair p99 outside 5%% of baseline\n");
         ok = false;

@@ -65,6 +65,7 @@
 #include "obs/sharded_obs.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
+#include "scenario_util.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
@@ -84,21 +85,31 @@ wallSeconds(std::chrono::steady_clock::time_point since)
         .count();
 }
 
-/** Assert + report the peak-RSS budget (shared by both fabrics). */
-long
-checkRssBudget()
+/**
+ * Record a finished run's wall time since @p t0, event rate and peak RSS
+ * as <prefix>wall_s/events_per_s/rss_peak_mb, asserting and reporting
+ * the RSS budget. Returns {wall_s, events/s}.
+ */
+std::pair<double, double>
+recordRunCost(bench::BenchValues &out, const std::string &prefix,
+              std::chrono::steady_clock::time_point t0, std::uint64_t events)
 {
+    const double wall_s = wallSeconds(t0);
+    const double evps = wall_s > 0 ? static_cast<double>(events) / wall_s : 0;
+    out[prefix + "events_per_s"] = evps;
+    out[prefix + "wall_s"] = wall_s;
     const long rss_kb = bench::peakRssKb();
     if (rss_kb < 0) {
         std::printf("rss budget: SKIP (platform does not expose VmHWM)\n");
-        return rss_kb;
+        return {wall_s, evps};
     }
     if (rss_kb > kRssBudgetKb)
         sim::fatalf("fig07: peak RSS ", rss_kb / 1024, " MB exceeds the ",
                     kRssBudgetKb / 1024, " MB budget");
     std::printf("rss budget: OK (%ld MB <= %ld MB)\n", rss_kb / 1024,
                 kRssBudgetKb / 1024);
-    return rss_kb;
+    out[prefix + "rss_peak_mb"] = static_cast<double>(rss_kb) / 1024.0;
+    return {wall_s, evps};
 }
 
 // ---------------------------------------------------------------------------
@@ -243,17 +254,11 @@ runRackStudy(bool quick)
                 "absorbs\n> 2x the load with much lower, tighter-bound "
                 "tail latencies.\n\n");
 
-    const double wall_s = wallSeconds(t0);
-    const long rss_kb = checkRssBudget();
     const std::string prefix = quick ? "fig07_quick." : "fig07.";
     bench::BenchValues out;
+    recordRunCost(out, prefix, t0, eq.eventsExecuted());
     out[prefix + "windows"] = static_cast<double>(trace.size());
     out[prefix + "events"] = static_cast<double>(eq.eventsExecuted());
-    out[prefix + "events_per_s"] =
-        wall_s > 0 ? static_cast<double>(eq.eventsExecuted()) / wall_s : 0;
-    out[prefix + "wall_s"] = wall_s;
-    if (rss_kb >= 0)
-        out[prefix + "rss_peak_mb"] = static_cast<double>(rss_kb) / 1024.0;
     out[prefix + "sw_avg_load"] = sw_load_sum / n;
     out[prefix + "fpga_avg_load"] = fpga_load_sum / n;
     bench::mergeBenchJson(kBenchFile, out);
@@ -266,14 +271,7 @@ runRackStudy(bool quick)
 // --fabric l2: the paper-scale 250k-host campaign
 // ---------------------------------------------------------------------------
 
-/** A no-op role so LTL deliveries have a destination. */
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
+using bench::NullRole;
 
 /** Deterministic 64-bit mix (same construction as the fluid ECMP hash). */
 std::uint64_t
@@ -293,6 +291,166 @@ struct ProbePair {
     core::LtlChannel channel;
 };
 
+/** The L2 fabric both campaigns run on: 24 x 40 x 260 = 249,600 hosts. */
+struct L2Fabric {
+    int pods = 260;
+    int racksPerPod = 40;
+    int hostsPerRack = 24;
+    int l2Count = 4;
+
+    int hosts() const { return pods * racksPerPod * hostsPerRack; }
+};
+
+/**
+ * The L2 fabric's kernel, observability and flyweight pure-LTL cloud,
+ * plus the live telemetry (opt-in via CCSIM_TS=<path>; feed it to
+ * tools/ccsim_report): 250 us windows rolled on barrier deadlines, so
+ * the JSONL stream and the alert timeline are byte-identical across
+ * --shards values, and a fleet RTT SLO on the paper's headline health
+ * signal. Without --shards the cloud is a single-queue build driven by
+ * a one-partition kernel.
+ */
+struct L2Fleet {
+    const std::string tsPath = obs::TimeSeriesHub::envPath();
+    std::unique_ptr<obs::TimeSeriesHub> tsHub;
+    std::unique_ptr<obs::SloEngine> slo;
+    std::ofstream tsOut;
+    std::unique_ptr<sim::ShardedEventQueue> sq;
+    std::unique_ptr<obs::Observability> hub;
+    std::unique_ptr<obs::ShardedObservability> shardHubs;
+    std::unique_ptr<core::ConfigurableCloud> cloud;
+
+    /** @p what names the campaign in fatal messages. */
+    L2Fleet(const L2Fabric &f, int shard_threads,
+            std::vector<std::string> ts_include, const char *what)
+    {
+        core::CloudConfig cfg;
+        cfg.topology.hostsPerRack = f.hostsPerRack;
+        cfg.topology.racksPerPod = f.racksPerPod;
+        cfg.topology.l1PerPod = 2;
+        cfg.topology.pods = f.pods;
+        cfg.topology.l2Count = f.l2Count;
+        cfg.createNics = false;
+        cfg.lazyHosts = true;
+        cfg.shellTemplate.ltl.maxConnections = 64;
+        // A shell can be probe destination and promoted-flow sink at once.
+        cfg.shellTemplate.roleSlots = 8;
+        if (!tsPath.empty()) {
+            tsHub = std::make_unique<obs::TimeSeriesHub>(
+                obs::TimeSeriesConfig{}
+                    .withWindow(250 * sim::kMicrosecond)
+                    .withInclude(std::move(ts_include)));
+            tsHub->defineAggregate("fleet.rtt_us", "ltl.*.rtt_us");
+            tsHub->defineAggregate("fleet.retransmits",
+                                   "ltl.*.retransmits");
+            tsOut.open(tsPath);
+            if (!tsOut)
+                sim::fatalf(what, ": cannot write CCSIM_TS path ", tsPath);
+            tsHub->exportTo(&tsOut);
+            cfg.timeSeries = tsHub.get();
+        }
+        if (shard_threads > 0) {
+            cfg.shards = shard_threads;
+            shardHubs =
+                std::make_unique<obs::ShardedObservability>(f.pods + 1);
+            cfg.shardObs = shardHubs.get();
+            sq = std::make_unique<sim::ShardedEventQueue>(
+                core::ConfigurableCloud::shardPlan(cfg));
+            cloud = std::make_unique<core::ConfigurableCloud>(*sq, cfg);
+        } else {
+            hub = std::make_unique<obs::Observability>();
+            cfg.obs = hub.get();
+            sq = std::make_unique<sim::ShardedEventQueue>();
+            cloud = std::make_unique<core::ConfigurableCloud>(
+                sq->partition(0), cfg);
+        }
+        if (!tsHub)
+            return;
+        tsHub->startSampling(*sq);
+        slo = std::make_unique<obs::SloEngine>(*tsHub);
+        addSlo("fleet_rtt_p99", "fleet.rtt_us", obs::SloStat::kP99, 100.0);
+        slo->attachObservability(ctlHub().registry);
+    }
+
+    /** A fleet objective: @p stat of @p series stays below @p limit. */
+    void addSlo(const char *name, const char *series, obs::SloStat stat,
+                double limit)
+    {
+        obs::SloObjective obj;
+        obj.name = name;
+        slo->addObjective(obj.on(series)
+                              .where(stat, obs::SloCmp::kLt, limit)
+                              .withBudget(0.10)
+                              .withWindows(40, 5)
+                              .withBurnThreshold(2.0));
+    }
+
+    /** The control plane's hub: the spine partition's when sharded. */
+    obs::Observability &ctlHub()
+    {
+        return shardHubs ? shardHubs->shard(0) : *hub;
+    }
+
+    /** Open a probe pair from @p src to a NullRole on @p dst. */
+    ProbePair openProbe(int src, int dst, const char *what)
+    {
+        ProbePair pr{src, dst, std::make_unique<NullRole>(), {}};
+        if (cloud->shell(dst).addRole(pr.role.get()) < 0)
+            sim::fatalf(what, ": no role slot on probe destination");
+        pr.channel = cloud->openLtl(src, dst, pr.role->port);
+        return pr;
+    }
+
+    /** Schedule @p pings 64 B pings per pair at an idle 20 us spacing. */
+    void schedulePings(const std::vector<ProbePair> &probes, int pings)
+    {
+        for (const auto &pr : probes) {
+            auto *engine = cloud->shell(pr.src).ltlEngine();
+            auto &q = cloud->queueFor(pr.src);
+            for (int i = 0; i < pings; ++i)
+                q.scheduleAfter(i * 20 * sim::kMicrosecond,
+                                [engine, conn = pr.channel.sendConn()] {
+                                    engine->sendMessage(conn, 64);
+                                });
+        }
+    }
+
+    /** The probe pairs' round trips, merged from each source's engine. */
+    sim::LogHistogram probeRtts(const std::vector<ProbePair> &probes)
+    {
+        sim::LogHistogram rtt(obs::kDefaultHistMinValue,
+                              obs::kDefaultHistBinsPerOctave);
+        for (const auto &pr : probes) {
+            obs::Observability &h =
+                shardHubs ? shardHubs->shard(cloud->partitionOf(pr.src))
+                          : *hub;
+            rtt.merge(h.registry.histogram(
+                "ltl.node" + std::to_string(pr.src) + ".rtt_us"));
+        }
+        return rtt;
+    }
+};
+
+/** Add @p n seeded background flows at @p bps; returns their ids. */
+std::vector<std::uint64_t>
+addSeededFlows(net::FluidTrafficModel &fluid, int hosts, int n,
+               std::uint64_t bps)
+{
+    std::vector<std::uint64_t> ids;
+    ids.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        const auto u = static_cast<std::uint64_t>(i);
+        const int src = static_cast<int>(mix64(u * 2 + 1) %
+                                         static_cast<std::uint64_t>(hosts));
+        int dst = static_cast<int>(mix64(u * 2 + 2) %
+                                   static_cast<std::uint64_t>(hosts));
+        if (dst == src)
+            dst = (dst + 1) % hosts;
+        ids.push_back(fluid.addFlow(src, dst, bps));
+    }
+    return ids;
+}
+
 /** One background flow promoted to packet fidelity for a window. */
 struct PromotedFlow {
     std::uint64_t id = 0;
@@ -302,11 +460,7 @@ struct PromotedFlow {
     std::uint64_t bytesSent = 0;
 };
 
-struct L2Params {
-    int pods = 260;         // 24 x 40 x 260 = 249,600 hosts
-    int racksPerPod = 40;
-    int hostsPerRack = 24;
-    int l2Count = 4;
+struct L2Params : L2Fabric {
     int windows = 24;
     sim::TimePs windowLen = 5 * sim::kMillisecond;
     int pairs = 48;         // cross-pod probe pairs
@@ -330,7 +484,7 @@ runL2Campaign(bool quick, int shard_threads)
         p.flows = 5000;
         p.promotePerWindow = 8;
     }
-    const int hosts = p.pods * p.racksPerPod * p.hostsPerRack;
+    const int hosts = p.hosts();
     std::printf("=== Figure 7 (L2 campaign): %d-host flyweight fabric, "
                 "hybrid fluid/packet background ===\n\n", hosts);
     std::printf("  %d pods x %d racks x %d hosts, %d probe pairs, %d fluid "
@@ -340,119 +494,30 @@ runL2Campaign(bool quick, int shard_threads)
                 shard_threads > 0 ? "sharded" : "single-queue");
     const auto t0 = std::chrono::steady_clock::now();
 
-    core::CloudConfig cfg;
-    cfg.topology.hostsPerRack = p.hostsPerRack;
-    cfg.topology.racksPerPod = p.racksPerPod;
-    cfg.topology.l1PerPod = 2;
-    cfg.topology.pods = p.pods;
-    cfg.topology.l2Count = p.l2Count;
-    cfg.createNics = false;  // pure-LTL study: no host NICs
-    cfg.lazyHosts = true;
-    cfg.shellTemplate.ltl.maxConnections = 64;
-    // A shell can be probe destination and promoted-flow sink at once.
-    cfg.shellTemplate.roleSlots = 8;
-
-    // --- live telemetry (opt-in via CCSIM_TS=<path>): the hub rolls
-    // every watched metric into 250 us windows on barrier deadlines, so
-    // the JSONL stream and the alert timeline are byte-identical across
-    // --shards values. Feed the stream to tools/ccsim_report.
-    const std::string tsPath = obs::TimeSeriesHub::envPath();
-    std::unique_ptr<obs::TimeSeriesHub> tsHub;
-    std::unique_ptr<obs::SloEngine> slo;
-    std::ofstream tsOut;
-    if (!tsPath.empty()) {
-        tsHub = std::make_unique<obs::TimeSeriesHub>(
-            obs::TimeSeriesConfig{}
-                .withWindow(250 * sim::kMicrosecond)
-                .withInclude(
-                    {"ltl.*", "sim.*", "haas.*", "ts.*", "slo.*"}));
-        tsHub->defineAggregate("fleet.rtt_us", "ltl.*.rtt_us");
-        tsHub->defineAggregate("fleet.retransmits", "ltl.*.retransmits");
-        tsOut.open(tsPath);
-        if (!tsOut)
-            sim::fatalf("fig07: cannot write CCSIM_TS path ", tsPath);
-        tsHub->exportTo(&tsOut);
-        cfg.timeSeries = tsHub.get();
-    }
-
-    // Without --shards the cloud is a single-queue build driven by a
-    // one-partition kernel; the campaign is byte-identical across
-    // thread counts.
-    std::unique_ptr<sim::ShardedEventQueue> sq;
-    std::unique_ptr<obs::Observability> hub;
-    std::unique_ptr<obs::ShardedObservability> shardHubs;
-    std::unique_ptr<core::ConfigurableCloud> cloud;
-    if (shard_threads > 0) {
-        cfg.shards = shard_threads;
-        shardHubs =
-            std::make_unique<obs::ShardedObservability>(p.pods + 1);
-        cfg.shardObs = shardHubs.get();
-        sq = std::make_unique<sim::ShardedEventQueue>(
-            core::ConfigurableCloud::shardPlan(cfg));
-        cloud = std::make_unique<core::ConfigurableCloud>(*sq, cfg);
-    } else {
-        hub = std::make_unique<obs::Observability>();
-        cfg.obs = hub.get();
-        sq = std::make_unique<sim::ShardedEventQueue>();
-        cloud = std::make_unique<core::ConfigurableCloud>(sq->partition(0),
-                                                          cfg);
-    }
-    if (tsHub)
-        tsHub->startSampling(*sq);
+    L2Fleet fleet(p, shard_threads,
+                  {"ltl.*", "sim.*", "haas.*", "ts.*", "slo.*"}, "fig07");
+    std::unique_ptr<sim::ShardedEventQueue> &sq = fleet.sq;
+    std::unique_ptr<core::ConfigurableCloud> &cloud = fleet.cloud;
     net::Topology &topo = cloud->topology();
-
-    if (tsHub) {
-        // Fleet SLOs over the aggregate series. The RTT objective is the
-        // paper's headline health signal; the retransmit objective only
-        // burns budget during a storm (e.g. an injected link fault).
-        slo = std::make_unique<obs::SloEngine>(*tsHub);
-        obs::SloObjective rttObj;
-        rttObj.name = "fleet_rtt_p99";
-        slo->addObjective(
-            rttObj.on("fleet.rtt_us")
-                .where(obs::SloStat::kP99, obs::SloCmp::kLt, 100.0)
-                .withBudget(0.10)
-                .withWindows(40, 5)
-                .withBurnThreshold(2.0));
-        obs::SloObjective rtxObj;
-        rtxObj.name = "fleet_retransmits";
-        slo->addObjective(
-            rtxObj.on("fleet.retransmits")
-                .where(obs::SloStat::kDelta, obs::SloCmp::kLt, 200.0)
-                .withBudget(0.10)
-                .withWindows(40, 5)
-                .withBurnThreshold(2.0));
-        slo->attachObservability(shardHubs ? shardHubs->shard(0).registry
-                                           : hub->registry);
-    }
+    if (fleet.slo)  // burns budget only in a storm (e.g. a link fault)
+        fleet.addSlo("fleet_retransmits", "fleet.retransmits",
+                     obs::SloStat::kDelta, 200.0);
 
     const double build_s = wallSeconds(t0);
     std::printf("build: %.2f s, %d/%d servers materialized\n", build_s,
                 cloud->materializedServers(), cloud->numServers());
 
-    const auto histFor = [&](int src) -> sim::LogHistogram & {
-        obs::Observability &h =
-            shardHubs ? shardHubs->shard(cloud->partitionOf(src)) : *hub;
-        return h.registry.histogram("ltl.node" + std::to_string(src) +
-                                    ".rtt_us");
-    };
-
     // --- cross-pod probe pairs (distinct pods, so src engines are
     // distinct and each rtt histogram belongs to exactly one pair) ---
     std::vector<ProbePair> probes;
     for (int k = 0; k < p.pairs; ++k) {
-        ProbePair pr;
         const int src_pod = (4 * k + 1) % p.pods;
         const int dst_pod = (4 * k + 3) % p.pods;
-        pr.src = topo.hostIndex(src_pod, k % p.racksPerPod,
-                                k % p.hostsPerRack);
-        pr.dst = topo.hostIndex(dst_pod, (3 * k + 1) % p.racksPerPod,
-                                (5 * k + 2) % p.hostsPerRack);
-        pr.role = std::make_unique<NullRole>();
-        if (cloud->shell(pr.dst).addRole(pr.role.get()) < 0)
-            sim::fatal("fig07 l2: no role slot on probe destination");
-        pr.channel = cloud->openLtl(pr.src, pr.dst, pr.role->port);
-        probes.push_back(std::move(pr));
+        probes.push_back(fleet.openProbe(
+            topo.hostIndex(src_pod, k % p.racksPerPod, k % p.hostsPerRack),
+            topo.hostIndex(dst_pod, (3 * k + 1) % p.racksPerPod,
+                           (5 * k + 2) % p.hostsPerRack),
+            "fig07 l2"));
     }
 
     // --- hybrid fluid/packet background ---
@@ -462,19 +527,8 @@ runL2Campaign(bool quick, int shard_threads)
     for (const auto &pr : probes)
         for (net::Channel *c : topo.fluidPath(pr.src, pr.dst))
             fluid->setMonitored(c, true);
-
-    std::vector<std::uint64_t> flowIds;
-    flowIds.reserve(static_cast<std::size_t>(p.flows));
-    for (int i = 0; i < p.flows; ++i) {
-        const auto u = static_cast<std::uint64_t>(i);
-        const int src = static_cast<int>(mix64(u * 2 + 1) %
-                                         static_cast<std::uint64_t>(hosts));
-        int dst = static_cast<int>(mix64(u * 2 + 2) %
-                                   static_cast<std::uint64_t>(hosts));
-        if (dst == src)
-            dst = (dst + 1) % hosts;
-        flowIds.push_back(fluid->addFlow(src, dst, p.baseFlowBps));
-    }
+    const std::vector<std::uint64_t> flowIds =
+        addSeededFlows(*fluid, hosts, p.flows, p.baseFlowBps);
 
     host::DiurnalTraceParams tp;
     tp.days = 1;
@@ -495,8 +549,6 @@ runL2Campaign(bool quick, int shard_threads)
     };
 
     // --- the campaign ---
-    sim::LogHistogram rtt(obs::kDefaultHistMinValue,
-                          obs::kDefaultHistBinsPerOctave);
     haas::ResourceManager &rm = cloud->resourceManager();
     std::uint64_t leaseChurn = 0, promotedTotal = 0;
     std::printf("\n  %6s %8s %10s %10s %10s\n", "window", "load",
@@ -529,16 +581,7 @@ runL2Campaign(bool quick, int shard_threads)
 
         // (3) schedule this window's traffic: probe pings at an idle
         // 20 us spacing, promoted flows as 1 KiB messages at their rate.
-        for (auto &pr : probes) {
-            auto *engine = cloud->shell(pr.src).ltlEngine();
-            auto &q = cloud->queueFor(pr.src);
-            for (int i = 0; i < p.pingsPerWindow; ++i) {
-                q.scheduleAfter(i * 20 * sim::kMicrosecond,
-                                [engine, conn = pr.channel.sendConn()] {
-                                    engine->sendMessage(conn, 64);
-                                });
-            }
-        }
+        fleet.schedulePings(probes, p.pingsPerWindow);
         for (auto &pf : promoted) {
             const net::FluidFlow *f = fluid->flow(pf.id);
             const std::uint64_t rate = flowRate(pf.id, w);
@@ -593,8 +636,7 @@ runL2Campaign(bool quick, int shard_threads)
 
     // Drain in-flight frames, then harvest the probe RTT histograms.
     sq->runFor(2 * p.windowLen);
-    for (const auto &pr : probes)
-        rtt.merge(histFor(pr.src));
+    const sim::LogHistogram rtt = fleet.probeRtts(probes);
 
     // --- invariants ---
     fluid->foldAll();
@@ -610,10 +652,10 @@ runL2Campaign(bool quick, int shard_threads)
                 static_cast<unsigned long long>(c.packetBytes));
 
     const auto mem = cloud->fabricMemoryStats();
-    const double wall_s = wallSeconds(t0);
-    const long rss_kb = checkRssBudget();
-    const double evps =
-        wall_s > 0 ? static_cast<double>(sq->eventsExecuted()) / wall_s : 0;
+    const std::string prefix = quick ? "fig07_l2_quick." : "fig07_l2.";
+    bench::BenchValues out;
+    const auto [wall_s, evps] =
+        recordRunCost(out, prefix, t0, sq->eventsExecuted());
 
     std::printf("\ncross-pod LTL round trips (%llu samples):\n",
                 static_cast<unsigned long long>(rtt.count()));
@@ -628,39 +670,33 @@ runL2Campaign(bool quick, int shard_threads)
                 "churned, %llu promotions\n", wall_s, evps / 1e6,
                 static_cast<unsigned long long>(leaseChurn),
                 static_cast<unsigned long long>(promotedTotal));
-    if (tsHub) {
-        std::printf("telemetry: %llu windows, %llu series, %llu JSONL "
-                    "lines -> %s; %llu alerts fired\n",
-                    static_cast<unsigned long long>(tsHub->windowsClosed()),
-                    static_cast<unsigned long long>(tsHub->seriesCount()),
-                    static_cast<unsigned long long>(tsHub->exportedLines()),
-                    tsPath.c_str(),
-                    static_cast<unsigned long long>(slo->alertsFired()));
-    }
+    if (fleet.tsHub)
+        std::printf(
+            "telemetry: %llu windows, %llu series, %llu JSONL lines -> %s; "
+            "%llu alerts fired\n",
+            static_cast<unsigned long long>(fleet.tsHub->windowsClosed()),
+            static_cast<unsigned long long>(fleet.tsHub->seriesCount()),
+            static_cast<unsigned long long>(fleet.tsHub->exportedLines()),
+            fleet.tsPath.c_str(),
+            static_cast<unsigned long long>(fleet.slo->alertsFired()));
 
-    const std::string prefix = quick ? "fig07_l2_quick." : "fig07_l2.";
-    bench::BenchValues out;
     out[prefix + "hosts"] = static_cast<double>(mem.hosts);
     out[prefix + "materialized_hosts"] =
         static_cast<double>(mem.materializedHosts);
     out[prefix + "rtt_p99_us"] = rtt.percentile(99.0);
     out[prefix + "rtt_p999_us"] = rtt.percentile(99.9);
-    out[prefix + "events_per_s"] = evps;
-    out[prefix + "wall_s"] = wall_s;
     out[prefix + "lease_churn"] = static_cast<double>(leaseChurn);
     out[prefix + "fluid_flows"] = static_cast<double>(c.flows);
     out[prefix + "promotions"] = static_cast<double>(promotedTotal);
     out[prefix + "conservation_ok"] = c.ok ? 1.0 : 0.0;
-    if (tsHub) {
+    if (fleet.tsHub) {
         out[prefix + "ts_windows"] =
-            static_cast<double>(tsHub->windowsClosed());
+            static_cast<double>(fleet.tsHub->windowsClosed());
         out[prefix + "ts_lines"] =
-            static_cast<double>(tsHub->exportedLines());
+            static_cast<double>(fleet.tsHub->exportedLines());
         out[prefix + "slo_alerts"] =
-            static_cast<double>(slo->alertsFired());
+            static_cast<double>(fleet.slo->alertsFired());
     }
-    if (rss_kb >= 0)
-        out[prefix + "rss_peak_mb"] = static_cast<double>(rss_kb) / 1024.0;
     bench::mergeBenchJson(kBenchFile, out);
     std::printf("wrote %s (%shosts/rtt_p99_us/rss_peak_mb/...)\n",
                 kBenchFile, prefix.c_str());
@@ -676,13 +712,10 @@ runL2Campaign(bool quick, int shard_threads)
  * the campaign can account for each issued query receiver-side (dedup
  * by ID; a query re-sent after a failover counts once).
  */
-struct QueryRole : fpga::Role {
-    int port = -1;
+struct QueryRole : NullRole {
     std::vector<std::uint64_t> delivered;
     std::size_t harvested = 0;  ///< prefix already consumed by the driver
     std::string name() const override { return "chaos-rank"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
     void onMessage(const router::ErMessagePtr &msg) override
     {
         // LTL deliveries arrive wrapped: the query ID rides in the
@@ -695,11 +728,7 @@ struct QueryRole : fpga::Role {
     }
 };
 
-struct ChaosParams {
-    int pods = 260;  // the fig07 L2 fabric: 24 x 40 x 260 = 249,600
-    int racksPerPod = 40;
-    int hostsPerRack = 24;
-    int l2Count = 4;
+struct ChaosParams : L2Fabric {
     int windows = 16;  ///< scripted campaign windows
     sim::TimePs windowLen = 5 * sim::kMillisecond;
     int drainWindows = 20;  ///< extra windows to flush re-sent queries
@@ -728,7 +757,7 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
         p.pingsPerWindow = 20;
         p.flows = 3000;
     }
-    const int hosts = p.pods * p.racksPerPod * p.hostsPerRack;
+    const int hosts = p.hosts();
     std::printf("=== Chaos campaign: correlated failure domains on the "
                 "%d-host L2 fabric ===\n\n", hosts);
     std::printf("  %d-instance ranking service, anti-affinity %s "
@@ -740,91 +769,21 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
                 shard_threads > 0 ? "sharded" : "single-queue");
     const auto t0 = std::chrono::steady_clock::now();
 
-    core::CloudConfig cfg;
-    cfg.topology.hostsPerRack = p.hostsPerRack;
-    cfg.topology.racksPerPod = p.racksPerPod;
-    cfg.topology.l1PerPod = 2;
-    cfg.topology.pods = p.pods;
-    cfg.topology.l2Count = p.l2Count;
-    cfg.createNics = false;
-    cfg.lazyHosts = true;
-    cfg.shellTemplate.ltl.maxConnections = 64;
-    cfg.shellTemplate.roleSlots = 8;
-
-    // Live telemetry (opt-in via CCSIM_TS): same stream as the l2
-    // campaign, plus the ChaosEngine's injected/detected markers — the
-    // JSONL is byte-identical across --shards values, and its chaos
-    // markers match the single-queue run's.
-    const std::string tsPath = obs::TimeSeriesHub::envPath();
-    std::unique_ptr<obs::TimeSeriesHub> tsHub;
-    std::unique_ptr<obs::SloEngine> slo;
-    std::ofstream tsOut;
-    if (!tsPath.empty()) {
-        tsHub = std::make_unique<obs::TimeSeriesHub>(
-            obs::TimeSeriesConfig{}
-                .withWindow(250 * sim::kMicrosecond)
-                .withInclude({"ltl.*", "sim.*", "haas.*", "fault.*",
-                              "chaos.*", "ts.*", "slo.*"}));
-        tsHub->defineAggregate("fleet.rtt_us", "ltl.*.rtt_us");
-        tsHub->defineAggregate("fleet.retransmits", "ltl.*.retransmits");
-        tsOut.open(tsPath);
-        if (!tsOut)
-            sim::fatalf("fig07 chaos: cannot write CCSIM_TS path ", tsPath);
-        tsHub->exportTo(&tsOut);
-        cfg.timeSeries = tsHub.get();
-    }
-
-    // Without --shards the cloud is a single-queue build driven by a
-    // one-partition kernel; either way the control plane (injector,
-    // monitor, chaos engine) runs at the same barriers.
-    std::unique_ptr<sim::ShardedEventQueue> sq;
-    std::unique_ptr<obs::Observability> hub;
-    std::unique_ptr<obs::ShardedObservability> shardHubs;
-    std::unique_ptr<core::ConfigurableCloud> cloud;
-    if (shard_threads > 0) {
-        cfg.shards = shard_threads;
-        shardHubs =
-            std::make_unique<obs::ShardedObservability>(p.pods + 1);
-        cfg.shardObs = shardHubs.get();
-        sq = std::make_unique<sim::ShardedEventQueue>(
-            core::ConfigurableCloud::shardPlan(cfg));
-        cloud = std::make_unique<core::ConfigurableCloud>(*sq, cfg);
-    } else {
-        hub = std::make_unique<obs::Observability>();
-        cfg.obs = hub.get();
-        sq = std::make_unique<sim::ShardedEventQueue>();
-        cloud = std::make_unique<core::ConfigurableCloud>(sq->partition(0),
-                                                          cfg);
-    }
-    if (tsHub)
-        tsHub->startSampling(*sq);
+    // The telemetry stream adds the ChaosEngine's injected/detected
+    // markers; its chaos markers match the single-queue run's.
+    L2Fleet fleet(p, shard_threads,
+                  {"ltl.*", "sim.*", "haas.*", "fault.*", "chaos.*", "ts.*",
+                   "slo.*"},
+                  "fig07 chaos");
+    std::unique_ptr<sim::ShardedEventQueue> &sq = fleet.sq;
+    std::unique_ptr<core::ConfigurableCloud> &cloud = fleet.cloud;
     net::Topology &topo = cloud->topology();
     // The control plane (RM, SM, HealthMonitor) lives on the cloud's
     // control queue: the spine partition when sharded.
     sim::EventQueue &ctlq = cloud->controlQueue();
-    obs::Observability *ctlHub =
-        shardHubs ? &shardHubs->shard(0) : hub.get();
-
-    if (tsHub) {
-        slo = std::make_unique<obs::SloEngine>(*tsHub);
-        obs::SloObjective rttObj;
-        rttObj.name = "fleet_rtt_p99";
-        slo->addObjective(
-            rttObj.on("fleet.rtt_us")
-                .where(obs::SloStat::kP99, obs::SloCmp::kLt, 100.0)
-                .withBudget(0.10)
-                .withWindows(40, 5)
-                .withBurnThreshold(2.0));
-        slo->attachObservability(ctlHub->registry);
-    }
+    obs::Observability *ctlHub = &fleet.ctlHub();
 
     const auto nowPs = [&] { return sq->now(); };
-    const auto histFor = [&](int src) -> sim::LogHistogram & {
-        obs::Observability &h =
-            shardHubs ? shardHubs->shard(cloud->partitionOf(src)) : *hub;
-        return h.registry.histogram("ltl.node" + std::to_string(src) +
-                                    ".rtt_us");
-    };
 
     // --- the ranking service, placed with (or without) anti-affinity ---
     haas::ResourceManager &rm = cloud->resourceManager();
@@ -884,35 +843,17 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
 
     // --- fluid background (flows through the dead rack must stall,
     // conservation stays exact) ---
-    auto fluid =
-        cloud->sharded()
-            ? std::make_unique<net::FluidTrafficModel>(*sq, topo)
-            : std::make_unique<net::FluidTrafficModel>(ctlq, topo);
-    for (int i = 0; i < p.flows; ++i) {
-        const auto u = static_cast<std::uint64_t>(i);
-        const int src = static_cast<int>(mix64(u * 2 + 1) %
-                                         static_cast<std::uint64_t>(hosts));
-        int dst = static_cast<int>(mix64(u * 2 + 2) %
-                                   static_cast<std::uint64_t>(hosts));
-        if (dst == src)
-            dst = (dst + 1) % hosts;
-        fluid->addFlow(src, dst, p.flowBps);
-    }
+    auto fluid = std::make_unique<net::FluidTrafficModel>(*sq, topo);
+    addSeededFlows(*fluid, hosts, p.flows, p.flowBps);
 
     // --- healthy-pod probe pairs (the containment yardstick) ---
     std::vector<ProbePair> probes;
-    for (int k = 0; k < p.pairs; ++k) {
-        ProbePair pr;
-        pr.src = topo.hostIndex(30 + 3 * k, k % p.racksPerPod,
-                                k % p.hostsPerRack);
-        pr.dst = topo.hostIndex(150 + 5 * k, (3 * k + 1) % p.racksPerPod,
-                                (5 * k + 2) % p.hostsPerRack);
-        pr.role = std::make_unique<NullRole>();
-        if (cloud->shell(pr.dst).addRole(pr.role.get()) < 0)
-            sim::fatal("fig07 chaos: no role slot on probe destination");
-        pr.channel = cloud->openLtl(pr.src, pr.dst, pr.role->port);
-        probes.push_back(std::move(pr));
-    }
+    for (int k = 0; k < p.pairs; ++k)
+        probes.push_back(fleet.openProbe(
+            topo.hostIndex(30 + 3 * k, k % p.racksPerPod, k % p.hostsPerRack),
+            topo.hostIndex(150 + 5 * k, (3 * k + 1) % p.racksPerPod,
+                           (5 * k + 2) % p.hostsPerRack),
+            "fig07 chaos"));
 
     // --- the scripted drill ---
     const sim::TimePs torAt = p.windowLen + p.windowLen / 2;
@@ -956,8 +897,8 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     fault::ChaosEngine chaos(*sq, std::move(scenario));
     chaos.setPollPeriod(p.chaosPoll);
     chaos.setFluidModel(fluid.get());
-    if (tsHub)
-        chaos.setMarkerHub(tsHub.get());
+    if (fleet.tsHub)
+        chaos.setMarkerHub(fleet.tsHub.get());
     chaos.manageService(&sm);  // barrier-driven migration pump
     chaos.watchHealth(&hm);
     chaos.attachObservability(ctlHub);
@@ -1078,18 +1019,8 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
                 }
         }
         sendQueries(batch);
-        if (scripted) {
-            for (auto &pr : probes) {
-                auto *engine = cloud->shell(pr.src).ltlEngine();
-                auto &q = cloud->queueFor(pr.src);
-                for (int i = 0; i < p.pingsPerWindow; ++i)
-                    q.scheduleAfter(i * 20 * sim::kMicrosecond,
-                                    [engine,
-                                     conn = pr.channel.sendConn()] {
-                                        engine->sendMessage(conn, 64);
-                                    });
-            }
-        }
+        if (scripted)
+            fleet.schedulePings(probes, p.pingsPerWindow);
         sq->runFor(p.windowLen);
         ++windowsRun;
         harvest();
@@ -1106,10 +1037,7 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     // Drain in-flight frames, then harvest probe RTTs.
     sq->runFor(2 * p.windowLen);
     harvest();
-    sim::LogHistogram rtt(obs::kDefaultHistMinValue,
-                          obs::kDefaultHistBinsPerOctave);
-    for (const auto &pr : probes)
-        rtt.merge(histFor(pr.src));
+    const sim::LogHistogram rtt = fleet.probeRtts(probes);
 
     // --- verdicts ---
     bool ok = true;
@@ -1187,26 +1115,24 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
                     static_cast<unsigned long long>(chaos.phasesFired()));
     ok = ok && phasesOk;
 
-    const double wall_s = wallSeconds(t0);
-    const long rss_kb = checkRssBudget();
-    const double evps =
-        wall_s > 0 ? static_cast<double>(sq->eventsExecuted()) / wall_s : 0;
+    std::string prefix = anti_affinity ? "chaos" : "chaos_ablation";
+    prefix += quick ? "_quick." : ".";
+    bench::BenchValues out;
+    const auto [wall_s, evps] =
+        recordRunCost(out, prefix, t0, sq->eventsExecuted());
     std::printf("campaign: %.1f s wall, %.2f M events/s, %d windows, "
                 "%llu re-sends, %llu domain faults injected\n", wall_s,
                 evps / 1e6, windowsRun,
                 static_cast<unsigned long long>(resends),
                 static_cast<unsigned long long>(injector.domainFaults()));
-    if (tsHub)
-        std::printf("telemetry: %llu windows, %llu JSONL lines -> %s; "
-                    "%llu alerts\n",
-                    static_cast<unsigned long long>(tsHub->windowsClosed()),
-                    static_cast<unsigned long long>(tsHub->exportedLines()),
-                    tsPath.c_str(),
-                    static_cast<unsigned long long>(slo->alertsFired()));
+    if (fleet.tsHub)
+        std::printf(
+            "telemetry: %llu windows, %llu JSONL lines -> %s; %llu alerts\n",
+            static_cast<unsigned long long>(fleet.tsHub->windowsClosed()),
+            static_cast<unsigned long long>(fleet.tsHub->exportedLines()),
+            fleet.tsPath.c_str(),
+            static_cast<unsigned long long>(fleet.slo->alertsFired()));
 
-    std::string prefix = anti_affinity ? "chaos" : "chaos_ablation";
-    prefix += quick ? "_quick." : ".";
-    bench::BenchValues out;
     out[prefix + "hosts"] = static_cast<double>(hosts);
     out[prefix + "issued"] = static_cast<double>(issued);
     out[prefix + "delivered"] = static_cast<double>(deliveredCount);
@@ -1228,10 +1154,6 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     out[prefix + "affinity_skips"] =
         static_cast<double>(rm.affinitySkips());
     out[prefix + "conservation_ok"] = c.ok ? 1.0 : 0.0;
-    out[prefix + "events_per_s"] = evps;
-    out[prefix + "wall_s"] = wall_s;
-    if (rss_kb >= 0)
-        out[prefix + "rss_peak_mb"] = static_cast<double>(rss_kb) / 1024.0;
     bench::mergeBenchJson("BENCH_chaos.json", out);
     std::printf("wrote BENCH_chaos.json (%sissued/lost/"
                 "conviction_latency_us/...)\n", prefix.c_str());

@@ -29,6 +29,7 @@
 #include "core/cloud.hpp"
 #include "fpga/shell.hpp"
 #include "obs/metrics.hpp"
+#include "scenario_util.hpp"
 #include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
 #include "torus/torus.hpp"
@@ -36,15 +37,6 @@
 using namespace ccsim;
 
 namespace {
-
-/** A no-op role so LTL deliveries have a destination. */
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
 
 /**
  * Measure RTT for a set of (src, dst) host pairs: each src sends
@@ -59,9 +51,9 @@ measurePairs(core::ConfigurableCloud &cloud, sim::ShardedEventQueue &sq,
 {
     sim::LogHistogram tier(obs::kDefaultHistMinValue,
                            obs::kDefaultHistBinsPerOctave);
-    std::vector<std::unique_ptr<NullRole>> roles;
+    std::vector<std::unique_ptr<bench::NullRole>> roles;
     for (auto [src, dst] : pairs) {
-        roles.push_back(std::make_unique<NullRole>());
+        roles.push_back(std::make_unique<bench::NullRole>());
         if (cloud.shell(dst).addRole(roles.back().get()) < 0)
             sim::fatal("fig10: no role slot on destination shell");
         auto ch = cloud.openLtl(src, dst, roles.back()->port);

@@ -15,42 +15,10 @@
 #include <memory>
 
 #include "core/cloud.hpp"
+#include "scenario_util.hpp"
 #include "sim/stats.hpp"
 
 using namespace ccsim;
-
-namespace {
-
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
-
-double
-measureRttUs(core::ConfigurableCloud &cloud, sim::EventQueue &eq, int src,
-             int dst, NullRole &role)
-{
-    auto ch = cloud.openLtl(src, dst, role.port);
-    auto *engine = cloud.shell(src).ltlEngine();
-    const std::size_t before = engine->rttUs().count();
-    for (int i = 0; i < 100; ++i) {
-        eq.scheduleAfter(i * 20 * sim::kMicrosecond,
-                         [engine, conn = ch.sendConn()] {
-                             engine->sendMessage(conn, 64);
-                         });
-    }
-    eq.runFor(sim::fromMillis(4));
-    double sum = 0;
-    const auto &samples = engine->rttUs().raw();
-    for (std::size_t i = before; i < samples.size(); ++i)
-        sum += samples[i];
-    return sum / static_cast<double>(samples.size() - before);
-}
-
-}  // namespace
 
 int
 main()
@@ -69,14 +37,14 @@ main()
     cfg.shellTemplate.ltl.maxConnections = 32;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    NullRole r0, r1, r2;
+    bench::NullRole r0, r1, r2;
     cloud.shell(1).addRole(&r0);
     cloud.shell(24).addRole(&r1);
     cloud.shell(48).addRole(&r2);
 
-    const double l0 = measureRttUs(cloud, eq, 0, 1, r0);
-    const double l1 = measureRttUs(cloud, eq, 0, 24, r1);
-    const double l2 = measureRttUs(cloud, eq, 0, 48, r2);
+    const double l0 = bench::meanLtlRttUs(cloud, eq, 0, 1, r0, 100);
+    const double l1 = bench::meanLtlRttUs(cloud, eq, 0, 24, r1, 100);
+    const double l2 = bench::meanLtlRttUs(cloud, eq, 0, 48, r2, 100);
 
     // Comparators (2016-era production hardware, see file comment).
     const double host_stack_rtt_us = 2.0 * 25.0;  // request + response

@@ -353,11 +353,19 @@ ConfigurableCloud::addressOf(int host) const
 int
 ConfigurableCloud::hostByAddress(net::Ipv4Addr addr) const
 {
-    for (int host = 0; host < numServers(); ++host) {
-        if (topo->host(host).addr.value == addr.value)
-            return host;
-    }
-    return -1;
+    // Inverts Topology::hostAddr: 10 + (pod >> 8) . pod & 0xff . rack .
+    // idx + 1. O(1), so passive timeout reports do not walk the fabric.
+    const std::uint32_t a = addr.value;
+    const int hi = static_cast<int>(a >> 24) - 10;
+    const int rack = static_cast<int>((a >> 8) & 0xff);
+    const int idx = static_cast<int>(a & 0xff) - 1;
+    if (hi < 0 || rack >= topo->racksPerPod() || idx < 0 ||
+        idx >= topo->hostsPerRack())
+        return -1;
+    const int pod = hi << 8 | static_cast<int>((a >> 16) & 0xff);
+    if (pod >= topo->numPods())
+        return -1;
+    return topo->hostIndex(pod, rack, idx);
 }
 
 bool

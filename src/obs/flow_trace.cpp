@@ -7,42 +7,13 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace ccsim::obs {
 
 namespace {
-
-/** Minimal JSON string escaping (hop/flow names are ASCII identifiers). */
-void
-escapeTo(std::ostream &os, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
 
 void
 intTo(std::ostream &os, std::int64_t v)
@@ -459,7 +430,7 @@ FlightRecorder::writeSpanDump(std::ostream &os) const
         os << "{\"id\":";
         intTo(os, static_cast<std::int64_t>(t->traceId));
         os << ",\"flow\":\"";
-        escapeTo(os, t->flow);
+        detail::jsonEscape(os, t->flow);
         os << "\",\"start_ps\":";
         intTo(os, t->start);
         os << ",\"end_ps\":";
@@ -492,7 +463,7 @@ FlightRecorder::writeSpanDump(std::ostream &os) const
             intTo(os, s.parent);
             os << ",\"component\":\"" << componentName(s.comp)
                << "\",\"hop\":\"";
-            escapeTo(os, s.hop);
+            detail::jsonEscape(os, s.hop);
             os << "\",\"start_ps\":";
             intTo(os, s.start);
             os << ",\"end_ps\":";

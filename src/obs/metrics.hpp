@@ -244,7 +244,7 @@ struct Observability {
  *  - `sim.queue.live` — currently scheduled, uncancelled events;
  *  - `sim.queue.cancelled` — total cancellations;
  *  - `sim.queue.wheel_overflow` — events parked in the far-future
- *    overflow heap (0 on the reference binary-heap backend).
+ *    overflow heap.
  *
  * @p eq must outlive @p registry (or probe re-registration).
  */

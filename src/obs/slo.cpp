@@ -5,37 +5,10 @@
 #include <string_view>
 
 #include "obs/json_util.hpp"
+#include "obs/metric_names.hpp"
 #include "sim/logging.hpp"
 
 namespace ccsim::obs {
-
-namespace {
-
-/** Same glob semantics as metric_names.hpp (`*` matches >= 1 chars). */
-bool
-globMatch(std::string_view pattern, std::string_view path)
-{
-    std::size_t p = 0, s = 0;
-    std::size_t starP = std::string_view::npos, starS = 0;
-    while (s < path.size()) {
-        if (p < pattern.size() && pattern[p] == '*') {
-            starP = p++;
-            starS = s + 1;
-            ++s;
-        } else if (p < pattern.size() && pattern[p] == path[s]) {
-            ++p;
-            ++s;
-        } else if (starP != std::string_view::npos) {
-            p = starP + 1;
-            s = ++starS;
-        } else {
-            return false;
-        }
-    }
-    return p == pattern.size();
-}
-
-}  // namespace
 
 SloEngine::SloEngine(TimeSeriesHub &h) : hub(h)
 {
@@ -178,7 +151,7 @@ SloEngine::onWindow(sim::TimePs t, std::uint64_t seq)
         if (hub.seriesCount() != obj.seenSeries) {
             obj.seenSeries = hub.seriesCount();
             for (const std::string &name : hub.seriesNames()) {
-                if (globMatch(obj.spec.series, name))
+                if (matchesMetricPattern(obj.spec.series, name))
                     obj.states.try_emplace(name);
             }
         }

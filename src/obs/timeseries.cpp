@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "obs/json_util.hpp"
+#include "obs/metric_names.hpp"
 #include "sim/logging.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -108,30 +109,6 @@ double
 spanSeconds(int n, sim::TimePs w)
 {
     return static_cast<double>(n) * static_cast<double>(w) / 1e12;
-}
-
-/** Same glob semantics as metric_names.hpp (`*` matches >= 1 chars). */
-bool
-globMatch(std::string_view pattern, std::string_view path)
-{
-    std::size_t p = 0, s = 0;
-    std::size_t starP = std::string_view::npos, starS = 0;
-    while (s < path.size()) {
-        if (p < pattern.size() && pattern[p] == '*') {
-            starP = p++;
-            starS = s + 1;
-            ++s;
-        } else if (p < pattern.size() && pattern[p] == path[s]) {
-            ++p;
-            ++s;
-        } else if (starP != std::string_view::npos) {
-            p = starP + 1;
-            s = ++starS;
-        } else {
-            return false;
-        }
-    }
-    return p == pattern.size();
 }
 
 }  // namespace
@@ -252,7 +229,7 @@ TimeSeriesHub::includes(const std::string &path) const
     if (cfg.include.empty())
         return true;
     for (const auto &g : cfg.include) {
-        if (globMatch(g, path))
+        if (matchesMetricPattern(g, path))
             return true;
     }
     return false;
@@ -320,7 +297,7 @@ TimeSeriesHub::refreshAggregate(const std::string &name, Aggregate &agg)
     agg.members.clear();
     agg.memberNames.clear();
     for (const auto &[path, s] : series) {
-        if (!globMatch(agg.pattern, path))
+        if (!matchesMetricPattern(agg.pattern, path))
             continue;
         if (agg.members.empty()) {
             agg.kind = s.kind;

@@ -6,39 +6,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json_util.hpp"
+
 namespace ccsim::obs {
 
 namespace {
-
-/** Minimal JSON string escaping (paths/names are ASCII identifiers). */
-void
-escapeTo(std::ostream &os, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
 
 /** Deterministic shortest-roundtrip double formatting. */
 void
@@ -235,9 +207,9 @@ TraceWriter::write(std::ostream &os) const
             numberTo(os, toTraceUs(e.dur));
         }
         os << ",\"cat\":\"";
-        escapeTo(os, e.cat);
+        detail::jsonEscape(os, e.cat);
         os << "\",\"name\":\"";
-        escapeTo(os, e.name);
+        detail::jsonEscape(os, e.name);
         os << "\"";
         if (e.phase == 'i') {
             os << ",\"s\":\"t\"";
@@ -253,7 +225,7 @@ TraceWriter::write(std::ostream &os) const
                         os << ",";
                     firstArg = false;
                     os << "\"";
-                    escapeTo(os, k);
+                    detail::jsonEscape(os, k);
                     os << "\":";
                     numberTo(os, v);
                 }

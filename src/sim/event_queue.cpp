@@ -421,97 +421,4 @@ TimerWheelQueue::runAll()
     }
 }
 
-// ---------------------------------------------------------------------------
-// BinaryHeapQueue (reference oracle)
-// ---------------------------------------------------------------------------
-
-EventId
-BinaryHeapQueue::schedule(TimePs when, EventFn fn)
-{
-    if (when < currentTime)
-        panicf("EventQueue::schedule: time ", when, " is in the past (now ",
-               currentTime, ")");
-    const EventId id = nextId++;
-    heap.push(Entry{when, id, std::move(fn)});
-    liveIds.insert(id);
-    if (liveIds.size() > peakLive)
-        peakLive = liveIds.size();
-    return id;
-}
-
-void
-BinaryHeapQueue::cancel(EventId id)
-{
-    // Cancelling an already-fired or unknown event is a harmless no-op;
-    // only ids still in the heap are tombstoned.
-    if (liveIds.erase(id) != 0)
-        ++cancelledCount;
-}
-
-bool
-BinaryHeapQueue::popLive(Entry &out)
-{
-    while (!heap.empty()) {
-        // priority_queue::top() is const; we must move the closure out.
-        Entry e = std::move(const_cast<Entry &>(heap.top()));
-        heap.pop();
-        auto it = liveIds.find(e.id);
-        if (it == liveIds.end())
-            continue;  // tombstoned by cancel()
-        liveIds.erase(it);
-        out = std::move(e);
-        return true;
-    }
-    return false;
-}
-
-bool
-BinaryHeapQueue::step()
-{
-    Entry e;
-    if (!popLive(e))
-        return false;
-    currentTime = e.when;
-    ++executedCount;
-    e.fn();
-    return true;
-}
-
-void
-BinaryHeapQueue::runUntil(TimePs limit)
-{
-    while (true) {
-        Entry e;
-        if (!popLive(e))
-            break;
-        if (e.when > limit) {
-            // Put it back (and mark live again); cheaper than peeking
-            // because priority_queue lacks a non-destructive move-out API.
-            liveIds.insert(e.id);
-            heap.push(std::move(e));
-            break;
-        }
-        currentTime = e.when;
-        ++executedCount;
-        e.fn();
-    }
-    if (currentTime < limit)
-        currentTime = limit;
-}
-
-void
-BinaryHeapQueue::runAll()
-{
-    while (step()) {
-    }
-}
-
-TimePs
-BinaryHeapQueue::nextEventTime()
-{
-    while (!heap.empty() && liveIds.count(heap.top().id) == 0)
-        heap.pop();  // tombstoned by cancel(); drop lazily as popLive does
-    return heap.empty() ? kTimeNever : heap.top().when;
-}
-
 }  // namespace ccsim::sim

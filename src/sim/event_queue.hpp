@@ -6,32 +6,24 @@
  * by scheduling order (FIFO among same-time events), which makes simulations
  * fully deterministic.
  *
- * Two interchangeable backends implement the same contract:
+ * `EventQueue` is a **TimerWheelQueue**: a hierarchical timing wheel
+ * tuned for ccsim's bimodal delay distribution (sub-ns flit/link hops
+ * vs. multi-µs LTL retransmit timers): 8 levels of 64 slots with
+ * 4.096 ns level-0 slots, all anchored at one wheel time, a far-future
+ * overflow heap, freelist-pooled event records, inline small-buffer
+ * closures (sim::EventFn), and generation-counted handles giving O(1)
+ * cancel() that destroys the closure — and releases everything it
+ * captured — immediately.
  *
- *  - **TimerWheelQueue** (the default `EventQueue`) — a hierarchical
- *    timing wheel tuned for ccsim's bimodal delay distribution (sub-ns
- *    flit/link hops vs. multi-µs LTL retransmit timers): 8 levels of 64
- *    slots with 4.096 ns level-0 slots, all anchored at one wheel time,
- *    a far-future overflow heap, freelist-pooled event records, inline
- *    small-buffer closures (sim::EventFn), and generation-counted
- *    handles giving O(1) cancel() that destroys the closure — and
- *    releases everything it captured — immediately.
- *
- *  - **BinaryHeapQueue** — the original binary-heap implementation, kept
- *    as the behavioural oracle for property tests and A/B determinism
- *    checks. Building with -DCCSIM_REFERENCE_QUEUE=1 aliases
- *    `EventQueue` to it so any experiment can be replayed on the
- *    reference kernel.
- *
- * Both backends execute events in exactly the same order ((time,
- * schedule-order) ascending) and report identical now()/size()
- * trajectories for identical schedule/cancel/run call sequences.
+ * The property tests check it against the original binary-heap queue
+ * (tests/binary_heap_queue.hpp): both execute events in exactly the same
+ * order ((time, schedule-order) ascending) and report identical
+ * now()/size() trajectories for identical schedule/cancel/run call
+ * sequences.
  */
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event_fn.hpp"
@@ -314,95 +306,6 @@ class TimerWheelQueue
     void maybeSweep();
 };
 
-/**
- * The original binary-heap + tombstone-set event queue, kept as the
- * reference oracle. Closures stay resident until lazily reclaimed at pop
- * time (the retention the wheel backend fixes); ordering and time
- * semantics are the contract both backends share.
- */
-class BinaryHeapQueue
-{
-  public:
-    BinaryHeapQueue() = default;
-    BinaryHeapQueue(const BinaryHeapQueue &) = delete;
-    BinaryHeapQueue &operator=(const BinaryHeapQueue &) = delete;
-
-    /** Current simulated time. */
-    TimePs now() const { return currentTime; }
-
-    /** Schedule @p fn to run at absolute time @p when. */
-    EventId schedule(TimePs when, EventFn fn);
-
-    /** Schedule @p fn to run @p delay after the current time. */
-    EventId scheduleAfter(TimePs delay, EventFn fn)
-    {
-        return schedule(currentTime + delay, std::move(fn));
-    }
-
-    /** Cancel a previously scheduled event (tombstone; lazy reclaim). */
-    void cancel(EventId id);
-
-    /** True if no live events remain. */
-    bool empty() const { return liveIds.empty(); }
-
-    /** Number of live (scheduled, uncancelled, unfired) events. */
-    std::size_t size() const { return liveIds.size(); }
-
-    /** Run the single next event; false if the queue was empty. */
-    bool step();
-
-    /** Run events until simulated time exceeds @p limit (see wheel doc). */
-    void runUntil(TimePs limit);
-
-    /** Run events for @p duration of simulated time from now(). */
-    void runFor(TimePs duration) { runUntil(currentTime + duration); }
-
-    /** Run until the queue is completely drained. */
-    void runAll();
-
-    /** Next live event's timestamp, or kTimeNever (see wheel doc). */
-    TimePs nextEventTime();
-
-    /** Total number of events executed so far. */
-    std::uint64_t eventsExecuted() const { return executedCount; }
-    /** Total number of events cancelled so far. */
-    std::uint64_t eventsCancelled() const { return cancelledCount; }
-    /** Always 0: the reference backend has no wheel. */
-    std::uint64_t wheelOverflows() const { return 0; }
-    /** Highest number of simultaneously live events seen. */
-    std::size_t peakLiveEvents() const { return peakLive; }
-
-  private:
-    struct Entry {
-        TimePs when;
-        EventId id;
-        EventFn fn;
-    };
-    struct Later {
-        bool operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.id > b.id;  // FIFO among equal-time events
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
-    std::unordered_set<EventId> liveIds;
-    TimePs currentTime = 0;
-    EventId nextId = 1;
-    std::uint64_t executedCount = 0;
-    std::uint64_t cancelledCount = 0;
-    std::size_t peakLive = 0;
-
-    /** Pop the next live entry, skipping tombstones. Returns false if empty. */
-    bool popLive(Entry &out);
-};
-
-#ifdef CCSIM_REFERENCE_QUEUE
-using EventQueue = BinaryHeapQueue;
-#else
 using EventQueue = TimerWheelQueue;
-#endif
 
 }  // namespace ccsim::sim

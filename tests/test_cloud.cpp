@@ -70,6 +70,48 @@ TEST(Cloud, BuildsAndRegistersAllFpgas)
     EXPECT_EQ(cloud.resourceManager().freeCount(), cloud.numServers());
 }
 
+TEST(Cloud, HostByAddressInvertsTheAddressPlan)
+{
+    // 260 pods: pods 256+ spill into the 11.x first octet.
+    CloudConfig cfg = smallCloud(/*hosts_per_rack=*/2, /*racks_per_pod=*/3,
+                                 /*pods=*/260);
+    cfg.topology.l1PerPod = 1;
+    cfg.topology.l2Count = 1;
+    cfg.createNics = false;
+    cfg.lazyHosts = true;
+    EventQueue eq;
+    ConfigurableCloud cloud(eq, cfg);
+    ASSERT_EQ(cloud.numServers(), 2 * 3 * 260);
+
+    // The reference: a scan over every server's address.
+    const auto scan = [&](net::Ipv4Addr addr) {
+        for (int h = 0; h < cloud.numServers(); ++h)
+            if (cloud.addressOf(h) == addr)
+                return h;
+        return -1;
+    };
+    for (int h = 0; h < cloud.numServers(); ++h) {
+        const net::Ipv4Addr addr = cloud.addressOf(h);
+        ASSERT_EQ(cloud.hostByAddress(addr), scan(addr)) << addr.str();
+        ASSERT_EQ(cloud.hostByAddress(addr), h);
+    }
+    EXPECT_EQ(cloud.addressOf(256 * 6).str(), "11.0.0.1");
+
+    const net::Ipv4Addr outside[] = {
+        net::Ipv4Addr::of(9, 0, 0, 1),    // first octet below 10
+        net::Ipv4Addr::of(12, 0, 0, 1),   // first octet past the last pod
+        net::Ipv4Addr::of(11, 4, 0, 1),   // pod 260 >= pods
+        net::Ipv4Addr::of(10, 0, 3, 1),   // rack 3 >= racksPerPod
+        net::Ipv4Addr::of(10, 0, 0, 0),   // last octet 0
+        net::Ipv4Addr::of(10, 0, 0, 3),   // idx 2 >= hostsPerRack
+        net::Ipv4Addr::of(192, 168, 0, 1),
+    };
+    for (const net::Ipv4Addr addr : outside) {
+        EXPECT_EQ(scan(addr), -1) << addr.str();
+        EXPECT_EQ(cloud.hostByAddress(addr), -1) << addr.str();
+    }
+}
+
 TEST(Cloud, NicToNicAcrossRacksThroughBumps)
 {
     EventQueue eq;

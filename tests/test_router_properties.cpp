@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <tuple>

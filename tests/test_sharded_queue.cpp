@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "binary_heap_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"

@@ -32,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metric_names.hpp"
+
 namespace {
 
 // ---------------------------------------------------------------------
@@ -300,30 +302,6 @@ Dashboard::ingest(const Json &rec)
     }
 }
 
-/** Same glob semantics as the simulator (`*` matches >= 1 chars). */
-bool
-globMatch(const std::string &pattern, const std::string &path)
-{
-    std::size_t p = 0, s = 0;
-    std::size_t starP = std::string::npos, starS = 0;
-    while (s < path.size()) {
-        if (p < pattern.size() && pattern[p] == '*') {
-            starP = p++;
-            starS = s + 1;
-            ++s;
-        } else if (p < pattern.size() && pattern[p] == path[s]) {
-            ++p;
-            ++s;
-        } else if (starP != std::string::npos) {
-            p = starP + 1;
-            s = ++starS;
-        } else {
-            return false;
-        }
-    }
-    return p == pattern.size();
-}
-
 // ---------------------------------------------------------------------
 // HTML / SVG rendering
 // ---------------------------------------------------------------------
@@ -413,7 +391,7 @@ heatmap(std::ostream &os, const Dashboard &db, const std::string &glob)
 {
     std::vector<std::pair<std::string, const SeriesData *>> rows;
     for (const auto &[name, sd] : db.series) {
-        if (!sd.t_us.empty() && globMatch(glob, name))
+        if (!sd.t_us.empty() && ccsim::obs::matchesMetricPattern(glob, name))
             rows.emplace_back(name, &sd);
     }
     if (rows.empty()) {
