@@ -1,16 +1,19 @@
 /**
  * @file
- * Tiny merge-writer for the benchmark-trajectory file `BENCH_kernel.json`.
+ * Tiny merge-writer for the benchmark-trajectory files (`BENCH_*.json`).
  *
- * Perf-sensitive binaries (micro_throughput, fig08_load_vs_latency) each
- * record their headline numbers as a flat {"key": number} JSON object in
- * one shared file, so every perf PR has a machine-readable baseline to
- * compare against and CI can archive the trajectory as an artifact.
+ * Perf-sensitive binaries (micro_throughput, fig08_load_vs_latency,
+ * fig07_production_5day, ...) each record their headline numbers as a
+ * flat {"key": value} JSON object in a shared file, so every perf PR has
+ * a machine-readable baseline to compare against and CI can archive the
+ * trajectory as an artifact.
  *
  * Writers merge: existing keys not produced by the current run are
- * preserved, so running the two binaries in either order yields one
- * combined file. Keys are emitted sorted with fixed formatting, making
- * the file diffable across runs.
+ * preserved, so running several binaries in any order yields one
+ * combined file. Every write also records where the numbers came from
+ * under `provenance.*` (commit, build type, core count, command line);
+ * the last writer's provenance wins. Keys are emitted sorted with fixed
+ * formatting, making the file diffable across runs.
  */
 #pragma once
 
@@ -21,17 +24,25 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+
+#ifndef CCSIM_BUILD_TYPE
+#define CCSIM_BUILD_TYPE "unknown"
+#endif
 
 namespace ccsim::bench {
 
 /** Flat key → value benchmark results. */
 using BenchValues = std::map<std::string, double>;
 
-/** Parse a flat {"key": number} object (as written by writeBenchJson). */
-inline BenchValues
+/** A BENCH file's values as JSON text: numbers as written, strings quoted. */
+using RawBenchJson = std::map<std::string, std::string>;
+
+/** Parse a flat {"key": number-or-string} object (as mergeBenchJson writes). */
+inline RawBenchJson
 parseBenchJson(const std::string &text)
 {
-    BenchValues out;
+    RawBenchJson out;
     std::size_t i = 0;
     const std::size_t n = text.size();
     while (i < n) {
@@ -49,24 +60,81 @@ parseBenchJson(const std::string &text)
         while (i < n && (std::isspace(static_cast<unsigned char>(text[i])) ||
                          text[i] == ':'))
             ++i;
+        const std::size_t valStart = i;
+        if (i < n && text[i] == '"') {
+            for (++i; i < n && text[i] != '"'; ++i)
+                if (text[i] == '\\')
+                    ++i;  // the escaped character
+            if (i >= n)
+                break;
+            out[key] = text.substr(valStart, ++i - valStart);
+            continue;
+        }
         char *end = nullptr;
-        const double v = std::strtod(text.c_str() + i, &end);
+        std::strtod(text.c_str() + i, &end);
         if (end == text.c_str() + i)
-            continue;  // not a number; skip (we only write flat numbers)
-        out[key] = v;
+            continue;  // neither a number nor a string: skip
         i = static_cast<std::size_t>(end - text.c_str());
+        out[key] = text.substr(valStart, i - valStart);
     }
     return out;
 }
 
+/** @p s as a JSON string literal. */
+inline std::string
+benchJsonString(const std::string &s)
+{
+    std::string q = "\"";
+    for (const char c : s) {
+        if (c == '"' || c == '\\')
+            q += '\\';
+        q += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+    }
+    return q + "\"";
+}
+
 /**
- * Merge @p values over whatever @p path already holds and rewrite it,
- * keys sorted, one per line.
+ * Where this run's numbers came from: the commit as `git describe
+ * --always --dirty` names it in the working directory ("unknown" outside
+ * a checkout), the CMake build type, the core count, and the command
+ * line.
+ */
+inline RawBenchJson
+benchProvenance()
+{
+    std::string commit;
+    if (FILE *git = popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[128];
+        if (std::fgets(buf, sizeof buf, git) != nullptr)
+            commit = buf;
+        pclose(git);
+    }
+    while (!commit.empty() && std::isspace(static_cast<unsigned char>(
+                                  commit.back())))
+        commit.pop_back();
+    std::string command;
+    std::ifstream cmdline("/proc/self/cmdline", std::ios::binary);
+    for (std::string arg; std::getline(cmdline, arg, '\0');)
+        command += (command.empty() ? "" : " ") + arg;
+    return {
+        {"provenance.build_type", benchJsonString(CCSIM_BUILD_TYPE)},
+        {"provenance.command",
+         benchJsonString(command.empty() ? "unknown" : command)},
+        {"provenance.commit",
+         benchJsonString(commit.empty() ? "unknown" : commit)},
+        {"provenance.cores",
+         std::to_string(std::thread::hardware_concurrency())},
+    };
+}
+
+/**
+ * Merge @p values and this run's provenance over whatever @p path
+ * already holds and rewrite it, keys sorted, one per line.
  */
 inline void
 mergeBenchJson(const std::string &path, const BenchValues &values)
 {
-    BenchValues merged;
+    RawBenchJson merged;
     {
         std::ifstream in(path);
         if (in) {
@@ -75,16 +143,19 @@ mergeBenchJson(const std::string &path, const BenchValues &values)
             merged = parseBenchJson(ss.str());
         }
     }
-    for (const auto &[k, v] : values)
-        merged[k] = v;
+    for (const auto &[k, v] : values) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        merged[k] = buf;
+    }
+    for (auto &[k, v] : benchProvenance())
+        merged[k] = std::move(v);
 
     std::ofstream out(path);
     out << "{\n";
     bool first = true;
     for (const auto &[k, v] : merged) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        out << (first ? "" : ",\n") << "  \"" << k << "\": " << buf;
+        out << (first ? "" : ",\n") << "  \"" << k << "\": " << v;
         first = false;
     }
     out << "\n}\n";

@@ -61,16 +61,18 @@ ResourceManager::registerNode(int host_index, FpgaManager *fm, int pod,
     if (host_index < 0)
         sim::fatalf("ResourceManager: negative host index ", host_index);
     const auto host = static_cast<std::size_t>(host_index);
-    if (host >= nodes.size())
+    if (host >= nodes.size()) {
+        // The new slots are holes: kUnregistered, index 0.
+        stateCounts[0] += static_cast<int>(host + 1 - nodes.size());
         nodes.resize(host + 1);
+    }
     Node &node = nodes[host];
-    if (node.state == NodeState::kUnregistered) {
-        ++registeredCount;
-    } else if (node.pod >= 0) {
+    if (node.state != NodeState::kUnregistered && node.pod >= 0) {
         // Re-registration replaces the whole record, pod included.
         auto &old = podHosts[static_cast<std::size_t>(node.pod)];
         old.erase(std::lower_bound(old.begin(), old.end(), host_index));
     }
+    setState(node, NodeState::kUnallocated);
     node = Node{fm, 0, pod, rack, NodeState::kUnallocated};
     if (pod < 0)
         return;  // in no pod: only unconstrained acquires can pick it
@@ -150,7 +152,7 @@ ResourceManager::acquire(const std::string &service, int count,
     lease.hosts = picked;
     for (int host : picked) {
         Node &node = nodes[static_cast<std::size_t>(host)];
-        node.state = NodeState::kAllocated;
+        setState(node, NodeState::kAllocated);
         node.leaseId = lease.id;
         ++svcRackCount[service][node.rack];
         ++svcPodCount[service][node.pod];
@@ -191,7 +193,7 @@ ResourceManager::release(std::uint64_t lease_id)
             continue;
         if (node->state == NodeState::kAllocated &&
             node->leaseId == lease_id) {
-            node->state = NodeState::kUnallocated;
+            setState(*node, NodeState::kUnallocated);
             node->leaseId = 0;
             dropPlacement(it->second.service, *node);
             // Reclaimed boards are handed back blank.
@@ -213,7 +215,7 @@ ResourceManager::reportFailure(int host_index)
     ++statFailures;
     const bool was_leased = node->state == NodeState::kAllocated;
     const std::uint64_t lease_id = node->leaseId;
-    node->state = NodeState::kFailed;
+    setState(*node, NodeState::kFailed);
     if (node->fm)
         node->fm->markUnhealthy();
     if (was_leased) {
@@ -246,7 +248,7 @@ ResourceManager::reportDomainFailure(const std::vector<int> &host_indices)
         ++statFailures;
         const bool was_leased = node->state == NodeState::kAllocated;
         const std::uint64_t lease_id = node->leaseId;
-        node->state = NodeState::kFailed;
+        setState(*node, NodeState::kFailed);
         if (node->fm)
             node->fm->markUnhealthy();
         if (was_leased) {
@@ -274,7 +276,7 @@ ResourceManager::repair(int host_index)
     if (node->state != NodeState::kFailed)
         return;  // healthy or leased nodes are not "repaired"
     ++statRepairs;
-    node->state = NodeState::kUnallocated;
+    setState(*node, NodeState::kUnallocated);
     node->leaseId = 0;
     if (node->fm) {
         node->fm->markHealthy();
@@ -317,7 +319,7 @@ std::vector<int>
 ResourceManager::hostIndices() const
 {
     std::vector<int> out;
-    out.reserve(static_cast<std::size_t>(registeredCount));
+    out.reserve(static_cast<std::size_t>(totalCount()));
     for (int host = 0; host < static_cast<int>(nodes.size()); ++host)
         if (nodes[static_cast<std::size_t>(host)].state !=
             NodeState::kUnregistered)
@@ -379,30 +381,21 @@ ResourceManager::setNodeManager(int host_index, FpgaManager *fm)
         fm->markUnhealthy();
 }
 
-int
-ResourceManager::countState(NodeState state) const
+void
+ResourceManager::setState(Node &node, NodeState state)
 {
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(),
-        [state](const Node &node) { return node.state == state; }));
+    --stateCounts[static_cast<std::size_t>(node.state)];
+    ++stateCounts[static_cast<std::size_t>(state)];
+    node.state = state;
 }
 
-int
-ResourceManager::freeCount() const
+std::array<int, 3>
+ResourceManager::scanCounts() const
 {
-    return countState(NodeState::kUnallocated);
-}
-
-int
-ResourceManager::allocatedCount() const
-{
-    return countState(NodeState::kAllocated);
-}
-
-int
-ResourceManager::failedCount() const
-{
-    return countState(NodeState::kFailed);
+    std::array<int, 4> n{};  // by NodeState, like stateCounts
+    for (const Node &node : nodes)
+        ++n[static_cast<std::size_t>(node.state)];
+    return {n[1], n[2], n[3]};
 }
 
 ServiceManager::ServiceManager(sim::EventQueue &eq, ResourceManager &rmgr,

@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -226,10 +227,22 @@ class ResourceManager
     /** All registered host indices, ascending. */
     std::vector<int> hostIndices() const;
 
-    int freeCount() const;
-    int allocatedCount() const;
-    int failedCount() const;
-    int totalCount() const { return registeredCount; }
+    /**
+     * Pool counts by state, kept up to date on every state change, so a
+     * `haas.*` sample reads them without walking the pool.
+     */
+    int freeCount() const { return count(NodeState::kUnallocated); }
+    int allocatedCount() const { return count(NodeState::kAllocated); }
+    int failedCount() const { return count(NodeState::kFailed); }
+    int totalCount() const
+    {
+        return freeCount() + allocatedCount() + failedCount();
+    }
+    /**
+     * {free, allocated, failed} recounted by walking every slot: the
+     * reference the maintained counts are tested against.
+     */
+    std::array<int, 3> scanCounts() const;
 
     /** A registered node's failure-domain (rack) id; -1 if unknown. */
     int nodeRack(int host_index) const;
@@ -272,7 +285,8 @@ class ResourceManager
     std::vector<Node> nodes;
     /** Registered hosts of each pod (index = pod id), ascending. */
     std::vector<std::vector<int>> podHosts;
-    int registeredCount = 0;
+    /** Slots of `nodes` per NodeState (index = state), holes included. */
+    std::array<int, 4> stateCounts{};
     std::map<std::uint64_t, Lease> leases;
     std::uint64_t nextLeaseId = 1;
     std::vector<FailureFn> onFailure;
@@ -288,8 +302,12 @@ class ResourceManager
     /** The registered node at @p host_index, or nullptr. */
     Node *find(int host_index);
     const Node *find(int host_index) const;
-    /** Count registered nodes in @p state. */
-    int countState(NodeState state) const;
+    int count(NodeState state) const
+    {
+        return stateCounts[static_cast<std::size_t>(state)];
+    }
+    /** Move @p node to @p state, keeping stateCounts in step. */
+    void setState(Node &node, NodeState state);
     /** Drop one @p service placement credit from @p node 's domains. */
     void dropPlacement(const std::string &service, const Node &node);
 };

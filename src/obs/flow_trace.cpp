@@ -15,14 +15,6 @@ namespace ccsim::obs {
 
 namespace {
 
-void
-intTo(std::ostream &os, std::int64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    os << buf;
-}
-
 /** A span clipped to the flow window. */
 struct ClippedSpan {
     sim::TimePs start;
@@ -155,33 +147,22 @@ formatAttributionTable(const FlowTrace &t)
                   "retx", "pfc", "compute", "serial", "prop", "cwnd",
                   "queue", "total(us)");
     os << buf;
-    auto us = [](sim::TimePs ps) { return sim::toMicros(ps); };
-    for (const auto &r : rows) {
-        std::snprintf(
-            buf, sizeof buf,
-            "  %-28s %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %10.3f\n",
-            r.hop.c_str(),
-            us(r.byComponent[static_cast<int>(Component::kRetransmit)]),
-            us(r.byComponent[static_cast<int>(Component::kPfcPause)]),
-            us(r.byComponent[static_cast<int>(Component::kCompute)]),
-            us(r.byComponent[static_cast<int>(Component::kSerialization)]),
-            us(r.byComponent[static_cast<int>(Component::kPropagation)]),
-            us(r.byComponent[static_cast<int>(
-                Component::kCongestionWindow)]),
-            us(r.byComponent[static_cast<int>(Component::kQueueing)]),
-            us(r.total()));
+    // One row per hop, then the flow total; columns in Component order.
+    auto row = [&](const std::string &hop,
+                   const std::array<sim::TimePs, kNumComponents> &by,
+                   sim::TimePs total) {
+        std::snprintf(buf, sizeof buf, "  %-28s", hop.c_str());
         os << buf;
-    }
-    std::snprintf(
-        buf, sizeof buf,
-        "  %-28s %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %10.3f\n",
-        "(total)", us(attr.of(Component::kRetransmit)),
-        us(attr.of(Component::kPfcPause)), us(attr.of(Component::kCompute)),
-        us(attr.of(Component::kSerialization)),
-        us(attr.of(Component::kPropagation)),
-        us(attr.of(Component::kCongestionWindow)),
-        us(attr.of(Component::kQueueing)), us(attr.sum()));
-    os << buf;
+        for (const sim::TimePs ps : by) {
+            std::snprintf(buf, sizeof buf, " %9.3f", sim::toMicros(ps));
+            os << buf;
+        }
+        std::snprintf(buf, sizeof buf, " %10.3f\n", sim::toMicros(total));
+        os << buf;
+    };
+    for (const auto &r : rows)
+        row(r.hop, r.byComponent, r.total());
+    row("(total)", attr.byComponent, attr.sum());
     return os.str();
 }
 
@@ -194,17 +175,24 @@ FlightRecorder::setTailCapacity(std::size_t n)
 {
     tailCap = n;
     while (kept.size() > tailCap) {
-        // Evict the least-bad exemplar (lowest latency; ties: newest).
-        std::size_t min_i = 0;
-        for (std::size_t i = 1; i < kept.size(); ++i) {
-            if (kept[i].latency() < kept[min_i].latency() ||
-                (kept[i].latency() == kept[min_i].latency() &&
-                 kept[i].traceId > kept[min_i].traceId))
-                min_i = i;
-        }
+        const std::size_t min_i = leastBad();
         dropSpans(kept[min_i].spans.size());
         kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(min_i));
     }
+}
+
+std::size_t
+FlightRecorder::leastBad() const
+{
+    // Lowest latency; ties: newest.
+    std::size_t min_i = 0;
+    for (std::size_t i = 1; i < kept.size(); ++i) {
+        if (kept[i].latency() < kept[min_i].latency() ||
+            (kept[i].latency() == kept[min_i].latency() &&
+             kept[i].traceId > kept[min_i].traceId))
+            min_i = i;
+    }
+    return min_i;
 }
 
 void
@@ -264,28 +252,8 @@ FlightRecorder::recordSpan(const TraceContext &ctx, std::string_view hop,
                            Component comp, sim::TimePs start,
                            sim::TimePs end)
 {
-    if (!ctx.sampled)
-        return;
-    FlowTrace *t = findActive(ctx);
-    if (t == nullptr) {
-        // Late span: the flow already completed (e.g. an ER delivery
-        // racing the flow-ending ACK) or was abandoned.
-        dropSpans(1);
-        return;
-    }
-    if (t->spans.size() >= maxSpans) {
-        ++t->droppedSpans;
-        dropSpans(1);
-        return;
-    }
-    Span s;
-    s.id = t->nextSpanId++;
-    s.parent = ctx.parentSpan;
-    s.comp = comp;
-    s.start = start;
-    s.end = end < start ? start : end;
-    s.hop = std::string(hop);
-    t->spans.push_back(std::move(s));
+    if (openSpan(ctx, hop, comp, start) != 0)
+        findActive(ctx)->spans.back().end = end < start ? start : end;
 }
 
 std::uint32_t
@@ -296,6 +264,8 @@ FlightRecorder::openSpan(const TraceContext &ctx, std::string_view hop,
         return 0;
     FlowTrace *t = findActive(ctx);
     if (t == nullptr) {
+        // Late span: the flow already completed (e.g. an ER delivery
+        // racing the flow-ending ACK) or was abandoned.
         dropSpans(1);
         return 0;
     }
@@ -373,13 +343,7 @@ FlightRecorder::keep(FlowTrace &&t)
         return;
     }
     // Tail bias: replace the least-bad exemplar only if strictly worse.
-    std::size_t min_i = 0;
-    for (std::size_t i = 1; i < kept.size(); ++i) {
-        if (kept[i].latency() < kept[min_i].latency() ||
-            (kept[i].latency() == kept[min_i].latency() &&
-             kept[i].traceId > kept[min_i].traceId))
-            min_i = i;
-    }
+    const std::size_t min_i = leastBad();
     if (t.latency() > kept[min_i].latency()) {
         dropSpans(kept[min_i].spans.size());
         kept[min_i] = std::move(t);
@@ -410,8 +374,8 @@ FlightRecorder::worstFirst() const
     return out;
 }
 
-void
-FlightRecorder::writeSpanDump(std::ostream &os) const
+std::vector<const FlowTrace *>
+FlightRecorder::byTraceId() const
 {
     std::vector<const FlowTrace *> byId;
     byId.reserve(kept.size());
@@ -421,66 +385,46 @@ FlightRecorder::writeSpanDump(std::ostream &os) const
               [](const FlowTrace *a, const FlowTrace *b) {
                   return a->traceId < b->traceId;
               });
+    return byId;
+}
+
+void
+FlightRecorder::writeSpanDump(std::ostream &os) const
+{
+    using I64 = std::int64_t;
     os << "{\"flows\":[";
     bool first_flow = true;
-    for (const FlowTrace *t : byId) {
-        if (!first_flow)
-            os << ",";
+    for (const FlowTrace *t : byTraceId()) {
+        os << (first_flow ? "" : ",") << "{\"id\":" << I64(t->traceId)
+           << ",\"flow\":\"";
         first_flow = false;
-        os << "{\"id\":";
-        intTo(os, static_cast<std::int64_t>(t->traceId));
-        os << ",\"flow\":\"";
         detail::jsonEscape(os, t->flow);
-        os << "\",\"start_ps\":";
-        intTo(os, t->start);
-        os << ",\"end_ps\":";
-        intTo(os, t->end);
-        os << ",\"total_ps\":";
-        intTo(os, t->latency());
+        os << "\",\"start_ps\":" << t->start << ",\"end_ps\":" << t->end
+           << ",\"total_ps\":" << t->latency() << ",\"attribution\":{";
         const LatencyAttribution a = attributeLatency(*t);
-        os << ",\"attribution\":{";
-        for (int c = 0; c < kNumComponents; ++c) {
-            if (c > 0)
-                os << ",";
-            os << "\"" << componentName(static_cast<Component>(c))
-               << "_ps\":";
-            intTo(os, a.byComponent[c]);
-        }
-        os << ",\"sum_ps\":";
-        intTo(os, a.sum());
-        os << ",\"consistent\":" << (a.consistent() ? "true" : "false");
-        os << "},\"dropped_spans\":";
-        intTo(os, t->droppedSpans);
-        os << ",\"spans\":[";
+        for (int c = 0; c < kNumComponents; ++c)
+            os << (c > 0 ? ",\"" : "\"")
+               << componentName(static_cast<Component>(c))
+               << "_ps\":" << a.byComponent[c];
+        os << ",\"sum_ps\":" << a.sum()
+           << ",\"consistent\":" << (a.consistent() ? "true" : "false")
+           << "},\"dropped_spans\":" << t->droppedSpans << ",\"spans\":[";
         bool first_span = true;
         for (const Span &s : t->spans) {
-            if (!first_span)
-                os << ",";
+            os << (first_span ? "" : ",") << "{\"id\":" << s.id
+               << ",\"parent\":" << s.parent << ",\"component\":\""
+               << componentName(s.comp) << "\",\"hop\":\"";
             first_span = false;
-            os << "{\"id\":";
-            intTo(os, s.id);
-            os << ",\"parent\":";
-            intTo(os, s.parent);
-            os << ",\"component\":\"" << componentName(s.comp)
-               << "\",\"hop\":\"";
             detail::jsonEscape(os, s.hop);
-            os << "\",\"start_ps\":";
-            intTo(os, s.start);
-            os << ",\"end_ps\":";
-            intTo(os, s.end);
-            os << "}";
+            os << "\",\"start_ps\":" << s.start << ",\"end_ps\":" << s.end
+               << "}";
         }
         os << "]}";
     }
-    os << "],\"flows_started\":";
-    intTo(os, static_cast<std::int64_t>(started));
-    os << ",\"flows_sampled\":";
-    intTo(os, static_cast<std::int64_t>(sampledCount));
-    os << ",\"flows_completed\":";
-    intTo(os, static_cast<std::int64_t>(completedCount));
-    os << ",\"spans_dropped\":";
-    intTo(os, static_cast<std::int64_t>(droppedCount));
-    os << "}";
+    os << "],\"flows_started\":" << I64(started)
+       << ",\"flows_sampled\":" << I64(sampledCount)
+       << ",\"flows_completed\":" << I64(completedCount)
+       << ",\"spans_dropped\":" << I64(droppedCount) << "}";
 }
 
 std::string
@@ -504,15 +448,7 @@ FlightRecorder::writeSpanDumpFile(const std::string &path) const
 void
 FlightRecorder::exportChromeTrace(TraceWriter &tw) const
 {
-    std::vector<const FlowTrace *> byId;
-    byId.reserve(kept.size());
-    for (const auto &t : kept)
-        byId.push_back(&t);
-    std::sort(byId.begin(), byId.end(),
-              [](const FlowTrace *a, const FlowTrace *b) {
-                  return a->traceId < b->traceId;
-              });
-    for (const FlowTrace *t : byId) {
+    for (const FlowTrace *t : byTraceId()) {
         for (std::size_t i = 0; i < t->spans.size(); ++i) {
             const Span &s = t->spans[i];
             const int tid = tw.track("flow:" + s.hop);

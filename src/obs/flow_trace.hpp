@@ -287,6 +287,10 @@ class FlightRecorder
     FlowTrace *findActive(const TraceContext &ctx);
     void keep(FlowTrace &&t);
     void dropSpans(std::uint64_t n);
+    /** Index of the least-bad kept exemplar (lowest latency, newest). */
+    std::size_t leastBad() const;
+    /** The kept exemplars in trace-id order. */
+    std::vector<const FlowTrace *> byTraceId() const;
 };
 
 }  // namespace ccsim::obs

@@ -10,56 +10,93 @@
 
 namespace ccsim::obs {
 
-void
-MetricsRegistry::checkNewPath(const std::string &path, const char *kind) const
+std::size_t
+MetricsRegistry::indexPos(std::string_view path) const
+{
+    const std::size_t mask = index.size() - 1;
+    std::size_t i = std::hash<std::string_view>{}(path) & mask;
+    while (index[i] != kNoId && pathOf(index[i]) != path)
+        i = (i + 1) & mask;
+    return i;
+}
+
+MetricsRegistry::Id
+MetricsRegistry::find(std::string_view path, Kind kind) const
+{
+    const Id id = index.empty() ? kNoId : index[indexPos(path)];
+    return id != kNoId && entries[id].kind == kind ? id : kNoId;
+}
+
+std::pair<MetricsRegistry::Id, bool>
+MetricsRegistry::intern(const std::string &path, Kind kind,
+                        std::size_t slot)
 {
     if (path.empty())
         sim::panic("MetricsRegistry: empty metric path");
-    const bool taken =
-        (counters.count(path) && std::string_view(kind) != "counter") ||
-        (gauges.count(path) && std::string_view(kind) != "gauge") ||
-        (histograms.count(path) && std::string_view(kind) != "histogram") ||
-        (probes.count(path) && std::string_view(kind) != "probe");
-    if (taken)
-        sim::panicf("MetricsRegistry: path '", path,
-                    "' already registered as a different metric kind");
+    if (path.size() > UINT16_MAX)
+        sim::panicf("MetricsRegistry: path '", path, "' is too long");
+    // Keep the index at most 3/4 full; growing rehashes every path.
+    if ((entries.size() + 1) * 4 > index.size() * 3) {
+        index.assign(std::max<std::size_t>(16, index.size() * 2), kNoId);
+        for (Id id = 0; id < entries.size(); ++id)
+            index[indexPos(pathOf(id))] = id;
+    }
+    const std::size_t pos = indexPos(path);
+    if (index[pos] != kNoId) {
+        if (entries[index[pos]].kind != kind)
+            sim::panicf("MetricsRegistry: path '", path,
+                        "' already registered as a different metric kind");
+        return {index[pos], false};
+    }
+    if (path.size() > arenaLeft) {
+        // Chunks double up to 1 MiB; a path never straddles two.
+        arenaLeft = std::max(path.size(),
+                             std::size_t{256} << std::min<std::size_t>(
+                                 arena.size(), 12));
+        arena.push_back(std::make_unique_for_overwrite<char[]>(arenaLeft));
+        arenaTop = arena.back().get();
+    }
+    std::copy(path.begin(), path.end(), arenaTop);
+    const auto id = static_cast<Id>(entries.size());
+    entries.emplace_back(Entry{arenaTop, static_cast<std::uint32_t>(slot),
+                               static_cast<std::uint16_t>(path.size()), kind});
+    arenaTop += path.size();
+    arenaLeft -= path.size();
+    index[pos] = id;
+    return {id, true};
+}
+
+std::uint32_t
+MetricsRegistry::slotOf(Id id, Kind kind) const
+{
+    if (id >= entries.size() || entries[id].kind != kind)
+        sim::panicf("MetricsRegistry: id ", id, " is not a metric of the "
+                    "requested kind");
+    return entries[id].slot;
 }
 
 sim::Counter &
 MetricsRegistry::counter(const std::string &path)
 {
-    auto it = counters.find(path);
-    if (it == counters.end()) {
-        checkNewPath(path, "counter");
-        it = counters.try_emplace(path, path).first;
-        ++mutations;
-    }
-    return it->second;
+    const auto [id, created] = intern(path, Kind::kCounter, counters.size());
+    return created ? counters.emplace_back() : counters[entries[id].slot];
 }
 
 Gauge &
 MetricsRegistry::gauge(const std::string &path)
 {
-    auto it = gauges.find(path);
-    if (it == gauges.end()) {
-        checkNewPath(path, "gauge");
-        it = gauges.try_emplace(path).first;
-        ++mutations;
-    }
-    return it->second;
+    const auto [id, created] = intern(path, Kind::kGauge, gauges.size());
+    return created ? gauges.emplace_back() : gauges[entries[id].slot];
 }
 
 sim::LogHistogram &
 MetricsRegistry::histogram(const std::string &path, double min_value,
                            int bins_per_octave)
 {
-    auto it = histograms.find(path);
-    if (it == histograms.end()) {
-        checkNewPath(path, "histogram");
-        it = histograms.try_emplace(path, min_value, bins_per_octave).first;
-        ++mutations;
-    }
-    return it->second;
+    const auto [id, created] =
+        intern(path, Kind::kHistogram, histograms.size());
+    return created ? histograms.emplace_back(min_value, bins_per_octave)
+                   : histograms[entries[id].slot];
 }
 
 void
@@ -68,71 +105,85 @@ MetricsRegistry::registerProbe(const std::string &path,
 {
     if (!fn)
         sim::panicf("MetricsRegistry: null probe for '", path, "'");
-    checkNewPath(path, "probe");
-    probes[path].fn = std::move(fn);
-    ++mutations;
+    const auto [id, created] = intern(path, Kind::kProbe, probes.size());
+    if (created)
+        probes.emplace_back(std::move(fn));
+    else
+        probes[entries[id].slot] = std::move(fn);
 }
 
 const sim::Counter *
 MetricsRegistry::findCounter(const std::string &path) const
 {
-    auto it = counters.find(path);
-    return it == counters.end() ? nullptr : &it->second;
+    const Id id = find(path, Kind::kCounter);
+    return id == kNoId ? nullptr : &counters[entries[id].slot];
 }
 
 const Gauge *
 MetricsRegistry::findGauge(const std::string &path) const
 {
-    auto it = gauges.find(path);
-    return it == gauges.end() ? nullptr : &it->second;
+    const Id id = find(path, Kind::kGauge);
+    return id == kNoId ? nullptr : &gauges[entries[id].slot];
 }
 
 const sim::LogHistogram *
 MetricsRegistry::findHistogram(const std::string &path) const
 {
-    auto it = histograms.find(path);
-    return it == histograms.end() ? nullptr : &it->second;
+    const Id id = find(path, Kind::kHistogram);
+    return id == kNoId ? nullptr : &histograms[entries[id].slot];
 }
 
 bool
 MetricsRegistry::hasProbe(const std::string &path) const
 {
-    return probes.count(path) != 0;
+    return find(path, Kind::kProbe) != kNoId;
+}
+
+std::uint32_t
+MetricsRegistry::probeSlot(const std::string &path) const
+{
+    const Id id = find(path, Kind::kProbe);
+    if (id == kNoId)
+        sim::panicf("MetricsRegistry: no probe at '", path, "'");
+    return entries[id].slot;
 }
 
 double
 MetricsRegistry::probeValue(const std::string &path) const
 {
-    auto it = probes.find(path);
-    if (it == probes.end())
-        sim::panicf("MetricsRegistry: no probe at '", path, "'");
-    return it->second.fn();
+    return probes[probeSlot(path)]();
 }
 
 double
 MetricsRegistry::probeTimeAverage(const std::string &path) const
 {
-    auto it = probes.find(path);
-    if (it == probes.end())
-        sim::panicf("MetricsRegistry: no probe at '", path, "'");
-    return it->second.tw.average();
+    const std::uint32_t slot = probeSlot(path);
+    return slot < sampled.size() ? sampled[slot].tw.average() : 0.0;
+}
+
+const std::vector<MetricsRegistry::Id> &
+MetricsRegistry::sortedIds() const
+{
+    // Ids only grow: sort the ones added since the last call and merge.
+    const std::size_t had = sorted.size();
+    if (had == entries.size())
+        return sorted;
+    const auto byPath = [this](Id a, Id b) { return pathOf(a) < pathOf(b); };
+    for (auto id = static_cast<Id>(had); id < entries.size(); ++id)
+        sorted.push_back(id);
+    const auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(had);
+    std::sort(mid, sorted.end(), byPath);
+    std::inplace_merge(sorted.begin(), mid, sorted.end(), byPath);
+    return sorted;
 }
 
 std::vector<std::string>
 MetricsRegistry::paths() const
 {
     std::vector<std::string> all;
-    all.reserve(counters.size() + gauges.size() + histograms.size() +
-                probes.size());
-    for (const auto &[p, _] : counters)
-        all.push_back(p);
-    for (const auto &[p, _] : gauges)
-        all.push_back(p);
-    for (const auto &[p, _] : histograms)
-        all.push_back(p);
-    for (const auto &[p, _] : probes)
-        all.push_back(p);
-    std::sort(all.begin(), all.end());
+    all.reserve(entries.size());
+    for (const Id id : sortedIds())
+        all.emplace_back(pathOf(id));
     return all;
 }
 
@@ -140,13 +191,15 @@ std::vector<std::string>
 MetricsRegistry::children(const std::string &prefix) const
 {
     const std::string want = prefix.empty() ? "" : prefix + ".";
+    const std::vector<Id> &ids = sortedIds();
+    auto it = std::lower_bound(
+        ids.begin(), ids.end(), want,
+        [this](Id id, const std::string &w) { return pathOf(id) < w; });
     std::vector<std::string> kids;
-    for (const auto &path : paths()) {
-        if (path.size() <= want.size() ||
-            path.compare(0, want.size(), want) != 0)
-            continue;
-        const auto rest = path.substr(want.size());
-        kids.push_back(rest.substr(0, rest.find('.')));
+    for (; it != ids.end() && pathOf(*it).starts_with(want); ++it) {
+        const std::string_view rest = pathOf(*it).substr(want.size());
+        if (!rest.empty())
+            kids.emplace_back(rest.substr(0, rest.find('.')));
     }
     std::sort(kids.begin(), kids.end());
     kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
@@ -159,108 +212,100 @@ MetricsRegistry::writeSnapshot(std::ostream &os) const
     writeMergedSnapshot(os, {this});
 }
 
-namespace {
-
-/**
- * Merge the @p kind maps of several registries into one sorted view,
- * panicking on a duplicate path (components must shard disjointly).
- */
-template <typename Map>
-std::map<std::string, const typename Map::mapped_type *>
-mergeMaps(const std::vector<const Map *> &maps, const char *kind)
-{
-    std::map<std::string, const typename Map::mapped_type *> merged;
-    for (const Map *m : maps) {
-        for (const auto &[path, v] : *m) {
-            if (!merged.emplace(path, &v).second)
-                sim::panicf("MetricsRegistry: ", kind, " path '", path,
-                            "' registered in more than one shard");
-        }
-    }
-    return merged;
-}
-
-}  // namespace
-
 void
 MetricsRegistry::writeMergedSnapshot(
     std::ostream &os, const std::vector<const MetricsRegistry *> &regs)
 {
-    using detail::jsonEscape;
-    using detail::jsonNumber;
-
-    auto key = [&os](const std::string &path, bool &first) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"";
-        jsonEscape(os, path);
-        os << "\":";
+    // Every path of every registry in path order: each registry's
+    // sorted ids form one run, and adjacent runs merge pairwise.
+    struct Ref {
+        const MetricsRegistry *reg;
+        Id id;
+        std::string_view path() const { return reg->pathOf(id); }
     };
-
-    std::vector<const std::map<std::string, sim::Counter> *> cmaps;
-    std::vector<const std::map<std::string, Gauge> *> gmaps;
-    std::vector<const std::map<std::string, sim::LogHistogram> *> hmaps;
-    std::vector<const std::map<std::string, Probe> *> pmaps;
+    std::vector<Ref> refs;
+    std::vector<std::size_t> bounds{0};
     for (const MetricsRegistry *r : regs) {
-        cmaps.push_back(&r->counters);
-        gmaps.push_back(&r->gauges);
-        hmaps.push_back(&r->histograms);
-        pmaps.push_back(&r->probes);
+        for (const Id id : r->sortedIds())
+            refs.push_back({r, id});
+        bounds.push_back(refs.size());
+    }
+    const auto byPath = [](const Ref &a, const Ref &b) {
+        return a.path() < b.path();
+    };
+    const auto run = [&](std::size_t r) {  // start of run r; end past last
+        return refs.begin() +
+               static_cast<std::ptrdiff_t>(bounds[std::min(r, regs.size())]);
+    };
+    for (std::size_t step = 1; step < regs.size(); step *= 2)
+        for (std::size_t i = 0; i + step < regs.size(); i += 2 * step)
+            std::inplace_merge(run(i), run(i + step), run(i + 2 * step),
+                               byPath);
+    for (std::size_t i = 1; i < refs.size(); ++i) {
+        if (refs[i - 1].path() == refs[i].path())
+            sim::panicf("MetricsRegistry: path '", refs[i].path(),
+                        "' registered in more than one shard");
     }
 
-    os << "{\"counters\":{";
-    bool first = true;
-    for (const auto &[path, c] : mergeMaps(cmaps, "counter")) {
-        key(path, first);
-        os << c->get();
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[path, g] : mergeMaps(gmaps, "gauge")) {
-        key(path, first);
-        os << "{\"value\":";
-        jsonNumber(os, g->value());
-        os << ",\"avg\":";
-        jsonNumber(os, g->timeAverage());
-        os << ",\"peak\":";
-        jsonNumber(os, g->peak());
-        os << "}";
-    }
-    os << "},\"histograms\":{";
-    first = true;
-    for (const auto &[path, h] : mergeMaps(hmaps, "histogram")) {
-        key(path, first);
-        os << "{\"count\":" << h->count();
-        if (h->count() > 0) {
-            os << ",\"mean\":";
-            jsonNumber(os, h->mean());
-            os << ",\"min\":";
-            jsonNumber(os, h->min());
-            os << ",\"max\":";
-            jsonNumber(os, h->max());
-            for (auto [label, p] :
-                 {std::pair<const char *, double>{"p50", 50.0},
-                  {"p90", 90.0},
-                  {"p99", 99.0},
-                  {"p999", 99.9}}) {
-                os << ",\"" << label << "\":";
-                jsonNumber(os, h->percentile(p));
-            }
+    // One section per kind, each in path order.
+    const char *open[] = {"{\"counters\":{", "},\"gauges\":{",
+                          "},\"histograms\":{", "},\"probes\":{"};
+    for (const Kind kind :
+         {Kind::kCounter, Kind::kGauge, Kind::kHistogram, Kind::kProbe}) {
+        os << open[static_cast<int>(kind)];
+        bool first = true;
+        for (const Ref &r : refs) {
+            if (r.reg->kindOf(r.id) != kind)
+                continue;
+            os << (first ? "\"" : ",\"");
+            first = false;
+            detail::jsonEscape(os, r.path());
+            os << "\":";
+            r.reg->writeValue(os, r.id);
         }
-        os << "}";
-    }
-    os << "},\"probes\":{";
-    first = true;
-    for (const auto &[path, pr] : mergeMaps(pmaps, "probe")) {
-        key(path, first);
-        os << "{\"value\":";
-        jsonNumber(os, pr->fn());
-        os << ",\"avg\":";
-        jsonNumber(os, pr->tw.average());
-        os << "}";
     }
     os << "}}";
+}
+
+void
+MetricsRegistry::writeValue(std::ostream &os, Id id) const
+{
+    using detail::jsonFields;
+    const std::uint32_t slot = entries[id].slot;
+    switch (kindOf(id)) {
+    case Kind::kCounter:
+        os << counters[slot].get();
+        return;
+    case Kind::kGauge: {
+        const Gauge &g = gauges[slot];
+        os << "{";
+        jsonFields(os, {{"value", g.value()},
+                        {"avg", g.timeAverage()},
+                        {"peak", g.peak()}});
+        break;
+    }
+    case Kind::kHistogram: {
+        const sim::LogHistogram &h = histograms[slot];
+        os << "{\"count\":" << h.count();
+        if (h.count() > 0)
+            jsonFields(os,
+                       {{"mean", h.mean()}, {"min", h.min()},
+                        {"max", h.max()}, {"p50", h.percentile(50.0)},
+                        {"p90", h.percentile(90.0)},
+                        {"p99", h.percentile(99.0)},
+                        {"p999", h.percentile(99.9)}},
+                       true);
+        break;
+    }
+    case Kind::kProbe:
+        os << "{";
+        jsonFields(os, {{"value", probes[slot]()},
+                        {"avg", slot < sampled.size()
+                                    ? sampled[slot].tw.average()
+                                    : 0.0}});
+        break;
+    }
+    os << "}";
 }
 
 std::string
@@ -309,17 +354,22 @@ void
 MetricsRegistry::sampleAt(sim::TimePs now)
 {
     ++samplerTicks;
+    sampled.resize(probes.size());
     const bool tracing = samplerTrace != nullptr && samplerTrace->enabled();
-    for (auto &[path, probe] : probes) {
-        const double v = probe.fn();
-        probe.tw.update(now, v);
-        if (tracing && (!probe.everEmitted || v != probe.lastEmitted)) {
+    for (const Id id : sortedIds()) {
+        if (kindOf(id) != Kind::kProbe)
+            continue;
+        const std::uint32_t slot = entries[id].slot;
+        Sampled &s = sampled[slot];
+        const double v = probes[slot]();
+        s.tw.update(now, v);
+        if (tracing && (!s.everEmitted || v != s.lastEmitted)) {
             // Category = first dotted segment (component family).
-            const auto dot = path.find('.');
-            samplerTrace->counter(
-                std::string_view(path).substr(0, dot), path, now, v);
-            probe.everEmitted = true;
-            probe.lastEmitted = v;
+            const std::string_view path = pathOf(id);
+            samplerTrace->counter(path.substr(0, path.find('.')), path, now,
+                                  v);
+            s.everEmitted = true;
+            s.lastEmitted = v;
         }
     }
 }

@@ -23,6 +23,12 @@
  * Chrome counter events — on the first tick for every probe, afterwards
  * only for probes whose value changed.
  *
+ * Storage is sized for the paper's ~250k-host fabric, where the registry
+ * holds ~200k paths: each path is interned once in a chunked character
+ * arena and gets a dense id, metrics sit in per-kind chunked arrays
+ * indexed through the id, and a probe's sampling state exists only once
+ * sampling starts. An empty registry owns no heap.
+ *
  * Observability is strictly read-only with respect to simulation state:
  * attaching a registry, sampling, or exporting never changes component
  * behaviour, so instrumented and bare runs are bit-identical.
@@ -31,14 +37,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/flow_trace.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/stable_vector.hpp"
 #include "sim/stats.hpp"
 
 namespace ccsim::sim {
@@ -83,6 +91,11 @@ inline constexpr int kDefaultHistBinsPerOctave = 96;
 class MetricsRegistry
 {
   public:
+    /** A path's dense id: 0, 1, 2, ... in registration order. */
+    using Id = std::uint32_t;
+    /** Metric kinds, in snapshot section order. */
+    enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram, kProbe };
+
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -129,17 +142,44 @@ class MetricsRegistry
      */
     double probeTimeAverage(const std::string &path) const;
 
+    // --- access by id ---
+
+    /**
+     * Number of registered paths. Ids are never reused, so the ids in
+     * [n, size()) are exactly the paths registered since a watcher last
+     * saw size() == n: an append-only log that watchers (the time-series
+     * hub) read instead of rescanning paths(). Replacing a probe adds no
+     * id.
+     */
+    std::size_t size() const { return entries.size(); }
+    std::string_view pathOf(Id id) const
+    {
+        return {entries[id].path, entries[id].len};
+    }
+    Kind kindOf(Id id) const { return entries[id].kind; }
+
+    /** The metric behind @p id, which must be of that kind (panics). */
+    const sim::Counter &counterAt(Id id) const
+    {
+        return counters[slotOf(id, Kind::kCounter)];
+    }
+    const Gauge &gaugeAt(Id id) const
+    {
+        return gauges[slotOf(id, Kind::kGauge)];
+    }
+    const sim::LogHistogram &histogramAt(Id id) const
+    {
+        return histograms[slotOf(id, Kind::kHistogram)];
+    }
+    double probeValueAt(Id id) const
+    {
+        return probes[slotOf(id, Kind::kProbe)]();
+    }
+
     // --- hierarchy ---
 
     /** Every registered path across all kinds, sorted. */
     std::vector<std::string> paths() const;
-
-    /**
-     * Mutation counter, bumped whenever a new metric is registered.
-     * Watchers (the time-series hub) cache it to skip path re-discovery
-     * on every window when the registry hasn't changed.
-     */
-    std::uint64_t version() const { return mutations; }
 
     /**
      * Direct child segments under a dotted prefix ("" for the roots),
@@ -204,24 +244,57 @@ class MetricsRegistry
     void sampleAt(sim::TimePs now);
 
   private:
-    struct Probe {
-        std::function<double()> fn;
+    /** One interned path: 16 B, plus its characters in the arena. */
+    struct Entry {
+        const char *path;    ///< arena characters, not NUL-terminated
+        std::uint32_t slot;  ///< index into the kind's array
+        std::uint16_t len;
+        Kind kind;
+    };
+    /** A probe's sampler state, allocated by its first sampling tick. */
+    struct Sampled {
         sim::TimeWeighted tw;
         double lastEmitted = 0.0;
         bool everEmitted = false;
     };
+    static constexpr Id kNoId = ~Id{0};
 
-    std::map<std::string, sim::Counter> counters;
-    std::map<std::string, Gauge> gauges;
-    std::map<std::string, sim::LogHistogram> histograms;
-    std::map<std::string, Probe> probes;
-    std::uint64_t mutations = 0;
+    sim::StableVector<Entry> entries;
+    /** Open-addressing path -> id index (linear probing, kNoId = free). */
+    std::vector<Id> index;
+    std::vector<std::unique_ptr<char[]>> arena;
+    char *arenaTop = nullptr;
+    std::size_t arenaLeft = 0;
+    sim::StableVector<sim::Counter> counters;
+    sim::StableVector<Gauge> gauges;
+    sim::StableVector<sim::LogHistogram> histograms;
+    sim::StableVector<std::function<double()>> probes;
+    std::vector<Sampled> sampled;  ///< by probe slot; empty until sampled
+    /** Ids in path order, extended by the paths() family on demand. */
+    mutable std::vector<Id> sorted;
 
     bool samplerStarted = false;
     TraceWriter *samplerTrace = nullptr;
     std::uint64_t samplerTicks = 0;
 
-    void checkNewPath(const std::string &path, const char *kind) const;
+    /** Index position holding @p path, or the free one it would take. */
+    std::size_t indexPos(std::string_view path) const;
+    /** The id of @p path if it is a @p kind, else kNoId. */
+    Id find(std::string_view path, Kind kind) const;
+    /**
+     * The id at @p path; when new (second = true), it is registered as
+     * @p kind at @p slot of that kind's array. Panics on an empty path
+     * or one registered as another kind.
+     */
+    std::pair<Id, bool> intern(const std::string &path, Kind kind,
+                               std::size_t slot);
+    /** The probe slot of @p path (panics when it is no probe). */
+    std::uint32_t probeSlot(const std::string &path) const;
+    /** The kind-array slot of @p id, which must be of @p kind. */
+    std::uint32_t slotOf(Id id, Kind kind) const;
+    const std::vector<Id> &sortedIds() const;
+    /** @p id 's snapshot value (the JSON after its path key). */
+    void writeValue(std::ostream &os, Id id) const;
 };
 
 /**

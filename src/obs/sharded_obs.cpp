@@ -1,6 +1,7 @@
 #include "obs/sharded_obs.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "sim/logging.hpp"
 #include "sim/sharded_queue.hpp"
@@ -27,10 +28,7 @@ ShardedObservability::ShardedObservability(int shards)
 Observability &
 ShardedObservability::shard(int i)
 {
-    if (i < 0 || i >= shardCount())
-        sim::panicf("ShardedObservability::shard: index ", i,
-                    " out of range [0, ", shardCount(), ")");
-    return *hubs[static_cast<std::size_t>(i)];
+    return const_cast<Observability &>(std::as_const(*this).shard(i));
 }
 
 const Observability &

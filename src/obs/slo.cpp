@@ -256,11 +256,9 @@ SloEngine::exportAlert(const Objective &obj, const std::string &series,
     detail::jsonEscape(line, obj.spec.name);
     line << "\",\"series\":\"";
     detail::jsonEscape(line, series);
-    line << "\",\"state\":\"" << (fired ? "firing" : "resolved")
-         << "\",\"burn_long\":";
-    detail::jsonNumber(line, st.burnLong);
-    line << ",\"burn_short\":";
-    detail::jsonNumber(line, st.burnShort);
+    line << "\",\"state\":\"" << (fired ? "firing" : "resolved") << "\"";
+    detail::jsonFields(
+        line, {{"burn_long", st.burnLong}, {"burn_short", st.burnShort}}, true);
     line << ",\"host\":" << host << "}";
     hub.exportLine(line.str());
 }
@@ -284,10 +282,8 @@ SloEngine::writeTimeline(std::ostream &os) const
             os << "null";
         else
             detail::jsonNumber(os, static_cast<double>(a.resolvedAt) / 1e6);
-        os << ",\"burn_long\":";
-        detail::jsonNumber(os, a.burnLong);
-        os << ",\"burn_short\":";
-        detail::jsonNumber(os, a.burnShort);
+        detail::jsonFields(
+            os, {{"burn_long", a.burnLong}, {"burn_short", a.burnShort}}, true);
         os << ",\"host\":" << a.host << "}";
     }
     os << "]}";

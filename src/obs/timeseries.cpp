@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
 
 #include "obs/json_util.hpp"
@@ -90,14 +91,6 @@ HistogramSketch::percentile(double p) const
     return binLowerEdge(bins.size());
 }
 
-void
-HistogramSketch::clear()
-{
-    bins.clear();
-    total = 0;
-    sumVal = 0.0;
-}
-
 // ---------------------------------------------------------------------
 // TimeSeriesHub
 // ---------------------------------------------------------------------
@@ -158,8 +151,7 @@ TimeSeriesHub::watchRegistry(const MetricsRegistry *reg)
     if (std::find(regs.begin(), regs.end(), reg) != regs.end())
         sim::fatal("TimeSeriesHub::watchRegistry: registry already watched");
     regs.push_back(reg);
-    // ~0 forces a first discover() even on a registry that is still empty.
-    regVersions.push_back(~std::uint64_t{0});
+    regSeen.push_back(0);
 }
 
 void
@@ -250,35 +242,28 @@ TimeSeriesHub::announceSeries(const std::string &name, SeriesKind kind)
 void
 TimeSeriesHub::discover()
 {
+    using Id = MetricsRegistry::Id;
     for (std::size_t ri = 0; ri < regs.size(); ++ri) {
         const MetricsRegistry *reg = regs[ri];
-        // Path discovery walks every registered metric; skip it on the
-        // (overwhelmingly common) windows where nothing new appeared.
-        if (regVersions[ri] == reg->version())
-            continue;
-        regVersions[ri] = reg->version();
-        for (const std::string &path : reg->paths()) {
+        // Only the ids registered since the last window are new; they
+        // are announced in path order, as a sorted rescan would.
+        std::vector<Id> fresh(reg->size() - regSeen[ri]);
+        std::iota(fresh.begin(), fresh.end(), static_cast<Id>(regSeen[ri]));
+        regSeen[ri] = reg->size();
+        std::sort(fresh.begin(), fresh.end(), [reg](Id a, Id b) {
+            return reg->pathOf(a) < reg->pathOf(b);
+        });
+        for (const Id id : fresh) {
+            const std::string path(reg->pathOf(id));
             if (series.count(path) || !includes(path))
                 continue;
             if (aggregates.count(path))
                 sim::panicf("TimeSeriesHub: registry path ", path,
                             " collides with an aggregate series");
             Series s;
+            s.kind = reg->kindOf(id);
             s.reg = reg;
-            if (const sim::Counter *c = reg->findCounter(path)) {
-                s.kind = SeriesKind::kCounter;
-                s.counter = c;
-            } else if (const Gauge *g = reg->findGauge(path)) {
-                s.kind = SeriesKind::kGauge;
-                s.gauge = g;
-            } else if (const sim::LogHistogram *h = reg->findHistogram(path)) {
-                s.kind = SeriesKind::kHistogram;
-                s.hist = h;
-            } else if (reg->hasProbe(path)) {
-                s.kind = SeriesKind::kProbe;
-            } else {
-                continue;  // unknown kind (future registry extension)
-            }
+            s.id = id;
             s.levels.resize(cfg.levels.size());
             for (std::size_t i = 0; i < cfg.levels.size(); ++i)
                 s.levels[i].ring.cap = cfg.levels[i].capacity;
@@ -295,7 +280,6 @@ TimeSeriesHub::refreshAggregate(const std::string &name, Aggregate &agg)
         return;
     agg.seenSeries = series.size();
     agg.members.clear();
-    agg.memberNames.clear();
     for (const auto &[path, s] : series) {
         if (!matchesMetricPattern(agg.pattern, path))
             continue;
@@ -307,15 +291,14 @@ TimeSeriesHub::refreshAggregate(const std::string &name, Aggregate &agg)
                         kindName(s.kind), " at ", path, ")");
         }
         if (s.kind == SeriesKind::kHistogram && !agg.members.empty()) {
-            const auto a = agg.members.front()->hist->binning();
-            const auto b = s.hist->binning();
+            const auto a = agg.members.front()->hist().binning();
+            const auto b = s.hist().binning();
             if (a.minValue != b.minValue ||
                 a.binsPerOctave != b.binsPerOctave)
                 sim::panicf("TimeSeriesHub: aggregate ", name,
                             " mixes histogram binnings at ", path);
         }
         agg.members.push_back(&s);
-        agg.memberNames.push_back(path);
     }
     if (!agg.members.empty() && !agg.announced) {
         announceSeries(name, agg.kind);
@@ -341,149 +324,126 @@ binsDecreased(const std::vector<std::uint64_t> &cur,
 }  // namespace
 
 TsPoint
-TimeSeriesHub::scalarPoint(sim::TimePs now, double cur, LevelState &lv) const
+TimeSeriesHub::scalarPoint(sim::TimePs now, double cur, SeriesKind kind,
+                           double span, LevelState &lv)
 {
     TsPoint p;
     p.t = now;
     p.value = cur;
     p.delta = cur - lv.prevValue;
     lv.prevValue = cur;
+    // Counter-reset rule: a monotonic count that decreased means the
+    // component restarted; the window's delta is everything accumulated
+    // since the reset.
+    if (kind == SeriesKind::kCounter && p.delta < 0.0)
+        p.delta = p.value;
+    if (kind != SeriesKind::kGauge)
+        p.rate = p.delta / span;
     return p;
 }
 
+TsPoint
+TimeSeriesHub::histogramPoint(sim::TimePs now,
+                              sim::LogHistogram::Binning binning,
+                              std::vector<std::uint64_t> bins, double sum,
+                              std::uint64_t count, double span,
+                              LevelState &lv)
+{
+    // Same reset rule for histograms: a component clearing its stats
+    // mid-run (fig08 does per-load-step clearStats) must restart the
+    // window delta from zero, not panic.
+    if (binsDecreased(bins, lv.prevBins)) {
+        lv.prevBins.clear();
+        lv.prevSum = 0.0;
+    }
+    const HistogramSketch sk =
+        HistogramSketch::diff(binning, bins, lv.prevBins, sum - lv.prevSum);
+    lv.prevBins = std::move(bins);
+    lv.prevSum = sum;
+    TsPoint p;
+    p.t = now;
+    p.value = static_cast<double>(count);
+    p.count = sk.count();
+    p.delta = static_cast<double>(sk.count());
+    p.rate = p.delta / span;
+    p.mean = sk.mean();
+    p.p50 = sk.percentile(50.0);
+    p.p90 = sk.percentile(90.0);
+    p.p99 = sk.percentile(99.0);
+    p.p999 = sk.percentile(99.9);
+    return p;
+}
+
+double
+TimeSeriesHub::Series::current() const
+{
+    switch (kind) {
+    case SeriesKind::kCounter:
+        return static_cast<double>(reg->counterAt(id).get());
+    case SeriesKind::kGauge:
+        return reg->gaugeAt(id).value();
+    case SeriesKind::kProbe:
+        return reg->probeValueAt(id);
+    case SeriesKind::kHistogram:
+        break;
+    }
+    return 0.0;
+}
+
+template <typename Point>
 void
-TimeSeriesHub::rollSeries(const std::string &name, Series &s, sim::TimePs now)
+TimeSeriesHub::rollLevels(std::vector<LevelState> &levels, Point &&point)
 {
     for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
         const int stride = cfg.levels[i].stride;
-        if (windowSeq % static_cast<std::uint64_t>(stride) != 0)
-            continue;
-        LevelState &lv = s.levels[i];
-        const double span = spanSeconds(stride, cfg.window);
-        TsPoint p;
-        switch (s.kind) {
-        case SeriesKind::kCounter:
-            p = scalarPoint(now, static_cast<double>(s.counter->get()), lv);
-            // Counter-reset rule: a monotonic count that decreased means
-            // the component restarted; the window's delta is everything
-            // accumulated since the reset.
-            if (p.delta < 0.0)
-                p.delta = p.value;
-            p.rate = p.delta / span;
-            break;
-        case SeriesKind::kGauge:
-            p = scalarPoint(now, s.gauge->value(), lv);
-            break;
-        case SeriesKind::kProbe:
-            p = scalarPoint(now, s.reg->probeValue(name), lv);
-            p.rate = p.delta / span;
-            break;
-        case SeriesKind::kHistogram: {
-            std::vector<std::uint64_t> cur = s.hist->binCounts();
-            // Same reset rule for histograms: a component clearing its
-            // stats mid-run (fig08 does per-load-step clearStats) must
-            // restart the window delta from zero, not panic.
-            if (binsDecreased(cur, lv.prevBins)) {
-                lv.prevBins.clear();
-                lv.prevSum = 0.0;
-            }
-            const HistogramSketch sk = HistogramSketch::diff(
-                s.hist->binning(), cur, lv.prevBins,
-                s.hist->sum() - lv.prevSum);
-            lv.prevBins = std::move(cur);
-            lv.prevSum = s.hist->sum();
-            p.t = now;
-            p.value = static_cast<double>(s.hist->count());
-            p.count = sk.count();
-            p.delta = static_cast<double>(sk.count());
-            p.rate = p.delta / span;
-            p.mean = sk.mean();
-            p.p50 = sk.percentile(50.0);
-            p.p90 = sk.percentile(90.0);
-            p.p99 = sk.percentile(99.0);
-            p.p999 = sk.percentile(99.9);
-            break;
-        }
-        }
-        lv.ring.push(p);
+        if (windowSeq % static_cast<std::uint64_t>(stride) == 0)
+            levels[i].ring.push(
+                point(levels[i], spanSeconds(stride, cfg.window)));
     }
 }
 
 void
-TimeSeriesHub::rollAggregate(const std::string &name, Aggregate &agg,
-                             sim::TimePs now)
+TimeSeriesHub::rollSeries(Series &s, sim::TimePs now)
 {
-    (void)name;
+    rollLevels(s.levels, [&](LevelState &lv, double span) {
+        if (s.kind != SeriesKind::kHistogram)
+            return scalarPoint(now, s.current(), s.kind, span, lv);
+        const sim::LogHistogram &h = s.hist();
+        return histogramPoint(now, h.binning(), h.binCounts(), h.sum(),
+                              h.count(), span, lv);
+    });
+}
+
+void
+TimeSeriesHub::rollAggregate(Aggregate &agg, sim::TimePs now)
+{
     if (agg.members.empty())
         return;
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
-        const int stride = cfg.levels[i].stride;
-        if (windowSeq % static_cast<std::uint64_t>(stride) != 0)
-            continue;
-        LevelState &lv = agg.levels[i];
-        const double span = spanSeconds(stride, cfg.window);
-        TsPoint p;
-        if (agg.kind == SeriesKind::kHistogram) {
-            // Merged cumulative bins across members; the diff against the
-            // aggregate's own previous snapshot is exactly the sum of the
-            // members' windowed sketches (bin counts are integers).
-            std::vector<std::uint64_t> bins;
-            std::uint64_t cum = 0;
-            double sum = 0.0;
-            for (const Series *m : agg.members) {
-                const auto &mb = m->hist->binCounts();
-                if (mb.size() > bins.size())
-                    bins.resize(mb.size(), 0);
-                for (std::size_t b = 0; b < mb.size(); ++b)
-                    bins[b] += mb[b];
-                cum += m->hist->count();
-                sum += m->hist->sum();
-            }
-            if (binsDecreased(bins, lv.prevBins)) {
-                lv.prevBins.clear();  // member reset: restart the delta
-                lv.prevSum = 0.0;
-            }
-            HistogramSketch sk = HistogramSketch::diff(
-                agg.members.front()->hist->binning(), bins, lv.prevBins,
-                sum - lv.prevSum);
-            lv.prevBins = std::move(bins);
-            lv.prevSum = sum;
-            p.t = now;
-            p.value = static_cast<double>(cum);
-            p.count = sk.count();
-            p.delta = static_cast<double>(sk.count());
-            p.rate = p.delta / span;
-            p.mean = sk.mean();
-            p.p50 = sk.percentile(50.0);
-            p.p90 = sk.percentile(90.0);
-            p.p99 = sk.percentile(99.0);
-            p.p999 = sk.percentile(99.9);
-        } else {
+    rollLevels(agg.levels, [&](LevelState &lv, double span) {
+        if (agg.kind != SeriesKind::kHistogram) {
             double cur = 0.0;
-            for (std::size_t m = 0; m < agg.members.size(); ++m) {
-                const Series *s = agg.members[m];
-                switch (agg.kind) {
-                case SeriesKind::kCounter:
-                    cur += static_cast<double>(s->counter->get());
-                    break;
-                case SeriesKind::kGauge:
-                    cur += s->gauge->value();
-                    break;
-                case SeriesKind::kProbe:
-                    cur += s->reg->probeValue(agg.memberNames[m]);
-                    break;
-                case SeriesKind::kHistogram:
-                    break;  // handled above
-                }
-            }
-            p = scalarPoint(now, cur, lv);
-            if (agg.kind == SeriesKind::kCounter && p.delta < 0.0)
-                p.delta = p.value;  // member reset (see rollSeries)
-            if (agg.kind != SeriesKind::kGauge)
-                p.rate = p.delta / span;
+            for (const Series *m : agg.members)
+                cur += m->current();
+            return scalarPoint(now, cur, agg.kind, span, lv);
         }
-        lv.ring.push(p);
-    }
+        // Merged cumulative bins across members; the diff against the
+        // aggregate's own previous snapshot is exactly the sum of the
+        // members' windowed sketches (bin counts are integers).
+        std::vector<std::uint64_t> bins;
+        std::uint64_t count = 0;
+        double sum = 0.0;
+        for (const Series *m : agg.members) {
+            const auto &mb = m->hist().binCounts();
+            if (mb.size() > bins.size())
+                bins.resize(mb.size(), 0);
+            for (std::size_t b = 0; b < mb.size(); ++b)
+                bins[b] += mb[b];
+            count += m->hist().count();
+            sum += m->hist().sum();
+        }
+        return histogramPoint(now, agg.members.front()->hist().binning(),
+                              std::move(bins), sum, count, span, lv);
+    });
 }
 
 void
@@ -494,9 +454,9 @@ TimeSeriesHub::rollAt(sim::TimePs now)
     for (auto &[name, agg] : aggregates)
         refreshAggregate(name, agg);
     for (auto &[name, s] : series)
-        rollSeries(name, s, now);
+        rollSeries(s, now);
     for (auto &[name, agg] : aggregates)
-        rollAggregate(name, agg, now);
+        rollAggregate(agg, now);
     exportWindow(now);
     traceWindow(now);
     for (const auto &fn : observers)
@@ -511,32 +471,19 @@ namespace {
 void
 pointTo(std::ostream &os, SeriesKind kind, const TsPoint &p)
 {
-    using detail::jsonNumber;
+    using detail::jsonFields;
     os << "{";
     if (kind == SeriesKind::kHistogram) {
-        os << "\"n\":" << p.count << ",\"v\":";
-        jsonNumber(os, p.value);
-        os << ",\"r\":";
-        jsonNumber(os, p.rate);
-        os << ",\"mean\":";
-        jsonNumber(os, p.mean);
-        os << ",\"p50\":";
-        jsonNumber(os, p.p50);
-        os << ",\"p90\":";
-        jsonNumber(os, p.p90);
-        os << ",\"p99\":";
-        jsonNumber(os, p.p99);
-        os << ",\"p999\":";
-        jsonNumber(os, p.p999);
+        os << "\"n\":" << p.count;
+        jsonFields(os,
+                   {{"v", p.value}, {"r", p.rate}, {"mean", p.mean},
+                    {"p50", p.p50}, {"p90", p.p90}, {"p99", p.p99},
+                    {"p999", p.p999}},
+                   true);
     } else {
-        os << "\"v\":";
-        jsonNumber(os, p.value);
-        os << ",\"d\":";
-        jsonNumber(os, p.delta);
-        if (kind != SeriesKind::kGauge) {
-            os << ",\"r\":";
-            jsonNumber(os, p.rate);
-        }
+        jsonFields(os, {{"v", p.value}, {"d", p.delta}});
+        if (kind != SeriesKind::kGauge)
+            jsonFields(os, {{"r", p.rate}}, true);
     }
     os << "}";
 }
@@ -738,17 +685,9 @@ TimeSeriesHub::envPath()
 const char *
 TimeSeriesHub::kindName(SeriesKind k)
 {
-    switch (k) {
-    case SeriesKind::kCounter:
-        return "counter";
-    case SeriesKind::kGauge:
-        return "gauge";
-    case SeriesKind::kProbe:
-        return "probe";
-    case SeriesKind::kHistogram:
-        return "histogram";
-    }
-    return "?";
+    static const char *const kNames[] = {"counter", "gauge", "histogram",
+                                         "probe"};
+    return kNames[static_cast<int>(k)];
 }
 
 }  // namespace ccsim::obs

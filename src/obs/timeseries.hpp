@@ -113,9 +113,6 @@ class HistogramSketch
     /** Binning parameters. */
     sim::LogHistogram::Binning binning() const { return {minVal, octave}; }
 
-    /** Drop to an empty sketch, keeping the binning. */
-    void clear();
-
   private:
     double minVal = 0.5;
     int octave = 96;
@@ -126,13 +123,13 @@ class HistogramSketch
     double binLowerEdge(std::size_t idx) const;
 };
 
-/** What a time series measures (determines which TsPoint fields are set). */
-enum class SeriesKind : std::uint8_t {
-    kCounter,    ///< monotone counter: value/delta/rate
-    kGauge,      ///< explicit gauge: value/delta
-    kProbe,      ///< callback gauge: value/delta/rate
-    kHistogram,  ///< histogram: count/rate/mean/percentiles
-};
+/**
+ * What a time series measures: the registry kind of its metrics, which
+ * determines the TsPoint fields set. Counters and probes carry
+ * value/delta/rate, gauges value/delta, histograms
+ * count/rate/mean/percentiles.
+ */
+using SeriesKind = MetricsRegistry::Kind;
 
 /** One windowed sample of one series. */
 struct TsPoint {
@@ -332,11 +329,16 @@ class TimeSeriesHub
     /** One concrete series bound to a registry metric. */
     struct Series {
         SeriesKind kind = SeriesKind::kCounter;
-        const sim::Counter *counter = nullptr;
-        const Gauge *gauge = nullptr;
-        const sim::LogHistogram *hist = nullptr;
-        const MetricsRegistry *reg = nullptr;  ///< probe owner
+        const MetricsRegistry *reg = nullptr;
+        MetricsRegistry::Id id = 0;  ///< the metric's id in reg
         std::vector<LevelState> levels;
+
+        /** The reading of a scalar (non-histogram) series now. */
+        double current() const;
+        const sim::LogHistogram &hist() const
+        {
+            return reg->histogramAt(id);
+        }
     };
 
     /** One derived series merging pattern-matched members. */
@@ -344,7 +346,6 @@ class TimeSeriesHub
         std::string pattern;
         SeriesKind kind = SeriesKind::kCounter;
         std::vector<const Series *> members;
-        std::vector<std::string> memberNames;
         std::size_t seenSeries = 0;  ///< concrete count at last refresh
         bool announced = false;
         std::vector<LevelState> levels;
@@ -352,8 +353,8 @@ class TimeSeriesHub
 
     TimeSeriesConfig cfg;
     std::vector<const MetricsRegistry *> regs;
-    /** registry->version() at the last discover(), parallel to regs. */
-    std::vector<std::uint64_t> regVersions;
+    /** registry->size() at the last discover(), parallel to regs. */
+    std::vector<std::size_t> regSeen;
     std::map<std::string, Series> series;
     std::map<std::string, Aggregate> aggregates;
     std::vector<WindowObserver> observers;
@@ -368,10 +369,18 @@ class TimeSeriesHub
     void discover();
     void refreshAggregate(const std::string &name, Aggregate &agg);
     void announceSeries(const std::string &name, SeriesKind kind);
-    void rollSeries(const std::string &name, Series &s, sim::TimePs now);
-    void rollAggregate(const std::string &name, Aggregate &agg,
-                       sim::TimePs now);
-    TsPoint scalarPoint(sim::TimePs now, double cur, LevelState &lv) const;
+    void rollSeries(Series &s, sim::TimePs now);
+    void rollAggregate(Aggregate &agg, sim::TimePs now);
+    /** Push the point of every level due this window. */
+    template <typename Point>
+    void rollLevels(std::vector<LevelState> &levels, Point &&point);
+    static TsPoint scalarPoint(sim::TimePs now, double cur, SeriesKind kind,
+                               double span, LevelState &lv);
+    static TsPoint histogramPoint(sim::TimePs now,
+                                  sim::LogHistogram::Binning binning,
+                                  std::vector<std::uint64_t> bins, double sum,
+                                  std::uint64_t count, double span,
+                                  LevelState &lv);
     void exportWindow(sim::TimePs now);
     void traceWindow(sim::TimePs now);
     static const char *kindName(SeriesKind k);

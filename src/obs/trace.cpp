@@ -95,53 +95,42 @@ TraceWriter::track(const std::string &name)
     return it->second;
 }
 
+TraceEvent &
+TraceWriter::record(char phase, int tid, sim::TimePs ts, std::string_view cat,
+                    std::string_view name)
+{
+    TraceEvent &e = events.emplace_back();
+    e.phase = phase;
+    e.tid = tid;
+    e.ts = ts;
+    e.cat = std::string(cat);
+    e.name = std::string(name);
+    hasUnwritten = true;
+    return e;
+}
+
 void
 TraceWriter::complete(int tid, std::string_view cat, std::string_view name,
                       sim::TimePs start, sim::TimePs duration)
 {
-    if (!recording)
-        return;
-    TraceEvent e;
-    e.phase = 'X';
-    e.tid = tid;
-    e.ts = start;
-    e.dur = duration;
-    e.cat = std::string(cat);
-    e.name = std::string(name);
-    events.push_back(std::move(e));
-    hasUnwritten = true;
+    if (recording)
+        record('X', tid, start, cat, name).dur = duration;
 }
 
 void
 TraceWriter::instant(int tid, std::string_view cat, std::string_view name,
                      sim::TimePs ts)
 {
-    if (!recording)
-        return;
-    TraceEvent e;
-    e.phase = 'i';
-    e.tid = tid;
-    e.ts = ts;
-    e.cat = std::string(cat);
-    e.name = std::string(name);
-    events.push_back(std::move(e));
-    hasUnwritten = true;
+    if (recording)
+        record('i', tid, ts, cat, name);
 }
 
 void
 TraceWriter::counter(std::string_view cat, std::string_view name,
                      sim::TimePs ts, double value)
 {
-    if (!recording)
-        return;
-    TraceEvent e;
-    e.phase = 'C';
-    e.ts = ts;
-    e.value = value;
-    e.cat = std::string(cat);
-    e.name = std::string(name);
-    events.push_back(std::move(e));
-    hasUnwritten = true;
+    if (recording)
+        record('C', 0, ts, cat, name).value = value;
 }
 
 void
@@ -149,16 +138,8 @@ TraceWriter::counterMulti(std::string_view cat, std::string_view name,
                           sim::TimePs ts,
                           std::vector<std::pair<std::string, double>> values)
 {
-    if (!recording)
-        return;
-    TraceEvent e;
-    e.phase = 'C';
-    e.ts = ts;
-    e.cat = std::string(cat);
-    e.name = std::string(name);
-    e.multi = std::move(values);
-    events.push_back(std::move(e));
-    hasUnwritten = true;
+    if (recording)
+        record('C', 0, ts, cat, name).multi = std::move(values);
 }
 
 void
@@ -166,17 +147,8 @@ TraceWriter::flowPoint(char phase, int tid, std::string_view cat,
                        std::string_view name, sim::TimePs ts,
                        std::uint64_t flow_id)
 {
-    if (!recording)
-        return;
-    TraceEvent e;
-    e.phase = phase;
-    e.tid = tid;
-    e.ts = ts;
-    e.flowId = flow_id;
-    e.cat = std::string(cat);
-    e.name = std::string(name);
-    events.push_back(std::move(e));
-    hasUnwritten = true;
+    if (recording)
+        record(phase, tid, ts, cat, name).flowId = flow_id;
 }
 
 std::vector<std::string>

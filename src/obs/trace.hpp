@@ -146,6 +146,9 @@ class TraceWriter
     std::map<std::string, int> tracks;
     int nextTid = 1;
 
+    /** Append an event with the fields every kind sets; marks it dirty. */
+    TraceEvent &record(char phase, int tid, sim::TimePs ts,
+                       std::string_view cat, std::string_view name);
     void flushIfDirty();
     friend void traceWriterFlushAllAtExit();
 };

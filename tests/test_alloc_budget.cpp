@@ -4,12 +4,15 @@
  * its two Channel objects and its names, because an empty queue owns no
  * heap (sim::Fifo allocates on its first push). Busy fabric: once warm,
  * moving a packet through a switch allocates nothing, because every
- * per-hop closure fits sim::EventFn's inline buffer.
+ * per-hop closure fits sim::EventFn's inline buffer. Metrics registry:
+ * a switch probe costs its interned path, a dense-id record and its
+ * callback, not a map node and a string per path.
  *
  * This binary replaces the global `operator new` with a byte and call
- * counter and measures the heap a construction or a run takes. It is an
- * executable of its own so that the replacement never runs under the
- * other suites.
+ * counter, plus a live-byte count kept in a size header in front of
+ * every block, and measures the heap a construction or a run takes. It
+ * is an executable of its own so that the replacement never runs under
+ * the other suites.
  */
 #include <gtest/gtest.h>
 
@@ -24,35 +27,49 @@
 #include "net/packet.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
 
 std::size_t heapBytes = 0;
 std::size_t heapCalls = 0;
+std::size_t liveBytes = 0;
+
+/** Every block starts with its size, so delete can debit liveBytes. */
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 }  // namespace
 
-void *
+// Not inlined: inlined into a caller, the header arithmetic reads as an
+// out-of-bounds access of the object the caller allocated.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     heapBytes += size;
     ++heapCalls;
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
+    liveBytes += size;
+    if (void *p = std::malloc(size + kHeader)) {
+        *static_cast<std::size_t *>(p) = size;
+        return static_cast<char *>(p) + kHeader;
+    }
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    if (p == nullptr)
+        return;
+    void *block = static_cast<char *>(p) - kHeader;
+    liveBytes -= *static_cast<std::size_t *>(block);
+    std::free(block);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    operator delete(p);
 }
 
 namespace {
@@ -106,6 +123,56 @@ TEST(AllocBudget, LazyTopologyTrunksStayUnderBudget)
     EXPECT_LE(bytes / topo->numTrunkLinks(), kLazyFabricPerTrunkBudget)
         << bytes << " heap bytes for " << topo->numTrunkLinks()
         << " trunks";
+}
+
+/**
+ * Budget per registered switch path: the interned path, its 16 B id
+ * record and index slot, the probe callback, and the switch's trace
+ * track, amortized.
+ */
+constexpr std::size_t kSwitchPathBudget = 128;
+
+TEST(AllocBudget, SwitchProbesStayUnderBudget)
+{
+    sim::EventQueue eq;
+    net::TopologyConfig cfg;
+    cfg.hostsPerRack = 24;
+    cfg.racksPerPod = 4;
+    cfg.l1PerPod = 2;
+    cfg.pods = 2;
+    cfg.l2Count = 2;
+    cfg.lazyHosts = true;
+    net::Topology topo(eq, cfg);
+    obs::Observability hub;
+    std::vector<obs::Observability *> hubs(
+        static_cast<std::size_t>(cfg.pods + 1), &hub);
+    const std::size_t before = liveBytes;
+    topo.attachObservability(hubs);
+    const std::size_t bytes = liveBytes - before;
+    const std::size_t paths = hub.registry.paths().size();
+    ASSERT_GT(paths, 0u);
+    EXPECT_LE(bytes / paths, kSwitchPathBudget)
+        << bytes << " live heap bytes for " << paths << " switch paths";
+}
+
+TEST(MetricsRegistry, EmptyRegistryAllocatesNothing)
+{
+    // Every shard of a sharded cloud owns a hub; most registries of a
+    // 261-partition fabric stay small, and an unused one costs no heap.
+    const std::size_t calls = heapCalls;
+    {
+        obs::MetricsRegistry reg;
+        const bool found = reg.findCounter("a.b") != nullptr ||
+                           reg.findGauge("a.b") != nullptr ||
+                           reg.findHistogram("a.b") != nullptr ||
+                           reg.hasProbe("a.b");
+        const bool listed = !reg.paths().empty() ||
+                            !reg.children("").empty() || reg.size() != 0;
+        reg.sampleAt(1000);
+        EXPECT_FALSE(found || listed);
+    }
+    EXPECT_EQ(heapCalls - calls, 0u)
+        << "operator new calls by an empty registry";
 }
 
 /** Counts deliveries and keeps nothing. */

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -458,6 +459,11 @@ TEST(ResourceManager, MatchesFirstFitOracleOnRandomOps)
             ASSERT_EQ(rm.failedCount(),
                       oracle.count(PoolOracle::State::kFailed));
             ASSERT_EQ(rm.totalCount(), static_cast<int>(oracle.nodes.size()));
+            // The counts are kept as states change; a full scan agrees.
+            ASSERT_EQ(rm.scanCounts(),
+                      (std::array<int, 3>{rm.freeCount(), rm.allocatedCount(),
+                                          rm.failedCount()}))
+                << "step " << step;
             ASSERT_EQ(rm.affinitySkips(), oracle.skips);
             ASSERT_EQ(failures, oracle.failures);
             ASSERT_EQ(repairs, oracle.repairs);

@@ -14,13 +14,16 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
 
 namespace {
@@ -383,6 +386,245 @@ TEST(MetricsRegistry, SnapshotEscapesAndNonFiniteValues)
     // Non-finite probe values serialize as null, keeping the JSON valid.
     EXPECT_EQ(root.at("probes").at("bad.probe").at("value").kind,
               JsonValue::kNull);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized check against a std::map model of the registry.
+// ---------------------------------------------------------------------------
+
+/**
+ * Every path in one std::map, whatever its kind, holding the values the
+ * registry should report. render() writes the snapshot format from the
+ * map directly, so the registry's id-ordered storage must reproduce it
+ * byte for byte.
+ */
+struct RegistryOracle {
+    using Kind = MetricsRegistry::Kind;
+    struct Metric {
+        Kind kind = Kind::kCounter;
+        std::uint64_t count = 0;
+        obs::Gauge gauge;
+        std::unique_ptr<sim::LogHistogram> hist;
+        std::shared_ptr<double> probe;  ///< the registered callback's cell
+        sim::TimeWeighted sampled;
+    };
+    std::map<std::string, Metric> metrics;
+
+    std::string render(int shard, int shards) const
+    {
+        using obs::detail::jsonNumber;
+        std::ostringstream os;
+        const char *open[] = {"{\"counters\":{", "},\"gauges\":{",
+                              "},\"histograms\":{", "},\"probes\":{"};
+        for (const Kind kind : {Kind::kCounter, Kind::kGauge,
+                                Kind::kHistogram, Kind::kProbe}) {
+            os << open[static_cast<int>(kind)];
+            bool first = true;
+            for (const auto &[path, m] : metrics) {
+                if (m.kind != kind || (shard >= 0 && shardOf(path, shards) !=
+                                                         shard))
+                    continue;
+                os << (first ? "\"" : ",\"");
+                first = false;
+                obs::detail::jsonEscape(os, path);
+                os << "\":";
+                if (kind == Kind::kCounter) {
+                    os << m.count;
+                } else if (kind == Kind::kGauge) {
+                    os << "{\"value\":";
+                    jsonNumber(os, m.gauge.value());
+                    os << ",\"avg\":";
+                    jsonNumber(os, m.gauge.timeAverage());
+                    os << ",\"peak\":";
+                    jsonNumber(os, m.gauge.peak());
+                    os << "}";
+                } else if (kind == Kind::kHistogram) {
+                    const sim::LogHistogram &h = *m.hist;
+                    os << "{\"count\":" << h.count();
+                    if (h.count() > 0) {
+                        os << ",\"mean\":";
+                        jsonNumber(os, h.mean());
+                        os << ",\"min\":";
+                        jsonNumber(os, h.min());
+                        os << ",\"max\":";
+                        jsonNumber(os, h.max());
+                        const char *label[] = {"p50", "p90", "p99", "p999"};
+                        const double pct[] = {50.0, 90.0, 99.0, 99.9};
+                        for (int i = 0; i < 4; ++i) {
+                            os << ",\"" << label[i] << "\":";
+                            jsonNumber(os, h.percentile(pct[i]));
+                        }
+                    }
+                    os << "}";
+                } else {
+                    os << "{\"value\":";
+                    jsonNumber(os, *m.probe);
+                    os << ",\"avg\":";
+                    jsonNumber(os, m.sampled.average());
+                    os << "}";
+                }
+            }
+        }
+        os << "}}";
+        return os.str();
+    }
+
+    std::vector<std::string> paths(int shard, int shards) const
+    {
+        std::vector<std::string> out;
+        for (const auto &[path, m] : metrics)
+            if (shardOf(path, shards) == shard)
+                out.push_back(path);
+        return out;
+    }
+
+    static int shardOf(const std::string &path, int shards)
+    {
+        return static_cast<int>(std::hash<std::string>{}(path) %
+                                static_cast<std::size_t>(shards));
+    }
+};
+
+/** children() recomputed from a sorted path list. */
+std::vector<std::string>
+childrenOf(const std::vector<std::string> &paths, const std::string &prefix)
+{
+    const std::string want = prefix.empty() ? "" : prefix + ".";
+    std::vector<std::string> kids;
+    for (const std::string &p : paths)
+        if (p.size() > want.size() && p.compare(0, want.size(), want) == 0)
+            kids.push_back(p.substr(want.size()).substr(
+                0, p.substr(want.size()).find('.')));
+    std::sort(kids.begin(), kids.end());
+    kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
+    return kids;
+}
+
+TEST(MetricsRegistryDeathTest, MatchesMapOracleOnRandomOps)
+{
+    using Kind = MetricsRegistry::Kind;
+    // Prefix relations ("x", "x.y", "x-y") and shared segments.
+    std::vector<std::string> universe = {"x", "x.y", "x.y.z", "x-y", "x.y-z",
+                                         "weird.\"q\"\\p"};
+    for (int a = 0; a < 3; ++a)
+        for (int b = 0; b < 4; ++b)
+            for (int c = 0; c < 3; ++c)
+                universe.push_back("s" + std::to_string(a) + ".n" +
+                                   std::to_string(b) + ".m" +
+                                   std::to_string(c));
+    constexpr int kShards = 3;  // an odd count: one run merges late
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        sim::Rng rng(seed);
+        MetricsRegistry regs[kShards];
+        RegistryOracle oracle;
+        sim::TimePs now = 0;
+        int deathChecks = 0;
+        for (int step = 0; step < 400; ++step) {
+            const std::string &path =
+                universe[rng.uniformInt(universe.size())];
+            MetricsRegistry &reg =
+                regs[RegistryOracle::shardOf(path, kShards)];
+            const auto want = static_cast<Kind>(rng.uniformInt(4));
+            const auto it = oracle.metrics.find(path);
+            if (it != oracle.metrics.end() && it->second.kind != want) {
+                // A cross-kind collision panics; check a few per seed.
+                if (deathChecks++ < 2) {
+                    EXPECT_DEATH(
+                        {
+                            if (want == Kind::kCounter)
+                                reg.counter(path);
+                            else if (want == Kind::kGauge)
+                                reg.gauge(path);
+                            else if (want == Kind::kHistogram)
+                                reg.histogram(path);
+                            else
+                                reg.registerProbe(path, [] { return 0.0; });
+                        },
+                        "different metric kind");
+                }
+                continue;
+            }
+            RegistryOracle::Metric &m = oracle.metrics[path];
+            m.kind = want;
+            now += static_cast<sim::TimePs>(rng.uniformInt(1000));
+            const double v = static_cast<double>(rng.uniformInt(100)) / 4.0;
+            switch (want) {
+            case Kind::kCounter: {
+                const std::uint64_t n = rng.uniformInt(5);
+                reg.counter(path).inc(n);
+                m.count += n;
+                break;
+            }
+            case Kind::kGauge:
+                reg.gauge(path).set(now, v);
+                m.gauge.set(now, v);
+                break;
+            case Kind::kHistogram: {
+                // Later calls ignore the binning: the first one sticks.
+                const double min = rng.bernoulli(0.5) ? 0.5 : 2.0;
+                if (!m.hist)
+                    m.hist = std::make_unique<sim::LogHistogram>(min, 96);
+                reg.histogram(path, min, 96).add(v);
+                m.hist->add(v);
+                break;
+            }
+            case Kind::kProbe:
+                if (m.probe && rng.bernoulli(0.6)) {
+                    *m.probe = v;  // the live value moves
+                } else {
+                    // New probe, or a replacement with a fresh callback.
+                    m.probe = std::make_shared<double>(v);
+                    reg.registerProbe(path, [cell = m.probe] { return *cell; });
+                }
+                break;
+            }
+            if (rng.bernoulli(0.1)) {
+                now += 1 + static_cast<sim::TimePs>(rng.uniformInt(5000));
+                for (MetricsRegistry &r : regs)
+                    r.sampleAt(now);
+                for (auto &[p, om] : oracle.metrics)
+                    if (om.kind == Kind::kProbe)
+                        om.sampled.update(now, *om.probe);
+            }
+
+            // Point lookups agree on a random path.
+            const std::string &q = universe[rng.uniformInt(universe.size())];
+            const MetricsRegistry &qr =
+                regs[RegistryOracle::shardOf(q, kShards)];
+            const auto qit = oracle.metrics.find(q);
+            const auto is = [&](Kind k) {
+                return qit != oracle.metrics.end() && qit->second.kind == k;
+            };
+            ASSERT_EQ(qr.findCounter(q) != nullptr, is(Kind::kCounter));
+            ASSERT_EQ(qr.findGauge(q) != nullptr, is(Kind::kGauge));
+            ASSERT_EQ(qr.findHistogram(q) != nullptr, is(Kind::kHistogram));
+            ASSERT_EQ(qr.hasProbe(q), is(Kind::kProbe));
+            if (is(Kind::kCounter)) {
+                ASSERT_EQ(qr.findCounter(q)->get(), qit->second.count);
+            }
+            if (is(Kind::kProbe)) {
+                ASSERT_EQ(qr.probeValue(q), *qit->second.probe);
+                ASSERT_EQ(qr.probeTimeAverage(q),
+                          qit->second.sampled.average());
+            }
+        }
+
+        std::vector<const MetricsRegistry *> all;
+        for (int s = 0; s < kShards; ++s) {
+            const std::vector<std::string> paths = oracle.paths(s, kShards);
+            EXPECT_EQ(regs[s].paths(), paths);
+            EXPECT_EQ(regs[s].size(), paths.size());
+            EXPECT_EQ(regs[s].snapshotJson(), oracle.render(s, kShards));
+            for (const std::string prefix :
+                 {"", "x", "x.y", "s0", "s1.n2", "s2.n3.m1", "bogus"})
+                EXPECT_EQ(regs[s].children(prefix), childrenOf(paths, prefix))
+                    << "prefix '" << prefix << "'";
+            all.push_back(&regs[s]);
+        }
+        EXPECT_EQ(MetricsRegistry::mergedSnapshotJson(all),
+                  oracle.render(-1, kShards));
+    }
 }
 
 // ---------------------------------------------------------------------------
