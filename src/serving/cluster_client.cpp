@@ -38,13 +38,47 @@ ClusterClient::ClusterClient(sim::EventQueue &eq, std::string name,
         sim::fatal("ClusterClient: instance source must be set");
 }
 
+std::size_t
+ClusterClient::rankOf(int host) const
+{
+    return static_cast<std::size_t>(
+        std::lower_bound(entriesByHost.begin(), entriesByHost.end(), host,
+                         [this](std::uint32_t row, int h) {
+                             return entries[row].host < h;
+                         }) -
+        entriesByHost.begin());
+}
+
+int
+ClusterClient::findRow(int host) const
+{
+    const std::size_t rank = rankOf(host);
+    return rank < entriesByHost.size() &&
+                   entries[entriesByHost[rank]].host == host
+               ? static_cast<int>(entriesByHost[rank])
+               : -1;
+}
+
+std::uint32_t
+ClusterClient::entryFor(int host)
+{
+    if (const int row = findRow(host); row >= 0)
+        return static_cast<std::uint32_t>(row);
+    const auto row = static_cast<std::uint32_t>(entries.size());
+    entries.push_back(HostEntry{.host = host});
+    entriesByHost.insert(
+        entriesByHost.begin() + static_cast<std::ptrdiff_t>(rankOf(host)),
+        row);
+    return row;
+}
+
 void
 ClusterClient::registerEndpoint(int host, host::FeatureAccelerator *endpoint)
 {
     if (endpoint == nullptr)
         sim::fatalf("ClusterClient(", serviceName,
                     "): null endpoint for host ", host);
-    endpoints[host] = endpoint;
+    entries[entryFor(host)].endpoint = endpoint;
     if (obsHub != nullptr) {
         // Replacement semantics make re-registration after a
         // scale-down/up cycle safe.
@@ -57,7 +91,8 @@ ClusterClient::registerEndpoint(int host, host::FeatureAccelerator *endpoint)
 void
 ClusterClient::unregisterEndpoint(int host)
 {
-    endpoints.erase(host);
+    if (const int row = findRow(host); row >= 0)
+        entries[static_cast<std::size_t>(row)].endpoint = nullptr;
 }
 
 bool
@@ -66,14 +101,28 @@ ClusterClient::admit(const std::string &tenant)
     return admissionCtl.tryAdmit(tenant);
 }
 
+void
+ClusterClient::refreshMembers()
+{
+    std::vector<int> instances = source();
+    if (instances == members)
+        return;
+    members = std::move(instances);
+    detector.trackHosts(members);
+    memberEntries.clear();
+    for (int host : members)
+        memberEntries.push_back(entryFor(host));
+}
+
 int
 ClusterClient::route(std::uint64_t key)
 {
-    const std::vector<int> instances = source();
-    detector.trackHosts(instances);
+    refreshMembers();
     candidates.clear();
-    for (int host : instances) {
-        if (endpoints.count(host) == 0 || detector.ejected(host))
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        const int host = members[i];
+        if (entries[memberEntries[i]].endpoint == nullptr ||
+            detector.ejected(host))
             continue;
         if (avoid && avoid(host)) {
             ++statAvoided;
@@ -83,7 +132,10 @@ ClusterClient::route(std::uint64_t key)
     }
     if (candidates.empty())
         return -1;
-    lb->setHosts(candidates);
+    if (candidates != balancerHosts) {
+        balancerHosts = candidates;
+        lb->setHosts(balancerHosts);
+    }
     if (key == 0)
         key = rng.next();
     const int host = lb->pick(key, [this](int h) {
@@ -121,15 +173,26 @@ ClusterClient::forward(int host, std::uint32_t doc_count,
                        const obs::TraceContext &ctx,
                        std::function<void()> done)
 {
-    const std::uint64_t token = nextToken++;
-    PendingRequest &req = pending[token];
-    req.host = host;
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(pending.size());
+        pending.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    PendingRequest &req = pending[slot];
+    const std::uint64_t token =
+        (static_cast<std::uint64_t>(req.generation) << 32) | slot;
+    req.entry = entryFor(host);
     req.startedAt = queue.now();
+    req.timeoutEvent = sim::kNoEvent;
     if (config.ejection.attemptTimeout > 0)
         req.timeoutEvent = queue.scheduleAfter(
             config.ejection.attemptTimeout,
             [this, token] { onTimeout(token); });
-    ++outstanding[host];
+    HostEntry &entry = entries[req.entry];
+    ++entry.outstanding;
     if (ctx.sampled && obsHub != nullptr) {
         // Zero-width annotation: names the chosen backend in the span
         // dump without covering any time, so attribution still sums
@@ -138,7 +201,7 @@ ClusterClient::forward(int host, std::uint32_t doc_count,
             ctx, obsPrefix + ".host" + std::to_string(host),
             obs::Component::kCompute, queue.now(), queue.now());
     }
-    endpoints[host]->computeTraced(
+    entry.endpoint->computeTraced(
         doc_count, ctx, [this, token, cb = std::move(done)] {
             onResponse(token);
             if (cb)
@@ -146,52 +209,56 @@ ClusterClient::forward(int host, std::uint32_t doc_count,
         });
 }
 
+ClusterClient::HostEntry &
+ClusterClient::retire(std::uint32_t slot)
+{
+    PendingRequest &req = pending[slot];
+    ++req.generation;
+    freeSlots.push_back(slot);
+    HostEntry &entry = entries[req.entry];
+    --entry.outstanding;
+    return entry;
+}
+
 void
 ClusterClient::onResponse(std::uint64_t token)
 {
-    auto it = pending.find(token);
-    if (it == pending.end())
+    const auto slot = static_cast<std::uint32_t>(token);
+    const PendingRequest &req = pending[slot];
+    if (req.generation != static_cast<std::uint32_t>(token >> 32))
         return;  // already counted as an error by the attempt timeout
-    const PendingRequest req = it->second;
-    pending.erase(it);
+    const sim::TimePs latency = queue.now() - req.startedAt;
     if (req.timeoutEvent != sim::kNoEvent)
         queue.cancel(req.timeoutEvent);
-    auto out = outstanding.find(req.host);
-    if (out != outstanding.end() && out->second > 0)
-        --out->second;
-    detector.recordSuccess(req.host, queue.now() - req.startedAt);
+    const HostEntry &entry = retire(slot);
+    detector.recordSuccess(entry.host, latency);
     if (latencyHist != nullptr)
-        latencyHist->add(static_cast<double>(queue.now() - req.startedAt) /
+        latencyHist->add(static_cast<double>(latency) /
                          static_cast<double>(sim::kMillisecond));
 }
 
 void
 ClusterClient::onTimeout(std::uint64_t token)
 {
-    auto it = pending.find(token);
-    if (it == pending.end())
+    const auto slot = static_cast<std::uint32_t>(token);
+    if (pending[slot].generation != static_cast<std::uint32_t>(token >> 32))
         return;
-    const int host = it->second.host;
-    pending.erase(it);
-    auto out = outstanding.find(host);
-    if (out != outstanding.end() && out->second > 0)
-        --out->second;
-    detector.recordError(host);
+    detector.recordError(retire(slot).host);
 }
 
 int
 ClusterClient::outstandingOn(int host) const
 {
-    auto it = outstanding.find(host);
-    return it == outstanding.end() ? 0 : it->second;
+    const int row = findRow(host);
+    return row < 0 ? 0 : entries[static_cast<std::size_t>(row)].outstanding;
 }
 
 int
 ClusterClient::outstandingTotal() const
 {
     int total = 0;
-    for (const auto &[host, n] : outstanding)
-        total += n;
+    for (const HostEntry &e : entries)
+        total += e.outstanding;
     return total;
 }
 
@@ -212,10 +279,14 @@ ClusterClient::attachObservability(obs::Observability *o)
     latencyHist = &reg.histogram(obsPrefix + ".latency_ms");
     reg.registerProbe(obsPrefix + ".outstanding",
                       [this] { return double(outstandingTotal()); });
-    for (const auto &[host, endpoint] : endpoints)
+    for (std::uint32_t row : entriesByHost) {
+        if (entries[row].endpoint == nullptr)
+            continue;
+        const int host = entries[row].host;
         reg.registerProbe(
             obsPrefix + ".host." + std::to_string(host) + ".outstanding",
-            [this, h = host] { return double(outstandingOn(h)); });
+            [this, host] { return double(outstandingOn(host)); });
+    }
     admissionCtl.attachObservability(o, obsPrefix + ".admission");
     detector.attachObservability(o, obsPrefix + ".outlier");
 }

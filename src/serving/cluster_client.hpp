@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,7 +118,9 @@ class ClusterClient : public host::FeatureAccelerator
      * @param eq        Event queue (also the detector's clock).
      * @param name      Service name; metric paths use `serving.<name>`.
      * @param instances Lease view, polled on every route (e.g.
-     *                  `[&sm] { return sm.instances(); }`).
+     *                  `[&sm] { return sm.instances(); }`); the outlier
+     *                  detector is reconciled only when the polled list
+     *                  differs from the previous one.
      * @param cfg       Validated at construction; fatal on errors.
      */
     ClusterClient(sim::EventQueue &eq, std::string name,
@@ -205,8 +206,21 @@ class ClusterClient : public host::FeatureAccelerator
     void attachObservability(obs::Observability *o);
 
   private:
-    struct PendingRequest {
+    /** One row per host ever seen (instance or endpoint); never erased,
+     * so row indices are stable handles. */
+    struct HostEntry {
         int host = -1;
+        /** Null until registered (and after unregistration). */
+        host::FeatureAccelerator *endpoint = nullptr;
+        int outstanding = 0;
+    };
+
+    /** A pending-request slot; its token is (generation << 32) | slot,
+     * and retiring the slot bumps the generation, so a response that
+     * arrives after its timeout finds a stale token and is ignored. */
+    struct PendingRequest {
+        std::uint32_t entry = 0;
+        std::uint32_t generation = 0;
         sim::TimePs startedAt = 0;
         sim::EventId timeoutEvent = sim::kNoEvent;
     };
@@ -220,12 +234,19 @@ class ClusterClient : public host::FeatureAccelerator
     OutlierDetector detector;
     sim::Rng rng;
     std::function<bool(int host)> avoid;
-    std::map<int, host::FeatureAccelerator *> endpoints;
-    std::map<int, int> outstanding;
-    std::map<std::uint64_t, PendingRequest> pending;
-    std::uint64_t nextToken = 1;
-    /** Scratch candidate buffer (avoids per-route allocation churn). */
+    std::vector<HostEntry> entries;
+    /** Row indices of entries, ascending by host (lookup by host). */
+    std::vector<std::uint32_t> entriesByHost;
+    /** The instance list of the last membership reconciliation, and the
+     * row of each of its hosts, in the same order. */
+    std::vector<int> members;
+    std::vector<std::uint32_t> memberEntries;
+    std::vector<PendingRequest> pending;
+    std::vector<std::uint32_t> freeSlots;
+    /** This route's candidates, and the set last handed to the balancer
+     * (setHosts runs only when they differ). */
     std::vector<int> candidates;
+    std::vector<int> balancerHosts;
     obs::Observability *obsHub = nullptr;
     std::string obsPrefix;
     /** `serving.<name>.latency_ms`: per-response sojourn histogram, the
@@ -235,6 +256,17 @@ class ClusterClient : public host::FeatureAccelerator
     std::uint64_t statNoBackend = 0;
     std::uint64_t statAvoided = 0;
 
+    /** Position of @p host's row in entriesByHost (insertion point when
+     * it has none). */
+    std::size_t rankOf(int host) const;
+    /** Row index of @p host, or -1 when it has none. */
+    int findRow(int host) const;
+    /** Row index of @p host, appending a row the first time. */
+    std::uint32_t entryFor(int host);
+    /** Re-read the lease view; reconcile on change. */
+    void refreshMembers();
+    /** Release a pending slot; its outstanding request leaves the row. */
+    HostEntry &retire(std::uint32_t slot);
     void forward(int host, std::uint32_t doc_count,
                  const obs::TraceContext &ctx, std::function<void()> done);
     void onResponse(std::uint64_t token);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -11,6 +12,64 @@ namespace {
 
 /** Latency evaluations are amortized: one per this many successes. */
 constexpr int kEvalEvery = 16;
+
+using Samples = std::vector<sim::TimePs>;
+
+/** Orders HostState records by host index (lower_bound comparator). */
+constexpr auto kByHost = [](const auto &hs, int host) {
+    return hs.host < host;
+};
+
+/** Index of the @p pct percentile among @p n > 0 ascending samples. */
+std::size_t
+rankIndex(double pct, std::size_t n)
+{
+    const auto idx = static_cast<std::size_t>(
+        std::max(0.0, pct / 100.0 * static_cast<double>(n) - 1.0));
+    return std::min(idx, n - 1);
+}
+
+/** Insert @p v into ascending @p s, after any equal samples. */
+void
+insertSorted(Samples &s, sim::TimePs v)
+{
+    s.insert(std::upper_bound(s.begin(), s.end(), v), v);
+}
+
+/**
+ * Overwrite one sample equal to @p old (which @p s must hold) with @p v,
+ * keeping @p s ascending: only the samples between the two positions
+ * shift, and nothing allocates.
+ */
+void
+replaceSorted(Samples &s, sim::TimePs old, sim::TimePs v)
+{
+    const auto from = std::lower_bound(s.begin(), s.end(), old);
+    if (v >= old) {
+        const auto to = std::upper_bound(from, s.end(), v);
+        std::move(from + 1, to, from);
+        *(to - 1) = v;
+    } else {
+        const auto to = std::upper_bound(s.begin(), from, v);
+        std::move_backward(to, from, from + 1);
+        *to = v;
+    }
+}
+
+/** Remove the ascending sub-multiset @p sub from ascending @p s. */
+void
+eraseSorted(Samples &s, const Samples &sub)
+{
+    auto next = sub.begin();
+    auto out = s.begin();
+    for (auto in = s.begin(); in != s.end(); ++in) {
+        if (next != sub.end() && *in == *next)
+            ++next;
+        else
+            *out++ = *in;
+    }
+    s.erase(out, s.end());
+}
 
 }  // namespace
 
@@ -52,31 +111,51 @@ OutlierDetector::OutlierDetector(sim::EventQueue &eq, EjectionConfig config)
     validateEjectionConfig(cfg);
 }
 
+OutlierDetector::HostState *
+OutlierDetector::find(int host)
+{
+    return const_cast<HostState *>(std::as_const(*this).find(host));
+}
+
+const OutlierDetector::HostState *
+OutlierDetector::find(int host) const
+{
+    const auto it = std::lower_bound(hostsState.begin(), hostsState.end(),
+                                     host, kByHost);
+    return it != hostsState.end() && it->host == host ? &*it : nullptr;
+}
+
 void
 OutlierDetector::trackHosts(const std::vector<int> &hosts)
 {
-    for (int host : hosts)
-        hostsState.try_emplace(host);
     for (auto it = hostsState.begin(); it != hostsState.end();) {
-        if (std::find(hosts.begin(), hosts.end(), it->first) == hosts.end())
+        if (std::find(hosts.begin(), hosts.end(), it->host) == hosts.end()) {
+            dropSamples(*it);
             it = hostsState.erase(it);
-        else
+        } else {
             ++it;
+        }
+    }
+    for (int host : hosts) {
+        const auto it = std::lower_bound(
+            hostsState.begin(), hostsState.end(), host, kByHost);
+        if (it == hostsState.end() || it->host != host)
+            hostsState.emplace(it)->host = host;
     }
 }
 
 bool
 OutlierDetector::ejected(int host) const
 {
-    auto it = hostsState.find(host);
-    return it != hostsState.end() && it->second.ejectedUntil > queue.now();
+    const HostState *hs = find(host);
+    return hs != nullptr && hs->ejectedUntil > queue.now();
 }
 
 int
 OutlierDetector::ejectedCount() const
 {
     int n = 0;
-    for (const auto &[host, hs] : hostsState)
+    for (const HostState &hs : hostsState)
         n += hs.ejectedUntil > queue.now() ? 1 : 0;
     return n;
 }
@@ -84,22 +163,17 @@ OutlierDetector::ejectedCount() const
 sim::TimePs
 OutlierDetector::lastEjectedAt(int host) const
 {
-    auto it = hostsState.find(host);
-    return it == hostsState.end() ? -1 : it->second.lastEjection;
+    const HostState *hs = find(host);
+    return hs == nullptr ? -1 : hs->lastEjection;
 }
 
-sim::TimePs
-OutlierDetector::windowPercentile(const std::vector<sim::TimePs> &w,
-                                  double pct)
+void
+OutlierDetector::dropSamples(HostState &hs)
 {
-    if (w.empty())
-        return 0;
-    std::vector<sim::TimePs> sorted(w);
-    std::sort(sorted.begin(), sorted.end());
-    const auto idx = static_cast<std::size_t>(std::max(
-        0.0,
-        pct / 100.0 * static_cast<double>(sorted.size()) - 1.0));
-    return sorted[std::min(idx, sorted.size() - 1)];
+    eraseSorted(clusterSorted, hs.sorted);
+    hs.window.clear();
+    hs.sorted.clear();
+    hs.windowNext = 0;
 }
 
 bool
@@ -110,15 +184,12 @@ OutlierDetector::latencyOutlier(const HostState &hs) const
         return false;
     // Cluster reference: the same percentile over every tracked host's
     // window (the degraded host's own samples included — conservative).
-    std::vector<sim::TimePs> all;
-    for (const auto &[host, other] : hostsState)
-        all.insert(all.end(), other.window.begin(), other.window.end());
-    const sim::TimePs cluster =
-        windowPercentile(all, cfg.latencyPercentile);
+    const sim::TimePs cluster = clusterSorted[rankIndex(
+        cfg.latencyPercentile, clusterSorted.size())];
     if (cluster <= 0)
         return false;
     const sim::TimePs mine =
-        windowPercentile(hs.window, cfg.latencyPercentile);
+        hs.sorted[rankIndex(cfg.latencyPercentile, hs.sorted.size())];
     return static_cast<double>(mine) >
            cfg.latencyFactor * static_cast<double>(cluster);
 }
@@ -126,17 +197,22 @@ OutlierDetector::latencyOutlier(const HostState &hs) const
 void
 OutlierDetector::recordSuccess(int host, sim::TimePs latency)
 {
-    auto it = hostsState.find(host);
-    if (it == hostsState.end())
+    HostState *found = find(host);
+    if (found == nullptr)
         return;
-    HostState &hs = it->second;
+    HostState &hs = *found;
     hs.consecutiveErrors = 0;
     if (static_cast<int>(hs.window.size()) < cfg.latencyWindow) {
         hs.window.push_back(latency);
+        insertSorted(hs.sorted, latency);
+        insertSorted(clusterSorted, latency);
     } else {
+        const sim::TimePs old = hs.window[hs.windowNext];
         hs.window[hs.windowNext] = latency;
         hs.windowNext = (hs.windowNext + 1) %
                         static_cast<std::size_t>(cfg.latencyWindow);
+        replaceSorted(hs.sorted, old, latency);
+        replaceSorted(clusterSorted, old, latency);
     }
     if (++hs.sinceEval < kEvalEvery)
         return;
@@ -144,27 +220,27 @@ OutlierDetector::recordSuccess(int host, sim::TimePs latency)
     if (hs.ejectedUntil > queue.now())
         return;  // already out; late completions change nothing
     if (latencyOutlier(hs))
-        eject(host, hs, EjectionReason::kLatencyPercentile);
+        eject(hs, EjectionReason::kLatencyPercentile);
 }
 
 void
 OutlierDetector::recordError(int host)
 {
-    auto it = hostsState.find(host);
-    if (it == hostsState.end())
+    HostState *found = find(host);
+    if (found == nullptr)
         return;
     ++statErrors;
-    HostState &hs = it->second;
+    HostState &hs = *found;
     ++hs.consecutiveErrors;
     if (hs.ejectedUntil > queue.now())
         return;
     if (cfg.consecutiveErrors > 0 &&
         hs.consecutiveErrors >= cfg.consecutiveErrors)
-        eject(host, hs, EjectionReason::kConsecutiveErrors);
+        eject(hs, EjectionReason::kConsecutiveErrors);
 }
 
 void
-OutlierDetector::eject(int host, HostState &hs, EjectionReason reason)
+OutlierDetector::eject(HostState &hs, EjectionReason reason)
 {
     // Never eject the whole pool: a cluster-wide slowdown (or a bad
     // threshold) must leave at least one routable instance.
@@ -185,8 +261,7 @@ OutlierDetector::eject(int host, HostState &hs, EjectionReason reason)
     // Readmit with a clean slate: stale pre-ejection samples must not
     // immediately re-eject a recovered host.
     hs.consecutiveErrors = 0;
-    hs.window.clear();
-    hs.windowNext = 0;
+    dropSamples(hs);
     hs.sinceEval = 0;
     ++statEjections;
     if (reason == EjectionReason::kConsecutiveErrors)
@@ -194,14 +269,14 @@ OutlierDetector::eject(int host, HostState &hs, EjectionReason reason)
     else
         ++statByLatency;
     CCSIM_LOG(sim::LogLevel::kWarn, "serving.outlier", queue.now(),
-              "host ", host, " ejected for ", sim::toMicros(duration),
+              "host ", hs.host, " ejected for ", sim::toMicros(duration),
               " us (",
               reason == EjectionReason::kConsecutiveErrors
                   ? "consecutive errors"
                   : "latency percentile",
               ")");
     if (evidence)
-        evidence(host, cfg.evidenceWeight);
+        evidence(hs.host, cfg.evidenceWeight);
 }
 
 void

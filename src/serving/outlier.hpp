@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,7 +57,13 @@ struct EjectionConfig {
      * latencyFactor x the cluster percentile; 0 disables.
      */
     double latencyFactor = 3.0;
-    /** Percentile compared on both sides (50 = median). */
+    /**
+     * Percentile compared on both sides (50 = median). Of n sorted
+     * samples the pXX is element floor(max(0, p*n/100 - 1)), clamped to
+     * n - 1. That is one rank below nearest-rank whenever p*n/100 is not
+     * an integer: p99 of a 32-sample window reads the 31st smallest
+     * sample, not the largest.
+     */
     double latencyPercentile = 50.0;
     /** Per-host success samples needed before the latency signal fires. */
     int minLatencySamples = 32;
@@ -134,7 +139,8 @@ class OutlierDetector
 
     /**
      * Reconcile the tracked set with the current instance set: new hosts
-     * start clean, departed hosts (lease lost) drop all state.
+     * start clean, departed hosts (lease lost) drop all state and their
+     * samples leave the cluster reference.
      */
     void trackHosts(const std::vector<int> &hosts);
 
@@ -171,9 +177,12 @@ class OutlierDetector
 
   private:
     struct HostState {
+        int host = 0;
         int consecutiveErrors = 0;
         /** Sliding window of success latencies (ring buffer). */
         std::vector<sim::TimePs> window;
+        /** The same samples, ascending: the host pXX is one index read. */
+        std::vector<sim::TimePs> sorted;
         std::size_t windowNext = 0;
         /** Ejected until this instant (0 = not ejected). */
         sim::TimePs ejectedUntil = 0;
@@ -187,18 +196,27 @@ class OutlierDetector
     sim::EventQueue &queue;
     EjectionConfig cfg;
     EvidenceFn evidence;
-    std::map<int, HostState> hostsState;
+    /** Tracked hosts, ascending by host index. */
+    std::vector<HostState> hostsState;
+    /**
+     * Every tracked host's window samples, ascending: the cluster
+     * reference pXX is one index read. Updated with each window insert
+     * and overwrite, and when a window is cleared (ejection) or dropped
+     * (trackHosts).
+     */
+    std::vector<sim::TimePs> clusterSorted;
     std::uint64_t statEjections = 0;
     std::uint64_t statByErrors = 0;
     std::uint64_t statByLatency = 0;
     std::uint64_t statSuppressed = 0;
     std::uint64_t statErrors = 0;
 
-    void eject(int host, HostState &hs, EjectionReason reason);
+    HostState *find(int host);
+    const HostState *find(int host) const;
+    /** Clear @p hs's window and take its samples out of the cluster. */
+    void dropSamples(HostState &hs);
+    void eject(HostState &hs, EjectionReason reason);
     bool latencyOutlier(const HostState &hs) const;
-    /** Windowed percentile of one host (sorted copy; windows are small). */
-    static sim::TimePs windowPercentile(const std::vector<sim::TimePs> &w,
-                                        double pct);
 };
 
 }  // namespace ccsim::serving

@@ -6,7 +6,9 @@
  * moving a packet through a switch allocates nothing, because every
  * per-hop closure fits sim::EventFn's inline buffer. Metrics registry:
  * a switch probe costs its interned path, a dense-id record and its
- * callback, not a map node and a string per path.
+ * callback, not a map node and a string per path. Outlier detector:
+ * once its latency windows are full, a success and the percentile
+ * evaluation it triggers allocate nothing.
  *
  * This binary replaces the global `operator new` with a byte and call
  * counter, plus a live-byte count kept in a size header in front of
@@ -28,6 +30,7 @@
 #include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "serving/outlier.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -232,6 +235,30 @@ TEST(AllocBudget, WarmLosslessSwitchHopsAllocateNothing)
                          << " lossless packets host -> TOR -> host";
     EXPECT_EQ(h11.received, 3u * kPackets);
     EXPECT_EQ(tor.pfcFramesSent(), 0u);
+}
+
+TEST(AllocBudget, WarmOutlierEvaluationAllocatesNothing)
+{
+    sim::EventQueue eq;
+    serving::EjectionConfig cfg;  // p50 over 128-sample windows
+    serving::OutlierDetector det(eq, cfg);
+    constexpr int kHosts = 4;
+    det.trackHosts({0, 1, 2, 3});
+    // Similar latencies on every host: evaluations run, nothing ejects.
+    auto latency = [](int i) {
+        return static_cast<sim::TimePs>(1 + (i * 7919) % 97) *
+               sim::kMicrosecond;
+    };
+    for (int i = 0; i < kHosts * cfg.latencyWindow; ++i)
+        det.recordSuccess(i % kHosts, latency(i));
+
+    const std::size_t before = heapCalls;
+    // 2,500 successes per host: ~156 latency evaluations each.
+    for (int i = 0; i < 10000; ++i)
+        det.recordSuccess(i % kHosts, latency(i + 1));
+    EXPECT_EQ(heapCalls - before, 0u)
+        << "operator new calls for 10k warm recordSuccess calls";
+    EXPECT_EQ(det.ejections(), 0u);
 }
 
 }  // namespace

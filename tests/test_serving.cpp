@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "serving/cluster_client.hpp"
 #include "serving/outlier.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/logging.hpp"
+#include "reference_outlier.hpp"
 
 namespace {
 
@@ -417,6 +421,150 @@ TEST(OutlierDeathTest, InvalidConfigsAreFatal)
     EXPECT_DEATH(OutlierDetector(eq, bad_window), "latencyWindow");
 }
 
+/** Asserts the two detectors agree on everything observable. */
+void
+expectSameDetectorState(const OutlierDetector &det,
+                        const serving::ReferenceOutlierDetector &ref,
+                        int universe, const std::string &where)
+{
+    for (int h = 0; h < universe; ++h) {
+        ASSERT_EQ(det.ejected(h), ref.ejected(h)) << where << " host " << h;
+        ASSERT_EQ(det.lastEjectedAt(h), ref.lastEjectedAt(h))
+            << where << " host " << h;
+    }
+    ASSERT_EQ(det.ejectedCount(), ref.ejectedCount()) << where;
+    ASSERT_EQ(det.ejections(), ref.ejections()) << where;
+    ASSERT_EQ(det.ejectionsByErrors(), ref.ejectionsByErrors()) << where;
+    ASSERT_EQ(det.ejectionsByLatency(), ref.ejectionsByLatency()) << where;
+    ASSERT_EQ(det.ejectionsSuppressed(), ref.ejectionsSuppressed()) << where;
+    ASSERT_EQ(det.errorsRecorded(), ref.errorsRecorded()) << where;
+}
+
+TEST(Outlier, MatchesSortOracleOnRandomOps)
+{
+    using serving::ReferenceOutlierDetector;
+    const sim::TimePs ms = sim::kMillisecond;
+
+    // The rank rule both detectors share: of n sorted samples the pXX is
+    // element floor(max(0, p*n/100 - 1)), clamped to n - 1. Whenever
+    // p*n/100 is not an integer that is one rank below nearest-rank:
+    // p99 of 32 samples reads the 31st smallest, not the largest.
+    std::vector<sim::TimePs> ramp;
+    for (int i = 1; i <= 32; ++i)
+        ramp.push_back(i);
+    EXPECT_EQ(ReferenceOutlierDetector::windowPercentile(ramp, 99.0), 31);
+    EXPECT_EQ(ReferenceOutlierDetector::windowPercentile(ramp, 100.0), 32);
+    EXPECT_EQ(ReferenceOutlierDetector::windowPercentile(ramp, 50.0), 16);
+    EXPECT_EQ(ReferenceOutlierDetector::windowPercentile(ramp, 1.0), 1);
+    {
+        // One 100x sample in a 32-sample window: nearest-rank p99 would
+        // read it and eject; this rule reads the 31st sample and keeps
+        // the host.
+        EventQueue eq;
+        EjectionConfig cfg;
+        cfg.consecutiveErrors = 0;
+        cfg.latencyPercentile = 99.0;
+        cfg.latencyWindow = 32;
+        cfg.minLatencySamples = 32;
+        OutlierDetector det(eq, cfg);
+        ReferenceOutlierDetector ref(eq, cfg);
+        det.trackHosts({0, 1, 2});
+        ref.trackHosts({0, 1, 2});
+        for (int i = 0; i < 32; ++i) {
+            for (int h = 0; h < 3; ++h) {
+                const sim::TimePs lat = h == 0 && i == 31 ? 100 * ms : ms;
+                det.recordSuccess(h, lat);
+                ref.recordSuccess(h, lat);
+            }
+        }
+        EXPECT_FALSE(det.ejected(0));
+        EXPECT_FALSE(ref.ejected(0));
+    }
+
+    // Random op sequences: tied and zero latencies, slow hosts, errors,
+    // membership churn (including untracked hosts), and time advancing
+    // past ejection expiry, for every percentile x window combination.
+    constexpr int kUniverse = 8;
+    // Thousands of ejections: keep their warnings out of the test log.
+    struct QuietLog {
+        sim::LogLevel saved = sim::Logger::level();
+        QuietLog() { sim::Logger::setLevel(sim::LogLevel::kError); }
+        ~QuietLog() { sim::Logger::setLevel(saved); }
+    } quiet;
+    std::uint64_t ejectedByLatency = 0;
+    std::uint64_t ejectedByErrors = 0;
+    std::uint64_t suppressed = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (double pct : {1.0, 50.0, 90.0, 99.0, 100.0}) {
+            for (int window : {2, 3, 32, 128}) {
+                std::mt19937_64 rng(seed * 1000 + static_cast<unsigned>(
+                                                      pct * 10 + window));
+                EjectionConfig cfg;
+                cfg.consecutiveErrors = static_cast<int>(rng() % 4);
+                cfg.baseEjectionTime = 10 * ms;
+                cfg.maxEjectionMultiplier = 3;
+                cfg.latencyFactor = rng() % 2 == 0 ? 1.5 : 3.0;
+                cfg.latencyPercentile = pct;
+                cfg.latencyWindow = window;
+                cfg.minLatencySamples =
+                    window <= 3 ? 2 : std::max(2, window >> (rng() % 3));
+                cfg.maxEjectedFraction =
+                    std::array<double, 3>{0.25, 0.5, 1.0}[rng() % 3];
+
+                EventQueue eq;
+                OutlierDetector det(eq, cfg);
+                ReferenceOutlierDetector ref(eq, cfg);
+                std::vector<int> slow{static_cast<int>(rng() % kUniverse)};
+                const int ops = 400 + 30 * window;
+                for (int op = 0; op < ops; ++op) {
+                    const std::uint64_t kind = rng() % 100;
+                    const int host = static_cast<int>(rng() % kUniverse);
+                    if (kind < 3) {
+                        std::vector<int> hosts;
+                        const int n = 1 + static_cast<int>(rng() % 6);
+                        for (int i = 0; i < n; ++i)
+                            hosts.push_back(
+                                static_cast<int>(rng() % kUniverse));
+                        det.trackHosts(hosts);
+                        ref.trackHosts(hosts);
+                        slow.assign(1, hosts[rng() % hosts.size()]);
+                    } else if (kind < 6) {
+                        eq.runFor(static_cast<sim::TimePs>(
+                            rng() % static_cast<std::uint64_t>(25 * ms)));
+                    } else if (kind < 14) {
+                        det.recordError(host);
+                        ref.recordError(host);
+                    } else {
+                        // A handful of distinct values, so ties abound.
+                        sim::TimePs lat =
+                            static_cast<sim::TimePs>(rng() % 4) * ms;
+                        if (std::find(slow.begin(), slow.end(), host) !=
+                            slow.end())
+                            lat = lat * 10 + 5 * ms;
+                        det.recordSuccess(host, lat);
+                        ref.recordSuccess(host, lat);
+                    }
+                    expectSameDetectorState(
+                        det, ref, kUniverse,
+                        "seed " + std::to_string(seed) + " p" +
+                            std::to_string(pct) + " window " +
+                            std::to_string(window) + " op " +
+                            std::to_string(op));
+                    if (HasFatalFailure())
+                        return;
+                }
+                ejectedByLatency += ref.ejectionsByLatency();
+                ejectedByErrors += ref.ejectionsByErrors();
+                suppressed += ref.ejectionsSuppressed();
+            }
+        }
+    }
+    // The sequences reach every ejection outcome.
+    EXPECT_GT(ejectedByLatency, 0u);
+    EXPECT_GT(ejectedByErrors, 0u);
+    EXPECT_GT(suppressed, 0u);
+}
+
 // ---------------------------------------------------------------------
 // ClusterClient
 // ---------------------------------------------------------------------
@@ -510,6 +658,69 @@ TEST(ClusterClient, AttemptTimeoutFeedsErrorSignalAndEjects)
     EXPECT_EQ(fleet.client->outliers().errorsRecorded(), 2u);
     // Outstanding accounting survived the timeouts.
     EXPECT_EQ(fleet.client->outstandingTotal(), 0);
+}
+
+TEST(ClusterClient, LeaseChangesReconcileRoutingAndDetector)
+{
+    ServingConfig cfg;
+    cfg.ejection.consecutiveErrors = 1;
+    cfg.ejection.maxEjectedFraction = 1.0;
+    Fleet fleet(3, cfg);
+    ClusterClient &client = *fleet.client;
+    auto routedSet = [&] {
+        std::set<int> hosts;
+        for (int i = 0; i < 8; ++i)
+            hosts.insert(client.route());
+        return hosts;
+    };
+    EXPECT_EQ(routedSet(), (std::set<int>{0, 1, 2}));
+    client.outliers().recordError(2);
+    ASSERT_TRUE(client.outliers().ejected(2));
+    EXPECT_EQ(routedSet(), (std::set<int>{0, 1}));
+
+    // Host 2 leaves the lease: its detector state goes with it. Host 3
+    // joins before it has an endpoint, so it is not routable yet.
+    fleet.instanceList = {0, 1, 3};
+    EXPECT_EQ(routedSet(), (std::set<int>{0, 1}));
+    EXPECT_FALSE(client.outliers().ejected(2));
+    EXPECT_EQ(client.outliers().lastEjectedAt(2), -1);
+    fleet.accels.push_back(
+        std::make_unique<StubAccelerator>(fleet.eq, sim::kMillisecond));
+    client.registerEndpoint(3, fleet.accels.back().get());
+    EXPECT_EQ(routedSet(), (std::set<int>{0, 1, 3}));
+
+    // Host 2 comes back with a clean slate; an unregistered endpoint
+    // leaves the routable set while its host stays leased.
+    fleet.instanceList = {0, 1, 2, 3};
+    client.unregisterEndpoint(0);
+    EXPECT_EQ(routedSet(), (std::set<int>{1, 2, 3}));
+}
+
+TEST(ClusterClient, LateResponseAfterTimeoutIsIgnored)
+{
+    ServingConfig cfg;
+    cfg.ejection.consecutiveErrors = 2;
+    cfg.ejection.attemptTimeout = 5 * sim::kMillisecond;
+    Fleet fleet(1, cfg, 10 * sim::kMillisecond);
+    ClusterClient &client = *fleet.client;
+    int completions = 0;
+    // A times out at 5 ms; B, sent at 6 ms, reuses A's pending slot.
+    // A's response at 10 ms is stale: it must neither complete B's
+    // accounting nor count as a success that resets the error run.
+    client.compute(10, [&] { ++completions; });
+    fleet.eq.scheduleAfter(6 * sim::kMillisecond, [&] {
+        client.compute(10, [&] { ++completions; });
+    });
+    fleet.eq.scheduleAfter(10500 * sim::kMicrosecond, [&] {
+        EXPECT_EQ(client.outstandingOn(0), 1) << "B still in flight";
+        EXPECT_FALSE(client.outliers().ejected(0));
+    });
+    fleet.eq.runAll();
+    // B timed out at 11 ms too: two errors in a row eject the host.
+    EXPECT_EQ(client.outliers().errorsRecorded(), 2u);
+    EXPECT_TRUE(client.outliers().ejected(0));
+    EXPECT_EQ(client.outstandingTotal(), 0);
+    EXPECT_EQ(completions, 2) << "callers still hear late completions";
 }
 
 TEST(ClusterClient, AdmissionShedsAndCharges)
