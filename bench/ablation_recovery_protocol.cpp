@@ -28,6 +28,10 @@
  * Deterministic per seed: same seed, same timeline, same table. Pass
  * --quick for the CI smoke run (detection/loss/attribution still
  * enforced; the p99 threshold needs the full run's sample counts).
+ *
+ * The three enforced results are also merged into BENCH_recovery.json
+ * (recovery.detection_within_bound and recovery.attribution_ok as 1/0,
+ * recovery.lost_queries as a count), so CI asserts them by key.
  */
 #include <algorithm>
 #include <cmath>
@@ -39,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "haas/health_monitor.hpp"
@@ -286,16 +291,15 @@ main(int argc, char **argv)
                 pod.probe(v0ltl + ".sends_rejected"),
                 pod.probe(v0ltl + ".rejects_sent"));
 
-    bool ok = true;
-
     // 1. Every node-dark fault detected within the monitor's bound.
+    bool detectionOk = true;
     std::printf("\ndetection latency per injected dark fault:\n");
     for (std::size_t i = 0; i < darkFaults.size(); ++i) {
         const DarkFault &f = darkFaults[i];
         if (detectedAt[i] < 0) {
             std::printf("  %-18s host %d at %10.1f us: NEVER DETECTED\n",
                         f.what, f.host, sim::toMicros(f.at));
-            ok = false;
+            detectionOk = false;
             continue;
         }
         const sim::TimePs took = detectedAt[i] - f.at;
@@ -306,13 +310,15 @@ main(int argc, char **argv)
                     sim::toMicros(took), sim::toMicros(f.bound),
                     in_bound ? "OK" : "TOO SLOW");
         if (!in_bound)
-            ok = false;
+            detectionOk = false;
     }
-    if (ok)
+    if (detectionOk)
         std::printf("detection within bound: OK\n");
+    bool ok = detectionOk;
 
     // 2. Zero lost queries.
     const std::uint64_t done = front.samples.size();
+    const auto lost = static_cast<long long>(front.submitted - done);
     std::printf("\nqueries: submitted=%llu completed=%llu in_flight=%llu "
                 "(host.rank.completed=%.0f)\n",
                 static_cast<unsigned long long>(front.submitted),
@@ -320,14 +326,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(server.inFlight()),
                 pod.probe("host.rank.completed"));
     if (done != front.submitted || server.inFlight() != 0) {
-        std::printf("FAIL: lost queries: %lld\n",
-                    static_cast<long long>(front.submitted - done));
+        std::printf("FAIL: lost queries: %lld\n", lost);
         ok = false;
     } else {
         std::printf("lost queries: 0\n");
     }
 
     // 3. Attribution invariant on every kept exemplar.
+    bool attributionOk = true;
     std::uint64_t checked = 0;
     for (const obs::FlowTrace *t : pod.hub.flows.worstFirst()) {
         const obs::LatencyAttribution a = obs::attributeLatency(*t);
@@ -335,6 +341,7 @@ main(int argc, char **argv)
             std::printf("FAIL: attribution invariant violated for trace "
                         "%llu\n",
                         static_cast<unsigned long long>(t->traceId));
+            attributionOk = false;
             ok = false;
         }
         ++checked;
@@ -342,6 +349,11 @@ main(int argc, char **argv)
     if (ok)
         std::printf("attribution invariant: OK (%llu traces)\n",
                     static_cast<unsigned long long>(checked));
+    bench::mergeBenchJson(
+        "BENCH_recovery.json",
+        {{"recovery.detection_within_bound", detectionOk ? 1.0 : 0.0},
+         {"recovery.lost_queries", static_cast<double>(lost)},
+         {"recovery.attribution_ok", attributionOk ? 1.0 : 0.0}});
 
     // 4. Latency by phase; post-repair p99 near baseline.
     const sim::TimePs post_from = t_f + kFlap + sim::fromMillis(20);

@@ -31,6 +31,12 @@ class FeatureAccelerator
     /**
      * Compute features for one query of @p doc_count candidate documents;
      * invoke @p done when the results are back in host memory.
+     *
+     * Callers pass small completions: RankingServer's captures `this`
+     * and a 64-bit key (16 B), which std::function stores inline, so an
+     * attempt costs no allocation. The one remaining allocation per
+     * routed attempt is serving::ClusterClient::forward()'s wrapper
+     * (`this`, a token and the caller's std::function, 48 B).
      */
     virtual void compute(std::uint32_t doc_count,
                          std::function<void()> done) = 0;

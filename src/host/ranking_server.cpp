@@ -29,8 +29,28 @@ RankingServer::RankingServer(sim::EventQueue &eq,
                              RankingServiceParams service_params,
                              FeatureAccelerator *accel, std::uint64_t seed)
     : queue(eq), params(service_params), accelerator(accel), rng(seed),
+      cpuPreDist(sim::Rng::lognormalParams(
+          static_cast<double>(service_params.cpuPreMean),
+          service_params.cpuCv)),
+      cpuPostDist(sim::Rng::lognormalParams(
+          static_cast<double>(service_params.cpuPostMean),
+          service_params.cpuCv)),
+      swFeatureDist(sim::Rng::lognormalParams(
+          static_cast<double>(service_params.swFeatureMean),
+          service_params.swFeatureCv)),
+      docsDist(sim::Rng::lognormalParams(service_params.docsPerQueryMean,
+                                         service_params.docsPerQueryCv)),
       freeCores(service_params.cores)
 {
+    if (params.cores > kMaxCores)
+        sim::fatalf("RankingServer: at most ", kMaxCores, " cores (got ",
+                    params.cores, ")");
+    const auto cores = static_cast<std::uint32_t>(std::max(0, params.cores));
+    running.resize(cores);
+    // Slot 0 on top: an idle server fills its slots in index order.
+    freeSlots.resize(cores);
+    for (std::uint32_t i = 0; i < cores; ++i)
+        freeSlots[i] = cores - 1 - i;
 }
 
 void
@@ -56,7 +76,7 @@ RankingServer::attachObservability(obs::Observability *o,
     reg.registerProbe(obsPrefix + ".shed",
                       [this] { return double(statShed); });
     reg.registerProbe(obsPrefix + ".accel_blocked",
-                      [this] { return double(accelOps.size()); });
+                      [this] { return double(accelBlocked); });
     reg.registerProbe(obsPrefix + ".retry.deadline_expired",
                       [this] { return double(statDeadlineExpired); });
     reg.registerProbe(obsPrefix + ".retry.attempts",
@@ -76,6 +96,11 @@ void
 RankingServer::setRetryPolicy(serving::RequestPolicy p)
 {
     serving::validateRequestPolicy(p);
+    // An attempt ordinal fills 16 key bits; a stage issues at most
+    // maxAttempts + 1 attempts (a hedge may overlap the last retry).
+    if (p.maxAttempts >= kAttemptMask)
+        sim::fatalf("RankingServer: maxAttempts must be < ", kAttemptMask,
+                    " (got ", p.maxAttempts, ")");
     policy = p;
     hedgeCached = 0;
     hedgeCachedAt = 0;
@@ -131,226 +156,255 @@ RankingServer::tryDispatch()
 void
 RankingServer::runQuery(PendingQuery q)
 {
-    const obs::TraceContext ctx = q.trace;
+    const std::uint32_t slot = freeSlots.back();
+    freeSlots.pop_back();
+    Running &r = running[slot];
+    r.query = std::move(q);
+    const obs::TraceContext ctx = r.query.trace;
     const sim::TimePs now = queue.now();
-    if (ctx.sampled && obsHub && now > q.arrivedAt) {
+    if (ctx.sampled && obsHub && now > r.query.arrivedAt) {
         // Time spent waiting for a free core.
         obsHub->flows.recordSpan(ctx, obsPrefix + ".queue",
-                                 obs::Component::kQueueing, q.arrivedAt,
-                                 now);
+                                 obs::Component::kQueueing,
+                                 r.query.arrivedAt, now);
     }
-    const auto pre = static_cast<sim::TimePs>(rng.lognormalMeanCv(
-        static_cast<double>(params.cpuPreMean), params.cpuCv));
-    const auto post = static_cast<sim::TimePs>(rng.lognormalMeanCv(
-        static_cast<double>(params.cpuPostMean), params.cpuCv));
+    const auto pre = static_cast<sim::TimePs>(
+        rng.lognormal(cpuPreDist.mu, cpuPreDist.sigma));
+    r.post = static_cast<sim::TimePs>(
+        rng.lognormal(cpuPostDist.mu, cpuPostDist.sigma));
     if (ctx.sampled && obsHub)
         obsHub->flows.recordSpan(ctx, obsPrefix + ".cpu_pre",
                                  obs::Component::kCompute, now, now + pre);
 
-    auto run_post = [this, q = std::move(q), post]() mutable {
-        if (q.trace.sampled && obsHub)
-            obsHub->flows.recordSpan(q.trace, obsPrefix + ".cpu_post",
-                                     obs::Component::kCompute, queue.now(),
-                                     queue.now() + post);
-        queue.scheduleAfter(post, [this, q = std::move(q)] {
-            ++freeCores;
-            finishQuery(q);
-            tryDispatch();
-        });
-    };
-
     if (accelerator == nullptr) {
         // Software mode: the feature stage runs on-core.
         ++statSwFeature;
-        const auto features = static_cast<sim::TimePs>(rng.lognormalMeanCv(
-            static_cast<double>(params.swFeatureMean), params.swFeatureCv));
+        const auto features = static_cast<sim::TimePs>(
+            rng.lognormal(swFeatureDist.mu, swFeatureDist.sigma));
         if (ctx.sampled && obsHub)
             obsHub->flows.recordSpan(ctx, obsPrefix + ".sw_features",
                                      obs::Component::kCompute, now + pre,
                                      now + pre + features);
-        queue.scheduleAfter(pre + features,
-                            [rp = std::move(run_post)]() mutable { rp(); });
+        queue.scheduleAfter(pre + features, [this, slot] { runPost(slot); });
         return;
     }
 
-    // Accelerated mode: the core blocks while the FPGA computes. The
-    // continuation is parked under a token so failPendingToSoftware()
-    // can rescue it if the accelerator dies while the query is inside,
-    // and so deadline/retry/hedge timers can reference it.
-    const auto docs = static_cast<std::uint32_t>(std::max(
-        1.0, rng.lognormalMeanCv(params.docsPerQueryMean,
-                                 params.docsPerQueryCv)));
-    queue.scheduleAfter(pre, [this, docs, ctx,
-                              rp = std::move(run_post)]() mutable {
-        const std::uint64_t token = nextAccelToken++;
-        AccelOp &op = accelOps[token];
-        op.resume = std::move(rp);
-        op.docs = docs;
-        op.ctx = ctx;
-        op.startedAt = queue.now();
-        if (accelerator == nullptr) {
-            // No accelerator lease at dispatch time (degraded mode):
-            // complete the feature stage in software.
-            ++statSwFallback;
-            AccelOp detached = std::move(op);
-            accelOps.erase(token);
-            softwareFeatureRerun(std::move(detached));
-            return;
-        }
-        if (policy.hedge) {
-            op.hedgeEvent =
-                queue.scheduleAfter(hedgeDelayNow(), [this, token] {
-                    auto it = accelOps.find(token);
-                    if (it == accelOps.end())
-                        return;
-                    it->second.hedgeEvent = sim::kNoEvent;
-                    onHedgeTimer(token);
-                });
-        }
-        launchAttempt(token, accelerator);
-    });
+    // Accelerated mode: the core blocks while the FPGA computes.
+    r.docs = static_cast<std::uint32_t>(
+        std::max(1.0, rng.lognormal(docsDist.mu, docsDist.sigma)));
+    queue.scheduleAfter(pre, [this, slot] { enterAccel(slot); });
 }
 
 void
-RankingServer::launchAttempt(std::uint64_t token, FeatureAccelerator *target,
+RankingServer::enterAccel(std::uint32_t slot)
+{
+    // From here until leaveAccel(), failPendingToSoftware() can rescue
+    // the query if the accelerator dies while the query is inside, and
+    // deadline/retry/hedge timers name it by key.
+    Running &r = running[slot];
+    r.inAccel = true;
+    r.accelEntry = nextAccelEntry++;
+    r.startedAt = queue.now();
+    r.attempts = 0;
+    r.hedgeAttempt = 0;
+    ++accelBlocked;
+    if (accelerator == nullptr) {
+        // No accelerator lease at dispatch time (degraded mode):
+        // complete the feature stage in software.
+        ++statSwFallback;
+        leaveAccel(r);
+        softwareFeatureRerun(slot);
+        return;
+    }
+    if (policy.hedge) {
+        r.hedgeEvent = queue.scheduleAfter(
+            hedgeDelayNow(),
+            [this, key = stageKey(slot)] { onHedgeTimer(key); });
+    }
+    launchAttempt(slot, accelerator);
+}
+
+RankingServer::Key
+RankingServer::stageKey(std::uint32_t slot, int attempt) const
+{
+    return std::uint64_t{running[slot].generation} << 32 |
+           std::uint64_t{slot} << 16 | static_cast<std::uint64_t>(attempt);
+}
+
+bool
+RankingServer::stale(Key key) const
+{
+    return running[slotOf(key)].generation !=
+           static_cast<std::uint32_t>(key >> 32);
+}
+
+void
+RankingServer::launchAttempt(std::uint32_t slot, FeatureAccelerator *target,
                              bool hedged)
 {
-    AccelOp &op = accelOps.at(token);
-    ++op.attempts;
-    const std::uint64_t attempt_id = nextAttemptId++;
+    Running &r = running[slot];
+    const int attempt = ++r.attempts;
     if (hedged)
-        op.hedgeAttemptId = attempt_id;
+        r.hedgeAttempt = attempt;
     if (policy.accelDeadline > 0) {
-        // One deadline per op, re-armed for the newest attempt. Armed
-        // before compute(): a synchronous completion erases the op (and
+        // One deadline per stage, re-armed for the newest attempt. Armed
+        // before compute(): a synchronous completion ends the stage (and
         // cancels this timer) before we return.
-        if (op.deadlineEvent != sim::kNoEvent)
-            queue.cancel(op.deadlineEvent);
-        op.deadlineEvent =
-            queue.scheduleAfter(policy.accelDeadline, [this, token] {
-                auto it = accelOps.find(token);
-                if (it == accelOps.end())
-                    return;
-                it->second.deadlineEvent = sim::kNoEvent;
-                onDeadline(token);
-            });
+        if (r.deadlineEvent != sim::kNoEvent)
+            queue.cancel(r.deadlineEvent);
+        r.deadlineEvent = queue.scheduleAfter(
+            policy.accelDeadline,
+            [this, key = stageKey(slot)] { onDeadline(key); });
     }
-    const std::uint32_t docs = op.docs;
     // computeTraced so a routed pool (ClusterClient) can annotate the
     // query's flow with the backend each attempt landed on.
-    target->computeTraced(docs, op.ctx, [this, token, attempt_id] {
-        onAttemptDone(token, attempt_id);
-    });
+    target->computeTraced(r.docs, r.query.trace,
+                          [this, key = stageKey(slot, attempt)] {
+                              onAttemptDone(key);
+                          });
 }
 
 void
-RankingServer::onAttemptDone(std::uint64_t token, std::uint64_t attempt_id)
+RankingServer::onAttemptDone(Key key)
 {
-    auto it = accelOps.find(token);
-    if (it == accelOps.end())
+    if (stale(key))
         return;  // late ack from a rescued query or a losing attempt
-    AccelOp op = std::move(it->second);
-    accelOps.erase(it);
-    cancelOpTimers(op);
-    if (op.hedgeAttemptId != 0 && attempt_id == op.hedgeAttemptId)
+    const std::uint32_t slot = slotOf(key);
+    Running &r = running[slot];
+    leaveAccel(r);
+    if (r.hedgeAttempt != 0 &&
+        static_cast<int>(key & kAttemptMask) == r.hedgeAttempt)
         ++statHedgeWins;
     const sim::TimePs now = queue.now();
-    accelLatencyUs.add(std::max(0.5, sim::toMicros(now - op.startedAt)));
-    if (op.ctx.sampled && obsHub) {
+    accelLatencyUs.add(std::max(0.5, sim::toMicros(now - r.startedAt)));
+    if (r.query.trace.sampled && obsHub) {
         // Wall time inside the accelerator(s), including retries and
         // any serial-pipeline backlog.
-        obsHub->flows.recordSpan(op.ctx, obsPrefix + ".accel",
-                                 obs::Component::kCompute, op.startedAt,
-                                 now);
+        obsHub->flows.recordSpan(r.query.trace, obsPrefix + ".accel",
+                                 obs::Component::kCompute, r.startedAt, now);
     }
-    op.resume();
+    runPost(slot);
 }
 
 void
-RankingServer::onDeadline(std::uint64_t token)
+RankingServer::onDeadline(Key key)
 {
-    AccelOp &op = accelOps.at(token);
+    if (stale(key))
+        return;
+    const std::uint32_t slot = slotOf(key);
+    Running &r = running[slot];
+    r.deadlineEvent = sim::kNoEvent;
     ++statDeadlineExpired;
-    if (op.attempts >= policy.maxAttempts) {
+    if (r.attempts >= policy.maxAttempts) {
         // Retry budget exhausted: give up on acceleration entirely.
         ++statSwFallback;
-        AccelOp detached = std::move(op);
-        accelOps.erase(token);
-        cancelOpTimers(detached);
-        softwareFeatureRerun(std::move(detached));
+        leaveAccel(r);
+        softwareFeatureRerun(slot);
         return;
     }
     ++statRetries;
-    const int retry_no = op.attempts;  // 1-based count of prior attempts
+    const int retry_no = r.attempts;  // 1-based count of prior attempts
     auto backoff = static_cast<double>(policy.backoffBase) *
                    std::ldexp(1.0, retry_no - 1);
     backoff *= 1.0 + policy.backoffJitter * (2.0 * rng.uniform() - 1.0);
     const auto delay = std::max<sim::TimePs>(
         1, static_cast<sim::TimePs>(backoff));
-    op.backoffEvent = queue.scheduleAfter(delay, [this, token] {
-        auto it = accelOps.find(token);
-        if (it == accelOps.end())
-            return;
-        it->second.backoffEvent = sim::kNoEvent;
-        FeatureAccelerator *target =
-            replicaPicker ? replicaPicker() : nullptr;
-        if (target == nullptr)
-            target = accelerator;
-        if (target == nullptr) {
-            // No replica and no primary lease left.
-            ++statSwFallback;
-            AccelOp detached = std::move(it->second);
-            accelOps.erase(it);
-            cancelOpTimers(detached);
-            softwareFeatureRerun(std::move(detached));
-            return;
-        }
-        launchAttempt(token, target);
-    });
+    r.backoffEvent = queue.scheduleAfter(
+        delay, [this, key = stageKey(slot)] { onBackoff(key); });
 }
 
 void
-RankingServer::onHedgeTimer(std::uint64_t token)
+RankingServer::onBackoff(Key key)
 {
-    AccelOp &op = accelOps.at(token);
-    if (op.attempts >= policy.maxAttempts)
+    if (stale(key))
+        return;
+    const std::uint32_t slot = slotOf(key);
+    Running &r = running[slot];
+    r.backoffEvent = sim::kNoEvent;
+    FeatureAccelerator *target = replicaPicker ? replicaPicker() : nullptr;
+    if (target == nullptr)
+        target = accelerator;
+    if (target == nullptr) {
+        // No replica and no primary lease left.
+        ++statSwFallback;
+        leaveAccel(r);
+        softwareFeatureRerun(slot);
+        return;
+    }
+    launchAttempt(slot, target);
+}
+
+void
+RankingServer::onHedgeTimer(Key key)
+{
+    if (stale(key))
+        return;
+    Running &r = running[slotOf(key)];
+    r.hedgeEvent = sim::kNoEvent;
+    if (r.attempts >= policy.maxAttempts)
         return;  // budget already spent on retries
     FeatureAccelerator *replica = replicaPicker ? replicaPicker() : nullptr;
     if (replica == nullptr)
         return;  // nowhere to hedge to
     ++statHedges;
-    launchAttempt(token, replica, /*hedged=*/true);
+    launchAttempt(slotOf(key), replica, /*hedged=*/true);
 }
 
 void
-RankingServer::softwareFeatureRerun(AccelOp op)
+RankingServer::leaveAccel(Running &r)
+{
+    ++r.generation;
+    r.inAccel = false;
+    --accelBlocked;
+    if (r.deadlineEvent != sim::kNoEvent) {
+        queue.cancel(r.deadlineEvent);
+        r.deadlineEvent = sim::kNoEvent;
+    }
+    if (r.hedgeEvent != sim::kNoEvent) {
+        queue.cancel(r.hedgeEvent);
+        r.hedgeEvent = sim::kNoEvent;
+    }
+    if (r.backoffEvent != sim::kNoEvent) {
+        queue.cancel(r.backoffEvent);
+        r.backoffEvent = sim::kNoEvent;
+    }
+}
+
+void
+RankingServer::softwareFeatureRerun(std::uint32_t slot)
 {
     ++statSwFeature;
-    const auto features = static_cast<sim::TimePs>(rng.lognormalMeanCv(
-        static_cast<double>(params.swFeatureMean), params.swFeatureCv));
-    if (op.ctx.sampled && obsHub)
-        obsHub->flows.recordSpan(op.ctx, obsPrefix + ".sw_features",
+    const auto features = static_cast<sim::TimePs>(
+        rng.lognormal(swFeatureDist.mu, swFeatureDist.sigma));
+    const obs::TraceContext &ctx = running[slot].query.trace;
+    if (ctx.sampled && obsHub)
+        obsHub->flows.recordSpan(ctx, obsPrefix + ".sw_features",
                                  obs::Component::kCompute, queue.now(),
                                  queue.now() + features);
-    queue.scheduleAfter(features,
-                        [r = std::move(op.resume)]() mutable { r(); });
+    queue.scheduleAfter(features, [this, slot] { runPost(slot); });
 }
 
 void
-RankingServer::cancelOpTimers(AccelOp &op)
+RankingServer::runPost(std::uint32_t slot)
 {
-    if (op.deadlineEvent != sim::kNoEvent) {
-        queue.cancel(op.deadlineEvent);
-        op.deadlineEvent = sim::kNoEvent;
-    }
-    if (op.hedgeEvent != sim::kNoEvent) {
-        queue.cancel(op.hedgeEvent);
-        op.hedgeEvent = sim::kNoEvent;
-    }
-    if (op.backoffEvent != sim::kNoEvent) {
-        queue.cancel(op.backoffEvent);
-        op.backoffEvent = sim::kNoEvent;
-    }
+    const Running &r = running[slot];
+    if (r.query.trace.sampled && obsHub)
+        obsHub->flows.recordSpan(r.query.trace, obsPrefix + ".cpu_post",
+                                 obs::Component::kCompute, queue.now(),
+                                 queue.now() + r.post);
+    queue.scheduleAfter(r.post, [this, slot] { completeQuery(slot); });
+}
+
+void
+RankingServer::completeQuery(std::uint32_t slot)
+{
+    // Free the slot and the core first: the done callback may submit a
+    // query that is dispatched at once.
+    const PendingQuery q = std::move(running[slot].query);
+    freeSlots.push_back(slot);
+    ++freeCores;
+    finishQuery(q);
+    tryDispatch();
 }
 
 sim::TimePs
@@ -375,16 +429,19 @@ RankingServer::hedgeDelayNow() const
 std::uint64_t
 RankingServer::failPendingToSoftware()
 {
-    auto pending = std::move(accelOps);
-    accelOps.clear();
-    std::uint64_t rescued = 0;
-    for (auto &[token, op] : pending) {
-        cancelOpTimers(op);
+    // Rescue in order of entry into the accelerator stage, not slot
+    // order: every rescue draws its software feature time from rng.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> blocked;
+    for (std::uint32_t slot = 0; slot < running.size(); ++slot)
+        if (running[slot].inAccel)
+            blocked.emplace_back(running[slot].accelEntry, slot);
+    std::sort(blocked.begin(), blocked.end());
+    for (const auto &[entry, slot] : blocked) {
+        leaveAccel(running[slot]);
         ++statSwFallback;
-        ++rescued;
-        softwareFeatureRerun(std::move(op));
+        softwareFeatureRerun(slot);
     }
-    return rescued;
+    return blocked.size();
 }
 
 void

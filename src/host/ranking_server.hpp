@@ -18,15 +18,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "host/feature_accelerator.hpp"
 #include "obs/metrics.hpp"
 #include "serving/request_policy.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fifo.hpp"
-#include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 
@@ -38,6 +37,7 @@ namespace ccsim::host {
 
 /** Tunable service-time parameters (calibrated in DESIGN.md section 4). */
 struct RankingServiceParams {
+    /** Cores per server, at most 65,536 (a query key has 16 slot bits). */
     int cores = 12;
     /** Mean CPU time before the feature stage (always on-core). */
     sim::TimePs cpuPreMean = 930 * sim::kMicrosecond;
@@ -169,7 +169,8 @@ class RankingServer
     /**
      * Install a failure-handling policy for accelerated feature stages
      * (deadlines, bounded retry, hedging). Applies to queries dispatched
-     * from now on.
+     * from now on. maxAttempts must stay below 65,535 (a query key has
+     * 16 attempt bits).
      */
     void setRetryPolicy(serving::RequestPolicy p);
 
@@ -246,26 +247,56 @@ class RankingServer
         obs::TraceContext trace;
     };
 
-    /** One query's in-flight accelerated feature stage. */
-    struct AccelOp {
-        std::function<void()> resume;  ///< runs the post-feature stage
+    /**
+     * One dispatched query, from taking a core to completion. The slot
+     * outlives every event that names it without a generation: the
+     * pre-stage, software feature and post-stage events.
+     */
+    struct Running {
+        PendingQuery query;
+        sim::TimePs post = 0;  ///< drawn CPU time after the feature stage
         std::uint32_t docs = 0;
-        obs::TraceContext ctx;
+        /**
+         * Bumped whenever the query leaves the accelerator stage, so a
+         * late or losing completion, and a timer that was not
+         * cancelled, find their key stale.
+         */
+        std::uint32_t generation = 0;
+        /** Accelerator-stage state; valid while inAccel. */
+        bool inAccel = false;
+        /** Order of entry into the accelerator stage. */
+        std::uint64_t accelEntry = 0;
         sim::TimePs startedAt = 0;
         int attempts = 0;
-        /** Attempt id of the hedged duplicate (0 = none issued). */
-        std::uint64_t hedgeAttemptId = 0;
+        /** Ordinal of the hedged duplicate attempt (0 = none issued). */
+        int hedgeAttempt = 0;
         sim::EventId deadlineEvent = sim::kNoEvent;
         sim::EventId hedgeEvent = sim::kNoEvent;
         sim::EventId backoffEvent = sim::kNoEvent;
     };
 
+    /**
+     * What an accelerator completion or stage timer captures besides
+     * `this`: generation (bits 63..32), slot (31..16) and attempt
+     * ordinal (15..0), so every such closure is 16 B and fits inline in
+     * both sim::EventFn and std::function.
+     */
+    using Key = std::uint64_t;
+    static constexpr int kSlotMask = 0xFFFF;
+    static constexpr int kAttemptMask = 0xFFFF;
+    static constexpr int kMaxCores = kSlotMask + 1;
+
     sim::EventQueue &queue;
     RankingServiceParams params;
     FeatureAccelerator *accelerator;
     sim::Rng rng;
+    /** Service-time distributions, drawn from with rng.lognormal(). */
+    sim::LognormalParams cpuPreDist, cpuPostDist, swFeatureDist, docsDist;
     int freeCores;
     sim::Fifo<PendingQuery> waiting;
+    /** One slot per core: a query holds its core until completion. */
+    std::vector<Running> running;
+    std::vector<std::uint32_t> freeSlots;
     obs::Observability *obsHub = nullptr;
     std::string obsPrefix;  ///< "host.<node>"
     sim::LogHistogram *obsLatencyHist = nullptr;
@@ -280,17 +311,9 @@ class RankingServer
     std::string defaultTenant;
     serving::RequestPolicy policy;
     std::function<FeatureAccelerator *()> replicaPicker;
-    /** In-flight accelerated feature stages, by token. Map nodes come
-     * from the thread-local arena (sim::PoolAllocator), so the
-     * per-query churn of accelerated stages recycles one compact block
-     * instead of hitting the heap — the "pooled query records" half of
-     * the paper-scale memory story. */
-    std::map<std::uint64_t, AccelOp, std::less<std::uint64_t>,
-             sim::PoolAllocator<std::pair<const std::uint64_t, AccelOp>>>
-        accelOps;
-    std::uint64_t nextAccelToken = 1;
-    /** Distinguishes a winning attempt from late losers per query. */
-    std::uint64_t nextAttemptId = 1;
+    /** Queries inside the accelerator stage. */
+    std::uint64_t accelBlocked = 0;
+    std::uint64_t nextAccelEntry = 0;
     /** Observed accelerator latency, for the adaptive hedge delay. */
     sim::LogHistogram accelLatencyUs{0.5, 8};
     mutable sim::TimePs hedgeCached = 0;
@@ -303,20 +326,34 @@ class RankingServer
 
     void tryDispatch();
     void runQuery(PendingQuery q);
-    void finishQuery(const PendingQuery &q);
+    /** The pre-feature CPU stage is over: enter the accelerator stage. */
+    void enterAccel(std::uint32_t slot);
     /**
      * Issue one accelerator attempt (the hedge flag marks it as the
      * hedged duplicate for win accounting). The target's compute() may
-     * complete synchronously, erasing the op before this returns.
+     * complete synchronously, ending the stage before this returns.
      */
-    void launchAttempt(std::uint64_t token, FeatureAccelerator *target,
+    void launchAttempt(std::uint32_t slot, FeatureAccelerator *target,
                        bool hedged = false);
-    void onAttemptDone(std::uint64_t token, std::uint64_t attempt_id);
-    void onDeadline(std::uint64_t token);
-    void onHedgeTimer(std::uint64_t token);
-    /** Re-run a detached op's feature stage on-core. */
-    void softwareFeatureRerun(AccelOp op);
-    void cancelOpTimers(AccelOp &op);
+    /** A key for @p slot's current accelerator stage. */
+    Key stageKey(std::uint32_t slot, int attempt = 0) const;
+    static std::uint32_t slotOf(Key key)
+    {
+        return static_cast<std::uint32_t>(key >> 16) & kSlotMask;
+    }
+    /** Whether @p key's query has left the stage it was minted in. */
+    bool stale(Key key) const;
+    void onAttemptDone(Key key);
+    void onDeadline(Key key);
+    void onBackoff(Key key);
+    void onHedgeTimer(Key key);
+    /** End the accelerator stage: stale its keys, cancel its timers. */
+    void leaveAccel(Running &r);
+    /** Re-run the feature stage on-core. */
+    void softwareFeatureRerun(std::uint32_t slot);
+    void runPost(std::uint32_t slot);
+    void completeQuery(std::uint32_t slot);
+    void finishQuery(const PendingQuery &q);
     sim::TimePs hedgeDelayNow() const;
 };
 

@@ -118,13 +118,19 @@ Rng::lognormal(double mu, double sigma)
     return std::exp(mu + sigma * normal());
 }
 
-double
-Rng::lognormalMeanCv(double mean, double cv)
+LognormalParams
+Rng::lognormalParams(double mean, double cv)
 {
     // mean = exp(mu + sigma^2/2); cv^2 = exp(sigma^2) - 1.
     const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return lognormal(mu, std::sqrt(sigma2));
+    return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
+double
+Rng::lognormalMeanCv(double mean, double cv)
+{
+    const LognormalParams p = lognormalParams(mean, cv);
+    return lognormal(p.mu, p.sigma);
 }
 
 double

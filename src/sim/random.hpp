@@ -14,6 +14,12 @@
 
 namespace ccsim::sim {
 
+/** Parameters of the normal underlying a lognormal distribution. */
+struct LognormalParams {
+    double mu;
+    double sigma;
+};
+
 /**
  * xoshiro256** PRNG.
  *
@@ -70,6 +76,13 @@ class Rng
      * service-time modelling than mu/sigma of the underlying normal).
      */
     double lognormalMeanCv(double mean, double cv);
+
+    /**
+     * The (mu, sigma) that lognormalMeanCv(@p mean, @p cv) draws with:
+     * a caller drawing many variates of one distribution computes them
+     * once and calls lognormal(mu, sigma), bit for bit the same draw.
+     */
+    static LognormalParams lognormalParams(double mean, double cv);
 
     /** Lognormal variate with underlying normal parameters mu, sigma. */
     double lognormal(double mu, double sigma);

@@ -8,7 +8,10 @@
  * a switch probe costs its interned path, a dense-id record and its
  * callback, not a map node and a string per path. Outlier detector:
  * once its latency windows are full, a success and the percentile
- * evaluation it triggers allocate nothing.
+ * evaluation it triggers allocate nothing. Ranking server: once warm, a
+ * query allocates nothing, in software mode or through an accelerator
+ * with deadlines and hedging, because it lives in a per-core slot and
+ * every closure it schedules fits inline.
  *
  * This binary replaces the global `operator new` with a byte and call
  * counter, plus a live-byte count kept in a size header in front of
@@ -25,12 +28,14 @@
 
 #include <vector>
 
+#include "host/ranking_server.hpp"
 #include "net/channel.hpp"
 #include "net/packet.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "serving/outlier.hpp"
+#include "serving/request_policy.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -259,6 +264,70 @@ TEST(AllocBudget, WarmOutlierEvaluationAllocatesNothing)
     EXPECT_EQ(heapCalls - before, 0u)
         << "operator new calls for 10k warm recordSuccess calls";
     EXPECT_EQ(det.ejections(), 0u);
+}
+
+TEST(AllocBudget, WarmRankingQueriesAllocateNothing)
+{
+    // Constant service times: every wave replays the same schedule, so
+    // once warm the timing wheel's cells have the size a wave needs and
+    // every call counted is the servers' own.
+    host::RankingServiceParams params;
+    params.cpuCv = 0.0;
+    params.swFeatureCv = 0.0;
+    params.docsPerQueryCv = 0.0;
+    sim::EventQueue eq;
+    host::LocalFpgaAccelerator fpga(eq), replica(eq);
+    host::RankingServer software(eq, params, nullptr, 1);
+    host::RankingServer accelerated(eq, params, &fpga, 2);
+    // The FPGA serves a burst of three back to back, 120, 180 and 240 us
+    // after it arrives, so every query misses its first deadline (a
+    // retry), is hedged to the replica, and leaves late losers behind.
+    accelerated.setRetryPolicy(serving::RequestPolicy{}
+                                   .withDeadline(100 * sim::kMicrosecond, 3)
+                                   .withBackoff(50 * sim::kMicrosecond, 0.0)
+                                   .withHedge(110 * sim::kMicrosecond));
+    accelerated.setReplicaPicker(
+        [&]() -> host::FeatureAccelerator * { return &replica; });
+
+    // Bursts of three queries to each server every 1.5 ms: the software
+    // server runs at 60% load.
+    constexpr int kBursts = 64;
+    constexpr int kBurst = 3;
+    constexpr sim::TimePs kGap = 1500 * sim::kMicrosecond;
+    // Every wave starts at the same phase of the timing wheel's top
+    // level, so a warm wave reuses the wheel cells the warm-up grew.
+    constexpr int kPhaseBits = 60;
+    std::size_t completions = 0;
+    auto wave = [&] {
+        const sim::TimePs start = ((eq.now() >> kPhaseBits) + 1)
+                                  << kPhaseBits;
+        eq.runUntil(start);
+        // Latency samples reuse the capacity the warm-up grew.
+        software.clearStats();
+        accelerated.clearStats();
+        const std::size_t before = heapCalls;
+        for (int i = 0; i < kBursts; ++i) {
+            eq.runUntil(start + i * kGap);
+            for (int j = 0; j < kBurst; ++j) {
+                software.submitQuery([&](sim::TimePs) { ++completions; });
+                accelerated.submitQuery(
+                    [&](sim::TimePs) { ++completions; });
+            }
+        }
+        eq.runAll();
+        return heapCalls - before;
+    };
+    wave();  // warm-up: rings, sample buffers and wheel cells grow
+    wave();
+    const std::uint64_t hedges = accelerated.hedgesIssued();
+    const std::uint64_t retries = accelerated.retriesIssued();
+    const std::size_t calls = wave();
+    EXPECT_EQ(calls, 0u) << "operator new calls for " << kBursts * kBurst
+                         << " software and " << kBursts * kBurst
+                         << " accelerated queries";
+    EXPECT_EQ(completions, 3u * 2 * kBursts * kBurst);
+    EXPECT_EQ(accelerated.hedgesIssued() - hedges, 1u * kBursts * kBurst);
+    EXPECT_EQ(accelerated.retriesIssued() - retries, 1u * kBursts * kBurst);
 }
 
 }  // namespace

@@ -2,15 +2,24 @@
  * @file
  * Host model tests: Poisson load generation, the diurnal trace, the
  * ranking-server queueing model (capacity, latency growth, accelerated
- * throughput gain), and the local FPGA accelerator pipeline.
+ * throughput gain), the local FPGA accelerator pipeline, and the slot
+ * table server against the original map-and-closure server.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
+#include "obs/metrics.hpp"
+#include "reference_ranking_server.hpp"
+#include "serving/request_policy.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 
 namespace {
 
@@ -182,6 +191,221 @@ TEST(LocalFpgaAccelerator, PipelinesRequests)
     // First completes at occupancy + latency; second one occupancy later.
     EXPECT_EQ(t1, 200 * p.occupancyPerDoc + p.fixedLatency);
     EXPECT_EQ(t2 - t1, 200 * p.occupancyPerDoc);
+}
+
+/**
+ * A scripted feature accelerator. Each compute() draws its fate from the
+ * accelerator's own stream: drop the request (the ack never comes),
+ * complete synchronously inside compute(), or complete after a delay
+ * that may outlive deadlines and rescues (a late ack). Same-seeded
+ * scripts behave identically as long as their callers issue the same
+ * calls in the same order.
+ */
+struct ScriptedAccel : host::FeatureAccelerator {
+    ScriptedAccel(EventQueue &q, std::uint64_t seed, int drop_pct,
+                  int sync_pct, sim::TimePs max_delay)
+        : eq(q), rng(seed), dropPct(drop_pct), syncPct(sync_pct),
+          maxDelay(max_delay)
+    {
+    }
+
+    void compute(std::uint32_t, std::function<void()> done) override
+    {
+        ++calls;
+        const auto fate = static_cast<int>(rng.uniformInt(100));
+        if (fate < dropPct)
+            return;
+        if (fate < dropPct + syncPct) {
+            done();
+            return;
+        }
+        const auto delay = static_cast<sim::TimePs>(
+            rng.uniformInt(static_cast<std::uint64_t>(maxDelay)));
+        eq.scheduleAfter(delay, [d = std::move(done)] { d(); });
+    }
+
+    EventQueue &eq;
+    sim::Rng rng;
+    int dropPct, syncPct;
+    sim::TimePs maxDelay;
+    std::uint64_t calls = 0;
+};
+
+/** One server under test with its accelerators, gates and records. */
+template <typename Server>
+struct RankingWorld {
+    RankingWorld(std::uint64_t seed, int cores, bool flows)
+    {
+        // Primary: mixed fates, some acks far later than any deadline.
+        accels.push_back(std::make_unique<ScriptedAccel>(
+            eq, seed + 1, 15, 10, 4 * sim::kMillisecond));
+        // Fast replica, often synchronous.
+        accels.push_back(std::make_unique<ScriptedAccel>(
+            eq, seed + 2, 5, 30, 300 * sim::kMicrosecond));
+        // Slow, lossy replica.
+        accels.push_back(std::make_unique<ScriptedAccel>(
+            eq, seed + 3, 40, 0, 2 * sim::kMillisecond));
+        RankingServiceParams params;
+        params.cores = cores;
+        server = std::make_unique<Server>(eq, params, accels[0].get(),
+                                          seed + 4);
+        hub.flows.setEnabled(flows);
+        server->attachObservability(&hub, "rank");
+        server->setAdmission(
+            [this](const std::string &) { return admit.uniform() >= 0.1; });
+        server->setReplicaPicker([this]() -> host::FeatureAccelerator * {
+            const std::uint64_t pick = picker.uniformInt(4);
+            return pick == 0 ? nullptr : accels[pick % 2 + 1].get();
+        });
+    }
+
+    /** Submit one query; one completion in ten submits a follow-up. */
+    void submit()
+    {
+        server->submitQuery([this](sim::TimePs latency) {
+            done.emplace_back(eq.now(), latency);
+            if (follow.uniform() < 0.1)
+                submit();
+        });
+    }
+
+    EventQueue eq;
+    std::vector<std::unique_ptr<ScriptedAccel>> accels;
+    obs::Observability hub;
+    std::unique_ptr<Server> server;
+    sim::Rng admit{11}, picker{12}, follow{13};
+    /** (completion time, latency) per completed query. */
+    std::vector<std::pair<sim::TimePs, sim::TimePs>> done;
+};
+
+template <typename A, typename B>
+void
+expectSameServerState(const RankingWorld<A> &a, const RankingWorld<B> &b,
+                      const std::string &where)
+{
+    ASSERT_EQ(a.eq.now(), b.eq.now()) << where;
+    ASSERT_EQ(a.eq.size(), b.eq.size()) << where;
+    ASSERT_EQ(a.done, b.done) << where;
+    for (std::size_t i = 0; i < a.accels.size(); ++i)
+        ASSERT_EQ(a.accels[i]->calls, b.accels[i]->calls)
+            << where << " accelerator " << i;
+    const A &x = *a.server;
+    const B &y = *b.server;
+    ASSERT_EQ(x.completed(), y.completed()) << where;
+    ASSERT_EQ(x.inFlight(), y.inFlight()) << where;
+    ASSERT_EQ(x.queueDepth(), y.queueDepth()) << where;
+    ASSERT_EQ(x.softwareFeatureQueries(), y.softwareFeatureQueries())
+        << where;
+    ASSERT_EQ(x.shedQueries(), y.shedQueries()) << where;
+    ASSERT_EQ(x.deadlinesExpired(), y.deadlinesExpired()) << where;
+    ASSERT_EQ(x.retriesIssued(), y.retriesIssued()) << where;
+    ASSERT_EQ(x.hedgesIssued(), y.hedgesIssued()) << where;
+    ASSERT_EQ(x.hedgeWins(), y.hedgeWins()) << where;
+    ASSERT_EQ(x.softwareFallbacks(), y.softwareFallbacks()) << where;
+    ASSERT_EQ(x.currentHedgeDelay(), y.currentHedgeDelay()) << where;
+    ASSERT_EQ(x.latencyMs().raw(), y.latencyMs().raw()) << where;
+    for (const char *probe :
+         {"completed", "in_flight", "queue_depth", "sw_feature_queries",
+          "shed", "accel_blocked", "retry.deadline_expired",
+          "retry.attempts", "retry.hedges", "retry.hedge_wins",
+          "retry.sw_fallbacks", "retry.hedge_delay_us"}) {
+        const std::string path = std::string("host.rank.") + probe;
+        ASSERT_EQ(a.hub.registry.probeValue(path),
+                  b.hub.registry.probeValue(path))
+            << where << " " << path;
+    }
+    const auto fa = a.hub.flows.worstFirst();
+    const auto fb = b.hub.flows.worstFirst();
+    ASSERT_EQ(fa.size(), fb.size()) << where;
+    for (std::size_t i = 0; i < fa.size(); ++i) {
+        ASSERT_EQ(fa[i]->latency(), fb[i]->latency()) << where;
+        ASSERT_EQ(fa[i]->spans.size(), fb[i]->spans.size()) << where;
+    }
+}
+
+TEST(RankingServer, MatchesReferenceOnRandomOps)
+{
+    using host::ReferenceRankingServer;
+    std::uint64_t hedgeWins = 0, retries = 0, fallbacks = 0, shed = 0;
+    std::uint64_t bigRescues = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        sim::Rng ops(seed * 7919);
+        const int cores = 2 + static_cast<int>(ops.uniformInt(5));
+        const bool flows = seed % 2 == 0;
+        RankingWorld<RankingServer> slot(seed, cores, flows);
+        RankingWorld<ReferenceRankingServer> ref(seed, cores, flows);
+        auto both = [&](auto &&op) {
+            op(slot);
+            op(ref);
+        };
+        for (int step = 0; step < 700; ++step) {
+            const std::uint64_t kind = ops.uniformInt(100);
+            if (kind < 35) {
+                const std::uint64_t n = 1 + ops.uniformInt(4);
+                both([&](auto &w) {
+                    for (std::uint64_t i = 0; i < n; ++i)
+                        w.submit();
+                });
+            } else if (kind < 70) {
+                const auto dt = static_cast<sim::TimePs>(
+                    ops.uniformInt(3 * sim::kMillisecond));
+                both([&](auto &w) { w.eq.runFor(dt); });
+            } else if (kind < 76) {
+                // Policy change: none, deadlines with retry, fixed or
+                // adaptive hedging, or both.
+                serving::RequestPolicy p;
+                const std::uint64_t deadline = ops.uniformInt(3);
+                if (deadline > 0)
+                    p.withDeadline(
+                        static_cast<sim::TimePs>(deadline) * 300 *
+                            sim::kMicrosecond,
+                        1 + static_cast<int>(ops.uniformInt(3)))
+                        .withBackoff(40 * sim::kMicrosecond,
+                                     ops.uniform(0.0, 0.5));
+                const std::uint64_t hedge = ops.uniformInt(3);
+                if (hedge == 1)
+                    p.withHedge(250 * sim::kMicrosecond);
+                else if (hedge == 2)
+                    p.withHedge().withHedgeQuantile(
+                        90.0, 100 * sim::kMicrosecond);
+                both([&](auto &w) { w.server->setRetryPolicy(p); });
+            } else if (kind < 84) {
+                // Lose the accelerator, or re-point at any of them.
+                const std::uint64_t to = ops.uniformInt(5);
+                both([&](auto &w) {
+                    w.server->setAccelerator(
+                        to >= 3 ? nullptr : w.accels[to].get());
+                });
+            } else if (kind < 90) {
+                // Let blocked queries pile up, then rescue them.
+                std::uint64_t rescued[2];
+                rescued[0] = slot.server->failPendingToSoftware();
+                rescued[1] = ref.server->failPendingToSoftware();
+                ASSERT_EQ(rescued[0], rescued[1]) << "seed " << seed;
+                if (rescued[0] >= 3)
+                    ++bigRescues;
+            } else {
+                const auto dt = static_cast<sim::TimePs>(
+                    ops.uniformInt(20 * sim::kMillisecond));
+                both([&](auto &w) { w.eq.runFor(dt); });
+            }
+            expectSameServerState(slot, ref,
+                                  "seed " + std::to_string(seed) +
+                                      " step " + std::to_string(step));
+            if (HasFatalFailure())
+                return;
+        }
+        hedgeWins += ref.server->hedgeWins();
+        retries += ref.server->retriesIssued();
+        fallbacks += ref.server->softwareFallbacks();
+        shed += ref.server->shedQueries();
+    }
+    // The sequences reach every path of the accelerator stage.
+    EXPECT_GT(hedgeWins, 0u);
+    EXPECT_GT(retries, 0u);
+    EXPECT_GT(fallbacks, 0u);
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(bigRescues, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -17,6 +19,7 @@ namespace {
 
 using namespace ccsim;
 using sim::EventQueue;
+using sim::LognormalParams;
 using sim::Rng;
 using sim::SampleStats;
 using sim::TimePs;
@@ -201,6 +204,25 @@ TEST(Rng, LognormalMeanCv)
     const double var = sq / n - mean * mean;
     EXPECT_NEAR(mean, 10.0, 0.15);
     EXPECT_NEAR(std::sqrt(var) / mean, 0.5, 0.03);
+}
+
+TEST(Rng, LognormalParamsMatchMeanCv)
+{
+    // Callers that precompute (mu, sigma) must draw exactly what
+    // lognormalMeanCv draws, so switching between the two never moves
+    // a simulated result.
+    Rng pick(23);
+    Rng viaMeanCv(5), viaParams(5);
+    for (int i = 0; i < 20000; ++i) {
+        const double mean = std::exp(pick.uniform(-8.0, 30.0));
+        const double cv = i % 16 == 0 ? 0.0 : pick.uniform(0.0, 2.5);
+        const LognormalParams p = Rng::lognormalParams(mean, cv);
+        const double a = viaMeanCv.lognormalMeanCv(mean, cv);
+        const double b = viaParams.lognormal(p.mu, p.sigma);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
+                  std::bit_cast<std::uint64_t>(b))
+            << "mean " << mean << " cv " << cv << " draw " << i;
+    }
 }
 
 TEST(Rng, PoissonMean)
