@@ -212,12 +212,10 @@ runGreyFailure()
         .withEjectionTime(sim::fromMillis(500), 4);
     scfg.ejection.latencyWindow = 32;
 
-    core::CloudConfig cfg = core::CloudConfig{}
-                                .withTopology(topo)
-                                .withServing(scfg)
-                                .withObservability(&hub);
-    cfg.createNics = false;
-    core::ConfigurableCloud cloud(eq, cfg);
+    core::ConfigurableCloud cloud(eq, {.topology = topo,
+                                       .createNics = false,
+                                       .obs = &hub,
+                                       .serving = scfg});
     auto &rm = cloud.resourceManager();
 
     // Management-path heartbeats at a realistic sweep period. The

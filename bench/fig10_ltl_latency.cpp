@@ -154,8 +154,10 @@ main(int argc, char **argv)
     cfg.shellTemplate.ltl.maxConnections = 64;
     cfg.shellTemplate.roleSlots = 8;
     cfg.obs = &hub;
-    if (attribution)
-        cfg.withFlowTracing(/*sample_every=*/1, /*tail_capacity=*/32);
+    if (attribution) {
+        cfg.flowSampleEvery = 1;
+        cfg.flowTailCapacity = 32;
+    }
     core::ConfigurableCloud cloud(sq.partition(0), cfg);
 
     // Periodic probe sampling: feeds time-weighted averages and (when

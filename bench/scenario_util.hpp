@@ -127,11 +127,10 @@ class RecoveryPod
   public:
     RecoveryPod(const fpga::ShellConfig &shell,
                 std::uint32_t flow_sample_every = 0)
-        : cloud(eq, core::CloudConfig{}
-                        .withTopology(topology())
-                        .withShellTemplate(shell)
-                        .withObservability(&hub)
-                        .withFlowTracing(flow_sample_every)),
+        : cloud(eq, {.topology = topology(),
+                     .shellTemplate = shell,
+                     .obs = &hub,
+                     .flowSampleEvery = flow_sample_every}),
           rm(cloud.resourceManager()), client([this] {
               auto lease = rm.acquire("ranking-frontend", 1);
               if (!lease)

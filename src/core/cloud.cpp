@@ -32,9 +32,8 @@ ConfigurableCloud::validate(const CloudConfig &cfg)
     if (cfg.flowSampleEvery > 0 && cfg.obs == nullptr &&
         cfg.shardObs == nullptr)
         sim::fatal("CloudConfig: flowSampleEvery set but no observability "
-                   "hub attached; call withObservability(&hub) first");
-    if (cfg.servingEnabled)
-        serving::validateServingConfig(cfg.serving);
+                   "hub attached; set cfg.obs or cfg.shardObs first");
+    serving::validateServingConfig(cfg.serving);
     if (cfg.timeSeries != nullptr && cfg.obs == nullptr &&
         cfg.shardObs == nullptr)
         sim::fatal("CloudConfig: timeSeries set but no observability hub "
@@ -47,8 +46,8 @@ ConfigurableCloud::ConfigurableCloud(sim::EventQueue &eq, CloudConfig cfg)
     validate(config);
     if (config.shardObs != nullptr)
         sim::fatal("CloudConfig: shardObs set on a single-queue cloud; "
-                   "construct with a ShardedEventQueue (shardPlan) or use "
-                   "withObservability instead");
+                   "construct with a ShardedEventQueue (shardPlan) or set "
+                   "cfg.obs instead");
     build();
 }
 
@@ -77,7 +76,7 @@ ConfigurableCloud::validateSharded() const
 {
     if (config.obs != nullptr)
         sim::fatal("CloudConfig: a sharded cloud takes per-partition hubs "
-                   "via withShardedObservability, not withObservability "
+                   "in cfg.shardObs, not cfg.obs "
                    "(one hub per worker keeps the hot path lock-free)");
     if (shards->partitionCount() != config.topology.pods + 1)
         sim::fatalf("ConfigurableCloud: sharded build needs pods + 1 = ",
@@ -103,12 +102,8 @@ void
 ConfigurableCloud::build()
 {
     const int spinePartition = config.topology.pods;
-    // One flag governs both layers: a lazy cloud implies a lazy fabric
-    // and vice versa.
-    if (config.lazyHosts)
-        config.topology.lazyHosts = true;
-    else if (config.topology.lazyHosts)
-        config.lazyHosts = true;
+    // One flag governs both layers: a lazy cloud implies a lazy fabric.
+    config.topology.lazyHosts = config.lazyHosts;
     if (shards == nullptr) {
         if (config.obs)
             obs::registerEventQueueProbes(config.obs->registry, queue);

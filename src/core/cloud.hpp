@@ -35,14 +35,16 @@ class TimeSeriesHub;
 namespace ccsim::core {
 
 /**
- * Datacenter configuration. Fields can be set directly or through the
- * fluent with*() setters; ConfigurableCloud validates the result at
- * construction and reports configuration errors via sim::fatal.
+ * Datacenter configuration: a plain aggregate, set by field assignment
+ * or designated initializers (every member has a default initializer,
+ * so omitted members draw no -Wmissing-field-initializers).
+ * ConfigurableCloud validates it at construction and reports
+ * configuration errors via sim::fatal.
  */
 struct CloudConfig {
-    net::TopologyConfig topology;
+    net::TopologyConfig topology{};
     /** Template applied to every server's shell (name/ip are overridden). */
-    fpga::ShellConfig shellTemplate;
+    fpga::ShellConfig shellTemplate{};
     /** Build a NIC + host link per server (disable for pure-LTL studies). */
     bool createNics = true;
     /**
@@ -55,7 +57,8 @@ struct CloudConfig {
      * few GB. Materialization order follows touch order, so runs that
      * touch the same hosts in the same order stay byte-identical; a
      * run that eventually touches every host converges to the eager
-     * build's state.
+     * build's state. A lazy cloud implies a lazy fabric: the build sets
+     * topology.lazyHosts from this flag.
      */
     bool lazyHosts = false;
     /** NIC-to-FPGA cable length. */
@@ -78,12 +81,10 @@ struct CloudConfig {
     /**
      * Cluster-serving defaults applied to every ClusterClient built via
      * makeClusterClient(): balancer policy, admission limits, ejection
-     * thresholds, request policy. Set through withServing(); validated
-     * at cloud construction like the rest of the config.
+     * thresholds, request policy. Validated at cloud construction like
+     * the rest of the config.
      */
-    serving::ServingConfig serving;
-    /** True once withServing() was called (validates + enables). */
-    bool servingEnabled = false;
+    serving::ServingConfig serving{};
 
     /**
      * Worker threads for the parallel kernel (sharded construction
@@ -91,12 +92,6 @@ struct CloudConfig {
      * a single thread — still byte-identical to any other thread count.
      */
     int shards = 0;
-    /**
-     * Explicit conservative-sync window (lookahead) in picoseconds for
-     * the sharded kernel; 0 derives it from the shortest registered
-     * cross-partition link (the L1<->L2 trunk propagation delay).
-     */
-    sim::TimePs shardWindow = 0;
     /**
      * Per-shard observability hubs for the sharded build (one hub per
      * partition: pods + spine). Mutually exclusive with `obs`; must
@@ -113,72 +108,6 @@ struct CloudConfig {
      * Null disables.
      */
     obs::TimeSeriesHub *timeSeries = nullptr;
-
-    // --- fluent setters (each returns *this for chaining) ---
-
-    CloudConfig &withTopology(net::TopologyConfig t)
-    {
-        topology = std::move(t);
-        return *this;
-    }
-    CloudConfig &withShellTemplate(fpga::ShellConfig s)
-    {
-        shellTemplate = std::move(s);
-        return *this;
-    }
-    CloudConfig &withNics(bool enabled)
-    {
-        createNics = enabled;
-        return *this;
-    }
-    CloudConfig &withLazyHosts(bool enabled = true)
-    {
-        lazyHosts = enabled;
-        return *this;
-    }
-    CloudConfig &withNicCableMeters(double meters)
-    {
-        nicCableMeters = meters;
-        return *this;
-    }
-    CloudConfig &withObservability(obs::Observability *hub)
-    {
-        obs = hub;
-        return *this;
-    }
-    CloudConfig &withFlowTracing(std::uint32_t sample_every,
-                                 std::size_t tail_capacity = 64)
-    {
-        flowSampleEvery = sample_every;
-        flowTailCapacity = tail_capacity;
-        return *this;
-    }
-    CloudConfig &withServing(serving::ServingConfig s)
-    {
-        serving = std::move(s);
-        servingEnabled = true;
-        return *this;
-    }
-    CloudConfig &withShards(int n)
-    {
-        shards = n;
-        return *this;
-    }
-    CloudConfig &withShardWindow(sim::TimePs window)
-    {
-        shardWindow = window;
-        return *this;
-    }
-    CloudConfig &withShardedObservability(obs::ShardedObservability *so)
-    {
-        shardObs = so;
-        return *this;
-    }
-    CloudConfig &withTimeSeries(obs::TimeSeriesHub *hub)
-    {
-        timeSeries = hub;
-        return *this;
-    }
 };
 
 /**
@@ -321,16 +250,15 @@ class ConfigurableCloud
 
     /**
      * The kernel shape a sharded build of @p cfg needs: one logical
-     * process per pod plus one for the spine, cfg.shards worker
-     * threads, and cfg.shardWindow lookahead (0 = derive from the
-     * trunk cables at start).
+     * process per pod plus one for the spine and cfg.shards worker
+     * threads. The lookahead window is derived from the trunk cables at
+     * start.
      */
     static sim::ShardedEventQueue::Config shardPlan(const CloudConfig &cfg)
     {
         sim::ShardedEventQueue::Config qc;
         qc.partitions = cfg.topology.pods + 1;
         qc.threads = cfg.shards > 0 ? cfg.shards : 1;
-        qc.window = cfg.shardWindow;
         return qc;
     }
 
@@ -435,8 +363,8 @@ class ConfigurableCloud
 
     /**
      * Build a serving facade over @p sm's lease set, configured from the
-     * cloud-level ServingConfig (withServing): the instance source is
-     * the service manager's live instance list, the client registers
+     * cloud-level CloudConfig::serving: the instance source is the
+     * service manager's live instance list, the client registers
      * with the cloud's observability hub under `serving.<name>`, and —
      * when @p hm is given — every outlier ejection feeds the monitor's
      * evidence score from source "serving.<name>" (idempotent per

@@ -77,6 +77,16 @@ gmul(std::uint8_t a, std::uint8_t b)
     return p;
 }
 
+/** Big-endian increment of a whole 16-byte counter block. */
+void
+incrementCounter(Block &ctr)
+{
+    for (int i = 15; i >= 0; --i) {
+        if (++ctr[i] != 0)
+            break;
+    }
+}
+
 }  // namespace
 
 Aes128::Aes128(const Key128 &key)
@@ -245,30 +255,6 @@ pkcs7Unpad(const std::uint8_t *data, std::size_t len)
     return len - pad;
 }
 
-void
-AesCtr::incrementCounter(Block &ctr)
-{
-    for (int i = 15; i >= 0; --i) {
-        if (++ctr[i] != 0)
-            break;
-    }
-}
-
-void
-AesCtr::crypt(std::uint8_t *data, std::size_t len)
-{
-    std::size_t off = 0;
-    while (off < len) {
-        Block keystream = counter;
-        aes.encryptBlock(keystream);
-        const std::size_t n = std::min<std::size_t>(16, len - off);
-        for (std::size_t i = 0; i < n; ++i)
-            data[off + i] ^= keystream[i];
-        incrementCounter(counter);
-        off += n;
-    }
-}
-
 AesGcm::AesGcm(const Key128 &key) : aes(key)
 {
     hashKey.fill(0);
@@ -339,7 +325,7 @@ AesGcm::encrypt(const std::uint8_t iv[12], const std::uint8_t *aad,
 
     // CTR encryption starting at inc(J0).
     Block counter = j0;
-    AesCtr::incrementCounter(counter);
+    incrementCounter(counter);
     std::size_t off = 0;
     while (off < len) {
         Block keystream = counter;
@@ -347,7 +333,7 @@ AesGcm::encrypt(const std::uint8_t iv[12], const std::uint8_t *aad,
         const std::size_t n = std::min<std::size_t>(16, len - off);
         for (std::size_t i = 0; i < n; ++i)
             data[off + i] ^= keystream[i];
-        AesCtr::incrementCounter(counter);
+        incrementCounter(counter);
         off += n;
     }
 
@@ -377,7 +363,7 @@ AesGcm::decrypt(const std::uint8_t iv[12], const std::uint8_t *aad,
 
     // Decrypt (CTR starting at inc(J0)).
     Block counter = j0;
-    AesCtr::incrementCounter(counter);
+    incrementCounter(counter);
     std::size_t off = 0;
     while (off < len) {
         Block keystream = counter;
@@ -385,7 +371,7 @@ AesGcm::decrypt(const std::uint8_t iv[12], const std::uint8_t *aad,
         const std::size_t n = std::min<std::size_t>(16, len - off);
         for (std::size_t i = 0; i < n; ++i)
             data[off + i] ^= keystream[i];
-        AesCtr::incrementCounter(counter);
+        incrementCounter(counter);
         off += n;
     }
     return diff == 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * From-scratch AES-128 with CBC, CTR, and GCM modes.
+ * Self-contained AES-128 with CBC and GCM modes (GCM runs CTR internally).
  *
  * The network-acceleration role (Section IV of the paper) encrypts real
  * packet payloads, so this is a real, test-vector-verified implementation,
@@ -68,26 +68,6 @@ class AesCbc
 std::vector<std::uint8_t> pkcs7Pad(const std::uint8_t *data, std::size_t len);
 /** @return padded-length minus pad, or SIZE_MAX if the padding is invalid. */
 std::size_t pkcs7Unpad(const std::uint8_t *data, std::size_t len);
-
-/** AES-128-CTR keystream cipher (used as the GCM core). */
-class AesCtr
-{
-  public:
-    AesCtr(const Key128 &key, const Block &initial_counter)
-        : aes(key), counter(initial_counter)
-    {
-    }
-
-    /** XOR the keystream into @p data; advances the counter. */
-    void crypt(std::uint8_t *data, std::size_t len);
-
-  private:
-    Aes128 aes;
-    Block counter;
-
-    static void incrementCounter(Block &ctr);
-    friend class AesGcm;
-};
 
 /**
  * AES-128-GCM authenticated encryption (NIST SP 800-38D).

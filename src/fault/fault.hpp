@@ -221,9 +221,7 @@ class FaultInjector
     /** True while the TOR of rack (pod, rack) is hard-failed. */
     bool torFailed(int pod, int rack) const;
     std::uint64_t torFails() const { return statTorFails; }
-    std::uint64_t podPowerEvents() const { return statPodEvents; }
     std::uint64_t grayFaults() const { return statGrayFaults; }
-    std::uint64_t maintenanceDrains() const { return statMaintenance; }
     /** Correlated domain-level faults injected (all four kinds). */
     std::uint64_t domainFaults() const { return statDomainFaults; }
 

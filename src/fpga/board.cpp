@@ -14,13 +14,6 @@ FpgaBoard::FpgaBoard(BoardSpec spec) : boardSpec(spec)
 }
 
 void
-FpgaBoard::flashGoldenImage(FpgaImage image)
-{
-    image.golden = true;
-    goldenSlot = std::move(image);
-}
-
-void
 FpgaBoard::flashApplicationImage(FpgaImage image)
 {
     image.golden = false;

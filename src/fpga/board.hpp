@@ -51,8 +51,6 @@ class FpgaBoard
 
     const BoardSpec &spec() const { return boardSpec; }
 
-    /** Write the golden image (done once at manufacturing; rare after). */
-    void flashGoldenImage(FpgaImage image);
     /** Write the application image slot. */
     void flashApplicationImage(FpgaImage image);
 

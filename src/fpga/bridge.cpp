@@ -22,19 +22,6 @@ Bridge::injectToTor(const net::PacketPtr &pkt)
     return torTx->send(pkt);
 }
 
-bool
-Bridge::injectToNic(const net::PacketPtr &pkt)
-{
-    if (isDown) {
-        ++statDownDrops;
-        return false;
-    }
-    if (nicTx == nullptr)
-        return false;
-    ++statInjected;
-    return nicTx->send(pkt);
-}
-
 void
 Bridge::handle(Direction dir, const net::PacketPtr &pkt)
 {

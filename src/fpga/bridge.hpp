@@ -72,8 +72,6 @@ class Bridge
 
     /** FPGA-generated packet toward the network (LTL, roles). */
     bool injectToTor(const net::PacketPtr &pkt);
-    /** FPGA-generated packet toward the host. */
-    bool injectToNic(const net::PacketPtr &pkt);
 
     /**
      * Take the bridge down (full FPGA reconfiguration) or up. While down,

@@ -155,8 +155,7 @@ HealthMonitor::onHeartbeatResult(int host, bool reachable)
                 CCSIM_LOG(sim::LogLevel::kInfo, "haas.health", queue.now(),
                           "node ", host, " rejoined after ",
                           cfg.rejoinHeartbeats, " healthy heartbeats");
-                if (cfg.autoRepair)
-                    rm.repair(host);
+                rm.repair(host);
             }
         }
     } else {
@@ -216,7 +215,7 @@ HealthMonitor::convictDomain(int domain)
         nh.suspicion = cfg.suspicionThreshold;
         members.push_back(host);
     }
-    if (cfg.autoReport && !members.empty())
+    if (!members.empty())
         rm.reportDomainFailure(members);
 }
 
@@ -277,8 +276,7 @@ HealthMonitor::addSuspicion(int host, double weight)
     ++statDetections;
     CCSIM_LOG(sim::LogLevel::kWarn, "haas.health", queue.now(), "node ",
               host, " declared failed (suspicion ", nh.suspicion, ")");
-    if (cfg.autoReport)
-        rm.reportFailure(host);
+    rm.reportFailure(host);
 }
 
 sim::TimePs

@@ -73,10 +73,6 @@ struct HealthMonitorConfig {
     double suspicionThreshold = 3.0;
     /** Consecutive healthy heartbeats before a failed node is repaired. */
     int rejoinHeartbeats = 2;
-    /** Report detected failures to the RM (else observe-only). */
-    bool autoReport = true;
-    /** Repair rejoined nodes on the RM (else observe-only). */
-    bool autoRepair = true;
     /**
      * Convict whole failure domains: when >= domainMinHosts watched
      * hosts sharing a domain all miss domainSweeps consecutive full
@@ -112,17 +108,6 @@ struct HealthMonitorConfig {
     HealthMonitorConfig &withMinLtlStreak(int streak)
     {
         minLtlStreak = streak;
-        return *this;
-    }
-    HealthMonitorConfig &withRejoinHeartbeats(int beats)
-    {
-        rejoinHeartbeats = beats;
-        return *this;
-    }
-    HealthMonitorConfig &withAutoReport(bool report, bool repair)
-    {
-        autoReport = report;
-        autoRepair = repair;
         return *this;
     }
     HealthMonitorConfig &withDomainConviction(int sweeps, int min_hosts)

@@ -56,8 +56,6 @@ class CorpusGenerator
      */
     Document makeCandidateDocument(const Query &q, std::size_t length);
 
-    std::uint32_t vocabSize() const { return vocab; }
-
   private:
     std::uint32_t vocab;
     sim::Rng rng;

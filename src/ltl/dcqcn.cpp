@@ -30,7 +30,6 @@ DcqcnController::armTimer()
 void
 DcqcnController::onCongestionNotification()
 {
-    ++cnpCount;
     alpha = (1.0 - cfg.g) * alpha + cfg.g;
     rateTarget = rateCurrent;
     rateCurrent = std::max(cfg.minRateGbps,

@@ -47,11 +47,6 @@ class DcqcnController
     /** Current permitted sending rate, Gb/s. */
     double currentRateGbps() const { return rateCurrent; }
 
-    /** True if at least one CNP has ever arrived (for stats). */
-    bool sawCongestion() const { return cnpCount > 0; }
-
-    std::uint64_t congestionNotifications() const { return cnpCount; }
-
   private:
     sim::EventQueue &queue;
     DcqcnConfig cfg;
@@ -59,7 +54,6 @@ class DcqcnController
     double rateTarget;
     double rateCurrent;
     int increaseStage = 0;
-    std::uint64_t cnpCount = 0;
     sim::EventId timerEvent = sim::kNoEvent;
 
     void armTimer();

@@ -234,7 +234,6 @@ class LtlEngine
     std::uint64_t framesSent() const { return statFramesSent; }
     std::uint64_t framesRetransmitted() const { return statRetransmits; }
     std::uint64_t timeouts() const { return statTimeouts; }
-    std::uint64_t acksSent() const { return statAcksSent; }
     std::uint64_t nacksSent() const { return statNacksSent; }
     std::uint64_t cnpsSent() const { return statCnpsSent; }
     std::uint64_t cnpsReceived() const { return statCnpsReceived; }

@@ -23,9 +23,6 @@ struct MacAddr {
 
     /** Render as aa:bb:cc:dd:ee:ff. */
     std::string str() const;
-
-    /** The broadcast address ff:ff:ff:ff:ff:ff. */
-    static constexpr MacAddr broadcast() { return {0xFFFFFFFFFFFFull}; }
 };
 
 /** An IPv4 address in host byte order. */

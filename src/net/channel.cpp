@@ -34,21 +34,6 @@ Channel::effectiveGbps() const
     return std::max(residual, 0.05 * line_bps) / 1e9;
 }
 
-std::uint32_t
-Channel::totalQueuedBytes() const
-{
-    std::uint32_t total = 0;
-    for (auto b : queueBytes)
-        total += b;
-    return total;
-}
-
-bool
-Channel::isPaused(std::uint8_t priority) const
-{
-    return pausedUntil[priority] > queue.now();
-}
-
 bool
 Channel::send(const PacketPtr &pkt, TxReleaseListener *release, int port)
 {
@@ -187,7 +172,6 @@ Channel::tryTransmit()
 void
 Channel::finishTransmit(TxEntry entry)
 {
-    ++txPackets;
     txBytes += entry.pkt->wireBytes();
     transmitting = false;
     // Fault model: a cut cable or corrupted-on-the-wire frame fails CRC

@@ -88,15 +88,6 @@ class Channel
         return queueBytes[priority];
     }
 
-    /** Total bytes queued across all priorities. */
-    std::uint32_t totalQueuedBytes() const;
-
-    /** True if @p priority is currently paused by PFC. */
-    bool isPaused(std::uint8_t priority) const;
-
-    /** Line rate in Gb/s. */
-    double rateGbps() const { return gbps; }
-
     // --- fluid background load (ccsim::net::FluidTrafficModel) ---
 
     /**
@@ -192,9 +183,6 @@ class Channel
      */
     void setExtraLatency(sim::TimePs extra) { extraDelay = extra; }
 
-    /** Current gray-fault latency inflation (0 = nominal). */
-    sim::TimePs extraLatency() const { return extraDelay; }
-
     // --- flow tracing (ccsim::obs) ---
 
     /**
@@ -206,7 +194,6 @@ class Channel
     void setFlowRecorder(obs::FlightRecorder *r) { flowRec = r; }
 
     // --- statistics ---
-    std::uint64_t packetsSent() const { return txPackets; }
     std::uint64_t bytesSent() const { return txBytes; }
     std::uint64_t packetsDropped() const { return drops; }
     std::uint64_t pausesReceived() const { return pauses; }
@@ -254,7 +241,6 @@ class Channel
     std::uint64_t fluidRateBps = 0;
     std::uint64_t fluidBytes = 0;
 
-    std::uint64_t txPackets = 0;
     std::uint64_t txBytes = 0;
     std::uint64_t drops = 0;
     std::uint64_t pauses = 0;

@@ -51,9 +51,6 @@ class Nic : public PacketSink
     MacAddr mac() const { return macAddr; }
     Ipv4Addr ip() const { return ipAddr; }
 
-    std::uint64_t packetsReceived() const { return rxPackets; }
-    std::uint64_t packetsSent() const { return txPackets; }
-
     /** Export rx/tx packet counts under `nic.<node>.*`. */
     void attachObservability(obs::Observability *o, const std::string &node)
     {

@@ -230,10 +230,8 @@ class FlightRecorder
 
     std::uint64_t flowsStarted() const { return started; }
     std::uint64_t flowsSampled() const { return sampledCount; }
-    std::uint64_t flowsCompleted() const { return completedCount; }
     /** Spans lost to per-flow caps, late arrival, or reservoir eviction. */
     std::uint64_t droppedSpans() const { return droppedCount; }
-    std::size_t activeFlows() const { return active.size(); }
 
     /** Kept exemplars (completed flows), unordered. */
     const std::vector<FlowTrace> &exemplars() const { return kept; }

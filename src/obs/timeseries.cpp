@@ -14,84 +14,6 @@
 namespace ccsim::obs {
 
 // ---------------------------------------------------------------------
-// HistogramSketch
-// ---------------------------------------------------------------------
-
-HistogramSketch
-HistogramSketch::diff(sim::LogHistogram::Binning binning,
-                      const std::vector<std::uint64_t> &cur_bins,
-                      const std::vector<std::uint64_t> &prev_bins,
-                      double sum_delta)
-{
-    HistogramSketch s(binning.minValue, binning.binsPerOctave);
-    s.bins.resize(cur_bins.size(), 0);
-    for (std::size_t i = 0; i < cur_bins.size(); ++i) {
-        const std::uint64_t before = i < prev_bins.size() ? prev_bins[i] : 0;
-        if (cur_bins[i] < before)
-            sim::panic("HistogramSketch::diff: bin count decreased "
-                       "(histogram was cleared mid-window?)");
-        s.bins[i] = cur_bins[i] - before;
-        s.total += s.bins[i];
-    }
-    s.sumVal = sum_delta;
-    return s;
-}
-
-HistogramSketch
-HistogramSketch::since(const sim::LogHistogram &cur,
-                       const std::vector<std::uint64_t> &prev_bins,
-                       double prev_sum)
-{
-    return diff(cur.binning(), cur.binCounts(), prev_bins,
-                cur.sum() - prev_sum);
-}
-
-void
-HistogramSketch::merge(const HistogramSketch &other)
-{
-    if (minVal != other.minVal || octave != other.octave)
-        sim::panic("HistogramSketch::merge: binning parameters differ");
-    if (other.bins.size() > bins.size())
-        bins.resize(other.bins.size(), 0);
-    for (std::size_t i = 0; i < other.bins.size(); ++i)
-        bins[i] += other.bins[i];
-    total += other.total;
-    sumVal += other.sumVal;
-}
-
-double
-HistogramSketch::binLowerEdge(std::size_t idx) const
-{
-    if (idx == 0)
-        return 0.0;
-    return minVal * std::exp2(static_cast<double>(idx - 1) / octave);
-}
-
-double
-HistogramSketch::percentile(double p) const
-{
-    if (total == 0)
-        return 0.0;
-    if (p < 0.0 || p > 100.0)
-        sim::panicf("HistogramSketch::percentile: p=", p, " out of [0,100]");
-    const auto target = static_cast<std::uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(total)));
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        cum += bins[i];
-        if (cum >= target && bins[i] > 0) {
-            // Same geometric-midpoint rule as LogHistogram::percentile;
-            // a delta sketch cannot clamp to the window's exact
-            // min/max, so the bin width bounds the error instead.
-            const double lo = binLowerEdge(i);
-            const double hi = binLowerEdge(i + 1);
-            return lo > 0.0 ? std::sqrt(lo * hi) : hi * 0.5;
-        }
-    }
-    return binLowerEdge(bins.size());
-}
-
-// ---------------------------------------------------------------------
 // TimeSeriesHub
 // ---------------------------------------------------------------------
 
@@ -356,21 +278,25 @@ TimeSeriesHub::histogramPoint(sim::TimePs now,
         lv.prevBins.clear();
         lv.prevSum = 0.0;
     }
-    const HistogramSketch sk =
-        HistogramSketch::diff(binning, bins, lv.prevBins, sum - lv.prevSum);
+    // After the reset check every previous bin exists and is <= now.
+    std::vector<std::uint64_t> window = bins;
+    for (std::size_t i = 0; i < lv.prevBins.size(); ++i)
+        window[i] -= lv.prevBins[i];
+    const sim::LogHistogram w = sim::LogHistogram::fromBins(
+        binning, std::move(window), sum - lv.prevSum);
     lv.prevBins = std::move(bins);
     lv.prevSum = sum;
     TsPoint p;
     p.t = now;
     p.value = static_cast<double>(count);
-    p.count = sk.count();
-    p.delta = static_cast<double>(sk.count());
+    p.count = w.count();
+    p.delta = static_cast<double>(w.count());
     p.rate = p.delta / span;
-    p.mean = sk.mean();
-    p.p50 = sk.percentile(50.0);
-    p.p90 = sk.percentile(90.0);
-    p.p99 = sk.percentile(99.0);
-    p.p999 = sk.percentile(99.9);
+    p.mean = w.mean();
+    p.p50 = w.percentile(50.0);
+    p.p90 = w.percentile(90.0);
+    p.p99 = w.percentile(99.0);
+    p.p999 = w.percentile(99.9);
     return p;
 }
 
@@ -428,7 +354,7 @@ TimeSeriesHub::rollAggregate(Aggregate &agg, sim::TimePs now)
         }
         // Merged cumulative bins across members; the diff against the
         // aggregate's own previous snapshot is exactly the sum of the
-        // members' windowed sketches (bin counts are integers).
+        // members' windowed bin counts (bin counts are integers).
         std::vector<std::uint64_t> bins;
         std::uint64_t count = 0;
         double sum = 0.0;

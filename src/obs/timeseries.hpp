@@ -11,9 +11,10 @@
  *  - On a fixed simulated-time cadence it rolls every watched registry
  *    metric into one fixed-width window: counters and probes become
  *    deltas and rates, gauges keep their last value, histograms become
- *    **windowed sketches** — exact per-bin count deltas of the
- *    cumulative LogHistogram, so windowed p50/p99/p999 cost O(bins) and
- *    sketches from different shards merge exactly (bin addition).
+ *    **windowed histograms** — exact per-bin count deltas of the
+ *    cumulative LogHistogram (LogHistogram::fromBins), so windowed
+ *    p50/p99/p999 cost O(bins) and per-shard windows merge exactly (bin
+ *    addition).
  *  - Each series is retained in bounded ring buffers at multiple
  *    resolutions (e.g. every window / every 16th / every 256th), so a
  *    full campaign's history fits in O(MB) no matter how long it runs.
@@ -51,77 +52,6 @@ class ShardedEventQueue;
 }
 
 namespace ccsim::obs {
-
-/**
- * A mergeable windowed histogram: exact per-bin count deltas between
- * two snapshots of a cumulative LogHistogram. Because bin counts only
- * ever grow, the delta is itself an exact histogram of the samples
- * recorded in the window, and sketches from disjoint histograms (e.g.
- * one per shard) merge by bin addition with no approximation beyond
- * the shared binning.
- */
-class HistogramSketch
-{
-  public:
-    HistogramSketch() = default;
-    HistogramSketch(double min_value, int bins_per_octave)
-        : minVal(min_value), octave(bins_per_octave)
-    {
-    }
-
-    /**
-     * The exact sub-histogram of samples @p cur recorded since the
-     * snapshot (@p prev_bins, @p prev_sum). @p prev_bins may be shorter
-     * than the current bin vector (bins grow lazily).
-     */
-    static HistogramSketch since(const sim::LogHistogram &cur,
-                                 const std::vector<std::uint64_t> &prev_bins,
-                                 double prev_sum);
-
-    /**
-     * The sketch of @p cur_bins minus @p prev_bins (cumulative bin
-     * snapshots with @p binning), with window sample-sum @p sum_delta.
-     * `since` is this applied to one live histogram; aggregates apply it
-     * to member-summed bins.
-     */
-    static HistogramSketch diff(sim::LogHistogram::Binning binning,
-                                const std::vector<std::uint64_t> &cur_bins,
-                                const std::vector<std::uint64_t> &prev_bins,
-                                double sum_delta);
-
-    /** Fold @p other in (exact bin addition; panics on binning mismatch). */
-    void merge(const HistogramSketch &other);
-
-    /** Samples in the window. */
-    std::uint64_t count() const { return total; }
-    /** Sum of window samples. */
-    double sum() const { return sumVal; }
-    /** Mean of window samples (0 if empty). */
-    double mean() const
-    {
-        return total ? sumVal / static_cast<double>(total) : 0.0;
-    }
-
-    /**
-     * Approximate p-th percentile (p in [0,100]) of the window, using
-     * the geometric bin-midpoint rule of LogHistogram::percentile but
-     * clamped to bin edges only (a delta cannot recover the window's
-     * exact min/max).
-     */
-    double percentile(double p) const;
-
-    /** Binning parameters. */
-    sim::LogHistogram::Binning binning() const { return {minVal, octave}; }
-
-  private:
-    double minVal = 0.5;
-    int octave = 96;
-    std::vector<std::uint64_t> bins;
-    std::uint64_t total = 0;
-    double sumVal = 0.0;
-
-    double binLowerEdge(std::size_t idx) const;
-};
 
 /**
  * What a time series measures: the registry kind of its metrics, which
@@ -215,7 +145,7 @@ class TimeSeriesHub
     /**
      * Define a derived series @p name merging every concrete series
      * matching @p pattern: histogram members merge their windowed
-     * sketches (identical binning required); counter/probe/gauge members
+     * bin counts (identical binning required); counter/probe/gauge members
      * sum. Members may appear later; the kind is fixed by the first
      * match. @p name must not collide with a registry path.
      */

@@ -72,14 +72,6 @@ TraceWriter::autoFlushOnExit(const std::string &path)
 }
 
 void
-TraceWriter::cancelAutoFlush()
-{
-    flushPath.clear();
-    auto &reg = flushRegistry();
-    reg.erase(std::remove(reg.begin(), reg.end(), this), reg.end());
-}
-
-void
 TraceWriter::flushIfDirty()
 {
     if (!flushPath.empty() && hasUnwritten)

@@ -126,9 +126,6 @@ class TraceWriter
      */
     void autoFlushOnExit(const std::string &path);
 
-    /** Disarm a previously armed auto-flush. */
-    void cancelAutoFlush();
-
     /** True if events were recorded since the last write. */
     bool dirty() const { return hasUnwritten; }
 

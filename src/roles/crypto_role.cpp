@@ -96,7 +96,6 @@ CryptoRole::onTap(fpga::Direction dir, const net::PacketPtr &pkt)
         const std::uint32_t before = pkt->payloadBytes;
         if (encryptPacket(it->second, *pkt)) {
             ++statEncrypted;
-            statBytes += before;
             return fpga::TapResult{fpga::TapResult::Action::kForward,
                                    packetLatency(before)};
         }
@@ -108,7 +107,6 @@ CryptoRole::onTap(fpga::Direction dir, const net::PacketPtr &pkt)
     const std::uint32_t before = pkt->payloadBytes;
     if (decryptPacket(it->second, *pkt)) {
         ++statDecrypted;
-        statBytes += before;
         return fpga::TapResult{fpga::TapResult::Action::kForward,
                                packetLatency(before)};
     }

@@ -88,7 +88,6 @@ class CryptoRole : public fpga::Role
 
     std::uint64_t packetsEncrypted() const { return statEncrypted; }
     std::uint64_t packetsDecrypted() const { return statDecrypted; }
-    std::uint64_t bytesProcessed() const { return statBytes; }
     std::uint64_t authFailures() const { return statAuthFailures; }
 
     /** Per-packet datapath latency for @p bytes under the current suite. */
@@ -114,7 +113,6 @@ class CryptoRole : public fpga::Role
 
     std::uint64_t statEncrypted = 0;
     std::uint64_t statDecrypted = 0;
-    std::uint64_t statBytes = 0;
     std::uint64_t statAuthFailures = 0;
 
     fpga::TapResult onTap(fpga::Direction dir, const net::PacketPtr &pkt);

@@ -48,15 +48,6 @@ Mlp::infer(const std::vector<float> &input) const
     return act;
 }
 
-std::uint64_t
-Mlp::macsPerInference() const
-{
-    std::uint64_t macs = 0;
-    for (std::size_t l = 0; l + 1 < sizes.size(); ++l)
-        macs += static_cast<std::uint64_t>(sizes[l]) * sizes[l + 1];
-    return macs;
-}
-
 DnnRole::DnnRole(sim::EventQueue &eq, DnnRoleParams p)
     : queue(eq), params(p)
 {

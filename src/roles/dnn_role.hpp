@@ -31,9 +31,6 @@ class Mlp
     std::vector<float> infer(const std::vector<float> &input) const;
 
     int inputSize() const { return sizes.front(); }
-    int outputSize() const { return sizes.back(); }
-    /** Multiply-accumulate count per inference (for throughput checks). */
-    std::uint64_t macsPerInference() const;
 
   private:
     std::vector<int> sizes;

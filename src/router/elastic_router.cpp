@@ -366,7 +366,6 @@ ErEndpoint::sendMessage(const ErMessagePtr &msg)
         sim::fatal("ErEndpoint: bad VC");
     if (msg->id == 0)
         msg->id = (static_cast<std::uint64_t>(id) << 40) | nextMsgId++;
-    ++txMessages;
     segment(msg);
     pump(msg->vc);
 }
@@ -412,7 +411,6 @@ void
 ErEndpoint::acceptFlit(const Flit &flit)
 {
     if (flit.isTail()) {
-        ++rxMessages;
         if (handler)
             handler(flit.msg);
     }

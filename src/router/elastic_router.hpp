@@ -236,11 +236,7 @@ class ErEndpoint : public FlitSink
     /** Messages are reassembled at the tail, so only tails are needed. */
     bool tailFlitsOnly() const override { return true; }
 
-    int endpointId() const { return id; }
     int portIndex() const { return port; }
-
-    std::uint64_t messagesSent() const { return txMessages; }
-    std::uint64_t messagesReceived() const { return rxMessages; }
     /** Flits waiting for credits across all VCs. */
     std::size_t backlogFlits() const;
 
@@ -253,8 +249,6 @@ class ErEndpoint : public FlitSink
 
     /** Pending (already segmented) flits awaiting credits, FIFO per VC. */
     std::vector<sim::Fifo<Flit>> pending;
-    std::uint64_t txMessages = 0;
-    std::uint64_t rxMessages = 0;
     std::uint64_t nextMsgId = 1;
 
     void pump(int vc);

@@ -113,12 +113,6 @@ BoundedLoadConsistentHashBalancer::ringIndexFor(std::uint64_t key) const
 }
 
 int
-BoundedLoadConsistentHashBalancer::homeOf(std::uint64_t key) const
-{
-    return ring.empty() ? -1 : ring[ringIndexFor(key)].host;
-}
-
-int
 BoundedLoadConsistentHashBalancer::pick(std::uint64_t key,
                                         const OutstandingFn &outstanding)
 {

@@ -127,9 +127,6 @@ class BoundedLoadConsistentHashBalancer : public LoadBalancer
     void setHosts(const std::vector<int> &hosts) override;
     int pick(std::uint64_t key, const OutstandingFn &outstanding) override;
 
-    /** The host hash(key) lands on ignoring load (test introspection). */
-    int homeOf(std::uint64_t key) const;
-
   private:
     struct RingPoint {
         std::uint64_t hash;

@@ -51,8 +51,8 @@ namespace ccsim::serving {
  * Cluster-serving configuration: balancer policy, admission limits,
  * ejection thresholds, and the request policy handed to attached
  * clients. Validated like FaultConfig — construction of a ClusterClient
- * (or of a ConfigurableCloud carrying one via withServing) fatals on an
- * invalid config.
+ * (or of a ConfigurableCloud carrying one in CloudConfig::serving) fatals
+ * on an invalid config.
  */
 struct ServingConfig {
     BalancerPolicy balancer = BalancerPolicy::kRoundRobin;
@@ -69,31 +69,11 @@ struct ServingConfig {
 
     // --- fluent setters ---
 
-    ServingConfig &withBalancer(BalancerPolicy policy)
-    {
-        balancer = policy;
-        return *this;
-    }
     ServingConfig &withConsistentHash(int vnodes, double load_bound)
     {
         balancer = BalancerPolicy::kBoundedLoadConsistentHash;
         chVnodes = vnodes;
         chLoadBound = load_bound;
-        return *this;
-    }
-    ServingConfig &withAdmission(AdmissionConfig a)
-    {
-        admission = std::move(a);
-        return *this;
-    }
-    ServingConfig &withEjection(EjectionConfig e)
-    {
-        ejection = e;
-        return *this;
-    }
-    ServingConfig &withRequestPolicy(RequestPolicy p)
-    {
-        request = p;
         return *this;
     }
     ServingConfig &withSeed(std::uint64_t s)

@@ -82,11 +82,6 @@ struct EjectionConfig {
         consecutiveErrors = errors;
         return *this;
     }
-    EjectionConfig &withAttemptTimeout(sim::TimePs timeout)
-    {
-        attemptTimeout = timeout;
-        return *this;
-    }
     EjectionConfig &withEjectionTime(sim::TimePs base, int max_multiplier)
     {
         baseEjectionTime = base;
@@ -99,16 +94,6 @@ struct EjectionConfig {
         latencyFactor = factor;
         latencyPercentile = percentile;
         minLatencySamples = min_samples;
-        return *this;
-    }
-    EjectionConfig &withMaxEjectedFraction(double fraction)
-    {
-        maxEjectedFraction = fraction;
-        return *this;
-    }
-    EjectionConfig &withEvidenceWeight(double weight)
-    {
-        evidenceWeight = weight;
         return *this;
     }
 };

@@ -133,16 +133,6 @@ Rng::lognormalMeanCv(double mean, double cv)
     return lognormal(p.mu, p.sigma);
 }
 
-double
-Rng::pareto(double xm, double alpha)
-{
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::uint64_t
 Rng::poisson(double lambda)
 {

@@ -87,9 +87,6 @@ class Rng
     /** Lognormal variate with underlying normal parameters mu, sigma. */
     double lognormal(double mu, double sigma);
 
-    /** Pareto variate with scale xm and shape alpha. */
-    double pareto(double xm, double alpha);
-
     /** Poisson variate with rate lambda (Knuth for small, PTRS for large). */
     std::uint64_t poisson(double lambda);
 

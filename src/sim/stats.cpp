@@ -1,6 +1,7 @@
 #include "sim/stats.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -79,6 +80,24 @@ LogHistogram::LogHistogram(double min_value, int bins_per_octave)
         panic("LogHistogram: min_value must be positive");
     if (bins_per_octave < 1)
         panic("LogHistogram: bins_per_octave must be >= 1");
+}
+
+LogHistogram
+LogHistogram::fromBins(Binning binning, std::vector<std::uint64_t> counts,
+                       double sum)
+{
+    LogHistogram h(binning.minValue, binning.binsPerOctave);
+    h.bins = std::move(counts);
+    for (std::size_t i = 0; i < h.bins.size(); ++i) {
+        if (h.bins[i] == 0)
+            continue;
+        if (h.totalCount == 0)
+            h.minVal = h.binLowerEdge(i);
+        h.maxVal = h.binLowerEdge(i + 1);
+        h.totalCount += h.bins[i];
+    }
+    h.totalSum = sum;
+    return h;
 }
 
 std::size_t

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ccsim::sim {
@@ -87,6 +86,23 @@ class LogHistogram
      */
     explicit LogHistogram(double min_value = 1.0, int bins_per_octave = 48);
 
+    /** Binning parameters (two histograms merge iff these are equal). */
+    struct Binning {
+        double minValue;
+        int binsPerOctave;
+    };
+
+    /**
+     * A histogram rebuilt from per-bin counts (as binCounts() returns
+     * them) and the sum of its samples, e.g. the difference of two
+     * binCounts() snapshots of one histogram. The exact min and max are
+     * unknown, so they become the outer edges of the first and last
+     * occupied bins; percentile() then reads bin midpoints unclamped.
+     */
+    static LogHistogram fromBins(Binning binning,
+                                 std::vector<std::uint64_t> counts,
+                                 double sum);
+
     /** Record one sample. */
     void add(double x) { addN(x, 1); }
 
@@ -120,26 +136,18 @@ class LogHistogram
     /** Exact sum of recorded samples. */
     double sum() const { return totalSum; }
 
-    /** Binning parameters (two histograms merge iff these are equal). */
-    struct Binning {
-        double minValue;
-        int binsPerOctave;
-    };
     Binning binning() const
     {
         return {minValue, static_cast<int>(binsPerOctave)};
     }
 
     /**
-     * Cumulative per-bin counts (index 0 is the <= min_value underflow
-     * bin). Bin counts only ever grow, which is what lets an observer
-     * diff two snapshots of the same histogram into an exact windowed
-     * sub-histogram (obs::HistogramSketch).
+     * Per-bin counts (index 0 is the <= min_value underflow bin). Until
+     * clear(), counts only ever grow, so two snapshots of one histogram
+     * differ by the exact bin counts of the samples recorded in between
+     * (fromBins() turns them into a windowed histogram).
      */
     const std::vector<std::uint64_t> &binCounts() const { return bins; }
-
-    /** Lower edge of bin @p idx (0 for the underflow bin). */
-    double binEdge(std::size_t idx) const { return binLowerEdge(idx); }
 
     /** Drop all samples. */
     void clear();
@@ -158,19 +166,15 @@ class LogHistogram
     double binLowerEdge(std::size_t idx) const;
 };
 
-/** A simple monotonically increasing counter with a name. */
+/** A simple monotonically increasing counter. */
 class Counter
 {
   public:
-    explicit Counter(std::string name = "") : label(std::move(name)) {}
-
     void inc(std::uint64_t n = 1) { value += n; }
     std::uint64_t get() const { return value; }
-    const std::string &name() const { return label; }
     void reset() { value = 0; }
 
   private:
-    std::string label;
     std::uint64_t value = 0;
 };
 

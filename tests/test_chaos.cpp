@@ -24,6 +24,7 @@
 #include "haas/haas.hpp"
 #include "haas/health_monitor.hpp"
 #include "net/fluid.hpp"
+#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sharded_obs.hpp"
 #include "obs/timeseries.hpp"
@@ -37,14 +38,6 @@ using fault::FaultConfig;
 using fault::FaultInjector;
 using sim::EventQueue;
 using sim::TimePs;
-
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
 
 /** 2 pods x 2 racks x 4 hosts: enough hierarchy for domain tests. */
 core::CloudConfig
@@ -203,7 +196,7 @@ TEST(DomainConviction, TwoPhaseDomainReportKeepsFailoverOutOfDyingRack)
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::ResourceManager &rm = cloud.resourceManager();
 
-    NullRole role;
+    fpga::NullRole role;
     haas::ServiceManager sm(eq, rm, "svc", [&](int) { return &role; });
     ASSERT_TRUE(sm.deploy(2));  // lands on hosts 0,1 (rack 0)
     sm.enableAutoHeal(2);
@@ -243,7 +236,7 @@ TEST(AntiAffinity, PlacementHonorsRackAndPodCaps)
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::ResourceManager &rm = cloud.resourceManager();
 
-    NullRole role;
+    fpga::NullRole role;
     haas::ServiceManager sm(eq, rm, "svc", [&](int) { return &role; });
     haas::LeaseConstraints lc;
     lc.withAntiAffinity(1, 2);
@@ -271,7 +264,7 @@ TEST(AntiAffinity, AblationPilesInstancesIntoOneRack)
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::ResourceManager &rm = cloud.resourceManager();
 
-    NullRole role;
+    fpga::NullRole role;
     haas::ServiceManager sm(eq, rm, "svc", [&](int) { return &role; });
     ASSERT_TRUE(sm.deploy(4));
     for (int h : sm.instances())
@@ -285,7 +278,7 @@ TEST(AntiAffinity, CapsSurviveFailover)
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::ResourceManager &rm = cloud.resourceManager();
 
-    NullRole role;
+    fpga::NullRole role;
     haas::ServiceManager sm(eq, rm, "svc", [&](int) { return &role; });
     haas::LeaseConstraints lc;
     lc.withAntiAffinity(1);
@@ -314,7 +307,7 @@ TEST(MigrationThrottle, MassFailureDrainsOnePerGap)
     core::ConfigurableCloud cloud(eq, domainCloud(false));
     haas::ResourceManager &rm = cloud.resourceManager();
 
-    NullRole role;
+    fpga::NullRole role;
     haas::ServiceManager sm(eq, rm, "svc", [&](int) { return &role; });
     ASSERT_TRUE(sm.deploy(4));  // all of rack 0
     sm.enableAutoHeal(4);
@@ -480,7 +473,7 @@ agreementDrill(int shards, bool chaos_first)
     haas::ResourceManager &rm = cloud->resourceManager();
     DrillTrace trace;
 
-    NullRole role;
+    fpga::NullRole role;
     bool deployed = false;
     haas::ServiceManager sm(cloud->controlQueue(), rm, "svc", [&](int) {
         if (deployed)

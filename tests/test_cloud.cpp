@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/cloud.hpp"
@@ -23,6 +24,9 @@ using namespace ccsim;
 using core::CloudConfig;
 using core::ConfigurableCloud;
 using sim::EventQueue;
+
+// One way to configure: fields or designated initializers, no setters.
+static_assert(std::is_aggregate_v<CloudConfig>);
 
 CloudConfig
 smallCloud(int hosts_per_rack = 3, int racks_per_pod = 2, int pods = 2)

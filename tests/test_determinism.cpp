@@ -13,6 +13,7 @@
 #include "core/cloud.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
+#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
@@ -65,13 +66,7 @@ TEST(Determinism, LtlRttTraceIsBitIdentical)
         cfg.shellTemplate.ltl.maxConnections = 8;
         core::ConfigurableCloud cloud(eq, cfg);
 
-        struct NullRole : fpga::Role {
-            int port = -1;
-            std::string name() const override { return "null"; }
-            std::uint32_t areaAlms() const override { return 100; }
-            void attach(fpga::Shell &, int p) override { port = p; }
-            void onMessage(const router::ErMessagePtr &) override {}
-        } sink;
+        fpga::NullRole sink;
         cloud.shell(5).addRole(&sink);
         auto ch = cloud.openLtl(0, 5, sink.port);
         auto *engine = cloud.shell(0).ltlEngine();
@@ -122,13 +117,7 @@ runLtlWorkload(bool observed, bool traced)
         cfg.obs = &hub;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    struct NullRole : fpga::Role {
-        int port = -1;
-        std::string name() const override { return "null"; }
-        std::uint32_t areaAlms() const override { return 100; }
-        void attach(fpga::Shell &, int p) override { port = p; }
-        void onMessage(const router::ErMessagePtr &) override {}
-    } sink;
+    fpga::NullRole sink;
     cloud.shell(5).addRole(&sink);
     auto ch = cloud.openLtl(0, 5, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();

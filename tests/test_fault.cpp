@@ -458,7 +458,7 @@ TEST(ConfigValidation, BadCloudConfigsDie)
         cfg.flowSampleEvery = 1;
         core::ConfigurableCloud cloud(eq, cfg);
     };
-    EXPECT_DEATH(flow_tracing_without_hub(), "withObservability");
+    EXPECT_DEATH(flow_tracing_without_hub(), "cfg.obs or cfg.shardObs");
 }
 
 TEST(ConfigValidation, BadFaultConfigsDie)

@@ -467,7 +467,8 @@ tracedCloudConfig(obs::Observability *hub)
     cfg.createNics = false;
     cfg.shellTemplate.ltl.maxConnections = 16;
     cfg.obs = hub;
-    cfg.withFlowTracing(/*sample_every=*/1, /*tail_capacity=*/128);
+    cfg.flowSampleEvery = 1;
+    cfg.flowTailCapacity = 128;
     return cfg;
 }
 

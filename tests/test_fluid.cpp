@@ -16,6 +16,7 @@
 #include "core/cloud.hpp"
 #include "net/fluid.hpp"
 #include "net/topology.hpp"
+#include "null_role.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
@@ -327,15 +328,6 @@ TEST(Fluid, ChannelReturnsToPristineWhenRatesCancel)
     EXPECT_EQ(ch.fluidUtilization(), 0.0);
 }
 
-/** A no-op role so LTL deliveries have a destination. */
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
-
 /** Cross-pod LTL RTT samples on a 2-pod, single-path fabric, under a
  * configurable background: none, fluid aggregates, or real packets. */
 enum class Background { kNone, kFluid, kPacket };
@@ -358,7 +350,7 @@ probeRtts(Background bg)
     // Four background flows pod0 -> pod1 at 2 Gbit/s each (20% of the
     // shared 40G trunk), as either fluid rates or real LTL traffic.
     const std::uint64_t kRate = 2'000'000'000ull;
-    std::vector<std::unique_ptr<NullRole>> roles;
+    std::vector<std::unique_ptr<fpga::NullRole>> roles;
     std::vector<core::LtlChannel> channels;
     for (int i = 0; i < 4 && bg != Background::kNone; ++i) {
         const int src = topo.hostIndex(0, i % 2, i / 2);
@@ -367,7 +359,7 @@ probeRtts(Background bg)
             fluid.addFlow(src, dst, kRate);
             continue;
         }
-        roles.push_back(std::make_unique<NullRole>());
+        roles.push_back(std::make_unique<fpga::NullRole>());
         if (cloud.shell(dst).addRole(roles.back().get()) < 0)
             ADD_FAILURE() << "no role slot";
         channels.push_back(cloud.openLtl(src, dst, roles.back()->port));
@@ -386,7 +378,7 @@ probeRtts(Background bg)
     // The probe: cross-pod pings at an idle 20 us spacing.
     const int src = topo.hostIndex(0, 0, 3);
     const int dst = topo.hostIndex(1, 1, 3);
-    NullRole sink;
+    fpga::NullRole sink;
     EXPECT_GE(cloud.shell(dst).addRole(&sink), 0);
     auto probe = cloud.openLtl(src, dst, sink.port);
     auto *engine = cloud.shell(src).ltlEngine();

@@ -15,6 +15,7 @@
 #include "core/cloud.hpp"
 #include "fault/fault.hpp"
 #include "haas/health_monitor.hpp"
+#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"
@@ -24,15 +25,6 @@ namespace {
 using namespace ccsim;
 using sim::EventQueue;
 using sim::TimePs;
-
-/** A no-op role so LTL deliveries have a destination. */
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
 
 core::CloudConfig
 podScaleConfig(bool lazy)
@@ -77,7 +69,7 @@ TEST(LazyFabric, StubsMaterializeOnFirstTouchOnly)
     // End-to-end traffic between two touched hosts crosses the fabric
     // while every other server is still a stub.
     const int src = 5, dst = cloud.numServers() - 1;
-    NullRole sink;
+    fpga::NullRole sink;
     ASSERT_GE(cloud.shell(dst).addRole(&sink), 0);
     auto ch = cloud.openLtl(src, dst, sink.port);
     auto *engine = cloud.shell(src).ltlEngine();
@@ -107,7 +99,7 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
             for (int h = 0; h < cloud.numServers(); ++h)
                 cloud.materializeServer(h);
 
-        NullRole sink;
+        fpga::NullRole sink;
         const int src = 1, dst = cloud.numServers() - 2;
         EXPECT_GE(cloud.shell(dst).addRole(&sink), 0);
         auto ch = cloud.openLtl(src, dst, sink.port);
@@ -188,9 +180,9 @@ TEST(LazyFabric, LeaseDeployMaterializesThroughTheResolver)
     core::ConfigurableCloud cloud(eq, podScaleConfig(true));
     haas::ResourceManager &rm = cloud.resourceManager();
 
-    std::vector<std::unique_ptr<NullRole>> roles;
+    std::vector<std::unique_ptr<fpga::NullRole>> roles;
     haas::ServiceManager sm(eq, rm, "svc", [&](int) {
-        roles.push_back(std::make_unique<NullRole>());
+        roles.push_back(std::make_unique<fpga::NullRole>());
         return roles.back().get();
     });
     ASSERT_EQ(cloud.materializedServers(), 0);
@@ -228,7 +220,7 @@ TEST(LazyFabric, WidenedPodAddressingIsBackwardCompatible)
     core::ConfigurableCloud cloud(eq, cfg);
     const int src = cloud.topology().hostIndex(0, 0, 0);
     const int dst = cloud.topology().hostIndex(299, 0, 0);
-    NullRole sink;
+    fpga::NullRole sink;
     ASSERT_GE(cloud.shell(dst).addRole(&sink), 0);
     auto ch = cloud.openLtl(src, dst, sink.port);
     auto *engine = cloud.shell(src).ltlEngine();

@@ -17,6 +17,7 @@
 #include "host/ranking_server.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
+#include "null_role.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
@@ -184,14 +185,6 @@ TEST(LosslessFabric, SustainedLtlLoadZeroDrops)
 // silently move the reproduced results.
 // ---------------------------------------------------------------------
 
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
-
 class Fig10Guard
     : public ::testing::TestWithParam<std::tuple<int, double, double>>
 {
@@ -211,7 +204,7 @@ TEST_P(Fig10Guard, TierRttWithinCalibratedBand)
     cfg.shellTemplate.ltl.maxConnections = 8;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    NullRole sink;
+    fpga::NullRole sink;
     ASSERT_GE(cloud.shell(dst).addRole(&sink), 0);
     auto ch = cloud.openLtl(0, dst, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "null_role.hpp"
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -796,13 +797,7 @@ TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
     cfg.obs = &hub;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    struct NullRole : fpga::Role {
-        int port = -1;
-        std::string name() const override { return "null"; }
-        std::uint32_t areaAlms() const override { return 100; }
-        void attach(fpga::Shell &, int p) override { port = p; }
-        void onMessage(const router::ErMessagePtr &) override {}
-    } sink;
+    fpga::NullRole sink;
     cloud.shell(5).addRole(&sink);
     auto ch = cloud.openLtl(0, 5, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();

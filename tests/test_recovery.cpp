@@ -35,7 +35,7 @@ smallCloudConfig(fpga::ShellConfig shell = {})
     topo.l1PerPod = 2;
     topo.pods = 1;
     topo.l2Count = 1;
-    return core::CloudConfig{}.withTopology(topo).withShellTemplate(shell);
+    return {.topology = topo, .shellTemplate = shell};
 }
 
 /**
@@ -424,8 +424,9 @@ miniChaosSnapshot()
     sim::ShardedEventQueue sq;
     sim::EventQueue &eq = sq.partition(0);
     obs::Observability hub;
-    core::ConfigurableCloud cloud(
-        eq, smallCloudConfig().withObservability(&hub));
+    core::CloudConfig cfg = smallCloudConfig();
+    cfg.obs = &hub;
+    core::ConfigurableCloud cloud(eq, cfg);
     auto &rm = cloud.resourceManager();
 
     haas::HealthMonitor hm(eq, rm);

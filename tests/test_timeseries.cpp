@@ -57,10 +57,21 @@ countLines(const std::string &s, const std::string &prefix)
 }  // namespace
 
 // ---------------------------------------------------------------------
-// HistogramSketch
+// LogHistogram::fromBins (windowed histograms)
 // ---------------------------------------------------------------------
 
-TEST(HistogramSketch, SinceIsTheExactWindowDelta)
+namespace {
+
+/** The histogram of everything @p h recorded. */
+sim::LogHistogram
+rebuilt(const sim::LogHistogram &h)
+{
+    return sim::LogHistogram::fromBins(h.binning(), h.binCounts(), h.sum());
+}
+
+}  // namespace
+
+TEST(LogHistogramFromBins, BinDeltaIsTheExactWindow)
 {
     sim::LogHistogram h(0.5, 96);
     h.add(1.0);
@@ -71,22 +82,29 @@ TEST(HistogramSketch, SinceIsTheExactWindowDelta)
 
     h.add(8.0);
     h.add(16.0);
-    const obs::HistogramSketch sk =
-        obs::HistogramSketch::since(h, snapBins, snapSum);
-    EXPECT_EQ(sk.count(), 2u);
-    EXPECT_DOUBLE_EQ(sk.sum(), 24.0);
-    EXPECT_DOUBLE_EQ(sk.mean(), 12.0);
-    // Both window samples sit well above the pre-snapshot ones.
-    EXPECT_GT(sk.percentile(50.0), 4.0);
-    EXPECT_GT(sk.percentile(99.0), sk.percentile(50.0));
+    std::vector<std::uint64_t> window = h.binCounts();
+    for (std::size_t i = 0; i < snapBins.size(); ++i)
+        window[i] -= snapBins[i];
+    const sim::LogHistogram w = sim::LogHistogram::fromBins(
+        h.binning(), std::move(window), h.sum() - snapSum);
+    EXPECT_EQ(w.count(), 2u);
+    EXPECT_DOUBLE_EQ(w.sum(), 24.0);
+    EXPECT_DOUBLE_EQ(w.mean(), 12.0);
+    // Both window samples sit well above the pre-snapshot ones, and the
+    // range is the outer edges of the occupied bins.
+    EXPECT_GT(w.percentile(50.0), 4.0);
+    EXPECT_GT(w.percentile(99.0), w.percentile(50.0));
+    EXPECT_GT(w.min(), 4.0);
+    EXPECT_LE(w.min(), 8.0);
+    EXPECT_GT(w.max(), 16.0);
 
-    // A fresh-histogram sketch covers everything.
-    const obs::HistogramSketch all = obs::HistogramSketch::since(h, {}, 0.0);
+    // The full bin vector covers everything.
+    const sim::LogHistogram all = rebuilt(h);
     EXPECT_EQ(all.count(), 5u);
     EXPECT_DOUBLE_EQ(all.sum(), 31.0);
 }
 
-TEST(HistogramSketch, MergeEqualsSketchOfCombinedSamples)
+TEST(LogHistogramFromBins, MergeEqualsHistogramOfCombinedSamples)
 {
     sim::LogHistogram h1(0.5, 96), h2(0.5, 96), both(0.5, 96);
     for (int i = 1; i <= 40; ++i) {
@@ -99,27 +117,26 @@ TEST(HistogramSketch, MergeEqualsSketchOfCombinedSamples)
         h2.add(v);
         both.add(v);
     }
-    obs::HistogramSketch merged = obs::HistogramSketch::since(h1, {}, 0.0);
-    merged.merge(obs::HistogramSketch::since(h2, {}, 0.0));
-    const obs::HistogramSketch ref =
-        obs::HistogramSketch::since(both, {}, 0.0);
+    sim::LogHistogram merged = rebuilt(h1);
+    merged.merge(rebuilt(h2));
+    const sim::LogHistogram ref = rebuilt(both);
 
     EXPECT_EQ(merged.count(), ref.count());
     EXPECT_DOUBLE_EQ(merged.sum(), ref.sum());
     // Bin counts are integers, so merged percentiles are *identical* to
-    // the single-histogram sketch, not merely close.
+    // the single rebuilt histogram, not merely close.
     for (double p : {10.0, 50.0, 90.0, 99.0, 99.9})
         EXPECT_DOUBLE_EQ(merged.percentile(p), ref.percentile(p)) << p;
 }
 
-TEST(HistogramSketch, MergeRejectsMismatchedBinning)
+TEST(LogHistogramFromBins, MergeRejectsMismatchedBinning)
 {
     sim::LogHistogram a(0.5, 96), b(1.0, 48);
     a.add(3.0);
     b.add(3.0);
-    obs::HistogramSketch sa = obs::HistogramSketch::since(a, {}, 0.0);
-    const obs::HistogramSketch sb = obs::HistogramSketch::since(b, {}, 0.0);
-    EXPECT_DEATH(sa.merge(sb), "binning");
+    sim::LogHistogram ra = rebuilt(a);
+    const sim::LogHistogram rb = rebuilt(b);
+    EXPECT_DEATH(ra.merge(rb), "binning");
 }
 
 // ---------------------------------------------------------------------
@@ -315,10 +332,9 @@ TEST(TimeSeriesHub, AggregatesMergeHistogramsAndSumScalars)
     const obs::TsPoint *agg = hub.latest("n.lat");
     ASSERT_NE(agg, nullptr);
     EXPECT_EQ(agg->count, 100u);
-    // The merged-per-shard sketch reproduces the union percentiles
+    // The merged per-shard window reproduces the union percentiles
     // exactly (integer bin addition).
-    const obs::HistogramSketch want =
-        obs::HistogramSketch::since(ref, {}, 0.0);
+    const sim::LogHistogram want = rebuilt(ref);
     EXPECT_DOUBLE_EQ(agg->p50, want.percentile(50.0));
     EXPECT_DOUBLE_EQ(agg->p99, want.percentile(99.0));
     EXPECT_NEAR(agg->mean, ref.mean(), 1e-9);
@@ -662,9 +678,7 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
     obs::Observability obsHub;
     sim::ShardedEventQueue sq;
     sim::EventQueue &eq = sq.partition(0);
-    core::ConfigurableCloud cloud(
-        eq, core::CloudConfig{}.withTopology(topo).withObservability(
-                &obsHub));
+    core::ConfigurableCloud cloud(eq, {.topology = topo, .obs = &obsHub});
     haas::ResourceManager &rm = cloud.resourceManager();
 
     // Heartbeats a full second apart: the active detector is effectively
