@@ -326,6 +326,9 @@ BM_ErMessageRouting(benchmark::State &state)
         eq.runAll();
     }
     state.SetItemsProcessed(state.iterations() * 64);
+    state.counters["ns_per_flit"] = benchmark::Counter(
+        static_cast<double>(er.flitsRouted()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ErMessageRouting);
 

@@ -409,8 +409,9 @@ LtlEngine::failConnection(std::uint16_t conn, const char *why)
         sc.pumpEvent = sim::kNoEvent;
     }
     abandonSendState(sc);  // nothing will ever be ACKed now
-    CCSIM_LOG(sim::LogLevel::kWarn, "ltl", queue.now(), "connection ",
-              conn, " failed: ", why);
+    CCSIM_LOG(sim::LogLevel::kWarn, "ltl", queue.now(), cfg.localIp.str(),
+              " connection ", conn, " to ", sc.remoteIp.str(),
+              " connection ", sc.remoteConn, " failed: ", why);
     if (obsHub && obsHub->trace.enabled())
         obsHub->trace.instant(obsTrack, "ltl", obsPrefix + ".conn_failed",
                               queue.now());

@@ -200,14 +200,21 @@ ElasticRouter::removeCandidate(int out_idx, int slot)
 void
 ElasticRouter::scheduleTick()
 {
-    if (tickScheduled)
-        return;
-    tickScheduled = true;
+    if (clock == Clock::kIdle)
+        postTick();
+    else if (clock == Clock::kRunning)
+        clock = Clock::kWanted;
+}
+
+void
+ElasticRouter::postTick()
+{
+    clock = Clock::kPosted;
     // Align to the next cycle boundary for a clocked-crossbar feel.
     const sim::TimePs now = queue.now();
     const sim::TimePs next = ((now / cyclePs) + 1) * cyclePs;
     queue.schedule(next, [this] {
-        tickScheduled = false;
+        clock = Clock::kRunning;
         tick();
     });
 }
@@ -231,37 +238,51 @@ ElasticRouter::releaseCredit(int port, int vc)
 void
 ElasticRouter::tick()
 {
-    const sim::TimePs now = queue.now();
-    // Per-cycle separable allocation: each output grants at most one
-    // input; each input sends at most one flit. Only outputs that some
-    // front flit targets are visited, in port order; each walks its
-    // candidates round-robin from its pointer, the same order as a scan
-    // of every (input, vc) slot.
     const int ports = cfg.numPorts;
-    for (int out_idx = firstSetBit(activeOutputs.data(), 0, ports);
-         out_idx < ports;
-         out_idx = firstSetBit(activeOutputs.data(), out_idx + 1, ports)) {
-        const OutputPort &out = outputs[out_idx];
-        if (out.sink == nullptr || out.nextFree > now)
-            continue;
-        const std::uint64_t *mask =
-            &candidates[std::size_t(out_idx) * slotWords];
-        const int start = out.rrPointer;
-        auto grantFirst = [&](int from, int end) {
-            for (int slot = firstSetBit(mask, from, end); slot < end;
-                 slot = firstSetBit(mask, slot + 1, end)) {
-                if (tryGrant(out_idx, slot, now))
-                    return true;
-            }
-            return false;
-        };
-        if (!grantFirst(start, slots))
-            grantFirst(0, start);
-    }
+    while (true) {
+        const sim::TimePs now = queue.now();
+        // Per-cycle separable allocation: each output grants at most one
+        // input; each input sends at most one flit. Only outputs that
+        // some front flit targets are visited, in port order; each walks
+        // its candidates round-robin from its pointer, the same order as
+        // a scan of every (input, vc) slot.
+        for (int out_idx = firstSetBit(activeOutputs.data(), 0, ports);
+             out_idx < ports;
+             out_idx = firstSetBit(activeOutputs.data(), out_idx + 1,
+                                   ports)) {
+            const OutputPort &out = outputs[out_idx];
+            if (out.sink == nullptr || out.nextFree > now)
+                continue;
+            const std::uint64_t *mask =
+                &candidates[std::size_t(out_idx) * slotWords];
+            const int start = out.rrPointer;
+            auto grantFirst = [&](int from, int end) {
+                for (int slot = firstSetBit(mask, from, end); slot < end;
+                     slot = firstSetBit(mask, slot + 1, end)) {
+                    if (tryGrant(out_idx, slot, now))
+                        return true;
+                }
+                return false;
+            };
+            if (!grantFirst(start, slots))
+                grantFirst(0, start);
+        }
 
-    if (totalBuffered > 0) {
-        ++statBusyCycles;
-        scheduleTick();
+        if (totalBuffered > 0) {
+            ++statBusyCycles;
+            scheduleTick();
+        }
+        if (clock == Clock::kRunning)
+            clock = Clock::kIdle;
+        if (clock != Clock::kWanted)
+            return;
+        // The next cycle's tick event would be the next event run: take
+        // the cycle here instead of a queue round trip.
+        if (!queue.advanceIfIdle(now + cyclePs)) {
+            postTick();
+            return;
+        }
+        clock = Clock::kRunning;
     }
 }
 
@@ -317,11 +338,16 @@ ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
         addCandidate(in_idx, vc);
     releaseCredit(in_idx, vc);
     if (tail || !out.tailFlitsOnly) {
+        const sim::TimePs at = now + cfg.pipelineCycles * cyclePs;
+        // A wanted next cycle orders where it was first wanted, ahead of
+        // any later event at its time: post it before a delivery due
+        // then.
+        if (clock == Clock::kWanted && at == now + cyclePs)
+            postTick();
         FlitSink *sink = out.sink;
-        queue.scheduleAfter(cfg.pipelineCycles * cyclePs,
-                            [sink, flit = std::move(flit)] {
-                                sink->acceptFlit(flit);
-                            });
+        queue.schedule(at, [sink, flit = std::move(flit)] {
+            sink->acceptFlit(flit);
+        });
     }
     return true;
 }
@@ -380,7 +406,6 @@ ErEndpoint::segment(const ErMessagePtr &msg)
         Flit flit;
         flit.vc = msg->vc;
         flit.dstEndpoint = msg->dstEndpoint;
-        flit.msg = msg;
         flit.bytes = std::min(flit_bytes, size - i * flit_bytes);
         if (nflits == 1) {
             flit.kind = FlitKind::kHeadTail;
@@ -391,6 +416,8 @@ ErEndpoint::segment(const ErMessagePtr &msg)
         } else {
             flit.kind = FlitKind::kBody;
         }
+        if (flit.isTail())
+            flit.msg = msg;
         pending[msg->vc].push_back(std::move(flit));
     }
 }

@@ -159,7 +159,20 @@ class ElasticRouter
     std::function<int(int)> routeFn;
     std::vector<InputPort> inputs;
     std::vector<OutputPort> outputs;
-    bool tickScheduled = false;
+
+    /**
+     * The router clock: idle (no cycle wanted), running a cycle, running
+     * one with the next cycle wanted, or the next cycle posted as a
+     * queue event. A wanted cycle is decided when the running one ends:
+     * it runs in place if the queue can run ahead to it
+     * (EventQueue::advanceIfIdle), or is posted. Posting it then, not
+     * when first wanted, keeps same-time order because the only events
+     * a cycle schedules are its deliveries (credit-return callbacks
+     * inject flits), and tryGrant() posts first when a delivery lands
+     * on the next cycle.
+     */
+    enum class Clock : std::uint8_t { kIdle, kRunning, kWanted, kPosted };
+    Clock clock = Clock::kIdle;
 
     /**
      * Arbitration candidates: bit (input * numVcs + vc) of output o's
@@ -185,7 +198,11 @@ class ElasticRouter
     int statPeakBuffered = 0;
     int totalBuffered = 0;
 
+    /** Ask for a cycle at the next cycle boundary. */
     void scheduleTick();
+    /** Schedule the tick event at the next cycle boundary. */
+    void postTick();
+    /** The tick event: run cycles until the router idles or must wait. */
     void tick();
     /** Grant output @p out_idx to candidate @p slot if it may send now. */
     bool tryGrant(int out_idx, int slot, sim::TimePs now);

@@ -54,7 +54,11 @@ struct Flit {
     int dstEndpoint = 0;
     /** Bytes of payload this flit carries. */
     std::uint32_t bytes = 0;
-    /** The parent message (delivered to the endpoint at the tail flit). */
+    /**
+     * The parent message, set on tail flits only (delivered to the
+     * endpoint at the tail). Head and body flits carry null: a sink
+     * that needs the message reads it from the tail.
+     */
     ErMessagePtr msg;
 
     bool isHead() const

@@ -14,6 +14,23 @@ constexpr auto earlier = [](const auto &a, const auto &b) {
     return a.seq < b.seq;
 };
 
+/** Sets the run limit for one run and restores the enclosing one's. */
+class RunLimitScope
+{
+  public:
+    RunLimitScope(TimePs &slot, TimePs limit) : slot(slot), saved(slot)
+    {
+        slot = limit;
+    }
+    RunLimitScope(const RunLimitScope &) = delete;
+    RunLimitScope &operator=(const RunLimitScope &) = delete;
+    ~RunLimitScope() { slot = saved; }
+
+  private:
+    TimePs &slot;
+    TimePs saved;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -380,6 +397,13 @@ TimerWheelQueue::maybeSweep()
 bool
 TimerWheelQueue::step()
 {
+    const RunLimitScope scope(runLimit, kNoRunAhead);
+    return runNext();
+}
+
+bool
+TimerWheelQueue::runNext()
+{
     const Head head = ensureNext(kTimeNever);
     if (head.src == Next::kNone) {
         nextBound = kTimeNever;
@@ -399,6 +423,7 @@ TimerWheelQueue::runUntil(TimePs limit)
             currentTime = limit;
         return;
     }
+    const RunLimitScope scope(runLimit, limit);
     while (true) {
         const Head head = ensureNext(limit);
         if (head.src == Next::kNone || head.when > limit) {
@@ -417,8 +442,25 @@ TimerWheelQueue::runUntil(TimePs limit)
 void
 TimerWheelQueue::runAll()
 {
-    while (step()) {
+    const RunLimitScope scope(runLimit, kTimeNever);
+    while (runNext()) {
     }
+}
+
+bool
+TimerWheelQueue::advanceIfIdle(TimePs t)
+{
+    if (t < currentTime)
+        panicf("EventQueue::advanceIfIdle: time ", t, " is in the past (now ",
+               currentTime, ")");
+    // The event at `t` would run next exactly when nothing is due by `t`
+    // (an event at `t` itself was scheduled earlier, so it runs first)
+    // and the run would still take it.
+    if (t > runLimit || nextEventTime() <= t)
+        return false;
+    currentTime = t;
+    ++executedCount;
+    return true;
 }
 
 }  // namespace ccsim::sim

@@ -154,6 +154,23 @@ class TimerWheelQueue
     void runAll();
 
     /**
+     * Run ahead: move now() to @p t in place of running an event at
+     * @p t, when that event would be the very next one the current run
+     * executes. A self-clocked component calls this from its own
+     * callback to take its next cycle without a queue round trip.
+     *
+     * Succeeds only if no live event is at or before @p t (strictly
+     * nextEventTime() > t) and @p t lies within the current run: at or
+     * before runUntil()'s limit, anywhere inside runAll(), never inside
+     * step() or outside a run. On success it counts as one executed
+     * event, so eventsExecuted() matches a run that scheduled the event.
+     *
+     * @pre t >= now().
+     * @return true if now() moved to @p t.
+     */
+    bool advanceIfIdle(TimePs t);
+
+    /**
      * Timestamp of the next live event without executing it, or
      * kTimeNever if the queue is empty.
      *
@@ -250,6 +267,13 @@ class TimerWheelQueue
 
     TimePs currentTime = 0;
     /**
+     * The latest time advanceIfIdle() may move to: the limit of the
+     * runUntil() or runAll() in progress, or kNoRunAhead outside a run
+     * and inside step().
+     */
+    static constexpr TimePs kNoRunAhead = -1;
+    TimePs runLimit = kNoRunAhead;
+    /**
      * A lower bound on the next live event's time (kTimeNever: none),
      * equal to it while `nextExact` holds. schedule() lowers it and, when
      * it does, makes it exact; cancel() and step() clear exactness;
@@ -301,6 +325,8 @@ class TimerWheelQueue
     std::uint32_t detach(Next src);
     /** Run the detached record @p idx. */
     void fire(std::uint32_t idx);
+    /** step() without touching `runLimit`. */
+    bool runNext();
     /** Locate the next event and make `nextBound` exact. */
     void refreshNext();
     void maybeSweep();

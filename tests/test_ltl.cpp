@@ -9,6 +9,8 @@
 
 #include <deque>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ltl/dcqcn.hpp"
@@ -273,6 +275,44 @@ TEST(Ltl, FailureDetectedAfterMaxRetries)
     pair.eq.runUntil(sim::fromMicros(5000));
     EXPECT_EQ(failed_conn, conn);
     EXPECT_TRUE(pair.delivered.empty());
+}
+
+TEST(Ltl, FailureLogNamesBothEnds)
+{
+    // Two engines lose their connection 0 to different peers: each log
+    // line must say which host lost which peer.
+    const sim::LogLevel saved = sim::Logger::level();
+    sim::Logger::setLevel(sim::LogLevel::kWarn);
+    EventQueue eq;
+    LtlConfig cfg;
+    cfg.maxRetries = 1;
+    const auto black_hole = [](const net::PacketPtr &) {};
+    cfg.localIp = {1};
+    LtlEngine a(eq, cfg, black_hole);
+    cfg.localIp = {2};
+    LtlEngine b(eq, cfg, black_hole);
+    ASSERT_EQ(a.openSend({3}, 5), 0);
+    ASSERT_EQ(b.openSend({4}, 6), 0);
+    a.sendMessage(0, 64);
+    b.sendMessage(0, 64);
+    testing::internal::CaptureStderr();
+    eq.runUntil(sim::fromMicros(5000));
+    const std::string err = testing::internal::GetCapturedStderr();
+    sim::Logger::setLevel(saved);
+
+    std::vector<std::string> failures;
+    std::istringstream lines(err);
+    for (std::string line; std::getline(lines, line);)
+        if (line.find(" failed: ") != std::string::npos)
+            failures.push_back(line);
+    ASSERT_EQ(failures.size(), 2u) << err;
+    EXPECT_NE(failures[0], failures[1]);
+    EXPECT_NE(failures[0].find("0.0.0.1 connection 0 to 0.0.0.3 connection 5"),
+              std::string::npos)
+        << failures[0];
+    EXPECT_NE(failures[1].find("0.0.0.2 connection 0 to 0.0.0.4 connection 6"),
+              std::string::npos)
+        << failures[1];
 }
 
 TEST(Ltl, WindowLimitsInFlightFrames)

@@ -4,14 +4,20 @@
  * paper calls out (ports, VCs, flit sizes, buffer policies), the router
  * must deliver every message, preserve per-(source, VC) order, never
  * exceed its buffer budget, and conserve flits. Golden-trace tests pin
- * the exact delivery times of seeded contended traffic.
+ * the exact delivery times of seeded contended traffic, and the
+ * run-ahead differential checks that a router taking its next cycle in
+ * place (EventQueue::advanceIfIdle) matches one whose every cycle is a
+ * scheduled event.
  */
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "router/elastic_router.hpp"
@@ -367,6 +373,201 @@ TEST(ErGoldenTrace, OneVcMeshDeliveryTraceMatchesPinnedHash)
         hash.addRouter(net->router(r));
     EXPECT_EQ(net->linkBacklog(), 0u);
     EXPECT_EQ(hash.h, 0x4d3ac88f2666e85bull) << "got 0x" << std::hex << hash.h;
+}
+
+/** What one run of the differential traffic produced. */
+struct ErRunResult {
+    /** (time, endpoint, message id) of every delivery, in arrival order. */
+    std::vector<std::tuple<sim::TimePs, int, std::uint64_t>> deliveries;
+    /** Per router: flitsRouted, messagesRouted, busyCycles, peak. */
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, int>>
+        routers;
+    /** Events executed, not counting the no-op clock events. */
+    std::uint64_t events = 0;
+
+    std::uint64_t digest() const
+    {
+        TraceHash hash;
+        for (const auto &[at, endpoint, id] : deliveries) {
+            hash.add(static_cast<std::uint64_t>(at));
+            hash.add(static_cast<std::uint64_t>(endpoint));
+            hash.add(id);
+        }
+        for (const auto &[flits, msgs, busy, peak] : routers) {
+            hash.add(flits);
+            hash.add(msgs);
+            hash.add(busy);
+            hash.add(static_cast<std::uint64_t>(peak));
+        }
+        hash.add(events);
+        return hash.h;
+    }
+};
+
+/**
+ * Seeded multi-VC traffic through @p eps, injected at staggered times.
+ * Every third request is answered from its delivery handler, so replies
+ * enter a router in the same event that delivers a flit. With
+ * @p clock_events a no-op event sits on every cycle boundary until the
+ * last delivery, so no router cycle is ever the next event: every tick
+ * takes the scheduled-event path instead of running ahead.
+ */
+ErRunResult
+runErDifferential(sim::EventQueue &eq, const std::vector<ErEndpoint *> &eps,
+                  const std::vector<ElasticRouter *> &routers, int vcs,
+                  std::uint64_t seed, int messages, bool clock_events)
+{
+    ErRunResult res;
+    std::size_t sent = static_cast<std::size_t>(messages);
+    const int n = static_cast<int>(eps.size());
+    for (int e = 0; e < n; ++e) {
+        eps[e]->setMessageHandler(
+            [&res, &eq, &eps, &sent, e](const ErMessagePtr &m) {
+                res.deliveries.emplace_back(eq.now(), e, m->id);
+                if (m->payload == nullptr && m->id % 3 == 0) {
+                    ++sent;
+                    eps[e]->sendMessage(m->srcEndpoint, m->vc,
+                                        1 + m->sizeBytes % 97,
+                                        std::make_shared<int>(0));
+                }
+            });
+    }
+    sim::Rng rng(seed);
+    for (int i = 0; i < messages; ++i) {
+        const int src = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int dst = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int vc = static_cast<int>(rng.uniformInt(std::uint64_t(vcs)));
+        const auto bytes =
+            static_cast<std::uint32_t>(1 + rng.uniformInt(std::uint64_t{700}));
+        const auto at = static_cast<sim::TimePs>(
+            rng.uniformInt(std::uint64_t(sim::fromMicros(3))));
+        eq.schedule(at, [&eps, src, dst, vc, bytes] {
+            eps[src]->sendMessage(dst, vc, bytes);
+        });
+    }
+    const sim::TimePs cycle = sim::cyclePeriod(routers[0]->config().clockMhz);
+    std::uint64_t noops = 0;
+    std::function<void()> clock_event = [&] {
+        ++noops;
+        if (res.deliveries.size() < sent)
+            eq.schedule(eq.now() + cycle, clock_event);
+    };
+    if (clock_events)
+        eq.schedule(0, clock_event);
+    eq.runAll();
+    EXPECT_EQ(res.deliveries.size(), sent);
+    EXPECT_GT(sent, static_cast<std::size_t>(messages));  // some replies
+    for (const ElasticRouter *er : routers)
+        res.routers.emplace_back(er->flitsRouted(), er->messagesRouted(),
+                                 er->busyCycles(), er->peakBufferedFlits());
+    res.events = eq.eventsExecuted() - noops;
+    return res;
+}
+
+/**
+ * Both runs of one configuration, plain (routers run ahead wherever the
+ * queue allows) and with a no-op event on every cycle boundary, must
+ * match each other and @p pinned: the digest of the plain run on the
+ * kernel before run-ahead existed, when every cycle was a queue event.
+ */
+template <typename Build>
+void
+expectRunAheadMatchesScheduledTicks(Build build, int vcs,
+                                    std::uint64_t seed, int messages,
+                                    std::uint64_t pinned,
+                                    const std::string &what)
+{
+    ErRunResult runs[2];
+    for (int forced = 0; forced < 2; ++forced) {
+        sim::EventQueue eq;
+        std::vector<ErEndpoint *> eps;
+        std::vector<ElasticRouter *> routers;
+        auto owner = build(eq, eps, routers);
+        runs[forced] = runErDifferential(eq, eps, routers, vcs, seed,
+                                         messages, forced == 1);
+    }
+    EXPECT_EQ(runs[0].deliveries, runs[1].deliveries) << what;
+    EXPECT_EQ(runs[0].routers, runs[1].routers) << what;
+    EXPECT_EQ(runs[0].events, runs[1].events) << what;
+    EXPECT_EQ(runs[0].digest(), pinned)
+        << what << " got 0x" << std::hex << runs[0].digest();
+}
+
+TEST(ErRunAhead, SingleRouterMatchesScheduledTicks)
+{
+    struct Case {
+        int pipeline;
+        CreditPolicy policy;
+        std::uint64_t pinned;
+    };
+    const Case cases[] = {
+        {0, CreditPolicy::kElastic, 0x85ae42afee5ce8ffull},
+        {0, CreditPolicy::kStatic, 0x4a198eca8b2f3ba6ull},
+        {1, CreditPolicy::kElastic, 0x43a3dd23038c56e9ull},
+        {1, CreditPolicy::kStatic, 0x23e2a7eba12979d8ull},
+        {2, CreditPolicy::kElastic, 0xee7011ff60c5d038ull},
+        {2, CreditPolicy::kStatic, 0x2ce5ac67a072a889ull},
+        {3, CreditPolicy::kElastic, 0xceb60b49e5a13e07ull},
+        {3, CreditPolicy::kStatic, 0x4eedb207cc771d5eull},
+    };
+    for (const Case &c : cases) {
+        const auto build = [&c](sim::EventQueue &eq,
+                                std::vector<ErEndpoint *> &eps,
+                                std::vector<ElasticRouter *> &routers) {
+            ErConfig cfg;
+            cfg.numPorts = 5;
+            cfg.numVcs = 3;
+            cfg.pipelineCycles = c.pipeline;
+            cfg.policy = c.policy;
+            cfg.perVcReservedFlits = 2;
+            cfg.sharedPoolFlits = 6;
+            cfg.staticPerVcFlits = 3;
+            auto er = std::make_shared<ElasticRouter>(eq, cfg);
+            er->setOutputCyclesPerFlit(cfg.numPorts - 1, 3);  // slow
+            auto owned =
+                std::make_shared<std::vector<std::unique_ptr<ErEndpoint>>>();
+            for (int p = 0; p < cfg.numPorts; ++p) {
+                owned->push_back(std::make_unique<ErEndpoint>(eq, *er, p, p));
+                er->setOutputSink(p, owned->back().get());
+                eps.push_back(owned->back().get());
+            }
+            routers.push_back(er.get());
+            return std::make_pair(er, owned);
+        };
+        expectRunAheadMatchesScheduledTicks(
+            build, 3, 77u + c.pipeline, 300, c.pinned,
+            "pipelineCycles=" + std::to_string(c.pipeline) + " static=" +
+                std::to_string(c.policy == CreditPolicy::kStatic));
+    }
+}
+
+TEST(ErRunAhead, MeshWithLinksMatchesScheduledTicks)
+{
+    // ErLink sinks take every flit, not just tails, and feed the next
+    // router's credit loop from inside a delivery.
+    const std::uint64_t pinned[] = {
+        0xc20d9a229173906aull, 0x66a0361438e96a80ull, 0xe0c98b2a0dbc825full,
+        0x85776dc9e9a3bc0eull};
+    for (int pipeline : {0, 1, 2, 3}) {
+        const auto build = [pipeline](sim::EventQueue &eq,
+                                      std::vector<ErEndpoint *> &eps,
+                                      std::vector<ElasticRouter *> &routers) {
+            ErConfig base;
+            base.numVcs = 2;
+            base.pipelineCycles = pipeline;
+            base.perVcReservedFlits = 2;
+            base.sharedPoolFlits = 4;  // tight: links back-pressure
+            auto net = router::ErNetwork::mesh(eq, 3, 2, 2, base);
+            for (int e = 0; e < net->numEndpoints(); ++e)
+                eps.push_back(&net->endpoint(e));
+            for (int r = 0; r < net->numRouters(); ++r)
+                routers.push_back(&net->router(r));
+            return net;
+        };
+        expectRunAheadMatchesScheduledTicks(
+            build, 2, 0x5eedu + pipeline, 400, pinned[pipeline],
+            "mesh pipelineCycles=" + std::to_string(pipeline));
+    }
 }
 
 }  // namespace

@@ -286,6 +286,39 @@ TEST(ShardedEventQueue, RunUntilAdvancesNowWithoutEvents)
         EXPECT_EQ(sq.partition(p).now(), 12345);
 }
 
+TEST(ShardedEventQueue, PartitionsRunAheadWithinTheirWindow)
+{
+    // With a 1000 ps lookahead the window from t0 = 100 ends at 1099:
+    // each partition may run ahead to it on its own wheel, never past.
+    for (int threads : {1, 2}) {
+        sim::ShardedEventQueue::Config qc;
+        qc.partitions = 2;
+        qc.threads = threads;
+        sim::ShardedEventQueue sq(qc);
+        sq.registerCrossEdge(0, 1, 1000);
+        sq.registerCrossEdge(1, 0, 1000);
+        std::vector<std::vector<bool>> got(2);
+        std::vector<sim::TimePs> at(2, -1);
+        for (int p = 0; p < 2; ++p) {
+            sim::EventQueue &eq = sq.partition(p);
+            eq.schedule(100 + p, [&eq, &got, &at, p] {
+                got[p].push_back(eq.advanceIfIdle(1099));
+                got[p].push_back(eq.advanceIfIdle(1100));
+                at[p] = eq.now();
+            });
+        }
+        sq.runUntil(5000);
+        for (int p = 0; p < 2; ++p) {
+            EXPECT_EQ(got[p], (std::vector<bool>{true, false}))
+                << "partition " << p << ", " << threads << " threads";
+            EXPECT_EQ(at[p], 1099);
+            EXPECT_EQ(sq.partition(p).eventsExecuted(), 2u);
+        }
+        EXPECT_EQ(sq.eventsExecuted(), 4u);
+        EXPECT_EQ(sq.now(), 5000);
+    }
+}
+
 // --- structural determinism across thread counts ------------------------
 
 /** Per-partition execution log entry: (label, simulated time). */

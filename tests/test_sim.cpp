@@ -8,6 +8,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -128,6 +130,102 @@ TEST(EventQueue, SchedulingInPastPanics)
     eq.schedule(100, [] {});
     eq.runAll();
     EXPECT_DEATH(eq.schedule(50, [] {}), "past");
+}
+
+// --- run-ahead: advanceIfIdle() ----------------------------------------
+
+TEST(EventQueueRunAhead, RefusesWhenAnEventIsAtOrBeforeTheTarget)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    // One probe per event, each against the next event, so a wrong
+    // answer cannot move time under a later probe.
+    eq.schedule(100, [&] { got.push_back(eq.advanceIfIdle(200)); });  // at
+    eq.schedule(200, [&] { got.push_back(eq.advanceIfIdle(400)); });  // before
+    eq.schedule(300, [&] {
+        got.push_back(eq.advanceIfIdle(499));  // nothing due by 499
+        EXPECT_EQ(eq.now(), 499);
+    });
+    eq.schedule(500, [] {});
+    eq.runUntil(10'000);
+    EXPECT_EQ(got, (std::vector<bool>{false, false, true}));
+}
+
+TEST(EventQueueRunAhead, RefusesPastTheRunUntilLimit)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(100, [&] {
+        got.push_back(eq.advanceIfIdle(1000));  // the limit itself runs
+        got.push_back(eq.advanceIfIdle(1001));
+    });
+    eq.runUntil(1000);
+    EXPECT_EQ(got, (std::vector<bool>{true, false}));
+    EXPECT_EQ(eq.now(), 1000);
+}
+
+TEST(EventQueueRunAhead, RefusesInsideStepAndOutsideARun)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.advanceIfIdle(10));
+    bool got = true;
+    eq.schedule(100, [&] { got = eq.advanceIfIdle(200); });
+    EXPECT_TRUE(eq.step());
+    EXPECT_FALSE(got);
+    EXPECT_EQ(eq.now(), 100);
+    // The run that just ended no longer lends its limit either.
+    eq.runUntil(5000);
+    EXPECT_FALSE(eq.advanceIfIdle(5000));
+}
+
+TEST(EventQueueRunAhead, SucceedsInsideRunAllAndCountsOneEvent)
+{
+    EventQueue eq;
+    std::vector<TimePs> ran;
+    eq.schedule(2'000'000, [&] { ran.push_back(eq.now()); });
+    eq.schedule(100, [&] {
+        const std::uint64_t executed = eq.eventsExecuted();
+        const std::size_t live = eq.size();
+        ASSERT_TRUE(eq.advanceIfIdle(1'000'000));
+        EXPECT_EQ(eq.now(), 1'000'000);
+        EXPECT_EQ(eq.eventsExecuted(), executed + 1);
+        EXPECT_EQ(eq.size(), live);
+        // Later schedules order against the new time.
+        eq.scheduleAfter(5, [&] { ran.push_back(eq.now()); });
+    });
+    eq.runAll();
+    EXPECT_EQ(ran, (std::vector<TimePs>{1'000'005, 2'000'000}));
+    EXPECT_EQ(eq.eventsExecuted(), 4u);  // three events and one run-ahead
+    EXPECT_EQ(eq.now(), 2'000'000);
+}
+
+TEST(EventQueueRunAhead, SelfClockedLoopMatchesScheduledTicks)
+{
+    // A component ticking every 5 ps for 50 cycles, against a background
+    // event every 100 ps that some ticks land on: running ahead must
+    // reproduce the scheduled-tick trace and event count exactly.
+    const auto run = [](bool inline_ticks) {
+        EventQueue eq;
+        std::vector<std::pair<TimePs, int>> trace;
+        for (TimePs t = 50; t < 400; t += 100)
+            eq.schedule(t, [&] { trace.emplace_back(eq.now(), -1); });
+        int cycle = 0;
+        std::function<void()> tick = [&] {
+            while (true) {
+                trace.emplace_back(eq.now(), cycle);
+                if (++cycle == 50)
+                    return;
+                if (!inline_ticks || !eq.advanceIfIdle(eq.now() + 5)) {
+                    eq.scheduleAfter(5, tick);
+                    return;
+                }
+            }
+        };
+        eq.schedule(0, tick);
+        eq.runAll();
+        return std::make_pair(trace, eq.eventsExecuted());
+    };
+    EXPECT_EQ(run(true), run(false));
 }
 
 TEST(Rng, DeterministicAcrossInstances)
