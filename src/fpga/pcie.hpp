@@ -9,8 +9,8 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -34,14 +34,17 @@ class PcieDma
     {
     }
 
-    /** DMA @p bytes from host memory into the FPGA; @p done fires at end. */
-    void hostToFpga(std::uint32_t bytes, std::function<void()> done)
+    /**
+     * DMA @p bytes from host memory into the FPGA; @p done is the event
+     * that fires at the end (an empty one still takes its event).
+     */
+    void hostToFpga(std::uint32_t bytes, sim::EventFn done)
     {
         transfer(h2fBusyUntil, bytes, std::move(done));
     }
 
     /** DMA @p bytes from the FPGA into host memory. */
-    void fpgaToHost(std::uint32_t bytes, std::function<void()> done)
+    void fpgaToHost(std::uint32_t bytes, sim::EventFn done)
     {
         transfer(f2hBusyUntil, bytes, std::move(done));
     }
@@ -61,7 +64,7 @@ class PcieDma
     std::uint64_t statTransfers = 0;
 
     void transfer(sim::TimePs &busy_until, std::uint32_t bytes,
-                  std::function<void()> done)
+                  sim::EventFn done)
     {
         const sim::TimePs now = queue.now();
         const double ns =
@@ -71,11 +74,9 @@ class PcieDma
         busyAccum += busy_until - start;
         statBytes += bytes;
         ++statTransfers;
-        queue.schedule(busy_until + config.baseLatency,
-                       [d = std::move(done)] {
-                           if (d)
-                               d();
-                       });
+        if (!done)
+            done = [] {};
+        queue.schedule(busy_until + config.baseLatency, std::move(done));
     }
 };
 

@@ -1,6 +1,7 @@
 #include "fpga/shell.hpp"
 
 #include "sim/logging.hpp"
+#include "sim/pool.hpp"
 
 namespace ccsim::fpga {
 
@@ -292,7 +293,7 @@ Shell::onLtlDelivery(const ltl::LtlMessage &msg)
                   "LTL delivery on unbound connection ", msg.conn);
         return;
     }
-    auto delivery = std::make_shared<LtlDelivery>();
+    auto delivery = sim::makePooled<LtlDelivery>();
     delivery->conn = msg.conn;
     delivery->msgId = msg.msgId;
     delivery->bytes = msg.bytes;

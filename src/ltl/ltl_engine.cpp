@@ -1,6 +1,7 @@
 #include "ltl/ltl_engine.hpp"
 
 #include "sim/logging.hpp"
+#include "sim/pool.hpp"
 
 namespace ccsim::ltl {
 
@@ -223,7 +224,7 @@ LtlEngine::sendMessage(std::uint16_t conn, std::uint32_t bytes,
     while (offset < size) {
         const std::uint32_t chunk =
             std::min(cfg.maxFramePayload, size - offset);
-        auto header = std::make_shared<LtlHeader>();
+        auto header = sim::makePooled<LtlHeader>();
         header->flags = kFlagData;
         header->srcConn = conn;
         header->dstConn = sc.remoteConn;
@@ -600,7 +601,7 @@ LtlEngine::sendControl(net::Ipv4Addr to, std::uint16_t dst_conn,
                        std::uint8_t flags, std::uint32_t ack_seq,
                        sim::TimePs delay, obs::TraceContext ctx)
 {
-    auto header = std::make_shared<LtlHeader>();
+    auto header = sim::makePooled<LtlHeader>();
     header->flags = flags;
     header->dstConn = dst_conn;
     header->ackSeq = ack_seq;

@@ -38,10 +38,10 @@ Packet::flowHash() const
 PacketPtr
 makePacket()
 {
-    // allocate_shared + PoolAllocator recycles the combined control-block
-    // and Packet allocation through a thread-local freelist: the steady
-    // state of a busy simulation does zero allocator traffic per packet.
-    auto pkt = std::allocate_shared<Packet>(sim::PoolAllocator<Packet>{});
+    // The pool recycles the combined control-block and Packet allocation
+    // through a thread-local freelist: the steady state of a busy
+    // simulation does zero allocator traffic per packet.
+    auto pkt = sim::makePooled<Packet>();
     pkt->id = nextPacketId.fetch_add(1, std::memory_order_relaxed);
     return pkt;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hpp"
+#include "sim/pool.hpp"
 
 namespace ccsim::roles {
 
@@ -78,7 +79,7 @@ DnnRole::onMessage(const router::ErMessagePtr &msg)
         return;
     }
 
-    auto resp = std::make_shared<DnnResponse>();
+    auto resp = sim::makePooled<DnnResponse>();
     resp->requestId = req->requestId;
     resp->clientId = req->clientId;
     if (req->input)
@@ -98,7 +99,7 @@ DnnRole::onMessage(const router::ErMessagePtr &msg)
                                  params.responseBytes, std::move(resp));
             return;
         }
-        auto ltl_req = std::make_shared<fpga::LtlSendRequest>();
+        auto ltl_req = sim::makePooled<fpga::LtlSendRequest>();
         ltl_req->conn = req->replyConn;
         ltl_req->bytes = params.responseBytes;
         ltl_req->vc = fpga::kVcResponse;

@@ -1,6 +1,7 @@
 #include "roles/ranking/ranking_role.hpp"
 
 #include "sim/logging.hpp"
+#include "sim/pool.hpp"
 
 namespace ccsim::roles {
 
@@ -49,7 +50,7 @@ RankingRole::serve(const std::shared_ptr<RankingRequest> &req)
     busyUntil = start + occupancy;
     busyAccum += occupancy;
 
-    auto resp = std::make_shared<RankingResponse>();
+    auto resp = sim::makePooled<RankingResponse>();
     resp->requestId = req->requestId;
     resp->docCount = req->docCount;
     if (req->query && req->docs && !req->docs->empty()) {
@@ -78,7 +79,7 @@ RankingRole::respond(const std::shared_ptr<RankingRequest> &req,
         return;
     }
     // Remote request: reply over LTL via the shell's LTL endpoint.
-    auto ltl_req = std::make_shared<fpga::LtlSendRequest>();
+    auto ltl_req = sim::makePooled<fpga::LtlSendRequest>();
     ltl_req->conn = req->replyConn;
     ltl_req->bytes = params.responseBytes;
     ltl_req->vc = fpga::kVcResponse;
@@ -111,7 +112,7 @@ ForwarderRole::onMessage(const router::ErMessagePtr &msg)
                   "message without ForwardRequest payload");
         return;
     }
-    auto ltl_req = std::make_shared<fpga::LtlSendRequest>();
+    auto ltl_req = sim::makePooled<fpga::LtlSendRequest>();
     ltl_req->conn = fwd->sendConn;
     ltl_req->bytes = fwd->bytes;
     ltl_req->vc = fwd->vc;

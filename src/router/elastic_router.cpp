@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "sim/logging.hpp"
+#include "sim/pool.hpp"
 
 namespace ccsim::router {
 
@@ -60,6 +61,9 @@ ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
         out.vcOwner.assign(cfg.numVcs, -1);
     slots = cfg.numPorts * cfg.numVcs;
     slotWords = wordsFor(slots);
+    slotInput.resize(slots);
+    for (int slot = 0; slot < slots; ++slot)
+        slotInput[slot] = slot / cfg.numVcs;
     candidates.assign(std::size_t(cfg.numPorts) * slotWords, 0);
     activeOutputs.assign(wordsFor(cfg.numPorts), 0);
 }
@@ -80,16 +84,51 @@ ElasticRouter::setOutputCyclesPerFlit(int port, int cycles)
     outputs.at(port).cyclesPerFlit = cycles;
 }
 
-bool
-ElasticRouter::canAccept(int port, int vc) const
+int
+ElasticRouter::freeCredits(int port, int vc) const
 {
     const InputPort &in = inputs.at(port);
-    const int occupancy = static_cast<int>(in.vcs.at(vc).fifo.size());
+    const int occupancy = in.vcs.at(vc).occupancy;
     if (cfg.policy == CreditPolicy::kStatic)
-        return occupancy < cfg.staticPerVcFlits;
-    if (occupancy < cfg.perVcReservedFlits)
-        return true;
-    return in.sharedUsed < cfg.sharedPoolFlits;
+        return std::max(0, cfg.staticPerVcFlits - occupancy);
+    return std::max(0, cfg.perVcReservedFlits - occupancy) +
+           std::max(0, cfg.sharedPoolFlits - in.sharedUsed);
+}
+
+ElasticRouter::Run &
+ElasticRouter::admit(int port, int vc, int flits, bool head,
+                     int dst_endpoint)
+{
+    InputPort &in = inputs[port];
+    InputVc &ivc = in.vcs[vc];
+    if (cfg.policy == CreditPolicy::kElastic) {
+        // Flits beyond the VC's reservation draw on the shared pool.
+        in.sharedUsed +=
+            std::max(0, ivc.occupancy + flits -
+                            std::max(ivc.occupancy, cfg.perVcReservedFlits));
+    }
+    if (head || ivc.runs.empty() || ivc.runs.back().tailAtBack) {
+        ivc.runs.push_back(Run{});
+        Run &run = ivc.runs.back();
+        run.dstEndpoint = dst_endpoint;
+        run.headAtFront = head;
+    }
+    Run &run = ivc.runs.back();
+    run.flits += flits;
+    ivc.occupancy += flits;
+    totalBuffered += flits;
+    statPeakBuffered = std::max(statPeakBuffered, totalBuffered);
+    if (port < static_cast<int>(obsFlitsIn.size()) && obsFlitsIn[port])
+        obsFlitsIn[port]->inc(static_cast<std::uint64_t>(flits));
+    return run;
+}
+
+void
+ElasticRouter::admitted(int port, int vc, int flits)
+{
+    if (inputs[port].vcs[vc].occupancy == flits)
+        addCandidate(port, vc);
+    scheduleTick();
 }
 
 void
@@ -98,21 +137,35 @@ ElasticRouter::injectFlit(int port, Flit flit)
     if (!canAccept(port, flit.vc))
         sim::panicf(cfg.name, ": injectFlit without credit (port ", port,
                     " vc ", flit.vc, ")");
-    InputPort &in = inputs[port];
-    const int vc = flit.vc;
-    InputVc &ivc = in.vcs[vc];
-    if (cfg.policy == CreditPolicy::kElastic &&
-        static_cast<int>(ivc.fifo.size()) >= cfg.perVcReservedFlits) {
-        ++in.sharedUsed;
+    Run &run = admit(port, flit.vc, 1, flit.isHead(), flit.dstEndpoint);
+    if (flit.isTail()) {
+        run.tailAtBack = true;
+        run.tailBytes = flit.bytes;
+        run.msg = std::move(flit.msg);
+    } else {
+        run.bodyBytes = flit.bytes;
     }
-    ivc.fifo.push_back(std::move(flit));
-    if (ivc.fifo.size() == 1)
-        addCandidate(port, vc);
-    ++totalBuffered;
-    statPeakBuffered = std::max(statPeakBuffered, totalBuffered);
-    if (port < static_cast<int>(obsFlitsIn.size()) && obsFlitsIn[port])
-        obsFlitsIn[port]->inc();
-    scheduleTick();
+    admitted(port, flit.vc, 1);
+}
+
+void
+ElasticRouter::injectTrain(int port, const ErMessagePtr &msg,
+                           std::uint32_t first, int flits)
+{
+    const int vc = msg->vc;
+    if (flits < 1 || flits > freeCredits(port, vc))
+        sim::panicf(cfg.name, ": injectTrain without credit (port ", port,
+                    " vc ", vc, " flits ", flits, ")");
+    const std::uint32_t total = flitCount(msg->sizeBytes, cfg.flitBytes);
+    Run &run = admit(port, vc, flits, first == 0, msg->dstEndpoint);
+    run.bodyBytes = cfg.flitBytes;
+    if (first + static_cast<std::uint32_t>(flits) == total) {
+        run.tailAtBack = true;
+        run.tailBytes = std::max<std::uint32_t>(msg->sizeBytes, 1) -
+                        (total - 1) * cfg.flitBytes;
+        run.msg = msg;
+    }
+    admitted(port, vc, flits);
 }
 
 void
@@ -161,12 +214,12 @@ ElasticRouter::noteCreditStall(int port)
 }
 
 int
-ElasticRouter::routeOf(const Flit &flit) const
+ElasticRouter::routeOf(int dst_endpoint) const
 {
-    const int out = routeFn(flit.dstEndpoint);
+    const int out = routeFn(dst_endpoint);
     if (out < 0 || out >= cfg.numPorts)
         sim::panicf(cfg.name, ": route function returned bad port ", out,
-                    " for endpoint ", flit.dstEndpoint);
+                    " for endpoint ", dst_endpoint);
     return out;
 }
 
@@ -174,11 +227,11 @@ void
 ElasticRouter::addCandidate(int port, int vc)
 {
     const InputVc &ivc = inputs[port].vcs[vc];
-    const Flit &front = ivc.fifo.front();
+    const Run &front = ivc.runs.front();
     // Route the head flit; body/tail follow the locked output.
     int target = ivc.lockedOutput;
-    if (front.isHead()) {
-        target = routeOf(front);
+    if (front.headAtFront) {
+        target = routeOf(front.dstEndpoint);
     } else if (target < 0) {
         sim::panicf(cfg.name, ": wormhole corruption on input ", port,
                     " vc ", vc, " (body flit without a head)");
@@ -213,10 +266,7 @@ ElasticRouter::postTick()
     // Align to the next cycle boundary for a clocked-crossbar feel.
     const sim::TimePs now = queue.now();
     const sim::TimePs next = ((now / cyclePs) + 1) * cyclePs;
-    queue.schedule(next, [this] {
-        clock = Clock::kRunning;
-        tick();
-    });
+    queue.schedule(next, [this] { tick(); });
 }
 
 void
@@ -225,8 +275,7 @@ ElasticRouter::releaseCredit(int port, int vc)
     InputPort &in = inputs[port];
     InputVc &ivc = in.vcs[vc];
     if (cfg.policy == CreditPolicy::kElastic &&
-        static_cast<int>(ivc.fifo.size()) >= cfg.perVcReservedFlits &&
-        in.sharedUsed > 0) {
+        ivc.occupancy >= cfg.perVcReservedFlits && in.sharedUsed > 0) {
         // The departing flit frees a shared-pool credit (occupancy was
         // above the reservation before this dequeue completed).
         --in.sharedUsed;
@@ -240,6 +289,7 @@ ElasticRouter::tick()
 {
     const int ports = cfg.numPorts;
     while (true) {
+        clock = Clock::kRunning;
         const sim::TimePs now = queue.now();
         // Per-cycle separable allocation: each output grants at most one
         // input; each input sends at most one flit. Only outputs that
@@ -276,29 +326,37 @@ ElasticRouter::tick()
             clock = Clock::kIdle;
         if (clock != Clock::kWanted)
             return;
-        // The next cycle's tick event would be the next event run: take
-        // the cycle here instead of a queue round trip.
-        if (!queue.advanceIfIdle(now + cyclePs)) {
-            postTick();
+        // Take the next cycle here instead of a queue round trip when its
+        // tick event would be the next event run, once the deliveries
+        // this router scheduled before it have run in place.
+        const bool inPlace = queue.advanceThrough(
+            now + cyclePs,
+            [this](sim::EventId id) {
+                return !deliveries.empty() && deliveries.front() == id;
+            },
+            [this] { tick(); });
+        if (!inPlace) {
+            clock = Clock::kPosted;
             return;
         }
-        clock = Clock::kRunning;
     }
 }
 
 bool
 ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
 {
-    const int in_idx = slot / cfg.numVcs;
-    const int vc = slot % cfg.numVcs;
+    const int in_idx = slotInput[slot];
+    const int vc = slot - in_idx * cfg.numVcs;
     InputPort &in = inputs[in_idx];
     if (in.grantedAt == now)
         return false;
     InputVc &ivc = in.vcs[vc];
     OutputPort &out = outputs[out_idx];
+    Run &run = ivc.runs.front();
     // Wormhole VC ownership on the output.
     int &owner = out.vcOwner[vc];
-    if (ivc.fifo.front().isHead()) {
+    const bool head = run.headAtFront;
+    if (head) {
         if (owner != -1 && owner != in_idx)
             return false;  // VC busy with another message
         owner = in_idx;
@@ -308,19 +366,33 @@ ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
                     " vc ", vc);
     }
 
-    // Grant: move the flit.
-    Flit flit = std::move(ivc.fifo.front());
-    ivc.fifo.pop_front();
-    removeCandidate(out_idx, slot);
+    // Grant: the front flit of the run leaves. Only a flit the sink
+    // takes becomes a Flit value.
+    const bool tail = run.tailAtBack && run.flits == 1;
+    const bool deliver = tail || !out.tailFlitsOnly;
+    Flit flit;
+    if (deliver) {
+        flit.kind = head ? (tail ? FlitKind::kHeadTail : FlitKind::kHead)
+                         : (tail ? FlitKind::kTail : FlitKind::kBody);
+        flit.vc = vc;
+        flit.dstEndpoint = run.dstEndpoint;
+        flit.bytes = tail ? run.tailBytes : run.bodyBytes;
+    }
+    if (tail)
+        flit.msg = std::move(run.msg);
+    run.headAtFront = false;
+    const bool runLeft = --run.flits == 0;
+    if (runLeft)
+        ivc.runs.pop_front();
+    --ivc.occupancy;
     --totalBuffered;
     in.grantedAt = now;
-    out.rrPointer = (slot + 1) % slots;
+    out.rrPointer = slot + 1 == slots ? 0 : slot + 1;
     out.nextFree = now + out.cyclesPerFlit * cyclePs;
     ++statFlitsRouted;
     if (out_idx < static_cast<int>(obsFlitsOut.size()) &&
         obsFlitsOut[out_idx])
         obsFlitsOut[out_idx]->inc();
-    const bool tail = flit.isTail();
     if (tail) {
         ++statTails;
         owner = -1;
@@ -334,10 +406,15 @@ ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
                                 now + cfg.pipelineCycles * cyclePs);
         }
     }
-    if (!ivc.fifo.empty())
-        addCandidate(in_idx, vc);
+    // A run that goes on keeps its candidate bit; the next run's head is
+    // routed when it reaches the front.
+    if (runLeft) {
+        removeCandidate(out_idx, slot);
+        if (!ivc.runs.empty())
+            addCandidate(in_idx, vc);
+    }
     releaseCredit(in_idx, vc);
-    if (tail || !out.tailFlitsOnly) {
+    if (deliver) {
         const sim::TimePs at = now + cfg.pipelineCycles * cyclePs;
         // A wanted next cycle orders where it was first wanted, ahead of
         // any later event at its time: post it before a delivery due
@@ -345,9 +422,11 @@ ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
         if (clock == Clock::kWanted && at == now + cyclePs)
             postTick();
         FlitSink *sink = out.sink;
-        queue.schedule(at, [sink, flit = std::move(flit)] {
-            sink->acceptFlit(flit);
-        });
+        deliveries.push_back(
+            queue.schedule(at, [this, sink, flit = std::move(flit)] {
+                deliveries.pop_front();
+                sink->acceptFlit(flit);
+            }));
     }
     return true;
 }
@@ -357,15 +436,20 @@ ErEndpoint::ErEndpoint(sim::EventQueue &eq, ElasticRouter &router, int p,
     : queue(eq), er(router), port(p), id(endpoint_id)
 {
     pending.resize(er.config().numVcs);
-    er.setCreditReturnFn(port, [this](int vc) { pump(vc); });
+    er.setCreditReturnFn(port, [this](int vc) {
+        if (!pending[vc].empty())
+            pump(vc);
+    });
 }
 
 std::size_t
 ErEndpoint::backlogFlits() const
 {
     std::size_t n = 0;
-    for (const auto &q : pending)
-        n += q.size();
+    for (const auto &q : pending) {
+        for (const Pending &p : q)
+            n += p.flitsLeft;
+    }
     return n;
 }
 
@@ -374,7 +458,7 @@ ErEndpoint::sendMessage(int dst_endpoint, int vc, std::uint32_t size_bytes,
                         std::shared_ptr<void> payload,
                         obs::TraceContext trace)
 {
-    auto msg = std::make_shared<ErMessage>();
+    auto msg = sim::makePooled<ErMessage>();
     msg->dstEndpoint = dst_endpoint;
     msg->srcEndpoint = id;
     msg->vc = vc;
@@ -392,43 +476,27 @@ ErEndpoint::sendMessage(const ErMessagePtr &msg)
         sim::fatal("ErEndpoint: bad VC");
     if (msg->id == 0)
         msg->id = (static_cast<std::uint64_t>(id) << 40) | nextMsgId++;
-    segment(msg);
+    pending[msg->vc].push_back(
+        Pending{msg, flitCount(msg->sizeBytes, er.config().flitBytes)});
     pump(msg->vc);
-}
-
-void
-ErEndpoint::segment(const ErMessagePtr &msg)
-{
-    const std::uint32_t flit_bytes = er.config().flitBytes;
-    const std::uint32_t size = msg->sizeBytes == 0 ? 1 : msg->sizeBytes;
-    const std::uint32_t nflits = (size + flit_bytes - 1) / flit_bytes;
-    for (std::uint32_t i = 0; i < nflits; ++i) {
-        Flit flit;
-        flit.vc = msg->vc;
-        flit.dstEndpoint = msg->dstEndpoint;
-        flit.bytes = std::min(flit_bytes, size - i * flit_bytes);
-        if (nflits == 1) {
-            flit.kind = FlitKind::kHeadTail;
-        } else if (i == 0) {
-            flit.kind = FlitKind::kHead;
-        } else if (i == nflits - 1) {
-            flit.kind = FlitKind::kTail;
-        } else {
-            flit.kind = FlitKind::kBody;
-        }
-        if (flit.isTail())
-            flit.msg = msg;
-        pending[msg->vc].push_back(std::move(flit));
-    }
 }
 
 void
 ErEndpoint::pump(int vc)
 {
     auto &q = pending[vc];
-    while (!q.empty() && er.canAccept(port, vc)) {
-        er.injectFlit(port, std::move(q.front()));
-        q.pop_front();
+    int credits = er.freeCredits(port, vc);
+    while (!q.empty() && credits > 0) {
+        Pending &p = q.front();
+        const std::uint32_t total =
+            flitCount(p.msg->sizeBytes, er.config().flitBytes);
+        const int flits =
+            static_cast<int>(std::min<std::uint32_t>(p.flitsLeft, credits));
+        er.injectTrain(port, p.msg, total - p.flitsLeft, flits);
+        credits -= flits;
+        p.flitsLeft -= static_cast<std::uint32_t>(flits);
+        if (p.flitsLeft == 0)
+            q.pop_front();
     }
     if (!q.empty())
         er.noteCreditStall(port);

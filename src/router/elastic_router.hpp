@@ -59,9 +59,12 @@ struct ErConfig {
 /**
  * An Elastic Router instance.
  *
- * Endpoints inject flits through injectFlit() after checking canAccept()
- * (the zero-latency stand-in for the RTL credit wires) and may register a
- * credit-return callback to be woken when space frees up.
+ * Injectors check credits with canAccept() or freeCredits() (the
+ * zero-latency stand-in for the RTL credit wires), then hand over one
+ * flit (injectFlit) or the next flits of a message (injectTrain), and
+ * may register a credit-return callback to be woken when space frees
+ * up. An input VC buffers runs of one message's flits, not flit
+ * objects; grants still move one flit per cycle per output.
  */
 class ElasticRouter
 {
@@ -90,15 +93,37 @@ class ElasticRouter
     void setOutputCyclesPerFlit(int port, int cycles);
 
     /** True if input @p port / @p vc has a credit for one more flit. */
-    bool canAccept(int port, int vc) const;
+    bool canAccept(int port, int vc) const
+    {
+        return freeCredits(port, vc) > 0;
+    }
 
     /**
-     * Inject a flit into input @p port.
+     * Flits input @p port / @p vc accepts right now, one credit each:
+     * the VC's unused reservation plus the port's unused shared pool
+     * (elastic), or the VC's unused fixed buffer (static).
+     */
+    int freeCredits(int port, int vc) const;
+
+    /**
+     * Inject a flit into input @p port. A body or tail flit continues
+     * the message at the back of its VC.
      *
      * @pre canAccept(port, flit.vc). Violations panic: the endpoint did
      *      not respect credit flow control.
      */
     void injectFlit(int port, Flit flit);
+
+    /**
+     * Inject @p flits consecutive flits of @p msg, starting with flit
+     * @p first of its flitCount(), into input @p port on msg->vc. The
+     * same as that many injectFlit() calls with the flits the message
+     * segments into; the message is kept once the train holds its tail.
+     *
+     * @pre 0 < flits <= freeCredits(port, msg->vc); violations panic.
+     */
+    void injectTrain(int port, const ErMessagePtr &msg, std::uint32_t first,
+                     int flits);
 
     /**
      * Register a callback fired whenever a credit frees at @p port
@@ -131,8 +156,20 @@ class ElasticRouter
     int peakBufferedFlits() const { return statPeakBuffered; }
 
   private:
+    /** Consecutive buffered flits of one message. */
+    struct Run {
+        /** The message, set once the run holds its tail. */
+        ErMessagePtr msg;
+        int dstEndpoint = 0;
+        int flits = 0;             ///< flits buffered, at least one
+        bool headAtFront = false;  ///< the front flit is the head
+        bool tailAtBack = false;   ///< the back flit is the tail
+        std::uint32_t bodyBytes = 0;  ///< bytes of each non-tail flit
+        std::uint32_t tailBytes = 0;
+    };
     struct InputVc {
-        sim::Fifo<Flit> fifo;
+        sim::Fifo<Run> runs;
+        int occupancy = 0;  ///< flits buffered over all runs
         /** Output port locked by the in-flight message, or -1. */
         int lockedOutput = -1;
     };
@@ -164,8 +201,9 @@ class ElasticRouter
      * The router clock: idle (no cycle wanted), running a cycle, running
      * one with the next cycle wanted, or the next cycle posted as a
      * queue event. A wanted cycle is decided when the running one ends:
-     * it runs in place if the queue can run ahead to it
-     * (EventQueue::advanceIfIdle), or is posted. Posting it then, not
+     * it runs in place if the queue can run ahead to it once the
+     * router's own earlier deliveries have run in place
+     * (EventQueue::advanceThrough), or is posted. Deciding then, not
      * when first wanted, keeps same-time order because the only events
      * a cycle schedules are its deliveries (credit-return callbacks
      * inject flits), and tryGrant() posts first when a delivery lands
@@ -173,15 +211,18 @@ class ElasticRouter
      */
     enum class Clock : std::uint8_t { kIdle, kRunning, kWanted, kPosted };
     Clock clock = Clock::kIdle;
+    /** Handles of the scheduled deliveries, in the order they run. */
+    sim::Fifo<sim::EventId> deliveries;
 
     /**
      * Arbitration candidates: bit (input * numVcs + vc) of output o's
      * mask (words [o * slotWords, (o + 1) * slotWords)) is set while that
-     * input VC's front flit targets o. activeOutputs has bit o set while
+     * input VC's front run targets o. activeOutputs has bit o set while
      * o's mask is non-empty.
      */
     int slots = 0;
     int slotWords = 0;
+    std::vector<int> slotInput;  ///< slot / numVcs, without a division
     std::vector<std::uint64_t> candidates;
     std::vector<std::uint64_t> activeOutputs;
 
@@ -204,20 +245,33 @@ class ElasticRouter
     void postTick();
     /** The tick event: run cycles until the router idles or must wait. */
     void tick();
-    /** Grant output @p out_idx to candidate @p slot if it may send now. */
+    /**
+     * Grant output @p out_idx to candidate @p slot if it may send now:
+     * one flit leaves the front run of that input VC.
+     */
     bool tryGrant(int out_idx, int slot, sim::TimePs now);
-    /** Route the new front flit of @p port / @p vc into a candidate set. */
+    /**
+     * Buffer @p flits flits on @p port / @p vc, the first a head if
+     * @p head: a new run, or more of the back run when they continue
+     * its message. Debits credits; the caller then fills in the run's
+     * tail and calls admitted().
+     */
+    Run &admit(int port, int vc, int flits, bool head, int dst_endpoint);
+    /** Arm arbitration and the clock after admit() took @p flits. */
+    void admitted(int port, int vc, int flits);
+    /** Route the new front run of @p port / @p vc into a candidate set. */
     void addCandidate(int port, int vc);
-    /** Drop candidate @p slot from output @p out_idx once granted. */
+    /** Drop candidate @p slot from output @p out_idx once its run left. */
     void removeCandidate(int out_idx, int slot);
     void releaseCredit(int port, int vc);
-    int routeOf(const Flit &flit) const;
+    int routeOf(int dst_endpoint) const;
 };
 
 /**
- * Helper modelling one endpoint attached to an ER port: segments messages
- * into flits, respects credits (queueing when stalled), reassembles
- * arriving messages, and hands them to a handler.
+ * Helper modelling one endpoint attached to an ER port: injects messages
+ * as flit trains under credit flow control (queueing what does not fit),
+ * receives reassembled messages at their tails, and hands them to a
+ * handler.
  */
 class ErEndpoint : public FlitSink
 {
@@ -264,12 +318,17 @@ class ErEndpoint : public FlitSink
     int id;
     std::function<void(const ErMessagePtr &)> handler;
 
-    /** Pending (already segmented) flits awaiting credits, FIFO per VC. */
-    std::vector<sim::Fifo<Flit>> pending;
+    /** A message whose last @p flitsLeft flits await credits. */
+    struct Pending {
+        ErMessagePtr msg;
+        std::uint32_t flitsLeft = 0;
+    };
+    /** Messages awaiting credits, FIFO per VC. */
+    std::vector<sim::Fifo<Pending>> pending;
     std::uint64_t nextMsgId = 1;
 
+    /** Inject as many pending flits of @p vc as there are credits. */
     void pump(int vc);
-    void segment(const ErMessagePtr &msg);
 };
 
 }  // namespace ccsim::router

@@ -2,9 +2,11 @@
  * @file
  * Flit-level data types for the Elastic Router.
  *
- * Messages between on-FPGA endpoints (PCIe DMA, Roles, DRAM, LTL) are
- * segmented into flits. A head flit carries routing state; the tail flit
- * closes the wormhole and triggers delivery of the reassembled message.
+ * Messages between on-FPGA endpoints (PCIe DMA, Roles, DRAM, LTL) travel
+ * as flits. A head flit carries routing state; the tail flit closes the
+ * wormhole and triggers delivery of the reassembled message. Inside a
+ * router a message's buffered flits are counted, not stored: a `Flit` is
+ * the value a grant hands an output sink.
  */
 #pragma once
 
@@ -38,6 +40,15 @@ struct ErMessage {
 
 using ErMessagePtr = std::shared_ptr<ErMessage>;
 
+/** Flits a message of @p size_bytes occupies; an empty message takes one. */
+constexpr std::uint32_t
+flitCount(std::uint32_t size_bytes, std::uint32_t flit_bytes)
+{
+    return size_bytes <= flit_bytes ? 1
+                                    : (size_bytes + flit_bytes - 1) /
+                                          flit_bytes;
+}
+
 /** Flit kinds. */
 enum class FlitKind : std::uint8_t {
     kHead,
@@ -46,7 +57,10 @@ enum class FlitKind : std::uint8_t {
     kHeadTail,  ///< single-flit message
 };
 
-/** One flit. */
+/**
+ * One flit, as an output sink receives it or an injector hands it to
+ * ElasticRouter::injectFlit().
+ */
 struct Flit {
     FlitKind kind = FlitKind::kHeadTail;
     int vc = 0;
@@ -79,6 +93,12 @@ struct Flit {
  * (a sink that acts on whole messages). Either way each flit arrives at
  * the same simulated time. The router reads tailFlitsOnly() once, when
  * the sink is attached.
+ *
+ * The router buffers a message's flits as a count, so each delivered
+ * `Flit` is built by the grant that sends it: its kind, VC, destination
+ * and byte count are those the flit was injected with, and `msg` is set
+ * on the tail only. A sink may keep or re-inject the value; nothing
+ * refers back into the router.
  */
 class FlitSink
 {

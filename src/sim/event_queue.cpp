@@ -47,7 +47,7 @@ TimerWheelQueue::TimerWheelQueue()
 TimerWheelQueue::~TimerWheelQueue() = default;
 
 std::uint32_t
-TimerWheelQueue::allocRecord(TimePs when, EventFn &&fn)
+TimerWheelQueue::allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn)
 {
     std::uint32_t idx;
     if (!freeList.empty()) {
@@ -59,7 +59,7 @@ TimerWheelQueue::allocRecord(TimePs when, EventFn &&fn)
     }
     Record &r = pool[idx];
     r.when = when;
-    r.seq = nextSeq++;
+    r.seq = seq;
     r.state = SlotState::kLive;
     r.fn = std::move(fn);
     return idx;
@@ -317,7 +317,14 @@ TimerWheelQueue::schedule(TimePs when, EventFn fn)
     if (when < currentTime)
         panicf("EventQueue::schedule: time ", when, " is in the past (now ",
                currentTime, ")");
-    const std::uint32_t idx = allocRecord(when, std::move(fn));
+    const std::uint32_t idx = allocRecord(when, nextSeq++, std::move(fn));
+    enqueue(idx, when);
+    return handleOf(idx);
+}
+
+void
+TimerWheelQueue::enqueue(std::uint32_t idx, TimePs when)
+{
     ++liveCount;
     if (liveCount > peakLive)
         peakLive = liveCount;
@@ -328,8 +335,6 @@ TimerWheelQueue::schedule(TimePs when, EventFn fn)
         nextBound = when;
         nextExact = true;
     }
-    return (static_cast<EventId>(pool[idx].gen) << 32) |
-           static_cast<EventId>(idx + 1);
 }
 
 void
@@ -447,20 +452,37 @@ TimerWheelQueue::runAll()
     }
 }
 
-bool
-TimerWheelQueue::advanceIfIdle(TimePs t)
+void
+TimerWheelQueue::pastRunAhead(TimePs t) const
 {
-    if (t < currentTime)
-        panicf("EventQueue::advanceIfIdle: time ", t, " is in the past (now ",
-               currentTime, ")");
-    // The event at `t` would run next exactly when nothing is due by `t`
-    // (an event at `t` itself was scheduled earlier, so it runs first)
-    // and the run would still take it.
-    if (t > runLimit || nextEventTime() <= t)
-        return false;
-    currentTime = t;
-    ++executedCount;
-    return true;
+    panicf("EventQueue run-ahead: time ", t, " is in the past (now ",
+           currentTime, ")");
+}
+
+TimerWheelQueue::Head
+TimerWheelQueue::headBefore(TimePs t, std::uint64_t seq)
+{
+    // Locating the head may move the wheel time up to its level-0 slot,
+    // never past `t`: the head then either runs in place or is the next
+    // event the run takes, after the fallback is scheduled at `t`.
+    const Head head = ensureNext(t);
+    if (head.src == Next::kDue || head.src == Next::kOverflow) {
+        const std::uint64_t headSeq = head.src == Next::kDue
+                                          ? due[duePos].seq
+                                          : overflow.front().seq;
+        if (head.when < t || (head.when == t && headSeq < seq))
+            return head;
+    }
+    nextBound = head.when;
+    nextExact = true;
+    return {Next::kNone, head.when};
+}
+
+EventId
+TimerWheelQueue::headId(Next src) const
+{
+    return handleOf(src == Next::kDue ? due[duePos].idx
+                                      : overflow.front().idx);
 }
 
 }  // namespace ccsim::sim

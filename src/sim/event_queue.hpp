@@ -168,7 +168,64 @@ class TimerWheelQueue
      * @pre t >= now().
      * @return true if now() moved to @p t.
      */
-    bool advanceIfIdle(TimePs t);
+    bool advanceIfIdle(TimePs t)
+    {
+        if (t < currentTime)
+            pastRunAhead(t);
+        // The event at `t` would run next exactly when nothing is due by
+        // `t` (an event at `t` itself was scheduled earlier, so it runs
+        // first) and the run would still take it.
+        if (t > runLimit || nextEventTime() <= t)
+            return false;
+        currentTime = t;
+        ++executedCount;
+        return true;
+    }
+
+    /**
+     * Run ahead through the caller's own events: advanceIfIdle() for a
+     * component whose own earlier events (such as its deliveries) would
+     * otherwise make it wait.
+     *
+     * The call takes the schedule-order position a new event at @p t
+     * would take now. While the next event precedes that position and
+     * @p own(id) holds for its handle, that event runs in place (one
+     * executed event each; what it schedules orders after the
+     * position). When no event precedes the position, now() moves to
+     * @p t and the call counts as one executed event. Otherwise — a
+     * foreign event comes first, or @p t is outside the current run —
+     * @p fallback is scheduled at @p t in the position taken. Either
+     * way the events run in the order they would if @p fallback had
+     * been scheduled at the call.
+     *
+     * @pre t >= now().
+     * @return true if now() moved to @p t; false if @p fallback was
+     *         scheduled.
+     */
+    template <typename Own, typename Fallback>
+    bool advanceThrough(TimePs t, Own &&own, Fallback &&fallback)
+    {
+        if (t < currentTime)
+            pastRunAhead(t);
+        const std::uint64_t seq = nextSeq++;
+        while (t <= runLimit) {
+            if (advanceIfIdle(t))
+                return true;
+            const Head head = headBefore(t, seq);
+            if (head.src == Next::kNone) {
+                currentTime = t;
+                ++executedCount;
+                return true;
+            }
+            if (!own(headId(head.src)))
+                break;
+            fire(detach(head.src));
+        }
+        const std::uint32_t idx =
+            allocRecord(t, seq, EventFn(std::forward<Fallback>(fallback)));
+        enqueue(idx, t);
+        return false;
+    }
 
     /**
      * Timestamp of the next live event without executing it, or
@@ -291,7 +348,14 @@ class TimerWheelQueue
     std::uint64_t cancelledCount = 0;
     std::uint64_t overflowCount = 0;
 
-    std::uint32_t allocRecord(TimePs when, EventFn &&fn);
+    std::uint32_t allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn);
+    /** Count the live record @p idx and park it. */
+    void enqueue(std::uint32_t idx, TimePs when);
+    EventId handleOf(std::uint32_t idx) const
+    {
+        return (static_cast<EventId>(pool[idx].gen) << 32) |
+               static_cast<EventId>(idx + 1);
+    }
     void freeRecord(std::uint32_t idx);
     /** The wheel level for @p when; kLevels or more: past the horizon. */
     int levelOf(TimePs when) const;
@@ -329,6 +393,16 @@ class TimerWheelQueue
     bool runNext();
     /** Locate the next event and make `nextBound` exact. */
     void refreshNext();
+    /** Run ahead to a time in the past: panics. */
+    [[noreturn]] void pastRunAhead(TimePs t) const;
+    /**
+     * The next event, located as a kDue or kOverflow head, if it
+     * precedes (@p t, @p seq); otherwise kNone, with `nextBound` made
+     * exact.
+     */
+    Head headBefore(TimePs t, std::uint64_t seq);
+    /** The handle of the located head at @p src. */
+    EventId headId(Next src) const;
     void maybeSweep();
 };
 

@@ -100,6 +100,8 @@ class Fifo
 
     T &front() { return slots[head]; }
     const T &front() const { return slots[head]; }
+    T &back() { return at(count - 1); }
+    const T &back() const { return at(count - 1); }
 
     void push_back(const T &value) { append(value); }
     void push_back(T &&value) { append(std::move(value)); }

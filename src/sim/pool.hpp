@@ -11,7 +11,9 @@
  *
  * The freelist is thread-local because a simulation runs on one thread
  * (see EventQueue); experiments fanning out across threads each get their
- * own arena with zero synchronization. NOTE: pool occupancy is therefore
+ * own arena with zero synchronization. On the sharded kernel a block one
+ * worker allocates and another frees parks in the freeing worker's
+ * freelist and is reused there. NOTE: pool occupancy is therefore
  * process-global per thread, not per simulation — it is deliberately NOT
  * exported as an observability probe, since two same-seed simulations run
  * back-to-back in one process would observe different arena states and
@@ -21,7 +23,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace ccsim::sim {
@@ -149,5 +153,17 @@ class PoolAllocator
         return false;
     }
 };
+
+/**
+ * `std::make_shared` through PoolAllocator: the control block and the
+ * object share one block recycled through this thread's freelist.
+ */
+template <typename T, typename... Args>
+std::shared_ptr<T>
+makePooled(Args &&...args)
+{
+    return std::allocate_shared<T>(PoolAllocator<T>{},
+                                   std::forward<Args>(args)...);
+}
 
 }  // namespace ccsim::sim

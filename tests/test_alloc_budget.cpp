@@ -11,7 +11,10 @@
  * evaluation it triggers allocate nothing. Ranking server: once warm, a
  * query allocates nothing, in software mode or through an accelerator
  * with deadlines and hedging, because it lives in a per-core slot and
- * every closure it schedules fits inline.
+ * every closure it schedules fits inline. Remote DNN request: once warm,
+ * a request that crosses PCIe, two Elastic Routers, LTL and the network
+ * to a DNN role and back allocates nothing, because its message records
+ * come from sim::PoolAllocator and its flits are counts, not objects.
  *
  * This binary replaces the global `operator new` with a byte and call
  * counter, plus a live-byte count kept in a size header in front of
@@ -21,19 +24,24 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
 
 #include <vector>
 
+#include "core/cloud.hpp"
 #include "host/ranking_server.hpp"
 #include "net/channel.hpp"
 #include "net/packet.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "roles/dnn_role.hpp"
+#include "roles/ranking/ranking_role.hpp"
 #include "serving/outlier.hpp"
 #include "serving/request_policy.hpp"
 #include "sim/event_queue.hpp"
@@ -328,6 +336,91 @@ TEST(AllocBudget, WarmRankingQueriesAllocateNothing)
     EXPECT_EQ(completions, 3u * 2 * kBursts * kBurst);
     EXPECT_EQ(accelerated.hedgesIssued() - hedges, 1u * kBursts * kBurst);
     EXPECT_EQ(accelerated.retriesIssued() - retries, 1u * kBursts * kBurst);
+}
+
+TEST(AllocBudget, WarmRemoteDnnRequestAllocatesNothing)
+{
+    // Two hosts under one TOR: a forwarder role on host 0 ships each
+    // request over LTL to a DNN role on host 1, whose reply comes back
+    // over LTL, through the forwarder and PCIe, to the host RX handler.
+    core::CloudConfig cfg;
+    cfg.topology.hostsPerRack = 2;
+    cfg.topology.racksPerPod = 1;
+    cfg.topology.l1PerPod = 1;
+    cfg.topology.pods = 1;
+    cfg.topology.l2Count = 1;
+    // Constant latencies: every wave replays the same schedule.
+    cfg.topology.torParams.jitterMean = 0;
+    cfg.topology.l1Params.jitterMean = 0;
+    cfg.topology.l2Params.jitterMean = 0;
+    sim::EventQueue eq;
+    core::ConfigurableCloud cloud(eq, cfg);
+    roles::DnnRoleParams params;
+    params.serviceTime = 5 * sim::kMicrosecond;
+    roles::DnnRole dnn(eq, params);
+    roles::ForwarderRole forwarder;
+    const int dnn_port = cloud.shell(1).addRole(&dnn);
+    ASSERT_GE(dnn_port, 0);
+    ASSERT_GE(cloud.shell(0).addRole(&forwarder), 0);
+    const core::LtlChannel requests = cloud.openLtl(0, 1, dnn_port);
+    const core::LtlChannel replies = cloud.openLtl(1, 0, forwarder.port());
+    std::size_t answered = 0;
+    cloud.shell(0).setHostRxHandler(
+        forwarder.port(),
+        [&](int, const router::ErMessagePtr &) { ++answered; });
+
+    // One payload for every request: each send copies the pointer.
+    auto req = std::make_shared<roles::DnnRequest>();
+    req->replyConn = replies.sendConn();
+    auto fwd = std::make_shared<roles::ForwarderRole::ForwardRequest>();
+    fwd->sendConn = requests.sendConn();
+    fwd->bytes = 512;
+    fwd->inner = req;
+    const std::shared_ptr<void> payload = fwd;
+
+    // Bursts of two requests every 20 us: the DNN role queues the second.
+    constexpr int kBursts = 32;
+    constexpr sim::TimePs kGap = 20 * sim::kMicrosecond;
+    // Every wave starts at the same phase of the wheel's lowest four
+    // levels (a wave spans under 2^36 ps) and of the router clock, with
+    // the wheel anchored there by an event at the start, so a warm wave
+    // reuses the wheel cells the warm-up grew.
+    const sim::TimePs phase = std::lcm(
+        sim::TimePs{1} << 36, sim::cyclePeriod(router::ErConfig{}.clockMhz));
+    auto wave = [&] {
+        const sim::TimePs start = (eq.now() / phase + 1) * phase;
+        eq.schedule(start, [] {});
+        eq.runUntil(start);
+        const std::size_t before = heapCalls;
+        for (int i = 0; i < kBursts; ++i) {
+            eq.runUntil(start + i * kGap);
+            for (int j = 0; j < 2; ++j)
+                cloud.shell(0).sendFromHost(forwarder.port(), fwd->bytes,
+                                            payload);
+        }
+        eq.runUntil(start + (kBursts + 50) * kGap);
+        return heapCalls - before;
+    };
+    // Warm-up: queues, pools and wheel cells grow. Each LTL engine also
+    // keeps every RTT sample; warm until both sample buffers have room
+    // for another wave, so that buffer does not grow inside it.
+    auto rttRoom = [&](int host) {
+        const auto &rtt = cloud.shell(host).ltlEngine()->rttUs().raw();
+        return rtt.capacity() - rtt.size();
+    };
+    wave();
+    const std::size_t perWave =
+        std::max(cloud.shell(0).ltlEngine()->rttUs().count(),
+                 cloud.shell(1).ltlEngine()->rttUs().count());
+    do {
+        wave();
+    } while (rttRoom(0) < perWave || rttRoom(1) < perWave);
+    const std::size_t answeredBefore = answered;
+    const std::size_t calls = wave();
+    EXPECT_EQ(calls, 0u) << "operator new calls for " << 2 * kBursts
+                         << " remote DNN requests";
+    EXPECT_EQ(answered - answeredBefore, 2u * kBursts);
+    EXPECT_EQ(dnn.requestsServed(), answered);
 }
 
 }  // namespace

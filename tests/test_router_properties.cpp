@@ -6,8 +6,10 @@
  * exceed its buffer budget, and conserve flits. Golden-trace tests pin
  * the exact delivery times of seeded contended traffic, and the
  * run-ahead differential checks that a router taking its next cycle in
- * place (EventQueue::advanceIfIdle) matches one whose every cycle is a
- * scheduled event.
+ * place (EventQueue::advanceThrough) matches one whose every cycle is a
+ * scheduled event. The run suites check that buffering a message's flits
+ * as runs, and injecting them as trains, behaves exactly like one flit
+ * object per flit.
  */
 #include <gtest/gtest.h>
 
@@ -32,7 +34,10 @@ using router::CreditPolicy;
 using router::ElasticRouter;
 using router::ErConfig;
 using router::ErEndpoint;
+using router::ErMessage;
 using router::ErMessagePtr;
+using router::Flit;
+using router::FlitKind;
 
 class ErConfigMatrix
     : public ::testing::TestWithParam<
@@ -568,6 +573,367 @@ TEST(ErRunAhead, MeshWithLinksMatchesScheduledTicks)
             build, 2, 0x5eedu + pipeline, 400, pinned[pipeline],
             "mesh pipelineCycles=" + std::to_string(pipeline));
     }
+}
+
+// --- runs and trains ---------------------------------------------------
+
+/**
+ * Run @p eq until it drains, failing rather than hanging when traffic is
+ * still moving after 1 ms of simulated time.
+ */
+void
+drain(sim::EventQueue &eq)
+{
+    eq.runUntil(eq.now() + sim::fromMicros(1000));
+    EXPECT_TRUE(eq.empty()) << "traffic still moving at " << eq.now();
+}
+
+/** A sink that takes every flit and records when it arrived. */
+struct FlitRecorder : router::FlitSink {
+    sim::EventQueue *eq = nullptr;
+    std::vector<std::pair<sim::TimePs, Flit>> flits;
+    void acceptFlit(const Flit &f) override
+    {
+        flits.emplace_back(eq->now(), f);
+    }
+};
+
+ErMessagePtr
+makeMessage(int src, int dst, int vc, std::uint32_t bytes, std::uint64_t id)
+{
+    auto m = std::make_shared<ErMessage>();
+    m->srcEndpoint = src;
+    m->dstEndpoint = dst;
+    m->vc = vc;
+    m->sizeBytes = bytes;
+    m->id = id;
+    return m;
+}
+
+/**
+ * The reference injector: segment a message into one Flit object per
+ * flit, queue them, and inject one flit per credit.
+ */
+class FlitByFlitSource
+{
+  public:
+    FlitByFlitSource(ElasticRouter &router, int port)
+        : er(router), inPort(port), pending(router.config().numVcs)
+    {
+        er.setCreditReturnFn(inPort, [this](int vc) { pump(vc); });
+    }
+
+    void send(const ErMessagePtr &msg)
+    {
+        const std::uint32_t flit_bytes = er.config().flitBytes;
+        const std::uint32_t size = std::max<std::uint32_t>(msg->sizeBytes, 1);
+        const std::uint32_t n = router::flitCount(msg->sizeBytes, flit_bytes);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            Flit f;
+            f.vc = msg->vc;
+            f.dstEndpoint = msg->dstEndpoint;
+            f.bytes = std::min(flit_bytes, size - i * flit_bytes);
+            const bool head = i == 0;
+            const bool tail = i + 1 == n;
+            f.kind = head ? (tail ? FlitKind::kHeadTail : FlitKind::kHead)
+                          : (tail ? FlitKind::kTail : FlitKind::kBody);
+            if (tail)
+                f.msg = msg;
+            pending[msg->vc].push_back(f);
+        }
+        pump(msg->vc);
+    }
+
+  private:
+    ElasticRouter &er;
+    int inPort;
+    std::vector<std::deque<Flit>> pending;
+
+    void pump(int vc)
+    {
+        auto &q = pending[vc];
+        while (!q.empty() && er.canAccept(inPort, vc)) {
+            er.injectFlit(inPort, q.front());
+            q.pop_front();
+        }
+    }
+};
+
+/** Everything observable about one run of the train differential. */
+struct TrainRun {
+    std::vector<std::tuple<sim::TimePs, int, std::uint64_t>> deliveries;
+    std::vector<std::tuple<sim::TimePs, int, int, std::uint32_t, bool>>
+        linkFlits;
+    std::uint64_t flits = 0, messages = 0, busy = 0, events = 0;
+    int peak = 0;
+
+    bool operator==(const TrainRun &) const = default;
+};
+
+/**
+ * Seeded bursts of messages — sizes 0, exact multiples of the flit and
+ * anything up to 40 flits, so most exceed the free credits — from every
+ * port but the last, whose output is a slow every-flit sink. With
+ * @p trains the sources are ErEndpoints; otherwise they inject flit by
+ * flit.
+ */
+TrainRun
+runTrainDifferential(CreditPolicy policy, int vcs, std::uint64_t seed,
+                     bool trains)
+{
+    sim::EventQueue eq;
+    ErConfig cfg;
+    cfg.numPorts = 4;
+    cfg.numVcs = vcs;
+    cfg.policy = policy;
+    cfg.perVcReservedFlits = 2;
+    cfg.sharedPoolFlits = 5;
+    cfg.staticPerVcFlits = 3;
+    ElasticRouter er(eq, cfg);
+    const int last = cfg.numPorts - 1;
+    FlitRecorder link;
+    link.eq = &eq;
+    er.setOutputSink(last, &link);
+    er.setOutputCyclesPerFlit(last, 2);
+    TrainRun run;
+    std::vector<std::unique_ptr<ErEndpoint>> eps;
+    std::vector<std::unique_ptr<FlitByFlitSource>> sources;
+    for (int p = 0; p < last; ++p) {
+        eps.push_back(std::make_unique<ErEndpoint>(eq, er, p, p));
+        er.setOutputSink(p, eps.back().get());
+        eps.back()->setMessageHandler([&run, &eq, p](const ErMessagePtr &m) {
+            run.deliveries.emplace_back(eq.now(), p, m->id);
+        });
+        if (!trains)
+            sources.push_back(std::make_unique<FlitByFlitSource>(er, p));
+    }
+    sim::Rng rng(seed);
+    const std::uint32_t sizes[] = {0, 32, 64, 96, 1, 31, 33};
+    for (std::uint64_t id = 1; id <= 240; ++id) {
+        const int src = static_cast<int>(rng.uniformInt(std::uint64_t(last)));
+        const int dst =
+            static_cast<int>(rng.uniformInt(std::uint64_t(cfg.numPorts)));
+        const int vc = static_cast<int>(rng.uniformInt(std::uint64_t(vcs)));
+        const std::uint64_t pick = rng.uniformInt(14);
+        const auto bytes = pick < 7 ? sizes[pick]
+                                    : static_cast<std::uint32_t>(
+                                          1 + rng.uniformInt(40 * 32));
+        const auto at = static_cast<sim::TimePs>(
+            rng.uniformInt(std::uint64_t(sim::fromMicros(2))));
+        auto msg = makeMessage(src, dst, vc, bytes, id);
+        eq.schedule(at, [&, src, msg] {
+            if (trains)
+                eps[src]->sendMessage(msg);
+            else
+                sources[src]->send(msg);
+        });
+    }
+    drain(eq);
+    for (const auto &[at, f] : link.flits)
+        run.linkFlits.emplace_back(at, static_cast<int>(f.kind), f.vc,
+                                   f.bytes, f.msg != nullptr);
+    run.flits = er.flitsRouted();
+    run.messages = er.messagesRouted();
+    run.busy = er.busyCycles();
+    run.peak = er.peakBufferedFlits();
+    run.events = eq.eventsExecuted();
+    EXPECT_EQ(run.messages, 240u);
+    return run;
+}
+
+TEST(ErRuns, TrainsMatchFlitByFlitInjection)
+{
+    for (CreditPolicy policy :
+         {CreditPolicy::kElastic, CreditPolicy::kStatic}) {
+        for (int vcs : {1, 3}) {
+            const std::uint64_t seed = 40 + vcs;
+            const TrainRun trains =
+                runTrainDifferential(policy, vcs, seed, true);
+            const TrainRun flits =
+                runTrainDifferential(policy, vcs, seed, false);
+            EXPECT_EQ(trains.deliveries, flits.deliveries)
+                << "vcs=" << vcs
+                << " static=" << (policy == CreditPolicy::kStatic);
+            EXPECT_EQ(trains.linkFlits, flits.linkFlits) << "vcs=" << vcs;
+            EXPECT_TRUE(trains == flits) << "vcs=" << vcs;
+            EXPECT_FALSE(trains.linkFlits.empty());
+        }
+    }
+}
+
+TEST(ErRuns, LongMessageCrossesOverSeveralCreditReturns)
+{
+    sim::EventQueue eq;
+    ErConfig cfg;
+    cfg.numPorts = 2;
+    cfg.numVcs = 2;
+    cfg.perVcReservedFlits = 2;
+    cfg.sharedPoolFlits = 6;
+    ElasticRouter er(eq, cfg);
+    ErEndpoint src(eq, er, 0, 0), dst(eq, er, 1, 1);
+    er.setOutputSink(0, &src);
+    er.setOutputSink(1, &dst);
+    er.setOutputCyclesPerFlit(1, 4);  // credits come back one by one
+    std::vector<sim::TimePs> arrived;
+    dst.setMessageHandler(
+        [&](const ErMessagePtr &) { arrived.push_back(eq.now()); });
+
+    EXPECT_EQ(er.freeCredits(0, 0), 8);
+    src.sendMessage(1, 0, 5 * 32);  // 5 flits: 2 reserved + 3 shared
+    EXPECT_EQ(src.backlogFlits(), 0u);
+    EXPECT_EQ(er.freeCredits(0, 0), 3);
+    EXPECT_EQ(er.freeCredits(0, 1), 5);
+    src.sendMessage(1, 1, 40 * 32);  // takes its 2 and the last 3 shared
+    EXPECT_EQ(er.freeCredits(0, 0), 0);
+    EXPECT_EQ(er.freeCredits(0, 1), 0);
+    EXPECT_FALSE(er.canAccept(0, 1));
+    EXPECT_EQ(src.backlogFlits(), 35u);
+    // A message queued behind a stalled one waits, flits counted.
+    src.sendMessage(1, 1, 0);
+    EXPECT_EQ(src.backlogFlits(), 36u);
+
+    drain(eq);
+    ASSERT_EQ(arrived.size(), 3u);
+    EXPECT_EQ(er.flitsRouted(), 46u);
+    EXPECT_EQ(src.backlogFlits(), 0u);
+    EXPECT_EQ(er.freeCredits(0, 0), 8);
+    EXPECT_EQ(er.freeCredits(0, 1), 8);
+    // The slow output sends one flit every 4 cycles: the last of 46
+    // flits leaves 45 * 4 cycles after the first.
+    const sim::TimePs cycle = sim::cyclePeriod(cfg.clockMhz);
+    EXPECT_GE(arrived.back(), 45 * 4 * cycle);
+}
+
+TEST(ErRuns, StaticBacklogCountsFlitsNotMessages)
+{
+    sim::EventQueue eq;
+    ErConfig cfg;
+    cfg.numPorts = 2;
+    cfg.numVcs = 1;
+    cfg.policy = CreditPolicy::kStatic;
+    cfg.staticPerVcFlits = 4;
+    ElasticRouter er(eq, cfg);
+    ErEndpoint src(eq, er, 0, 0), dst(eq, er, 1, 1);
+    er.setOutputSink(0, &src);
+    er.setOutputSink(1, &dst);
+    for (int i = 0; i < 3; ++i)
+        src.sendMessage(1, 0, 10 * 32);
+    EXPECT_EQ(src.backlogFlits(), 26u);
+    EXPECT_EQ(er.freeCredits(0, 0), 0);
+    drain(eq);
+    EXPECT_EQ(src.backlogFlits(), 0u);
+    EXPECT_EQ(er.flitsRouted(), 30u);
+    EXPECT_EQ(er.messagesRouted(), 3u);
+}
+
+TEST(ErRuns, EmptyAndFlitMultipleSizesSegmentExactly)
+{
+    sim::EventQueue eq;
+    ErConfig cfg;
+    cfg.numPorts = 2;
+    cfg.numVcs = 1;
+    ElasticRouter er(eq, cfg);
+    ErEndpoint src(eq, er, 0, 0);
+    er.setOutputSink(0, &src);
+    FlitRecorder sink;
+    sink.eq = &eq;
+    er.setOutputSink(1, &sink);
+    struct Case {
+        std::uint32_t bytes;
+        std::vector<std::uint32_t> flitBytes;
+    };
+    const Case cases[] = {
+        {0, {1}},       {1, {1}},           {32, {32}},
+        {33, {32, 1}},  {64, {32, 32}},     {96, {32, 32, 32}},
+    };
+    for (const Case &c : cases) {
+        sink.flits.clear();
+        auto msg = makeMessage(0, 1, 0, c.bytes, 0);
+        src.sendMessage(msg);
+        drain(eq);
+        ASSERT_EQ(sink.flits.size(), c.flitBytes.size()) << c.bytes << " B";
+        for (std::size_t i = 0; i < sink.flits.size(); ++i) {
+            const Flit &f = sink.flits[i].second;
+            const bool head = i == 0;
+            const bool tail = i + 1 == sink.flits.size();
+            EXPECT_EQ(f.isHead(), head) << c.bytes << " B flit " << i;
+            EXPECT_EQ(f.isTail(), tail) << c.bytes << " B flit " << i;
+            EXPECT_EQ(f.bytes, c.flitBytes[i]) << c.bytes << " B flit " << i;
+            EXPECT_EQ(f.dstEndpoint, 1);
+            // The message rides on the tail only.
+            EXPECT_EQ(f.msg == msg, tail) << c.bytes << " B flit " << i;
+            if (i > 0) {  // one flit per cycle
+                EXPECT_EQ(sink.flits[i].first - sink.flits[i - 1].first,
+                          sim::cyclePeriod(cfg.clockMhz));
+            }
+        }
+    }
+    EXPECT_EQ(er.messagesRouted(), 6u);
+    EXPECT_EQ(er.flitsRouted(), 10u);
+}
+
+TEST(ErRuns, PerFlitInjectionExtendsTheBackRun)
+{
+    // How an ErLink feeds a router: one flit at a time, with the rest of
+    // a message arriving after its head already left.
+    sim::EventQueue eq;
+    ErConfig cfg;
+    cfg.numPorts = 2;
+    cfg.numVcs = 2;
+    ElasticRouter er(eq, cfg);
+    FlitRecorder sink;
+    sink.eq = &eq;
+    er.setOutputSink(1, &sink);
+    auto flit = [](FlitKind kind, int vc, std::uint32_t bytes) {
+        Flit f;
+        f.kind = kind;
+        f.vc = vc;
+        f.dstEndpoint = 1;
+        f.bytes = bytes;
+        return f;
+    };
+    auto msg = makeMessage(0, 1, 0, 4 * 32 - 5, 7);
+    er.injectFlit(0, flit(FlitKind::kHead, 0, 32));
+    er.injectFlit(0, flit(FlitKind::kBody, 0, 32));
+    drain(eq);  // the run drains; the wormhole stays open
+    ASSERT_EQ(sink.flits.size(), 2u);
+    Flit tail = flit(FlitKind::kTail, 0, 27);
+    tail.msg = msg;
+    er.injectFlit(0, flit(FlitKind::kBody, 0, 32));
+    er.injectFlit(0, tail);
+    // Behind the tail: a one-flit message, then a head whose body
+    // follows while both wait (it extends the back run, not the front).
+    auto single = makeMessage(0, 1, 0, 8, 8);
+    Flit ht = flit(FlitKind::kHeadTail, 0, 8);
+    ht.msg = single;
+    er.injectFlit(0, ht);
+    er.injectFlit(0, flit(FlitKind::kHead, 0, 32));
+    Flit tail2 = flit(FlitKind::kTail, 0, 3);
+    auto second = makeMessage(0, 1, 0, 35, 9);
+    tail2.msg = second;
+    er.injectFlit(0, tail2);
+    drain(eq);
+
+    const std::vector<std::pair<FlitKind, std::uint32_t>> want = {
+        {FlitKind::kHead, 32}, {FlitKind::kBody, 32}, {FlitKind::kBody, 32},
+        {FlitKind::kTail, 27}, {FlitKind::kHeadTail, 8},
+        {FlitKind::kHead, 32}, {FlitKind::kTail, 3}};
+    ASSERT_EQ(sink.flits.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(sink.flits[i].second.kind, want[i].first) << i;
+        EXPECT_EQ(sink.flits[i].second.bytes, want[i].second) << i;
+    }
+    EXPECT_EQ(sink.flits[3].second.msg, msg);
+    EXPECT_EQ(sink.flits[4].second.msg, single);
+    EXPECT_EQ(sink.flits[6].second.msg, second);
+    EXPECT_EQ(sink.flits[5].second.msg, nullptr);
+    EXPECT_EQ(er.messagesRouted(), 3u);
+    // All five flits injected together leave on consecutive cycles.
+    const sim::TimePs cycle = sim::cyclePeriod(cfg.clockMhz);
+    for (std::size_t i = 3; i < want.size(); ++i)
+        EXPECT_EQ(sink.flits[i].first - sink.flits[i - 1].first, cycle) << i;
+    EXPECT_EQ(er.freeCredits(0, 0),
+              cfg.perVcReservedFlits + cfg.sharedPoolFlits);
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -226,6 +229,113 @@ TEST(EventQueueRunAhead, SelfClockedLoopMatchesScheduledTicks)
         return std::make_pair(trace, eq.eventsExecuted());
     };
     EXPECT_EQ(run(true), run(false));
+}
+
+TEST(EventQueueRunAhead, ThroughOwnEventsMatchesScheduledTicks)
+{
+    // A component ticking every 5 ps schedules, every third cycle, an
+    // event of its own 10 ps ahead (on a later cycle's time); every
+    // other one schedules a zero-delay follow-up, which must still run
+    // after that cycle. Background events land on some cycles too.
+    // Running its own events in place and then running ahead must
+    // reproduce the scheduled-tick trace exactly.
+    const auto run = [](bool inline_ticks) {
+        EventQueue eq;
+        std::vector<std::pair<TimePs, int>> trace;
+        for (TimePs t = 50; t < 400; t += 100)
+            eq.schedule(t, [&] { trace.emplace_back(eq.now(), -1); });
+        std::vector<sim::EventId> own;  // in the order they run
+        std::size_t ran = 0;
+        int cycle = 0;
+        int claimed = 0;
+        std::function<void()> tick = [&] {
+            while (true) {
+                trace.emplace_back(eq.now(), cycle);
+                if (cycle % 3 == 0) {
+                    const int c = cycle;
+                    own.push_back(eq.scheduleAfter(10, [&, c] {
+                        ++ran;
+                        trace.emplace_back(eq.now(), 1000 + c);
+                        if (c % 6 == 0) {
+                            eq.scheduleAfter(0, [&, c] {
+                                trace.emplace_back(eq.now(), 2000 + c);
+                            });
+                        }
+                    }));
+                }
+                if (++cycle == 60)
+                    return;
+                const TimePs next = eq.now() + 5;
+                if (!inline_ticks) {
+                    eq.schedule(next, tick);
+                    return;
+                }
+                const auto isOwn = [&](sim::EventId id) {
+                    const bool mine = ran < own.size() && own[ran] == id;
+                    claimed += mine;
+                    return mine;
+                };
+                if (!eq.advanceThrough(next, isOwn, tick))
+                    return;
+            }
+        };
+        eq.schedule(0, tick);
+        eq.runAll();
+        if (inline_ticks) {
+            EXPECT_GT(claimed, 5);
+        }
+        return std::make_pair(trace, eq.eventsExecuted());
+    };
+    EXPECT_EQ(run(true), run(false));
+}
+
+TEST(EventQueueRunAhead, ThroughSchedulesTheFallbackOutsideARun)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const auto never = [](sim::EventId) { return false; };
+    EXPECT_FALSE(eq.advanceThrough(10, never, [&] { order.push_back(1); }));
+    eq.schedule(10, [&] { order.push_back(2); });
+    EXPECT_EQ(eq.size(), 2u);
+    eq.runAll();
+    // The fallback holds the position the call took, ahead of the
+    // event scheduled after it.
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(PoolAllocator, BlockFreedOnAnotherThreadIsReusedThere)
+{
+    // Each thread (a sharded kernel's worker) has its own freelists: a
+    // record one thread allocates and another frees parks with the one
+    // that freed it, which reuses it. No block is shared or leaked.
+    struct Record {
+        std::uint64_t words[7];
+    };
+    std::shared_ptr<Record> rec;
+    sim::PoolStats allocated;
+    std::thread([&] {
+        rec = sim::makePooled<Record>();
+        allocated = sim::poolStats();
+    }).join();
+    EXPECT_EQ(allocated.freshAllocs, 1u);
+    EXPECT_EQ(allocated.freeBlocks, 0u);
+
+    const void *block = rec.get();
+    sim::PoolStats freed, reused;
+    const void *again = nullptr;
+    std::thread([&] {
+        rec.reset();
+        freed = sim::poolStats();
+        auto next = sim::makePooled<Record>();
+        reused = sim::poolStats();
+        again = next.get();
+    }).join();
+    EXPECT_EQ(freed.freshAllocs, 0u);
+    EXPECT_EQ(freed.freeBlocks, 1u);
+    EXPECT_EQ(reused.freshAllocs, 0u);
+    EXPECT_EQ(reused.reusedAllocs, 1u);
+    EXPECT_EQ(reused.freeBlocks, 0u);
+    EXPECT_EQ(again, block);
 }
 
 TEST(Rng, DeterministicAcrossInstances)
