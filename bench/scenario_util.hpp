@@ -45,18 +45,20 @@ meanLtlRttUs(core::ConfigurableCloud &cloud, sim::EventQueue &eq, int src,
 {
     auto ch = cloud.openLtl(src, dst, role.port);
     auto *engine = cloud.shell(src).ltlEngine();
-    const std::size_t before = engine->rttUs().count();
+    double sum = 0;
+    std::size_t n = 0;
+    engine->setRttObserver([&sum, &n](double us) {
+        sum += us;
+        ++n;
+    });
     for (int i = 0; i < pings; ++i)
         eq.scheduleAfter(i * 20 * sim::kMicrosecond,
                          [engine, conn = ch.sendConn()] {
                              engine->sendMessage(conn, 64);
                          });
     eq.runFor(pings * 40 * sim::kMicrosecond);
-    const auto &samples = engine->rttUs().raw();
-    double sum = 0;
-    for (std::size_t i = before; i < samples.size(); ++i)
-        sum += samples[i];
-    return sum / static_cast<double>(samples.size() - before);
+    engine->setRttObserver(nullptr);
+    return sum / static_cast<double>(n);
 }
 
 /** One completed query: when it finished and how long it took. */

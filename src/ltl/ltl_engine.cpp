@@ -559,6 +559,8 @@ LtlEngine::handleAck(std::uint16_t conn, std::uint32_t ack_seq, bool is_nack)
             // Karn's rule: only un-retransmitted frames give RTT samples.
             const double rtt_us = sim::toMicros(now - uf.firstSentAt);
             statRtt.add(rtt_us);
+            if (rttObserver)
+                rttObserver(rtt_us);
             if (obsRttHist)
                 obsRttHist->add(rtt_us);
         }

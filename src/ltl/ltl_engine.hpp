@@ -225,8 +225,21 @@ class LtlEngine
 
     const LtlConfig &config() const { return cfg; }
 
-    /** Data-frame RTT samples (header generated -> ACK received), in us. */
-    const sim::SampleStats &rttUs() const { return statRtt; }
+    /**
+     * Summary of the data-frame RTT samples (header generated -> ACK
+     * received), in us. The samples themselves go to the registry
+     * histogram `ltl.<node>.rtt_us` and the RTT observer.
+     */
+    const sim::RunningStats &rttUs() const { return statRtt; }
+
+    /**
+     * Call @p fn with every RTT sample, in us, as it is taken; null (the
+     * default) keeps none. For callers that need every sample.
+     */
+    void setRttObserver(std::function<void(double)> fn)
+    {
+        rttObserver = std::move(fn);
+    }
 
     /** Current DC-QCN rate of a send connection, Gb/s. */
     double currentRateGbps(std::uint16_t conn) const;
@@ -322,7 +335,8 @@ class LtlEngine
     sim::LogHistogram *obsRttHist = nullptr;     ///< registry-owned
     int obsTrack = 0;                            ///< trace timeline id
 
-    sim::SampleStats statRtt;
+    sim::RunningStats statRtt;
+    std::function<void(double)> rttObserver;
     std::uint64_t statFramesSent = 0;
     std::uint64_t statRetransmits = 0;
     std::uint64_t statTimeouts = 0;

@@ -74,31 +74,32 @@ Switch::attachObservability(obs::Observability *o)
         return;
     obsPrefix = "switch." + config.name;
     obsTrack = o->trace.track(obsPrefix);
-    auto &reg = o->registry;
-    reg.registerProbe(obsPrefix + ".forwarded",
-                      [this] { return double(forwarded); });
-    reg.registerProbe(obsPrefix + ".dropped",
-                      [this] { return double(dropped); });
-    reg.registerProbe(obsPrefix + ".ecn_marked",
-                      [this] { return double(ecnMarked); });
-    reg.registerProbe(obsPrefix + ".pfc_frames",
-                      [this] { return double(pfcSent); });
-    reg.registerProbe(obsPrefix + ".route_misses",
-                      [this] { return double(noRoute); });
-    reg.registerProbe(obsPrefix + ".brownout_drops",
-                      [this] { return double(brownoutDropped); });
-    for (std::uint8_t prio = 0; prio < kNumTrafficClasses; ++prio) {
-        reg.registerProbe(
-            obsPrefix + ".q" + std::to_string(prio) + ".depth",
-            [this, prio] {
-                // Aggregate egress occupancy of this class (bytes).
-                std::uint64_t bytes = 0;
-                for (const auto &port : ports)
-                    if (port->tx)
-                        bytes += port->tx->queuedBytes(prio);
-                return double(bytes);
-            });
+}
+
+static_assert(Switch::kProbeLeaves.size() == 6 + kNumTrafficClasses);
+
+double
+Switch::probeValue(std::size_t leaf) const
+{
+    switch (leaf) {
+    case 0: return double(forwarded);
+    case 1: return double(dropped);
+    case 2: return double(ecnMarked);
+    case 3: return double(pfcSent);
+    case 4: return double(noRoute);
+    case 5: return double(brownoutDropped);
+    default: return double(egressQueuedBytes(std::uint8_t(leaf - 6)));
     }
+}
+
+std::uint64_t
+Switch::egressQueuedBytes(std::uint8_t prio) const
+{
+    std::uint64_t bytes = 0;
+    for (const auto &port : ports)
+        if (port->tx)
+            bytes += port->tx->queuedBytes(prio);
+    return bytes;
 }
 
 void

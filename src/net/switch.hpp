@@ -9,9 +9,11 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,13 +85,26 @@ class Switch : private TxReleaseListener
     const std::string &name() const { return config.name; }
 
     /**
-     * Export statistics under `switch.<name>.*`: probes for the packet
-     * counters plus per-class aggregate egress depth
-     * `switch.<name>.q<prio>.depth` (bytes queued across all ports), and
-     * trace instants for PFC X-OFF/X-ON and ECN marks. Call after all
-     * ports have been added. Pass nullptr to detach.
+     * Emit trace instants for PFC X-OFF/X-ON and ECN marks under
+     * `switch.<name>`. Pass nullptr to detach. The statistics are
+     * exported by the owner as probe families over kProbeLeaves (see
+     * Topology::attachObservability).
      */
     void attachObservability(obs::Observability *o);
+
+    /**
+     * The probe leaves of a switch, `switch.<name>.<leaf>`: the packet
+     * counters, then per-class aggregate egress depth `q<prio>.depth`
+     * (bytes queued across all ports).
+     */
+    static constexpr std::array<std::string_view, 14> kProbeLeaves = {
+        "forwarded",  "dropped",        "ecn_marked", "pfc_frames",
+        "route_misses", "brownout_drops", "q0.depth", "q1.depth",
+        "q2.depth",   "q3.depth",       "q4.depth",   "q5.depth",
+        "q6.depth",   "q7.depth"};
+
+    /** The current value of kProbeLeaves[@p leaf]. */
+    double probeValue(std::size_t leaf) const;
 
     // --- fault injection hooks (ccsim::fault) ---
 
@@ -120,6 +135,8 @@ class Switch : private TxReleaseListener
     std::uint64_t packetsEcnMarked() const { return ecnMarked; }
     std::uint64_t pfcFramesSent() const { return pfcSent; }
     std::uint64_t routeMisses() const { return noRoute; }
+    /** Bytes of class @p prio queued for egress across all ports. */
+    std::uint64_t egressQueuedBytes(std::uint8_t prio) const;
 
   private:
     class PortSink : public PacketSink

@@ -1,5 +1,7 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "sim/logging.hpp"
 #include "sim/sharded_queue.hpp"
@@ -313,22 +315,62 @@ Topology::totalSwitchDrops() const
 }
 
 void
+Topology::attachSwitchTier(std::string_view tier,
+                           const std::vector<std::unique_ptr<Switch>> &sws,
+                           const std::function<int(std::size_t)> &partition)
+{
+    // The tier's switches grouped by hub, in tier order.
+    std::vector<std::pair<obs::Observability *, std::vector<const Switch *>>>
+        groups;
+    for (std::size_t i = 0; i < sws.size(); ++i) {
+        obs::Observability *hub = partitionHubs[partition(i)];
+        sws[i]->attachObservability(hub);
+        if (hub == nullptr)
+            continue;
+        // Neighbouring switches share a pod, so usually the last group.
+        auto g = std::find_if(groups.rbegin(), groups.rend(),
+                              [hub](const auto &p) { return p.first == hub; });
+        if (g == groups.rend()) {
+            groups.emplace_back(hub, std::vector<const Switch *>{});
+            g = groups.rbegin();
+        }
+        g->second.push_back(sws[i].get());
+    }
+    // One family per hub: `switch.<tier>.<name after "<tier>.">.<leaf>`.
+    const std::size_t skip = tier.size() + 1;
+    for (auto &[hub, members] : groups) {
+        const auto shared =
+            std::make_shared<const std::vector<const Switch *>>(
+                std::move(members));
+        obs::MetricsRegistry::ProbeFamily family;
+        family.stem = "switch." + std::string(tier);
+        family.members = static_cast<std::uint32_t>(shared->size());
+        family.name = [shared, skip](std::uint32_t m, std::string &out) {
+            out += std::string_view((*shared)[m]->name()).substr(skip);
+        };
+        family.leaves = Switch::kProbeLeaves;
+        family.value = [shared](std::uint32_t m, std::uint32_t leaf) {
+            return (*shared)[m]->probeValue(leaf);
+        };
+        hub->registry.registerFamily(std::move(family));
+    }
+}
+
+void
 Topology::attachObservability(std::vector<obs::Observability *> hubs)
 {
     if (hubs.size() != static_cast<std::size_t>(config.pods + 1))
         sim::fatalf("Topology::attachObservability: need ", config.pods + 1,
                     " hubs (pods + spine), got ", hubs.size());
     partitionHubs = std::move(hubs);
-    for (std::size_t t = 0; t < tors.size(); ++t) {
-        const int pod = static_cast<int>(t) / config.racksPerPod;
-        tors[t]->attachObservability(partitionHubs[podPartition(pod)]);
-    }
-    for (std::size_t i = 0; i < l1Switches.size(); ++i) {
-        const int pod = static_cast<int>(i) / config.l1PerPod;
-        l1Switches[i]->attachObservability(partitionHubs[podPartition(pod)]);
-    }
-    for (const auto &sw : l2Switches)
-        sw->attachObservability(partitionHubs[spinePartition()]);
+    attachSwitchTier("tor", tors, [this](std::size_t t) {
+        return podPartition(static_cast<int>(t) / config.racksPerPod);
+    });
+    attachSwitchTier("l1", l1Switches, [this](std::size_t i) {
+        return podPartition(static_cast<int>(i) / config.l1PerPod);
+    });
+    attachSwitchTier("l2", l2Switches,
+                     [this](std::size_t) { return spinePartition(); });
     // Flow spans are recorded transmit-side (Channel queues, serializes,
     // and traces on its own partition), so each direction of a
     // partition-crossing trunk gets its own end's recorder.

@@ -13,7 +13,9 @@
  */
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -230,7 +232,9 @@ class Topology
      * Attach the fabric to one hub per logical partition: @p hubs has
      * numPods() + 1 entries indexed by partition (pods, then the spine;
      * a single-queue cloud passes the same hub in every slot). Each
-     * switch registers with its partition's hub, and each channel
+     * switch registers with its partition's hub: every hub gets one
+     * probe family per switch tier (`switch.tor`, `switch.l1`,
+     * `switch.l2`) over the switches it holds, and each channel
      * records flow spans into its *transmit-side* partition's recorder,
      * so no hub is ever touched by two worker threads. Host cables
      * materialized later read the same table.
@@ -243,6 +247,14 @@ class Topology
     int spinePartition() const { return config.pods; }
 
   private:
+    /**
+     * Attach the switches of one tier, switch i to the hub of partition
+     * @p partition (i), and register one probe family per hub.
+     */
+    void attachSwitchTier(std::string_view tier,
+                          const std::vector<std::unique_ptr<Switch>> &sws,
+                          const std::function<int(std::size_t)> &partition);
+
     sim::EventQueue &queue;  ///< sharded mode: the spine partition
     TopologyConfig config;
     sim::ShardedEventQueue *shards = nullptr;

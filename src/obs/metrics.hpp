@@ -29,6 +29,14 @@
  * indexed through the id, and a probe's sampling state exists only once
  * sampling starts. An empty registry owns no heap.
  *
+ * A component kind with many members registers a **probe family**
+ * instead: one entry covering `<stem>.<member>.<leaf>` for every member
+ * and every leaf of a fixed table, read through one callback. Its
+ * members get a dense id range but no interned string, index slot or
+ * callback of their own; their paths are produced only while a
+ * snapshot, a listing or a lookup needs them. Every public call sees a
+ * family's paths exactly as if each had been registered on its own.
+ *
  * Observability is strictly read-only with respect to simulation state:
  * attaching a registry, sampling, or exporting never changes component
  * behaviour, so instrumented and bare runs are bit-identical.
@@ -39,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,6 +135,31 @@ class MetricsRegistry
      */
     void registerProbe(const std::string &path, std::function<double()> fn);
 
+    /**
+     * A probe family: the probes `<stem>.<name(m)>.<leaf>` for every
+     * member m in [0, members) and every entry of @p leaves.
+     */
+    struct ProbeFamily {
+        std::string stem;
+        std::uint32_t members = 0;
+        /** Append member @p m 's name (dots allowed) to @p out. */
+        std::function<void(std::uint32_t m, std::string &out)> name;
+        /** Distinct leaf names; the table must outlive the registry. */
+        std::span<const std::string_view> leaves;
+        /** Member @p m 's value of leaf @p leaf (an index into leaves). */
+        std::function<double(std::uint32_t m, std::uint32_t leaf)> value;
+    };
+
+    /**
+     * Register @p family. Its paths take the ids [size(), size() +
+     * members * leaves.size()), member-major. The family owns the
+     * namespace `<stem>.`: a plain path or another family inside it
+     * panics (so does registering a stem twice). Member names must be
+     * distinct, and none may extend another by a dot ("a", "a.b"):
+     * ordering the paths panics otherwise.
+     */
+    void registerFamily(ProbeFamily family);
+
     // --- lookup without creation ---
 
     const sim::Counter *findCounter(const std::string &path) const;
@@ -151,12 +185,13 @@ class MetricsRegistry
      * hub) read instead of rescanning paths(). Replacing a probe adds no
      * id.
      */
-    std::size_t size() const { return entries.size(); }
-    std::string_view pathOf(Id id) const
-    {
-        return {entries[id].path, entries[id].len};
-    }
-    Kind kindOf(Id id) const { return entries[id].kind; }
+    std::size_t size() const { return entries.size() + familyIds; }
+    /** A family member's path is built by this call. */
+    std::string pathOf(Id id) const;
+    Kind kindOf(Id id) const;
+
+    /** The ids in [@p from, size()) in path order. */
+    std::vector<Id> idsInPathOrder(Id from) const;
 
     /** The metric behind @p id, which must be of that kind (panics). */
     const sim::Counter &counterAt(Id id) const
@@ -171,10 +206,7 @@ class MetricsRegistry
     {
         return histograms[slotOf(id, Kind::kHistogram)];
     }
-    double probeValueAt(Id id) const
-    {
-        return probes[slotOf(id, Kind::kProbe)]();
-    }
+    double probeValueAt(Id id) const;
 
     // --- hierarchy ---
 
@@ -258,10 +290,35 @@ class MetricsRegistry
         bool everEmitted = false;
     };
     static constexpr Id kNoId = ~Id{0};
+    /** A registered family and the id range its paths take. */
+    struct Family {
+        ProbeFamily spec;
+        std::string ns;             ///< "<stem>.", the owned namespace
+        Id first = 0;               ///< ids [first, first + count)
+        std::uint32_t count = 0;    ///< members * leaves
+        std::uint32_t plainBefore = 0;  ///< plain paths registered before
+        /** Path-order rank of each member path, built on first need. */
+        mutable std::vector<std::uint32_t> rank;
+        /** Open-addressing name -> member index, built by a lookup. */
+        mutable std::vector<std::uint32_t> byName;
+        std::vector<Sampled> sampled;  ///< by path offset; empty until sampled
+    };
+    /**
+     * Where an id or path lives: @p at is an offset into @p fam 's paths
+     * (member * leaves + leaf), or with no family a plain entry index
+     * (kNoId when a lookup found nothing).
+     */
+    struct Loc {
+        const Family *fam = nullptr;
+        std::uint32_t at = kNoId;
+    };
 
+    /** Plain paths only; family members have ids but no entries. */
     sim::StableVector<Entry> entries;
-    /** Open-addressing path -> id index (linear probing, kNoId = free). */
+    /** Open-addressing path -> entry index (linear probing, kNoId = free). */
     std::vector<Id> index;
+    std::vector<Family> families;  ///< in registration (id) order
+    std::uint32_t familyIds = 0;   ///< ids taken by families
     std::vector<std::unique_ptr<char[]>> arena;
     char *arenaTop = nullptr;
     std::size_t arenaLeft = 0;
@@ -277,24 +334,56 @@ class MetricsRegistry
     TraceWriter *samplerTrace = nullptr;
     std::uint64_t samplerTicks = 0;
 
+    std::string_view entryPath(std::uint32_t e) const
+    {
+        return {entries[e].path, entries[e].len};
+    }
     /** Index position holding @p path, or the free one it would take. */
     std::size_t indexPos(std::string_view path) const;
-    /** The id of @p path if it is a @p kind, else kNoId. */
-    Id find(std::string_view path, Kind kind) const;
+    Loc locate(Id id) const;
+    /** Where @p path is registered (at == kNoId when nowhere). */
+    Loc lookup(std::string_view path) const;
+    /** The plain entry of @p path if it is a @p kind, else null. */
+    const Entry *find(std::string_view path, Kind kind) const;
     /**
-     * The id at @p path; when new (second = true), it is registered as
-     * @p kind at @p slot of that kind's array. Panics on an empty path
-     * or one registered as another kind.
+     * The entry index at @p path; when new (second = true), it is
+     * registered as @p kind at @p slot of that kind's array. Panics on
+     * an empty path, one registered as another kind, or one inside a
+     * family's namespace.
      */
-    std::pair<Id, bool> intern(const std::string &path, Kind kind,
-                               std::size_t slot);
-    /** The probe slot of @p path (panics when it is no probe). */
-    std::uint32_t probeSlot(const std::string &path) const;
+    std::pair<std::uint32_t, bool> intern(const std::string &path, Kind kind,
+                                          std::size_t slot);
+    /** Where the probe @p path lives (panics when it is no probe). */
+    Loc probeAt(const std::string &path) const;
+    double probeValue(Loc loc) const;
+    double probeAverage(Loc loc) const;
     /** The kind-array slot of @p id, which must be of @p kind. */
     std::uint32_t slotOf(Id id, Kind kind) const;
+    /**
+     * Scratch text for family paths. Consecutive paths of one member
+     * (as in path order) reuse its "<stem>.<name>." prefix.
+     */
+    struct PathBuf {
+        std::string text;
+        const Family *fam = nullptr;
+        std::uint32_t member = 0;
+        std::size_t prefix = 0;
+    };
+    /** @p loc 's path: a view of the arena, or of @p buf for a family. */
+    std::string_view pathAt(Loc loc, PathBuf &buf) const;
+    std::string_view pathInto(Id id, PathBuf &buf) const
+    {
+        return pathAt(locate(id), buf);
+    }
+    /** The member of @p f named @p name, or kNoId. */
+    std::uint32_t memberNamed(const Family &f, std::string_view name) const;
+    /** Build every family's rank table pathLess() reads. */
+    void rankFamilies() const;
+    /** Path order without building strings (families must be ranked). */
+    bool pathLess(Id a, Id b) const;
     const std::vector<Id> &sortedIds() const;
-    /** @p id 's snapshot value (the JSON after its path key). */
-    void writeValue(std::ostream &os, Id id) const;
+    /** @p loc 's snapshot value (the JSON after its path key). */
+    void writeValue(std::ostream &os, Loc loc) const;
 };
 
 /**

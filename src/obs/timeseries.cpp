@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
 #include <sstream>
 
 #include "obs/json_util.hpp"
@@ -169,14 +168,13 @@ TimeSeriesHub::discover()
         const MetricsRegistry *reg = regs[ri];
         // Only the ids registered since the last window are new; they
         // are announced in path order, as a sorted rescan would.
-        std::vector<Id> fresh(reg->size() - regSeen[ri]);
-        std::iota(fresh.begin(), fresh.end(), static_cast<Id>(regSeen[ri]));
+        if (regSeen[ri] == reg->size())
+            continue;
+        const std::vector<Id> fresh =
+            reg->idsInPathOrder(static_cast<Id>(regSeen[ri]));
         regSeen[ri] = reg->size();
-        std::sort(fresh.begin(), fresh.end(), [reg](Id a, Id b) {
-            return reg->pathOf(a) < reg->pathOf(b);
-        });
         for (const Id id : fresh) {
-            const std::string path(reg->pathOf(id));
+            const std::string path = reg->pathOf(id);
             if (series.count(path) || !includes(path))
                 continue;
             if (aggregates.count(path))

@@ -172,6 +172,7 @@ void
 ElasticRouter::setCreditReturnFn(int port, std::function<void(int)> fn)
 {
     inputs.at(port).creditReturn = std::move(fn);
+    inputs[port].creditWaiting = true;
 }
 
 void
@@ -280,7 +281,7 @@ ElasticRouter::releaseCredit(int port, int vc)
         // above the reservation before this dequeue completed).
         --in.sharedUsed;
     }
-    if (in.creditReturn)
+    if (in.creditWaiting && in.creditReturn)
         in.creditReturn(vc);
 }
 
@@ -440,6 +441,7 @@ ErEndpoint::ErEndpoint(sim::EventQueue &eq, ElasticRouter &router, int p,
         if (!pending[vc].empty())
             pump(vc);
     });
+    er.setCreditWaiting(port, false);
 }
 
 std::size_t
@@ -500,6 +502,10 @@ ErEndpoint::pump(int vc)
     }
     if (!q.empty())
         er.noteCreditStall(port);
+    // Credits call back only while some VC has flits queued.
+    er.setCreditWaiting(port,
+                        std::any_of(pending.begin(), pending.end(),
+                                    [](const auto &p) { return !p.empty(); }));
 }
 
 void

@@ -127,9 +127,21 @@ class ElasticRouter
 
     /**
      * Register a callback fired whenever a credit frees at @p port
-     * (endpoint uses it to resume a stalled injection queue).
+     * while the port is waiting (endpoint uses it to resume a stalled
+     * injection queue).
      */
     void setCreditReturnFn(int port, std::function<void(int vc)> fn);
+
+    /**
+     * Whether the injector at @p port has flits queued for credits; the
+     * credit-return callback fires only while it has. setCreditReturnFn
+     * makes a port wait, so an injector that never clears this hears
+     * every credit.
+     */
+    void setCreditWaiting(int port, bool waiting)
+    {
+        inputs[port].creditWaiting = waiting;
+    }
 
     const ErConfig &config() const { return cfg; }
 
@@ -179,6 +191,7 @@ class ElasticRouter
         /** Cycle this input last sent a flit (one flit per cycle). */
         sim::TimePs grantedAt = -1;
         std::function<void(int)> creditReturn;
+        bool creditWaiting = false;
     };
     struct OutputPort {
         FlitSink *sink = nullptr;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Measurement primitives: exact sample sets with percentile queries,
- * memory-bounded log-binned histograms, counters, and time-weighted
- * averages. These back every figure reproduction in the benches.
+ * memory-bounded log-binned histograms, running summaries, counters, and
+ * time-weighted averages. These back every figure reproduction in the benches.
  */
 #pragma once
 
@@ -164,6 +164,38 @@ class LogHistogram
 
     std::size_t binIndex(double x) const;
     double binLowerEdge(std::size_t idx) const;
+};
+
+/**
+ * Count, sum, min and max of a sample stream, in constant memory: the
+ * summary SampleStats keeps beside its samples, without the samples.
+ */
+class RunningStats
+{
+  public:
+    void add(double x)
+    {
+        ++n;
+        total += x;
+        minVal = std::min(minVal, x);
+        maxVal = std::max(maxVal, x);
+    }
+
+    std::size_t count() const { return n; }
+    bool empty() const { return n == 0; }
+    double sum() const { return total; }
+    /** Arithmetic mean (0 if empty). */
+    double mean() const { return n == 0 ? 0.0 : total / double(n); }
+    /** Minimum sample (+inf if empty). */
+    double min() const { return minVal; }
+    /** Maximum sample (-inf if empty). */
+    double max() const { return maxVal; }
+
+  private:
+    std::size_t n = 0;
+    double total = 0.0;
+    double minVal = std::numeric_limits<double>::infinity();
+    double maxVal = -std::numeric_limits<double>::infinity();
 };
 
 /** A simple monotonically increasing counter. */

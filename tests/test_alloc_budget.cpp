@@ -401,20 +401,9 @@ TEST(AllocBudget, WarmRemoteDnnRequestAllocatesNothing)
         eq.runUntil(start + (kBursts + 50) * kGap);
         return heapCalls - before;
     };
-    // Warm-up: queues, pools and wheel cells grow. Each LTL engine also
-    // keeps every RTT sample; warm until both sample buffers have room
-    // for another wave, so that buffer does not grow inside it.
-    auto rttRoom = [&](int host) {
-        const auto &rtt = cloud.shell(host).ltlEngine()->rttUs().raw();
-        return rtt.capacity() - rtt.size();
-    };
+    // Warm-up: queues, pools and wheel cells grow.
     wave();
-    const std::size_t perWave =
-        std::max(cloud.shell(0).ltlEngine()->rttUs().count(),
-                 cloud.shell(1).ltlEngine()->rttUs().count());
-    do {
-        wave();
-    } while (rttRoom(0) < perWave || rttRoom(1) < perWave);
+    wave();
     const std::size_t answeredBefore = answered;
     const std::size_t calls = wave();
     EXPECT_EQ(calls, 0u) << "operator new calls for " << 2 * kBursts

@@ -70,6 +70,8 @@ TEST(Determinism, LtlRttTraceIsBitIdentical)
         cloud.shell(5).addRole(&sink);
         auto ch = cloud.openLtl(0, 5, sink.port);
         auto *engine = cloud.shell(0).ltlEngine();
+        std::vector<double> rtt;  // every sample, full precision
+        engine->setRttObserver([&rtt](double us) { rtt.push_back(us); });
         for (int i = 0; i < 40; ++i) {
             eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                              [engine, conn = ch.sendConn()] {
@@ -77,7 +79,7 @@ TEST(Determinism, LtlRttTraceIsBitIdentical)
                              });
         }
         eq.runFor(sim::fromMillis(2));
-        return engine->rttUs().raw();  // every sample, full precision
+        return rtt;
     };
     const auto a = run();
     const auto b = run();
@@ -121,6 +123,8 @@ runLtlWorkload(bool observed, bool traced)
     cloud.shell(5).addRole(&sink);
     auto ch = cloud.openLtl(0, 5, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();
+    ObservedRun out;
+    engine->setRttObserver([&out](double us) { out.rtt.push_back(us); });
     if (observed)
         hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
     for (int i = 0; i < 40; ++i) {
@@ -131,8 +135,6 @@ runLtlWorkload(bool observed, bool traced)
     }
     sq.runFor(sim::fromMillis(2));
 
-    ObservedRun out;
-    out.rtt = engine->rttUs().raw();
     if (observed) {
         out.snapshot = hub.registry.snapshotJson();
         out.trace = hub.trace.json();

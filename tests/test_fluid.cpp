@@ -382,6 +382,8 @@ probeRtts(Background bg)
     EXPECT_GE(cloud.shell(dst).addRole(&sink), 0);
     auto probe = cloud.openLtl(src, dst, sink.port);
     auto *engine = cloud.shell(src).ltlEngine();
+    std::vector<double> rtt;
+    engine->setRttObserver([&rtt](double us) { rtt.push_back(us); });
     for (int i = 0; i < 100; ++i) {
         eq.scheduleAfter(i * 20 * sim::kMicrosecond,
                          [engine, conn = probe.sendConn()] {
@@ -389,7 +391,7 @@ probeRtts(Background bg)
                          });
     }
     eq.runFor(sim::fromMillis(4));
-    return engine->rttUs().raw();
+    return rtt;
 }
 
 TEST(Fluid, PodScaleTailsMatchAllPacketWithinTolerance)

@@ -104,6 +104,8 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
         EXPECT_GE(cloud.shell(dst).addRole(&sink), 0);
         auto ch = cloud.openLtl(src, dst, sink.port);
         auto *engine = cloud.shell(src).ltlEngine();
+        std::vector<double> rtt;
+        engine->setRttObserver([&rtt](double us) { rtt.push_back(us); });
         hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
         for (int i = 0; i < 40; ++i)
             eq.scheduleAfter(i * 10 * sim::kMicrosecond,
@@ -112,7 +114,7 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
                              });
         sq.runFor(sim::fromMillis(2));
         return std::pair<std::vector<double>, std::string>(
-            engine->rttUs().raw(), hub.registry.snapshotJson());
+            std::move(rtt), hub.registry.snapshotJson());
     };
     const auto eager = run(false);
     const auto lazyRun = run(true);
