@@ -136,17 +136,24 @@ BENCHMARK(BM_EventQueueSparseTimers);
 
 /**
  * The sharded kernel's per-window cost when almost nothing happens: 261
- * partitions (the L2 campaign's 260 pods + spine), of which partitions 0
- * and 1 bounce @p balls messages over a registered edge, so every window
- * holds one or two events and the rest is barrier overhead. One ball
- * leaves one busy partition per window (run inline); two keep both busy
- * (a worker handoff per window).
+ * partitions (the L2 campaign's 260 pods + spine) on 2 threads, with
+ * `pairs` partition pairs spread over them, each bouncing balls over a
+ * registered edge. A ball's visit runs `burst` local events 10 ps apart
+ * and then sends it on, so every window holds a few events on a few
+ * partitions and the rest is barrier overhead. One ball leaves one busy
+ * partition per window; two on one pair keep both busy with two events;
+ * one on each of six pairs, four events a visit, is the Figure 7 chaos
+ * drill's window shape (6.5 busy partitions and ~27 events a window).
+ * The kernel runs all three inline; sixteen events a visit is enough
+ * work for a claimed handoff per window.
  */
 struct SparseBarrierRig {
     static constexpr int kPartitions = 261;
     static constexpr sim::TimePs kLatency = 1500;  // the L1<->L2 trunk
+    static constexpr int kPairStride = 42;  // even, so p ^ 1 is p's partner
 
     sim::ShardedEventQueue sq;
+    int burst;
 
     static sim::ShardedEventQueue::Config config()
     {
@@ -156,19 +163,29 @@ struct SparseBarrierRig {
         return qc;
     }
 
-    explicit SparseBarrierRig(int balls) : sq(config())
+    SparseBarrierRig(int pairs, int ballsPerPair, int eventsPerVisit)
+        : sq(config()), burst(eventsPerVisit)
     {
-        sq.registerCrossEdge(0, 1, kLatency);
-        sq.registerCrossEdge(1, 0, kLatency);
-        for (int b = 0; b < balls; ++b)
-            sq.partition(b).schedule(1, [this, b] { bounce(b); });
+        for (int i = 0; i < pairs; ++i) {
+            const int a = i * kPairStride;
+            sq.registerCrossEdge(a, a + 1, kLatency);
+            sq.registerCrossEdge(a + 1, a, kLatency);
+            for (int b = 0; b < ballsPerPair; ++b)
+                sq.partition(a + b).schedule(
+                    1, [this, p = a + b] { visit(p, burst); });
+        }
     }
 
-    void bounce(int p)
+    void visit(int p, int left)
     {
-        const int to = 1 - p;
+        if (left > 1) {
+            sq.partition(p).scheduleAfter(
+                10, [this, p, left] { visit(p, left - 1); });
+            return;
+        }
+        const int to = p ^ 1;
         sq.postCross(p, to, sq.partition(p).now() + kLatency,
-                     [this, to] { bounce(to); });
+                     [this, to] { visit(to, burst); });
     }
 
     /** Run @p windows barrier windows; returns the windows actually run. */
@@ -180,10 +197,18 @@ struct SparseBarrierRig {
     }
 };
 
+/**
+ * The chaos drill's window shape: six busy pairs, four events a visit
+ * (~24 events a window, which the kernel runs inline). Sixteen events a
+ * visit (~96 a window) is enough work for it to hand partitions off.
+ */
+constexpr int kDrillPairs = 6;
+constexpr int kDrillBurst = 4;
+constexpr int kClaimedBurst = 16;
+
 void
-BM_ShardedSparseBarrier(benchmark::State &state)
+sparseBarrierLoop(benchmark::State &state, SparseBarrierRig &rig)
 {
-    SparseBarrierRig rig(static_cast<int>(state.range(0)));
     std::uint64_t windows = 0;
     for (auto _ : state)
         windows += rig.run(100);
@@ -193,7 +218,29 @@ BM_ShardedSparseBarrier(benchmark::State &state)
         static_cast<double>(windows),
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
+
+void
+BM_ShardedSparseBarrier(benchmark::State &state)
+{
+    SparseBarrierRig rig(1, static_cast<int>(state.range(0)), 1);
+    sparseBarrierLoop(state, rig);
+}
 BENCHMARK(BM_ShardedSparseBarrier)->Arg(1)->Arg(2);
+
+/**
+ * Wall time, not CPU time: a handoff window's cost is mostly the
+ * coordinator waiting for the partitions other threads run.
+ */
+void
+BM_ShardedDrillBarrier(benchmark::State &state)
+{
+    SparseBarrierRig rig(kDrillPairs, 1, static_cast<int>(state.range(0)));
+    sparseBarrierLoop(state, rig);
+}
+BENCHMARK(BM_ShardedDrillBarrier)
+    ->Arg(kDrillBurst)
+    ->Arg(kClaimedBurst)
+    ->UseRealTime();
 
 void
 BM_PacketPoolMakePacket(benchmark::State &state)
@@ -516,16 +563,25 @@ measureKernelTrajectory()
             static_cast<double>(eq.eventsExecuted() + eq.eventsCancelled());
         v["kernel.bimodal_cancel.events_per_sec"] = ops / secs;
     }
-    for (const int balls : {1, 2}) {
-        // Mirrors BM_ShardedSparseBarrier: host time per barrier window.
-        SparseBarrierRig rig(balls);
+    struct SparseCase {
+        const char *key;
+        int pairs, ballsPerPair, burst;
+    };
+    for (const SparseCase &c :
+         {SparseCase{"kernel.sparse_barrier.ns_per_window", 1, 1, 1},
+          SparseCase{"kernel.sparse_barrier.handoff_ns_per_window", 1, 2, 1},
+          SparseCase{"kernel.sparse_barrier.drill_ns_per_window",
+                     kDrillPairs, 1, kDrillBurst},
+          SparseCase{"kernel.sparse_barrier.claimed_ns_per_window",
+                     kDrillPairs, 1, kClaimedBurst}}) {
+        // Mirrors BM_ShardedSparseBarrier and BM_ShardedDrillBarrier:
+        // wall time per barrier window.
+        SparseBarrierRig rig(c.pairs, c.ballsPerPair, c.burst);
         const auto t0 = Clock::now();
         const std::uint64_t windows = rig.run(20000);
         const double secs =
             std::chrono::duration<double>(Clock::now() - t0).count();
-        v[balls == 1 ? "kernel.sparse_barrier.ns_per_window"
-                     : "kernel.sparse_barrier.handoff_ns_per_window"] =
-            1e9 * secs / static_cast<double>(windows);
+        v[c.key] = 1e9 * secs / static_cast<double>(windows);
     }
     {
         // Mirrors BM_ErShellCrossbar: host time per flit through the ER.

@@ -10,14 +10,53 @@ namespace {
 
 /**
  * Spin iterations a waiting worker or coordinator polls the handoff
- * atomics before it blocks on a condition variable: about 12 us at the
- * ~25 ns a `pause` takes on current x86 server cores. The next phase
- * usually starts within a few microseconds; a longer gap (a run of
- * inline windows, the end of a run) falls back to the condition
- * variables. Longer spins measured no faster on an idle host and
- * markedly slower when other processes compete for the cores.
+ * atomics before it sleeps (worker) or yields (coordinator): about 12 us
+ * at the ~25 ns a `pause` takes on current x86 server cores. The next
+ * phase usually starts within a few microseconds; a longer gap (a run of
+ * inline windows, the end of a run) puts the workers to sleep. Longer
+ * spins measured no faster on an idle host and markedly slower when
+ * other processes compete for the cores.
  */
 constexpr int kSpinIters = 512;
+
+/**
+ * Events a window must run for a handoff to pay: below this the
+ * cache-line traffic of handing partitions to another core (their
+ * queues, outboxes and model state, a few microseconds a window) costs
+ * more than the overlap saves, and the coordinator runs the window
+ * alone without even listing its busy partitions. The last window's
+ * count is the estimate. The Figure 7 chaos drill (~27 events over 6.5
+ * busy partitions a window) ran ~25% faster inline than claimed on 2
+ * threads.
+ */
+constexpr std::uint64_t kMinHandoffEvents = 64;
+
+// Claim word layout (see ShardedEventQueue::claimWord).
+constexpr int kPhaseShift = 32;
+constexpr int kCountShift = 16;
+constexpr std::uint64_t kFieldMask = 0xffff;
+
+constexpr std::uint64_t
+packClaim(std::uint32_t phase, std::size_t count)
+{
+    return std::uint64_t{phase} << kPhaseShift |
+           static_cast<std::uint64_t>(count) << kCountShift;
+}
+constexpr std::uint32_t
+claimPhase(std::uint64_t w)
+{
+    return static_cast<std::uint32_t>(w >> kPhaseShift);
+}
+constexpr std::size_t
+claimCount(std::uint64_t w)
+{
+    return static_cast<std::size_t>(w >> kCountShift & kFieldMask);
+}
+constexpr std::size_t
+claimNext(std::uint64_t w)
+{
+    return static_cast<std::size_t>(w & kFieldMask);
+}
 
 inline void
 cpuRelax()
@@ -43,6 +82,9 @@ ShardedEventQueue::ShardedEventQueue(Config cfg) : config(cfg)
     if (cfg.window < 0)
         panicf("ShardedEventQueue: window must be >= 0, got ", cfg.window);
     nThreads = std::min(cfg.threads, cfg.partitions);
+    if (nThreads > 1 && static_cast<std::uint64_t>(cfg.partitions) > kFieldMask)
+        panicf("ShardedEventQueue: at most ", kFieldMask,
+               " partitions on worker threads, got ", cfg.partitions);
     parts.reserve(static_cast<std::size_t>(cfg.partitions));
     for (int p = 0; p < cfg.partitions; ++p) {
         auto part = std::make_unique<Partition>();
@@ -59,11 +101,12 @@ ShardedEventQueue::~ShardedEventQueue()
 {
     if (!workers.empty()) {
         {
+            // Under `mu`, so a worker between its predicate check and its
+            // wait cannot miss it.
             std::lock_guard<std::mutex> lk(mu);
             shutdown.store(true, std::memory_order_relaxed);
-            phaseEpoch.fetch_add(1, std::memory_order_release);
         }
-        cvStart.notify_all();
+        cvWake.notify_all();
         for (std::thread &t : workers)
             t.join();
     }
@@ -185,52 +228,57 @@ ShardedEventQueue::start()
         const unsigned cores = std::thread::hardware_concurrency();
         spinLimit = cores >= static_cast<unsigned>(nThreads) ? kSpinIters : 0;
         for (int w = 1; w < nThreads; ++w)
-            workers.emplace_back(&ShardedEventQueue::workerLoop, this, w);
+            workers.emplace_back(&ShardedEventQueue::workerLoop, this);
     }
 }
 
 void
-ShardedEventQueue::runPartitionShare(int workerIdx)
+ShardedEventQueue::runClaims()
 {
-    // Phase state is stable while the phase runs: the coordinator wrote
-    // it before publishing the epoch and does not touch it again until
-    // every worker has checked in.
-    for (std::size_t i = static_cast<std::size_t>(workerIdx);
-         i < busyParts.size(); i += static_cast<std::size_t>(nThreads)) {
-        EventQueue &eq = parts[static_cast<std::size_t>(busyParts[i])]->eq;
+    std::uint64_t w = claimWord.load(std::memory_order_acquire);
+    while (claimNext(w) < claimCount(w)) {
+        // Acquire on success: the phase data below was written before
+        // the coordinator published the claimed phase's word.
+        if (!claimWord.compare_exchange_weak(w, w + 1,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire))
+            continue;
+        EventQueue &eq = parts[static_cast<std::size_t>(
+                                   busyParts[claimNext(w)])]
+                             ->eq;
         if (phaseDrain)
             eq.runAll();
         else
             eq.runUntil(phaseEnd);
+        claimsDone.fetch_add(1, std::memory_order_release);
+        w = claimWord.load(std::memory_order_acquire);
     }
 }
 
 void
-ShardedEventQueue::workerLoop(int workerIdx)
+ShardedEventQueue::workerLoop()
 {
-    std::uint64_t seenEpoch = 0;
-    const auto published = [&] {
-        return phaseEpoch.load(std::memory_order_acquire) != seenEpoch;
+    std::uint32_t seen = 0;
+    // seq_cst, like the coordinator's publish and its sleepers check:
+    // either this load sees the new phase or the coordinator sees this
+    // worker registered as a sleeper.
+    const auto woken = [&] {
+        return shutdown.load(std::memory_order_relaxed) ||
+               claimPhase(claimWord.load(std::memory_order_seq_cst)) != seen;
     };
     while (true) {
-        for (int i = 0; i < spinLimit && !published(); ++i)
+        for (int i = 0; i < spinLimit && !woken(); ++i)
             cpuRelax();
-        if (!published()) {
+        if (!woken()) {
             std::unique_lock<std::mutex> lk(mu);
-            cvStart.wait(lk, published);
+            sleepers.fetch_add(1, std::memory_order_seq_cst);
+            cvWake.wait(lk, woken);
+            sleepers.fetch_sub(1, std::memory_order_relaxed);
         }
-        // The coordinator publishes the next phase only after every
-        // worker has finished this one, so the epoch moved exactly once.
-        ++seenEpoch;
         if (shutdown.load(std::memory_order_relaxed))
             return;
-        runPartitionShare(workerIdx);
-        if (phasePending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            // Last one in. Taking `mu` orders this wake-up after the
-            // coordinator's predicate check, so it cannot be lost.
-            std::lock_guard<std::mutex> lk(mu);
-            cvDone.notify_one();
-        }
+        seen = claimPhase(claimWord.load(std::memory_order_relaxed));
+        runClaims();
     }
 }
 
@@ -241,48 +289,68 @@ ShardedEventQueue::runWindow(TimePs e, bool drain)
         return t != kTimeNever && (drain || t <= e);
     };
     busyParts.clear();
-    if (nThreads > 1)
+    if (nThreads > 1 && lastWindowEvents >= kMinHandoffEvents)
         for (std::size_t p = 0; p < nextTimes.size(); ++p)
             if (due(nextTimes[p]))
                 busyParts.push_back(static_cast<int>(p));
     if (busyParts.size() <= 1) {
-        // Nothing to overlap: a handoff would cost more than the window.
-        // Idle partitions only advance now() (O(1)).
+        // Nothing to overlap, or too little: a handoff would cost more
+        // than the window. Idle partitions only advance now() (O(1)).
+        std::uint64_t executed = 0;
         for (auto &p : parts) {
             if (drain)
                 p->eq.runAll();
             else
                 p->eq.runUntil(e);
+            executed += p->eq.eventsExecuted();
         }
+        lastWindowEvents = executed - executedTotal;
+        executedTotal = executed;
         return;
     }
+    const std::uint64_t before = busyEvents();
+    // Phase data first, then the claim word that publishes it. Every
+    // claim of the previous phase has finished, so nothing reads these.
     phaseEnd = e;
     phaseDrain = drain;
-    phasePending.store(nThreads - 1, std::memory_order_relaxed);
-    {
-        // Under `mu`, so a worker between its predicate check and its
-        // wait cannot miss the new epoch.
-        std::lock_guard<std::mutex> lk(mu);
-        phaseEpoch.fetch_add(1, std::memory_order_release);
+    claimsDone.store(0, std::memory_order_relaxed);
+    const std::uint32_t count = static_cast<std::uint32_t>(busyParts.size());
+    claimWord.store(packClaim(++phaseId, count), std::memory_order_seq_cst);
+    if (sleepers.load(std::memory_order_seq_cst) > 0) {
+        // Taking `mu` orders this wake-up after a sleeper's predicate
+        // check, so it cannot be lost.
+        { std::lock_guard<std::mutex> lk(mu); }
+        cvWake.notify_all();
     }
-    cvStart.notify_all();
-    runPartitionShare(0);
+    runClaims();
     // Idle partitions only advance now(). Doing that here rather than on
-    // their workers keeps their cache lines on this core, where the next
+    // the workers keeps their cache lines on this core, where the next
     // t0 scan reads them.
     if (!drain)
         for (std::size_t p = 0; p < nextTimes.size(); ++p)
             if (!due(nextTimes[p]))
                 parts[p]->eq.runUntil(e);
-    const auto done = [this] {
-        return phasePending.load(std::memory_order_acquire) == 0;
+    // Wait only for partitions a worker claimed and is still running,
+    // yielding after the spin so a descheduled worker can get the core.
+    const auto done = [&] {
+        return claimsDone.load(std::memory_order_acquire) == count;
     };
     for (int i = 0; i < spinLimit && !done(); ++i)
         cpuRelax();
-    if (!done()) {
-        std::unique_lock<std::mutex> lk(mu);
-        cvDone.wait(lk, done);
-    }
+    while (!done())
+        std::this_thread::yield();
+    // Idle partitions ran no events.
+    lastWindowEvents = busyEvents() - before;
+    executedTotal += lastWindowEvents;
+}
+
+std::uint64_t
+ShardedEventQueue::busyEvents() const
+{
+    std::uint64_t n = 0;
+    for (const int p : busyParts)
+        n += parts[static_cast<std::size_t>(p)]->eq.eventsExecuted();
+    return n;
 }
 
 TimePs
@@ -309,35 +377,29 @@ ShardedEventQueue::windowEndFor(TimePs t0) const
 void
 ShardedEventQueue::flushOutboxes()
 {
-    std::vector<std::pair<int, int>> routes;  // touched (dst, src) outboxes
+    flushRoutes.clear();
     for (int src = 0; src < partitionCount(); ++src) {
         std::vector<int> &dirty = parts[static_cast<std::size_t>(src)]->dirty;
         for (const int dst : dirty)
-            routes.emplace_back(dst, src);
+            flushRoutes.emplace_back(dst, src);
         dirty.clear();
     }
-    std::sort(routes.begin(), routes.end());
-    struct Item {
-        TimePs when;
-        int src;
-        std::uint64_t seq;
-        EventFn *fn;
-    };
-    std::vector<Item> items;
-    for (std::size_t first = 0; first < routes.size();) {
-        const int dst = routes[first].first;
+    std::sort(flushRoutes.begin(), flushRoutes.end());
+    for (std::size_t first = 0; first < flushRoutes.size();) {
+        const int dst = flushRoutes[first].first;
         std::size_t last = first;
-        items.clear();
-        for (; last < routes.size() && routes[last].first == dst; ++last) {
-            const int src = routes[last].second;
+        flushItems.clear();
+        for (; last < flushRoutes.size() && flushRoutes[last].first == dst;
+             ++last) {
+            const int src = flushRoutes[last].second;
             for (CrossMsg &m : parts[static_cast<std::size_t>(src)]
                                    ->outbox[static_cast<std::size_t>(dst)])
-                items.push_back(Item{m.when, src, m.seq, &m.fn});
+                flushItems.push_back(FlushItem{m.when, src, m.seq, &m.fn});
         }
         // (when, src partition, per-src post order): a total order that
         // does not depend on thread count or barrier wall-clock timing.
-        std::sort(items.begin(), items.end(),
-                  [](const Item &a, const Item &b) {
+        std::sort(flushItems.begin(), flushItems.end(),
+                  [](const FlushItem &a, const FlushItem &b) {
                       if (a.when != b.when)
                           return a.when < b.when;
                       if (a.src != b.src)
@@ -345,7 +407,7 @@ ShardedEventQueue::flushOutboxes()
                       return a.seq < b.seq;
                   });
         EventQueue &deq = parts[static_cast<std::size_t>(dst)]->eq;
-        for (Item &it : items) {
+        for (FlushItem &it : flushItems) {
             if (it.when <= floorTime)
                 panicf("ShardedEventQueue: causality violation at barrier: "
                        "cross event from partition ",
@@ -356,7 +418,7 @@ ShardedEventQueue::flushOutboxes()
             ++crossMessageCount;
         }
         for (; first < last; ++first)
-            parts[static_cast<std::size_t>(routes[first].second)]
+            parts[static_cast<std::size_t>(flushRoutes[first].second)]
                 ->outbox[static_cast<std::size_t>(dst)]
                 .clear();
     }

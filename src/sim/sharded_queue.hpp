@@ -54,12 +54,22 @@
  * whose outbox it made non-empty, so the flush visits only those (src,
  * dst) pairs; the queues cache an exact next-event time, so the t0 scan
  * and an idle partition's runUntil(E) are O(1); a window in which at
- * most one partition has an event <= E runs inline on the coordinator.
- * Otherwise the partitions with work are dealt round-robin to the T
- * threads while the coordinator advances the idle ones itself (keeping
- * their cache lines on its core), and the handoff spins briefly on an
- * atomic epoch before falling back to condition variables. None of this
- * changes the sequence of windows (t0, E).
+ * most one partition has an event <= E runs inline on the coordinator,
+ * and so does any window after one that ran fewer events than a handoff
+ * costs (a few microseconds of cache-line traffic; the Figure 7 chaos
+ * drill's ~27-event windows are that small).
+ * Otherwise the window's busy partitions are claimed, not dealt: the
+ * coordinator publishes one atomic claim word (phase id, busy count,
+ * next index), and it and every awake worker take partitions by
+ * compare-and-swap until none is left. A worker that is asleep or
+ * descheduled claims nothing, and the coordinator never waits for it:
+ * after advancing the idle partitions itself (keeping their cache lines
+ * on its core), it waits only for claimed partitions still running,
+ * spinning briefly and then yielding its core. Workers spin briefly for
+ * the next phase before sleeping on a condition variable, and are
+ * notified only when one sleeps. A partition still runs its whole window
+ * on one thread, so none of this changes the sequence of windows
+ * (t0, E) or anything a partition computes.
  *
  * ## Barrier hooks
  *
@@ -69,9 +79,9 @@
  * "next deadline" bounds future windows so the hook fires exactly at
  * its requested times. Metrics flush is lock-free in the sense that the
  * parallel phase takes no locks: each partition mutates only its own
- * registry shard, and the barrier (an acquire/release handshake on an
- * atomic epoch and pending count) publishes those writes to the
- * coordinator before hooks read them.
+ * registry shard, and the barrier (every claimer counts its finished
+ * partitions with a release increment that the coordinator acquires)
+ * publishes those writes to the coordinator before hooks read them.
  */
 #pragma once
 
@@ -83,6 +93,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -268,32 +279,68 @@ class ShardedEventQueue
     // --- coordinator scratch, reused across barriers ---
     std::vector<TimePs> nextTimes;  ///< per partition, from the t0 scan
     /**
-     * Partitions with an event in the running window, dealt round-robin
-     * to workers: busyParts[i] runs on worker i mod T.
+     * Partitions with an event in the running window, in ascending
+     * order; a threaded window hands them out by claim index.
      */
     std::vector<int> busyParts;
+    /** One cross message of a flush, in merge-key form. */
+    struct FlushItem {
+        TimePs when;
+        int src;
+        std::uint64_t seq;
+        EventFn *fn;
+    };
+    /**
+     * Events the last window executed, which decides whether the next
+     * one may be handed off (it starts high, so the first one may), and
+     * the partitions' executed-event total at that window's end.
+     */
+    std::uint64_t lastWindowEvents = UINT64_MAX;
+    std::uint64_t executedTotal = 0;
+    std::vector<std::pair<int, int>> flushRoutes;  ///< touched (dst, src)
+    std::vector<FlushItem> flushItems;  ///< one destination's messages
 
     // --- worker pool (empty when nThreads == 1) ---
-    // A phase is published by bumping phaseEpoch (release) under `mu`;
-    // workers and the coordinator spin briefly on the atomics before
-    // blocking on the condition variables.
-    std::vector<std::thread> workers;
-    std::mutex mu;
-    std::condition_variable cvStart;
-    std::condition_variable cvDone;
-    std::atomic<std::uint64_t> phaseEpoch{0};
-    std::atomic<int> phasePending{0};
+    /**
+     * The running phase's claim word: phase id in bits 32-63, busy
+     * partition count in bits 16-31 and the next unclaimed index into
+     * busyParts in bits 0-15. The coordinator publishes a phase by
+     * storing it (after writing busyParts, phaseEnd and phaseDrain); a
+     * thread claims busyParts[next] by advancing `next` with a
+     * compare-and-swap of the whole word, and reads the phase data only
+     * after its claim succeeds. A new phase id is what a waiting worker
+     * waits for.
+     */
+    alignas(64) std::atomic<std::uint64_t> claimWord{0};
+    /** Claimed partitions of the running phase that finished it. */
+    alignas(64) std::atomic<std::uint32_t> claimsDone{0};
+    std::uint32_t phaseId = 0;  ///< coordinator's last published phase
     TimePs phaseEnd = 0;
     bool phaseDrain = false;  ///< runAll() phase: drain instead of runUntil
-    std::atomic<bool> shutdown{false};
     int spinLimit = 0;  ///< handoff spin iterations before blocking
+    /**
+     * Sleep/wake handshake: a worker that has spun out registers in
+     * `sleepers` under `mu` and waits on `cvWake` for a new phase id or
+     * shutdown; the coordinator notifies only when `sleepers` is
+     * non-zero.
+     */
+    std::mutex mu;
+    std::condition_variable cvWake;
+    std::atomic<int> sleepers{0};
+    std::atomic<bool> shutdown{false};
+    std::vector<std::thread> workers;
 
     void start();
-    void workerLoop(int workerIdx);
-    void runPartitionShare(int workerIdx);
+    void workerLoop();
+    /** Events executed so far by the partitions in busyParts. */
+    std::uint64_t busyEvents() const;
+    /** Claim and run busy partitions until none is left unclaimed. */
+    void runClaims();
     /**
      * Run every partition to @p e (or drain if @p drain) and barrier:
-     * inline on the coordinator when at most one partition has work.
+     * inline on the coordinator when at most one partition has work or
+     * the last window ran too few events to hand off, otherwise as a
+     * claimed phase shared with the workers.
      * @pre nextTimes is current (minNextEventTime ran since the last
      * change to any partition).
      */

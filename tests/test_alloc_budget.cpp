@@ -15,6 +15,9 @@
  * a request that crosses PCIe, two Elastic Routers, LTL and the network
  * to a DNN role and back allocates nothing, because its message records
  * come from sim::PoolAllocator and its flits are counts, not objects.
+ * Sharded kernel: once warm, a barrier window whose partitions post
+ * cross messages allocates nothing, because the outboxes and the flush's
+ * merge scratch keep their capacity.
  *
  * This binary replaces the global `operator new` with a byte and call
  * counter, plus a live-byte count kept in a size header in front of
@@ -27,6 +30,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -45,6 +49,7 @@
 #include "serving/outlier.hpp"
 #include "serving/request_policy.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -410,6 +415,58 @@ TEST(AllocBudget, WarmRemoteDnnRequestAllocatesNothing)
                          << " remote DNN requests";
     EXPECT_EQ(answered - answeredBefore, 2u * kBursts);
     EXPECT_EQ(dnn.requestsServed(), answered);
+}
+
+TEST(AllocBudget, WarmShardedWindowsAllocateNothing)
+{
+    // Three partitions on a ring of 1.5 us edges, one worker thread. Each
+    // wave drops a ball on every partition; a ball hops to the next
+    // partition until its hops run out, so every window of the wave
+    // flushes cross messages at its barrier.
+    constexpr int kParts = 3;
+    constexpr sim::TimePs kLatency = 1500;
+    constexpr int kHops = 200;
+    sim::ShardedEventQueue::Config qc;
+    qc.partitions = kParts;
+    sim::ShardedEventQueue sq(qc);
+    for (int p = 0; p < kParts; ++p)
+        sq.registerCrossEdge(p, (p + 1) % kParts, kLatency);
+    std::function<void(int, int)> hop = [&](int p, int hops) {
+        if (hops == 0)
+            return;
+        const int to = (p + 1) % kParts;
+        sq.postCross(p, to, sq.partition(p).now() + kLatency,
+                     [&hop, to, hops] { hop(to, hops - 1); });
+    };
+
+    // Every wave starts at the same phase of the wheels' lowest four
+    // levels, with each wheel anchored there by an event at the start,
+    // so a warm wave reuses the wheel cells the warm-up grew.
+    constexpr sim::TimePs kPhase = sim::TimePs{1} << 36;
+    auto wave = [&] {
+        const sim::TimePs start = (sq.now() / kPhase + 1) * kPhase;
+        for (int p = 0; p < kParts; ++p)
+            sq.partition(p).schedule(start, [] {});
+        sq.runUntil(start);
+        const std::size_t before = heapCalls;
+        for (int p = 0; p < kParts; ++p)
+            sq.partition(p).schedule(start + 1 + p,
+                                     [&hop, p] { hop(p, kHops); });
+        sq.runUntil(start + (kHops + 2) * kLatency);
+        return heapCalls - before;
+    };
+    // Warm-up: outboxes, flush scratch, pools and wheel cells grow.
+    wave();
+    wave();
+    const std::uint64_t crossBefore = sq.crossMessages();
+    const std::uint64_t windowsBefore = sq.windowsRun();
+    const std::size_t calls = wave();
+    EXPECT_EQ(calls, 0u) << "operator new calls for " << kParts * kHops
+                         << " cross messages";
+    EXPECT_EQ(sq.crossMessages() - crossBefore,
+              static_cast<std::uint64_t>(kParts * kHops));
+    EXPECT_GE(sq.windowsRun() - windowsBefore,
+              static_cast<std::uint64_t>(kHops));
 }
 
 }  // namespace
