@@ -69,7 +69,7 @@ runWorkload(Mode mode, double settle_s, double measure_s)
     std::ostringstream jsonl;
     if (mode != Mode::kOff) {
         ts = std::make_unique<obs::TimeSeriesHub>(
-            obs::TimeSeriesConfig{}.withWindow(10 * sim::kMillisecond));
+            obs::TimeSeriesConfig{.window = 10 * sim::kMillisecond});
         ts->watchRegistry(&hub.registry);
         ts->registerSelfProbes(hub.registry);
         ts->exportTo(&jsonl);

@@ -337,9 +337,8 @@ struct L2Fleet {
         cfg.shellTemplate.roleSlots = 8;
         if (!tsPath.empty()) {
             tsHub = std::make_unique<obs::TimeSeriesHub>(
-                obs::TimeSeriesConfig{}
-                    .withWindow(250 * sim::kMicrosecond)
-                    .withInclude(std::move(ts_include)));
+                obs::TimeSeriesConfig{.window = 250 * sim::kMicrosecond,
+                                      .include = std::move(ts_include)});
             tsHub->defineAggregate("fleet.rtt_us", "ltl.*.rtt_us");
             tsHub->defineAggregate("fleet.retransmits",
                                    "ltl.*.retransmits");

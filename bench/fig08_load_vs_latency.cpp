@@ -81,7 +81,7 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
     std::ofstream tsOut;
     if (!tsPath.empty()) {
         ts = std::make_unique<obs::TimeSeriesHub>(
-            obs::TimeSeriesConfig{}.withWindow(50 * sim::kMillisecond));
+            obs::TimeSeriesConfig{.window = 50 * sim::kMillisecond});
         ts->watchRegistry(&hub.registry);
         ts->registerSelfProbes(hub.registry);
         tsOut.open(tsPath, std::ios::app);

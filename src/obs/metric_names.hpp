@@ -69,11 +69,9 @@ inline constexpr MetricPattern kMetricPatterns[] = {
 
     // --- ts.* : live time-series hub health
     //     (TimeSeriesHub::registerSelfProbes) ---
-    {"ts.windows", "gauge", "Base windows rolled by the time-series hub."},
+    {"ts.windows", "gauge", "Windows rolled by the time-series hub."},
     {"ts.series", "gauge",
      "Series tracked (concrete registry metrics plus aggregates)."},
-    {"ts.points", "gauge",
-     "Points retained across all ring buffers and levels."},
     {"ts.exported_lines", "gauge", "JSONL lines written to the CCSIM_TS "
      "stream."},
 

@@ -208,8 +208,7 @@ SloEngine::evaluate(Objective &obj, const std::string &name, SeriesState &st,
                    static_cast<double>(shortN) / spec.errorBudget;
 
     const bool burning = st.burnLong >= spec.burnThreshold &&
-                         st.burnShort >= spec.burnThreshold &&
-                         st.used >= shortN;
+                         st.burnShort >= spec.burnThreshold;
     if (!st.firing && burning) {
         st.firing = true;
         ++firedCount;

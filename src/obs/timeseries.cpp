@@ -1,7 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -16,48 +15,10 @@ namespace ccsim::obs {
 // TimeSeriesHub
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Seconds spanned by @p n base windows of width @p w. */
-double
-spanSeconds(int n, sim::TimePs w)
-{
-    return static_cast<double>(n) * static_cast<double>(w) / 1e12;
-}
-
-}  // namespace
-
-void
-TimeSeriesHub::Ring::push(const TsPoint &p)
-{
-    if (buf.size() < cap) {
-        buf.push_back(p);
-        head = buf.size() % cap;
-        used = buf.size();
-        return;
-    }
-    buf[head] = p;
-    head = (head + 1) % cap;
-    used = cap;
-}
-
 TimeSeriesHub::TimeSeriesHub(TimeSeriesConfig c) : cfg(std::move(c))
 {
     if (cfg.window <= 0)
         sim::fatal("TimeSeriesHub: window must be > 0");
-    if (cfg.levels.empty())
-        sim::fatal("TimeSeriesHub: at least one retention level required");
-    if (cfg.levels.front().stride != 1)
-        sim::fatal("TimeSeriesHub: first level must have stride 1");
-    int prev = 0;
-    for (const auto &lv : cfg.levels) {
-        if (lv.stride <= prev)
-            sim::fatal("TimeSeriesHub: level strides must be strictly "
-                       "increasing");
-        if (lv.capacity < 2)
-            sim::fatal("TimeSeriesHub: level capacity must be >= 2");
-        prev = lv.stride;
-    }
     for (const auto &g : cfg.include) {
         if (g.empty())
             sim::fatal("TimeSeriesHub: empty include pattern");
@@ -85,9 +46,6 @@ TimeSeriesHub::defineAggregate(const std::string &name,
         sim::fatal("TimeSeriesHub::defineAggregate: duplicate aggregate");
     Aggregate agg;
     agg.pattern = pattern;
-    agg.levels.resize(cfg.levels.size());
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i)
-        agg.levels[i].ring.cap = cfg.levels[i].capacity;
     aggregates.emplace(name, std::move(agg));
 }
 
@@ -100,14 +58,7 @@ TimeSeriesHub::exportTo(std::ostream *os)
     std::ostringstream meta;
     meta << "{\"type\":\"meta\",\"window_us\":";
     detail::jsonNumber(meta, static_cast<double>(cfg.window) / 1e6);
-    meta << ",\"levels\":[";
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
-        if (i)
-            meta << ",";
-        meta << "{\"stride\":" << cfg.levels[i].stride
-             << ",\"capacity\":" << cfg.levels[i].capacity << "}";
-    }
-    meta << "]}";
+    meta << "}";
     exportLine(meta.str());
 }
 
@@ -119,9 +70,6 @@ TimeSeriesHub::registerSelfProbes(MetricsRegistry &reg)
     });
     reg.registerProbe("ts.series", [this] {
         return static_cast<double>(seriesCount());
-    });
-    reg.registerProbe("ts.points", [this] {
-        return static_cast<double>(pointsRetained());
     });
     reg.registerProbe("ts.exported_lines", [this] {
         return static_cast<double>(linesOut);
@@ -184,9 +132,6 @@ TimeSeriesHub::discover()
             s.kind = reg->kindOf(id);
             s.reg = reg;
             s.id = id;
-            s.levels.resize(cfg.levels.size());
-            for (std::size_t i = 0; i < cfg.levels.size(); ++i)
-                s.levels[i].ring.cap = cfg.levels[i].capacity;
             announceSeries(path, s.kind);
             series.emplace(path, std::move(s));
         }
@@ -245,13 +190,13 @@ binsDecreased(const std::vector<std::uint64_t> &cur,
 
 TsPoint
 TimeSeriesHub::scalarPoint(sim::TimePs now, double cur, SeriesKind kind,
-                           double span, LevelState &lv)
+                           double span, Rollup &r)
 {
     TsPoint p;
     p.t = now;
     p.value = cur;
-    p.delta = cur - lv.prevValue;
-    lv.prevValue = cur;
+    p.delta = cur - r.prevValue;
+    r.prevValue = cur;
     // Counter-reset rule: a monotonic count that decreased means the
     // component restarted; the window's delta is everything accumulated
     // since the reset.
@@ -267,23 +212,23 @@ TimeSeriesHub::histogramPoint(sim::TimePs now,
                               sim::LogHistogram::Binning binning,
                               std::vector<std::uint64_t> bins, double sum,
                               std::uint64_t count, double span,
-                              LevelState &lv)
+                              Rollup &r)
 {
     // Same reset rule for histograms: a component clearing its stats
     // mid-run (fig08 does per-load-step clearStats) must restart the
     // window delta from zero, not panic.
-    if (binsDecreased(bins, lv.prevBins)) {
-        lv.prevBins.clear();
-        lv.prevSum = 0.0;
+    if (binsDecreased(bins, r.prevBins)) {
+        r.prevBins.clear();
+        r.prevSum = 0.0;
     }
     // After the reset check every previous bin exists and is <= now.
     std::vector<std::uint64_t> window = bins;
-    for (std::size_t i = 0; i < lv.prevBins.size(); ++i)
-        window[i] -= lv.prevBins[i];
+    for (std::size_t i = 0; i < r.prevBins.size(); ++i)
+        window[i] -= r.prevBins[i];
     const sim::LogHistogram w = sim::LogHistogram::fromBins(
-        binning, std::move(window), sum - lv.prevSum);
-    lv.prevBins = std::move(bins);
-    lv.prevSum = sum;
+        binning, std::move(window), sum - r.prevSum);
+    r.prevBins = std::move(bins);
+    r.prevSum = sum;
     TsPoint p;
     p.t = now;
     p.value = static_cast<double>(count);
@@ -314,60 +259,48 @@ TimeSeriesHub::Series::current() const
     return 0.0;
 }
 
-template <typename Point>
 void
-TimeSeriesHub::rollLevels(std::vector<LevelState> &levels, Point &&point)
+TimeSeriesHub::rollSeries(Series &s, sim::TimePs now, double span)
 {
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
-        const int stride = cfg.levels[i].stride;
-        if (windowSeq % static_cast<std::uint64_t>(stride) == 0)
-            levels[i].ring.push(
-                point(levels[i], spanSeconds(stride, cfg.window)));
+    if (s.kind != SeriesKind::kHistogram) {
+        s.roll.last = scalarPoint(now, s.current(), s.kind, span, s.roll);
+        return;
     }
+    const sim::LogHistogram &h = s.hist();
+    s.roll.last = histogramPoint(now, h.binning(), h.binCounts(), h.sum(),
+                                 h.count(), span, s.roll);
 }
 
 void
-TimeSeriesHub::rollSeries(Series &s, sim::TimePs now)
-{
-    rollLevels(s.levels, [&](LevelState &lv, double span) {
-        if (s.kind != SeriesKind::kHistogram)
-            return scalarPoint(now, s.current(), s.kind, span, lv);
-        const sim::LogHistogram &h = s.hist();
-        return histogramPoint(now, h.binning(), h.binCounts(), h.sum(),
-                              h.count(), span, lv);
-    });
-}
-
-void
-TimeSeriesHub::rollAggregate(Aggregate &agg, sim::TimePs now)
+TimeSeriesHub::rollAggregate(Aggregate &agg, sim::TimePs now, double span)
 {
     if (agg.members.empty())
         return;
-    rollLevels(agg.levels, [&](LevelState &lv, double span) {
-        if (agg.kind != SeriesKind::kHistogram) {
-            double cur = 0.0;
-            for (const Series *m : agg.members)
-                cur += m->current();
-            return scalarPoint(now, cur, agg.kind, span, lv);
-        }
-        // Merged cumulative bins across members; the diff against the
-        // aggregate's own previous snapshot is exactly the sum of the
-        // members' windowed bin counts (bin counts are integers).
-        std::vector<std::uint64_t> bins;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        for (const Series *m : agg.members) {
-            const auto &mb = m->hist().binCounts();
-            if (mb.size() > bins.size())
-                bins.resize(mb.size(), 0);
-            for (std::size_t b = 0; b < mb.size(); ++b)
-                bins[b] += mb[b];
-            count += m->hist().count();
-            sum += m->hist().sum();
-        }
-        return histogramPoint(now, agg.members.front()->hist().binning(),
-                              std::move(bins), sum, count, span, lv);
-    });
+    if (agg.kind != SeriesKind::kHistogram) {
+        double cur = 0.0;
+        for (const Series *m : agg.members)
+            cur += m->current();
+        agg.roll.last = scalarPoint(now, cur, agg.kind, span, agg.roll);
+        return;
+    }
+    // Merged cumulative bins across members; the diff against the
+    // aggregate's own previous snapshot is exactly the sum of the
+    // members' windowed bin counts (bin counts are integers).
+    std::vector<std::uint64_t> bins;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    for (const Series *m : agg.members) {
+        const auto &mb = m->hist().binCounts();
+        if (mb.size() > bins.size())
+            bins.resize(mb.size(), 0);
+        for (std::size_t b = 0; b < mb.size(); ++b)
+            bins[b] += mb[b];
+        count += m->hist().count();
+        sum += m->hist().sum();
+    }
+    agg.roll.last =
+        histogramPoint(now, agg.members.front()->hist().binning(),
+                       std::move(bins), sum, count, span, agg.roll);
 }
 
 void
@@ -377,10 +310,11 @@ TimeSeriesHub::rollAt(sim::TimePs now)
     discover();
     for (auto &[name, agg] : aggregates)
         refreshAggregate(name, agg);
+    const double span = static_cast<double>(cfg.window) / 1e12;
     for (auto &[name, s] : series)
-        rollSeries(s, now);
+        rollSeries(s, now, span);
     for (auto &[name, agg] : aggregates)
-        rollAggregate(agg, now);
+        rollAggregate(agg, now, span);
     exportWindow(now);
     traceWindow(now);
     for (const auto &fn : observers)
@@ -391,7 +325,7 @@ TimeSeriesHub::rollAt(sim::TimePs now)
 
 namespace {
 
-/** Serialize one base-window point according to the series kind. */
+/** Serialize one window point according to the series kind. */
 void
 pointTo(std::ostream &os, SeriesKind kind, const TsPoint &p)
 {
@@ -429,9 +363,8 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
     auto si = series.cbegin();
     auto ai = aggregates.cbegin();
     auto emit = [&](const std::string &name, SeriesKind kind,
-                    const LevelState &lv) {
-        const TsPoint *p = lv.ring.latestPoint();
-        if (p == nullptr || p->t != now)
+                    const Rollup &r) {
+        if (!r.last || r.last->t != now)
             return;
         if (!first)
             line << ",";
@@ -439,16 +372,16 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
         line << "\"";
         detail::jsonEscape(line, name);
         line << "\":";
-        pointTo(line, kind, *p);
+        pointTo(line, kind, *r.last);
     };
     while (si != series.cend() || ai != aggregates.cend()) {
         if (ai == aggregates.cend() ||
             (si != series.cend() && si->first < ai->first)) {
-            emit(si->first, si->second.kind, si->second.levels.front());
+            emit(si->first, si->second.kind, si->second.roll);
             ++si;
         } else {
             if (!ai->second.members.empty())
-                emit(ai->first, ai->second.kind, ai->second.levels.front());
+                emit(ai->first, ai->second.kind, ai->second.roll);
             ++ai;
         }
     }
@@ -462,11 +395,10 @@ TimeSeriesHub::traceWindow(sim::TimePs now)
     if (trace == nullptr || !trace->enabled())
         return;
     auto emit = [&](const std::string &name, SeriesKind kind,
-                    const LevelState &lv) {
-        const TsPoint *lp = lv.ring.latestPoint();
-        if (lp == nullptr || lp->t != now)
+                    const Rollup &r) {
+        if (!r.last || r.last->t != now)
             return;
-        const TsPoint p = *lp;
+        const TsPoint &p = *r.last;
         switch (kind) {
         case SeriesKind::kGauge:
             trace->counter("ts", "ts." + name, now, p.value);
@@ -482,10 +414,10 @@ TimeSeriesHub::traceWindow(sim::TimePs now)
         }
     };
     for (const auto &[name, s] : series)
-        emit(name, s.kind, s.levels.front());
+        emit(name, s.kind, s.roll);
     for (const auto &[name, agg] : aggregates) {
         if (!agg.members.empty())
-            emit(name, agg.kind, agg.levels.front());
+            emit(name, agg.kind, agg.roll);
     }
 }
 
@@ -546,48 +478,12 @@ TimeSeriesHub::kindOf(const std::string &name) const
 const TsPoint *
 TimeSeriesHub::latest(const std::string &name) const
 {
-    const LevelState *lv = nullptr;
+    const Rollup *r = nullptr;
     if (auto it = series.find(name); it != series.end())
-        lv = &it->second.levels.front();
+        r = &it->second.roll;
     else if (auto ia = aggregates.find(name); ia != aggregates.end())
-        lv = &ia->second.levels.front();
-    return lv == nullptr ? nullptr : lv->ring.latestPoint();
-}
-
-std::vector<TsPoint>
-TimeSeriesHub::history(const std::string &name, int level) const
-{
-    if (level < 0 || static_cast<std::size_t>(level) >= cfg.levels.size())
-        sim::panicf("TimeSeriesHub::history: level ", level, " out of range");
-    const std::vector<LevelState> *levels = nullptr;
-    if (auto it = series.find(name); it != series.end())
-        levels = &it->second.levels;
-    else if (auto ia = aggregates.find(name); ia != aggregates.end())
-        levels = &ia->second.levels;
-    else
-        sim::panicf("TimeSeriesHub::history: unknown series ", name);
-    const Ring &r = (*levels)[static_cast<std::size_t>(level)].ring;
-    std::vector<TsPoint> outv;
-    outv.reserve(r.used);
-    const std::size_t start = r.used < r.cap ? 0 : r.head;
-    for (std::size_t i = 0; i < r.used; ++i)
-        outv.push_back(r.buf[(start + i) % r.buf.size()]);
-    return outv;
-}
-
-std::uint64_t
-TimeSeriesHub::pointsRetained() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[name, s] : series) {
-        for (const auto &lv : s.levels)
-            n += lv.ring.used;
-    }
-    for (const auto &[name, agg] : aggregates) {
-        for (const auto &lv : agg.levels)
-            n += lv.ring.used;
-    }
-    return n;
+        r = &ia->second.roll;
+    return r == nullptr || !r->last ? nullptr : &*r->last;
 }
 
 void

@@ -15,9 +15,9 @@
  *    cumulative LogHistogram (LogHistogram::fromBins), so windowed
  *    p50/p99/p999 cost O(bins) and per-shard windows merge exactly (bin
  *    addition).
- *  - Each series is retained in bounded ring buffers at multiple
- *    resolutions (e.g. every window / every 16th / every 256th), so a
- *    full campaign's history fits in O(MB) no matter how long it runs.
+ *  - Each series keeps only what it rolls from (the previous reading)
+ *    and its newest point, so the hub's memory is fixed by the series
+ *    count, however long the run. The JSONL stream is the full record.
  *  - Pattern aggregates (`defineAggregate("ltl.rtt_us", "ltl.*.rtt_us")`)
  *    merge per-node histograms (or sum per-node counters) into fleet
  *    series — the thing an SLO is written against.
@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -76,49 +77,21 @@ struct TsPoint {
     double p999 = 0.0;
 };
 
-/** One retention level: close a point every @p stride base windows. */
-struct TsLevel {
-    int stride = 1;
-    std::size_t capacity = 512;
-};
-
 /** TimeSeriesHub tuning. */
 struct TimeSeriesConfig {
-    /** Base window width (simulated). */
+    /** Window width (simulated). */
     sim::TimePs window = sim::kMillisecond;
-    /**
-     * Retention levels, strides strictly increasing, first stride 1.
-     * Defaults keep ~1k points at 1x/16x/256x the base window.
-     */
-    std::vector<TsLevel> levels = {{1, 1024}, {16, 1024}, {256, 1024}};
     /**
      * Registry paths to watch (metric_names-style globs, `*` matches one
      * or more characters including dots). Empty = watch every path.
      */
-    std::vector<std::string> include;
-
-    TimeSeriesConfig &withWindow(sim::TimePs w)
-    {
-        window = w;
-        return *this;
-    }
-    TimeSeriesConfig &withLevels(std::vector<TsLevel> l)
-    {
-        levels = std::move(l);
-        return *this;
-    }
-    TimeSeriesConfig &withInclude(std::vector<std::string> globs)
-    {
-        include = std::move(globs);
-        return *this;
-    }
+    std::vector<std::string> include = {};
 };
 
 /**
- * Rolls watched registries into windowed, multi-resolution, bounded
- * time series. Not thread-safe: on the sharded kernel it runs inside
- * barrier hooks on the coordinator thread, between windows, when no
- * worker is executing events.
+ * Rolls watched registries into windowed time series. Not thread-safe:
+ * on the sharded kernel it runs inside barrier hooks on the coordinator
+ * thread, between windows, when no worker is executing events.
  *
  * Lifetimes: watched registries, the export stream, and any attached
  * TraceWriter must outlive the hub's last roll; the hub must outlive
@@ -154,7 +127,7 @@ class TimeSeriesHub
     /**
      * Stream JSONL to @p os (nullptr disables): a `meta` line now, a
      * `series` line when each series first appears, one `window` line
-     * per base window, and `alert` lines appended by an SLO engine.
+     * per window, and `alert` lines appended by an SLO engine.
      * Deterministic formatting — same-seed runs produce byte-identical
      * streams.
      */
@@ -164,15 +137,15 @@ class TimeSeriesHub
     void attachTrace(TraceWriter *tw) { trace = tw; }
 
     /**
-     * Register the hub's own `ts.*` probes (windows, series, points,
+     * Register the hub's own `ts.*` probes (windows, series,
      * exported_lines) on @p reg — pick the shard-0 registry in a
      * sharded build.
      */
     void registerSelfProbes(MetricsRegistry &reg);
 
     /**
-     * Observer invoked after each base window closes (points pushed,
-     * window line exported): the SLO engine's hook.
+     * Observer invoked after each window closes (points rolled, window
+     * line exported): the SLO engine's hook.
      */
     using WindowObserver = std::function<void(sim::TimePs, std::uint64_t)>;
     void addWindowObserver(WindowObserver fn);
@@ -197,7 +170,7 @@ class TimeSeriesHub
 
     const TimeSeriesConfig &config() const { return cfg; }
 
-    /** Base windows closed so far. */
+    /** Windows closed so far. */
     std::uint64_t windowsClosed() const { return windowSeq; }
 
     /** Concrete + aggregate series currently tracked. */
@@ -209,15 +182,9 @@ class TimeSeriesHub
     /** The kind of @p name; panics if unknown. */
     SeriesKind kindOf(const std::string &name) const;
 
-    /** Latest base-window point of @p name (nullptr before its first
-     * window or for unknown names). */
+    /** Latest window point of @p name (nullptr before its first window
+     * or for unknown names). */
     const TsPoint *latest(const std::string &name) const;
-
-    /** Ring contents of @p name at @p level, oldest first. */
-    std::vector<TsPoint> history(const std::string &name, int level) const;
-
-    /** Total points currently retained across all rings. */
-    std::uint64_t pointsRetained() const;
 
     /** JSONL lines written so far. */
     std::uint64_t exportedLines() const { return linesOut; }
@@ -232,28 +199,12 @@ class TimeSeriesHub
     static std::string envPath();
 
   private:
-    /** Fixed-capacity ring of points. */
-    struct Ring {
-        std::vector<TsPoint> buf;
-        std::size_t head = 0;  ///< next write slot once full
-        std::size_t used = 0;
-        std::size_t cap = 0;
-
-        void push(const TsPoint &p);
-        const TsPoint *latestPoint() const
-        {
-            if (used == 0)
-                return nullptr;
-            return &buf[(head + buf.size() - 1) % buf.size()];
-        }
-    };
-
-    /** Per-level rollup state of one series. */
-    struct LevelState {
+    /** Rollup state of one series: what it rolls from, its newest point. */
+    struct Rollup {
         double prevValue = 0.0;
         std::vector<std::uint64_t> prevBins;  ///< histogram series only
         double prevSum = 0.0;
-        Ring ring;
+        std::optional<TsPoint> last;  ///< unset before the first window
     };
 
     /** One concrete series bound to a registry metric. */
@@ -261,7 +212,7 @@ class TimeSeriesHub
         SeriesKind kind = SeriesKind::kCounter;
         const MetricsRegistry *reg = nullptr;
         MetricsRegistry::Id id = 0;  ///< the metric's id in reg
-        std::vector<LevelState> levels;
+        Rollup roll;
 
         /** The reading of a scalar (non-histogram) series now. */
         double current() const;
@@ -278,7 +229,7 @@ class TimeSeriesHub
         std::vector<const Series *> members;
         std::size_t seenSeries = 0;  ///< concrete count at last refresh
         bool announced = false;
-        std::vector<LevelState> levels;
+        Rollup roll;
     };
 
     TimeSeriesConfig cfg;
@@ -299,18 +250,15 @@ class TimeSeriesHub
     void discover();
     void refreshAggregate(const std::string &name, Aggregate &agg);
     void announceSeries(const std::string &name, SeriesKind kind);
-    void rollSeries(Series &s, sim::TimePs now);
-    void rollAggregate(Aggregate &agg, sim::TimePs now);
-    /** Push the point of every level due this window. */
-    template <typename Point>
-    void rollLevels(std::vector<LevelState> &levels, Point &&point);
+    static void rollSeries(Series &s, sim::TimePs now, double span);
+    static void rollAggregate(Aggregate &agg, sim::TimePs now, double span);
     static TsPoint scalarPoint(sim::TimePs now, double cur, SeriesKind kind,
-                               double span, LevelState &lv);
+                               double span, Rollup &r);
     static TsPoint histogramPoint(sim::TimePs now,
                                   sim::LogHistogram::Binning binning,
                                   std::vector<std::uint64_t> bins, double sum,
                                   std::uint64_t count, double span,
-                                  LevelState &lv);
+                                  Rollup &r);
     void exportWindow(sim::TimePs now);
     void traceWindow(sim::TimePs now);
     static const char *kindName(SeriesKind k);

@@ -17,7 +17,9 @@
  * come from sim::PoolAllocator and its flits are counts, not objects.
  * Sharded kernel: once warm, a barrier window whose partitions post
  * cross messages allocates nothing, because the outboxes and the flush's
- * merge scratch keep their capacity.
+ * merge scratch keep their capacity. Time-series hub: its live heap
+ * stops growing once every series has rolled, because a series keeps
+ * only what it rolls from and its newest point.
  *
  * This binary replaces the global `operator new` with a byte and call
  * counter, plus a live-byte count kept in a size header in front of
@@ -44,6 +46,7 @@
 #include "net/switch.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "roles/dnn_role.hpp"
 #include "roles/ranking/ranking_role.hpp"
 #include "serving/outlier.hpp"
@@ -174,6 +177,41 @@ TEST(AllocBudget, SwitchProbesStayUnderBudget)
     ASSERT_GT(paths, 0u);
     EXPECT_LE(bytes / paths, kSwitchPathBudget)
         << bytes << " live heap bytes for " << paths << " switch paths";
+}
+
+TEST(AllocBudget, TimeSeriesHubHeapStaysFlatAcrossWindows)
+{
+    obs::MetricsRegistry reg;
+    sim::Counter &ops = reg.counter("svc.node0.ops");
+    obs::Gauge &depth = reg.gauge("svc.node0.depth");
+    double live = 0.0;
+    reg.registerProbe("svc.node0.live", [&live] { return live; });
+    sim::LogHistogram &lat = reg.histogram("svc.node0.lat");
+    obs::TimeSeriesHub hub(obs::TimeSeriesConfig{.window = sim::kMillisecond});
+    hub.watchRegistry(&reg);
+    hub.defineAggregate("fleet.lat", "svc.*.lat");
+
+    // Every window records the same samples, so the cumulative
+    // histogram's bin vector keeps the length the first window gave it.
+    int w = 0;
+    auto roll = [&](int windows) {
+        for (int i = 0; i < windows; ++i, ++w) {
+            ops.inc(3);
+            depth.set(w * sim::kMillisecond, w % 7);
+            live = w;
+            for (double v : {1.0, 40.0, 900.0})
+                lat.add(v);
+            hub.rollAt((w + 1) * sim::kMillisecond);
+        }
+    };
+    roll(64);
+    ASSERT_EQ(hub.seriesCount(), 5u);
+    ASSERT_NE(hub.latest("fleet.lat"), nullptr);
+    const std::size_t warm = liveBytes;
+    roll(2000);
+    EXPECT_EQ(liveBytes, warm)
+        << "live heap bytes after 2,064 windows vs after 64";
+    EXPECT_EQ(hub.latest("fleet.lat")->count, 3u);
 }
 
 TEST(MetricsRegistry, EmptyRegistryAllocatesNothing)

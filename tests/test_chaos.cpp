@@ -345,7 +345,7 @@ TEST(ChaosEngine, TimedAndTriggeredPhasesFireInOrder)
             [&] { ++drained; });
 
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::fromMillis(10)));
+        obs::TimeSeriesConfig{.window = sim::fromMillis(10)});
     std::ostringstream out;
     hub.exportTo(&out);
 
@@ -416,7 +416,7 @@ TEST(ChaosEngine, EmitsDetectedMarkerOnDomainConviction)
             [&] { return hm.domainConvictions() > 0; },
             [&] { reacted = true; });
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::fromMillis(10)));
+        obs::TimeSeriesConfig{.window = sim::fromMillis(10)});
     std::ostringstream out;
     hub.exportTo(&out);
     fault::ChaosEngine chaos(sq, sc);
@@ -518,7 +518,7 @@ agreementDrill(int shards, bool chaos_first)
             },
             [&] { mark("evacuated"); });
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::fromMillis(10)));
+        obs::TimeSeriesConfig{.window = sim::fromMillis(10)});
     std::ostringstream out;
     hub.exportTo(&out);
     fault::ChaosEngine chaos(*sq, sc);

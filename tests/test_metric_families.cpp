@@ -207,9 +207,8 @@ runParity(core::CloudConfig cfg, int threads, int senders)
 
     constexpr sim::TimePs kPeriod = 100 * sim::kMicrosecond;
     std::ostringstream ts, oracleTs;
-    obs::TimeSeriesHub tsHub(obs::TimeSeriesConfig{}.withWindow(kPeriod));
-    obs::TimeSeriesHub oracleTsHub(
-        obs::TimeSeriesConfig{}.withWindow(kPeriod));
+    obs::TimeSeriesHub tsHub(obs::TimeSeriesConfig{.window = kPeriod});
+    obs::TimeSeriesHub oracleTsHub(obs::TimeSeriesConfig{.window = kPeriod});
     for (int r = 0; r < regCount; ++r) {
         famHubs[r]->registry.startSampling(*sq, kPeriod);
         oracle[r]->startSampling(*sq, kPeriod);

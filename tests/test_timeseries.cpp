@@ -1,17 +1,18 @@
 /**
  * @file
  * The live telemetry pipeline: windowed time-series rollup
- * (TimeSeriesHub), mergeable histogram sketches, multi-resolution
- * retention, the deterministic JSONL exporter, and the SLO burn-rate
- * engine — including the end-to-end story where an injected fault fires
- * a burn-rate alert that files HealthMonitor evidence well before the
- * heartbeat detector's worst-case bound.
+ * (TimeSeriesHub), mergeable histogram sketches, the deterministic
+ * JSONL exporter, and the SLO burn-rate engine — including the
+ * end-to-end story where an injected fault fires a burn-rate alert that
+ * files HealthMonitor evidence well before the heartbeat detector's
+ * worst-case bound.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/cloud.hpp"
@@ -26,6 +27,9 @@
 #include "sim/stats.hpp"
 
 using namespace ccsim;
+
+// One way to configure: fields or designated initializers, no setters.
+static_assert(std::is_aggregate_v<obs::TimeSeriesConfig>);
 
 namespace {
 
@@ -52,6 +56,18 @@ countLines(const std::string &s, const std::string &prefix)
         pos = eol + 1;
     }
     return n;
+}
+
+/** Append @p name's point to @p pts at every window @p hub closes. */
+void
+collectWindows(obs::TimeSeriesHub &hub, const std::string &name,
+               std::vector<obs::TsPoint> &pts)
+{
+    hub.addWindowObserver([&hub, name, &pts](sim::TimePs now,
+                                             std::uint64_t) {
+        if (const obs::TsPoint *p = hub.latest(name); p && p->t == now)
+            pts.push_back(*p);
+    });
 }
 
 }  // namespace
@@ -153,7 +169,7 @@ TEST(TimeSeriesHub, RollsCountersGaugesProbesAndHistograms)
     sim::LogHistogram &lat = reg.histogram("svc.lat_ms");
 
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+        obs::TimeSeriesConfig{.window = sim::kMillisecond});
     hub.watchRegistry(&reg);
 
     reqs.inc(5);
@@ -213,7 +229,7 @@ TEST(TimeSeriesHub, SurvivesComponentResetMidRun)
     sim::LogHistogram &lat = reg.histogram("svc.lat_ms");
 
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+        obs::TimeSeriesConfig{.window = sim::kMillisecond});
     hub.defineAggregate("fleet.lat", "svc.lat*");
     hub.watchRegistry(&reg);
 
@@ -251,9 +267,8 @@ TEST(TimeSeriesHub, IncludeGlobsFilterWatchedPaths)
     reg.counter("keep.b.c").inc();
     reg.counter("drop.a").inc();
 
-    obs::TimeSeriesHub hub(obs::TimeSeriesConfig{}
-                               .withWindow(sim::kMillisecond)
-                               .withInclude({"keep.*"}));
+    obs::TimeSeriesHub hub(obs::TimeSeriesConfig{.window = sim::kMillisecond,
+                                                 .include = {"keep.*"}});
     hub.watchRegistry(&reg);
     hub.rollAt(sim::kMillisecond);
 
@@ -261,43 +276,6 @@ TEST(TimeSeriesHub, IncludeGlobsFilterWatchedPaths)
     EXPECT_NE(hub.latest("keep.a"), nullptr);
     EXPECT_NE(hub.latest("keep.b.c"), nullptr);  // '*' spans dots
     EXPECT_EQ(hub.latest("drop.a"), nullptr);
-}
-
-TEST(TimeSeriesHub, MultiResolutionLevelsDownsampleAndStayBounded)
-{
-    obs::MetricsRegistry reg;
-    sim::Counter &c = reg.counter("x.ops");
-
-    obs::TimeSeriesHub hub(obs::TimeSeriesConfig{}
-                               .withWindow(sim::kMillisecond)
-                               .withLevels({{1, 4}, {4, 8}}));
-    hub.watchRegistry(&reg);
-
-    for (int w = 1; w <= 12; ++w) {
-        c.inc(1);
-        hub.rollAt(w * sim::kMillisecond);
-    }
-
-    // Level 0: capacity 4, so only the last 4 windows survive.
-    const std::vector<obs::TsPoint> l0 = hub.history("x.ops", 0);
-    ASSERT_EQ(l0.size(), 4u);
-    EXPECT_EQ(l0.front().t, 9 * sim::kMillisecond);
-    EXPECT_EQ(l0.back().t, 12 * sim::kMillisecond);
-    EXPECT_DOUBLE_EQ(l0.back().delta, 1.0);
-
-    // Level 1 closes every 4th window and its delta spans 4 windows.
-    const std::vector<obs::TsPoint> l1 = hub.history("x.ops", 1);
-    ASSERT_EQ(l1.size(), 3u);
-    EXPECT_EQ(l1[0].t, 4 * sim::kMillisecond);
-    EXPECT_EQ(l1[1].t, 8 * sim::kMillisecond);
-    EXPECT_EQ(l1[2].t, 12 * sim::kMillisecond);
-    for (const auto &p : l1) {
-        EXPECT_DOUBLE_EQ(p.delta, 4.0);
-        EXPECT_DOUBLE_EQ(p.rate, 1000.0);  // 4 per 4 ms
-    }
-
-    // Retention is bounded by the configured capacities.
-    EXPECT_LE(hub.pointsRetained(), 4u + 8u);
 }
 
 TEST(TimeSeriesHub, AggregatesMergeHistogramsAndSumScalars)
@@ -309,7 +287,7 @@ TEST(TimeSeriesHub, AggregatesMergeHistogramsAndSumScalars)
     sim::Counter &c1 = r1.counter("n.node1.ops");
 
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+        obs::TimeSeriesConfig{.window = sim::kMillisecond});
     hub.watchRegistry(&r0);
     hub.watchRegistry(&r1);
     hub.defineAggregate("n.lat", "n.*.lat");
@@ -352,7 +330,7 @@ TEST(TimeSeriesHub, ExportsDeterministicJsonl)
         sim::Counter &c = reg.counter("e.ops");
         sim::LogHistogram &h = reg.histogram("e.lat");
         obs::TimeSeriesHub hub(
-            obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+            obs::TimeSeriesConfig{.window = sim::kMillisecond});
         hub.watchRegistry(&reg);
         std::ostringstream os;
         hub.exportTo(&os);
@@ -369,7 +347,8 @@ TEST(TimeSeriesHub, ExportsDeterministicJsonl)
     run(a);
     run(b);
     EXPECT_EQ(a, b);  // byte-identical across identical runs
-    EXPECT_EQ(countLines(a, "{\"type\":\"meta\""), 1u);
+    EXPECT_EQ(a.substr(0, a.find('\n')),
+              "{\"type\":\"meta\",\"window_us\":1000}");
     EXPECT_EQ(countLines(a, "{\"type\":\"series\""), 2u);
     EXPECT_EQ(countLines(a, "{\"type\":\"window\""), 3u);
     // Series appear sorted inside the window record.
@@ -392,14 +371,15 @@ TEST(TimeSeriesHub, SingleQueueSamplingRollsOnCadence)
     eq.scheduleAfter(150 * sim::kMicrosecond, [&c] { c.inc(); });
 
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(100 * sim::kMicrosecond));
+        obs::TimeSeriesConfig{.window = 100 * sim::kMicrosecond});
     hub.watchRegistry(&reg);
+    std::vector<obs::TsPoint> pts;
+    collectWindows(hub, "q.ticks", pts);
     hub.startSampling(sq);
     sq.runFor(350 * sim::kMicrosecond);
     sq.runAll();
 
     EXPECT_EQ(hub.windowsClosed(), 3u);
-    const std::vector<obs::TsPoint> pts = hub.history("q.ticks", 0);
     ASSERT_EQ(pts.size(), 3u);
     EXPECT_DOUBLE_EQ(pts[0].delta, 1.0);
     EXPECT_DOUBLE_EQ(pts[1].delta, 1.0);
@@ -426,18 +406,8 @@ TEST(TimeSeriesHub, SelfProbesAndMetricPatternsAreDocumented)
 
 TEST(TimeSeriesHubDeathTest, ConfigValidation)
 {
-    EXPECT_DEATH(
-        obs::TimeSeriesHub(obs::TimeSeriesConfig{}.withWindow(0)),
-        "window");
-    EXPECT_DEATH(
-        obs::TimeSeriesHub(obs::TimeSeriesConfig{}.withLevels({})),
-        "level");
-    EXPECT_DEATH(obs::TimeSeriesHub(
-                     obs::TimeSeriesConfig{}.withLevels({{2, 16}})),
-                 "stride 1");
-    EXPECT_DEATH(obs::TimeSeriesHub(obs::TimeSeriesConfig{}.withLevels(
-                     {{1, 16}, {4, 16}, {4, 16}})),
-                 "increasing");
+    EXPECT_DEATH(obs::TimeSeriesHub(obs::TimeSeriesConfig{.window = 0}),
+                 "window");
     obs::TimeSeriesHub hub;
     EXPECT_DEATH(hub.kindOf("no.such.series"), "unknown series");
 }
@@ -474,7 +444,7 @@ runShardedTelemetry(int threads, std::vector<double> *p99s)
 
     std::vector<obs::MetricsRegistry> regs(kParts);
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(100 * sim::kMicrosecond));
+        obs::TimeSeriesConfig{.window = 100 * sim::kMicrosecond});
     for (int p = 0; p < kParts; ++p)
         hub.watchRegistry(&regs[p]);
     hub.defineAggregate("fleet.lat", "part.*.lat");
@@ -482,6 +452,8 @@ runShardedTelemetry(int threads, std::vector<double> *p99s)
 
     std::ostringstream os;
     hub.exportTo(&os);
+    std::vector<obs::TsPoint> fleet;
+    collectWindows(hub, "fleet.lat", fleet);
     hub.startSampling(sq);
 
     for (int p = 0; p < kParts; ++p) {
@@ -499,7 +471,7 @@ runShardedTelemetry(int threads, std::vector<double> *p99s)
     sq.runFor(1200 * sim::kMicrosecond);
 
     if (p99s != nullptr) {
-        for (const obs::TsPoint &pt : hub.history("fleet.lat", 0))
+        for (const obs::TsPoint &pt : fleet)
             p99s->push_back(pt.p99);
     }
     return os.str();
@@ -536,13 +508,15 @@ TEST(ShardedTelemetry, MergedShardSketchesMatchSingleQueueRun)
         }
     }
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(100 * sim::kMicrosecond));
+        obs::TimeSeriesConfig{.window = 100 * sim::kMicrosecond});
     hub.watchRegistry(&reg);
+    std::vector<obs::TsPoint> all;
+    collectWindows(hub, "all.lat", all);
     hub.startSampling(sq);
     sq.runFor(1200 * sim::kMicrosecond);
 
     std::vector<double> single_p99, single_n;
-    for (const obs::TsPoint &pt : hub.history("all.lat", 0)) {
+    for (const obs::TsPoint &pt : all) {
         single_p99.push_back(pt.p99);
         single_n.push_back(static_cast<double>(pt.count));
     }
@@ -565,7 +539,7 @@ TEST(SloEngine, FiresAndResolvesOnBurnRate)
     obs::MetricsRegistry reg;
     sim::LogHistogram &lat = reg.histogram("svc.lat_ms");
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+        obs::TimeSeriesConfig{.window = sim::kMillisecond});
     hub.watchRegistry(&reg);
 
     obs::SloEngine slo(hub);
@@ -625,7 +599,7 @@ TEST(SloEngine, EmptyHistogramWindowsSpendNoErrorBudget)
     obs::MetricsRegistry reg;
     reg.histogram("idle.lat_ms");
     obs::TimeSeriesHub hub(
-        obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+        obs::TimeSeriesConfig{.window = sim::kMillisecond});
     hub.watchRegistry(&reg);
 
     obs::SloEngine slo(hub);
@@ -692,9 +666,8 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
     cloud.attachHealthMonitor(hm);
     hm.startSharded(sq);
 
-    obs::TimeSeriesHub ts(obs::TimeSeriesConfig{}
-                              .withWindow(100 * sim::kMicrosecond)
-                              .withInclude({"ltl.*"}));
+    obs::TimeSeriesHub ts(obs::TimeSeriesConfig{
+        .window = 100 * sim::kMicrosecond, .include = {"ltl.*"}});
     ts.watchRegistry(&obsHub.registry);
     ts.startSampling(sq);
 
