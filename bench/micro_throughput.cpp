@@ -437,6 +437,55 @@ BM_ErShellCrossbar(benchmark::State &state)
 }
 BENCHMARK(BM_ErShellCrossbar);
 
+/**
+ * One 64-flit message at a time through the default 4-port router: the
+ * router holds a single candidate, so each message crosses as a train
+ * apart from the cycles its injector spends waiting for credits.
+ */
+struct ErTrainRig {
+    static constexpr int kMessages = 64;
+    static constexpr std::uint32_t kMessageBytes = 64 * 32;  // 64 flits
+
+    sim::EventQueue eq;
+    router::ElasticRouter er;
+    std::vector<std::unique_ptr<router::ErEndpoint>> eps;
+
+    ErTrainRig() : er(eq, router::ErConfig{})
+    {
+        for (int p = 0; p < er.config().numPorts; ++p) {
+            eps.push_back(std::make_unique<router::ErEndpoint>(eq, er, p, p));
+            er.setOutputSink(p, eps.back().get());
+        }
+    }
+
+    /** Send and drain one message after another; returns flits routed. */
+    std::uint64_t round()
+    {
+        const std::uint64_t before = er.flitsRouted();
+        const int ports = er.config().numPorts;
+        for (int i = 0; i < kMessages; ++i) {
+            eps[i % ports]->sendMessage((i + 1) % ports, i % 2,
+                                        kMessageBytes);
+            eq.runAll();
+        }
+        return er.flitsRouted() - before;
+    }
+};
+
+void
+BM_ErLongTrain(benchmark::State &state)
+{
+    ErTrainRig rig;
+    std::uint64_t flits = 0;
+    for (auto _ : state)
+        flits += rig.round();
+    state.SetItemsProcessed(static_cast<std::int64_t>(flits));
+    state.counters["ns_per_flit"] = benchmark::Counter(
+        static_cast<double>(flits),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ErLongTrain);
+
 /** The paper's L2 fabric shape: 24 x 40 x 260 = 249,600 hosts. */
 constexpr int kL2Pods = 260;
 constexpr int kL2RacksPerPod = 40;
@@ -593,6 +642,18 @@ measureKernelTrajectory()
         const double secs =
             std::chrono::duration<double>(Clock::now() - t0).count();
         v["kernel.er.ns_per_flit"] = 1e9 * secs / static_cast<double>(flits);
+    }
+    {
+        // Mirrors BM_ErLongTrain: host time per flit of a lone train.
+        ErTrainRig rig;
+        std::uint64_t flits = 0;
+        const auto t0 = Clock::now();
+        for (int i = 0; i < 200; ++i)
+            flits += rig.round();
+        const double secs =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        v["kernel.er.train_ns_per_flit"] =
+            1e9 * secs / static_cast<double>(flits);
     }
     {
         const auto t0 = Clock::now();

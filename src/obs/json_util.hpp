@@ -8,20 +8,36 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <initializer_list>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <utility>
 
 namespace ccsim::obs::detail {
 
+/** Append @p s to a stream or to a string being built. */
+inline void
+put(std::ostream &os, std::string_view s)
+{
+    os.write(s.data(), static_cast<std::streamsize>(s.size()));
+}
+
+inline void
+put(std::string &out, std::string_view s)
+{
+    out.append(s);
+}
+
 /**
  * Minimal JSON string escaping (metric paths/names are ASCII). Runs that
  * need no escape are written whole: snapshots emit ~200k paths.
  */
-inline void
-jsonEscape(std::ostream &os, std::string_view s)
+template <typename Out>
+void
+jsonEscape(Out &out, std::string_view s)
 {
     std::size_t run = 0;  // first character not yet written
     for (std::size_t i = 0; i < s.size(); ++i) {
@@ -33,17 +49,17 @@ jsonEscape(std::ostream &os, std::string_view s)
                                       : nullptr;
         if (esc == nullptr && static_cast<unsigned char>(c) >= 0x20)
             continue;
-        os.write(s.data() + run, static_cast<std::streamsize>(i - run));
+        put(out, s.substr(run, i - run));
         run = i + 1;
         if (esc != nullptr) {
-            os << esc;
+            put(out, esc);
         } else {
             char buf[8];
             std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            os << buf;
+            put(out, buf);
         }
     }
-    os.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
+    put(out, s.substr(run));
 }
 
 /**
@@ -53,30 +69,44 @@ jsonEscape(std::ostream &os, std::string_view s)
  * std::to_chars is an order of magnitude faster than snprintf %.17g,
  * which matters to the per-window export hot path.
  */
-inline void
-jsonNumber(std::ostream &os, double v)
+template <typename Out>
+void
+jsonNumber(Out &out, double v)
 {
     if (!std::isfinite(v)) {
-        os << "null";
+        put(out, "null");
         return;
     }
     char buf[32];
     const auto r = std::to_chars(buf, buf + sizeof buf, v);
-    os << std::string_view(buf, static_cast<std::size_t>(r.ptr - buf));
+    put(out, std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+}
+
+/** An unsigned integer in decimal, as operator<< writes it. */
+template <typename Out>
+void
+jsonUint(Out &out, std::uint64_t v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    put(out, std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
 }
 
 /**
  * `"key":number` for each field in order, comma-separated; with
  * @p leading_comma the first field is preceded by a comma too.
  */
-inline void
-jsonFields(std::ostream &os,
+template <typename Out>
+void
+jsonFields(Out &out,
            std::initializer_list<std::pair<const char *, double>> fields,
            bool leading_comma = false)
 {
     for (const auto &[key, v] : fields) {
-        os << (leading_comma ? ",\"" : "\"") << key << "\":";
-        jsonNumber(os, v);
+        put(out, leading_comma ? ",\"" : "\"");
+        put(out, key);
+        put(out, "\":");
+        jsonNumber(out, v);
         leading_comma = true;
     }
 }

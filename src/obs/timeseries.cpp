@@ -327,23 +327,24 @@ namespace {
 
 /** Serialize one window point according to the series kind. */
 void
-pointTo(std::ostream &os, SeriesKind kind, const TsPoint &p)
+pointTo(std::string &out, SeriesKind kind, const TsPoint &p)
 {
     using detail::jsonFields;
-    os << "{";
     if (kind == SeriesKind::kHistogram) {
-        os << "\"n\":" << p.count;
-        jsonFields(os,
+        out += "{\"n\":";
+        detail::jsonUint(out, p.count);
+        jsonFields(out,
                    {{"v", p.value}, {"r", p.rate}, {"mean", p.mean},
                     {"p50", p.p50}, {"p90", p.p90}, {"p99", p.p99},
                     {"p999", p.p999}},
                    true);
     } else {
-        jsonFields(os, {{"v", p.value}, {"d", p.delta}});
+        out += '{';
+        jsonFields(out, {{"v", p.value}, {"d", p.delta}});
         if (kind != SeriesKind::kGauge)
-            jsonFields(os, {{"r", p.rate}}, true);
+            jsonFields(out, {{"r", p.rate}}, true);
     }
-    os << "}";
+    out += '}';
 }
 
 }  // namespace
@@ -353,10 +354,12 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
 {
     if (out == nullptr)
         return;
-    std::ostringstream line;
-    line << "{\"type\":\"window\",\"seq\":" << windowSeq << ",\"t_us\":";
+    std::string &line = lineBuf;
+    line = "{\"type\":\"window\",\"seq\":";
+    detail::jsonUint(line, windowSeq);
+    line += ",\"t_us\":";
     detail::jsonNumber(line, static_cast<double>(now) / 1e6);
-    line << ",\"series\":{";
+    line += ",\"series\":{";
     bool first = true;
     // Two-pointer merge over the sorted concrete and aggregate maps so
     // series appear in one global sorted order.
@@ -366,12 +369,10 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
                     const Rollup &r) {
         if (!r.last || r.last->t != now)
             return;
-        if (!first)
-            line << ",";
+        line += first ? "\"" : ",\"";
         first = false;
-        line << "\"";
         detail::jsonEscape(line, name);
-        line << "\":";
+        line += "\":";
         pointTo(line, kind, *r.last);
     };
     while (si != series.cend() || ai != aggregates.cend()) {
@@ -385,8 +386,8 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
             ++ai;
         }
     }
-    line << "}}";
-    exportLine(line.str());
+    line += "}}";
+    exportLine(line);
 }
 
 void

@@ -245,6 +245,8 @@ class TimeSeriesHub
 
     std::uint64_t windowSeq = 0;
     std::uint64_t linesOut = 0;
+    /** The window line being built; reused so its buffer stays warm. */
+    std::string lineBuf;
 
     bool includes(const std::string &path) const;
     void discover();

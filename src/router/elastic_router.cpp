@@ -240,6 +240,7 @@ ElasticRouter::addCandidate(int port, int vc)
     setBit(&candidates[std::size_t(target) * slotWords],
            port * cfg.numVcs + vc);
     setBit(activeOutputs.data(), target);
+    ++candidateCount;
 }
 
 void
@@ -249,6 +250,7 @@ ElasticRouter::removeCandidate(int out_idx, int slot)
     clearBit(mask, slot);
     if (firstSetBit(mask, 0, slots) == slots)
         clearBit(activeOutputs.data(), out_idx);
+    --candidateCount;
 }
 
 void
@@ -291,6 +293,8 @@ ElasticRouter::tick()
     const int ports = cfg.numPorts;
     while (true) {
         clock = Clock::kRunning;
+        if (candidateCount == 1)
+            crossTrain();
         const sim::TimePs now = queue.now();
         // Per-cycle separable allocation: each output grants at most one
         // input; each input sends at most one flit. Only outputs that
@@ -341,6 +345,60 @@ ElasticRouter::tick()
             return;
         }
     }
+}
+
+void
+ElasticRouter::crossTrain()
+{
+    const int out_idx = firstSetBit(activeOutputs.data(), 0, cfg.numPorts);
+    OutputPort &out = outputs[out_idx];
+    if (!out.tailFlitsOnly || out.cyclesPerFlit != 1)
+        return;
+    const int slot =
+        firstSetBit(&candidates[std::size_t(out_idx) * slotWords], 0, slots);
+    const int in_idx = slotInput[slot];
+    InputPort &in = inputs[in_idx];
+    if (in.creditWaiting && in.creditReturn)
+        return;
+    const int vc = slot - in_idx * cfg.numVcs;
+    InputVc &ivc = in.vcs[vc];
+    Run &run = ivc.runs.front();
+    int &owner = out.vcOwner[vc];
+    if (run.headAtFront && owner != -1 && owner != in_idx)
+        return;
+    // Cycle i grants one flit at now + i * cyclePs and runs ahead to the
+    // next cycle, so the last of n cycles must end before the next event
+    // and within the run. The run's last flit (its tail, or the newest
+    // flit of a run still waiting for it) stays for the per-cycle path.
+    const sim::TimePs now = queue.now();
+    const int n = static_cast<int>(std::min<sim::TimePs>(
+        run.flits - 1, (queue.runAheadHorizon() - now) / cyclePs));
+    const sim::TimePs next = now + n * cyclePs;
+    if (n < 1 || !queue.advanceIfIdle(next, static_cast<std::uint64_t>(n)))
+        return;
+    if (run.headAtFront) {
+        owner = in_idx;
+        ivc.lockedOutput = out_idx;
+        run.headAtFront = false;
+    }
+    if (cfg.policy == CreditPolicy::kElastic) {
+        // Each departure leaving the VC at or above its reservation
+        // frees one shared-pool credit while any is drawn.
+        const int shared = std::clamp(
+            ivc.occupancy - cfg.perVcReservedFlits, 0, n);
+        in.sharedUsed -= std::min(shared, in.sharedUsed);
+    }
+    run.flits -= n;
+    ivc.occupancy -= n;
+    totalBuffered -= n;
+    in.grantedAt = next - cyclePs;
+    out.rrPointer = slot + 1 == slots ? 0 : slot + 1;
+    out.nextFree = next;
+    statFlitsRouted += static_cast<std::uint64_t>(n);
+    statBusyCycles += static_cast<std::uint64_t>(n);
+    if (out_idx < static_cast<int>(obsFlitsOut.size()) &&
+        obsFlitsOut[out_idx])
+        obsFlitsOut[out_idx]->inc(static_cast<std::uint64_t>(n));
 }
 
 bool

@@ -238,6 +238,7 @@ class ElasticRouter
     std::vector<int> slotInput;  ///< slot / numVcs, without a division
     std::vector<std::uint64_t> candidates;
     std::vector<std::uint64_t> activeOutputs;
+    int candidateCount = 0;  ///< bits set over all outputs' masks
 
     /** Registry-owned per-port counters (null when not attached). */
     std::vector<sim::Counter *> obsFlitsIn;
@@ -258,6 +259,16 @@ class ElasticRouter
     void postTick();
     /** The tick event: run cycles until the router idles or must wait. */
     void tick();
+    /**
+     * At the start of a cycle with exactly one candidate, whose output
+     * takes tail flits only at one flit per cycle and whose injector
+     * waits for no credit: grant the front run's flits short of its last
+     * one, one per cycle until the queue's next event or run limit, in
+     * one step. Each of those cycles would grant that flit and change
+     * nothing else, so counters, credits and the event count
+     * (EventQueue::advanceIfIdle(t, n)) match the per-cycle path.
+     */
+    void crossTrain();
     /**
      * Grant output @p out_idx to candidate @p slot if it may send now:
      * one flit leaves the front run of that input VC.

@@ -23,6 +23,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -162,13 +163,15 @@ class TimerWheelQueue
      * Succeeds only if no live event is at or before @p t (strictly
      * nextEventTime() > t) and @p t lies within the current run: at or
      * before runUntil()'s limit, anywhere inside runAll(), never inside
-     * step() or outside a run. On success it counts as one executed
-     * event, so eventsExecuted() matches a run that scheduled the event.
+     * step() or outside a run. On success it counts as @p n executed
+     * events, so eventsExecuted() matches a run that scheduled the event
+     * at @p t and the @p n - 1 events that ran ahead to it (a component
+     * taking n cycles at once passes n).
      *
-     * @pre t >= now().
+     * @pre t >= now(), n >= 1.
      * @return true if now() moved to @p t.
      */
-    bool advanceIfIdle(TimePs t)
+    bool advanceIfIdle(TimePs t, std::uint64_t n = 1)
     {
         if (t < currentTime)
             pastRunAhead(t);
@@ -178,8 +181,18 @@ class TimerWheelQueue
         if (t > runLimit || nextEventTime() <= t)
             return false;
         currentTime = t;
-        ++executedCount;
+        executedCount += n;
         return true;
+    }
+
+    /**
+     * The latest time advanceIfIdle() may move to right now: just before
+     * the next live event, and at or before the current run's limit.
+     * Below now() outside a run and inside step().
+     */
+    TimePs runAheadHorizon()
+    {
+        return std::min(runLimit, nextEventTime() - 1);
     }
 
     /**

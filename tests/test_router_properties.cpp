@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -410,20 +411,54 @@ struct ErRunResult {
 };
 
 /**
+ * A no-op event on every cycle boundary from now until done() holds, so
+ * no router cycle is ever the queue's next event: every tick takes the
+ * scheduled-event path instead of running ahead. Outlives the run.
+ */
+struct ClockEvents {
+    std::uint64_t ran = 0;  ///< no-ops run so far
+    std::function<void()> fn;
+
+    ClockEvents(sim::EventQueue &eq, sim::TimePs cycle,
+                std::function<bool()> done)
+        : fn([this, &eq, cycle, done = std::move(done)] {
+              ++ran;
+              if (!done())
+                  eq.schedule(eq.now() + cycle, fn);
+          })
+    {
+        eq.schedule(eq.now(), fn);
+    }
+    ClockEvents(const ClockEvents &) = delete;
+    ClockEvents &operator=(const ClockEvents &) = delete;
+};
+
+/** The traffic of one differential run and how the queue runs it. */
+struct ErTraffic {
+    int vcs = 1;
+    std::uint64_t seed = 0;
+    int messages = 0;
+    /** Request sizes are uniform in [1, maxBytes]. */
+    std::uint32_t maxBytes = 700;
+    /** Requests are injected at uniform times in [0, span). */
+    sim::TimePs span = sim::fromMicros(3);
+    /** runUntil() steps of this length when positive, else runAll(). */
+    sim::TimePs step = 0;
+};
+
+/**
  * Seeded multi-VC traffic through @p eps, injected at staggered times.
  * Every third request is answered from its delivery handler, so replies
  * enter a router in the same event that delivers a flit. With
- * @p clock_events a no-op event sits on every cycle boundary until the
- * last delivery, so no router cycle is ever the next event: every tick
- * takes the scheduled-event path instead of running ahead.
+ * @p clock_events, ClockEvents run until the last delivery.
  */
 ErRunResult
 runErDifferential(sim::EventQueue &eq, const std::vector<ErEndpoint *> &eps,
-                  const std::vector<ElasticRouter *> &routers, int vcs,
-                  std::uint64_t seed, int messages, bool clock_events)
+                  const std::vector<ElasticRouter *> &routers,
+                  const ErTraffic &traffic, bool clock_events)
 {
     ErRunResult res;
-    std::size_t sent = static_cast<std::size_t>(messages);
+    std::size_t sent = static_cast<std::size_t>(traffic.messages);
     const int n = static_cast<int>(eps.size());
     for (int e = 0; e < n; ++e) {
         eps[e]->setMessageHandler(
@@ -437,36 +472,54 @@ runErDifferential(sim::EventQueue &eq, const std::vector<ErEndpoint *> &eps,
                 }
             });
     }
-    sim::Rng rng(seed);
-    for (int i = 0; i < messages; ++i) {
+    sim::Rng rng(traffic.seed);
+    for (int i = 0; i < traffic.messages; ++i) {
         const int src = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
         const int dst = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
-        const int vc = static_cast<int>(rng.uniformInt(std::uint64_t(vcs)));
-        const auto bytes =
-            static_cast<std::uint32_t>(1 + rng.uniformInt(std::uint64_t{700}));
+        const int vc =
+            static_cast<int>(rng.uniformInt(std::uint64_t(traffic.vcs)));
+        const auto bytes = static_cast<std::uint32_t>(
+            1 + rng.uniformInt(std::uint64_t{traffic.maxBytes}));
         const auto at = static_cast<sim::TimePs>(
-            rng.uniformInt(std::uint64_t(sim::fromMicros(3))));
+            rng.uniformInt(static_cast<std::uint64_t>(traffic.span)));
         eq.schedule(at, [&eps, src, dst, vc, bytes] {
             eps[src]->sendMessage(dst, vc, bytes);
         });
     }
-    const sim::TimePs cycle = sim::cyclePeriod(routers[0]->config().clockMhz);
-    std::uint64_t noops = 0;
-    std::function<void()> clock_event = [&] {
-        ++noops;
-        if (res.deliveries.size() < sent)
-            eq.schedule(eq.now() + cycle, clock_event);
-    };
-    if (clock_events)
-        eq.schedule(0, clock_event);
-    eq.runAll();
+    std::optional<ClockEvents> clock;
+    if (clock_events) {
+        clock.emplace(eq, sim::cyclePeriod(routers[0]->config().clockMhz),
+                      [&] { return res.deliveries.size() >= sent; });
+    }
+    if (traffic.step > 0) {
+        while (!eq.empty())
+            eq.runUntil(eq.now() + traffic.step);
+    } else {
+        eq.runAll();
+    }
     EXPECT_EQ(res.deliveries.size(), sent);
-    EXPECT_GT(sent, static_cast<std::size_t>(messages));  // some replies
+    // Some replies.
+    EXPECT_GT(sent, static_cast<std::size_t>(traffic.messages));
     for (const ElasticRouter *er : routers)
         res.routers.emplace_back(er->flitsRouted(), er->messagesRouted(),
                                  er->busyCycles(), er->peakBufferedFlits());
-    res.events = eq.eventsExecuted() - noops;
+    res.events = eq.eventsExecuted() - (clock ? clock->ran : 0);
     return res;
+}
+
+/**
+ * One run of @p traffic through the routers @p build makes on a fresh
+ * queue; see runErDifferential.
+ */
+template <typename Build>
+ErRunResult
+runBuilt(Build &build, const ErTraffic &traffic, bool clock_events)
+{
+    sim::EventQueue eq;
+    std::vector<ErEndpoint *> eps;
+    std::vector<ElasticRouter *> routers;
+    auto owner = build(eq, eps, routers);
+    return runErDifferential(eq, eps, routers, traffic, clock_events);
 }
 
 /**
@@ -482,20 +535,41 @@ expectRunAheadMatchesScheduledTicks(Build build, int vcs,
                                     std::uint64_t pinned,
                                     const std::string &what)
 {
+    ErTraffic traffic;
+    traffic.vcs = vcs;
+    traffic.seed = seed;
+    traffic.messages = messages;
     ErRunResult runs[2];
-    for (int forced = 0; forced < 2; ++forced) {
-        sim::EventQueue eq;
-        std::vector<ErEndpoint *> eps;
-        std::vector<ElasticRouter *> routers;
-        auto owner = build(eq, eps, routers);
-        runs[forced] = runErDifferential(eq, eps, routers, vcs, seed,
-                                         messages, forced == 1);
-    }
+    for (int forced = 0; forced < 2; ++forced)
+        runs[forced] = runBuilt(build, traffic, forced == 1);
     EXPECT_EQ(runs[0].deliveries, runs[1].deliveries) << what;
     EXPECT_EQ(runs[0].routers, runs[1].routers) << what;
     EXPECT_EQ(runs[0].events, runs[1].events) << what;
     EXPECT_EQ(runs[0].digest(), pinned)
         << what << " got 0x" << std::hex << runs[0].digest();
+}
+
+/**
+ * A build for runBuilt(): one router of @p cfg with an ErEndpoint on
+ * every port, its last output slowed to three cycles per flit.
+ */
+auto
+singleRouter(const ErConfig &cfg)
+{
+    return [cfg](sim::EventQueue &eq, std::vector<ErEndpoint *> &eps,
+                 std::vector<ElasticRouter *> &routers) {
+        auto er = std::make_shared<ElasticRouter>(eq, cfg);
+        er->setOutputCyclesPerFlit(cfg.numPorts - 1, 3);  // slow
+        auto owned =
+            std::make_shared<std::vector<std::unique_ptr<ErEndpoint>>>();
+        for (int p = 0; p < cfg.numPorts; ++p) {
+            owned->push_back(std::make_unique<ErEndpoint>(eq, *er, p, p));
+            er->setOutputSink(p, owned->back().get());
+            eps.push_back(owned->back().get());
+        }
+        routers.push_back(er.get());
+        return std::make_pair(er, owned);
+    };
 }
 
 TEST(ErRunAhead, SingleRouterMatchesScheduledTicks)
@@ -516,31 +590,16 @@ TEST(ErRunAhead, SingleRouterMatchesScheduledTicks)
         {3, CreditPolicy::kStatic, 0x4eedb207cc771d5eull},
     };
     for (const Case &c : cases) {
-        const auto build = [&c](sim::EventQueue &eq,
-                                std::vector<ErEndpoint *> &eps,
-                                std::vector<ElasticRouter *> &routers) {
-            ErConfig cfg;
-            cfg.numPorts = 5;
-            cfg.numVcs = 3;
-            cfg.pipelineCycles = c.pipeline;
-            cfg.policy = c.policy;
-            cfg.perVcReservedFlits = 2;
-            cfg.sharedPoolFlits = 6;
-            cfg.staticPerVcFlits = 3;
-            auto er = std::make_shared<ElasticRouter>(eq, cfg);
-            er->setOutputCyclesPerFlit(cfg.numPorts - 1, 3);  // slow
-            auto owned =
-                std::make_shared<std::vector<std::unique_ptr<ErEndpoint>>>();
-            for (int p = 0; p < cfg.numPorts; ++p) {
-                owned->push_back(std::make_unique<ErEndpoint>(eq, *er, p, p));
-                er->setOutputSink(p, owned->back().get());
-                eps.push_back(owned->back().get());
-            }
-            routers.push_back(er.get());
-            return std::make_pair(er, owned);
-        };
+        ErConfig cfg;
+        cfg.numPorts = 5;
+        cfg.numVcs = 3;
+        cfg.pipelineCycles = c.pipeline;
+        cfg.policy = c.policy;
+        cfg.perVcReservedFlits = 2;
+        cfg.sharedPoolFlits = 6;
+        cfg.staticPerVcFlits = 3;
         expectRunAheadMatchesScheduledTicks(
-            build, 3, 77u + c.pipeline, 300, c.pinned,
+            singleRouter(cfg), 3, 77u + c.pipeline, 300, c.pinned,
             "pipelineCycles=" + std::to_string(c.pipeline) + " static=" +
                 std::to_string(c.policy == CreditPolicy::kStatic));
     }
@@ -572,6 +631,56 @@ TEST(ErRunAhead, MeshWithLinksMatchesScheduledTicks)
         expectRunAheadMatchesScheduledTicks(
             build, 2, 0x5eedu + pipeline, 400, pinned[pipeline],
             "mesh pipelineCycles=" + std::to_string(pipeline));
+    }
+}
+
+TEST(ErRunAhead, LongTrainsMatchScheduledTicks)
+{
+    // Requests of up to 4 KB (128 flits) outgrow the free credits, so
+    // their injectors wait and pump mid-message, and the router's
+    // uncontended stretches cross whole trains in one step. The queue
+    // runs to completion or in runUntil() steps of a few cycles, whose
+    // limits cut trains short. Every variant must match the run with a
+    // no-op event on every cycle boundary, where each flit takes a cycle.
+    const sim::TimePs cycle = sim::cyclePeriod(ErConfig{}.clockMhz);
+    for (CreditPolicy policy :
+         {CreditPolicy::kElastic, CreditPolicy::kStatic}) {
+        for (bool roomy : {true, false}) {
+            ErConfig cfg;
+            cfg.numPorts = 4;
+            cfg.numVcs = 2;
+            cfg.policy = policy;
+            if (!roomy) {
+                cfg.perVcReservedFlits = 2;
+                cfg.sharedPoolFlits = 6;
+                cfg.staticPerVcFlits = 3;
+            }
+            auto build = singleRouter(cfg);
+            ErTraffic traffic;
+            traffic.vcs = cfg.numVcs;
+            traffic.seed = 0x7a11u + 2u * roomy +
+                           (policy == CreditPolicy::kStatic);
+            traffic.messages = 60;
+            traffic.maxBytes = 4096;
+            traffic.span = sim::fromMicros(40);
+            const ErRunResult ref = runBuilt(build, traffic, true);
+            for (sim::TimePs step :
+                 {sim::TimePs{0}, 2 * cycle, 3 * cycle + cycle / 3}) {
+                traffic.step = step;
+                for (bool forced : {false, true}) {
+                    const ErRunResult run = runBuilt(build, traffic, forced);
+                    const std::string what =
+                        "static=" +
+                        std::to_string(policy == CreditPolicy::kStatic) +
+                        " roomy=" + std::to_string(roomy) +
+                        " step=" + std::to_string(step) +
+                        " forced=" + std::to_string(forced);
+                    EXPECT_EQ(run.deliveries, ref.deliveries) << what;
+                    EXPECT_EQ(run.routers, ref.routers) << what;
+                    EXPECT_EQ(run.events, ref.events) << what;
+                }
+            }
+        }
     }
 }
 
@@ -934,6 +1043,98 @@ TEST(ErRuns, PerFlitInjectionExtendsTheBackRun)
         EXPECT_EQ(sink.flits[i].first - sink.flits[i - 1].first, cycle) << i;
     EXPECT_EQ(er.freeCredits(0, 0),
               cfg.perVcReservedFlits + cfg.sharedPoolFlits);
+}
+
+TEST(ErRunAhead, WaitingInjectorHearsEveryCredit)
+{
+    // An injector waiting for credits hears each one as its flit leaves,
+    // so its input never crosses a train in one step.
+    const auto run = [](bool clock_events) {
+        sim::EventQueue eq;
+        ErConfig cfg;
+        cfg.numPorts = 2;
+        cfg.numVcs = 1;
+        ElasticRouter er(eq, cfg);
+        ErEndpoint sink(eq, er, 1, 1);
+        er.setOutputSink(1, &sink);
+        sim::TimePs delivered = -1;
+        sink.setMessageHandler([&](const ErMessagePtr &) {
+            delivered = eq.now();
+        });
+        constexpr int kFlits = 128;
+        auto msg = makeMessage(0, 1, 0, kFlits * 32, 1);
+        int sent = 0;
+        const auto pump = [&] {
+            const int n = std::min(er.freeCredits(0, 0), kFlits - sent);
+            if (n > 0)
+                er.injectTrain(0, msg, static_cast<std::uint32_t>(sent), n);
+            sent += n;
+        };
+        std::vector<sim::TimePs> heard;
+        er.setCreditReturnFn(0, [&](int) {
+            heard.push_back(eq.now());
+            pump();
+        });
+        eq.schedule(0, pump);
+        std::optional<ClockEvents> clock;
+        if (clock_events) {
+            clock.emplace(eq, sim::cyclePeriod(cfg.clockMhz),
+                          [&] { return delivered >= 0; });
+        }
+        eq.runAll();
+        EXPECT_EQ(heard.size(), std::size_t{kFlits});
+        return std::make_pair(heard, delivered);
+    };
+    EXPECT_EQ(run(false), run(true));
+}
+
+TEST(ErRunAhead, HeadWaitsForTheOutputVcAsItsOnlyCandidate)
+{
+    // Input 0's message holds output 1's VC while its tail is still
+    // upstream, as over an ErLink. Input 2's long message to the same
+    // output is then the router's only candidate, but its head may not
+    // take the VC, so it does not cross as a train until the tail went.
+    const auto run = [](bool clock_events) {
+        sim::EventQueue eq;
+        ErConfig cfg;
+        cfg.numPorts = 3;
+        cfg.numVcs = 1;
+        ElasticRouter er(eq, cfg);
+        ErEndpoint out(eq, er, 1, 1);
+        ErEndpoint src(eq, er, 2, 2);
+        er.setOutputSink(1, &out);
+        std::vector<std::pair<sim::TimePs, std::uint64_t>> got;
+        out.setMessageHandler([&](const ErMessagePtr &m) {
+            got.emplace_back(eq.now(), m->id);
+        });
+        auto held = makeMessage(0, 1, 0, 2 * 32, 1);
+        Flit head;
+        head.kind = FlitKind::kHead;
+        head.dstEndpoint = 1;
+        head.bytes = 32;
+        er.injectFlit(0, head);
+        eq.schedule(sim::fromNanos(20), [&] {
+            src.sendMessage(makeMessage(2, 1, 0, 40 * 32, 2));
+        });
+        eq.schedule(sim::fromNanos(200), [&] {
+            Flit tail = head;
+            tail.kind = FlitKind::kTail;
+            tail.msg = held;
+            er.injectFlit(0, tail);
+        });
+        std::optional<ClockEvents> clock;
+        if (clock_events) {
+            clock.emplace(eq, sim::cyclePeriod(cfg.clockMhz),
+                          [&] { return got.size() == 2; });
+        }
+        eq.runAll();
+        EXPECT_EQ(got.size(), 2u);
+        EXPECT_EQ(er.flitsRouted(), 42u);
+        return std::make_tuple(got, er.busyCycles());
+    };
+    const auto plain = run(false);
+    EXPECT_EQ(plain, run(true));
+    EXPECT_EQ(std::get<0>(plain).front().second, 1u);  // the held message
 }
 
 }  // namespace

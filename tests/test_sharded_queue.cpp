@@ -335,6 +335,38 @@ TEST(ShardedEventQueue, PartitionsRunAheadWithinTheirWindow)
     }
 }
 
+TEST(ShardedEventQueue, PartitionsRunAheadCyclesWithinTheirWindow)
+{
+    // The cycle-count run-ahead sees the same window end, 1099, as its
+    // horizon and counts every cycle on the partition that took them.
+    for (int threads : {1, 2}) {
+        sim::ShardedEventQueue::Config qc;
+        qc.partitions = 2;
+        qc.threads = threads;
+        sim::ShardedEventQueue sq(qc);
+        sq.registerCrossEdge(0, 1, 1000);
+        sq.registerCrossEdge(1, 0, 1000);
+        std::vector<std::vector<bool>> got(2);
+        std::vector<sim::TimePs> horizon(2, -1);
+        for (int p = 0; p < 2; ++p) {
+            sim::EventQueue &eq = sq.partition(p);
+            eq.schedule(100 + p, [&eq, &got, &horizon, p] {
+                horizon[p] = eq.runAheadHorizon();
+                got[p].push_back(eq.advanceIfIdle(1100, 5));
+                got[p].push_back(eq.advanceIfIdle(1099, 5));
+            });
+        }
+        sq.runUntil(5000);
+        for (int p = 0; p < 2; ++p) {
+            EXPECT_EQ(horizon[p], 1099)
+                << "partition " << p << ", " << threads << " threads";
+            EXPECT_EQ(got[p], (std::vector<bool>{false, true}));
+            EXPECT_EQ(sq.partition(p).eventsExecuted(), 6u);
+        }
+        EXPECT_EQ(sq.eventsExecuted(), 12u);
+    }
+}
+
 // --- structural determinism across thread counts ------------------------
 
 /** Per-partition execution log entry: (label, simulated time). */

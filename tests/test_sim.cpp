@@ -202,6 +202,49 @@ TEST(EventQueueRunAhead, SucceedsInsideRunAllAndCountsOneEvent)
     EXPECT_EQ(eq.now(), 2'000'000);
 }
 
+TEST(EventQueueRunAhead, CycleCountFormCountsEveryCycle)
+{
+    EventQueue eq;
+    eq.schedule(100, [&] {
+        const std::uint64_t executed = eq.eventsExecuted();
+        EXPECT_EQ(eq.runAheadHorizon(), 999);  // just before 1000
+        ASSERT_TRUE(eq.advanceIfIdle(900, 8));
+        EXPECT_EQ(eq.now(), 900);
+        EXPECT_EQ(eq.eventsExecuted(), executed + 8);
+    });
+    eq.schedule(1000, [] {});
+    eq.runAll();
+    EXPECT_EQ(eq.eventsExecuted(), 10u);  // two events and eight cycles
+}
+
+TEST(EventQueueRunAhead, CycleCountFormRefusesWhereOneCycleWould)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(100, [&] {
+        EXPECT_EQ(eq.runAheadHorizon(), 299);
+        got.push_back(eq.advanceIfIdle(300, 4));  // an event at 300
+        got.push_back(eq.advanceIfIdle(400, 4));  // one before 400
+    });
+    eq.schedule(300, [&] {
+        EXPECT_EQ(eq.runAheadHorizon(), 1000);  // the runUntil limit
+        got.push_back(eq.advanceIfIdle(1001, 4));
+        got.push_back(eq.advanceIfIdle(1000, 4));
+    });
+    eq.schedule(5000, [&] {
+        EXPECT_LT(eq.runAheadHorizon(), eq.now());
+        got.push_back(eq.advanceIfIdle(6000, 4));  // inside step()
+    });
+    eq.runUntil(1000);
+    EXPECT_EQ(eq.eventsExecuted(), 6u);  // two events and four cycles
+    EXPECT_LT(eq.runAheadHorizon(), eq.now());  // outside a run
+    EXPECT_FALSE(eq.advanceIfIdle(2000, 4));
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(got, (std::vector<bool>{false, false, false, true, false}));
+    EXPECT_EQ(eq.now(), 5000);
+    EXPECT_EQ(eq.eventsExecuted(), 7u);
+}
+
 TEST(EventQueueRunAhead, SelfClockedLoopMatchesScheduledTicks)
 {
     // A component ticking every 5 ps for 50 cycles, against a background
