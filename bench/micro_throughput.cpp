@@ -135,6 +135,57 @@ BM_EventQueueSparseTimers(benchmark::State &state)
 BENCHMARK(BM_EventQueueSparseTimers);
 
 /**
+ * The chained shape of remote_pool: one event that re-schedules itself
+ * 2.56 ns out, over 16 parked timers that re-arm every 50 µs (LTL
+ * retransmit timers). A link is the earliest event from the moment it is
+ * scheduled, so it runs from the head register without touching the
+ * wheel; only the timers are parked.
+ */
+struct ChainOverTimers {
+    static constexpr int kTimers = 16;
+    static constexpr sim::TimePs kLink = 2560;
+
+    sim::EventQueue eq;
+    std::int64_t links = 0;
+
+    ChainOverTimers()
+    {
+        for (int t = 0; t < kTimers; ++t)
+            arm(sim::fromMicros(10.0 + 2.5 * t));
+        link();
+    }
+
+    void arm(sim::TimePs delay)
+    {
+        eq.scheduleAfter(delay, [this] { arm(sim::fromMicros(50.0)); });
+    }
+
+    void link()
+    {
+        eq.scheduleAfter(kLink, [this] {
+            ++links;
+            link();
+        });
+    }
+};
+
+void
+BM_EventQueueChain(benchmark::State &state)
+{
+    ChainOverTimers rig;
+    for (auto _ : state) {
+        for (int i = 0; i < 1000; ++i)
+            rig.eq.step();
+    }
+    benchmark::DoNotOptimize(rig.links);
+    state.SetItemsProcessed(state.iterations() * 1000);
+    state.counters["bypass_ratio"] =
+        static_cast<double>(rig.eq.eventsBypassed()) /
+        static_cast<double>(rig.eq.eventsExecuted());
+}
+BENCHMARK(BM_EventQueueChain);
+
+/**
  * The sharded kernel's per-window cost when almost nothing happens: 261
  * partitions (the L2 campaign's 260 pods + spine) on 2 threads, with
  * `pairs` partition pairs spread over them, each bouncing balls over a
@@ -611,6 +662,22 @@ measureKernelTrajectory()
         const double ops =
             static_cast<double>(eq.eventsExecuted() + eq.eventsCancelled());
         v["kernel.bimodal_cancel.events_per_sec"] = ops / secs;
+    }
+    {
+        // Mirrors BM_EventQueueChain: 2M events, almost all chain links.
+        // The bypass ratio comes from the kernel's exact counter, so CI
+        // can gate the register fast path without timing it.
+        ChainOverTimers rig;
+        const auto t0 = Clock::now();
+        for (int i = 0; i < 2000000; ++i)
+            rig.eq.step();
+        const double secs =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        benchmark::DoNotOptimize(rig.links);
+        const double events = static_cast<double>(rig.eq.eventsExecuted());
+        v["kernel.chain.ns_per_event"] = 1e9 * secs / events;
+        v["kernel.chain.bypass_ratio"] =
+            static_cast<double>(rig.eq.eventsBypassed()) / events;
     }
     struct SparseCase {
         const char *key;

@@ -58,6 +58,8 @@ Shell::Shell(sim::EventQueue &eq, ShellConfig config)
     roleEndpoints.resize(cfg.roleSlots);
     roles.resize(cfg.roleSlots, nullptr);
     roleActive.resize(cfg.roleSlots, false);
+    for (int slot = 0; slot < cfg.roleSlots; ++slot)
+        er->setOutputSink(kErPortRole0 + slot, &emptySlotSink);
 
     bridgeUnit.setTap([this](Direction d, const net::PacketPtr &p) {
         return onTap(d, p);

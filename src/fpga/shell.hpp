@@ -282,6 +282,19 @@ class Shell
     std::uint64_t statInactiveDrops = 0;
     sim::EventId scrubEvent = sim::kNoEvent;
 
+    /**
+     * The sink of a role slot that never held a role: it consumes what
+     * is routed there and counts each message as one to an inactive
+     * role, so every router port has a sink.
+     */
+    struct EmptySlotSink final : router::FlitSink {
+        explicit EmptySlotSink(std::uint64_t &count) : drops(count) {}
+        void acceptFlit(const router::Flit &) override { ++drops; }
+        bool tailFlitsOnly() const override { return true; }
+        std::uint64_t &drops;
+    };
+    EmptySlotSink emptySlotSink{statInactiveDrops};
+
     TapResult onTap(Direction dir, const net::PacketPtr &pkt);
     void onLtlDelivery(const ltl::LtlMessage &msg);
     void onPcieMessage(const router::ErMessagePtr &msg);

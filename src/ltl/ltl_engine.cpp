@@ -79,16 +79,6 @@ LtlEngine::attachObservability(obs::Observability *o, const std::string &node)
                       [this] { return double(statQuiesces); });
 }
 
-std::uint64_t
-LtlEngine::framesInFlight() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sc : sendTable)
-        if (sc.valid && !sc.failed)
-            n += sc.unacked.size();
-    return n;
-}
-
 void
 LtlEngine::abandonSendState(SendConnection &sc)
 {
@@ -106,6 +96,7 @@ LtlEngine::abandonSendState(SendConnection &sc)
             maybeAbandon(*pf.header);
     }
     statFramesAbandoned += sc.unacked.size();
+    inFlightFrames -= sc.unacked.size();
     sc.unacked.clear();
     sc.unackedBytes = 0;
     sc.sendQueue.clear();
@@ -300,6 +291,7 @@ LtlEngine::pumpSend(std::uint16_t conn)
         uf.lastSentAt = now;
         sc.unacked.push_back(uf);
         sc.unackedBytes += header->frameBytes;
+        ++inFlightFrames;
 
         transmitFrame(sc, header, false);
 
@@ -566,6 +558,7 @@ LtlEngine::handleAck(std::uint16_t conn, std::uint32_t ack_seq, bool is_nack)
         }
         sc.unackedBytes -= uf.header->frameBytes;
         sc.unacked.pop_front();
+        --inFlightFrames;
         ++statFramesAcked;
         progressed = true;
     }

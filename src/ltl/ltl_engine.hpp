@@ -259,7 +259,18 @@ class LtlEngine
     /** Frames written off when a connection failed or was closed. */
     std::uint64_t framesAbandoned() const { return statFramesAbandoned; }
     /** Transmitted frames currently awaiting acknowledgement. */
-    std::uint64_t framesInFlight() const;
+    std::uint64_t framesInFlight() const { return inFlightFrames; }
+    /**
+     * Frames send connection @p conn has transmitted that await
+     * acknowledgement; 0 for a closed or failed connection.
+     */
+    std::size_t unackedFrames(std::uint16_t conn) const
+    {
+        return conn < sendTable.size() && sendTable[conn].valid &&
+                       !sendTable[conn].failed
+                   ? sendTable[conn].unacked.size()
+                   : 0;
+    }
 
     /** Send connections declared failed (retry exhaustion or reject). */
     std::uint64_t connectionFailures() const { return statConnFailures; }
@@ -324,6 +335,12 @@ class LtlEngine
     TimeoutObserver onTimeoutStreak;
 
     std::vector<SendConnection> sendTable;
+    /**
+     * Frames in the `unacked` stores of all send connections. A failed
+     * connection's store is emptied when it fails, so this counts only
+     * open, unfailed connections.
+     */
+    std::uint64_t inFlightFrames = 0;
     std::vector<ReceiveConnection> recvTable;
 
     QuiesceState qState = QuiesceState::kActive;

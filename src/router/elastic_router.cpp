@@ -51,6 +51,16 @@ ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
 {
     if (cfg.numPorts < 1 || cfg.numVcs < 1 || cfg.flitBytes == 0)
         sim::fatal("ElasticRouter: invalid configuration");
+    // A VC with no credit of its own can starve: the credit-return
+    // callback pumps only the VC whose credit came back.
+    if (cfg.policy == CreditPolicy::kElastic && cfg.perVcReservedFlits < 1)
+        sim::fatalf(cfg.name, ": ErConfig::perVcReservedFlits must be >= 1 "
+                              "under the elastic policy (got ",
+                    cfg.perVcReservedFlits, ")");
+    if (cfg.policy == CreditPolicy::kStatic && cfg.staticPerVcFlits < 1)
+        sim::fatalf(cfg.name, ": ErConfig::staticPerVcFlits must be >= 1 "
+                              "under the static policy (got ",
+                    cfg.staticPerVcFlits, ")");
     cyclePs = sim::cyclePeriod(cfg.clockMhz);
     routeFn = [](int dst) { return dst; };
     inputs.resize(cfg.numPorts);
@@ -306,7 +316,10 @@ ElasticRouter::tick()
              out_idx = firstSetBit(activeOutputs.data(), out_idx + 1,
                                    ports)) {
             const OutputPort &out = outputs[out_idx];
-            if (out.sink == nullptr || out.nextFree > now)
+            if (out.sink == nullptr)
+                sim::panicf(cfg.name, ": a head flit is routed to output ",
+                            out_idx, ", which has no sink (setOutputSink)");
+            if (out.nextFree > now)
                 continue;
             const std::uint64_t *mask =
                 &candidates[std::size_t(out_idx) * slotWords];

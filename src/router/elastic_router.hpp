@@ -48,11 +48,11 @@ struct ErConfig {
     int pipelineCycles = 2;
 
     CreditPolicy policy = CreditPolicy::kElastic;
-    /** Elastic policy: guaranteed flits per VC. */
+    /** Elastic policy: guaranteed flits per VC; at least 1. */
     int perVcReservedFlits = 4;
     /** Elastic policy: extra flits shared across VCs of one input port. */
     int sharedPoolFlits = 56;
-    /** Static policy: fixed flits per VC. */
+    /** Static policy: fixed flits per VC; at least 1. */
     int staticPerVcFlits = 32;
 };
 
@@ -82,7 +82,10 @@ class ElasticRouter
         routeFn = std::move(fn);
     }
 
-    /** Attach the consumer of output port @p port. */
+    /**
+     * Attach the consumer of output port @p port. A router whose routing
+     * reaches an output without one panics when it arbitrates for it.
+     */
     void setOutputSink(int port, FlitSink *sink);
 
     /**

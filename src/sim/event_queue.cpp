@@ -87,17 +87,41 @@ TimerWheelQueue::levelOf(TimePs when) const
 }
 
 void
+TimerWheelQueue::catchUp()
+{
+    // The highest 6-bit group in which the clock and the wheel time
+    // differ. A parked event is at or after the clock, so none sits at a
+    // lower level; one at that level in the clock's own slot or before
+    // it would have to move down, and then the wheel time stays.
+    const std::uint64_t diff =
+        static_cast<std::uint64_t>(currentTime ^ wheelTime) >> kSlotShift0;
+    const int group = (63 - std::countl_zero(diff)) / kSlotBits;
+    for (int level = 0; level < std::min(group, kLevels); ++level) {
+        if (occupied[level] != 0)
+            return;  // tombstones only, but they hold their slots
+    }
+    if (group < kLevels && occupied[group] != 0 &&
+        static_cast<int>((currentTime >> shiftOf(group)) & (kSlots - 1)) >=
+            std::countr_zero(occupied[group]))
+        return;
+    // The due buffer's slot ends before the clock: nothing in it is live.
+    if (dueSlotAbs >= 0 && dueFrontLive())
+        return;
+    wheelTime = currentTime;
+}
+
+void
 TimerWheelQueue::place(std::uint32_t idx, TimePs when)
 {
-    int level = levelOf(when);
-    if (level >= kLevels && dueSlotAbs < 0 &&
-        std::all_of(std::begin(occupied), std::end(occupied),
-                    [](std::uint64_t bits) { return bits == 0; })) {
-        // Nothing parked can go stale, so an empty wheel's time catches
-        // up with now() and the horizon is measured from there.
-        wheelTime = currentTime;
-        level = levelOf(when);
-    }
+    // The register runs events without touching the wheel, so its time
+    // can fall behind the clock; a park brings it up to the clock when
+    // that moves no parked event, so events land at the levels (and in
+    // the warm cells) they would have had every event passed through the
+    // wheel, and the horizon is measured from the clock.
+    if (currentTime > wheelTime &&
+        ((currentTime ^ wheelTime) >> kSlotShift0) != 0)
+        catchUp();
+    const int level = levelOf(when);
     if (level < kLevels) {
         const int slot =
             static_cast<int>((when >> shiftOf(level)) & (kSlots - 1));
@@ -190,7 +214,7 @@ TimerWheelQueue::dueFrontLive()
 }
 
 TimerWheelQueue::Head
-TimerWheelQueue::ensureNext(TimePs limit)
+TimerWheelQueue::ensureNext(TimePs limit, bool exact)
 {
     while (true) {
         // The due buffer holds the wheel's earliest events: the wheel
@@ -233,6 +257,14 @@ TimerWheelQueue::ensureNext(TimePs limit)
         TimePs first = kTimeNever;
         bool oneSlot = true;
         if (level > 0 || base > limit) {
+            // No event in the slot is earlier than its start: past the
+            // limit, that bound serves unless an exact time is asked for.
+            const TimePs start =
+                ((wheelTime >> shiftOf(level + 1)) << shiftOf(level + 1)) |
+                (static_cast<TimePs>(slot) << shiftOf(level));
+            if (!exact && start > limit &&
+                (overflow.empty() || overflow.front().when >= start))
+                return {Next::kLater, start};
             TimePs last = 0;
             std::size_t live = 0;
             for (std::uint32_t idx : cell) {
@@ -253,14 +285,15 @@ TimerWheelQueue::ensureNext(TimePs limit)
             }
             base = (first >> kSlotShift0) << kSlotShift0;
             oneSlot = (first >> kSlotShift0) == (last >> kSlotShift0);
+            // The wheel time never passes the head, nor `limit`.
+            if (!overflow.empty() && overflow.front().when < base)
+                return {Next::kOverflow, overflow.front().when};
+            if (base > limit)
+                return {Next::kLater,
+                        overflow.empty()
+                            ? first
+                            : std::min(first, overflow.front().when)};
         }
-        // The wheel time never passes the head, nor `limit`.
-        if (!overflow.empty() && overflow.front().when < base)
-            return {Next::kOverflow, overflow.front().when};
-        if (base > limit)
-            return {Next::kLater,
-                    overflow.empty() ? first
-                                     : std::min(first, overflow.front().when)};
         wheelTime = base;
         occupied[level] &= ~(std::uint64_t{1} << slot);
         if (oneSlot) {
@@ -277,23 +310,80 @@ TimerWheelQueue::ensureNext(TimePs limit)
     }
 }
 
+TimerWheelQueue::Head
+TimerWheelQueue::locate(TimePs limit)
+{
+    // Stopping at the register's time keeps the wheel time at or below
+    // it, so its event can still be parked relative to the wheel time.
+    const TimePs parkedLimit = std::min(limit, regWhen);
+    Head parked;
+    if (parkedBound > parkedLimit) {
+        parked = {parkedBound == kTimeNever ? Next::kNone : Next::kLater,
+                  parkedBound};
+    } else {
+        parked = ensureNext(parkedLimit, false);
+        parkedBound = parked.when;
+        parkedExact = parked.src != Next::kLater;
+    }
+    if (reg == kNoReg)
+        return parked;
+    const bool parkedFirst =
+        parked.src == Next::kDue || parked.src == Next::kOverflow
+            ? parked.when < regWhen ||
+                  (parked.when == regWhen &&
+                   headSeq(parked.src) < pool[reg].seq)
+            : parked.when < regWhen;  // both are then after `limit`
+    return parkedFirst ? parked : Head{Next::kReg, regWhen};
+}
+
 std::uint32_t
 TimerWheelQueue::detach(Next src)
 {
+    if (src == Next::kReg) {
+        const std::uint32_t idx = reg;
+        reg = kNoReg;
+        regWhen = kTimeNever;
+        ++bypassCount;
+        return idx;
+    }
+    // The parked head leaves: the bound stays a lower bound, inexact.
+    parkedExact = false;
     if (src == Next::kOverflow) {
         const std::uint32_t idx = overflow.front().idx;
         std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
         overflow.pop_back();
         return idx;
     }
-    return due[duePos++].idx;
+    const std::uint32_t idx = due[duePos++].idx;
+    // Raise it to the earliest of what is left, so that a new event can
+    // tell whether it may be next: the due buffer's next entry, the
+    // start of the first occupied slot (whose events precede every other
+    // cell's), and the overflow top.
+    TimePs bound = firstSlotStart();
+    if (duePos < due.size())
+        bound = std::min(bound, due[duePos].when);
+    if (!overflow.empty())
+        bound = std::min(bound, overflow.front().when);
+    parkedBound = bound;
+    return idx;
+}
+
+TimePs
+TimerWheelQueue::firstSlotStart() const
+{
+    for (int level = 0; level < kLevels; ++level) {
+        if (occupied[level] != 0) {
+            const int slot = std::countr_zero(occupied[level]);
+            return ((wheelTime >> shiftOf(level + 1)) << shiftOf(level + 1)) |
+                   (static_cast<TimePs>(slot) << shiftOf(level));
+        }
+    }
+    return kTimeNever;
 }
 
 void
 TimerWheelQueue::fire(std::uint32_t idx)
 {
-    // The head leaves; the bound stays a valid (now inexact) lower bound.
-    nextExact = false;
     Record &r = pool[idx];
     const TimePs when = r.when;
     EventFn fn = std::move(r.fn);
@@ -305,10 +395,12 @@ TimerWheelQueue::fire(std::uint32_t idx)
 }
 
 void
-TimerWheelQueue::refreshNext()
+TimerWheelQueue::refreshParked()
 {
-    nextBound = liveCount == 0 ? kTimeNever : ensureNext(currentTime).when;
-    nextExact = true;
+    parkedBound = liveCount == (reg == kNoReg ? 0u : 1u)
+                      ? kTimeNever
+                      : ensureNext(currentTime, true).when;
+    parkedExact = true;
 }
 
 EventId
@@ -328,12 +420,21 @@ TimerWheelQueue::enqueue(std::uint32_t idx, TimePs when)
     ++liveCount;
     if (liveCount > peakLive)
         peakLive = liveCount;
+    // An event that precedes the occupant and every parked event takes
+    // the register, and the occupant, if any, is parked; one that cannot
+    // be next is parked at once.
+    if (when < std::min(regWhen, parkedBound)) {
+        std::swap(idx, reg);
+        std::swap(when, regWhen);
+        if (idx == kNoReg)
+            return;
+    }
     place(idx, when);
-    // Every live event is at or after the bound, so an event at or below
-    // it is the new head.
-    if (when <= nextBound) {
-        nextBound = when;
-        nextExact = true;
+    // Every parked live event is at or after the bound, so an event at
+    // or below it is the new parked head.
+    if (when <= parkedBound) {
+        parkedBound = when;
+        parkedExact = true;
     }
 }
 
@@ -347,15 +448,23 @@ TimerWheelQueue::cancel(EventId id)
     if (r.state != SlotState::kLive ||
         r.gen != static_cast<std::uint32_t>(id >> 32))
         return;
+    --liveCount;
+    ++cancelledCount;
+    if (slot - 1 == reg) {
+        // Nothing refers to an unparked record: free it, closure and all.
+        reg = kNoReg;
+        regWhen = kTimeNever;
+        freeRecord(slot - 1);
+        return;
+    }
     // Destroy the closure NOW: anything it captured (packets, channel
     // state) is released at cancel time, not when the tombstone is
     // lazily reached.
     r.fn.reset();
     r.state = SlotState::kDead;
-    --liveCount;
-    ++cancelledCount;
     ++deadParked;
-    nextExact = false;  // it may have been the head
+    if (r.when <= parkedBound)
+        parkedExact = false;  // it may have been the parked head
     maybeSweep();
 }
 
@@ -409,12 +518,9 @@ TimerWheelQueue::step()
 bool
 TimerWheelQueue::runNext()
 {
-    const Head head = ensureNext(kTimeNever);
-    if (head.src == Next::kNone) {
-        nextBound = kTimeNever;
-        nextExact = true;
+    const Head head = locate(kTimeNever);
+    if (head.src == Next::kNone)
         return false;
-    }
     fire(detach(head.src));
     return true;
 }
@@ -422,7 +528,7 @@ TimerWheelQueue::runNext()
 void
 TimerWheelQueue::runUntil(TimePs limit)
 {
-    if (nextBound > limit) {
+    if (std::min(parkedBound, regWhen) > limit) {
         // Nothing is due: the common case for an idle sharded partition.
         if (currentTime < limit)
             currentTime = limit;
@@ -430,14 +536,11 @@ TimerWheelQueue::runUntil(TimePs limit)
     }
     const RunLimitScope scope(runLimit, limit);
     while (true) {
-        const Head head = ensureNext(limit);
-        if (head.src == Next::kNone || head.when > limit) {
-            // The head stays where it is (the wheel time did not pass
-            // `limit`, so later schedules still order against it).
-            nextBound = head.when;
-            nextExact = true;
+        // A head past `limit` stays where it is (the wheel time did not
+        // pass `limit`, so later schedules still order against it).
+        const Head head = locate(limit);
+        if (head.src == Next::kNone || head.when > limit)
             break;
-        }
         fire(detach(head.src));
     }
     if (currentTime < limit)
@@ -465,24 +568,38 @@ TimerWheelQueue::headBefore(TimePs t, std::uint64_t seq)
     // Locating the head may move the wheel time up to its level-0 slot,
     // never past `t`: the head then either runs in place or is the next
     // event the run takes, after the fallback is scheduled at `t`.
-    const Head head = ensureNext(t);
-    if (head.src == Next::kDue || head.src == Next::kOverflow) {
-        const std::uint64_t headSeq = head.src == Next::kDue
-                                          ? due[duePos].seq
-                                          : overflow.front().seq;
-        if (head.when < t || (head.when == t && headSeq < seq))
-            return head;
-    }
-    nextBound = head.when;
-    nextExact = true;
+    const Head head = locate(t);
+    if (head.src != Next::kNone && head.src != Next::kLater &&
+        (head.when < t ||
+         (head.when == t && headSeq(head.src) < seq)))
+        return head;
     return {Next::kNone, head.when};
 }
 
-EventId
-TimerWheelQueue::headId(Next src) const
+std::uint64_t
+TimerWheelQueue::headSeq(Next src) const
 {
-    return handleOf(src == Next::kDue ? due[duePos].idx
-                                      : overflow.front().idx);
+    switch (src) {
+    case Next::kReg:
+        return pool[reg].seq;
+    case Next::kDue:
+        return due[duePos].seq;
+    default:
+        return overflow.front().seq;
+    }
+}
+
+std::uint32_t
+TimerWheelQueue::headIdx(Next src) const
+{
+    switch (src) {
+    case Next::kReg:
+        return reg;
+    case Next::kDue:
+        return due[duePos].idx;
+    default:
+        return overflow.front().idx;
+    }
 }
 
 }  // namespace ccsim::sim

@@ -13,7 +13,9 @@
  * overflow heap, freelist-pooled event records, inline small-buffer
  * closures (sim::EventFn), and generation-counted handles giving O(1)
  * cancel() that destroys the closure — and releases everything it
- * captured — immediately.
+ * captured — immediately. A one-entry head register in front of the
+ * wheel runs an event that is still the earliest when its turn comes
+ * without ever parking it in the wheel.
  *
  * The property tests check it against the original binary-heap queue
  * (tests/binary_heap_queue.hpp): both execute events in exactly the same
@@ -51,45 +53,67 @@ inline constexpr EventId kNoEvent = 0;
  *
  * Scheduled events live in a freelist-backed pool of fixed records
  * (absolute time, monotone sequence number for FIFO tie-break, a
- * generation counter, and the inline-SBO closure). The wheel itself
- * stores only 32-bit pool indices:
+ * generation counter, and the inline-SBO closure). One of them may sit in
+ * the head register; the wheel stores only 32-bit pool indices of the
+ * rest, which are *parked*:
  *
+ *  - the head register holds one event unparked. A newly scheduled
+ *    event takes it when its time precedes both the occupant's, which is
+ *    then parked, and the cached lower bound on the parked events; any
+ *    other new event cannot be next and is parked at once. Dispatch
+ *    compares the register with the parked head in (when, seq) order
+ *    and, when the register comes first, runs its event without
+ *    touching the wheel. So a chain of events that each schedule the
+ *    next earliest one never parks at all, and a dense workload, whose
+ *    new events rarely precede everything, rarely uses the register.
  *  - 8 levels × 64 slots; level L slots are 2^(12+6L) ps wide: 4.096 ns
  *    at level 0, 262 ns at level 1, 16.8 µs at level 2, 1.07 ms at
  *    level 3, up to 5.0 h at level 7. Sub-slot order is restored by
  *    sorting a level-0 slot when it is drained, which is cheap because
  *    slots are short at this width.
  *  - every level is anchored at one wheel time, which never passes
- *    now(). An event goes to the level of the highest 6-bit group
- *    (time bits 12+6L to 17+6L) in which its time differs from the wheel
- *    time, into the slot its time names at that level. So a level-L
- *    event sits strictly ahead of the wheel time's own level-L slot, no
- *    level wraps, and the first occupied slot (a find-first-set on the
- *    level's 64-bit occupancy bitmap) of the lowest occupied level holds
- *    the earliest events. A 50 µs LTL timer lands in level 2, or in
- *    level 3 when it crosses a 1.07 ms boundary.
- *  - taking the next event moves the wheel time to the start of the
+ *    now() nor the register's time. An event goes to the level of the
+ *    highest 6-bit group (time bits 12+6L to 17+6L) in which its time
+ *    differs from the wheel time, into the slot its time names at that
+ *    level. So a level-L event sits strictly ahead of the wheel time's
+ *    own level-L slot, no level wraps, and the first occupied slot (a
+ *    find-first-set on the level's 64-bit occupancy bitmap) of the
+ *    lowest occupied level holds the earliest events. A 50 µs LTL timer
+ *    lands in level 2, or in level 3 when it crosses a 1.07 ms boundary.
+ *  - taking the parked head moves the wheel time to the start of the
  *    level-0 slot of that first slot's earliest event and re-places the
  *    slot's events at lower levels, so the earliest one reaches level 0
  *    in one step. A slot whose events all share one level-0 slot —
  *    every level-0 slot, and a lone timer at any level — goes straight
- *    into the sorted due buffer instead.
+ *    into the sorted due buffer instead. While the register is occupied
+ *    the parked head is located no further than the register's time, so
+ *    the occupant can always be parked later.
+ *  - register events move the clock but not the wheel time, so a park
+ *    first brings the wheel time up to now() when that moves no parked
+ *    event to another level: no parked event is then in the clock's slot
+ *    at any level, or in a slot before it.
+ *  - a lower bound on the parked head's time is cached (`parkedBound`),
+ *    so a register event below it runs in O(1). Taking a parked head
+ *    raises it to the due buffer's next entry, or to the start of the
+ *    first occupied slot. A parked head past the limit is bounded by the
+ *    start of its slot without scanning the slot; only an exact peek
+ *    (nextEventTime()) scans it.
  *  - nextEventTime() and a runUntil() that stops short of the next
  *    event never move the wheel time past now(), so every event
  *    scheduled afterwards, at any time >= now(), still finds its level.
  *  - only events beyond the horizon — whose time differs from the wheel
  *    time above bit 60, i.e. that lie past the end of the aligned 2^60 ps
- *    (≈ 13.3 simulated days) span holding the wheel time, which an empty
- *    wheel first moves up to now() — go to a far-future overflow heap
- *    ordered by (time, seq), which the take path compares with the
- *    wheel's head.
+ *    (≈ 13.3 simulated days) span holding the wheel time — go to a
+ *    far-future overflow heap ordered by (time, seq), which the take
+ *    path compares with the wheel's head.
  *
  * cancel() checks the handle's generation against the pool record and,
  * when live, destroys the closure in place: O(1), no heap walk, and any
  * captured PacketPtr / connection state is released at cancel time
- * rather than when the tombstone is lazily popped. Dead records whose
- * index is still parked in a slot are reclaimed when the slot drains,
- * or by a bulk sweep when tombstones outnumber live events.
+ * rather than when the tombstone is lazily popped. The register's event
+ * is freed outright. Dead records whose index is still parked in a slot
+ * are reclaimed when the slot drains, or by a bulk sweep when tombstones
+ * outnumber live events.
  */
 class TimerWheelQueue
 {
@@ -178,7 +202,8 @@ class TimerWheelQueue
         // The event at `t` would run next exactly when nothing is due by
         // `t` (an event at `t` itself was scheduled earlier, so it runs
         // first) and the run would still take it.
-        if (t > runLimit || nextEventTime() <= t)
+        if (t > runLimit ||
+            (std::min(parkedBound, regWhen) <= t && nextEventTime() <= t))
             return false;
         currentTime = t;
         executedCount += n;
@@ -245,17 +270,18 @@ class TimerWheelQueue
      * kTimeNever if the queue is empty.
      *
      * Used by ShardedEventQueue to compute conservative sync windows, so
-     * it is O(1) whenever the cached next-event time is exact (see
-     * `nextBound`). Not const: otherwise it reads the head's slot, which
-     * reclaims tombstones and may re-place slots that start by now(), but
-     * it never moves the wheel time past now() and the observable (time,
-     * seq) order is unchanged.
+     * it is O(1) whenever the cached parked bound is exact or the
+     * register precedes it (see `parkedBound`). Not const: otherwise it
+     * reads the head's slot, which reclaims tombstones and may re-place
+     * slots that start by now(), but it never moves the wheel time past
+     * now() and the observable (time, seq) order is unchanged.
      */
     TimePs nextEventTime()
     {
-        if (!nextExact)
-            refreshNext();
-        return nextBound;
+        // A register at or below the parked bound is the next event.
+        if (!parkedExact && parkedBound < regWhen)
+            refreshParked();
+        return std::min(parkedBound, regWhen);
     }
 
     // --- kernel-health accounting (exported as sim.queue.* probes) ---
@@ -268,6 +294,8 @@ class TimerWheelQueue
     std::uint64_t wheelOverflows() const { return overflowCount; }
     /** Highest number of simultaneously live events seen. */
     std::size_t peakLiveEvents() const { return peakLive; }
+    /** Events that ran from the head register, never parked in the wheel. */
+    std::uint64_t eventsBypassed() const { return bypassCount; }
 
   private:
     // Wheel geometry. Level L slots are 2^(kSlotShift0 + 6L) ps wide.
@@ -343,16 +371,26 @@ class TimerWheelQueue
      */
     static constexpr TimePs kNoRunAhead = -1;
     TimePs runLimit = kNoRunAhead;
+    /** No event in the head register. */
+    static constexpr std::uint32_t kNoReg = ~std::uint32_t{0};
+    /** The head register: a live record that is not parked, or kNoReg. */
+    std::uint32_t reg = kNoReg;
+    /** The register's event time; kTimeNever while it is empty. */
+    TimePs regWhen = kTimeNever;
     /**
-     * A lower bound on the next live event's time (kTimeNever: none),
-     * equal to it while `nextExact` holds. schedule() lowers it and, when
-     * it does, makes it exact; cancel() and step() clear exactness;
-     * runUntil() and nextEventTime() re-establish it whenever they locate
-     * the next event or drain. runUntil(limit) below the bound returns in
-     * O(1), which is what keeps idle sharded partitions free per window.
+     * A lower bound on the earliest parked live event's time (kTimeNever:
+     * none), equal to it while `parkedExact` holds. Parking lowers it and,
+     * when it does, makes it exact; taking the parked head raises it to
+     * what is left in the due buffer or the wheel, inexact; cancelling a
+     * parked event at or below the bound clears exactness. Locating the
+     * parked head records its time, or, when it lies past the limit, the
+     * start of its slot; refreshParked() makes the bound exact. With the
+     * register's time it bounds the next event, so runUntil(limit) below
+     * both returns in O(1), which is what keeps idle sharded partitions
+     * free per window, and a register event below it runs in O(1).
      */
-    TimePs nextBound = kTimeNever;
-    bool nextExact = true;
+    TimePs parkedBound = kTimeNever;
+    bool parkedExact = true;
     std::uint64_t nextSeq = 1;
     std::size_t liveCount = 0;
     std::size_t peakLive = 0;
@@ -360,9 +398,13 @@ class TimerWheelQueue
     std::uint64_t executedCount = 0;
     std::uint64_t cancelledCount = 0;
     std::uint64_t overflowCount = 0;
+    std::uint64_t bypassCount = 0;
 
     std::uint32_t allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn);
-    /** Count the live record @p idx and park it. */
+    /**
+     * Count the live record @p idx; it takes the head register when it
+     * precedes the occupant, which is then parked, and `parkedBound`.
+     */
     void enqueue(std::uint32_t idx, TimePs when);
     EventId handleOf(std::uint32_t idx) const
     {
@@ -374,6 +416,8 @@ class TimerWheelQueue
     int levelOf(TimePs when) const;
     /** Park @p idx at its level, or in the overflow heap past the horizon. */
     void place(std::uint32_t idx, TimePs when);
+    /** Move the wheel time up to now() if no parked event changes level. */
+    void catchUp();
     /** Pop cancelled records off the overflow heap's top. */
     void pruneOverflowTop();
     /** Move @p cell, whose events share level-0 slot @p slotAbs, to `due`. */
@@ -383,39 +427,55 @@ class TimerWheelQueue
     /** Drop executed/dead prefix; true if a live due event is ready. */
     bool dueFrontLive();
     /**
-     * Where the next event is: at the due front, at the overflow top,
-     * or (kLater) still in a wheel cell because it is due after the
-     * limit; `when` is its exact time, kTimeNever for kNone.
+     * Where the next event is: in the head register, at the due front,
+     * at the overflow top, or (kLater) still in a wheel cell because it
+     * is due after the limit; `when` is its exact time (for kLater, a
+     * lower bound above the limit unless an exact one is asked for),
+     * kTimeNever for kNone.
      */
-    enum class Next { kNone, kDue, kOverflow, kLater };
+    enum class Next { kNone, kReg, kDue, kOverflow, kLater };
     struct Head {
         Next src;
         TimePs when;
     };
     /**
-     * Locate the next event, draining and re-placing wheel slots as
+     * Locate the parked head, draining and re-placing wheel slots as
      * needed, without moving the wheel time past @p limit: a kDue or
-     * kOverflow head is then readable.
+     * kOverflow head is then readable. A head past @p limit is reported
+     * as kLater with its exact time if @p exact, else with a lower bound.
      */
-    Head ensureNext(TimePs limit);
-    /** Detach the next event's record from @p src (kDue or kOverflow). */
+    Head ensureNext(TimePs limit, bool exact);
+    /**
+     * The next event of the whole queue, the register included, located
+     * as for ensureNext(@p limit); a kLater head is after @p limit. The
+     * parked head is located no further than the register's time and
+     * recorded in `parkedBound`, and not at all when that bound is past
+     * both.
+     */
+    Head locate(TimePs limit);
+    /** Detach the next event's record from @p src (kReg, kDue, kOverflow). */
     std::uint32_t detach(Next src);
+    /** The start of the first occupied wheel slot; kTimeNever if none. */
+    TimePs firstSlotStart() const;
     /** Run the detached record @p idx. */
     void fire(std::uint32_t idx);
     /** step() without touching `runLimit`. */
     bool runNext();
-    /** Locate the next event and make `nextBound` exact. */
-    void refreshNext();
+    /** Make `parkedBound` the parked head's exact time. */
+    void refreshParked();
     /** Run ahead to a time in the past: panics. */
     [[noreturn]] void pastRunAhead(TimePs t) const;
     /**
-     * The next event, located as a kDue or kOverflow head, if it
-     * precedes (@p t, @p seq); otherwise kNone, with `nextBound` made
-     * exact.
+     * The next event, located as a kReg, kDue or kOverflow head, if it
+     * precedes (@p t, @p seq); otherwise kNone.
      */
     Head headBefore(TimePs t, std::uint64_t seq);
+    /** The sequence number of the located head at @p src. */
+    std::uint64_t headSeq(Next src) const;
+    /** The record index of the located head at @p src. */
+    std::uint32_t headIdx(Next src) const;
     /** The handle of the located head at @p src. */
-    EventId headId(Next src) const;
+    EventId headId(Next src) const { return handleOf(headIdx(src)); }
     void maybeSweep();
 };
 

@@ -6,10 +6,13 @@
  * retention the wheel fixes); ordering and time semantics are the
  * contract both queues share: events run in (time, schedule-order)
  * ascending order, and identical schedule/cancel/run call sequences give
- * identical now()/size() trajectories.
+ * identical now()/size() trajectories. The run-ahead calls
+ * (advanceIfIdle, runAheadHorizon, advanceThrough) follow the wheel's
+ * documented rules on top of the heap.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <unordered_set>
@@ -39,10 +42,7 @@ class BinaryHeapQueue
             panicf("EventQueue::schedule: time ", when,
                    " is in the past (now ", currentTime, ")");
         const EventId id = nextId++;
-        heap.push(Entry{when, id, std::move(fn)});
-        liveIds.insert(id);
-        if (liveIds.size() > peakLive)
-            peakLive = liveIds.size();
+        push(when, id, std::move(fn));
         return id;
     }
 
@@ -71,6 +71,7 @@ class BinaryHeapQueue
     /** Run the single next event; false if the queue was empty. */
     bool step()
     {
+        const RunLimit scope(runLimit, kNoRunAhead);
         Entry e;
         if (!popLive(e))
             return false;
@@ -83,6 +84,7 @@ class BinaryHeapQueue
     /** Run events until simulated time exceeds @p limit (see the wheel). */
     void runUntil(TimePs limit)
     {
+        const RunLimit scope(runLimit, limit);
         while (true) {
             Entry e;
             if (!popLive(e))
@@ -108,8 +110,60 @@ class BinaryHeapQueue
     /** Run until the queue is completely drained. */
     void runAll()
     {
-        while (step()) {
+        const RunLimit scope(runLimit, kTimeNever);
+        Entry e;
+        while (popLive(e)) {
+            currentTime = e.when;
+            ++executedCount;
+            e.fn();
         }
+    }
+
+    /** Move now() to @p t in place of an event there (see the wheel). */
+    bool advanceIfIdle(TimePs t, std::uint64_t n = 1)
+    {
+        if (t < currentTime)
+            panicf("EventQueue run-ahead: time ", t, " is in the past");
+        if (t > runLimit || nextEventTime() <= t)
+            return false;
+        currentTime = t;
+        executedCount += n;
+        return true;
+    }
+
+    /** The latest time advanceIfIdle() accepts (see the wheel). */
+    TimePs runAheadHorizon()
+    {
+        return std::min(runLimit, nextEventTime() - 1);
+    }
+
+    /** Run ahead through the caller's own events (see the wheel). */
+    template <typename Own, typename Fallback>
+    bool advanceThrough(TimePs t, Own &&own, Fallback &&fallback)
+    {
+        if (t < currentTime)
+            panicf("EventQueue run-ahead: time ", t, " is in the past");
+        const EventId seq = nextId++;
+        while (t <= runLimit) {
+            if (advanceIfIdle(t))
+                return true;
+            // nextEventTime() left a live entry at or before `t` on top.
+            const Entry &top = heap.top();
+            if (top.when == t && top.id > seq) {
+                currentTime = t;
+                ++executedCount;
+                return true;
+            }
+            if (!own(top.id))
+                break;
+            Entry e;
+            popLive(e);
+            currentTime = e.when;
+            ++executedCount;
+            e.fn();
+        }
+        push(t, seq, EventFn(std::forward<Fallback>(fallback)));
+        return false;
     }
 
     /** Next live event's timestamp, or kTimeNever (see the wheel). */
@@ -144,13 +198,36 @@ class BinaryHeapQueue
         }
     };
 
+    /** Sets the run limit for one run and restores the enclosing one's. */
+    struct RunLimit {
+        RunLimit(TimePs &slot, TimePs limit) : slot(slot), saved(slot)
+        {
+            slot = limit;
+        }
+        RunLimit(const RunLimit &) = delete;
+        RunLimit &operator=(const RunLimit &) = delete;
+        ~RunLimit() { slot = saved; }
+        TimePs &slot;
+        TimePs saved;
+    };
+    static constexpr TimePs kNoRunAhead = -1;
+
     std::priority_queue<Entry, std::vector<Entry>, Later> heap;
     std::unordered_set<EventId> liveIds;
     TimePs currentTime = 0;
+    TimePs runLimit = kNoRunAhead;
     EventId nextId = 1;
     std::uint64_t executedCount = 0;
     std::uint64_t cancelledCount = 0;
     std::size_t peakLive = 0;
+
+    void push(TimePs when, EventId id, EventFn fn)
+    {
+        heap.push(Entry{when, id, std::move(fn)});
+        liveIds.insert(id);
+        if (liveIds.size() > peakLive)
+            peakLive = liveIds.size();
+    }
 
     /** Pop the next live entry, skipping tombstones; false if empty. */
     bool popLive(Entry &out)

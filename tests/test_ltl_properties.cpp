@@ -314,6 +314,81 @@ TEST_P(LtlAccountingSweep, FrameAccountingBalancesUnderLoss)
 INSTANTIATE_TEST_SUITE_P(LossSweep, LtlAccountingSweep,
                          ::testing::Values(0.0, 0.02, 0.08, 0.2));
 
+TEST(LtlAccounting, InFlightCountMatchesAWalkOfTheSendTable)
+{
+    // framesInFlight() is a running count; a walk over every send
+    // connection must agree with it after random sends, acks, losses,
+    // timeouts, retry-exhaustion failures, closes, resyncs and quiesce
+    // drains that abandon frames.
+    for (std::uint64_t seed : {5ull, 61ull, 2024ull}) {
+        LtlConfig cfg;
+        cfg.maxRetries = 3;
+        FaultyPair pair(cfg);
+        pair.rng = sim::Rng(seed);
+        sim::Rng rng(seed * 7919);
+        struct Conn {
+            std::uint16_t tx, rx;
+        };
+        std::vector<Conn> conns;
+        const auto open = [&] {
+            const std::uint16_t rx = pair.b->openReceive(0);
+            conns.push_back({pair.a->openSend({2}, rx), rx});
+        };
+        for (int i = 0; i < 4; ++i)
+            open();
+        for (int op = 0; op < 3000; ++op) {
+            Conn &c = conns[rng.next() % conns.size()];
+            const auto roll = rng.next() % 100;
+            if (roll < 35) {
+                if (pair.a->quiesceState() == LtlEngine::QuiesceState::kActive &&
+                    !pair.a->sendConnectionFailed(c.tx)) {
+                    static constexpr std::uint32_t kSizes[] = {64, 1408,
+                                                               5000};
+                    pair.a->sendMessage(c.tx, kSizes[rng.next() % 3]);
+                }
+            } else if (roll < 62) {
+                pair.eq.runFor(
+                    static_cast<sim::TimePs>(rng.next() % 30'000'000));
+            } else if (roll < 70) {
+                static constexpr double kLoss[] = {0.0, 0.05, 1.0};
+                pair.lossProb = kLoss[rng.next() % 3];
+            } else if (roll < 75) {
+                pair.eq.runFor(sim::fromMicros(
+                    static_cast<double>(rng.next() % 1000)));
+            } else if (roll < 81) {
+                pair.a->closeSend(c.tx);
+                pair.b->closeReceive(c.rx);
+                c = conns.back();
+                conns.pop_back();
+                open();
+            } else if (roll < 86) {
+                pair.a->resyncSend(c.tx);
+                pair.b->resyncReceive(c.rx);
+            } else if (roll < 89) {
+                if (pair.a->quiesceState() == LtlEngine::QuiesceState::kActive)
+                    pair.a->beginQuiesce(sim::fromMicros(20));
+            } else if (roll < 93) {
+                if (pair.a->quiesceState() ==
+                    LtlEngine::QuiesceState::kQuiesced)
+                    pair.a->endQuiesce();
+            }
+            std::uint64_t walk = 0;
+            for (std::uint16_t tx = 0; tx < cfg.maxConnections; ++tx)
+                walk += pair.a->unackedFrames(tx);
+            ASSERT_EQ(pair.a->framesInFlight(), walk)
+                << "seed " << seed << ", op " << op;
+            ASSERT_EQ(pair.a->framesSent(),
+                      pair.a->framesAcked() + pair.a->framesAbandoned() +
+                          pair.a->framesInFlight())
+                << "seed " << seed << ", op " << op;
+        }
+        // The trace reached the paths that shrink the count.
+        EXPECT_GT(pair.a->connectionFailures(), 0u) << "seed " << seed;
+        EXPECT_GT(pair.a->framesAbandoned(), 0u) << "seed " << seed;
+        EXPECT_GT(pair.a->framesAcked(), 0u) << "seed " << seed;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pacing accuracy of the bandwidth limiter.
 // ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
  * @file
  * Elastic Router tests: message delivery, VC separation, credit flow
  * control (elastic vs static), U-turns, wormhole integrity under
- * contention, and multi-router composition (ring).
+ * contention, multi-router composition (ring), and the configurations
+ * rejected because they cannot make progress.
  */
 #include <gtest/gtest.h>
 
@@ -190,6 +191,79 @@ TEST(ElasticRouter, BodyFlitWithoutHeadPanics)
             eq.runAll();
         },
         "wormhole corruption");
+}
+
+// --- forward progress: no accepted configuration strands a message ------
+
+/** 2 ports, 2 VCs, elastic, a shared pool of 8 and @p reserved per VC. */
+ErConfig
+twoVcConfig(int reserved)
+{
+    ErConfig cfg;
+    cfg.numPorts = 2;
+    cfg.numVcs = 2;
+    cfg.policy = router::CreditPolicy::kElastic;
+    cfg.perVcReservedFlits = reserved;
+    cfg.sharedPoolFlits = 8;
+    return cfg;
+}
+
+TEST(ElasticRouterDeathTest, ZeroReservationIsRejected)
+{
+    // With no reservation, a message on VC 1 that waits for the shared
+    // pool is never injected once VC 0's backlog is gone (the credit
+    // return pumps only VC 0): the queue would drain with 2 flits left
+    // in the endpoint.
+    EXPECT_DEATH(
+        {
+            Harness h(twoVcConfig(0));
+            h.eps[0]->sendMessage(1, 0, 16 * 32);
+            h.eps[0]->sendMessage(1, 1, 2 * 32);
+            h.eq.runUntil(sim::fromMillis(1.0));
+        },
+        "perVcReservedFlits must be >= 1");
+}
+
+TEST(ElasticRouterDeathTest, ZeroStaticBufferIsRejected)
+{
+    ErConfig cfg;
+    cfg.policy = router::CreditPolicy::kStatic;
+    cfg.staticPerVcFlits = 0;
+    EventQueue eq;
+    EXPECT_DEATH(ElasticRouter(eq, cfg), "staticPerVcFlits must be >= 1");
+    // Each policy checks only its own field.
+    cfg.perVcReservedFlits = 0;
+    cfg.staticPerVcFlits = 1;
+    ElasticRouter accepted(eq, cfg);
+    EXPECT_EQ(accepted.freeCredits(0, 0), 1);
+}
+
+TEST(ElasticRouter, ReservationOfOneDeliversBothVcs)
+{
+    Harness h(twoVcConfig(1));
+    h.eps[0]->sendMessage(1, 0, 16 * 32);
+    h.eps[0]->sendMessage(1, 1, 2 * 32);
+    h.eq.runUntil(sim::fromMillis(1.0));
+    ASSERT_EQ(h.received[1].size(), 2u);
+    EXPECT_EQ(h.received[1][0]->vc + h.received[1][1]->vc, 1);
+    EXPECT_EQ(h.eps[0]->backlogFlits(), 0u);
+    EXPECT_TRUE(h.eq.empty());
+}
+
+TEST(ElasticRouterDeathTest, RouteToOutputWithoutSinkPanics)
+{
+    // Output 1 has no sink: without the panic its flits would wait there
+    // while the router ticks every cycle, forever.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            ElasticRouter er(eq, ErConfig{.name = "er7", .numPorts = 2});
+            ErEndpoint src(eq, er, 0, 0);
+            er.setOutputSink(0, &src);
+            src.sendMessage(1, 0, 64);
+            eq.runAll();
+        },
+        "er7: a head flit is routed to output 1, which has no sink");
 }
 
 TEST(ElasticRouter, ElasticPolicySharesPoolAcrossVcs)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: event ordering, cancellation,
- * RNG determinism and distribution sanity, statistics correctness.
+ * run-ahead, the head register, RNG determinism and distribution sanity,
+ * statistics correctness.
  */
 #include <gtest/gtest.h>
 
@@ -344,6 +345,111 @@ TEST(EventQueueRunAhead, ThroughSchedulesTheFallbackOutsideARun)
     // The fallback holds the position the call took, ahead of the
     // event scheduled after it.
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// --- the head register --------------------------------------------------
+
+TEST(EventQueueHeadRegister, ChainOverParkedTimersNeverParks)
+{
+    // 16 parked timers and a 10,000-link chain, each link scheduling the
+    // next 1 ns out: every link is the earliest event from the moment it
+    // is scheduled, so every one runs from the register.
+    EventQueue eq;
+    int timers = 0;
+    for (int t = 0; t < 16; ++t)
+        eq.schedule(sim::fromMillis(1.0 + t), [&timers] { ++timers; });
+    int links = 0;
+    std::function<void()> link = [&] {
+        if (++links < 10'000)
+            eq.scheduleAfter(1000, link);
+    };
+    eq.scheduleAfter(1000, link);
+    eq.runUntil(sim::fromMillis(0.5));
+    EXPECT_EQ(links, 10'000);
+    EXPECT_EQ(eq.eventsBypassed(), 10'000u);
+    EXPECT_EQ(eq.eventsExecuted(), 10'000u);
+    eq.runAll();
+    EXPECT_EQ(timers, 16);
+    EXPECT_EQ(eq.eventsExecuted(), 10'016u);
+}
+
+TEST(EventQueueHeadRegister, EarlierArrivalParksTheOccupant)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(100, [&] { order.push_back(1); });  // takes the register
+    eq.schedule(50, [&] { order.push_back(2); });   // parks it
+    eq.schedule(50, [&] { order.push_back(3); });   // same time: later
+    eq.schedule(100, [&] { order.push_back(4); });
+    EXPECT_EQ(eq.nextEventTime(), 50);
+    eq.runAll();
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 1, 4}));
+    EXPECT_EQ(eq.eventsBypassed(), 1u);  // only the event at 50 ran unparked
+}
+
+TEST(EventQueueHeadRegister, RunUntilLimitBetweenRegisterAndParkedHead)
+{
+    EventQueue eq;
+    std::vector<TimePs> ran;
+    const auto log = [&] { ran.push_back(eq.now()); };
+    // The register (400) after the parked head (200).
+    eq.schedule(100, log);
+    eq.schedule(200, log);
+    eq.schedule(300, log);
+    ASSERT_TRUE(eq.step());  // 100, from the register
+    eq.schedule(400, log);   // the empty register takes it
+    eq.runUntil(250);
+    EXPECT_EQ(ran, (std::vector<TimePs>{100, 200}));
+    EXPECT_EQ(eq.now(), 250);
+    EXPECT_EQ(eq.nextEventTime(), 300);
+    eq.runUntil(350);
+    EXPECT_EQ(eq.nextEventTime(), 400);
+    // The register (500) before the parked head (900).
+    eq.runUntil(400);
+    eq.schedule(900, log);
+    eq.schedule(500, log);
+    eq.runUntil(700);
+    EXPECT_EQ(ran, (std::vector<TimePs>{100, 200, 300, 400, 500}));
+    EXPECT_EQ(eq.now(), 700);
+    EXPECT_EQ(eq.nextEventTime(), 900);
+    eq.runAll();
+    EXPECT_EQ(ran.back(), 900);
+}
+
+TEST(EventQueueHeadRegister, RunAheadSeesTheRegister)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    std::vector<TimePs> ran;
+    eq.schedule(sim::fromMillis(1.0), [] {});  // parked far ahead
+    eq.schedule(100, [&] {
+        // A foreign event in the register holds the head at 150.
+        eq.scheduleAfter(50, [&] {
+            ran.push_back(eq.now());
+            // The caller's own event takes the empty register at 160;
+            // advanceThrough runs it in place, then moves to 190.
+            const sim::EventId mine =
+                eq.scheduleAfter(10, [&] { ran.push_back(eq.now()); });
+            got.push_back(eq.advanceThrough(
+                190, [mine](sim::EventId id) { return id == mine; },
+                [] {}));
+            EXPECT_EQ(eq.now(), 190);
+        });
+        EXPECT_EQ(eq.nextEventTime(), 150);
+        EXPECT_EQ(eq.runAheadHorizon(), 149);
+        got.push_back(eq.advanceIfIdle(150));
+        got.push_back(eq.advanceIfIdle(149));
+        EXPECT_EQ(eq.now(), 149);
+        // The foreign event stops advanceThrough: its fallback is
+        // scheduled at 200.
+        got.push_back(eq.advanceThrough(
+            200, [](sim::EventId) { return false; },
+            [&] { ran.push_back(eq.now()); }));
+    });
+    eq.runAll();
+    EXPECT_EQ(got, (std::vector<bool>{false, true, false, true}));
+    EXPECT_EQ(ran, (std::vector<TimePs>{150, 160, 200}));
+    EXPECT_EQ(eq.now(), sim::fromMillis(1.0));
 }
 
 TEST(PoolAllocator, BlockFreedOnAnotherThreadIsReusedThere)
