@@ -682,22 +682,33 @@ measureKernelTrajectory()
     struct SparseCase {
         const char *key;
         int pairs, ballsPerPair, burst;
+        /** Where the partition visits per window go, or null. */
+        const char *visitsKey;
     };
     for (const SparseCase &c :
-         {SparseCase{"kernel.sparse_barrier.ns_per_window", 1, 1, 1},
-          SparseCase{"kernel.sparse_barrier.handoff_ns_per_window", 1, 2, 1},
+         {SparseCase{"kernel.sparse_barrier.ns_per_window", 1, 1, 1, nullptr},
+          SparseCase{"kernel.sparse_barrier.handoff_ns_per_window", 1, 2, 1,
+                     nullptr},
           SparseCase{"kernel.sparse_barrier.drill_ns_per_window",
-                     kDrillPairs, 1, kDrillBurst},
+                     kDrillPairs, 1, kDrillBurst,
+                     "kernel.sparse_barrier.visits_per_window"},
           SparseCase{"kernel.sparse_barrier.claimed_ns_per_window",
-                     kDrillPairs, 1, kClaimedBurst}}) {
+                     kDrillPairs, 1, kClaimedBurst, nullptr}}) {
         // Mirrors BM_ShardedSparseBarrier and BM_ShardedDrillBarrier:
-        // wall time per barrier window.
+        // wall time per barrier window. The visits come from the
+        // kernel's exact partitionVisits() count, so CI can gate the
+        // barrier's work without timing it.
         SparseBarrierRig rig(c.pairs, c.ballsPerPair, c.burst);
+        const std::uint64_t visits = rig.sq.partitionVisits();
         const auto t0 = Clock::now();
         const std::uint64_t windows = rig.run(20000);
         const double secs =
             std::chrono::duration<double>(Clock::now() - t0).count();
         v[c.key] = 1e9 * secs / static_cast<double>(windows);
+        if (c.visitsKey != nullptr)
+            v[c.visitsKey] =
+                static_cast<double>(rig.sq.partitionVisits() - visits) /
+                static_cast<double>(windows);
     }
     {
         // Mirrors BM_ErShellCrossbar: host time per flit through the ER.

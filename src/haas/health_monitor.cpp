@@ -132,13 +132,12 @@ HealthMonitor::evaluateSweep()
     pendingResults = nodesHealth.size();
     sweepDomainMisses.clear();
     for (auto &[host, nh] : nodesHealth)
-        onHeartbeatResult(host, probe(host));
+        onHeartbeatResult(host, nh, probe(host));
 }
 
 void
-HealthMonitor::onHeartbeatResult(int host, bool reachable)
+HealthMonitor::onHeartbeatResult(int host, NodeHealth &nh, bool reachable)
 {
-    NodeHealth &nh = nodesHealth[host];
     const bool swept = pendingResults > 0;
     if (reachable) {
         nh.suspicion = 0.0;
@@ -163,7 +162,7 @@ HealthMonitor::onHeartbeatResult(int host, bool reachable)
         nh.healthyStreak = 0;
         if (cfg.domainConviction && domainOf)
             ++sweepDomainMisses[domainOf(host)];
-        addSuspicion(host, cfg.missWeight);
+        addSuspicion(host, nh, cfg.missWeight);
     }
     if (swept && --pendingResults == 0)
         finishSweep();
@@ -238,7 +237,7 @@ HealthMonitor::reportTimeoutStreak(int host, int streak)
         return;
     nh.lastStreakCredited = streak;
     ++statStreakReports;
-    addSuspicion(host, cfg.streakWeight);
+    addSuspicion(host, nh, cfg.streakWeight);
 }
 
 void
@@ -259,13 +258,12 @@ HealthMonitor::reportEvidence(int host, const std::string &source,
     if (!it->second.evidenceLatched.insert(source).second)
         return;
     ++statEvidenceReports;
-    addSuspicion(host, weight);
+    addSuspicion(host, it->second, weight);
 }
 
 void
-HealthMonitor::addSuspicion(int host, double weight)
+HealthMonitor::addSuspicion(int host, NodeHealth &nh, double weight)
 {
-    NodeHealth &nh = nodesHealth[host];
     if (nh.reported)
         return;  // already declared failed; wait for rejoin
     nh.suspicion += weight;

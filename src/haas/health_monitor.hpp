@@ -293,8 +293,10 @@ class HealthMonitor
     std::uint64_t statEvidenceReports = 0;
 
     void populateNodes();
-    void onHeartbeatResult(int host, bool reachable);
-    void addSuspicion(int host, double weight);
+    /** Judge @p host, whose entry in nodesHealth is @p nh. */
+    void onHeartbeatResult(int host, NodeHealth &nh, bool reachable);
+    /** Add @p weight to @p host's suspicion (@p nh is its entry). */
+    void addSuspicion(int host, NodeHealth &nh, double weight);
     /** End-of-sweep domain bookkeeping (conviction / re-arm). */
     void finishSweep();
     void convictDomain(int domain);

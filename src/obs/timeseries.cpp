@@ -45,6 +45,7 @@ TimeSeriesHub::defineAggregate(const std::string &name,
     if (aggregates.count(name))
         sim::fatal("TimeSeriesHub::defineAggregate: duplicate aggregate");
     Aggregate agg;
+    agg.key = jsonKey(name);
     agg.pattern = pattern;
     aggregates.emplace(name, std::move(agg));
 }
@@ -129,6 +130,7 @@ TimeSeriesHub::discover()
                 sim::panicf("TimeSeriesHub: registry path ", path,
                             " collides with an aggregate series");
             Series s;
+            s.key = jsonKey(path);
             s.kind = reg->kindOf(id);
             s.reg = reg;
             s.id = id;
@@ -365,29 +367,38 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
     // series appear in one global sorted order.
     auto si = series.cbegin();
     auto ai = aggregates.cbegin();
-    auto emit = [&](const std::string &name, SeriesKind kind,
+    auto emit = [&](const std::string &key, SeriesKind kind,
                     const Rollup &r) {
         if (!r.last || r.last->t != now)
             return;
-        line += first ? "\"" : ",\"";
+        if (!first)
+            line += ',';
         first = false;
-        detail::jsonEscape(line, name);
-        line += "\":";
+        line += key;
         pointTo(line, kind, *r.last);
     };
     while (si != series.cend() || ai != aggregates.cend()) {
         if (ai == aggregates.cend() ||
             (si != series.cend() && si->first < ai->first)) {
-            emit(si->first, si->second.kind, si->second.roll);
+            emit(si->second.key, si->second.kind, si->second.roll);
             ++si;
         } else {
             if (!ai->second.members.empty())
-                emit(ai->first, ai->second.kind, ai->second.roll);
+                emit(ai->second.key, ai->second.kind, ai->second.roll);
             ++ai;
         }
     }
     line += "}}";
     exportLine(line);
+}
+
+std::string
+TimeSeriesHub::jsonKey(const std::string &name)
+{
+    std::string key = "\"";
+    detail::jsonEscape(key, name);
+    key += "\":";
+    return key;
 }
 
 void

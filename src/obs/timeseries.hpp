@@ -209,6 +209,7 @@ class TimeSeriesHub
 
     /** One concrete series bound to a registry metric. */
     struct Series {
+        std::string key;  ///< the window-line key, jsonKey(name)
         SeriesKind kind = SeriesKind::kCounter;
         const MetricsRegistry *reg = nullptr;
         MetricsRegistry::Id id = 0;  ///< the metric's id in reg
@@ -224,6 +225,7 @@ class TimeSeriesHub
 
     /** One derived series merging pattern-matched members. */
     struct Aggregate {
+        std::string key;  ///< the window-line key, jsonKey(name)
         std::string pattern;
         SeriesKind kind = SeriesKind::kCounter;
         std::vector<const Series *> members;
@@ -264,6 +266,11 @@ class TimeSeriesHub
     void exportWindow(sim::TimePs now);
     void traceWindow(sim::TimePs now);
     static const char *kindName(SeriesKind k);
+    /**
+     * A series' key in a window line: its name JSON-escaped and quoted,
+     * with the colon. Names never change, so each is escaped once.
+     */
+    static std::string jsonKey(const std::string &name);
 };
 
 }  // namespace ccsim::obs

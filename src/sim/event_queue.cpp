@@ -49,20 +49,23 @@ TimerWheelQueue::~TimerWheelQueue() = default;
 std::uint32_t
 TimerWheelQueue::allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn)
 {
-    std::uint32_t idx;
-    if (!freeList.empty()) {
-        idx = freeList.back();
-        freeList.pop_back();
-    } else {
-        idx = static_cast<std::uint32_t>(pool.size());
-        pool.emplace_back();
-    }
+    if (freeList.empty())
+        growPool();
+    const std::uint32_t idx = freeList.back();
+    freeList.pop_back();
     Record &r = pool[idx];
     r.when = when;
     r.seq = seq;
     r.state = SlotState::kLive;
     r.fn = std::move(fn);
     return idx;
+}
+
+void
+TimerWheelQueue::growPool()
+{
+    freeList.push_back(static_cast<std::uint32_t>(pool.size()));
+    pool.emplace_back();
 }
 
 void
@@ -403,12 +406,18 @@ TimerWheelQueue::refreshParked()
     parkedExact = true;
 }
 
+void
+TimerWheelQueue::touch()
+{
+    touched = true;
+    touchList->push_back(touchId);
+}
+
 EventId
 TimerWheelQueue::schedule(TimePs when, EventFn fn)
 {
-    if (when < currentTime)
-        panicf("EventQueue::schedule: time ", when, " is in the past (now ",
-               currentTime, ")");
+    if (when < now())
+        pastSchedule(when);
     const std::uint32_t idx = allocRecord(when, nextSeq++, std::move(fn));
     enqueue(idx, when);
     return handleOf(idx);
@@ -424,6 +433,9 @@ TimerWheelQueue::enqueue(std::uint32_t idx, TimePs when)
     // the register, and the occupant, if any, is parked; one that cannot
     // be next is parked at once.
     if (when < std::min(regWhen, parkedBound)) {
+        // The next event time moves: the only schedule that can move it.
+        if (!touched)
+            touch();
         std::swap(idx, reg);
         std::swap(when, regWhen);
         if (idx == kNoReg)
@@ -451,6 +463,8 @@ TimerWheelQueue::cancel(EventId id)
     --liveCount;
     ++cancelledCount;
     if (slot - 1 == reg) {
+        if (!touched)
+            touch();
         // Nothing refers to an unparked record: free it, closure and all.
         reg = kNoReg;
         regWhen = kTimeNever;
@@ -463,8 +477,11 @@ TimerWheelQueue::cancel(EventId id)
     r.fn.reset();
     r.state = SlotState::kDead;
     ++deadParked;
-    if (r.when <= parkedBound)
+    if (r.when <= parkedBound) {
         parkedExact = false;  // it may have been the parked head
+        if (!touched)
+            touch();
+    }
     maybeSweep();
 }
 
@@ -511,6 +528,7 @@ TimerWheelQueue::maybeSweep()
 bool
 TimerWheelQueue::step()
 {
+    beginRun();
     const RunLimitScope scope(runLimit, kNoRunAhead);
     return runNext();
 }
@@ -528,8 +546,9 @@ TimerWheelQueue::runNext()
 void
 TimerWheelQueue::runUntil(TimePs limit)
 {
+    beginRun();
     if (std::min(parkedBound, regWhen) > limit) {
-        // Nothing is due: the common case for an idle sharded partition.
+        // Nothing is due.
         if (currentTime < limit)
             currentTime = limit;
         return;
@@ -550,9 +569,17 @@ TimerWheelQueue::runUntil(TimePs limit)
 void
 TimerWheelQueue::runAll()
 {
+    beginRun();
     const RunLimitScope scope(runLimit, kTimeNever);
     while (runNext()) {
     }
+}
+
+void
+TimerWheelQueue::pastSchedule(TimePs when) const
+{
+    panicf("EventQueue::schedule: time ", when, " is in the past (now ",
+           now(), ")");
 }
 
 void

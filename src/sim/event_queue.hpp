@@ -22,6 +22,10 @@
  * order ((time, schedule-order) ascending) and report identical
  * now()/size() trajectories for identical schedule/cancel/run call
  * sequences.
+ *
+ * A partition of a ShardedEventQueue reads the kernel's barrier floor in
+ * now() and reports edits made outside the kernel's windows (see "As a
+ * sharded partition" below).
  */
 #pragma once
 
@@ -34,6 +38,8 @@
 #include "sim/time.hpp"
 
 namespace ccsim::sim {
+
+class ShardedEventQueue;
 
 /** Opaque handle to a scheduled event, usable for cancellation. */
 using EventId = std::uint64_t;
@@ -114,6 +120,26 @@ inline constexpr EventId kNoEvent = 0;
  * is freed outright. Dead records whose index is still parked in a slot
  * are reclaimed when the slot drains, or by a bulk sweep when tombstones
  * outnumber live events.
+ *
+ * ## As a sharded partition
+ *
+ * A ShardedEventQueue runs only the partitions with an event in a window,
+ * so an idle partition's own clock stays where its last run left it.
+ * now() is therefore the larger of that clock and the kernel's *floor*,
+ * the end of its last bounded window (for a standalone queue, the clock
+ * itself): hooks and drivers read now() == E on every partition after a
+ * window ending at E, scheduleAfter() counts from E, and schedule()
+ * below E panics. A run (runUntil(), runAll(), step()) first brings the
+ * clock up to the floor.
+ *
+ * The kernel caches each partition's nextEventTime() and refreshes it
+ * only for the partitions it ran and those on its touch list. While the
+ * kernel is not running this queue, the first edit that can move the next
+ * event time adds the queue's index to that list, once between two
+ * refreshes. Such an edit is a new event that takes the head register, a
+ * cancel of the register's event or of one at or below the parked bound,
+ * or a run the kernel did not start. Any other new event is parked at or
+ * after the cached time and cannot move it.
  */
 class TimerWheelQueue
 {
@@ -123,8 +149,8 @@ class TimerWheelQueue
     TimerWheelQueue &operator=(const TimerWheelQueue &) = delete;
     ~TimerWheelQueue();
 
-    /** Current simulated time. */
-    TimePs now() const { return currentTime; }
+    /** Current simulated time: the clock, never below the floor. */
+    TimePs now() const { return std::max(currentTime, *floor); }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -137,7 +163,7 @@ class TimerWheelQueue
     /** Schedule @p fn to run @p delay after the current time. */
     EventId scheduleAfter(TimePs delay, EventFn fn)
     {
-        return schedule(currentTime + delay, std::move(fn));
+        return schedule(now() + delay, std::move(fn));
     }
 
     /**
@@ -173,7 +199,7 @@ class TimerWheelQueue
     void runUntil(TimePs limit);
 
     /** Run events for @p duration of simulated time from now(). */
-    void runFor(TimePs duration) { runUntil(currentTime + duration); }
+    void runFor(TimePs duration) { runUntil(now() + duration); }
 
     /** Run until the queue is completely drained. */
     void runAll();
@@ -298,6 +324,8 @@ class TimerWheelQueue
     std::uint64_t eventsBypassed() const { return bypassCount; }
 
   private:
+    friend class ShardedEventQueue;
+
     // Wheel geometry. Level L slots are 2^(kSlotShift0 + 6L) ps wide.
     static constexpr int kLevels = 8;
     static constexpr int kSlotBits = 6;
@@ -386,8 +414,7 @@ class TimerWheelQueue
      * parked head records its time, or, when it lies past the limit, the
      * start of its slot; refreshParked() makes the bound exact. With the
      * register's time it bounds the next event, so runUntil(limit) below
-     * both returns in O(1), which is what keeps idle sharded partitions
-     * free per window, and a register event below it runs in O(1).
+     * both returns in O(1), and a register event below it runs in O(1).
      */
     TimePs parkedBound = kTimeNever;
     bool parkedExact = true;
@@ -400,7 +427,43 @@ class TimerWheelQueue
     std::uint64_t overflowCount = 0;
     std::uint64_t bypassCount = 0;
 
+    // --- sharded partition state, set by the owning ShardedEventQueue ---
+    /**
+     * now() never reads below this: the owner's last window end for a
+     * partition, this queue's own clock when standalone.
+     */
+    const TimePs *floor = &currentTime;
+    /** The owner's touch list; null when standalone. */
+    std::vector<int> *touchList = nullptr;
+    int touchId = 0;  ///< this queue's index in the owner's touch list
+    /**
+     * True while an edit need not be reported: the owner will refresh
+     * this queue's cached next-event time anyway (it runs this queue in
+     * the current window, or an edit was already reported). Always true
+     * when standalone.
+     */
+    bool touched = true;
+
+    /**
+     * Report this queue to the owner's touch list (once per refresh).
+     * Cold and out of line, so that enqueue() and cancel() stay small.
+     */
+    [[gnu::cold, gnu::noinline]] void touch();
+    /** Start of a run: clock up to the floor, and report it if needed. */
+    void beginRun()
+    {
+        if (currentTime < *floor)
+            currentTime = *floor;
+        if (!touched)
+            touch();
+    }
+
     std::uint32_t allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn);
+    /**
+     * Add one record to the free list by growing the pool: cold and out
+     * of line, so that schedule() can inline allocRecord().
+     */
+    [[gnu::cold, gnu::noinline]] void growPool();
     /**
      * Count the live record @p idx; it takes the head register when it
      * precedes the occupant, which is then parked, and `parkedBound`.
@@ -463,6 +526,8 @@ class TimerWheelQueue
     bool runNext();
     /** Make `parkedBound` the parked head's exact time. */
     void refreshParked();
+    /** Schedule at a time in the past: panics. */
+    [[noreturn]] void pastSchedule(TimePs when) const;
     /** Run ahead to a time in the past: panics. */
     [[noreturn]] void pastRunAhead(TimePs t) const;
     /**

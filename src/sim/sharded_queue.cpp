@@ -31,6 +31,16 @@ constexpr int kSpinIters = 512;
  */
 constexpr std::uint64_t kMinHandoffEvents = 64;
 
+/**
+ * Debug and sanitizer builds audit the barrier: at every barrier each
+ * partition's cached next-event time must equal its queue's.
+ */
+#ifdef NDEBUG
+constexpr bool kAuditBarriers = false;
+#else
+constexpr bool kAuditBarriers = true;
+#endif
+
 // Claim word layout (see ShardedEventQueue::claimWord).
 constexpr int kPhaseShift = 32;
 constexpr int kCountShift = 16;
@@ -89,8 +99,13 @@ ShardedEventQueue::ShardedEventQueue(Config cfg) : config(cfg)
     for (int p = 0; p < cfg.partitions; ++p) {
         auto part = std::make_unique<Partition>();
         part->outbox.resize(static_cast<std::size_t>(cfg.partitions));
+        part->eq.floor = &clockFloor;
+        part->eq.touchList = &touches;
+        part->eq.touchId = p;
+        part->eq.touched = false;
         parts.push_back(std::move(part));
     }
+    touches.reserve(static_cast<std::size_t>(cfg.partitions));
     nextTimes.assign(static_cast<std::size_t>(cfg.partitions), kTimeNever);
     edgeLatency.assign(static_cast<std::size_t>(cfg.partitions),
                        std::vector<TimePs>(
@@ -179,8 +194,14 @@ ShardedEventQueue::postCross(int src, int dst, TimePs when, EventFn fn)
                " ps (edge ", src, " -> ", dst, ")");
     Partition &sp = *parts[static_cast<std::size_t>(src)];
     std::vector<CrossMsg> &box = sp.outbox[static_cast<std::size_t>(dst)];
-    if (box.empty())
-        sp.dirty.push_back(dst);
+    if (box.empty()) {
+        // Inside a window only a running partition posts, and the flush
+        // walks those; any other post is listed for the next flush.
+        if (windowRunning)
+            sp.dirty.push_back(dst);
+        else
+            lateRoutes.emplace_back(dst, src);
+    }
     box.push_back(CrossMsg{when, sp.crossSeq++, std::move(fn)});
 }
 
@@ -285,30 +306,34 @@ ShardedEventQueue::workerLoop()
 void
 ShardedEventQueue::runWindow(TimePs e, bool drain)
 {
-    const auto due = [&](TimePs t) {
-        return t != kTimeNever && (drain || t <= e);
-    };
-    busyParts.clear();
-    if (nThreads > 1 && lastWindowEvents >= kMinHandoffEvents)
-        for (std::size_t p = 0; p < nextTimes.size(); ++p)
-            if (due(nextTimes[p]))
-                busyParts.push_back(static_cast<int>(p));
-    if (busyParts.size() <= 1) {
+    // The scan listed every partition with an event by t0's window end;
+    // a drain runs them all, a window those with an event by E.
+    if (!drain)
+        std::erase_if(busyParts, [&](int p) {
+            return nextTimes[static_cast<std::size_t>(p)] > e;
+        });
+    // The next scan refreshes their heads anyway, so their queues report
+    // nothing until then: no worker writes the touch list.
+    for (const int p : busyParts)
+        parts[static_cast<std::size_t>(p)]->eq.touched = true;
+    partitionVisitCount += busyParts.size();
+    const std::uint64_t before = busyEvents();
+    windowRunning = true;
+    if (busyParts.size() <= 1 || nThreads == 1 ||
+        lastWindowEvents < kMinHandoffEvents) {
         // Nothing to overlap, or too little: a handoff would cost more
-        // than the window. Idle partitions only advance now() (O(1)).
-        std::uint64_t executed = 0;
-        for (auto &p : parts) {
+        // than the window.
+        for (const int p : busyParts) {
+            EventQueue &eq = parts[static_cast<std::size_t>(p)]->eq;
             if (drain)
-                p->eq.runAll();
+                eq.runAll();
             else
-                p->eq.runUntil(e);
-            executed += p->eq.eventsExecuted();
+                eq.runUntil(e);
         }
-        lastWindowEvents = executed - executedTotal;
-        executedTotal = executed;
+        windowRunning = false;
+        lastWindowEvents = busyEvents() - before;
         return;
     }
-    const std::uint64_t before = busyEvents();
     // Phase data first, then the claim word that publishes it. Every
     // claim of the previous phase has finished, so nothing reads these.
     phaseEnd = e;
@@ -323,13 +348,6 @@ ShardedEventQueue::runWindow(TimePs e, bool drain)
         cvWake.notify_all();
     }
     runClaims();
-    // Idle partitions only advance now(). Doing that here rather than on
-    // the workers keeps their cache lines on this core, where the next
-    // t0 scan reads them.
-    if (!drain)
-        for (std::size_t p = 0; p < nextTimes.size(); ++p)
-            if (!due(nextTimes[p]))
-                parts[p]->eq.runUntil(e);
     // Wait only for partitions a worker claimed and is still running,
     // yielding after the spin so a descheduled worker can get the core.
     const auto done = [&] {
@@ -339,9 +357,8 @@ ShardedEventQueue::runWindow(TimePs e, bool drain)
         cpuRelax();
     while (!done())
         std::this_thread::yield();
-    // Idle partitions ran no events.
+    windowRunning = false;
     lastWindowEvents = busyEvents() - before;
-    executedTotal += lastWindowEvents;
 }
 
 std::uint64_t
@@ -354,12 +371,44 @@ ShardedEventQueue::busyEvents() const
 }
 
 TimePs
-ShardedEventQueue::minNextEventTime()
+ShardedEventQueue::scanHeads()
 {
+    // Only a partition that ran, or whose queue reported an edit made
+    // outside a window, can have a new next event.
+    const auto refresh = [&](int p) {
+        EventQueue &eq = parts[static_cast<std::size_t>(p)]->eq;
+        nextTimes[static_cast<std::size_t>(p)] = eq.nextEventTime();
+        eq.touched = false;
+    };
+    for (const int p : busyParts)
+        refresh(p);
+    for (const int p : touches)
+        refresh(p);
+    partitionVisitCount += busyParts.size() + touches.size();
+    touches.clear();
+    if constexpr (kAuditBarriers) {
+        for (std::size_t p = 0; p < parts.size(); ++p) {
+            const TimePs actual = parts[p]->eq.nextEventTime();
+            if (nextTimes[p] != actual)
+                panicf("ShardedEventQueue audit: partition ", p,
+                       " has cached next event time ", nextTimes[p],
+                       " ps, but its queue's next event is at ", actual,
+                       " ps (an edit went unreported)");
+        }
+    }
+    // One pass: t0, and every partition with an event by the window end
+    // of the minimum so far, a superset of the window's busy partitions.
+    busyParts.clear();
     TimePs t0 = kTimeNever;
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-        nextTimes[p] = parts[p]->eq.nextEventTime();
-        t0 = std::min(t0, nextTimes[p]);
+    TimePs reach = kTimeNever;
+    for (std::size_t p = 0; p < nextTimes.size(); ++p) {
+        const TimePs t = nextTimes[p];
+        if (t < t0) {
+            t0 = t;
+            reach = windowEndFor(t);
+        }
+        if (t <= reach && t != kTimeNever)
+            busyParts.push_back(static_cast<int>(p));
     }
     return t0;
 }
@@ -377,8 +426,11 @@ ShardedEventQueue::windowEndFor(TimePs t0) const
 void
 ShardedEventQueue::flushOutboxes()
 {
+    // Posts made outside a window, then those of the partitions that ran
+    // in the last one: no other outbox can hold a message.
     flushRoutes.clear();
-    for (int src = 0; src < partitionCount(); ++src) {
+    flushRoutes.swap(lateRoutes);
+    for (const int src : busyParts) {
         std::vector<int> &dirty = parts[static_cast<std::size_t>(src)]->dirty;
         for (const int dst : dirty)
             flushRoutes.emplace_back(dst, src);
@@ -437,10 +489,10 @@ void
 ShardedEventQueue::runUntil(TimePs limit)
 {
     start();
-    flushOutboxes();  // deliver build-time posts
+    flushOutboxes();  // deliver posts made since the last barrier
     while (floorTime < limit) {
         TimePs e = limit;
-        const TimePs t0 = minNextEventTime();
+        const TimePs t0 = scanHeads();
         if (t0 != kTimeNever) {
             const TimePs we = windowEndFor(t0);
             if (we != kTimeNever && we < e)
@@ -457,6 +509,7 @@ ShardedEventQueue::runUntil(TimePs limit)
             e = floorTime + 1;  // defensive: deadlines are clamped > floor
         runWindow(e, /*drain=*/false);
         floorTime = e;
+        clockFloor = e;
         flushOutboxes();
         fireHooks(e);
         ++windowsRunCount;
@@ -471,7 +524,7 @@ ShardedEventQueue::runAll()
     while (true) {
         while (!extraDeadlines.empty() && extraDeadlines.top() <= floorTime)
             extraDeadlines.pop();
-        const TimePs t0 = minNextEventTime();
+        const TimePs t0 = scanHeads();
         // Pending one-shot deadlines count as work: an action pinned to
         // a barrier must run even when no event precedes it.
         const TimePs pinned =
@@ -482,12 +535,17 @@ ShardedEventQueue::runAll()
         if (e == kTimeNever) {
             // Unbounded window: partitions are fully independent (no
             // cross edges), so each can drain in one phase.
+            // An idle partition's clock is at or below floorTime already.
+            // The clock floor stays at the last bounded window's end, so
+            // a drained partition's now() is its own last event time.
             runWindow(0, /*drain=*/true);
-            for (const auto &p : parts)
-                floorTime = std::max(floorTime, p->eq.now());
+            for (const int p : busyParts)
+                floorTime = std::max(
+                    floorTime, parts[static_cast<std::size_t>(p)]->eq.now());
         } else {
             runWindow(e, /*drain=*/false);
             floorTime = e;
+            clockFloor = e;
         }
         flushOutboxes();
         fireHooks(floorTime);

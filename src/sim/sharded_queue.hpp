@@ -49,27 +49,44 @@
  *
  * ## Barrier cost
  *
- * A window costs O(touched outboxes + partitions), with a per-partition
- * term of a few loads, not O(P^2): each source records the destinations
- * whose outbox it made non-empty, so the flush visits only those (src,
- * dst) pairs; the queues cache an exact next-event time, so the t0 scan
- * and an idle partition's runUntil(E) are O(1); a window in which at
- * most one partition has an event <= E runs inline on the coordinator,
- * and so does any window after one that ran fewer events than a handoff
- * costs (a few microseconds of cache-line traffic; the Figure 7 chaos
- * drill's ~27-event windows are that small).
+ * A window costs O(busy partitions + touched outboxes) plus one pass over
+ * a contiguous array of P cached next-event times; the coordinator
+ * touches no queue of a partition that has nothing to do (CCSS's rule:
+ * pay for synchronization only where there is work).
+ *  - *Cached heads.* Each partition's next-event time is cached, and the
+ *    barrier refreshes it only for the partitions that ran in the window
+ *    and those whose queue reported an edit made outside a window (a
+ *    flushed cross message or a hook's event that becomes its next
+ *    event, a cancel that may remove it, a run the kernel did not start;
+ *    see EventQueue). One pass over the cache yields t0 and the
+ *    window's busy partitions.
+ *  - *Idle partitions are not run.* A partition's now() is the larger of
+ *    its own clock and the end of the last window (EventQueue's floor),
+ *    so after a window ending at E every partition reads now() == E, and
+ *    a run first brings the clock up to it.
+ *  - *Dirty-outbox flush.* Each source records the destinations whose
+ *    outbox it made non-empty. Only an event posts inside a window, so
+ *    the flush visits only the partitions that ran, plus a list of the
+ *    posts made outside a window (at build time, by a hook or driver).
+ *  - *Inline small windows.* A window in which at most one partition has
+ *    an event <= E runs inline on the coordinator, and so does any window
+ *    after one that ran fewer events than a handoff costs (a few
+ *    microseconds of cache-line traffic; the Figure 7 chaos drill's
+ *    ~27-event windows are that small).
+ *
  * Otherwise the window's busy partitions are claimed, not dealt: the
  * coordinator publishes one atomic claim word (phase id, busy count,
  * next index), and it and every awake worker take partitions by
  * compare-and-swap until none is left. A worker that is asleep or
- * descheduled claims nothing, and the coordinator never waits for it:
- * after advancing the idle partitions itself (keeping their cache lines
- * on its core), it waits only for claimed partitions still running,
- * spinning briefly and then yielding its core. Workers spin briefly for
- * the next phase before sleeping on a condition variable, and are
- * notified only when one sleeps. A partition still runs its whole window
- * on one thread, so none of this changes the sequence of windows
- * (t0, E) or anything a partition computes.
+ * descheduled claims nothing, and the coordinator never waits for it: it
+ * waits only for claimed partitions still running, spinning briefly and
+ * then yielding its core. Workers spin briefly for the next phase before
+ * sleeping on a condition variable, and are notified only when one
+ * sleeps. A partition still runs its whole window on one thread, so none
+ * of this changes the sequence of windows (t0, E) or anything a
+ * partition computes. partitionVisits() counts the partition queues the
+ * coordinator refreshed or ran: the barrier's exact work, the same at
+ * every worker count.
  *
  * ## Barrier hooks
  *
@@ -234,6 +251,12 @@ class ShardedEventQueue
     std::uint64_t crossMessages() const { return crossMessageCount; }
     /** Events executed, summed over partitions. */
     std::uint64_t eventsExecuted() const;
+    /**
+     * Partition queues the coordinator refreshed (re-read the next event
+     * time of) or ran, summed over barriers: the barrier's exact work,
+     * deterministic and independent of the worker count.
+     */
+    std::uint64_t partitionVisits() const { return partitionVisitCount; }
 
   private:
     struct CrossMsg {
@@ -261,6 +284,12 @@ class ShardedEventQueue
     int nThreads = 1;
     TimePs resolvedWindow = kTimeNever;
     TimePs floorTime = -1;  ///< all partitions have executed times <= this
+    /**
+     * Every partition's now() reads at least this (EventQueue's floor):
+     * the end of the last bounded window. A drain leaves it, so a drained
+     * partition keeps its own clock.
+     */
+    TimePs clockFloor = 0;
     bool started = false;
 
     struct Hook {
@@ -275,14 +304,27 @@ class ShardedEventQueue
 
     std::uint64_t windowsRunCount = 0;
     std::uint64_t crossMessageCount = 0;
+    std::uint64_t partitionVisitCount = 0;
 
     // --- coordinator scratch, reused across barriers ---
-    std::vector<TimePs> nextTimes;  ///< per partition, from the t0 scan
     /**
-     * Partitions with an event in the running window, in ascending
-     * order; a threaded window hands them out by claim index.
+     * Per partition, its queue's next event time: exact at every scan,
+     * since only the partitions in busyParts and touches can differ.
+     */
+    std::vector<TimePs> nextTimes;
+    /**
+     * Partitions the partition queues reported edited outside a window
+     * since the last scan (EventQueue's touch list).
+     */
+    std::vector<int> touches;
+    /**
+     * Partitions with an event in the running (or last) window, in
+     * ascending order; a threaded window hands them out by claim index.
+     * Between the scan and the window, the candidates by t0's window end.
      */
     std::vector<int> busyParts;
+    /** Set while a window runs; postCross() reads it. */
+    bool windowRunning = false;
     /** One cross message of a flush, in merge-key form. */
     struct FlushItem {
         TimePs when;
@@ -292,12 +334,12 @@ class ShardedEventQueue
     };
     /**
      * Events the last window executed, which decides whether the next
-     * one may be handed off (it starts high, so the first one may), and
-     * the partitions' executed-event total at that window's end.
+     * one may be handed off (it starts high, so the first one may).
      */
     std::uint64_t lastWindowEvents = UINT64_MAX;
-    std::uint64_t executedTotal = 0;
     std::vector<std::pair<int, int>> flushRoutes;  ///< touched (dst, src)
+    /** (dst, src) routes posted outside a window, for the next flush. */
+    std::vector<std::pair<int, int>> lateRoutes;
     std::vector<FlushItem> flushItems;  ///< one destination's messages
 
     // --- worker pool (empty when nThreads == 1) ---
@@ -337,22 +379,25 @@ class ShardedEventQueue
     /** Claim and run busy partitions until none is left unclaimed. */
     void runClaims();
     /**
-     * Run every partition to @p e (or drain if @p drain) and barrier:
-     * inline on the coordinator when at most one partition has work or
-     * the last window ran too few events to hand off, otherwise as a
-     * claimed phase shared with the workers.
-     * @pre nextTimes is current (minNextEventTime ran since the last
-     * change to any partition).
+     * Run the busy partitions to @p e (or drain them all if @p drain) and
+     * barrier: inline on the coordinator when at most one partition has
+     * work or the last window ran too few events to hand off, otherwise
+     * as a claimed phase shared with the workers.
+     * @pre scanHeads() listed the candidates in busyParts.
      */
     void runWindow(TimePs e, bool drain);
     /**
-     * Min next-event time across partitions (kTimeNever if all empty);
-     * also refreshes nextTimes.
+     * Refresh the cached next-event times that may have changed, then
+     * return t0 (kTimeNever if every partition is empty) and list in
+     * busyParts the partitions with an event by t0's window end.
      */
-    TimePs minNextEventTime();
+    TimePs scanHeads();
     /** Window end from t0, saturating (kTimeNever if unbounded). */
     TimePs windowEndFor(TimePs t0) const;
-    /** Deliver all outbox messages; panic if any violates causality. */
+    /**
+     * Deliver the messages posted since the last flush; panic if any
+     * violates causality. @pre busyParts lists the partitions that ran.
+     */
     void flushOutboxes();
     void fireHooks(TimePs e);
 };

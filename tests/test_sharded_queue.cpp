@@ -18,11 +18,12 @@
  * counter-based Rng::forStream per-shard stream derivation.
  *
  * The ShardedBarrier suite guards the cheap barrier (dirty-outbox flush,
- * cached next-event times, inline single-partition windows): sparse
- * traffic still merges in total order, edits made outside a window
- * invalidate the cached times, every partition sits at the window end
- * after each barrier, and the window-end sequence matches one captured
- * with the original full-scan barrier. The ShardedHandoff suite stresses
+ * cached next-event times, idle partitions left unrun, inline
+ * single-partition windows): sparse traffic still merges in total order,
+ * edits made outside a window invalidate the cached times, every
+ * partition reads the window end after each barrier and counts from it,
+ * the window-end sequence matches one captured with the original
+ * full-scan barrier, and a barrier visits only the busy partitions. The ShardedHandoff suite stresses
  * the claimed handoff: seeded windows with 0 to P busy partitions, a
  * handler that holds its partition for ~100 us of wall time, more
  * workers than cores, and kernels destroyed while their workers spin or
@@ -671,6 +672,127 @@ TEST(ShardedBarrier, WindowEndsPinnedAcrossWorkerCounts)
         const auto ends = sparseWindowEnds(threads, allAtWindowEnd);
         EXPECT_EQ(ends, golden) << threads << " workers";
         EXPECT_TRUE(allAtWindowEnd) << threads << " workers";
+    }
+}
+
+// --- sparse barrier: a window visits only the partitions with work ---
+
+TEST(ShardedBarrier, IdlePartitionReadsWindowEndAndCountsFromIt)
+{
+    // Partition 3 runs nothing before the hook's deadline, yet it reads
+    // now() == E there, and an event the hook schedules 40 ps after it
+    // lands at E + 40.
+    for (int threads : {1, 2, 4}) {
+        auto sq = makeMesh(4, threads, 1000);
+        std::vector<sim::TimePs> idleNow;
+        std::vector<sim::TimePs> ran;
+        sq->partition(0).schedule(100, [] {});
+        sq->atBarrier(
+            [&](sim::TimePs e) {
+                if (e < 2500)
+                    return sim::TimePs{2500};
+                if (e == 2500) {
+                    idleNow.push_back(sq->partition(3).now());
+                    sq->partition(3).scheduleAfter(40, [&] {
+                        ran.push_back(sq->partition(3).now());
+                    });
+                }
+                return sim::kTimeNever;
+            },
+            2500);
+        sq->runUntil(10000);
+        EXPECT_EQ(idleNow, std::vector<sim::TimePs>{2500})
+            << threads << " workers";
+        EXPECT_EQ(ran, std::vector<sim::TimePs>{2540}) << threads << " workers";
+    }
+}
+
+TEST(ShardedBarrier, EveryPartitionReadsTheRunLimit)
+{
+    // Partitions 0 and 1 trade a message; partition 2 never runs and
+    // partition 3 runs once, early. All of them read the limit after.
+    for (int threads : {1, 2, 4}) {
+        auto sq = makeMesh(4, threads, 1000);
+        sq->partition(0).schedule(100, [&sq] {
+            sq->postCross(0, 1, 1600, [] {});
+        });
+        sq->partition(3).schedule(50, [] {});
+        sq->runUntil(7777);
+        for (int q = 0; q < 4; ++q)
+            EXPECT_EQ(sq->partition(q).now(), 7777)
+                << "partition " << q << ", " << threads << " workers";
+        EXPECT_EQ(sq->eventsExecuted(), 3u);
+    }
+}
+
+TEST(ShardedQueueDeath, ScheduleBelowWindowEndOnIdlePartitionPanics)
+{
+    EXPECT_DEATH(
+        {
+            auto sq = makeMesh(3, 1, 1000);
+            sq->partition(0).schedule(100, [] {});
+            sq->runUntil(5000);
+            // Partition 2 never ran, but its clock reads the window end.
+            sq->partition(2).schedule(4999, [] {});
+        },
+        "is in the past");
+}
+
+/** Window ends when a hook cancels idle partition 2's earliest event. */
+std::vector<sim::TimePs>
+cancelFromHookWindowEnds(int threads)
+{
+    auto sq = makeMesh(4, threads, 1000);
+    std::vector<sim::TimePs> ends;
+    sq->partition(0).schedule(100, [] {});
+    const sim::EventId early = sq->partition(2).schedule(3000, [] {});
+    sq->partition(2).schedule(7000, [] {});
+    sq->atBarrier([&](sim::TimePs e) {
+        ends.push_back(e);
+        if (e == 1099)
+            sq->partition(2).cancel(early);
+        return sim::kTimeNever;
+    });
+    sq->runUntil(10000);
+    return ends;
+}
+
+TEST(ShardedBarrier, HookCancelOfIdleHeadMovesNextWindowStart)
+{
+    // The cached head of partition 2 (3000) must not outlive the cancel:
+    // the next window starts at 7000.
+    const std::vector<sim::TimePs> want = {1099, 7999, 10000};
+    for (int threads : {1, 2, 4})
+        EXPECT_EQ(cancelFromHookWindowEnds(threads), want)
+            << threads << " workers";
+}
+
+TEST(ShardedBarrier, PartitionVisitsCountOnlyTheBusyPair)
+{
+    // 261 partitions, one ball bounced between partitions 0 and 1 every
+    // 1500 ps. A window runs the holder, and the next barrier refreshes
+    // it and the partner its message woke, plus partition 0's build-time
+    // event once: 3 visits a window instead of >= 3 x 261.
+    constexpr int kParts = 261;
+    constexpr sim::TimePs kLatency = 1500;
+    constexpr int kWindows = 100;
+    for (int threads : {1, 2, 4}) {
+        sim::ShardedEventQueue::Config qc;
+        qc.partitions = kParts;
+        qc.threads = threads;
+        sim::ShardedEventQueue sq(qc);
+        sq.registerCrossEdge(0, 1, kLatency);
+        sq.registerCrossEdge(1, 0, kLatency);
+        std::function<void(int)> bounce = [&](int p) {
+            sq.postCross(p, p ^ 1, sq.partition(p).now() + kLatency,
+                         [&bounce, p] { bounce(p ^ 1); });
+        };
+        sq.partition(0).schedule(1, [&bounce] { bounce(0); });
+        sq.runUntil(kWindows * kLatency);
+        EXPECT_EQ(sq.windowsRun(), static_cast<std::uint64_t>(kWindows));
+        EXPECT_EQ(sq.partitionVisits(),
+                  static_cast<std::uint64_t>(3 * kWindows - 1))
+            << threads << " workers";
     }
 }
 
