@@ -15,6 +15,11 @@
  *  2. Budget sizing: the smallest total buffer budget at which producer
  *     hand-off time for a single-VC burst reaches a target — elastic
  *     needs ~1/numVcs of the static budget.
+ *
+ * Exits non-zero unless elastic hands off no later than static at every
+ * budget of experiment 1, and reaches the target with at most half the
+ * static budget in experiment 2. Failures go to stderr, so the printed
+ * tables stay the same.
  */
 #include <cstdio>
 #include <memory>
@@ -88,12 +93,20 @@ main()
                 "budget per input port)\n\n");
     std::printf("  %8s | %13s %11s | %13s %11s\n", "budget",
                 "elastic(us)", "peak flits", "static(us)", "peak flits");
+    bool ok = true;
     for (int budget : {8, 16, 32, 64, 128}) {
         const RunResult e = run(CreditPolicy::kElastic, budget);
         const RunResult s = run(CreditPolicy::kStatic, budget);
         std::printf("  %8d | %13.2f %11d | %13.2f %11d\n", budget,
                     e.handoffUs, e.peakBuffered, s.handoffUs,
                     s.peakBuffered);
+        if (e.handoffUs > s.handoffUs) {
+            std::fprintf(stderr,
+                         "FAIL: at budget %d elastic hands off later than "
+                         "static (%.2f > %.2f us)\n",
+                         budget, e.handoffUs, s.handoffUs);
+            ok = false;
+        }
     }
 
     std::printf("\n-- Experiment 2: smallest budget achieving hand-off "
@@ -113,9 +126,17 @@ main()
                 "(elastic needs ~1/numVcs the buffering)\n", need_e,
                 need_s);
 
+    if (need_e < 0 || need_s < 0 || 2 * need_e > need_s) {
+        std::fprintf(stderr,
+                     "FAIL: elastic needs %d flits/port to reach the "
+                     "target, more than half of static's %d\n",
+                     need_e, need_s);
+        ok = false;
+    }
+
     std::printf("\nconclusion: the shared pool lets a hot VC borrow idle "
                 "VCs' buffering, reducing the\naggregate flit-buffer "
                 "requirement for the same hand-off performance — the "
                 "paper's ER rationale.\n");
-    return 0;
+    return ok ? 0 : 1;
 }

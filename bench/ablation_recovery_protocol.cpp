@@ -109,12 +109,13 @@ main(int argc, char **argv)
     // The deadline sits above the healthy end-to-end accel tail (~2.6 ms
     // completion p99) so it only expires during real outages; the hedge
     // delay adapts to the observed accel-stage p99.
-    server.setRetryPolicy(
-        serving::RequestPolicy{}
-            .withDeadline(sim::fromMillis(3), 3)
-            .withBackoff(200 * sim::kMicrosecond, 0.2)
-            .withHedge()  // adaptive delay
-            .withHedgeQuantile(99.0, 500 * sim::kMicrosecond));
+    server.setRetryPolicy({.accelDeadline = sim::fromMillis(3),
+                           .maxAttempts = 3,
+                           .backoffBase = 200 * sim::kMicrosecond,
+                           .backoffJitter = 0.2,
+                           .hedge = true,  // adaptive delay
+                           .hedgeQuantile = 99.0,
+                           .hedgeMinDelay = 500 * sim::kMicrosecond});
 
     std::map<int, bench::RecoveryPod::Attachment> attached;
     auto reconcile = [&] {

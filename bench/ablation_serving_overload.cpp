@@ -207,10 +207,13 @@ runGreyFailure()
     // host never *fails* a request, it only serves them slowly.
     serving::ServingConfig scfg;
     scfg.balancer = serving::BalancerPolicy::kRoundRobin;
-    scfg.ejection.withConsecutiveErrors(0)
-        .withLatencySignal(3.0, 50.0, 16)
-        .withEjectionTime(sim::fromMillis(500), 4);
-    scfg.ejection.latencyWindow = 32;
+    scfg.ejection = {.consecutiveErrors = 0,
+                     .baseEjectionTime = sim::fromMillis(500),
+                     .maxEjectionMultiplier = 4,
+                     .latencyFactor = 3.0,
+                     .latencyPercentile = 50.0,
+                     .minLatencySamples = 16,
+                     .latencyWindow = 32};
 
     core::ConfigurableCloud cloud(eq, {.topology = topo,
                                        .createNics = false,

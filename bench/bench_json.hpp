@@ -18,13 +18,17 @@
 #pragma once
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+
+#include "sim/logging.hpp"
 
 #ifndef CCSIM_BUILD_TYPE
 #define CCSIM_BUILD_TYPE "unknown"
@@ -177,6 +181,22 @@ peakRssKb()
     }
 #endif
     return -1;
+}
+
+/**
+ * The value of @p bench's `--shards` flag: an integer >= 1. Anything
+ * else is fatal, naming the flag.
+ */
+inline int
+shardsFlag(const char *bench, const char *value)
+{
+    const char *end = value + std::strlen(value);
+    int shards = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, shards);
+    if (ec != std::errc{} || ptr != end || shards < 1)
+        sim::fatalf(bench, ": --shards wants an integer >= 1 (got '", value,
+                    "')");
+    return shards;
 }
 
 }  // namespace ccsim::bench

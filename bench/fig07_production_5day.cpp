@@ -1183,7 +1183,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--fabric") == 0 && i + 1 < argc) {
             fabric = argv[++i];
         } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-            shards = std::atoi(argv[++i]);
+            shards = bench::shardsFlag("fig07", argv[++i]);
         } else {
             sim::fatalf("fig07: unknown flag ", argv[i],
                         " (usage: [--quick] [--chaos [--no-anti-affinity]]"

@@ -12,7 +12,6 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -291,7 +290,11 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = quick = true;
         else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc)
-            shards = std::atoi(argv[++i]);
+            shards = bench::shardsFlag("fig08", argv[++i]);
+        else
+            sim::fatalf("fig08: unknown flag ", argv[i],
+                        " (usage: [--quick] [--attribution] [--smoke]"
+                        " [--shards N])");
     }
 
     host::DiurnalTraceParams tp;

@@ -266,16 +266,9 @@ ElasticRouter::removeCandidate(int out_idx, int slot)
 void
 ElasticRouter::scheduleTick()
 {
-    if (clock == Clock::kIdle)
-        postTick();
-    else if (clock == Clock::kRunning)
-        clock = Clock::kWanted;
-}
-
-void
-ElasticRouter::postTick()
-{
-    clock = Clock::kPosted;
+    if (tickPosted)
+        return;
+    tickPosted = true;
     // Align to the next cycle boundary for a clocked-crossbar feel.
     const sim::TimePs now = queue.now();
     const sim::TimePs next = ((now / cyclePs) + 1) * cyclePs;
@@ -300,63 +293,43 @@ ElasticRouter::releaseCredit(int port, int vc)
 void
 ElasticRouter::tick()
 {
+    tickPosted = false;
+    if (candidateCount == 1)
+        crossTrain();
+    const sim::TimePs now = queue.now();
+    // Per-cycle separable allocation: each output grants at most one
+    // input; each input sends at most one flit. Only outputs that some
+    // front flit targets are visited, in port order; each walks its
+    // candidates round-robin from its pointer, the same order as a scan
+    // of every (input, vc) slot.
     const int ports = cfg.numPorts;
-    while (true) {
-        clock = Clock::kRunning;
-        if (candidateCount == 1)
-            crossTrain();
-        const sim::TimePs now = queue.now();
-        // Per-cycle separable allocation: each output grants at most one
-        // input; each input sends at most one flit. Only outputs that
-        // some front flit targets are visited, in port order; each walks
-        // its candidates round-robin from its pointer, the same order as
-        // a scan of every (input, vc) slot.
-        for (int out_idx = firstSetBit(activeOutputs.data(), 0, ports);
-             out_idx < ports;
-             out_idx = firstSetBit(activeOutputs.data(), out_idx + 1,
-                                   ports)) {
-            const OutputPort &out = outputs[out_idx];
-            if (out.sink == nullptr)
-                sim::panicf(cfg.name, ": a head flit is routed to output ",
-                            out_idx, ", which has no sink (setOutputSink)");
-            if (out.nextFree > now)
-                continue;
-            const std::uint64_t *mask =
-                &candidates[std::size_t(out_idx) * slotWords];
-            const int start = out.rrPointer;
-            auto grantFirst = [&](int from, int end) {
-                for (int slot = firstSetBit(mask, from, end); slot < end;
-                     slot = firstSetBit(mask, slot + 1, end)) {
-                    if (tryGrant(out_idx, slot, now))
-                        return true;
-                }
-                return false;
-            };
-            if (!grantFirst(start, slots))
-                grantFirst(0, start);
-        }
+    for (int out_idx = firstSetBit(activeOutputs.data(), 0, ports);
+         out_idx < ports;
+         out_idx = firstSetBit(activeOutputs.data(), out_idx + 1, ports)) {
+        const OutputPort &out = outputs[out_idx];
+        if (out.sink == nullptr)
+            sim::panicf(cfg.name, ": a head flit is routed to output ",
+                        out_idx, ", which has no sink (setOutputSink)");
+        if (out.nextFree > now)
+            continue;
+        const std::uint64_t *mask =
+            &candidates[std::size_t(out_idx) * slotWords];
+        const int start = out.rrPointer;
+        auto grantFirst = [&](int from, int end) {
+            for (int slot = firstSetBit(mask, from, end); slot < end;
+                 slot = firstSetBit(mask, slot + 1, end)) {
+                if (tryGrant(out_idx, slot, now))
+                    return true;
+            }
+            return false;
+        };
+        if (!grantFirst(start, slots))
+            grantFirst(0, start);
+    }
 
-        if (totalBuffered > 0) {
-            ++statBusyCycles;
-            scheduleTick();
-        }
-        if (clock == Clock::kRunning)
-            clock = Clock::kIdle;
-        if (clock != Clock::kWanted)
-            return;
-        // Take the next cycle here instead of a queue round trip when its
-        // tick event would be the next event run, once the deliveries
-        // this router scheduled before it have run in place.
-        const bool inPlace = queue.advanceThrough(
-            now + cyclePs,
-            [this](sim::EventId id) {
-                return !deliveries.empty() && deliveries.front() == id;
-            },
-            [this] { tick(); });
-        if (!inPlace) {
-            clock = Clock::kPosted;
-            return;
-        }
+    if (totalBuffered > 0) {
+        ++statBusyCycles;
+        scheduleTick();
     }
 }
 
@@ -379,10 +352,11 @@ ElasticRouter::crossTrain()
     int &owner = out.vcOwner[vc];
     if (run.headAtFront && owner != -1 && owner != in_idx)
         return;
-    // Cycle i grants one flit at now + i * cyclePs and runs ahead to the
-    // next cycle, so the last of n cycles must end before the next event
-    // and within the run. The run's last flit (its tail, or the newest
-    // flit of a run still waiting for it) stays for the per-cycle path.
+    // Cycle i grants one flit at now + i * cyclePs, and its tick for the
+    // next cycle would be the next event run, so the last of n cycles
+    // must end before the next event and within the run. The run's last
+    // flit (its tail, or the newest flit of a run still waiting for it)
+    // stays for the per-cycle path.
     const sim::TimePs now = queue.now();
     const int n = static_cast<int>(std::min<sim::TimePs>(
         run.flits - 1, (queue.runAheadHorizon() - now) / cyclePs));
@@ -487,18 +461,11 @@ ElasticRouter::tryGrant(int out_idx, int slot, sim::TimePs now)
     }
     releaseCredit(in_idx, vc);
     if (deliver) {
-        const sim::TimePs at = now + cfg.pipelineCycles * cyclePs;
-        // A wanted next cycle orders where it was first wanted, ahead of
-        // any later event at its time: post it before a delivery due
-        // then.
-        if (clock == Clock::kWanted && at == now + cyclePs)
-            postTick();
         FlitSink *sink = out.sink;
-        deliveries.push_back(
-            queue.schedule(at, [this, sink, flit = std::move(flit)] {
-                deliveries.pop_front();
-                sink->acceptFlit(flit);
-            }));
+        queue.schedule(now + cfg.pipelineCycles * cyclePs,
+                       [sink, flit = std::move(flit)] {
+                           sink->acceptFlit(flit);
+                       });
     }
     return true;
 }

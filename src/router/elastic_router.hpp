@@ -213,22 +213,8 @@ class ElasticRouter
     std::vector<InputPort> inputs;
     std::vector<OutputPort> outputs;
 
-    /**
-     * The router clock: idle (no cycle wanted), running a cycle, running
-     * one with the next cycle wanted, or the next cycle posted as a
-     * queue event. A wanted cycle is decided when the running one ends:
-     * it runs in place if the queue can run ahead to it once the
-     * router's own earlier deliveries have run in place
-     * (EventQueue::advanceThrough), or is posted. Deciding then, not
-     * when first wanted, keeps same-time order because the only events
-     * a cycle schedules are its deliveries (credit-return callbacks
-     * inject flits), and tryGrant() posts first when a delivery lands
-     * on the next cycle.
-     */
-    enum class Clock : std::uint8_t { kIdle, kRunning, kWanted, kPosted };
-    Clock clock = Clock::kIdle;
-    /** Handles of the scheduled deliveries, in the order they run. */
-    sim::Fifo<sim::EventId> deliveries;
+    /** A tick event is posted for the next cycle boundary. */
+    bool tickPosted = false;
 
     /**
      * Arbitration candidates: bit (input * numVcs + vc) of output o's
@@ -256,11 +242,9 @@ class ElasticRouter
     int statPeakBuffered = 0;
     int totalBuffered = 0;
 
-    /** Ask for a cycle at the next cycle boundary. */
+    /** Post a tick at the next cycle boundary unless one is posted. */
     void scheduleTick();
-    /** Schedule the tick event at the next cycle boundary. */
-    void postTick();
-    /** The tick event: run cycles until the router idles or must wait. */
+    /** The tick event: one cycle, and the next one while flits remain. */
     void tick();
     /**
      * At the start of a cycle with exactly one candidate, whose output

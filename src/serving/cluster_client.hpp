@@ -66,21 +66,6 @@ struct ServingConfig {
     RequestPolicy request;
     /** Seed of the client's private Rng stream (routing keys). */
     std::uint64_t seed = 0x5e21;
-
-    // --- fluent setters ---
-
-    ServingConfig &withConsistentHash(int vnodes, double load_bound)
-    {
-        balancer = BalancerPolicy::kBoundedLoadConsistentHash;
-        chVnodes = vnodes;
-        chLoadBound = load_bound;
-        return *this;
-    }
-    ServingConfig &withSeed(std::uint64_t s)
-    {
-        seed = s;
-        return *this;
-    }
 };
 
 /** Fatal on any out-of-range field (balancer, admission, ejection,

@@ -74,28 +74,6 @@ struct EjectionConfig {
     double maxEjectedFraction = 0.5;
     /** Suspicion weight fed to the evidence sink per ejection. */
     double evidenceWeight = 1.0;
-
-    // --- fluent setters ---
-
-    EjectionConfig &withConsecutiveErrors(int errors)
-    {
-        consecutiveErrors = errors;
-        return *this;
-    }
-    EjectionConfig &withEjectionTime(sim::TimePs base, int max_multiplier)
-    {
-        baseEjectionTime = base;
-        maxEjectionMultiplier = max_multiplier;
-        return *this;
-    }
-    EjectionConfig &withLatencySignal(double factor, double percentile,
-                                      int min_samples)
-    {
-        latencyFactor = factor;
-        latencyPercentile = percentile;
-        minLatencySamples = min_samples;
-        return *this;
-    }
 };
 
 /** Fatal on any out-of-range field. */

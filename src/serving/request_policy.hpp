@@ -41,33 +41,6 @@ struct RequestPolicy {
     double hedgeQuantile = 99.0;
     /** Adaptive floor (also used until enough samples accumulate). */
     sim::TimePs hedgeMinDelay = 200 * sim::kMicrosecond;
-
-    // --- fluent setters ---
-
-    RequestPolicy &withDeadline(sim::TimePs deadline, int max_attempts)
-    {
-        accelDeadline = deadline;
-        maxAttempts = max_attempts;
-        return *this;
-    }
-    RequestPolicy &withBackoff(sim::TimePs base, double jitter)
-    {
-        backoffBase = base;
-        backoffJitter = jitter;
-        return *this;
-    }
-    RequestPolicy &withHedge(sim::TimePs delay = 0)
-    {
-        hedge = true;
-        hedgeDelay = delay;
-        return *this;
-    }
-    RequestPolicy &withHedgeQuantile(double q, sim::TimePs min_delay)
-    {
-        hedgeQuantile = q;
-        hedgeMinDelay = min_delay;
-        return *this;
-    }
 };
 
 /** Fatal on any out-of-range field (shared by every installer). */

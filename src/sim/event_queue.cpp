@@ -589,20 +589,6 @@ TimerWheelQueue::pastRunAhead(TimePs t) const
            currentTime, ")");
 }
 
-TimerWheelQueue::Head
-TimerWheelQueue::headBefore(TimePs t, std::uint64_t seq)
-{
-    // Locating the head may move the wheel time up to its level-0 slot,
-    // never past `t`: the head then either runs in place or is the next
-    // event the run takes, after the fallback is scheduled at `t`.
-    const Head head = locate(t);
-    if (head.src != Next::kNone && head.src != Next::kLater &&
-        (head.when < t ||
-         (head.when == t && headSeq(head.src) < seq)))
-        return head;
-    return {Next::kNone, head.when};
-}
-
 std::uint64_t
 TimerWheelQueue::headSeq(Next src) const
 {
@@ -613,19 +599,6 @@ TimerWheelQueue::headSeq(Next src) const
         return due[duePos].seq;
     default:
         return overflow.front().seq;
-    }
-}
-
-std::uint32_t
-TimerWheelQueue::headIdx(Next src) const
-{
-    switch (src) {
-    case Next::kReg:
-        return reg;
-    case Next::kDue:
-        return due[duePos].idx;
-    default:
-        return overflow.front().idx;
     }
 }
 

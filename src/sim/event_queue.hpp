@@ -23,6 +23,12 @@
  * now()/size() trajectories for identical schedule/cancel/run call
  * sequences.
  *
+ * Every executed event runs through one dispatch call (fire()) from a
+ * run loop; no callback runs another event in place. The one shortcut,
+ * run-ahead (advanceIfIdle()), moves the clock over cycles in which
+ * nothing else is due and counts them as executed events, running no
+ * closure.
+ *
  * A partition of a ShardedEventQueue reads the kernel's barrier floor in
  * now() and reports edits made outside the kernel's windows (see "As a
  * sharded partition" below).
@@ -207,8 +213,8 @@ class TimerWheelQueue
     /**
      * Run ahead: move now() to @p t in place of running an event at
      * @p t, when that event would be the very next one the current run
-     * executes. A self-clocked component calls this from its own
-     * callback to take its next cycle without a queue round trip.
+     * executes. A component calls this from its own callback to take
+     * @p n cycles at once without a queue round trip.
      *
      * Succeeds only if no live event is at or before @p t (strictly
      * nextEventTime() > t) and @p t lies within the current run: at or
@@ -221,7 +227,7 @@ class TimerWheelQueue
      * @pre t >= now(), n >= 1.
      * @return true if now() moved to @p t.
      */
-    bool advanceIfIdle(TimePs t, std::uint64_t n = 1)
+    bool advanceIfIdle(TimePs t, std::uint64_t n)
     {
         if (t < currentTime)
             pastRunAhead(t);
@@ -244,51 +250,6 @@ class TimerWheelQueue
     TimePs runAheadHorizon()
     {
         return std::min(runLimit, nextEventTime() - 1);
-    }
-
-    /**
-     * Run ahead through the caller's own events: advanceIfIdle() for a
-     * component whose own earlier events (such as its deliveries) would
-     * otherwise make it wait.
-     *
-     * The call takes the schedule-order position a new event at @p t
-     * would take now. While the next event precedes that position and
-     * @p own(id) holds for its handle, that event runs in place (one
-     * executed event each; what it schedules orders after the
-     * position). When no event precedes the position, now() moves to
-     * @p t and the call counts as one executed event. Otherwise — a
-     * foreign event comes first, or @p t is outside the current run —
-     * @p fallback is scheduled at @p t in the position taken. Either
-     * way the events run in the order they would if @p fallback had
-     * been scheduled at the call.
-     *
-     * @pre t >= now().
-     * @return true if now() moved to @p t; false if @p fallback was
-     *         scheduled.
-     */
-    template <typename Own, typename Fallback>
-    bool advanceThrough(TimePs t, Own &&own, Fallback &&fallback)
-    {
-        if (t < currentTime)
-            pastRunAhead(t);
-        const std::uint64_t seq = nextSeq++;
-        while (t <= runLimit) {
-            if (advanceIfIdle(t))
-                return true;
-            const Head head = headBefore(t, seq);
-            if (head.src == Next::kNone) {
-                currentTime = t;
-                ++executedCount;
-                return true;
-            }
-            if (!own(headId(head.src)))
-                break;
-            fire(detach(head.src));
-        }
-        const std::uint32_t idx =
-            allocRecord(t, seq, EventFn(std::forward<Fallback>(fallback)));
-        enqueue(idx, t);
-        return false;
     }
 
     /**
@@ -530,17 +491,8 @@ class TimerWheelQueue
     [[noreturn]] void pastSchedule(TimePs when) const;
     /** Run ahead to a time in the past: panics. */
     [[noreturn]] void pastRunAhead(TimePs t) const;
-    /**
-     * The next event, located as a kReg, kDue or kOverflow head, if it
-     * precedes (@p t, @p seq); otherwise kNone.
-     */
-    Head headBefore(TimePs t, std::uint64_t seq);
     /** The sequence number of the located head at @p src. */
     std::uint64_t headSeq(Next src) const;
-    /** The record index of the located head at @p src. */
-    std::uint32_t headIdx(Next src) const;
-    /** The handle of the located head at @p src. */
-    EventId headId(Next src) const { return handleOf(headIdx(src)); }
     void maybeSweep();
 };
 

@@ -7,8 +7,8 @@
  * contract both queues share: events run in (time, schedule-order)
  * ascending order, and identical schedule/cancel/run call sequences give
  * identical now()/size() trajectories. The run-ahead calls
- * (advanceIfIdle, runAheadHorizon, advanceThrough) follow the wheel's
- * documented rules on top of the heap.
+ * (advanceIfIdle, runAheadHorizon) follow the wheel's documented rules
+ * on top of the heap.
  */
 #pragma once
 
@@ -42,7 +42,10 @@ class BinaryHeapQueue
             panicf("EventQueue::schedule: time ", when,
                    " is in the past (now ", currentTime, ")");
         const EventId id = nextId++;
-        push(when, id, std::move(fn));
+        heap.push(Entry{when, id, std::move(fn)});
+        liveIds.insert(id);
+        if (liveIds.size() > peakLive)
+            peakLive = liveIds.size();
         return id;
     }
 
@@ -120,7 +123,7 @@ class BinaryHeapQueue
     }
 
     /** Move now() to @p t in place of an event there (see the wheel). */
-    bool advanceIfIdle(TimePs t, std::uint64_t n = 1)
+    bool advanceIfIdle(TimePs t, std::uint64_t n)
     {
         if (t < currentTime)
             panicf("EventQueue run-ahead: time ", t, " is in the past");
@@ -135,35 +138,6 @@ class BinaryHeapQueue
     TimePs runAheadHorizon()
     {
         return std::min(runLimit, nextEventTime() - 1);
-    }
-
-    /** Run ahead through the caller's own events (see the wheel). */
-    template <typename Own, typename Fallback>
-    bool advanceThrough(TimePs t, Own &&own, Fallback &&fallback)
-    {
-        if (t < currentTime)
-            panicf("EventQueue run-ahead: time ", t, " is in the past");
-        const EventId seq = nextId++;
-        while (t <= runLimit) {
-            if (advanceIfIdle(t))
-                return true;
-            // nextEventTime() left a live entry at or before `t` on top.
-            const Entry &top = heap.top();
-            if (top.when == t && top.id > seq) {
-                currentTime = t;
-                ++executedCount;
-                return true;
-            }
-            if (!own(top.id))
-                break;
-            Entry e;
-            popLive(e);
-            currentTime = e.when;
-            ++executedCount;
-            e.fn();
-        }
-        push(t, seq, EventFn(std::forward<Fallback>(fallback)));
-        return false;
     }
 
     /** Next live event's timestamp, or kTimeNever (see the wheel). */
@@ -220,14 +194,6 @@ class BinaryHeapQueue
     std::uint64_t executedCount = 0;
     std::uint64_t cancelledCount = 0;
     std::size_t peakLive = 0;
-
-    void push(TimePs when, EventId id, EventFn fn)
-    {
-        heap.push(Entry{when, id, std::move(fn)});
-        liveIds.insert(id);
-        if (liveIds.size() > peakLive)
-            peakLive = liveIds.size();
-    }
 
     /** Pop the next live entry, skipping tombstones; false if empty. */
     bool popLive(Entry &out)

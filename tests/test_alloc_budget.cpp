@@ -333,10 +333,12 @@ TEST(AllocBudget, WarmRankingQueriesAllocateNothing)
     // The FPGA serves a burst of three back to back, 120, 180 and 240 us
     // after it arrives, so every query misses its first deadline (a
     // retry), is hedged to the replica, and leaves late losers behind.
-    accelerated.setRetryPolicy(serving::RequestPolicy{}
-                                   .withDeadline(100 * sim::kMicrosecond, 3)
-                                   .withBackoff(50 * sim::kMicrosecond, 0.0)
-                                   .withHedge(110 * sim::kMicrosecond));
+    accelerated.setRetryPolicy({.accelDeadline = 100 * sim::kMicrosecond,
+                                .maxAttempts = 3,
+                                .backoffBase = 50 * sim::kMicrosecond,
+                                .backoffJitter = 0.0,
+                                .hedge = true,
+                                .hedgeDelay = 110 * sim::kMicrosecond});
     accelerated.setReplicaPicker(
         [&]() -> host::FeatureAccelerator * { return &replica; });
 

@@ -355,19 +355,21 @@ TEST(RankingServer, MatchesReferenceOnRandomOps)
                 // adaptive hedging, or both.
                 serving::RequestPolicy p;
                 const std::uint64_t deadline = ops.uniformInt(3);
-                if (deadline > 0)
-                    p.withDeadline(
-                        static_cast<sim::TimePs>(deadline) * 300 *
-                            sim::kMicrosecond,
-                        1 + static_cast<int>(ops.uniformInt(3)))
-                        .withBackoff(40 * sim::kMicrosecond,
-                                     ops.uniform(0.0, 0.5));
+                if (deadline > 0) {
+                    p.accelDeadline = static_cast<sim::TimePs>(deadline) *
+                                      300 * sim::kMicrosecond;
+                    p.maxAttempts = 1 + static_cast<int>(ops.uniformInt(3));
+                    p.backoffBase = 40 * sim::kMicrosecond;
+                    p.backoffJitter = ops.uniform(0.0, 0.5);
+                }
                 const std::uint64_t hedge = ops.uniformInt(3);
-                if (hedge == 1)
-                    p.withHedge(250 * sim::kMicrosecond);
-                else if (hedge == 2)
-                    p.withHedge().withHedgeQuantile(
-                        90.0, 100 * sim::kMicrosecond);
+                p.hedge = hedge != 0;
+                if (hedge == 1) {
+                    p.hedgeDelay = 250 * sim::kMicrosecond;
+                } else if (hedge == 2) {
+                    p.hedgeQuantile = 90.0;
+                    p.hedgeMinDelay = 100 * sim::kMicrosecond;
+                }
                 both([&](auto &w) { w.server->setRetryPolicy(p); });
             } else if (kind < 84) {
                 // Lose the accelerator, or re-point at any of them.

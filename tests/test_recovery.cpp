@@ -219,9 +219,10 @@ TEST(RetryPolicy, DeadlineRetryCompletesOnReplica)
 
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                7);
-    server.setRetryPolicy(serving::RequestPolicy{}
-                              .withDeadline(200 * sim::kMicrosecond, 3)
-                              .withBackoff(50 * sim::kMicrosecond, 0.0));
+    server.setRetryPolicy({.accelDeadline = 200 * sim::kMicrosecond,
+                           .maxAttempts = 3,
+                           .backoffBase = 50 * sim::kMicrosecond,
+                           .backoffJitter = 0.0});
     server.setReplicaPicker([&]() -> host::FeatureAccelerator * {
         return &replica;
     });
@@ -247,9 +248,10 @@ TEST(RetryPolicy, ExhaustionFallsBackToSoftwareAndIgnoresLateAcks)
 
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                7);
-    server.setRetryPolicy(serving::RequestPolicy{}
-                              .withDeadline(100 * sim::kMicrosecond, 2)
-                              .withBackoff(50 * sim::kMicrosecond, 0.0));
+    server.setRetryPolicy({.accelDeadline = 100 * sim::kMicrosecond,
+                           .maxAttempts = 2,
+                           .backoffBase = 50 * sim::kMicrosecond,
+                           .backoffJitter = 0.0});
     // No replica: retries go back to the (dead) primary.
 
     int completions = 0;
@@ -279,7 +281,7 @@ TEST(RetryPolicy, HedgedDuplicateWinsAndIsCounted)
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                7);
     server.setRetryPolicy(
-        serving::RequestPolicy{}.withHedge(100 * sim::kMicrosecond));
+        {.hedge = true, .hedgeDelay = 100 * sim::kMicrosecond});
     server.setReplicaPicker([&]() -> host::FeatureAccelerator * {
         return &replica;
     });
@@ -439,10 +441,12 @@ miniChaosSnapshot()
     host::RankingServer server(eq, host::RankingServiceParams{}, &primary,
                                31);
     server.attachObservability(&hub, "rank");
-    server.setRetryPolicy(serving::RequestPolicy{}
-                              .withDeadline(sim::fromMillis(2), 3)
-                              .withBackoff(100 * sim::kMicrosecond, 0.2)
-                              .withHedge(300 * sim::kMicrosecond));
+    server.setRetryPolicy({.accelDeadline = sim::fromMillis(2),
+                           .maxAttempts = 3,
+                           .backoffBase = 100 * sim::kMicrosecond,
+                           .backoffJitter = 0.2,
+                           .hedge = true,
+                           .hedgeDelay = 300 * sim::kMicrosecond});
     server.setReplicaPicker([&]() -> host::FeatureAccelerator * {
         return &replica;
     });

@@ -5,11 +5,13 @@
  * must deliver every message, preserve per-(source, VC) order, never
  * exceed its buffer budget, and conserve flits. Golden-trace tests pin
  * the exact delivery times of seeded contended traffic, and the
- * run-ahead differential checks that a router taking its next cycle in
- * place (EventQueue::advanceThrough) matches one whose every cycle is a
- * scheduled event. The run suites check that buffering a message's flits
- * as runs, and injecting them as trains, behaves exactly like one flit
- * object per flit.
+ * run-ahead differential checks that a router crossing a lone train in
+ * one step (EventQueue::advanceIfIdle) matches one whose every cycle is
+ * a scheduled event. The run suites check that buffering a message's
+ * flits as runs, and injecting them as trains, behaves exactly like one
+ * flit object per flit. The liveness property draws seeded
+ * configurations and traffic: each is rejected at construction or
+ * delivers every message and drains to empty buffers.
  */
 #include <gtest/gtest.h>
 
@@ -1135,6 +1137,199 @@ TEST(ErRunAhead, HeadWaitsForTheOutputVcAsItsOnlyCandidate)
     const auto plain = run(false);
     EXPECT_EQ(plain, run(true));
     EXPECT_EQ(std::get<0>(plain).front().second, 1u);  // the held message
+}
+
+// --- liveness: no accepted configuration strands a message -------------
+
+/** One seeded draw of the liveness property: a configuration and traffic. */
+struct LivenessCase {
+    ErConfig cfg;
+    /** 0: one router of cfg.numPorts ports; else a meshWidth x 2 mesh. */
+    int meshWidth = 0;
+    int endpointsPerRouter = 1;
+    int messages = 0;
+    /** runUntil() steps of this length when positive, else runAll(). */
+    sim::TimePs step = 0;
+    std::uint64_t seed = 0;
+};
+
+/** The configuration and traffic drawn from @p seed. */
+LivenessCase
+drawLivenessCase(std::uint64_t seed)
+{
+    sim::Rng rng(seed);
+    LivenessCase c;
+    c.seed = seed;
+    ErConfig &cfg = c.cfg;
+    cfg.name = "live" + std::to_string(seed);
+    cfg.numPorts = static_cast<int>(rng.uniformInt(1, 8));
+    cfg.numVcs = static_cast<int>(rng.uniformInt(1, 4));
+    cfg.flitBytes = rng.bernoulli(0.5) ? 32 : 16;
+    cfg.pipelineCycles = static_cast<int>(rng.uniformInt(0, 3));
+    cfg.policy = rng.bernoulli(0.5) ? CreditPolicy::kElastic
+                                    : CreditPolicy::kStatic;
+    cfg.perVcReservedFlits = static_cast<int>(rng.uniformInt(0, 4));
+    cfg.sharedPoolFlits =
+        rng.bernoulli(0.25) ? 0 : static_cast<int>(rng.uniformInt(1, 16));
+    cfg.staticPerVcFlits = static_cast<int>(rng.uniformInt(0, 6));
+    if (rng.bernoulli(0.3)) {
+        c.meshWidth = static_cast<int>(rng.uniformInt(2, 3));
+        c.endpointsPerRouter = static_cast<int>(rng.uniformInt(1, 2));
+    }
+    c.messages = static_cast<int>(rng.uniformInt(10, 80));
+    if (rng.bernoulli(0.5)) {
+        c.step = static_cast<sim::TimePs>(
+            rng.uniformInt(1, 4 * sim::cyclePeriod(cfg.clockMhz)));
+    }
+    return c;
+}
+
+/** The field construction rejects in @p cfg, or nullptr if it is accepted. */
+const char *
+rejectedField(const ErConfig &cfg)
+{
+    if (cfg.policy == CreditPolicy::kElastic && cfg.perVcReservedFlits < 1)
+        return "perVcReservedFlits";
+    if (cfg.policy == CreditPolicy::kStatic && cfg.staticPerVcFlits < 1)
+        return "staticPerVcFlits";
+    return nullptr;
+}
+
+constexpr std::uint64_t kLivenessDraws = 400;
+
+/**
+ * Build @p c, send its traffic and drain the queue. Every message must
+ * arrive, and at drain no endpoint, link or input VC holds a flit: every
+ * freeCredits(port, vc) is back to its empty value, which covers both
+ * occupancy and the shared pool.
+ */
+void
+runLivenessCase(const LivenessCase &c)
+{
+    sim::EventQueue eq;
+    std::vector<ElasticRouter *> routers;
+    std::vector<ErEndpoint *> eps;
+    std::unique_ptr<router::ErNetwork> net;
+    std::unique_ptr<ElasticRouter> single;
+    std::vector<std::unique_ptr<ErEndpoint>> owned;
+    if (c.meshWidth > 0) {
+        net = router::ErNetwork::mesh(eq, c.meshWidth, 2,
+                                      c.endpointsPerRouter, c.cfg);
+        for (int r = 0; r < net->numRouters(); ++r)
+            routers.push_back(&net->router(r));
+        for (int e = 0; e < net->numEndpoints(); ++e)
+            eps.push_back(&net->endpoint(e));
+    } else {
+        single = std::make_unique<ElasticRouter>(eq, c.cfg);
+        routers.push_back(single.get());
+        for (int p = 0; p < c.cfg.numPorts; ++p) {
+            owned.push_back(std::make_unique<ErEndpoint>(eq, *single, p, p));
+            single->setOutputSink(p, owned.back().get());
+            eps.push_back(owned.back().get());
+        }
+    }
+    sim::Rng rng(c.seed ^ 0x11feedu);
+    for (ElasticRouter *er : routers) {
+        for (int p = 0; p < er->config().numPorts; ++p) {
+            if (rng.bernoulli(0.25))  // a slow output
+                er->setOutputCyclesPerFlit(
+                    p, static_cast<int>(rng.uniformInt(2, 4)));
+        }
+    }
+    int delivered = 0;
+    for (ErEndpoint *ep : eps)
+        ep->setMessageHandler([&delivered](const ErMessagePtr &) {
+            ++delivered;
+        });
+    const int n = static_cast<int>(eps.size());
+    const sim::TimePs span = sim::fromMicros(rng.uniform(0.0, 4.0));
+    for (int i = 0; i < c.messages; ++i) {
+        const int src = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int dst = static_cast<int>(rng.uniformInt(std::uint64_t(n)));
+        const int vc = static_cast<int>(
+            rng.uniformInt(std::uint64_t(c.cfg.numVcs)));
+        const auto bytes = static_cast<std::uint32_t>(
+            rng.uniformInt(0, 24 * std::int64_t{c.cfg.flitBytes}));
+        const auto at = static_cast<sim::TimePs>(
+            rng.uniformInt(static_cast<std::uint64_t>(span) + 1));
+        eq.schedule(at, [&eps, src, dst, vc, bytes] {
+            eps[src]->sendMessage(dst, vc, bytes);
+        });
+    }
+    if (c.step > 0) {
+        while (!eq.empty())
+            eq.runUntil(eq.now() + c.step);
+    } else {
+        eq.runAll();
+    }
+
+    const std::string what = "seed " + std::to_string(c.seed);
+    EXPECT_EQ(delivered, c.messages) << what;
+    for (const ErEndpoint *ep : eps)
+        EXPECT_EQ(ep->backlogFlits(), 0u) << what;
+    if (net) {
+        EXPECT_EQ(net->linkBacklog(), 0u) << what;
+    }
+    const int empty = c.cfg.policy == CreditPolicy::kElastic
+                          ? c.cfg.perVcReservedFlits + c.cfg.sharedPoolFlits
+                          : c.cfg.staticPerVcFlits;
+    for (const ElasticRouter *er : routers) {
+        for (int p = 0; p < er->config().numPorts; ++p) {
+            for (int vc = 0; vc < c.cfg.numVcs; ++vc) {
+                EXPECT_EQ(er->freeCredits(p, vc), empty)
+                    << what << " port " << p << " vc " << vc;
+            }
+        }
+    }
+}
+
+TEST(ErLiveness, AcceptedConfigurationsDeliverAndDrainEmpty)
+{
+    int accepted = 0, meshes = 0, stepped = 0, zeroPool = 0;
+    for (std::uint64_t seed = 1; seed <= kLivenessDraws; ++seed) {
+        const LivenessCase c = drawLivenessCase(seed);
+        if (rejectedField(c.cfg) != nullptr)
+            continue;  // ErLivenessDeathTest checks these
+        ++accepted;
+        meshes += c.meshWidth > 0;
+        stepped += c.step > 0;
+        zeroPool += c.cfg.sharedPoolFlits == 0;
+        runLivenessCase(c);
+        if (::testing::Test::HasFailure())
+            return;  // one case's report is enough
+    }
+    // The draws cover what the property claims to.
+    EXPECT_GT(accepted, static_cast<int>(kLivenessDraws) / 2);
+    EXPECT_GT(meshes, 20);
+    EXPECT_GT(stepped, 50);
+    EXPECT_GT(zeroPool, 20);
+}
+
+/** Every draw that construction rejects for @p field must die naming it. */
+void
+expectDrawsRejectedFor(const std::string &field)
+{
+    int rejected = 0;
+    for (std::uint64_t seed = 1; seed <= kLivenessDraws; ++seed) {
+        const LivenessCase c = drawLivenessCase(seed);
+        const char *why = rejectedField(c.cfg);
+        if (why == nullptr || why != field)
+            continue;
+        ++rejected;
+        EXPECT_DEATH(runLivenessCase(c), field + " must be >= 1")
+            << "seed " << seed;
+    }
+    EXPECT_GT(rejected, 10);
+}
+
+TEST(ErLivenessDeathTest, DrawsWithoutAReservationAreRejected)
+{
+    expectDrawsRejectedFor("perVcReservedFlits");
+}
+
+TEST(ErLivenessDeathTest, DrawsWithoutAStaticBufferAreRejected)
+{
+    expectDrawsRejectedFor("staticPerVcFlits");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "host/feature_accelerator.hpp"
@@ -42,6 +43,11 @@ using serving::EjectionConfig;
 using serving::OutlierDetector;
 using serving::ServingConfig;
 using sim::EventQueue;
+
+// One way to configure: fields or designated initializers, no setters.
+static_assert(std::is_aggregate_v<serving::RequestPolicy>);
+static_assert(std::is_aggregate_v<EjectionConfig>);
+static_assert(std::is_aggregate_v<ServingConfig>);
 
 /** Fixed-latency accelerator endpoint standing in for a remote FPGA. */
 class StubAccelerator : public host::FeatureAccelerator
@@ -740,7 +746,8 @@ TEST(ClusterClient, EndToEndWithRankingServerShedsAndServes)
 {
     ServingConfig cfg;
     cfg.admission.withRate(2000.0, 4.0);
-    cfg.request.withDeadline(50 * sim::kMillisecond, 2);
+    cfg.request.accelDeadline = 50 * sim::kMillisecond;
+    cfg.request.maxAttempts = 2;
     Fleet fleet(2, cfg, 2 * sim::kMillisecond);
 
     host::RankingServiceParams params;
@@ -807,10 +814,12 @@ TEST(ClusterClientDeathTest, InvalidServingConfigsAreFatal)
                          cfg);
     };
     ServingConfig bad_bound;
-    bad_bound.withConsistentHash(64, 1.0);
+    bad_bound.balancer = BalancerPolicy::kBoundedLoadConsistentHash;
+    bad_bound.chLoadBound = 1.0;
     EXPECT_DEATH(make(bad_bound), "chLoadBound");
     ServingConfig bad_vnodes;
-    bad_vnodes.withConsistentHash(0, 1.25);
+    bad_vnodes.balancer = BalancerPolicy::kBoundedLoadConsistentHash;
+    bad_vnodes.chVnodes = 0;
     EXPECT_DEATH(make(bad_vnodes), "chVnodes");
     ServingConfig bad_policy;
     bad_policy.request.maxAttempts = 0;

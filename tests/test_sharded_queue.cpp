@@ -319,8 +319,8 @@ TEST(ShardedEventQueue, PartitionsRunAheadWithinTheirWindow)
         for (int p = 0; p < 2; ++p) {
             sim::EventQueue &eq = sq.partition(p);
             eq.schedule(100 + p, [&eq, &got, &at, p] {
-                got[p].push_back(eq.advanceIfIdle(1099));
-                got[p].push_back(eq.advanceIfIdle(1100));
+                got[p].push_back(eq.advanceIfIdle(1099, 1));
+                got[p].push_back(eq.advanceIfIdle(1100, 1));
                 at[p] = eq.now();
             });
         }

@@ -144,10 +144,12 @@ TEST(EventQueueRunAhead, RefusesWhenAnEventIsAtOrBeforeTheTarget)
     std::vector<bool> got;
     // One probe per event, each against the next event, so a wrong
     // answer cannot move time under a later probe.
-    eq.schedule(100, [&] { got.push_back(eq.advanceIfIdle(200)); });  // at
-    eq.schedule(200, [&] { got.push_back(eq.advanceIfIdle(400)); });  // before
+    eq.schedule(100, [&] { got.push_back(eq.advanceIfIdle(200, 1)); });  // at
+    eq.schedule(200, [&] {
+        got.push_back(eq.advanceIfIdle(400, 1));  // before
+    });
     eq.schedule(300, [&] {
-        got.push_back(eq.advanceIfIdle(499));  // nothing due by 499
+        got.push_back(eq.advanceIfIdle(499, 1));  // nothing due by 499
         EXPECT_EQ(eq.now(), 499);
     });
     eq.schedule(500, [] {});
@@ -160,8 +162,8 @@ TEST(EventQueueRunAhead, RefusesPastTheRunUntilLimit)
     EventQueue eq;
     std::vector<bool> got;
     eq.schedule(100, [&] {
-        got.push_back(eq.advanceIfIdle(1000));  // the limit itself runs
-        got.push_back(eq.advanceIfIdle(1001));
+        got.push_back(eq.advanceIfIdle(1000, 1));  // the limit runs
+        got.push_back(eq.advanceIfIdle(1001, 1));
     });
     eq.runUntil(1000);
     EXPECT_EQ(got, (std::vector<bool>{true, false}));
@@ -171,15 +173,15 @@ TEST(EventQueueRunAhead, RefusesPastTheRunUntilLimit)
 TEST(EventQueueRunAhead, RefusesInsideStepAndOutsideARun)
 {
     EventQueue eq;
-    EXPECT_FALSE(eq.advanceIfIdle(10));
+    EXPECT_FALSE(eq.advanceIfIdle(10, 1));
     bool got = true;
-    eq.schedule(100, [&] { got = eq.advanceIfIdle(200); });
+    eq.schedule(100, [&] { got = eq.advanceIfIdle(200, 1); });
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(got);
     EXPECT_EQ(eq.now(), 100);
     // The run that just ended no longer lends its limit either.
     eq.runUntil(5000);
-    EXPECT_FALSE(eq.advanceIfIdle(5000));
+    EXPECT_FALSE(eq.advanceIfIdle(5000, 1));
 }
 
 TEST(EventQueueRunAhead, SucceedsInsideRunAllAndCountsOneEvent)
@@ -190,7 +192,7 @@ TEST(EventQueueRunAhead, SucceedsInsideRunAllAndCountsOneEvent)
     eq.schedule(100, [&] {
         const std::uint64_t executed = eq.eventsExecuted();
         const std::size_t live = eq.size();
-        ASSERT_TRUE(eq.advanceIfIdle(1'000'000));
+        ASSERT_TRUE(eq.advanceIfIdle(1'000'000, 1));
         EXPECT_EQ(eq.now(), 1'000'000);
         EXPECT_EQ(eq.eventsExecuted(), executed + 1);
         EXPECT_EQ(eq.size(), live);
@@ -262,7 +264,8 @@ TEST(EventQueueRunAhead, SelfClockedLoopMatchesScheduledTicks)
                 trace.emplace_back(eq.now(), cycle);
                 if (++cycle == 50)
                     return;
-                if (!inline_ticks || !eq.advanceIfIdle(eq.now() + 5)) {
+                if (!inline_ticks ||
+                    !eq.advanceIfIdle(eq.now() + 5, 1)) {
                     eq.scheduleAfter(5, tick);
                     return;
                 }
@@ -273,78 +276,6 @@ TEST(EventQueueRunAhead, SelfClockedLoopMatchesScheduledTicks)
         return std::make_pair(trace, eq.eventsExecuted());
     };
     EXPECT_EQ(run(true), run(false));
-}
-
-TEST(EventQueueRunAhead, ThroughOwnEventsMatchesScheduledTicks)
-{
-    // A component ticking every 5 ps schedules, every third cycle, an
-    // event of its own 10 ps ahead (on a later cycle's time); every
-    // other one schedules a zero-delay follow-up, which must still run
-    // after that cycle. Background events land on some cycles too.
-    // Running its own events in place and then running ahead must
-    // reproduce the scheduled-tick trace exactly.
-    const auto run = [](bool inline_ticks) {
-        EventQueue eq;
-        std::vector<std::pair<TimePs, int>> trace;
-        for (TimePs t = 50; t < 400; t += 100)
-            eq.schedule(t, [&] { trace.emplace_back(eq.now(), -1); });
-        std::vector<sim::EventId> own;  // in the order they run
-        std::size_t ran = 0;
-        int cycle = 0;
-        int claimed = 0;
-        std::function<void()> tick = [&] {
-            while (true) {
-                trace.emplace_back(eq.now(), cycle);
-                if (cycle % 3 == 0) {
-                    const int c = cycle;
-                    own.push_back(eq.scheduleAfter(10, [&, c] {
-                        ++ran;
-                        trace.emplace_back(eq.now(), 1000 + c);
-                        if (c % 6 == 0) {
-                            eq.scheduleAfter(0, [&, c] {
-                                trace.emplace_back(eq.now(), 2000 + c);
-                            });
-                        }
-                    }));
-                }
-                if (++cycle == 60)
-                    return;
-                const TimePs next = eq.now() + 5;
-                if (!inline_ticks) {
-                    eq.schedule(next, tick);
-                    return;
-                }
-                const auto isOwn = [&](sim::EventId id) {
-                    const bool mine = ran < own.size() && own[ran] == id;
-                    claimed += mine;
-                    return mine;
-                };
-                if (!eq.advanceThrough(next, isOwn, tick))
-                    return;
-            }
-        };
-        eq.schedule(0, tick);
-        eq.runAll();
-        if (inline_ticks) {
-            EXPECT_GT(claimed, 5);
-        }
-        return std::make_pair(trace, eq.eventsExecuted());
-    };
-    EXPECT_EQ(run(true), run(false));
-}
-
-TEST(EventQueueRunAhead, ThroughSchedulesTheFallbackOutsideARun)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    const auto never = [](sim::EventId) { return false; };
-    EXPECT_FALSE(eq.advanceThrough(10, never, [&] { order.push_back(1); }));
-    eq.schedule(10, [&] { order.push_back(2); });
-    EXPECT_EQ(eq.size(), 2u);
-    eq.runAll();
-    // The fallback holds the position the call took, ahead of the
-    // event scheduled after it.
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 // --- the head register --------------------------------------------------
@@ -424,31 +355,16 @@ TEST(EventQueueHeadRegister, RunAheadSeesTheRegister)
     eq.schedule(sim::fromMillis(1.0), [] {});  // parked far ahead
     eq.schedule(100, [&] {
         // A foreign event in the register holds the head at 150.
-        eq.scheduleAfter(50, [&] {
-            ran.push_back(eq.now());
-            // The caller's own event takes the empty register at 160;
-            // advanceThrough runs it in place, then moves to 190.
-            const sim::EventId mine =
-                eq.scheduleAfter(10, [&] { ran.push_back(eq.now()); });
-            got.push_back(eq.advanceThrough(
-                190, [mine](sim::EventId id) { return id == mine; },
-                [] {}));
-            EXPECT_EQ(eq.now(), 190);
-        });
+        eq.scheduleAfter(50, [&] { ran.push_back(eq.now()); });
         EXPECT_EQ(eq.nextEventTime(), 150);
         EXPECT_EQ(eq.runAheadHorizon(), 149);
-        got.push_back(eq.advanceIfIdle(150));
-        got.push_back(eq.advanceIfIdle(149));
+        got.push_back(eq.advanceIfIdle(150, 1));
+        got.push_back(eq.advanceIfIdle(149, 1));
         EXPECT_EQ(eq.now(), 149);
-        // The foreign event stops advanceThrough: its fallback is
-        // scheduled at 200.
-        got.push_back(eq.advanceThrough(
-            200, [](sim::EventId) { return false; },
-            [&] { ran.push_back(eq.now()); }));
     });
     eq.runAll();
-    EXPECT_EQ(got, (std::vector<bool>{false, true, false, true}));
-    EXPECT_EQ(ran, (std::vector<TimePs>{150, 160, 200}));
+    EXPECT_EQ(got, (std::vector<bool>{false, true}));
+    EXPECT_EQ(ran, (std::vector<TimePs>{150}));
     EXPECT_EQ(eq.now(), sim::fromMillis(1.0));
 }
 
