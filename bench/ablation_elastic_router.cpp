@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "router/elastic_router.hpp"
 #include "sim/event_queue.hpp"
 
@@ -83,8 +84,9 @@ run(CreditPolicy policy, int total_budget)
 }  // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Ablation A1: Elastic Router credit policy ===\n\n");
 
     std::printf("-- Experiment 1: producer hand-off time for a 128-flit "

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_json.hpp"
 #include "core/cloud.hpp"
 #include "scenario_util.hpp"
 #include "sim/stats.hpp"
@@ -20,8 +21,9 @@
 using namespace ccsim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Ablation A3: failure blast radius ===\n\n");
 
     // ---- Torus: neighbours pay for a failure ------------------------
@@ -59,7 +61,7 @@ main()
     cfg.shellTemplate.ltl.maxConnections = 32;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    bench::NullRole r1, r2;
+    fpga::NullRole r1, r2;
     cloud.shell(2).addRole(&r1);
     const double rtt_before = bench::meanLtlRttUs(cloud, eq, 0, 2, r1, 50);
 

@@ -19,10 +19,10 @@
  */
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "bench_json.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
 #include "scenario_util.hpp"
@@ -32,7 +32,7 @@ using namespace ccsim;
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bool quick = bench::Flags(argc, argv, {{"--quick"}}).has("--quick");
 
     std::printf("=== Ablation A4: live FPGA failure, HaaS failover, "
                 "end-to-end recovery ===%s\n\n",

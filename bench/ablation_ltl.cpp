@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "ltl/ltl_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
@@ -77,8 +78,9 @@ struct Pair {
 }  // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Ablation A2: LTL protocol mechanisms ===\n\n");
 
     std::printf("-- 1. Loss recovery: NACK fast retransmit vs "

@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -55,7 +54,7 @@ using namespace ccsim;
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bool quick = bench::Flags(argc, argv, {{"--quick"}}).has("--quick");
 
     std::printf("=== Ablation A6: chaos soak of the autonomous failure "
                 "detection & recovery protocol ===%s\n\n",

@@ -31,7 +31,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -294,7 +293,7 @@ runGreyFailure()
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bool quick = bench::Flags(argc, argv, {{"--quick"}}).has("--quick");
 
     std::printf("=== Ablation A7: serving layer under overload and grey "
                 "failure ===%s\n\n",

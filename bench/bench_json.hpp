@@ -1,6 +1,8 @@
 /**
  * @file
- * Tiny merge-writer for the benchmark-trajectory files (`BENCH_*.json`).
+ * The scaffolding every plain bench shares: its command line, read
+ * against one declared flag table (`Flags`), and the merge-writer for
+ * the benchmark-trajectory files (`BENCH_*.json`).
  *
  * Perf-sensitive binaries (micro_throughput, fig08_load_vs_latency,
  * fig07_production_5day, ...) each record their headline numbers as a
@@ -9,25 +11,30 @@
  * trajectory as an artifact.
  *
  * Writers merge: existing keys not produced by the current run are
- * preserved, so running several binaries in any order yields one
- * combined file. Every write also records where the numbers came from
- * under `provenance.*` (commit, build type, core count, command line);
- * the last writer's provenance wins. Keys are emitted sorted with fixed
- * formatting, making the file diffable across runs.
+ * rewritten unchanged, so running several binaries in any order yields
+ * one combined file. Every write also records where the numbers came
+ * from under `provenance.*` (commit, build type, core count, command
+ * line); the last writer's provenance wins. Keys are emitted sorted with
+ * fixed formatting, making the file diffable across runs.
  */
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "obs/json_util.hpp"
 #include "sim/logging.hpp"
 
 #ifndef CCSIM_BUILD_TYPE
@@ -39,62 +46,26 @@ namespace ccsim::bench {
 /** Flat key → value benchmark results. */
 using BenchValues = std::map<std::string, double>;
 
-/** A BENCH file's values as JSON text: numbers as written, strings quoted. */
+/** A BENCH file's values as the JSON text they are written as. */
 using RawBenchJson = std::map<std::string, std::string>;
-
-/** Parse a flat {"key": number-or-string} object (as mergeBenchJson writes). */
-inline RawBenchJson
-parseBenchJson(const std::string &text)
-{
-    RawBenchJson out;
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    while (i < n) {
-        while (i < n && text[i] != '"')
-            ++i;
-        if (i >= n)
-            break;
-        const std::size_t keyStart = ++i;
-        while (i < n && text[i] != '"')
-            ++i;
-        if (i >= n)
-            break;
-        const std::string key = text.substr(keyStart, i - keyStart);
-        ++i;
-        while (i < n && (std::isspace(static_cast<unsigned char>(text[i])) ||
-                         text[i] == ':'))
-            ++i;
-        const std::size_t valStart = i;
-        if (i < n && text[i] == '"') {
-            for (++i; i < n && text[i] != '"'; ++i)
-                if (text[i] == '\\')
-                    ++i;  // the escaped character
-            if (i >= n)
-                break;
-            out[key] = text.substr(valStart, ++i - valStart);
-            continue;
-        }
-        char *end = nullptr;
-        std::strtod(text.c_str() + i, &end);
-        if (end == text.c_str() + i)
-            continue;  // neither a number nor a string: skip
-        i = static_cast<std::size_t>(end - text.c_str());
-        out[key] = text.substr(valStart, i - valStart);
-    }
-    return out;
-}
 
 /** @p s as a JSON string literal. */
 inline std::string
-benchJsonString(const std::string &s)
+quoted(std::string_view s)
 {
     std::string q = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            q += '\\';
-        q += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
-    }
+    obs::detail::jsonEscape(q, s);
     return q + "\"";
+}
+
+/** @p v as a BENCH value: `%.17g`, or null when it is not finite. */
+inline std::string
+benchJsonNumber(double v)
+{
+    char buf[32] = "null";
+    if (std::isfinite(v))
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
 }
 
 /**
@@ -121,11 +92,11 @@ benchProvenance()
     for (std::string arg; std::getline(cmdline, arg, '\0');)
         command += (command.empty() ? "" : " ") + arg;
     return {
-        {"provenance.build_type", benchJsonString(CCSIM_BUILD_TYPE)},
+        {"provenance.build_type", quoted(CCSIM_BUILD_TYPE)},
         {"provenance.command",
-         benchJsonString(command.empty() ? "unknown" : command)},
+         quoted(command.empty() ? "unknown" : command)},
         {"provenance.commit",
-         benchJsonString(commit.empty() ? "unknown" : commit)},
+         quoted(commit.empty() ? "unknown" : commit)},
         {"provenance.cores",
          std::to_string(std::thread::hardware_concurrency())},
     };
@@ -138,20 +109,25 @@ benchProvenance()
 inline void
 mergeBenchJson(const std::string &path, const BenchValues &values)
 {
+    using Kind = obs::JsonValue::Kind;
     RawBenchJson merged;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::stringstream ss;
-            ss << in.rdbuf();
-            merged = parseBenchJson(ss.str());
+    if (std::ifstream in(path); in) {
+        std::stringstream ss;
+        ss << in.rdbuf();
+        const auto old = obs::parseJson(ss.str());
+        if (!old || old->kind != Kind::kObject)
+            sim::fatalf(path, " is not a JSON object; move it away");
+        for (const auto &[k, v] : old->obj) {
+            if (v.kind != Kind::kString && v.kind != Kind::kNumber &&
+                v.kind != Kind::kNull)
+                sim::fatalf(path, ": ", k, " is not a number or a string");
+            merged[k] = v.kind == Kind::kString ? quoted(v.str)
+                        : v.kind == Kind::kNull ? "null"
+                                                : benchJsonNumber(v.number);
         }
     }
-    for (const auto &[k, v] : values) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        merged[k] = buf;
-    }
+    for (const auto &[k, v] : values)
+        merged[k] = benchJsonNumber(v);
     for (auto &[k, v] : benchProvenance())
         merged[k] = std::move(v);
 
@@ -159,10 +135,19 @@ mergeBenchJson(const std::string &path, const BenchValues &values)
     out << "{\n";
     bool first = true;
     for (const auto &[k, v] : merged) {
-        out << (first ? "" : ",\n") << "  \"" << k << "\": " << v;
+        out << (first ? "" : ",\n") << "  " << quoted(k) << ": " << v;
         first = false;
     }
     out << "\n}\n";
+}
+
+/** Host seconds since @p since. */
+inline double
+wallSeconds(std::chrono::steady_clock::time_point since)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         since)
+        .count();
 }
 
 /**
@@ -184,19 +169,85 @@ peakRssKb()
 }
 
 /**
- * The value of @p bench's `--shards` flag: an integer >= 1. Anything
- * else is fatal, naming the flag.
+ * One flag of a bench's table: its name and, for a flag that takes a
+ * value, the value spec, which the usage line prints as is: "N" is an
+ * integer >= 1, and "a|b" is one of the words a and b. A flag without a
+ * spec is a switch.
  */
-inline int
-shardsFlag(const char *bench, const char *value)
+struct Flag {
+    std::string_view name;
+    std::string_view value = {};
+};
+
+/**
+ * A bench's command line, read against the table of the flags it
+ * accepts. An unknown flag, a missing value or a malformed value is
+ * fatal before any run, with a usage line generated from the table. A
+ * flag given twice keeps its last value.
+ */
+class Flags
 {
-    const char *end = value + std::strlen(value);
-    int shards = 0;
-    const auto [ptr, ec] = std::from_chars(value, end, shards);
-    if (ec != std::errc{} || ptr != end || shards < 1)
-        sim::fatalf(bench, ": --shards wants an integer >= 1 (got '", value,
-                    "')");
-    return shards;
-}
+  public:
+    Flags(int argc, char **argv, std::initializer_list<Flag> table)
+    {
+        const std::string_view self = argv[0];
+        std::string usage = "usage: ";
+        usage += self.substr(self.rfind('/') + 1);
+        for (const Flag &f : table)
+            usage += " [" + std::string(f.name) +
+                     (f.value.empty() ? "" : " ") + std::string(f.value) + "]";
+        for (int i = 1; i < argc; ++i) {
+            const std::string_view arg = argv[i];
+            const Flag *f = std::find_if(
+                table.begin(), table.end(),
+                [arg](const Flag &flag) { return flag.name == arg; });
+            if (f == table.end())
+                sim::fatalf("unknown flag '", arg, "'\n", usage);
+            if (!f->value.empty() && i + 1 == argc)
+                sim::fatalf(arg, " wants a value\n", usage);
+            const std::string_view v = f->value.empty() ? "" : argv[++i];
+            if (!valid(f->value, v))
+                sim::fatalf(arg, " wants ", f->value == "N" ? "an integer >= 1"
+                                                            : f->value,
+                            " (got '", v, "')\n", usage);
+            given[std::string(arg)] = v;
+        }
+    }
+
+    /** Whether flag @p name was given. */
+    bool has(std::string_view name) const
+    {
+        return given.find(name) != given.end();
+    }
+
+    /** Flag @p name's value, or @p dflt when it was not given. */
+    std::string value(std::string_view name, std::string dflt) const
+    {
+        const auto it = given.find(name);
+        return it == given.end() ? dflt : it->second;
+    }
+
+    /** Integer flag @p name's value, or @p dflt when it was not given. */
+    int number(std::string_view name, int dflt) const
+    {
+        return has(name) ? std::stoi(value(name, "")) : dflt;
+    }
+
+  private:
+    std::map<std::string, std::string, std::less<>> given;
+
+    /** Whether @p v fits value spec @p spec (see Flag). */
+    static bool valid(std::string_view spec, std::string_view v)
+    {
+        if (spec != "N")
+            return spec.empty() || ("|" + std::string(spec) + "|")
+                                           .find("|" + std::string(v) + "|") !=
+                                       std::string::npos;
+        int n = 0;
+        const char *end = v.data() + v.size();
+        const auto [ptr, ec] = std::from_chars(v.data(), end, n);
+        return ec == std::errc{} && ptr == end && n >= 1;
+    }
+};
 
 }  // namespace ccsim::bench

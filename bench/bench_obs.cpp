@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -77,22 +76,16 @@ runWorkload(Mode mode, double settle_s, double measure_s)
     }
     if (mode == Mode::kSlo) {
         slo = std::make_unique<obs::SloEngine>(*ts);
-        obs::SloObjective lat;
-        lat.name = "rank_p999";
         slo->addObjective(
-            lat.on("host.rank.latency_ms")
-                .where(obs::SloStat::kP999, obs::SloCmp::kLt, 12.0)
-                .withBudget(0.05)
-                .withWindows(60, 5)
-                .withBurnThreshold(4.0));
-        obs::SloObjective thr;
-        thr.name = "rank_goodput";
+            {.name = "rank_p999", .series = "host.rank.latency_ms",
+             .stat = obs::SloStat::kP999, .cmp = obs::SloCmp::kLt,
+             .threshold = 12.0, .errorBudget = 0.05, .longWindows = 60,
+             .shortWindows = 5, .burnThreshold = 4.0});
         slo->addObjective(
-            thr.on("host.rank.latency_ms")
-                .where(obs::SloStat::kRate, obs::SloCmp::kGt, 100.0)
-                .withBudget(0.10)
-                .withWindows(60, 5)
-                .withBurnThreshold(4.0));
+            {.name = "rank_goodput", .series = "host.rank.latency_ms",
+             .stat = obs::SloStat::kRate, .cmp = obs::SloCmp::kGt,
+             .threshold = 100.0, .errorBudget = 0.10, .longWindows = 60,
+             .shortWindows = 5, .burnThreshold = 4.0});
         slo->attachObservability(hub.registry);
     }
 
@@ -103,9 +96,7 @@ runWorkload(Mode mode, double settle_s, double measure_s)
     sq.runAll();
 
     RunResult r;
-    r.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+    r.wallSeconds = bench::wallSeconds(t0);
     r.events = eq.eventsExecuted();
     r.queries = server.latencyMs().count();
     if (ts) {
@@ -136,14 +127,7 @@ modeName(Mode m)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else
-            sim::fatalf("bench_obs: unknown flag ", argv[i],
-                        " (usage: [--quick])");
-    }
+    const bool quick = bench::Flags(argc, argv, {{"--quick"}}).has("--quick");
     const double settle_s = quick ? 0.3 : 0.5;
     const double measure_s = quick ? 1.5 : 4.0;
 

@@ -9,13 +9,15 @@
  */
 #include <cstdio>
 
+#include "bench_json.hpp"
 #include "fpga/area_model.hpp"
 
 using namespace ccsim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Figure 5: area and frequency of the production "
                 "shell image ===\n\n");
     const fpga::AreaModel m = fpga::AreaModel::productionImage();

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
 #include "sim/event_queue.hpp"
@@ -71,8 +72,9 @@ throughputAtTarget(const std::vector<Point> &curve, double target_ms)
 }  // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Figure 6: 99%% latency vs throughput, single "
                 "ranking server ===\n\n");
 

@@ -46,7 +46,6 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -77,14 +76,6 @@ namespace {
 constexpr const char *kBenchFile = "BENCH_scale.json";
 constexpr long kRssBudgetKb = 4L * 1024 * 1024;  // 4 GiB
 
-double
-wallSeconds(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         since)
-        .count();
-}
-
 /**
  * Record a finished run's wall time since @p t0, event rate and peak RSS
  * as <prefix>wall_s/events_per_s/rss_peak_mb, asserting and reporting
@@ -94,7 +85,7 @@ std::pair<double, double>
 recordRunCost(bench::BenchValues &out, const std::string &prefix,
               std::chrono::steady_clock::time_point t0, std::uint64_t events)
 {
-    const double wall_s = wallSeconds(t0);
+    const double wall_s = bench::wallSeconds(t0);
     const double evps = wall_s > 0 ? static_cast<double>(events) / wall_s : 0;
     out[prefix + "events_per_s"] = evps;
     out[prefix + "wall_s"] = wall_s;
@@ -271,7 +262,7 @@ runRackStudy(bool quick)
 // --fabric l2: the paper-scale 250k-host campaign
 // ---------------------------------------------------------------------------
 
-using bench::NullRole;
+using fpga::NullRole;
 
 /** Deterministic 64-bit mix (same construction as the fluid ECMP hash). */
 std::uint64_t
@@ -375,13 +366,10 @@ struct L2Fleet {
     void addSlo(const char *name, const char *series, obs::SloStat stat,
                 double limit)
     {
-        obs::SloObjective obj;
-        obj.name = name;
-        slo->addObjective(obj.on(series)
-                              .where(stat, obs::SloCmp::kLt, limit)
-                              .withBudget(0.10)
-                              .withWindows(40, 5)
-                              .withBurnThreshold(2.0));
+        slo->addObjective({.name = name, .series = series, .stat = stat,
+                           .cmp = obs::SloCmp::kLt, .threshold = limit,
+                           .errorBudget = 0.10, .longWindows = 40,
+                           .shortWindows = 5, .burnThreshold = 2.0});
     }
 
     /** The control plane's hub: the spine partition's when sharded. */
@@ -502,7 +490,7 @@ runL2Campaign(bool quick, int shard_threads)
         fleet.addSlo("fleet_retransmits", "fleet.retransmits",
                      obs::SloStat::kDelta, 200.0);
 
-    const double build_s = wallSeconds(t0);
+    const double build_s = bench::wallSeconds(t0);
     std::printf("build: %.2f s, %d/%d servers materialized\n", build_s,
                 cloud->materializedServers(), cloud->numServers());
 
@@ -905,7 +893,7 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
     hm.startSharded(*sq);
     chaos.start();
 
-    const double build_s = wallSeconds(t0);
+    const double build_s = bench::wallSeconds(t0);
     std::printf("build: %.2f s, %d/%d servers materialized, victim rack "
                 "(%d,%d) holds %d/%d instances\n", build_s,
                 cloud->materializedServers(), cloud->numServers(),
@@ -1168,39 +1156,19 @@ runChaosCampaign(bool quick, int shard_threads, bool anti_affinity)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    bool chaosMode = false;
-    bool antiAffinity = true;
-    std::string fabric = "rack";
-    int shards = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--chaos") == 0) {
-            chaosMode = true;
-        } else if (std::strcmp(argv[i], "--no-anti-affinity") == 0) {
-            antiAffinity = false;
-        } else if (std::strcmp(argv[i], "--fabric") == 0 && i + 1 < argc) {
-            fabric = argv[++i];
-        } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-            shards = bench::shardsFlag("fig07", argv[++i]);
-        } else {
-            sim::fatalf("fig07: unknown flag ", argv[i],
-                        " (usage: [--quick] [--chaos [--no-anti-affinity]]"
-                        " [--fabric rack|l2] [--shards N])");
-        }
-    }
-    if (chaosMode)
+    const bench::Flags flags(argc, argv,
+                             {{"--quick"}, {"--chaos"}, {"--no-anti-affinity"},
+                              {"--fabric", "rack|l2"}, {"--shards", "N"}});
+    const bool quick = flags.has("--quick");
+    const bool antiAffinity = !flags.has("--no-anti-affinity");
+    const int shards = flags.number("--shards", 0);
+    if (flags.has("--chaos"))
         return runChaosCampaign(quick, shards, antiAffinity);
     if (!antiAffinity)
         sim::fatal("fig07: --no-anti-affinity requires --chaos");
-    if (fabric == "rack") {
-        if (shards > 0)
-            sim::fatal("fig07: --shards requires --fabric l2");
-        return runRackStudy(quick);
-    }
-    if (fabric == "l2")
+    if (flags.value("--fabric", "rack") == "l2")
         return runL2Campaign(quick, shards);
-    sim::fatalf("fig07: unknown fabric '", fabric, "' (rack|l2)");
-    return 1;
+    if (shards > 0)
+        sim::fatal("fig07: --shards requires --fabric l2");
+    return runRackStudy(quick);
 }

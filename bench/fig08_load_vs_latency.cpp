@@ -12,7 +12,6 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <vector>
@@ -89,14 +88,11 @@ runDatacenter(const std::vector<double> &trace, bool use_fpga,
         ts->exportTo(&tsOut);
         ts->startSampling(sq);
         slo = std::make_unique<obs::SloEngine>(*ts);
-        obs::SloObjective lat;
-        lat.name = use_fpga ? "fpga_rank_p999" : "sw_rank_p999";
         slo->addObjective(
-            lat.on("host.rank.latency_ms")
-                .where(obs::SloStat::kP999, obs::SloCmp::kLt, 12.0)
-                .withBudget(0.05)
-                .withWindows(60, 5)
-                .withBurnThreshold(4.0));
+            {.name = use_fpga ? "fpga_rank_p999" : "sw_rank_p999",
+             .series = "host.rank.latency_ms", .stat = obs::SloStat::kP999,
+             .cmp = obs::SloCmp::kLt, .threshold = 12.0, .errorBudget = 0.05,
+             .longWindows = 60, .shortWindows = 5, .burnThreshold = 4.0});
         slo->attachObservability(hub.registry);
     }
     gen.start();
@@ -278,24 +274,13 @@ main(int argc, char **argv)
     //             kernel with N worker threads; records the
     //             events/s/core scaling series instead of the figure.
     // --smoke: minimal sharded run for sanitizer CI (no BENCH output).
-    bool quick = false;
-    bool attribution = false;
-    bool smoke = false;
-    int shards = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--attribution") == 0)
-            attribution = true;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = quick = true;
-        else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc)
-            shards = bench::shardsFlag("fig08", argv[++i]);
-        else
-            sim::fatalf("fig08: unknown flag ", argv[i],
-                        " (usage: [--quick] [--attribution] [--smoke]"
-                        " [--shards N])");
-    }
+    const bench::Flags flags(
+        argc, argv,
+        {{"--quick"}, {"--attribution"}, {"--smoke"}, {"--shards", "N"}});
+    const bool smoke = flags.has("--smoke");
+    const bool quick = smoke || flags.has("--quick");
+    const bool attribution = flags.has("--attribution");
+    const int shards = flags.number("--shards", 0);
 
     host::DiurnalTraceParams tp;
     tp.days = quick ? 1 : 5;
@@ -312,10 +297,7 @@ main(int argc, char **argv)
         const auto wall0 = std::chrono::steady_clock::now();
         const KernelLoad k = runShardedDatacenter(trace, true, 4500.0,
                                                   false, kPods, shards);
-        const double wallSecs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall0)
-                .count();
+        const double wallSecs = bench::wallSeconds(wall0);
         const int cores = std::min(shards, kPods);
         const double perSec =
             static_cast<double>(k.eventsExecuted) / wallSecs;
@@ -354,9 +336,7 @@ main(int argc, char **argv)
         runDatacenter(trace, false, 3400.0, true, &kernel, attribution);
     const auto fpga =
         runDatacenter(trace, true, 4500.0, false, &kernel, attribution);
-    const double wallSecs = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - wall0)
-                                .count();
+    const double wallSecs = bench::wallSeconds(wall0);
 
     std::vector<double> sw_tails;
     for (const auto &p : sw)

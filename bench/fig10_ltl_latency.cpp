@@ -22,10 +22,10 @@
  *                 every exemplar; CCSIM_SPANS=<path> dumps the spans).
  */
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cloud.hpp"
 #include "fpga/shell.hpp"
 #include "obs/metrics.hpp"
@@ -51,9 +51,9 @@ measurePairs(core::ConfigurableCloud &cloud, sim::ShardedEventQueue &sq,
 {
     sim::LogHistogram tier(obs::kDefaultHistMinValue,
                            obs::kDefaultHistBinsPerOctave);
-    std::vector<std::unique_ptr<bench::NullRole>> roles;
+    std::vector<std::unique_ptr<fpga::NullRole>> roles;
     for (auto [src, dst] : pairs) {
-        roles.push_back(std::make_unique<bench::NullRole>());
+        roles.push_back(std::make_unique<fpga::NullRole>());
         if (cloud.shell(dst).addRole(roles.back().get()) < 0)
             sim::fatal("fig10: no role slot on destination shell");
         auto ch = cloud.openLtl(src, dst, roles.back()->port);
@@ -117,17 +117,9 @@ tierAttribution(obs::Observability &hub, const char *tier)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    bool attribution = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--attribution") == 0)
-            attribution = true;
-        else
-            sim::fatalf("fig10: unknown flag ", argv[i],
-                        " (supported: --quick --attribution)");
-    }
+    const bench::Flags flags(argc, argv, {{"--quick"}, {"--attribution"}});
+    const bool quick = flags.has("--quick");
+    const bool attribution = flags.has("--attribution");
 
     std::printf("=== Figure 10: LTL round-trip latency vs reachable "
                 "hosts ===\n\n");

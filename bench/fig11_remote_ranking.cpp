@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cloud.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
@@ -103,8 +104,9 @@ runPoint(Mode mode, double qps, double seconds)
 }  // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Figure 11: software vs local-FPGA vs remote-FPGA "
                 "ranking ===\n\n");
 

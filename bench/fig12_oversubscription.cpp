@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/cloud.hpp"
 #include "haas/haas.hpp"
 #include "host/load_generator.hpp"
@@ -231,8 +232,9 @@ measureLocal(double seconds)
 }  // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Figure 12: remote DNN pool latency vs "
                 "oversubscription ===\n\n");
     std::printf("%d clients drive %.0f req/s each (7.5x production "

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fpga/null_role.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
 #include "obs/metrics.hpp"
@@ -29,19 +30,10 @@
 
 namespace ccsim::bench {
 
-/** A no-op role so LTL deliveries have a destination. */
-struct NullRole : fpga::Role {
-    int port = -1;
-    std::string name() const override { return "null"; }
-    std::uint32_t areaAlms() const override { return 100; }
-    void attach(fpga::Shell &, int p) override { port = p; }
-    void onMessage(const router::ErMessagePtr &) override {}
-};
-
 /** Mean RTT of @p pings 64 B pings 20 us apart, run for twice that span. */
 inline double
 meanLtlRttUs(core::ConfigurableCloud &cloud, sim::EventQueue &eq, int src,
-             int dst, const NullRole &role, int pings)
+             int dst, const fpga::NullRole &role, int pings)
 {
     auto ch = cloud.openLtl(src, dst, role.port);
     auto *engine = cloud.shell(src).ltlEngine();

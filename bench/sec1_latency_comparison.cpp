@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_json.hpp"
 #include "core/cloud.hpp"
 #include "scenario_util.hpp"
 #include "sim/stats.hpp"
@@ -21,8 +22,9 @@
 using namespace ccsim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Section I/V: how close are remote FPGAs? ===\n\n");
 
     sim::EventQueue eq;
@@ -37,7 +39,7 @@ main()
     cfg.shellTemplate.ltl.maxConnections = 32;
     core::ConfigurableCloud cloud(eq, cfg);
 
-    bench::NullRole r0, r1, r2;
+    fpga::NullRole r0, r1, r2;
     cloud.shell(1).addRole(&r0);
     cloud.shell(24).addRole(&r1);
     cloud.shell(48).addRole(&r2);

@@ -11,6 +11,7 @@
  */
 #include <cstdio>
 
+#include "bench_json.hpp"
 #include "fpga/power_virus.hpp"
 #include "fpga/reliability.hpp"
 #include "fpga/shell.hpp"
@@ -19,8 +20,9 @@
 using namespace ccsim;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Section II: board qualification + 5,760-server, "
                 "1-month deployment ===\n\n");
 

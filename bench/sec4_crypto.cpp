@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/crypto_timing.hpp"
 #include "crypto/sha1.hpp"
@@ -72,8 +73,9 @@ measureSoftwareCbcSha1MBps(std::size_t total_bytes)
 }  // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Flags(argc, argv, {});
     std::printf("=== Section IV: network crypto offload ===\n\n");
 
     crypto::CpuCryptoModel cpu;

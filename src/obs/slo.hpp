@@ -51,12 +51,13 @@ enum class SloStat : std::uint8_t {
 /** Objective direction: good when stat < / > threshold. */
 enum class SloCmp : std::uint8_t { kLt, kGt };
 
-/** One service-level objective. */
+/** One service-level objective: a plain aggregate, set by fields or by
+ * designated initializers. */
 struct SloObjective {
     /** Alert/metric name (one dotted-path segment, e.g. "ranking_p99"). */
-    std::string name;
+    std::string name{};
     /** Hub series glob the objective applies to (per matching series). */
-    std::string series;
+    std::string series{};
     SloStat stat = SloStat::kP99;
     SloCmp cmp = SloCmp::kLt;
     double threshold = 0.0;
@@ -72,42 +73,6 @@ struct SloObjective {
      * from a `node<i>` path segment); 0 disables evidence.
      */
     double evidenceWeight = 0.0;
-
-    // --- fluent setters ---
-
-    SloObjective &on(std::string series_glob)
-    {
-        series = std::move(series_glob);
-        return *this;
-    }
-    SloObjective &where(SloStat s, SloCmp c, double thresh)
-    {
-        stat = s;
-        cmp = c;
-        threshold = thresh;
-        return *this;
-    }
-    SloObjective &withBudget(double budget)
-    {
-        errorBudget = budget;
-        return *this;
-    }
-    SloObjective &withWindows(int long_w, int short_w)
-    {
-        longWindows = long_w;
-        shortWindows = short_w;
-        return *this;
-    }
-    SloObjective &withBurnThreshold(double t)
-    {
-        burnThreshold = t;
-        return *this;
-    }
-    SloObjective &withEvidence(double weight)
-    {
-        evidenceWeight = weight;
-        return *this;
-    }
 };
 
 /**

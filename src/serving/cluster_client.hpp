@@ -60,10 +60,10 @@ struct ServingConfig {
     int chVnodes = 64;
     /** Bounded-load factor c (> 1; consistent-hash policy only). */
     double chLoadBound = 1.25;
-    AdmissionConfig admission;
-    EjectionConfig ejection;
+    AdmissionConfig admission{};
+    EjectionConfig ejection{};
     /** Default failure-handling policy for attached clients. */
-    RequestPolicy request;
+    RequestPolicy request{};
     /** Seed of the client's private Rng stream (routing keys). */
     std::uint64_t seed = 0x5e21;
 };

@@ -21,10 +21,10 @@
 #include "fault/chaos.hpp"
 #include "fault/failure_domain.hpp"
 #include "fault/fault.hpp"
+#include "fpga/null_role.hpp"
 #include "haas/haas.hpp"
 #include "haas/health_monitor.hpp"
 #include "net/fluid.hpp"
-#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sharded_obs.hpp"
 #include "obs/timeseries.hpp"

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fpga/null_role.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
-#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"

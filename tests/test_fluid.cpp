@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fpga/null_role.hpp"
 #include "net/fluid.hpp"
 #include "net/topology.hpp"
-#include "null_role.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 

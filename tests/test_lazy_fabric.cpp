@@ -14,8 +14,8 @@
 
 #include "core/cloud.hpp"
 #include "fault/fault.hpp"
+#include "fpga/null_role.hpp"
 #include "haas/health_monitor.hpp"
-#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"

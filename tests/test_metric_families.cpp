@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fpga/null_role.hpp"
 #include "net/topology.hpp"
-#include "null_role.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/random.hpp"

@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fpga/null_role.hpp"
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
-#include "null_role.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 

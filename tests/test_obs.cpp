@@ -1,15 +1,14 @@
 /**
  * @file
  * Observability layer tests: metrics registry registration / lookup /
- * hierarchy, deterministic JSON snapshots (parsed back by a minimal
- * in-test JSON reader), Chrome trace-event export validity, and the
+ * hierarchy, deterministic JSON snapshots (parsed back by the shared
+ * JSON reader), Chrome trace-event export validity, and the
  * barrier-driven periodic sampler checked against a hand-computed
  * schedule.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstddef>
 #include <map>
@@ -19,9 +18,10 @@
 #include <vector>
 
 #include "core/cloud.hpp"
-#include "null_role.hpp"
+#include "fpga/null_role.hpp"
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
@@ -35,209 +35,16 @@ using obs::Observability;
 using obs::TraceWriter;
 using sim::EventQueue;
 
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser, sufficient to round-trip the
-// registry snapshots and trace files the obs layer emits.
-// ---------------------------------------------------------------------------
+using obs::JsonValue;
+using JsonKind = obs::JsonValue::Kind;
 
-struct JsonValue {
-    enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> arr;
-    std::map<std::string, JsonValue> obj;
-
-    bool has(const std::string &key) const { return obj.count(key) != 0; }
-    const JsonValue &at(const std::string &key) const { return obj.at(key); }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s(text) {}
-
-    /** Parse the whole document; sets ok=false on any syntax error. */
-    JsonValue parse()
-    {
-        JsonValue v = value();
-        skipWs();
-        if (pos != s.size())
-            ok = false;
-        return v;
-    }
-
-    bool good() const { return ok; }
-
-  private:
-    const std::string &s;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    void skipWs()
-    {
-        while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t' ||
-                                  s[pos] == '\n' || s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool literal(const char *word)
-    {
-        const std::size_t n = std::string(word).size();
-        if (s.compare(pos, n, word) == 0) {
-            pos += n;
-            return true;
-        }
-        ok = false;
-        return false;
-    }
-
-    JsonValue value()
-    {
-        skipWs();
-        if (pos >= s.size()) {
-            ok = false;
-            return {};
-        }
-        const char c = s[pos];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string();
-        if (c == 't') {
-            JsonValue v;
-            v.kind = JsonValue::kBool;
-            v.boolean = true;
-            literal("true");
-            return v;
-        }
-        if (c == 'f') {
-            JsonValue v;
-            v.kind = JsonValue::kBool;
-            literal("false");
-            return v;
-        }
-        if (c == 'n') {
-            literal("null");
-            return {};
-        }
-        return numberValue();
-    }
-
-    JsonValue object()
-    {
-        JsonValue v;
-        v.kind = JsonValue::kObject;
-        consume('{');
-        if (consume('}'))
-            return v;
-        do {
-            JsonValue key = string();
-            if (!consume(':')) {
-                ok = false;
-                return v;
-            }
-            v.obj[key.str] = value();
-        } while (consume(','));
-        if (!consume('}'))
-            ok = false;
-        return v;
-    }
-
-    JsonValue array()
-    {
-        JsonValue v;
-        v.kind = JsonValue::kArray;
-        consume('[');
-        if (consume(']'))
-            return v;
-        do {
-            v.arr.push_back(value());
-        } while (consume(','));
-        if (!consume(']'))
-            ok = false;
-        return v;
-    }
-
-    JsonValue string()
-    {
-        JsonValue v;
-        v.kind = JsonValue::kString;
-        if (!consume('"')) {
-            ok = false;
-            return v;
-        }
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos++];
-            if (c == '\\' && pos < s.size()) {
-                const char esc = s[pos++];
-                switch (esc) {
-                case 'n': c = '\n'; break;
-                case 't': c = '\t'; break;
-                case 'r': c = '\r'; break;
-                case 'b': c = '\b'; break;
-                case 'f': c = '\f'; break;
-                case 'u':
-                    // Only ASCII escapes are emitted by the obs layer.
-                    if (pos + 4 <= s.size()) {
-                        c = static_cast<char>(
-                            std::stoi(s.substr(pos, 4), nullptr, 16));
-                        pos += 4;
-                    } else {
-                        ok = false;
-                    }
-                    break;
-                default: c = esc; break;
-                }
-            }
-            v.str.push_back(c);
-        }
-        if (pos >= s.size() || s[pos] != '"') {
-            ok = false;
-            return v;
-        }
-        ++pos;
-        return v;
-    }
-
-    JsonValue numberValue()
-    {
-        JsonValue v;
-        v.kind = JsonValue::kNumber;
-        const std::size_t start = pos;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-                s[pos] == 'e' || s[pos] == 'E'))
-            ++pos;
-        if (pos == start) {
-            ok = false;
-            return v;
-        }
-        v.number = std::stod(s.substr(start, pos - start));
-        return v;
-    }
-};
-
+/** @p text through the shared JSON reader; invalid JSON fails the test. */
 JsonValue
 parseJsonOrDie(const std::string &text)
 {
-    JsonParser p(text);
-    JsonValue v = p.parse();
-    EXPECT_TRUE(p.good()) << "invalid JSON: " << text.substr(0, 200);
-    return v;
+    auto v = obs::parseJson(text);
+    EXPECT_TRUE(v.has_value()) << "invalid JSON: " << text.substr(0, 200);
+    return v.value_or(JsonValue{});
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +152,7 @@ TEST(MetricsRegistry, SnapshotJsonRoundTrip)
     reg.registerProbe("fpga.node0.pcie_util", [] { return 0.25; });
 
     const JsonValue root = parseJsonOrDie(reg.snapshotJson());
-    ASSERT_EQ(root.kind, JsonValue::kObject);
+    ASSERT_EQ(root.kind, JsonKind::kObject);
 
     const JsonValue &counters = root.at("counters");
     EXPECT_DOUBLE_EQ(counters.at("ltl.node0.frames_sent").number, 42.0);
@@ -369,7 +176,7 @@ TEST(MetricsRegistry, SnapshotJsonRoundTrip)
     // infinities may leak into the JSON).
     const JsonValue &empty = root.at("histograms").at("ltl.node1.rtt_us");
     EXPECT_DOUBLE_EQ(empty.at("count").number, 0.0);
-    EXPECT_FALSE(empty.has("min"));
+    EXPECT_EQ(empty.find("min"), nullptr);
 
     const JsonValue &probe = root.at("probes").at("fpga.node0.pcie_util");
     EXPECT_DOUBLE_EQ(probe.at("value").number, 0.25);
@@ -383,10 +190,10 @@ TEST(MetricsRegistry, SnapshotEscapesAndNonFiniteValues)
                       [] { return std::nan(""); });
     const std::string json = reg.snapshotJson();
     const JsonValue root = parseJsonOrDie(json);
-    EXPECT_TRUE(root.at("counters").has("weird.\"quoted\"\\path"));
+    EXPECT_NE(root.at("counters").find("weird.\"quoted\"\\path"), nullptr);
     // Non-finite probe values serialize as null, keeping the JSON valid.
     EXPECT_EQ(root.at("probes").at("bad.probe").at("value").kind,
-              JsonValue::kNull);
+              JsonKind::kNull);
 }
 
 // ---------------------------------------------------------------------------
@@ -664,8 +471,8 @@ TEST(TraceWriter, ExportIsValidChromeTraceJson)
     tw.complete(t1, "host", "host.rank.query", 0, 10'000'000);
 
     const JsonValue root = parseJsonOrDie(tw.json());
-    ASSERT_EQ(root.kind, JsonValue::kObject);
-    ASSERT_TRUE(root.has("traceEvents"));
+    ASSERT_EQ(root.kind, JsonKind::kObject);
+    ASSERT_NE(root.find("traceEvents"), nullptr);
     const auto &events = root.at("traceEvents").arr;
     ASSERT_EQ(events.size(), 4u);
 
@@ -795,6 +602,7 @@ TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
     cfg.createNics = false;
     cfg.shellTemplate.ltl.maxConnections = 8;
     cfg.obs = &hub;
+    cfg.flowSampleEvery = 1;
     core::ConfigurableCloud cloud(eq, cfg);
 
     fpga::NullRole sink;
@@ -834,6 +642,40 @@ TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
           "sim.queue.cancelled", "sim.queue.wheel_overflow"})
         EXPECT_TRUE(hub.registry.hasProbe(probe))
             << "missing kernel probe " << probe;
+
+    // The other exporters' outputs read back through the same reader: the
+    // span dump, a merged snapshot and one CCSIM_TS window line.
+    EXPECT_FALSE(
+        parseJsonOrDie(hub.flows.spanDumpJson()).at("flows").arr.empty());
+    MetricsRegistry other;
+    other.counter("other.ops").inc(3);
+    const JsonValue merged = parseJsonOrDie(
+        MetricsRegistry::mergedSnapshotJson({&hub.registry, &other}));
+    EXPECT_DOUBLE_EQ(merged.at("counters").at("other.ops").number, 3.0);
+    obs::TimeSeriesHub ts(obs::TimeSeriesConfig{.window = sim::kMillisecond});
+    ts.watchRegistry(&hub.registry);
+    std::ostringstream jsonl;
+    ts.exportTo(&jsonl);
+    ts.rollAt(sim::fromMillis(1));
+    const std::string text = jsonl.str();
+    const std::size_t at = text.find("{\"type\":\"window\"");
+    ASSERT_NE(at, std::string::npos);
+    const JsonValue window =
+        parseJsonOrDie(text.substr(at, text.find('\n', at) - at));
+    EXPECT_DOUBLE_EQ(window.at("t_us").number, 1000.0);
+    EXPECT_FALSE(window.at("series").obj.empty());
+}
+
+TEST(JsonReader, RejectsMalformedTextAndDecodesEscapes)
+{
+    for (const char *bad :
+         {"{\"a\":[1,2]", "{\"a\":nul}", "[\"open]", "{\"a\" 1}"})
+        EXPECT_FALSE(obs::parseJson(bad).has_value()) << bad;
+    const auto v =
+        obs::parseJson(R"( {"s": "q\"b\\s\n\u0001", "n": -2.5e3} )");
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->at("s").str, "q\"b\\s\n?");
+    EXPECT_DOUBLE_EQ(v->numOr("n", 0.0), -2500.0);
 }
 
 TEST(EventQueueProbes, ExportKernelHealthDeterministically)

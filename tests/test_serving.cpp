@@ -24,6 +24,7 @@
 #include "host/ranking_server.hpp"
 #include "obs/flow_trace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "serving/admission.hpp"
 #include "serving/balancer.hpp"
 #include "serving/cluster_client.hpp"
@@ -48,6 +49,7 @@ using sim::EventQueue;
 static_assert(std::is_aggregate_v<serving::RequestPolicy>);
 static_assert(std::is_aggregate_v<EjectionConfig>);
 static_assert(std::is_aggregate_v<ServingConfig>);
+static_assert(std::is_aggregate_v<obs::SloObjective>);
 
 /** Fixed-latency accelerator endpoint standing in for a remote FPGA. */
 class StubAccelerator : public host::FeatureAccelerator
@@ -598,9 +600,7 @@ struct Fleet {
 
 TEST(ClusterClient, RoutesAcrossPoolAndCountsOutstanding)
 {
-    ServingConfig cfg;
-    cfg.balancer = BalancerPolicy::kRoundRobin;
-    Fleet fleet(3, cfg);
+    Fleet fleet(3, {.balancer = BalancerPolicy::kRoundRobin});
     int completions = 0;
     for (int i = 0; i < 6; ++i)
         fleet.client->compute(100, [&] { ++completions; });
@@ -616,10 +616,8 @@ TEST(ClusterClient, RoutesAcrossPoolAndCountsOutstanding)
 
 TEST(ClusterClient, LeastOutstandingNeverPicksEjectedInstance)
 {
-    ServingConfig cfg;
-    cfg.balancer = BalancerPolicy::kLeastOutstanding;
-    cfg.ejection.consecutiveErrors = 1;
-    Fleet fleet(4, cfg);
+    Fleet fleet(4, {.balancer = BalancerPolicy::kLeastOutstanding,
+                    .ejection = {.consecutiveErrors = 1}});
     // Eject host 2 via the detector, then route many times with uneven
     // outstanding load: the pick must never be the ejected host, even
     // though its outstanding count (0) would normally win. (The first
@@ -648,10 +646,8 @@ TEST(ClusterClient, NoRoutableBackendDropsRequest)
 
 TEST(ClusterClient, AttemptTimeoutFeedsErrorSignalAndEjects)
 {
-    ServingConfig cfg;
-    cfg.ejection.consecutiveErrors = 2;
-    cfg.ejection.attemptTimeout = 5 * sim::kMillisecond;
-    Fleet fleet(2, cfg);
+    Fleet fleet(2, {.ejection = {.consecutiveErrors = 2,
+                                 .attemptTimeout = 5 * sim::kMillisecond}});
     // Host 0 dies silently (requests never complete); two timed-out
     // requests must eject it without any heartbeat machinery.
     fleet.accels[0]->setDead(true);
@@ -668,10 +664,8 @@ TEST(ClusterClient, AttemptTimeoutFeedsErrorSignalAndEjects)
 
 TEST(ClusterClient, LeaseChangesReconcileRoutingAndDetector)
 {
-    ServingConfig cfg;
-    cfg.ejection.consecutiveErrors = 1;
-    cfg.ejection.maxEjectedFraction = 1.0;
-    Fleet fleet(3, cfg);
+    Fleet fleet(3, {.ejection = {.consecutiveErrors = 1,
+                                 .maxEjectedFraction = 1.0}});
     ClusterClient &client = *fleet.client;
     auto routedSet = [&] {
         std::set<int> hosts;
@@ -704,10 +698,10 @@ TEST(ClusterClient, LeaseChangesReconcileRoutingAndDetector)
 
 TEST(ClusterClient, LateResponseAfterTimeoutIsIgnored)
 {
-    ServingConfig cfg;
-    cfg.ejection.consecutiveErrors = 2;
-    cfg.ejection.attemptTimeout = 5 * sim::kMillisecond;
-    Fleet fleet(1, cfg, 10 * sim::kMillisecond);
+    Fleet fleet(1,
+                {.ejection = {.consecutiveErrors = 2,
+                              .attemptTimeout = 5 * sim::kMillisecond}},
+                10 * sim::kMillisecond);
     ClusterClient &client = *fleet.client;
     int completions = 0;
     // A times out at 5 ms; B, sent at 6 ms, reuses A's pending slot.
@@ -778,8 +772,7 @@ TEST(ClusterClient, SampledFlowCarriesServingAnnotation)
     hub.flows.setEnabled(true);
     hub.flows.setSampleEvery(1);
 
-    ServingConfig cfg;
-    Fleet fleet(2, cfg);
+    Fleet fleet(2);
     fleet.client->attachObservability(&hub);
 
     host::RankingServiceParams params;
@@ -813,14 +806,14 @@ TEST(ClusterClientDeathTest, InvalidServingConfigsAreFatal)
         ClusterClient cc(eq, "svc", [] { return std::vector<int>{}; },
                          cfg);
     };
-    ServingConfig bad_bound;
-    bad_bound.balancer = BalancerPolicy::kBoundedLoadConsistentHash;
-    bad_bound.chLoadBound = 1.0;
-    EXPECT_DEATH(make(bad_bound), "chLoadBound");
-    ServingConfig bad_vnodes;
-    bad_vnodes.balancer = BalancerPolicy::kBoundedLoadConsistentHash;
-    bad_vnodes.chVnodes = 0;
-    EXPECT_DEATH(make(bad_vnodes), "chVnodes");
+    EXPECT_DEATH(
+        make({.balancer = BalancerPolicy::kBoundedLoadConsistentHash,
+              .chLoadBound = 1.0}),
+        "chLoadBound");
+    EXPECT_DEATH(
+        make({.balancer = BalancerPolicy::kBoundedLoadConsistentHash,
+              .chVnodes = 0}),
+        "chVnodes");
     ServingConfig bad_policy;
     bad_policy.request.maxAttempts = 0;
     EXPECT_DEATH(make(bad_policy), "maxAttempts");

@@ -33,15 +33,6 @@ static_assert(std::is_aggregate_v<obs::TimeSeriesConfig>);
 
 namespace {
 
-/** An SloObjective with only the name set (avoids aggregate-init noise). */
-obs::SloObjective
-objective(const char *name)
-{
-    obs::SloObjective o;
-    o.name = name;
-    return o;
-}
-
 /** Count lines in @p s starting with the given JSONL record prefix. */
 std::size_t
 countLines(const std::string &s, const std::string &prefix)
@@ -543,12 +534,10 @@ TEST(SloEngine, FiresAndResolvesOnBurnRate)
     hub.watchRegistry(&reg);
 
     obs::SloEngine slo(hub);
-    slo.addObjective(objective("lat_p99")
-                         .on("svc.lat_ms")
-                         .where(obs::SloStat::kP99, obs::SloCmp::kLt, 5.0)
-                         .withBudget(0.5)
-                         .withWindows(4, 2)
-                         .withBurnThreshold(1.0));
+    slo.addObjective({.name = "lat_p99", .series = "svc.lat_ms",
+                      .stat = obs::SloStat::kP99, .cmp = obs::SloCmp::kLt,
+                      .threshold = 5.0, .errorBudget = 0.5, .longWindows = 4,
+                      .shortWindows = 2, .burnThreshold = 1.0});
     slo.attachObservability(reg);
 
     int w = 0;
@@ -605,12 +594,10 @@ TEST(SloEngine, EmptyHistogramWindowsSpendNoErrorBudget)
     obs::SloEngine slo(hub);
     // "p99 must stay ABOVE 1" would read every empty window's p99=0 as
     // bad; the no-data rule counts it as in-budget instead.
-    slo.addObjective(objective("floor")
-                         .on("idle.lat_ms")
-                         .where(obs::SloStat::kP99, obs::SloCmp::kGt, 1.0)
-                         .withBudget(0.1)
-                         .withWindows(4, 1)
-                         .withBurnThreshold(1.0));
+    slo.addObjective({.name = "floor", .series = "idle.lat_ms",
+                      .stat = obs::SloStat::kP99, .cmp = obs::SloCmp::kGt,
+                      .threshold = 1.0, .errorBudget = 0.1, .longWindows = 4,
+                      .shortWindows = 1, .burnThreshold = 1.0});
     for (int w = 1; w <= 10; ++w)
         hub.rollAt(w * sim::kMillisecond);
     EXPECT_EQ(slo.alertsFired(), 0u);
@@ -625,13 +612,13 @@ TEST(SloEngine, HostParsingAndValidation)
 
     obs::TimeSeriesHub hub;
     obs::SloEngine slo(hub);
-    EXPECT_DEATH(slo.addObjective(objective("a.b").on("x")),
+    EXPECT_DEATH(slo.addObjective({.name = "a.b", .series = "x"}),
                  "single dotted");
     EXPECT_DEATH(slo.addObjective(
-                     objective("ok").on("x").withBudget(0.0)),
+                     {.name = "ok", .series = "x", .errorBudget = 0.0}),
                  "errorBudget");
-    EXPECT_DEATH(slo.addObjective(
-                     objective("ok").on("x").withWindows(2, 5)),
+    EXPECT_DEATH(slo.addObjective({.name = "ok", .series = "x",
+                                   .longWindows = 2, .shortWindows = 5}),
                  "longWindows");
 }
 
@@ -672,16 +659,14 @@ TEST(SloEngine, FaultFiresAlertAndFilesEvidenceBeforeHeartbeatBound)
     ts.startSampling(sq);
 
     obs::SloEngine slo(ts);
-    slo.addObjective(
-        objective("ltl_retransmits")
-            .on("ltl.node0.retransmits")
-            // Good = no retransmissions this window.
-            .where(obs::SloStat::kDelta, obs::SloCmp::kLt, 0.5)
-            .withBudget(0.25)
-            .withWindows(8, 2)
-            .withBurnThreshold(2.0)
-            // One fire crosses the default suspicion threshold (3.0).
-            .withEvidence(3.0));
+    // Good = no retransmissions this window. One fire crosses the default
+    // suspicion threshold (3.0).
+    slo.addObjective({.name = "ltl_retransmits",
+                      .series = "ltl.node0.retransmits",
+                      .stat = obs::SloStat::kDelta, .cmp = obs::SloCmp::kLt,
+                      .threshold = 0.5, .errorBudget = 0.25, .longWindows = 8,
+                      .shortWindows = 2, .burnThreshold = 2.0,
+                      .evidenceWeight = 3.0});
     slo.setEvidenceSink(hm.evidenceSink());
 
     // Warm-up with healthy traffic, then fail node 0's own link: its

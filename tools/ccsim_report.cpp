@@ -2,8 +2,8 @@
  * @file
  * Renders a CCSIM_TS telemetry stream (the TimeSeriesHub's JSONL
  * export) as a self-contained HTML fleet dashboard, or follows it live
- * as text. No dependencies: the parser below understands exactly the
- * JSON the simulator emits, and every chart is inline SVG.
+ * as text. No dependencies: the stream is read with the simulator's own
+ * JSON reader (obs/json_util.hpp), and every chart is inline SVG.
  *
  *     ccsim_report ts.jsonl -o dashboard.html
  *     ccsim_report ts.jsonl --heatmap 'sim.shard.partition*.events'
@@ -23,198 +23,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json_util.hpp"
 #include "obs/metric_names.hpp"
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser (objects, arrays, strings, numbers,
-// true/false/null — all the exporter emits)
-// ---------------------------------------------------------------------
-
-struct Json {
-    enum class Type { kNull, kBool, kNum, kStr, kArr, kObj };
-    Type type = Type::kNull;
-    bool b = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<Json> arr;
-    std::vector<std::pair<std::string, Json>> obj;
-
-    const Json *find(const std::string &key) const
-    {
-        for (const auto &[k, v] : obj)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-    double numOr(const std::string &key, double dflt) const
-    {
-        const Json *v = find(key);
-        return v != nullptr && v->type == Type::kNum ? v->num : dflt;
-    }
-    std::string strOr(const std::string &key, const std::string &dflt) const
-    {
-        const Json *v = find(key);
-        return v != nullptr && v->type == Type::kStr ? v->str : dflt;
-    }
-};
-
-struct JsonParser {
-    const char *p;
-    const char *end;
-    bool ok = true;
-
-    explicit JsonParser(const std::string &s)
-        : p(s.data()), end(s.data() + s.size())
-    {
-    }
-
-    void ws()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                           *p == '\r'))
-            ++p;
-    }
-    bool lit(const char *s, std::size_t n)
-    {
-        if (static_cast<std::size_t>(end - p) < n ||
-            std::strncmp(p, s, n) != 0) {
-            ok = false;
-            return false;
-        }
-        p += n;
-        return true;
-    }
-
-    Json value()
-    {
-        ws();
-        Json v;
-        if (p >= end) {
-            ok = false;
-            return v;
-        }
-        switch (*p) {
-        case '{': {
-            v.type = Json::Type::kObj;
-            ++p;
-            ws();
-            if (p < end && *p == '}') {
-                ++p;
-                return v;
-            }
-            while (ok) {
-                ws();
-                Json key = value();
-                if (!ok || key.type != Json::Type::kStr)
-                    break;
-                ws();
-                if (p >= end || *p != ':') {
-                    ok = false;
-                    break;
-                }
-                ++p;
-                v.obj.emplace_back(std::move(key.str), value());
-                ws();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == '}') {
-                    ++p;
-                    return v;
-                }
-                ok = false;
-            }
-            return v;
-        }
-        case '[': {
-            v.type = Json::Type::kArr;
-            ++p;
-            ws();
-            if (p < end && *p == ']') {
-                ++p;
-                return v;
-            }
-            while (ok) {
-                v.arr.push_back(value());
-                ws();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == ']') {
-                    ++p;
-                    return v;
-                }
-                ok = false;
-            }
-            return v;
-        }
-        case '"': {
-            v.type = Json::Type::kStr;
-            ++p;
-            while (p < end && *p != '"') {
-                if (*p == '\\' && p + 1 < end) {
-                    ++p;
-                    switch (*p) {
-                    case 'n': v.str += '\n'; break;
-                    case 't': v.str += '\t'; break;
-                    case 'r': v.str += '\r'; break;
-                    case 'u':
-                        // Exporter escapes are ASCII-only; keep it simple.
-                        if (end - p >= 5) {
-                            v.str += '?';
-                            p += 4;
-                        }
-                        break;
-                    default: v.str += *p; break;
-                    }
-                } else {
-                    v.str += *p;
-                }
-                ++p;
-            }
-            if (p >= end)
-                ok = false;
-            else
-                ++p;
-            return v;
-        }
-        case 't':
-            v.type = Json::Type::kBool;
-            v.b = true;
-            lit("true", 4);
-            return v;
-        case 'f':
-            v.type = Json::Type::kBool;
-            lit("false", 5);
-            return v;
-        case 'n':
-            lit("null", 4);
-            return v;
-        default: {
-            v.type = Json::Type::kNum;
-            char *after = nullptr;
-            v.num = std::strtod(p, &after);
-            if (after == p)
-                ok = false;
-            p = after;
-            return v;
-        }
-        }
-    }
-};
+using ccsim::obs::JsonValue;
 
 // ---------------------------------------------------------------------
 // Stream model
@@ -254,11 +75,11 @@ struct Dashboard {
     std::size_t windows = 0;
     std::size_t badLines = 0;
 
-    void ingest(const Json &rec);
+    void ingest(const JsonValue &rec);
 };
 
 void
-Dashboard::ingest(const Json &rec)
+Dashboard::ingest(const JsonValue &rec)
 {
     const std::string type = rec.strOr("type", "");
     if (type == "meta") {
@@ -268,7 +89,7 @@ Dashboard::ingest(const Json &rec)
     } else if (type == "window") {
         ++windows;
         const double t = rec.numOr("t_us", 0.0);
-        const Json *s = rec.find("series");
+        const JsonValue *s = rec.find("series");
         if (s == nullptr)
             return;
         for (const auto &[name, pt] : s->obj) {
@@ -562,11 +383,11 @@ writeHtml(const Dashboard &db, const std::string &path,
 // ---------------------------------------------------------------------
 
 void
-printTextRecord(const Json &rec)
+printTextRecord(const JsonValue &rec)
 {
     const std::string type = rec.strOr("type", "");
     if (type == "window") {
-        const Json *s = rec.find("series");
+        const JsonValue *s = rec.find("series");
         std::printf("[%10.1f us] window seq=%.0f  %zu series\n",
                     rec.numOr("t_us", 0.0), rec.numOr("seq", 0.0),
                     s != nullptr ? s->obj.size() : 0);
@@ -611,10 +432,8 @@ follow(const std::string &path)
         if (std::getline(in, line)) {
             if (line.empty())
                 continue;
-            JsonParser jp(line);
-            const Json rec = jp.value();
-            if (jp.ok)
-                printTextRecord(rec);
+            if (const auto rec = ccsim::obs::parseJson(line))
+                printTextRecord(*rec);
             continue;
         }
         // EOF: the producer may still be writing; poll for growth.
@@ -674,10 +493,8 @@ main(int argc, char **argv)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        JsonParser jp(line);
-        const Json rec = jp.value();
-        if (jp.ok)
-            db.ingest(rec);
+        if (const auto rec = ccsim::obs::parseJson(line))
+            db.ingest(*rec);
         else
             ++db.badLines;
     }
