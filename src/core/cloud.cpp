@@ -437,16 +437,6 @@ ConfigurableCloud::setHostLinkDown(int host, bool down)
 }
 
 void
-ConfigurableCloud::setNicLinkDown(int host, bool down)
-{
-    if (!config.createNics)
-        sim::fatal("ConfigurableCloud::setNicLinkDown: cloud was built "
-                   "without NICs (createNics=false)");
-    materializeServer(host);
-    hostStates[host]->nicLink->setAdminDown(down);
-}
-
-void
 ConfigurableCloud::attachFaultInjector(const void *tag)
 {
     if (injectorTag != nullptr && injectorTag != tag)

@@ -429,20 +429,6 @@ class ConfigurableCloud
     void setHostLinkDown(int host, bool down);
 
     /**
-     * Cut / restore a server's NIC<->FPGA cable. Requires createNics.
-     */
-    void setNicLinkDown(int host, bool down);
-
-    /** The NIC<->FPGA cable of a host (nullptr when built without NICs). */
-    net::Link *nicLink(int host)
-    {
-        if (!config.createNics)
-            return nullptr;
-        materializeServer(host);
-        return hostStates[host]->nicLink.get();
-    }
-
-    /**
      * Register @p tag as this cloud's single active fault injector.
      * A second concurrent attach is a configuration error (two injectors
      * would fight over the same admin hooks).

@@ -4,18 +4,6 @@
 
 namespace ccsim::fault {
 
-const char *
-domainLevelName(DomainLevel level)
-{
-    switch (level) {
-    case DomainLevel::kHost: return "host";
-    case DomainLevel::kRack: return "rack";
-    case DomainLevel::kPod: return "pod";
-    case DomainLevel::kSpine: return "spine";
-    }
-    return "unknown";
-}
-
 FailureDomainMap::FailureDomainMap(int hosts_per_rack, int racks_per_pod,
                                    int pods)
     : perRack(hosts_per_rack), perPod(racks_per_pod), podCount(pods)

@@ -26,9 +26,6 @@ namespace ccsim::fault {
 /** Hierarchy levels, smallest blast radius first. */
 enum class DomainLevel { kHost, kRack, kPod, kSpine };
 
-/** Human-readable level name (for timelines and logs). */
-const char *domainLevelName(DomainLevel level);
-
 /**
  * Pure-arithmetic mapping between global host indices and their
  * enclosing failure domains. Rack ids are global

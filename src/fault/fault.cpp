@@ -99,28 +99,6 @@ FaultInjector::flapHostLink(int host, sim::TimePs down_for)
 }
 
 void
-FaultInjector::flapNicLink(int host, sim::TimePs down_for)
-{
-    checkHost(cloud, host, "flapNicLink");
-    if (down_for <= 0)
-        sim::fatal("FaultInjector::flapNicLink: duration must be positive");
-    if (cloud.nicLink(host) == nullptr)
-        sim::fatal("FaultInjector::flapNicLink: the cloud was built "
-                   "without NICs (createNics=false)");
-    ++statInjected;
-    ++statLinkFlaps;
-    traceInstant("nic_down.node" + std::to_string(host));
-    if (nicDepth[host]++ == 0)
-        cloud.setNicLinkDown(host, true);
-    scheduleAction(nowPs() + down_for, [this, host] {
-        if (--nicDepth[host] == 0)
-            cloud.setNicLinkDown(host, false);
-        ++statRecovered;
-        traceInstant("nic_up.node" + std::to_string(host));
-    });
-}
-
-void
 FaultInjector::flapTrunkLink(int index, sim::TimePs down_for)
 {
     if (index < 0 || index >= cloud.topology().numTrunkLinks())

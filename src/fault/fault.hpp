@@ -132,8 +132,6 @@ class FaultInjector
 
     /** Cut the host's FPGA<->TOR cable for @p down_for. */
     void flapHostLink(int host, sim::TimePs down_for);
-    /** Cut the host's NIC<->FPGA cable for @p down_for. */
-    void flapNicLink(int host, sim::TimePs down_for);
     /** Cut an inter-switch trunk cable for @p down_for. */
     void flapTrunkLink(int index, sim::TimePs down_for);
     /**
@@ -246,7 +244,6 @@ class FaultInjector
     std::map<int, sim::TimePs> downSince;
     std::map<int, sim::TimePs> downAccum;
     std::map<int, bool> hardFailed;
-    std::map<int, int> nicDepth;
     std::map<int, int> trunkDepth;
     /** Generation counter per host so nested bursts end last-wins. */
     std::map<int, std::uint64_t> burstGen;

@@ -116,7 +116,7 @@ TimerWheelQueue::catchUp()
 void
 TimerWheelQueue::place(std::uint32_t idx, TimePs when)
 {
-    // The register runs events without touching the wheel, so its time
+    // The head list runs events without touching the wheel, so its time
     // can fall behind the clock; a park brings it up to the clock when
     // that moves no parked event, so events land at the levels (and in
     // the warm cells) they would have had every event passed through the
@@ -316,9 +316,10 @@ TimerWheelQueue::ensureNext(TimePs limit, bool exact)
 TimerWheelQueue::Head
 TimerWheelQueue::locate(TimePs limit)
 {
-    // Stopping at the register's time keeps the wheel time at or below
-    // it, so its event can still be parked relative to the wheel time.
-    const TimePs parkedLimit = std::min(limit, regWhen);
+    // Stopping at the list's earliest time keeps the wheel time at or
+    // below every listed event, so an evicted one can still be parked
+    // relative to the wheel time.
+    const TimePs parkedLimit = std::min(limit, headWhen);
     Head parked;
     if (parkedBound > parkedLimit) {
         parked = {parkedBound == kTimeNever ? Next::kNone : Next::kLater,
@@ -328,24 +329,24 @@ TimerWheelQueue::locate(TimePs limit)
         parkedBound = parked.when;
         parkedExact = parked.src != Next::kLater;
     }
-    if (reg == kNoReg)
+    if (headSize == 0)
         return parked;
+    const DueEntry &first = head[headSize - 1];
     const bool parkedFirst =
         parked.src == Next::kDue || parked.src == Next::kOverflow
-            ? parked.when < regWhen ||
-                  (parked.when == regWhen &&
-                   headSeq(parked.src) < pool[reg].seq)
-            : parked.when < regWhen;  // both are then after `limit`
-    return parkedFirst ? parked : Head{Next::kReg, regWhen};
+            ? parked.when < first.when ||
+                  (parked.when == first.when &&
+                   headSeq(parked.src) < first.seq)
+            : parked.when < first.when;  // both are then after `limit`
+    return parkedFirst ? parked : Head{Next::kList, first.when};
 }
 
 std::uint32_t
 TimerWheelQueue::detach(Next src)
 {
-    if (src == Next::kReg) {
-        const std::uint32_t idx = reg;
-        reg = kNoReg;
-        regWhen = kTimeNever;
+    if (src == Next::kList) {
+        const std::uint32_t idx = head[--headSize].idx;
+        headWhen = headSize == 0 ? kTimeNever : head[headSize - 1].when;
         ++bypassCount;
         return idx;
     }
@@ -400,7 +401,7 @@ TimerWheelQueue::fire(std::uint32_t idx)
 void
 TimerWheelQueue::refreshParked()
 {
-    parkedBound = liveCount == (reg == kNoReg ? 0u : 1u)
+    parkedBound = liveCount == static_cast<std::size_t>(headSize)
                       ? kTimeNever
                       : ensureNext(currentTime, true).when;
     parkedExact = true;
@@ -429,17 +430,38 @@ TimerWheelQueue::enqueue(std::uint32_t idx, TimePs when)
     ++liveCount;
     if (liveCount > peakLive)
         peakLive = liveCount;
-    // An event that precedes the occupant and every parked event takes
-    // the register, and the occupant, if any, is parked; one that cannot
-    // be next is parked at once.
-    if (when < std::min(regWhen, parkedBound)) {
-        // The next event time moves: the only schedule that can move it.
-        if (!touched)
-            touch();
-        std::swap(idx, reg);
-        std::swap(when, regWhen);
-        if (idx == kNoReg)
+    // An event that precedes every parked one is listed, unless the list
+    // is full and it follows the list's latest entry; one that cannot be
+    // next is parked at once.
+    if (when < parkedBound) {
+        const DueEntry e{when, pool[idx].seq, idx};
+        if (when < headWhen) {
+            // The new earliest entry moves the next event time: the only
+            // schedule that can move it.
+            if (!touched)
+                touch();
+            if (headSize < kHeadCap) {
+                // A chain link: one compare and an append.
+                head[headSize++] = e;
+                headWhen = when;
+                pool[idx].state = SlotState::kListed;
+                return;
+            }
+        }
+        if (headSize < kHeadCap) {
+            listInsert(e);
             return;
+        }
+        if (when < head[0].when) {
+            // Full: the latest entry makes room and is parked instead.
+            const DueEntry out = head[0];
+            std::copy(head + 1, head + kHeadCap, head);
+            --headSize;
+            listInsert(e);
+            pool[out.idx].state = SlotState::kLive;
+            idx = out.idx;
+            when = out.when;
+        }
     }
     place(idx, when);
     // Every parked live event is at or after the bound, so an event at
@@ -451,24 +473,48 @@ TimerWheelQueue::enqueue(std::uint32_t idx, TimePs when)
 }
 
 void
+TimerWheelQueue::listInsert(const DueEntry &e)
+{
+    // Every entry at or before e's time is earlier in (when, seq) order
+    // (e was scheduled last), so it moves one place towards the end.
+    int i = headSize++;
+    for (; i > 0 && head[i - 1].when <= e.when; --i)
+        head[i] = head[i - 1];
+    head[i] = e;
+    headWhen = head[headSize - 1].when;
+    pool[e.idx].state = SlotState::kListed;
+}
+
+void
+TimerWheelQueue::listCancel(std::uint32_t idx)
+{
+    int i = headSize - 1;
+    while (head[i].idx != idx)
+        --i;
+    if (i == headSize - 1 && !touched)
+        touch();  // the earliest entry: the next event time may move
+    std::copy(head + i + 1, head + headSize, head + i);
+    --headSize;
+    headWhen = headSize == 0 ? kTimeNever : head[headSize - 1].when;
+    freeRecord(idx);
+}
+
+void
 TimerWheelQueue::cancel(EventId id)
 {
     const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu);
     if (slot == 0 || slot > pool.size())
         return;
     Record &r = pool[slot - 1];
-    if (r.state != SlotState::kLive ||
+    if ((r.state != SlotState::kLive && r.state != SlotState::kListed) ||
         r.gen != static_cast<std::uint32_t>(id >> 32))
         return;
     --liveCount;
     ++cancelledCount;
-    if (slot - 1 == reg) {
-        if (!touched)
-            touch();
-        // Nothing refers to an unparked record: free it, closure and all.
-        reg = kNoReg;
-        regWhen = kTimeNever;
-        freeRecord(slot - 1);
+    if (r.state == SlotState::kListed) {
+        // Nothing else refers to an unparked record: free it, closure and
+        // all.
+        listCancel(slot - 1);
         return;
     }
     // Destroy the closure NOW: anything it captured (packets, channel
@@ -547,7 +593,7 @@ void
 TimerWheelQueue::runUntil(TimePs limit)
 {
     beginRun();
-    if (std::min(parkedBound, regWhen) > limit) {
+    if (std::min(parkedBound, headWhen) > limit) {
         // Nothing is due.
         if (currentTime < limit)
             currentTime = limit;
@@ -592,14 +638,7 @@ TimerWheelQueue::pastRunAhead(TimePs t) const
 std::uint64_t
 TimerWheelQueue::headSeq(Next src) const
 {
-    switch (src) {
-    case Next::kReg:
-        return pool[reg].seq;
-    case Next::kDue:
-        return due[duePos].seq;
-    default:
-        return overflow.front().seq;
-    }
+    return src == Next::kDue ? due[duePos].seq : overflow.front().seq;
 }
 
 }  // namespace ccsim::sim

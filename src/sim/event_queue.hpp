@@ -13,9 +13,9 @@
  * overflow heap, freelist-pooled event records, inline small-buffer
  * closures (sim::EventFn), and generation-counted handles giving O(1)
  * cancel() that destroys the closure — and releases everything it
- * captured — immediately. A one-entry head register in front of the
- * wheel runs an event that is still the earliest when its turn comes
- * without ever parking it in the wheel.
+ * captured — immediately. A sorted head list of up to 16 events in front
+ * of the wheel runs the events of a sparse queue, and an event that is
+ * the earliest from birth, without ever parking them in the wheel.
  *
  * The property tests check it against the original binary-heap queue
  * (tests/binary_heap_queue.hpp): both execute events in exactly the same
@@ -65,27 +65,31 @@ inline constexpr EventId kNoEvent = 0;
  *
  * Scheduled events live in a freelist-backed pool of fixed records
  * (absolute time, monotone sequence number for FIFO tie-break, a
- * generation counter, and the inline-SBO closure). One of them may sit in
- * the head register; the wheel stores only 32-bit pool indices of the
- * rest, which are *parked*:
+ * generation counter, and the inline-SBO closure). Up to kHeadCap of
+ * them sit in the head list; the wheel stores only 32-bit pool indices of
+ * the rest, which are *parked*:
  *
- *  - the head register holds one event unparked. A newly scheduled
- *    event takes it when its time precedes both the occupant's, which is
- *    then parked, and the cached lower bound on the parked events; any
- *    other new event cannot be next and is parked at once. Dispatch
- *    compares the register with the parked head in (when, seq) order
- *    and, when the register comes first, runs its event without
- *    touching the wheel. So a chain of events that each schedule the
- *    next earliest one never parks at all, and a dense workload, whose
- *    new events rarely precede everything, rarely uses the register.
+ *  - the head list holds up to kHeadCap = 16 events unparked, as
+ *    (when, seq, index) entries sorted latest first, so the earliest is
+ *    the last entry. A newly scheduled event below the cached lower bound
+ *    on the parked events enters it by insertion from the end: a chain
+ *    link, the new earliest event, is one compare and an append. When the
+ *    list is full, a new event that precedes its latest entry evicts that
+ *    entry to the wheel; any other new event, and every event at or past
+ *    the bound, is parked at once. Dispatch compares the last entry with
+ *    the parked head in (when, seq) order and, when the entry comes first,
+ *    runs its event without touching the wheel. So a queue of at most 16
+ *    live events never parks at all, nor does a chain of events that each
+ *    schedule the next earliest one; a dense workload, whose new events
+ *    land behind a parked head, rarely uses the list.
  *  - 8 levels × 64 slots; level L slots are 2^(12+6L) ps wide: 4.096 ns
  *    at level 0, 262 ns at level 1, 16.8 µs at level 2, 1.07 ms at
  *    level 3, up to 5.0 h at level 7. Sub-slot order is restored by
  *    sorting a level-0 slot when it is drained, which is cheap because
  *    slots are short at this width.
  *  - every level is anchored at one wheel time, which never passes
- *    now() nor the register's time. An event goes to the level of the
- *    highest 6-bit group (time bits 12+6L to 17+6L) in which its time
+ *    now() nor any listed event's time. An event goes to the level of
+ *    the highest 6-bit group (time bits 12+6L to 17+6L) in which its time
  *    differs from the wheel time, into the slot its time names at that
  *    level. So a level-L event sits strictly ahead of the wheel time's
  *    own level-L slot, no level wraps, and the first occupied slot (a
@@ -97,15 +101,15 @@ inline constexpr EventId kNoEvent = 0;
  *    slot's events at lower levels, so the earliest one reaches level 0
  *    in one step. A slot whose events all share one level-0 slot —
  *    every level-0 slot, and a lone timer at any level — goes straight
- *    into the sorted due buffer instead. While the register is occupied
- *    the parked head is located no further than the register's time, so
- *    the occupant can always be parked later.
- *  - register events move the clock but not the wheel time, so a park
+ *    into the sorted due buffer instead. While the list is not empty
+ *    the parked head is located no further than its earliest entry's
+ *    time, so an evicted entry can always be parked.
+ *  - listed events move the clock but not the wheel time, so a park
  *    first brings the wheel time up to now() when that moves no parked
  *    event to another level: no parked event is then in the clock's slot
  *    at any level, or in a slot before it.
  *  - a lower bound on the parked head's time is cached (`parkedBound`),
- *    so a register event below it runs in O(1). Taking a parked head
+ *    so a listed event below it runs in O(1). Taking a parked head
  *    raises it to the due buffer's next entry, or to the start of the
  *    first occupied slot. A parked head past the limit is bounded by the
  *    start of its slot without scanning the slot; only an exact peek
@@ -122,8 +126,9 @@ inline constexpr EventId kNoEvent = 0;
  * cancel() checks the handle's generation against the pool record and,
  * when live, destroys the closure in place: O(1), no heap walk, and any
  * captured PacketPtr / connection state is released at cancel time
- * rather than when the tombstone is lazily popped. The register's event
- * is freed outright. Dead records whose index is still parked in a slot
+ * rather than when the tombstone is lazily popped. A listed event is
+ * removed from the list and freed outright, so the list holds no
+ * tombstones. Dead records whose index is still parked in a slot
  * are reclaimed when the slot drains, or by a bulk sweep when tombstones
  * outnumber live events.
  *
@@ -142,10 +147,12 @@ inline constexpr EventId kNoEvent = 0;
  * only for the partitions it ran and those on its touch list. While the
  * kernel is not running this queue, the first edit that can move the next
  * event time adds the queue's index to that list, once between two
- * refreshes. Such an edit is a new event that takes the head register, a
- * cancel of the register's event or of one at or below the parked bound,
- * or a run the kernel did not start. Any other new event is parked at or
- * after the cached time and cannot move it.
+ * refreshes. Such an edit is a new event that becomes the head list's
+ * earliest entry below the parked bound, a cancel of that earliest entry
+ * or of a parked event at or below the parked bound, or a run the kernel
+ * did not start. Any other new event is listed or parked at or after the
+ * cached time, and an eviction moves a listed event to the wheel, so
+ * neither can move it.
  */
 class TimerWheelQueue
 {
@@ -235,7 +242,7 @@ class TimerWheelQueue
         // `t` (an event at `t` itself was scheduled earlier, so it runs
         // first) and the run would still take it.
         if (t > runLimit ||
-            (std::min(parkedBound, regWhen) <= t && nextEventTime() <= t))
+            (std::min(parkedBound, headWhen) <= t && nextEventTime() <= t))
             return false;
         currentTime = t;
         executedCount += n;
@@ -257,18 +264,19 @@ class TimerWheelQueue
      * kTimeNever if the queue is empty.
      *
      * Used by ShardedEventQueue to compute conservative sync windows, so
-     * it is O(1) whenever the cached parked bound is exact or the
-     * register precedes it (see `parkedBound`). Not const: otherwise it
-     * reads the head's slot, which reclaims tombstones and may re-place
-     * slots that start by now(), but it never moves the wheel time past
-     * now() and the observable (time, seq) order is unchanged.
+     * it is O(1) whenever the cached parked bound is exact or the head
+     * list's earliest entry precedes it (see `parkedBound`). Not const:
+     * otherwise it reads the head's slot, which reclaims tombstones and
+     * may re-place slots that start by now(), but it never moves the
+     * wheel time past now() and the observable (time, seq) order is
+     * unchanged.
      */
     TimePs nextEventTime()
     {
-        // A register at or below the parked bound is the next event.
-        if (!parkedExact && parkedBound < regWhen)
+        // A listed event at or below the parked bound is the next event.
+        if (!parkedExact && parkedBound < headWhen)
             refreshParked();
-        return std::min(parkedBound, regWhen);
+        return std::min(parkedBound, headWhen);
     }
 
     // --- kernel-health accounting (exported as sim.queue.* probes) ---
@@ -281,7 +289,7 @@ class TimerWheelQueue
     std::uint64_t wheelOverflows() const { return overflowCount; }
     /** Highest number of simultaneously live events seen. */
     std::size_t peakLiveEvents() const { return peakLive; }
-    /** Events that ran from the head register, never parked in the wheel. */
+    /** Events that ran from the head list, never parked in the wheel. */
     std::uint64_t eventsBypassed() const { return bypassCount; }
 
   private:
@@ -297,7 +305,8 @@ class TimerWheelQueue
         return kSlotShift0 + kSlotBits * level;
     }
 
-    enum class SlotState : std::uint8_t { kFree, kLive, kDead };
+    /** A record's state; kLive and kListed records are live events. */
+    enum class SlotState : std::uint8_t { kFree, kLive, kListed, kDead };
 
     /** A pooled event record; wheel cells hold 32-bit indices into it. */
     struct Record {
@@ -360,12 +369,9 @@ class TimerWheelQueue
      */
     static constexpr TimePs kNoRunAhead = -1;
     TimePs runLimit = kNoRunAhead;
-    /** No event in the head register. */
-    static constexpr std::uint32_t kNoReg = ~std::uint32_t{0};
-    /** The head register: a live record that is not parked, or kNoReg. */
-    std::uint32_t reg = kNoReg;
-    /** The register's event time; kTimeNever while it is empty. */
-    TimePs regWhen = kTimeNever;
+    /** The head list's earliest time; kTimeNever while it is empty. */
+    TimePs headWhen = kTimeNever;
+    int headSize = 0;  ///< entries in `head`
     /**
      * A lower bound on the earliest parked live event's time (kTimeNever:
      * none), equal to it while `parkedExact` holds. Parking lowers it and,
@@ -373,9 +379,9 @@ class TimerWheelQueue
      * what is left in the due buffer or the wheel, inexact; cancelling a
      * parked event at or below the bound clears exactness. Locating the
      * parked head records its time, or, when it lies past the limit, the
-     * start of its slot; refreshParked() makes the bound exact. With the
-     * register's time it bounds the next event, so runUntil(limit) below
-     * both returns in O(1), and a register event below it runs in O(1).
+     * start of its slot; refreshParked() makes the bound exact. With
+     * `headWhen` it bounds the next event, so runUntil(limit) below both
+     * returns in O(1), and a listed event below it runs in O(1).
      */
     TimePs parkedBound = kTimeNever;
     bool parkedExact = true;
@@ -387,6 +393,15 @@ class TimerWheelQueue
     std::uint64_t cancelledCount = 0;
     std::uint64_t overflowCount = 0;
     std::uint64_t bypassCount = 0;
+    /** The most events the head list holds. */
+    static constexpr int kHeadCap = 16;
+    /**
+     * The head list: `headSize` live records that are not parked (state
+     * kListed), sorted latest first by (when, seq), so that the earliest
+     * is `head[headSize - 1]`. Left uninitialised: only the first
+     * `headSize` entries are ever read.
+     */
+    DueEntry head[kHeadCap];
 
     // --- sharded partition state, set by the owning ShardedEventQueue ---
     /**
@@ -426,10 +441,15 @@ class TimerWheelQueue
      */
     [[gnu::cold, gnu::noinline]] void growPool();
     /**
-     * Count the live record @p idx; it takes the head register when it
-     * precedes the occupant, which is then parked, and `parkedBound`.
+     * Count the live record @p idx and list it when it precedes
+     * `parkedBound` (evicting the latest entry of a full list it
+     * precedes), else park it.
      */
     void enqueue(std::uint32_t idx, TimePs when);
+    /** Insert @p e into the head list, which has room, by (when, seq). */
+    void listInsert(const DueEntry &e);
+    /** Remove and free the listed record @p idx (a cancel). */
+    void listCancel(std::uint32_t idx);
     EventId handleOf(std::uint32_t idx) const
     {
         return (static_cast<EventId>(pool[idx].gen) << 32) |
@@ -451,13 +471,13 @@ class TimerWheelQueue
     /** Drop executed/dead prefix; true if a live due event is ready. */
     bool dueFrontLive();
     /**
-     * Where the next event is: in the head register, at the due front,
+     * Where the next event is: at the head list's end, at the due front,
      * at the overflow top, or (kLater) still in a wheel cell because it
      * is due after the limit; `when` is its exact time (for kLater, a
      * lower bound above the limit unless an exact one is asked for),
      * kTimeNever for kNone.
      */
-    enum class Next { kNone, kReg, kDue, kOverflow, kLater };
+    enum class Next { kNone, kList, kDue, kOverflow, kLater };
     struct Head {
         Next src;
         TimePs when;
@@ -470,14 +490,14 @@ class TimerWheelQueue
      */
     Head ensureNext(TimePs limit, bool exact);
     /**
-     * The next event of the whole queue, the register included, located
+     * The next event of the whole queue, the head list included, located
      * as for ensureNext(@p limit); a kLater head is after @p limit. The
-     * parked head is located no further than the register's time and
+     * parked head is located no further than the list's earliest time and
      * recorded in `parkedBound`, and not at all when that bound is past
      * both.
      */
     Head locate(TimePs limit);
-    /** Detach the next event's record from @p src (kReg, kDue, kOverflow). */
+    /** Detach the next event's record from @p src (kList, kDue, kOverflow). */
     std::uint32_t detach(Next src);
     /** The start of the first occupied wheel slot; kTimeNever if none. */
     TimePs firstSlotStart() const;
@@ -491,7 +511,7 @@ class TimerWheelQueue
     [[noreturn]] void pastSchedule(TimePs when) const;
     /** Run ahead to a time in the past: panics. */
     [[noreturn]] void pastRunAhead(TimePs t) const;
-    /** The sequence number of the located head at @p src. */
+    /** The sequence number of the parked head at @p src (kDue, kOverflow). */
     std::uint64_t headSeq(Next src) const;
     void maybeSweep();
 };

@@ -767,6 +767,78 @@ TEST(ShardedBarrier, HookCancelOfIdleHeadMovesNextWindowStart)
             << threads << " workers";
 }
 
+/** What a hook does to idle partition 2's head list at the first barrier. */
+enum class ListEdit { kNone, kCancelMiddle, kCancelEarliest, kAddLater };
+
+struct ListEditRun {
+    std::vector<sim::TimePs> ends;
+    std::uint64_t visits = 0;
+};
+
+/**
+ * Window ends and partition visits when a hook edits the head list of
+ * idle partition 2, which holds events at 3000, 3500 and 7000.
+ */
+ListEditRun
+listEditRun(int threads, ListEdit edit)
+{
+    auto sq = makeMesh(4, threads, 1000);
+    ListEditRun run;
+    sq->partition(0).schedule(100, [] {});
+    std::vector<sim::EventId> ids;
+    for (const sim::TimePs t : {3000, 3500, 7000})
+        ids.push_back(sq->partition(2).schedule(t, [] {}));
+    sq->atBarrier([&](sim::TimePs e) {
+        run.ends.push_back(e);
+        if (e != 1099)
+            return sim::kTimeNever;
+        switch (edit) {
+        case ListEdit::kNone:
+            break;
+        case ListEdit::kCancelMiddle:
+            sq->partition(2).cancel(ids[1]);
+            break;
+        case ListEdit::kCancelEarliest:
+            sq->partition(2).cancel(ids[0]);
+            break;
+        case ListEdit::kAddLater:
+            sq->partition(2).schedule(3700, [] {});
+            break;
+        }
+        return sim::kTimeNever;
+    });
+    sq->runUntil(10000);
+    run.visits = sq->partitionVisits();
+    return run;
+}
+
+TEST(ShardedBarrier, HeadListReportsOnlyEditsOfItsEarliestEntry)
+{
+    // Only a cancel of the earliest entry can move partition 2's next
+    // event time, so only that edit puts it on the touch list, and the
+    // next window starts at 3500. Cancelling the middle entry, or listing
+    // an event behind the earliest one (all inside the 3000 window),
+    // visits exactly as often as no edit at all.
+    const std::vector<sim::TimePs> plain = {1099, 3999, 7999, 10000};
+    for (int threads : {1, 2, 4}) {
+        const ListEditRun none = listEditRun(threads, ListEdit::kNone);
+        EXPECT_EQ(none.ends, plain) << threads << " workers";
+        for (const ListEdit edit :
+             {ListEdit::kCancelMiddle, ListEdit::kAddLater}) {
+            const ListEditRun run = listEditRun(threads, edit);
+            EXPECT_EQ(run.ends, plain) << threads << " workers";
+            EXPECT_EQ(run.visits, none.visits) << threads << " workers";
+        }
+        const ListEditRun earliest =
+            listEditRun(threads, ListEdit::kCancelEarliest);
+        EXPECT_EQ(earliest.ends, (std::vector<sim::TimePs>{1099, 4499, 7999,
+                                                           10000}))
+            << threads << " workers";
+        // One more visit: the report's refresh of partition 2.
+        EXPECT_EQ(earliest.visits, none.visits + 1) << threads << " workers";
+    }
+}
+
 TEST(ShardedBarrier, PartitionVisitsCountOnlyTheBusyPair)
 {
     // 261 partitions, one ball bounced between partitions 0 and 1 every

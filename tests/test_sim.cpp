@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: event ordering, cancellation,
- * run-ahead, the head register, RNG determinism and distribution sanity,
+ * run-ahead, the head list, RNG determinism and distribution sanity,
  * statistics correctness.
  */
 #include <gtest/gtest.h>
@@ -278,13 +278,33 @@ TEST(EventQueueRunAhead, SelfClockedLoopMatchesScheduledTicks)
     EXPECT_EQ(run(true), run(false));
 }
 
-// --- the head register --------------------------------------------------
+// --- the head list ------------------------------------------------------
+
+/** Schedule the events at @p times, each logging now() into @p ran. */
+void
+scheduleLogged(EventQueue &eq, std::vector<TimePs> &ran,
+               const std::vector<TimePs> &times)
+{
+    for (const TimePs t : times)
+        eq.schedule(t, [&eq, &ran] { ran.push_back(eq.now()); });
+}
+
+/** 100, 200, ..., 1600: sixteen events, which fill the head list. */
+std::vector<TimePs>
+sixteenTimes()
+{
+    std::vector<TimePs> times;
+    for (TimePs t = 100; t <= 1600; t += 100)
+        times.push_back(t);
+    return times;
+}
 
 TEST(EventQueueHeadRegister, ChainOverParkedTimersNeverParks)
 {
-    // 16 parked timers and a 10,000-link chain, each link scheduling the
-    // next 1 ns out: every link is the earliest event from the moment it
-    // is scheduled, so every one runs from the register.
+    // 16 timers and a 10,000-link chain, each link scheduling the next
+    // 1 ns out: every link is the earliest event from the moment it is
+    // scheduled, so every one runs from the head list. The first link
+    // finds the list full of timers and parks the latest of them.
     EventQueue eq;
     int timers = 0;
     for (int t = 0; t < 16; ++t)
@@ -302,49 +322,56 @@ TEST(EventQueueHeadRegister, ChainOverParkedTimersNeverParks)
     eq.runAll();
     EXPECT_EQ(timers, 16);
     EXPECT_EQ(eq.eventsExecuted(), 10'016u);
+    EXPECT_EQ(eq.eventsBypassed(), 10'015u);  // all but the evicted timer
 }
 
 TEST(EventQueueHeadRegister, EarlierArrivalParksTheOccupant)
 {
+    // A full list: each earlier arrival evicts the latest entry to the
+    // wheel, and an arrival after the latest entry is parked at once.
     EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(100, [&] { order.push_back(1); });  // takes the register
-    eq.schedule(50, [&] { order.push_back(2); });   // parks it
-    eq.schedule(50, [&] { order.push_back(3); });   // same time: later
-    eq.schedule(100, [&] { order.push_back(4); });
+    std::vector<TimePs> ran;
+    scheduleLogged(eq, ran, sixteenTimes());
+    scheduleLogged(eq, ran, {50, 50, 1700});  // evict 1600, 1500; park 1700
     EXPECT_EQ(eq.nextEventTime(), 50);
     eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{2, 3, 1, 4}));
-    EXPECT_EQ(eq.eventsBypassed(), 1u);  // only the event at 50 ran unparked
+    std::vector<TimePs> want = {50, 50};
+    for (const TimePs t : sixteenTimes())
+        want.push_back(t);
+    want.push_back(1700);
+    EXPECT_EQ(ran, want);
+    EXPECT_EQ(eq.eventsExecuted(), 19u);
+    EXPECT_EQ(eq.eventsBypassed(), 16u);  // 1500, 1600 and 1700 were parked
 }
 
 TEST(EventQueueHeadRegister, RunUntilLimitBetweenRegisterAndParkedHead)
 {
     EventQueue eq;
     std::vector<TimePs> ran;
-    const auto log = [&] { ran.push_back(eq.now()); };
-    // The register (400) after the parked head (200).
-    eq.schedule(100, log);
-    eq.schedule(200, log);
-    eq.schedule(300, log);
-    ASSERT_TRUE(eq.step());  // 100, from the register
-    eq.schedule(400, log);   // the empty register takes it
+    // The list holds 100..1600, so 5000 is parked.
+    scheduleLogged(eq, ran, sixteenTimes());
+    scheduleLogged(eq, ran, {5000});
+    // A limit between two listed events.
     eq.runUntil(250);
     EXPECT_EQ(ran, (std::vector<TimePs>{100, 200}));
     EXPECT_EQ(eq.now(), 250);
     EXPECT_EQ(eq.nextEventTime(), 300);
-    eq.runUntil(350);
-    EXPECT_EQ(eq.nextEventTime(), 400);
-    // The register (500) before the parked head (900).
-    eq.runUntil(400);
-    eq.schedule(900, log);
-    eq.schedule(500, log);
-    eq.runUntil(700);
-    EXPECT_EQ(ran, (std::vector<TimePs>{100, 200, 300, 400, 500}));
-    EXPECT_EQ(eq.now(), 700);
-    EXPECT_EQ(eq.nextEventTime(), 900);
+    // A limit between the list's last event and the parked head.
+    eq.runUntil(1650);
+    EXPECT_EQ(ran.size(), 16u);
+    EXPECT_EQ(eq.now(), 1650);
+    EXPECT_EQ(eq.nextEventTime(), 5000);
+    // An arrival below the parked head is listed and runs first.
+    scheduleLogged(eq, ran, {3000});
+    EXPECT_EQ(eq.nextEventTime(), 3000);
+    eq.runUntil(4000);
+    EXPECT_EQ(ran.back(), 3000);
+    EXPECT_EQ(eq.now(), 4000);
+    EXPECT_EQ(eq.nextEventTime(), 5000);
     eq.runAll();
-    EXPECT_EQ(ran.back(), 900);
+    EXPECT_EQ(ran.back(), 5000);
+    EXPECT_EQ(eq.eventsExecuted(), 18u);
+    EXPECT_EQ(eq.eventsBypassed(), 17u);
 }
 
 TEST(EventQueueHeadRegister, RunAheadSeesTheRegister)
@@ -352,9 +379,9 @@ TEST(EventQueueHeadRegister, RunAheadSeesTheRegister)
     EventQueue eq;
     std::vector<bool> got;
     std::vector<TimePs> ran;
-    eq.schedule(sim::fromMillis(1.0), [] {});  // parked far ahead
+    eq.schedule(sim::fromMillis(1.0), [] {});  // listed far ahead
     eq.schedule(100, [&] {
-        // A foreign event in the register holds the head at 150.
+        // A foreign event in the list holds the head at 150.
         eq.scheduleAfter(50, [&] { ran.push_back(eq.now()); });
         EXPECT_EQ(eq.nextEventTime(), 150);
         EXPECT_EQ(eq.runAheadHorizon(), 149);
@@ -366,6 +393,109 @@ TEST(EventQueueHeadRegister, RunAheadSeesTheRegister)
     EXPECT_EQ(got, (std::vector<bool>{false, true}));
     EXPECT_EQ(ran, (std::vector<TimePs>{150}));
     EXPECT_EQ(eq.now(), sim::fromMillis(1.0));
+}
+
+TEST(EventQueueHeadList, SparseQueueNeverParks)
+{
+    // Sixteen timers that re-arm themselves 0.1-1.6 ms out: the live
+    // count never passes the list's capacity, so nothing is parked.
+    EventQueue eq;
+    int fired = 0;
+    std::function<void(TimePs)> arm = [&](TimePs delay) {
+        eq.scheduleAfter(delay, [&, delay] {
+            if (++fired < 5000)
+                arm(delay);
+        });
+    };
+    for (int t = 1; t <= 16; ++t)
+        arm(sim::fromMicros(100.0 * t));
+    eq.runAll();
+    EXPECT_EQ(eq.eventsExecuted(), eq.eventsBypassed());
+    EXPECT_EQ(eq.peakLiveEvents(), 16u);
+}
+
+TEST(EventQueueHeadList, FullListEvictsItsLatestEntry)
+{
+    EventQueue eq;
+    std::vector<TimePs> ran;
+    scheduleLogged(eq, ran, sixteenTimes());
+    scheduleLogged(eq, ran, {1550});  // evicts 1600, the latest entry
+    EXPECT_EQ(eq.nextEventTime(), 100);
+    EXPECT_EQ(eq.size(), 17u);
+    eq.runAll();
+    std::vector<TimePs> want = sixteenTimes();
+    want.insert(want.end() - 1, 1550);
+    EXPECT_EQ(ran, want);
+    EXPECT_EQ(eq.eventsBypassed(), 16u);  // all but 1600
+}
+
+TEST(EventQueueHeadList, LaterArrivalToAFullListIsParked)
+{
+    EventQueue eq;
+    std::vector<TimePs> ran;
+    scheduleLogged(eq, ran, sixteenTimes());
+    scheduleLogged(eq, ran, {1600, 1700});  // not before the latest entry
+    eq.runAll();
+    std::vector<TimePs> want = sixteenTimes();
+    want.push_back(1600);
+    want.push_back(1700);
+    EXPECT_EQ(ran, want);
+    EXPECT_EQ(eq.eventsBypassed(), 16u);
+    EXPECT_EQ(eq.eventsExecuted(), 18u);
+}
+
+TEST(EventQueueHeadList, CancelFromTheMiddleAndOfTheEarliestEntry)
+{
+    EventQueue eq;
+    std::vector<TimePs> ran;
+    std::vector<sim::EventId> ids;
+    std::vector<std::weak_ptr<int>> watch;
+    for (const TimePs t : sixteenTimes()) {
+        auto res = std::make_shared<int>(static_cast<int>(t));
+        watch.push_back(res);
+        ids.push_back(eq.schedule(t, [&eq, &ran, res] {
+            ran.push_back(eq.now());
+        }));
+    }
+    // The middle: the next event time stays, the captures go at once.
+    eq.cancel(ids[7]);  // 800
+    EXPECT_TRUE(watch[7].expired());
+    EXPECT_EQ(eq.size(), 15u);
+    EXPECT_EQ(eq.nextEventTime(), 100);
+    // The earliest entry: the next event time moves to the one after.
+    eq.cancel(ids[0]);  // 100
+    EXPECT_TRUE(watch[0].expired());
+    EXPECT_EQ(eq.nextEventTime(), 200);
+    eq.cancel(ids[0]);  // stale: a no-op
+    EXPECT_EQ(eq.eventsCancelled(), 2u);
+    // The freed places take two new events without evicting anything.
+    scheduleLogged(eq, ran, {150, 1700});
+    eq.runAll();
+    EXPECT_EQ(ran, (std::vector<TimePs>{150, 200, 300, 400, 500, 600, 700,
+                                        900, 1000, 1100, 1200, 1300, 1400,
+                                        1500, 1600, 1700}));
+    EXPECT_EQ(eq.eventsBypassed(), 16u);
+    EXPECT_EQ(eq.eventsExecuted(), 16u);
+}
+
+TEST(EventQueueHeadList, SameTimeTiesBetweenListedAndParkedEvents)
+{
+    // Seventeen events at one time: sixteen listed, the last parked
+    // behind them. An earlier arrival evicts the latest listed one, which
+    // joins the parked one at the same time. Schedule order holds
+    // throughout.
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 17; ++i)
+        eq.schedule(100, [&order, i] { order.push_back(i); });
+    eq.schedule(50, [&order] { order.push_back(-1); });
+    EXPECT_EQ(eq.nextEventTime(), 50);
+    eq.runAll();
+    std::vector<int> want = {-1};
+    for (int i = 0; i < 17; ++i)
+        want.push_back(i);
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(eq.eventsBypassed(), 16u);  // -1 and 0..14
 }
 
 TEST(PoolAllocator, BlockFreedOnAnotherThreadIsReusedThere)

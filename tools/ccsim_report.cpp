@@ -20,10 +20,10 @@
  *   --follow         text mode: print windows/alerts as they append
  */
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -442,6 +442,24 @@ follow(const std::string &path)
     }
 }
 
+/** Parse @p s as a whole non-negative integer into @p out. */
+bool
+parseCount(const std::string &s, std::size_t &out)
+{
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end && !s.empty();
+}
+
+int
+usage()
+{
+    std::fprintf(stderr, "usage: ccsim_report <ts.jsonl> [-o out.html] "
+                         "[--title S] [--heatmap GLOB] [--max-charts N] "
+                         "[--follow]\n");
+    return 2;
+}
+
 }  // namespace
 
 int
@@ -462,15 +480,17 @@ main(int argc, char **argv)
         } else if (arg == "--heatmap" && i + 1 < argc) {
             heatmapGlob = argv[++i];
         } else if (arg == "--max-charts" && i + 1 < argc) {
-            maxCharts = static_cast<std::size_t>(std::atoi(argv[++i]));
+            if (!parseCount(argv[++i], maxCharts)) {
+                std::fprintf(stderr,
+                             "ccsim_report: --max-charts takes an integer "
+                             ">= 0, got '%s'\n",
+                             argv[i]);
+                return usage();
+            }
         } else if (arg == "--follow") {
             doFollow = true;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr,
-                         "usage: ccsim_report <ts.jsonl> [-o out.html] "
-                         "[--title S] [--heatmap GLOB] [--max-charts N] "
-                         "[--follow]\n");
-            return 2;
+            return usage();
         } else {
             input = arg;
         }
