@@ -261,18 +261,32 @@ ConfigurableCloud::registerMemoryProbes(obs::Observability *hub)
     reg.registerProbe("sim.mem.materialized_hosts",
                       [this] { return double(materializedCount); });
     reg.registerProbe("sim.mem.switches", [this] {
-        return double(fabricMemoryStats().switches);
+        return double(memoryEstimate().switches);
     });
     reg.registerProbe("sim.mem.fabric_links", [this] {
-        return double(fabricMemoryStats().fabricLinks);
+        return double(memoryEstimate().fabricLinks);
     });
     reg.registerProbe("sim.mem.bytes_per_host", [this] {
-        return fabricMemoryStats().bytesPerHost;
+        return memoryEstimate().bytesPerHost;
     });
 }
 
 ConfigurableCloud::FabricMemoryStats
 ConfigurableCloud::fabricMemoryStats() const
+{
+    FabricMemoryStats s = memoryEstimate();
+    s.queueStateChannels = static_cast<std::size_t>(
+        topo->channelsHoldingQueueState());
+    for (const auto &state : hostStates) {
+        if (state != nullptr && state->nicLink != nullptr)
+            s.queueStateChannels += static_cast<std::size_t>(
+                state->nicLink->channelsHoldingQueueState());
+    }
+    return s;
+}
+
+ConfigurableCloud::FabricMemoryStats
+ConfigurableCloud::memoryEstimate() const
 {
     FabricMemoryStats s;
     const auto &t = config.topology;
@@ -287,18 +301,22 @@ ConfigurableCloud::fabricMemoryStats() const
                     (config.createNics
                          ? static_cast<std::size_t>(materializedCount)
                          : 0);
-    // Empty queues own no heap (sim::Fifo allocates on its first push),
-    // so an idle cable, LTL connection or router VC costs its sizeof().
-    // Tables, names and buffers behind pointers are still not counted,
-    // so treat this as an order-of-magnitude gauge of the growth the
-    // RSS assertions bound, not an audit.
+    // Empty queues own no heap (sim::Fifo allocates on its first push)
+    // and a channel's per-priority queues and PFC state are born with its
+    // first packet, so an idle cable (link, two channels, two PFC shims),
+    // LTL connection or router VC costs its sizeof(). Tables, names and
+    // buffers behind pointers are still not counted, so treat this as an
+    // order-of-magnitude gauge of the growth the RSS assertions bound,
+    // not an audit.
     s.bytesPerServer = sizeof(HostState) + sizeof(fpga::Shell) +
-                       sizeof(haas::FpgaManager) + sizeof(net::Link) +
+                       sizeof(haas::FpgaManager) + net::Link::idleBytes() +
                        (config.createNics
-                            ? sizeof(net::Nic) + sizeof(net::Link)
+                            ? sizeof(net::Nic) + net::Link::idleBytes()
                             : 0);
+    // A stub is its null access-cable pointer in the topology and its
+    // null hostStates slot; coordinates and addresses are arithmetic.
     const std::size_t stub =
-        sizeof(net::Topology::HostPort) + sizeof(void *);
+        sizeof(net::Link *) + sizeof(std::unique_ptr<HostState>);
     s.bytesPerHost =
         s.hosts == 0
             ? 0.0

@@ -322,6 +322,12 @@ class ConfigurableCloud
         std::size_t bytesPerServer = 0;
         /** Estimated bytes per host slot amortized over the fleet. */
         double bytesPerHost = 0.0;
+        /**
+         * Fabric and NIC channels that hold per-priority queue state
+         * (allocated by their first packet or PFC pause; not in the
+         * byte estimates). Counted by a scan over every cable.
+         */
+        std::size_t queueStateChannels = 0;
         sim::PoolStats pool;
     };
     FabricMemoryStats fabricMemoryStats() const;
@@ -474,6 +480,8 @@ class ConfigurableCloud
     obs::Observability *hubFor(int partition);
     void build();
     void registerMemoryProbes(obs::Observability *hub);
+    /** fabricMemoryStats() without the cable scan (cheap for probes). */
+    FabricMemoryStats memoryEstimate() const;
     void installTimeoutObserver(int host);
 };
 

@@ -34,14 +34,23 @@ Channel::effectiveGbps() const
     return std::max(residual, 0.05 * line_bps) / 1e9;
 }
 
+Channel::PriorityState &
+Channel::priorityState()
+{
+    if (!prioState)
+        prioState = std::make_unique<PriorityState>();
+    return *prioState;
+}
+
 bool
 Channel::send(const PacketPtr &pkt, TxReleaseListener *release, int port)
 {
     const std::uint8_t prio = pkt->isPfc() ? 7 : pkt->priority;
     const std::uint32_t wire = pkt->wireBytes();
+    PriorityState &ps = priorityState();
     // PFC control frames are never dropped and jump to the control queue
     // (priority 7 is reserved for control in our configuration).
-    if (!pkt->isPfc() && queueBytes[prio] + wire > queueCapBytes) {
+    if (!pkt->isPfc() && ps.queueBytes[prio] + wire > queueCapBytes) {
         ++drops;
         CCSIM_LOG(sim::LogLevel::kDebug, label, queue.now(),
                   "tx queue full, dropping packet ", pkt->id, " prio ",
@@ -53,8 +62,8 @@ Channel::send(const PacketPtr &pkt, TxReleaseListener *release, int port)
         entry.enqueuedAt = queue.now();
         entry.pauseBase = pausedTimeNow(prio);
     }
-    txQueues[prio].push_back(std::move(entry));
-    queueBytes[prio] += wire;
+    ps.txQueues[prio].push_back(std::move(entry));
+    ps.queueBytes[prio] += wire;
     tryTransmit();
     return true;
 }
@@ -62,7 +71,7 @@ Channel::send(const PacketPtr &pkt, TxReleaseListener *release, int port)
 sim::TimePs
 Channel::pausedTimeNow(std::uint8_t priority) const
 {
-    const PauseClock &pc = pauseClock[priority];
+    const PauseClock &pc = prioState->pauseClock[priority];
     const sim::TimePs now = queue.now();
     const sim::TimePs cur = std::min(pc.curEnd, now) - pc.curStart;
     return pc.accum + (cur > 0 ? cur : 0);
@@ -75,12 +84,13 @@ Channel::pausePriority(std::uint8_t priority, sim::TimePs duration)
     const sim::TimePs now = queue.now();
     // Fold the elapsed part of any current pause into the clock, then
     // start the new interval (zero duration = X-ON, closes it).
-    PauseClock &pc = pauseClock[priority];
+    PriorityState &ps = priorityState();
+    PauseClock &pc = ps.pauseClock[priority];
     const sim::TimePs cur = std::min(pc.curEnd, now) - pc.curStart;
     pc.accum += cur > 0 ? cur : 0;
     pc.curStart = now;
     pc.curEnd = duration > 0 ? now + duration : now;
-    pausedUntil[priority] = duration > 0 ? now + duration : 0;
+    ps.pausedUntil[priority] = duration > 0 ? now + duration : 0;
     if (duration == 0) {
         tryTransmit();
     }
@@ -92,10 +102,10 @@ Channel::pickQueue() const
     // Strict priority, highest first; PFC control traffic (7) always wins.
     const sim::TimePs now = queue.now();
     for (int prio = kNumTrafficClasses - 1; prio >= 0; --prio) {
-        if (txQueues[prio].empty())
+        if (prioState->txQueues[prio].empty())
             continue;
-        const bool is_ctrl = txQueues[prio].front().pkt->isPfc();
-        if (!is_ctrl && pausedUntil[prio] > now)
+        const bool is_ctrl = prioState->txQueues[prio].front().pkt->isPfc();
+        if (!is_ctrl && prioState->pausedUntil[prio] > now)
             continue;
         return prio;
     }
@@ -108,8 +118,9 @@ Channel::earliestUnpause() const
     sim::TimePs t = sim::kTimeNever;
     const sim::TimePs now = queue.now();
     for (int prio = 0; prio < kNumTrafficClasses; ++prio) {
-        if (!txQueues[prio].empty() && pausedUntil[prio] > now)
-            t = std::min(t, pausedUntil[prio]);
+        if (!prioState->txQueues[prio].empty() &&
+            prioState->pausedUntil[prio] > now)
+            t = std::min(t, prioState->pausedUntil[prio]);
     }
     return t;
 }
@@ -131,9 +142,9 @@ Channel::tryTransmit()
         }
         return;
     }
-    TxEntry entry = std::move(txQueues[prio].front());
-    txQueues[prio].pop_front();
-    queueBytes[prio] -= entry.pkt->wireBytes();
+    TxEntry entry = std::move(prioState->txQueues[prio].front());
+    prioState->txQueues[prio].pop_front();
+    prioState->queueBytes[prio] -= entry.pkt->wireBytes();
     transmitting = true;
     // With no fluid load the serialization rate is the configured gbps
     // *by the same expression as always*, keeping legacy runs

@@ -4,9 +4,10 @@
  *
  * A Channel is one direction of a cable: it serializes packets at the link
  * rate, applies propagation delay, keeps per-priority transmit queues, and
- * honors 802.1Qbb PFC pause per priority. A Link bundles two channels and
- * transparently intercepts PFC frames: a pause frame received at one end
- * throttles that end's transmitter, exactly as a MAC would.
+ * honors 802.1Qbb PFC pause per priority (queues and pause state are
+ * allocated when the first packet or pause arrives). A Link bundles two
+ * channels and transparently intercepts PFC frames: a pause frame received
+ * at one end throttles that end's transmitter, exactly as a MAC would.
  */
 #pragma once
 
@@ -85,8 +86,14 @@ class Channel
     /** Bytes currently queued at @p priority (for sender back-pressure). */
     std::uint32_t queuedBytes(std::uint8_t priority) const
     {
-        return queueBytes[priority];
+        return prioState ? prioState->queueBytes[priority] : 0;
     }
+
+    /**
+     * True once a packet or a PFC pause has reached this channel: only
+     * then does it own its per-priority queues and pause state.
+     */
+    bool holdsQueueState() const { return prioState != nullptr; }
 
     // --- fluid background load (ccsim::net::FluidTrafficModel) ---
 
@@ -225,10 +232,22 @@ class Channel
         sim::TimePs curStart = 0;
         sim::TimePs curEnd = 0;
     };
-    std::array<sim::Fifo<TxEntry>, kNumTrafficClasses> txQueues;
-    std::array<std::uint32_t, kNumTrafficClasses> queueBytes{};
-    std::array<sim::TimePs, kNumTrafficClasses> pausedUntil{};
-    std::array<PauseClock, kNumTrafficClasses> pauseClock{};
+    /**
+     * Per-priority transmit queues and PFC state. Most cables of a
+     * paper-scale fabric carry only fluid aggregates and never queue a
+     * packet, so the block is allocated by the first send() or
+     * pausePriority(), on the partition that owns this transmitter.
+     * Transmission only ever starts from one of those two, so the
+     * transmit path always finds the block; queuedBytes() reads a
+     * missing one as empty queues.
+     */
+    struct PriorityState {
+        std::array<sim::Fifo<TxEntry>, kNumTrafficClasses> txQueues;
+        std::array<std::uint32_t, kNumTrafficClasses> queueBytes{};
+        std::array<sim::TimePs, kNumTrafficClasses> pausedUntil{};
+        std::array<PauseClock, kNumTrafficClasses> pauseClock{};
+    };
+    std::unique_ptr<PriorityState> prioState;
     obs::FlightRecorder *flowRec = nullptr;
     bool transmitting = false;
     sim::EventId resumeEvent = sim::kNoEvent;
@@ -246,6 +265,7 @@ class Channel
     std::uint64_t pauses = 0;
     std::uint64_t faultDropped = 0;
 
+    PriorityState &priorityState();
     void tryTransmit();
     void finishTransmit(TxEntry entry);
     double effectiveGbps() const;
@@ -316,6 +336,21 @@ class Link
     {
         ab->setFlowRecorder(r);
         ba->setFlowRecorder(r);
+    }
+
+    /** Channels of this cable that hold per-priority queue state. */
+    int channelsHoldingQueueState() const
+    {
+        return int(ab->holdsQueueState()) + int(ba->holdsQueueState());
+    }
+
+    /**
+     * Bytes an idle cable owns: the link, its two channels and its two
+     * PFC shims (names and hooks behind pointers not counted).
+     */
+    static constexpr std::size_t idleBytes()
+    {
+        return sizeof(Link) + 2 * sizeof(Channel) + 2 * sizeof(PfcShim);
     }
 
   private:

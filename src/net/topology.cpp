@@ -75,6 +75,23 @@ Topology::hostIndex(int pod, int rack, int idx) const
     return (pod * config.racksPerPod + rack) * config.hostsPerRack + idx;
 }
 
+Topology::HostPort
+Topology::host(int global_index) const
+{
+    if (global_index < 0 || global_index >= numHosts())
+        sim::fatalf("Topology::host: host ", global_index,
+                    " out of range (fabric has ", numHosts(), " hosts)");
+    const int rack_global = global_index / config.hostsPerRack;
+    HostPort hp;
+    hp.pod = rack_global / config.racksPerPod;
+    hp.rack = rack_global % config.racksPerPod;
+    hp.indexInRack = global_index % config.hostsPerRack;
+    hp.addr = hostAddr(hp.pod, hp.rack, hp.indexInRack);
+    hp.mac = MacAddr{0x020000000000ull |
+                     static_cast<std::uint64_t>(hp.addr.value)};
+    return hp;
+}
+
 Switch &
 Topology::tor(int pod, int rack)
 {
@@ -97,29 +114,30 @@ void
 Topology::attachHostDevice(int global_index, PacketSink *device)
 {
     materializeHost(global_index);
-    hosts.at(global_index).link->attachA(device);
+    hostLinks[global_index]->attachA(device);
 }
 
 Channel &
 Topology::hostTx(int global_index)
 {
     materializeHost(global_index);
-    return hosts.at(global_index).link->aToB();
+    return hostLinks[global_index]->aToB();
 }
 
 Link &
 Topology::hostLink(int global_index)
 {
     materializeHost(global_index);
-    return *hosts.at(global_index).link;
+    return *hostLinks[global_index];
 }
 
 void
 Topology::materializeHost(int global_index)
 {
-    HostPort &hp = hosts.at(global_index);
-    if (hp.link != nullptr)
+    Link *&slot = hostLinks.at(global_index);
+    if (slot != nullptr)
         return;
+    const HostPort hp = host(global_index);
     Switch &torsw = tor(hp.pod, hp.rack);
     auto link = std::make_unique<Link>(
         podQueue(hp.pod),
@@ -131,7 +149,7 @@ Topology::materializeHost(int global_index)
     torsw.addHostRoute(hp.addr, down);
     if (!partitionHubs.empty())
         link->setFlowRecorder(&partitionHubs[podPartition(hp.pod)]->flows);
-    hp.link = link.get();
+    slot = link.get();
     linkEndPartitions.emplace_back(podPartition(hp.pod),
                                    podPartition(hp.pod));
     links.push_back(std::move(link));
@@ -143,6 +161,9 @@ Topology::build()
 {
     std::uint64_t seed = config.seed;
     auto next_seed = [&seed] { return ++seed; };
+    hostLinks.assign(static_cast<std::size_t>(config.pods) *
+                         config.racksPerPod * config.hostsPerRack,
+                     nullptr);
 
     // --- L2 spine (the spine partition in sharded mode) ---
     for (int i = 0; i < config.l2Count; ++i) {
@@ -229,21 +250,11 @@ Topology::build()
             }
             torsw.setDefaultRoutes(uplinks);
 
-            // Hosts in this rack: always a stub (address + coordinates);
-            // the access cable follows immediately in an eager build and
-            // on first touch in a lazy one.
-            for (int h = 0; h < config.hostsPerRack; ++h) {
-                const Ipv4Addr addr = hostAddr(pod, rack, h);
-                HostPort hp;
-                hp.pod = pod;
-                hp.rack = rack;
-                hp.indexInRack = h;
-                hp.addr = addr;
-                hp.mac = MacAddr{0x020000000000ull |
-                                 static_cast<std::uint64_t>(addr.value)};
-                hosts.push_back(hp);
-                if (!config.lazyHosts)
-                    materializeHost(static_cast<int>(hosts.size()) - 1);
+            // Hosts in this rack: the access cable follows immediately
+            // in an eager build and on first touch in a lazy one.
+            if (!config.lazyHosts) {
+                for (int h = 0; h < config.hostsPerRack; ++h)
+                    materializeHost(hostIndex(pod, rack, h));
             }
         }
     }
@@ -270,10 +281,10 @@ Topology::fluidPath(int src, int dst)
     std::vector<Channel *> path;
     if (src == dst)
         return path;
-    const HostPort &s = hosts.at(src);
-    const HostPort &d = hosts.at(dst);
-    if (s.link != nullptr)
-        path.push_back(&s.link->aToB());
+    const HostPort s = host(src);
+    const HostPort d = host(dst);
+    if (Link *up = hostLinks[src])
+        path.push_back(&up->aToB());
     if (s.pod != d.pod || s.rack != d.rack) {
         // One deterministic ECMP-style choice per (src, dst) pair:
         // splitmix64 over the endpoint indices and the topology seed.
@@ -296,9 +307,18 @@ Topology::fluidPath(int src, int dst)
             path.push_back(&torToL1Link(d.pod, d.rack, l1_up).bToA());
         }
     }
-    if (d.link != nullptr)
-        path.push_back(&d.link->bToA());
+    if (Link *down = hostLinks[dst])
+        path.push_back(&down->bToA());
     return path;
+}
+
+int
+Topology::channelsHoldingQueueState() const
+{
+    int n = 0;
+    for (const auto &link : links)
+        n += link->channelsHoldingQueueState();
+    return n;
 }
 
 std::uint64_t

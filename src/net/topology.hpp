@@ -93,13 +93,14 @@ struct TopologyConfig {
 
     /**
      * Flyweight hosts: build() creates switches, trunks, routes, and
-     * per-host HostPort stubs (address, MAC, pod/rack coordinates —
-     * tens of bytes), but defers each host's access cable and TOR port
-     * until the host is first touched (attachHostDevice / hostTx /
-     * hostLink / materializeHost). Materialization is deterministic: it
-     * depends only on the touch itself, never on wall-clock or
-     * allocation state, and a fully-materialized lazy fabric routes
-     * identically to an eager one.
+     * one null cable pointer per host (a host's address, MAC and
+     * pod/rack coordinates are arithmetic on its index), but defers
+     * each host's access cable and TOR port until the host is first
+     * touched (attachHostDevice / hostTx / hostLink / materializeHost).
+     * Materialization is deterministic: it depends only on the touch
+     * itself, never on wall-clock or allocation state, and a
+     * fully-materialized lazy fabric routes identically to an eager
+     * one.
      */
     bool lazyHosts = false;
 };
@@ -108,14 +109,13 @@ struct TopologyConfig {
 class Topology
 {
   public:
-    /** One host attachment point (the free end of the host<->TOR cable). */
+    /** Where a host attaches: its coordinates and addresses. */
     struct HostPort {
         int pod = 0;
         int rack = 0;
         int indexInRack = 0;
         Ipv4Addr addr;
         MacAddr mac;
-        Link *link = nullptr;  ///< host side is end A; TOR side is end B
     };
 
     Topology(sim::EventQueue &eq, TopologyConfig cfg);
@@ -130,15 +130,18 @@ class Topology
      */
     Topology(sim::ShardedEventQueue &sq, TopologyConfig cfg);
 
-    int numHosts() const { return static_cast<int>(hosts.size()); }
+    int numHosts() const { return static_cast<int>(hostLinks.size()); }
     int numPods() const { return config.pods; }
     int racksPerPod() const { return config.racksPerPod; }
     int hostsPerRack() const { return config.hostsPerRack; }
     int l1PerPod() const { return config.l1PerPod; }
     int numL2() const { return config.l2Count; }
 
-    /** Host attachment point by global index. */
-    HostPort &host(int global_index) { return hosts.at(global_index); }
+    /**
+     * Host attachment point by global index, derived from the index
+     * (the inverse of hostIndex()); nothing per host is stored for it.
+     */
+    HostPort host(int global_index) const;
 
     /** Global host index from (pod, rack, index-in-rack). */
     int hostIndex(int pod, int rack, int idx) const;
@@ -190,7 +193,7 @@ class Topology
     /** True once a host's access cable exists. */
     bool hostMaterialized(int global_index) const
     {
-        return hosts.at(global_index).link != nullptr;
+        return hostLinks.at(global_index) != nullptr;
     }
 
     /** Hosts whose access cable exists (== numHosts() when eager). */
@@ -224,6 +227,13 @@ class Topology
 
     /** An inter-switch trunk cable by index (for fault injection). */
     Link &trunkLink(int index) { return *trunks.at(index); }
+
+    /**
+     * Channels of trunks and materialized access cables that hold
+     * per-priority queue state (Channel::holdsQueueState). A scan over
+     * every cable, for memory reports.
+     */
+    int channelsHoldingQueueState() const;
 
     /** Aggregate drop count across all switches (excluding channels). */
     std::uint64_t totalSwitchDrops() const;
@@ -266,9 +276,11 @@ class Topology
     /** (end A, end B) partitions of each link, aligned with `links`. */
     std::vector<std::pair<int, int>> linkEndPartitions;
     std::vector<Link *> trunks;  ///< inter-switch subset of `links`
-    std::vector<HostPort> hosts;
-    /** TOR-port index of each host link's device side channel. */
-    std::vector<Channel *> hostTxChannels;
+    /**
+     * Each host's access cable (host side is end A, TOR side end B), or
+     * nullptr until a lazy build materializes it.
+     */
+    std::vector<Link *> hostLinks;
     int materialized = 0;
     /** Hub per partition (empty = detached); read by lazy cables too. */
     std::vector<obs::Observability *> partitionHubs;

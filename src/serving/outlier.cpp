@@ -56,21 +56,6 @@ replaceSorted(Samples &s, sim::TimePs old, sim::TimePs v)
     }
 }
 
-/** Remove the ascending sub-multiset @p sub from ascending @p s. */
-void
-eraseSorted(Samples &s, const Samples &sub)
-{
-    auto next = sub.begin();
-    auto out = s.begin();
-    for (auto in = s.begin(); in != s.end(); ++in) {
-        if (next != sub.end() && *in == *next)
-            ++next;
-        else
-            *out++ = *in;
-    }
-    s.erase(out, s.end());
-}
-
 }  // namespace
 
 void
@@ -170,10 +155,56 @@ OutlierDetector::lastEjectedAt(int host) const
 void
 OutlierDetector::dropSamples(HostState &hs)
 {
-    eraseSorted(clusterSorted, hs.sorted);
     hs.window.clear();
     hs.sorted.clear();
     hs.windowNext = 0;
+}
+
+sim::TimePs
+OutlierDetector::clusterPercentile() const
+{
+    // The k-th smallest sample of the union of the sorted windows, by
+    // pivot elimination: each window keeps a live range [lo, hi) that
+    // still holds the answer. The pivot is the middle sample of the
+    // widest range; counting the samples below and up to it in every
+    // range either finds the answer or drops at least half of that
+    // range (and whatever else falls on the same side) from all of
+    // them. Values, not positions, are compared, so ties cost nothing.
+    std::vector<RankRange> &live = rankRanges;
+    live.clear();
+    std::size_t total = 0;
+    for (const HostState &hs : hostsState) {
+        const sim::TimePs *data = hs.sorted.data();
+        live.push_back({data, data + hs.sorted.size(), data, data});
+        total += hs.sorted.size();
+    }
+    std::size_t k = rankIndex(cfg.latencyPercentile, total);
+    for (;;) {
+        const RankRange &widest = *std::max_element(
+            live.begin(), live.end(),
+            [](const RankRange &a, const RankRange &b) {
+                return a.hi - a.lo < b.hi - b.lo;
+            });
+        const sim::TimePs pivot = widest.lo[(widest.hi - widest.lo) / 2];
+        std::size_t below = 0;
+        std::size_t upTo = 0;
+        for (RankRange &r : live) {
+            r.below = std::lower_bound(r.lo, r.hi, pivot);
+            r.upTo = std::upper_bound(r.below, r.hi, pivot);
+            below += static_cast<std::size_t>(r.below - r.lo);
+            upTo += static_cast<std::size_t>(r.upTo - r.lo);
+        }
+        if (k >= below && k < upTo)
+            return pivot;
+        if (k < below) {
+            for (RankRange &r : live)
+                r.hi = r.below;
+        } else {
+            k -= upTo;
+            for (RankRange &r : live)
+                r.lo = r.upTo;
+        }
+    }
 }
 
 bool
@@ -184,8 +215,7 @@ OutlierDetector::latencyOutlier(const HostState &hs) const
         return false;
     // Cluster reference: the same percentile over every tracked host's
     // window (the degraded host's own samples included — conservative).
-    const sim::TimePs cluster = clusterSorted[rankIndex(
-        cfg.latencyPercentile, clusterSorted.size())];
+    const sim::TimePs cluster = clusterPercentile();
     if (cluster <= 0)
         return false;
     const sim::TimePs mine =
@@ -205,14 +235,12 @@ OutlierDetector::recordSuccess(int host, sim::TimePs latency)
     if (static_cast<int>(hs.window.size()) < cfg.latencyWindow) {
         hs.window.push_back(latency);
         insertSorted(hs.sorted, latency);
-        insertSorted(clusterSorted, latency);
     } else {
         const sim::TimePs old = hs.window[hs.windowNext];
         hs.window[hs.windowNext] = latency;
         hs.windowNext = (hs.windowNext + 1) %
                         static_cast<std::size_t>(cfg.latencyWindow);
         replaceSorted(hs.sorted, old, latency);
-        replaceSorted(clusterSorted, old, latency);
     }
     if (++hs.sinceEval < kEvalEvery)
         return;

@@ -161,13 +161,16 @@ class OutlierDetector
     EvidenceFn evidence;
     /** Tracked hosts, ascending by host index. */
     std::vector<HostState> hostsState;
-    /**
-     * Every tracked host's window samples, ascending: the cluster
-     * reference pXX is one index read. Updated with each window insert
-     * and overwrite, and when a window is cleared (ejection) or dropped
-     * (trackHosts).
-     */
-    std::vector<sim::TimePs> clusterSorted;
+    /** One window's live range while clusterPercentile() selects. */
+    struct RankRange {
+        const sim::TimePs *lo;
+        const sim::TimePs *hi;
+        const sim::TimePs *below;  ///< first sample >= the pivot
+        const sim::TimePs *upTo;   ///< first sample > the pivot
+    };
+    /** clusterPercentile()'s ranges, kept so a warm evaluation does not
+     * allocate. */
+    mutable std::vector<RankRange> rankRanges;
     std::uint64_t statEjections = 0;
     std::uint64_t statByErrors = 0;
     std::uint64_t statByLatency = 0;
@@ -176,10 +179,12 @@ class OutlierDetector
 
     HostState *find(int host);
     const HostState *find(int host) const;
-    /** Clear @p hs's window and take its samples out of the cluster. */
+    /** Clear @p hs's window. */
     void dropSamples(HostState &hs);
     void eject(HostState &hs, EjectionReason reason);
     bool latencyOutlier(const HostState &hs) const;
+    /** The cluster reference pXX across every tracked host's window. */
+    sim::TimePs clusterPercentile() const;
 };
 
 }  // namespace ccsim::serving

@@ -3,8 +3,9 @@
  * Flyweight-host tests: lazy topology/cloud materialization semantics,
  * byte-identity between lazy and eager builds, management-plane touches
  * (fault injection, health heartbeats, lease deploys) materializing
- * stubs deterministically, widened pod addressing, and the sim.mem.*
- * memory telemetry.
+ * stubs deterministically, widened pod addressing, host stubs derived
+ * by arithmetic, queue state only on cables that carry packets, and the
+ * sim.mem.* memory telemetry.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "fault/fault.hpp"
 #include "fpga/null_role.hpp"
 #include "haas/health_monitor.hpp"
+#include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"
@@ -38,6 +40,91 @@ podScaleConfig(bool lazy)
     cfg.createNics = true;
     cfg.lazyHosts = lazy;
     return cfg;
+}
+
+TEST(LazyFabric, HostStubsAreArithmeticInEagerAndLazyBuilds)
+{
+    for (bool lazy : {false, true}) {
+        EventQueue eq;
+        net::TopologyConfig cfg;
+        cfg.hostsPerRack = 5;
+        cfg.racksPerPod = 3;
+        cfg.l1PerPod = 2;
+        cfg.pods = 3;
+        cfg.l2Count = 2;
+        cfg.lazyHosts = lazy;
+        net::Topology topo(eq, cfg);
+        ASSERT_EQ(topo.numHosts(), 45);
+        // The fields the builder used to store per host, in its
+        // construction order (pod, rack, index in rack).
+        int index = 0;
+        for (int pod = 0; pod < cfg.pods; ++pod) {
+            for (int rack = 0; rack < cfg.racksPerPod; ++rack) {
+                for (int h = 0; h < cfg.hostsPerRack; ++h, ++index) {
+                    const auto hp = topo.host(index);
+                    const auto addr = net::Ipv4Addr::of(
+                        10, static_cast<std::uint8_t>(pod),
+                        static_cast<std::uint8_t>(rack),
+                        static_cast<std::uint8_t>(h + 1));
+                    EXPECT_EQ(hp.pod, pod) << index;
+                    EXPECT_EQ(hp.rack, rack) << index;
+                    EXPECT_EQ(hp.indexInRack, h) << index;
+                    EXPECT_EQ(hp.addr, addr) << index;
+                    EXPECT_EQ(hp.mac, net::MacAddr{0x020000000000ull |
+                                                   addr.value})
+                        << index;
+                    EXPECT_EQ(topo.hostIndex(pod, rack, h), index);
+                    EXPECT_EQ(topo.hostMaterialized(index), !lazy);
+                }
+            }
+        }
+    }
+}
+
+TEST(LazyFabric, OnlyCablesThatCarryPacketsHoldQueueState)
+{
+    for (bool lazy : {false, true}) {
+        EventQueue eq;
+        core::ConfigurableCloud cloud(eq, podScaleConfig(lazy));
+        const auto mem = cloud.fabricMemoryStats();
+        EXPECT_GT(mem.fabricLinks, 0u);
+        EXPECT_EQ(mem.queueStateChannels, 0u) << (lazy ? "lazy" : "eager");
+        net::Channel &trunk = cloud.topology().trunkLink(0).aToB();
+        EXPECT_EQ(trunk.queuedBytes(net::kTcLossless), 0u);
+        EXPECT_FALSE(trunk.holdsQueueState());
+    }
+
+    // One cross-pod message and its ACK give queue state only to the
+    // transmitters they cross: at most six hops each way.
+    EventQueue eq;
+    core::ConfigurableCloud cloud(eq, podScaleConfig(true));
+    const int src = 0, dst = cloud.numServers() - 1;
+    fpga::NullRole sink;
+    ASSERT_GE(cloud.shell(dst).addRole(&sink), 0);
+    auto ch = cloud.openLtl(src, dst, sink.port);
+    auto *engine = cloud.shell(src).ltlEngine();
+    eq.scheduleAfter(0, [engine, conn = ch.sendConn()] {
+        engine->sendMessage(conn, 64);
+    });
+    eq.runFor(sim::fromMillis(2));
+    ASSERT_EQ(engine->rttUs().count(), 1u);
+    const auto ltl = cloud.fabricMemoryStats().queueStateChannels;
+    EXPECT_GE(ltl, 2u);
+    EXPECT_LE(ltl, 12u);
+
+    // A NIC packet to a rack neighbour adds exactly three: the sender's
+    // NIC cable, the neighbour's access cable (TOR to FPGA) and the
+    // neighbour's NIC cable (FPGA to NIC).
+    int received = 0;
+    cloud.nic(src + 1).setReceiveHandler(
+        [&](const net::PacketPtr &) { ++received; });
+    auto pkt = net::makePacket();
+    pkt->ipDst = cloud.addressOf(src + 1);
+    pkt->payloadBytes = 100;
+    cloud.nic(src).sendPacket(pkt);
+    eq.runFor(sim::fromMillis(1));
+    EXPECT_EQ(received, 1);
+    EXPECT_EQ(cloud.fabricMemoryStats().queueStateChannels, ltl + 3);
 }
 
 TEST(LazyFabric, StubsMaterializeOnFirstTouchOnly)

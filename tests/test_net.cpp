@@ -155,6 +155,66 @@ TEST(Link, PfcFrameIsConsumedAndPausesReverse)
     EXPECT_EQ(b.packets.size(), 1u);  // released after pause expiry
 }
 
+TEST(Channel, IdleChannelHoldsNoQueueState)
+{
+    EventQueue eq;
+    Channel ch(eq, "ch", 40.0, 0, 1 << 20);
+    CollectorSink sink(eq);
+    ch.setSink(&sink);
+    // Fluid load alone leaves the per-priority state unallocated.
+    ch.addFluidBps(10'000'000'000ull);
+    EXPECT_FALSE(ch.holdsQueueState());
+    for (std::uint8_t prio = 0; prio < net::kNumTrafficClasses; ++prio)
+        EXPECT_EQ(ch.queuedBytes(prio), 0u);
+    eq.runAll();
+    EXPECT_FALSE(ch.holdsQueueState());
+
+    // The first packet allocates it; draining keeps it.
+    auto pkt = makeUdp({1}, {2}, 300);
+    ch.send(pkt);
+    EXPECT_TRUE(ch.holdsQueueState());
+    eq.runAll();
+    EXPECT_EQ(sink.packets.size(), 1u);
+    EXPECT_TRUE(ch.holdsQueueState());
+    EXPECT_EQ(ch.queuedBytes(net::kTcLossy), 0u);
+}
+
+TEST(Link, PauseAndXonThrottleAChannelWhoseFirstPacketArrivesMidPause)
+{
+    EventQueue eq;
+    Link link(eq, "l", 40.0, 1.0);
+    CollectorSink a(eq), b(eq);
+    link.attachA(&a);
+    link.attachB(&b);
+    EXPECT_EQ(link.channelsHoldingQueueState(), 0);
+
+    // B pauses A's lossless class before A has ever transmitted: the
+    // pause alone gives A's transmitter its queue state.
+    link.bToA().send(net::makePfcPause(net::kTcLossless,
+                                       50 * sim::kMicrosecond));
+    EXPECT_FALSE(link.aToB().holdsQueueState());
+    eq.runUntil(1 * sim::kMicrosecond);
+    EXPECT_TRUE(link.aToB().holdsQueueState());
+    EXPECT_EQ(link.aToB().pausesReceived(), 1u);
+    EXPECT_EQ(link.channelsHoldingQueueState(), 2);
+
+    // A's first packet waits out the pause...
+    auto data = makeUdp({1}, {2}, 200, net::kTcLossless);
+    link.aToB().send(data);
+    EXPECT_EQ(link.aToB().queuedBytes(net::kTcLossless), data->wireBytes());
+    eq.runUntil(10 * sim::kMicrosecond);
+    EXPECT_TRUE(b.packets.empty());
+
+    // ...until B's X-ON ends it early, long before the pause expires.
+    link.bToA().send(net::makePfcPause(net::kTcLossless, 0));
+    eq.runUntil(15 * sim::kMicrosecond);
+    ASSERT_EQ(b.packets.size(), 1u);
+    EXPECT_GT(b.times[0], 10 * sim::kMicrosecond);
+    EXPECT_EQ(link.aToB().queuedBytes(net::kTcLossless), 0u);
+    EXPECT_EQ(link.aToB().pausesReceived(), 2u);
+    EXPECT_TRUE(a.packets.empty());  // both PFC frames consumed
+}
+
 TEST(Switch, RoutesByHostRoute)
 {
     EventQueue eq;

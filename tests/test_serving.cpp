@@ -489,6 +489,52 @@ TEST(Outlier, MatchesSortOracleOnRandomOps)
         EXPECT_FALSE(ref.ejected(0));
     }
 
+    // Windows of different sizes: hosts fill to 32, 28, 24 and 20
+    // samples, then host 0 is ejected by errors (its window cleared) and
+    // refills with slow samples, so the cluster rank is read across
+    // windows of unequal length, one of them refilling.
+    for (double pct : {1.0, 50.0, 90.0}) {
+        EventQueue eq;
+        EjectionConfig cfg;
+        cfg.consecutiveErrors = 2;
+        cfg.baseEjectionTime = ms;
+        cfg.latencyFactor = 1.5;
+        cfg.latencyPercentile = pct;
+        cfg.latencyWindow = 32;
+        cfg.minLatencySamples = 16;
+        OutlierDetector det(eq, cfg);
+        ReferenceOutlierDetector ref(eq, cfg);
+        det.trackHosts({0, 1, 2, 3});
+        ref.trackHosts({0, 1, 2, 3});
+        const std::string where = "uneven windows p" + std::to_string(pct);
+        auto success = [&](int h, sim::TimePs lat) {
+            det.recordSuccess(h, lat);
+            ref.recordSuccess(h, lat);
+            expectSameDetectorState(det, ref, 4, where);
+        };
+        for (int h = 0; h < 4; ++h) {
+            for (int i = 0; i < 32 - 4 * h; ++i)
+                success(h, (i == 0 ? 1 : 1 + (i * 7 + h * 3) % 29) *
+                               sim::kMicrosecond);
+        }
+        ASSERT_FALSE(HasFatalFailure());
+        EXPECT_EQ(det.ejections(), 0u) << where;
+        det.recordError(0);
+        ref.recordError(0);
+        det.recordError(0);
+        ref.recordError(0);
+        ASSERT_TRUE(det.ejected(0)) << where;
+        eq.runFor(2 * ms);
+        ASSERT_FALSE(det.ejected(0)) << where;
+        for (int i = 0; i < 16; ++i)
+            success(0, (100 + i) * sim::kMicrosecond);
+        ASSERT_FALSE(HasFatalFailure());
+        // At p90 host 0's 16 slow samples are the top 16 of the 88 in
+        // the cluster, so the cluster p90 is one of them: no ejection.
+        EXPECT_EQ(det.ejectionsByLatency(), pct < 90.0 ? 1u : 0u) << where;
+        EXPECT_EQ(det.ejected(0), pct < 90.0) << where;
+    }
+
     // Random op sequences: tied and zero latencies, slow hosts, errors,
     // membership churn (including untracked hosts), and time advancing
     // past ejection expiry, for every percentile x window combination.
