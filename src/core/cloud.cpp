@@ -6,6 +6,13 @@
 
 namespace ccsim::core {
 
+namespace {
+
+/** NIC-to-FPGA cable length. */
+constexpr double kNicCableMeters = 2.0;
+
+}  // namespace
+
 void
 ConfigurableCloud::validate(const CloudConfig &cfg)
 {
@@ -18,17 +25,6 @@ ConfigurableCloud::validate(const CloudConfig &cfg)
         sim::fatalf("CloudConfig: need at least one switch per fabric "
                     "tier (l1PerPod=", t.l1PerPod, ", l2Count=", t.l2Count,
                     ")");
-    if (t.linkGbps <= 0.0)
-        sim::fatalf("CloudConfig: linkGbps must be positive (got ",
-                    t.linkGbps, ")");
-    if (t.hostCableMeters < 0.0 || t.torToL1Meters < 0.0 ||
-        t.l1ToL2Meters < 0.0)
-        sim::fatalf("CloudConfig: cable lengths must be non-negative "
-                    "(host=", t.hostCableMeters, " m, tor-l1=",
-                    t.torToL1Meters, " m, l1-l2=", t.l1ToL2Meters, " m)");
-    if (cfg.createNics && cfg.nicCableMeters < 0.0)
-        sim::fatalf("CloudConfig: nicCableMeters must be non-negative "
-                    "(got ", cfg.nicCableMeters, ")");
     if (cfg.flowSampleEvery > 0 && cfg.obs == nullptr &&
         cfg.shardObs == nullptr)
         sim::fatal("CloudConfig: flowSampleEvery set but no observability "
@@ -218,7 +214,7 @@ ConfigurableCloud::materializeServer(int host)
     if (config.createNics) {
         auto link = std::make_unique<net::Link>(
             hq, "niclink." + std::to_string(host),
-            config.topology.linkGbps, config.nicCableMeters);
+            net::kLinkGbps, kNicCableMeters);
         if (hub)
             link->setFlowRecorder(&hub->flows);
         auto nic = std::make_unique<net::Nic>(

@@ -61,8 +61,6 @@ struct CloudConfig {
      * topology.lazyHosts from this flag.
      */
     bool lazyHosts = false;
-    /** NIC-to-FPGA cable length. */
-    double nicCableMeters = 2.0;
     /**
      * Observability hub to instrument the whole datacenter with
      * (`ltl.node<i>.*`, `router.node<i>.*`, `switch.*`, `fpga.node<i>.*`,
@@ -237,8 +235,8 @@ class ConfigurableCloud
      * Partitioned construction on the parallel kernel: pod p's servers,
      * switches, and cables live on @p sq.partition(p) and the L2 spine
      * (plus the HaaS resource manager) on partition `pods`. Build
-     * @p sq from shardPlan(cfg) so the partition count and window match
-     * the topology. Instrumentation must come through
+     * @p sq from shardPlan(cfg) so the partition count matches the
+     * topology. Instrumentation must come through
      * cfg.shardObs (one hub per partition) rather than cfg.obs. Health
      * monitoring and fault injection run as barrier hooks here exactly
      * as on a single-queue cloud; see fault/fault.hpp for the two fault

@@ -8,6 +8,15 @@
 
 namespace ccsim::net {
 
+namespace {
+
+/** Cable lengths: server to TOR, TOR to L1, and L1 to L2. */
+constexpr double kHostCableMeters = 5.0;
+constexpr double kTorToL1Meters = 50.0;
+constexpr double kL1ToL2Meters = 300.0;
+
+}  // namespace
+
 Topology::Topology(sim::EventQueue &eq, TopologyConfig cfg)
     : queue(eq), config(std::move(cfg))
 {
@@ -143,7 +152,7 @@ Topology::materializeHost(int global_index)
         podQueue(hp.pod),
         "tor." + std::to_string(hp.pod) + "." + std::to_string(hp.rack) +
             ".host" + std::to_string(hp.indexInRack),
-        config.linkGbps, config.hostCableMeters);
+        kLinkGbps, kHostCableMeters);
     const int down = torsw.addPort(&link->bToA());
     link->attachB(torsw.portSink(down));
     torsw.addHostRoute(hp.addr, down);
@@ -193,7 +202,7 @@ Topology::build()
             for (int j = 0; j < config.l2Count; ++j) {
                 auto link = std::make_unique<Link>(
                     podQueue(pod), queue, name + "-l2." + std::to_string(j),
-                    config.linkGbps, config.l1ToL2Meters);
+                    kLinkGbps, kL1ToL2Meters);
                 if (shards)
                     link->setCrossShard(*shards, podPartition(pod),
                                         spinePartition());
@@ -230,8 +239,8 @@ Topology::build()
             for (int i = 0; i < config.l1PerPod; ++i) {
                 Switch &l1sw = *l1Switches[pod * config.l1PerPod + i];
                 auto link = std::make_unique<Link>(
-                    podQueue(pod), tor_name + "-l1", config.linkGbps,
-                    config.torToL1Meters);
+                    podQueue(pod), tor_name + "-l1", kLinkGbps,
+                    kTorToL1Meters);
                 const int up = torsw.addPort(&link->aToB());
                 const int down = l1sw.addPort(&link->bToA());
                 link->attachA(torsw.portSink(up));

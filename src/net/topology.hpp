@@ -45,6 +45,9 @@ struct TierParams {
     sim::TimePs tailCap = 0;
 };
 
+/** Line rate of every cable: the paper's 40 Gb/s Ethernet. */
+inline constexpr double kLinkGbps = 40.0;
+
 /** Configuration for a datacenter instance. */
 struct TopologyConfig {
     int hostsPerRack = 24;
@@ -52,12 +55,6 @@ struct TopologyConfig {
     int l1PerPod = 2;
     int pods = 1;
     int l2Count = 2;
-
-    double linkGbps = 40.0;
-
-    double hostCableMeters = 5.0;
-    double torToL1Meters = 50.0;
-    double l1ToL2Meters = 300.0;
 
     /**
      * Calibrated to reproduce Figure 10's L0/L1/L2 latency bands
@@ -125,7 +122,7 @@ class Topology
      * on @p sq.partition(p); the L2 spine lives on partition `pods`
      * (so @p sq needs pods + 1 partitions). The only partition-crossing
      * cables are the L1<->L2 trunks; they are registered as cross edges
-     * with lookahead = their propagation delay (l1ToL2Meters), which
+     * with lookahead = their propagation delay (300 m of cable), which
      * becomes the kernel's conservative sync window.
      */
     Topology(sim::ShardedEventQueue &sq, TopologyConfig cfg);

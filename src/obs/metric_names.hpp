@@ -38,7 +38,7 @@ inline constexpr MetricPattern kMetricPatterns[] = {
      "Currently scheduled, uncancelled events."},
     {"sim.queue.cancelled", "gauge", "Total event cancellations."},
     {"sim.queue.wheel_overflow", "gauge",
-     "Events parked in the far-future overflow heap."},
+     "Events parked at the timing wheel's top level, past its 2^60 ps span."},
 
     // --- sim.shard.* : parallel kernel health (registerShardProbes) ---
     {"sim.shard.partitions", "gauge",

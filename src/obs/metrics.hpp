@@ -405,8 +405,8 @@ struct Observability {
  *    same-seed snapshots);
  *  - `sim.queue.live` — currently scheduled, uncancelled events;
  *  - `sim.queue.cancelled` — total cancellations;
- *  - `sim.queue.wheel_overflow` — events parked in the far-future
- *    overflow heap.
+ *  - `sim.queue.wheel_overflow` — events parked at the timing wheel's
+ *    top level, past the 2^60 ps (~13-day) span of its wheel time.
  *
  * @p eq must outlive @p registry (or probe re-registration).
  */

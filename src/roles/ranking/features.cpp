@@ -229,15 +229,6 @@ RankingModel::score(const FeatureVector &f) const
     return 1.0 / (1.0 + std::exp(-z));
 }
 
-FeatureVector
-computeFeatures(const host::Query &query, const host::Document &doc)
-{
-    FeatureVector f{};
-    FfuProgram::compile(query).run(doc, f);
-    DpfEngine(query).run(doc, f);
-    return f;
-}
-
 std::vector<ScoredDocument>
 rankDocuments(const host::Query &query,
               const std::vector<host::Document> &candidates,

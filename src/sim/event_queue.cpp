@@ -7,7 +7,7 @@ namespace ccsim::sim {
 
 namespace {
 
-/** (when, seq) order of due-buffer and overflow-heap entries. */
+/** (when, seq) order of due-buffer entries. */
 constexpr auto earlier = [](const auto &a, const auto &b) {
     if (a.when != b.when)
         return a.when < b.when;
@@ -99,11 +99,11 @@ TimerWheelQueue::catchUp()
     const std::uint64_t diff =
         static_cast<std::uint64_t>(currentTime ^ wheelTime) >> kSlotShift0;
     const int group = (63 - std::countl_zero(diff)) / kSlotBits;
-    for (int level = 0; level < std::min(group, kLevels); ++level) {
+    for (int level = 0; level < group; ++level) {
         if (occupied[level] != 0)
             return;  // tombstones only, but they hold their slots
     }
-    if (group < kLevels && occupied[group] != 0 &&
+    if (occupied[group] != 0 &&
         static_cast<int>((currentTime >> shiftOf(group)) & (kSlots - 1)) >=
             std::countr_zero(occupied[group]))
         return;
@@ -120,34 +120,16 @@ TimerWheelQueue::place(std::uint32_t idx, TimePs when)
     // can fall behind the clock; a park brings it up to the clock when
     // that moves no parked event, so events land at the levels (and in
     // the warm cells) they would have had every event passed through the
-    // wheel, and the horizon is measured from the clock.
+    // wheel.
     if (currentTime > wheelTime &&
         ((currentTime ^ wheelTime) >> kSlotShift0) != 0)
         catchUp();
     const int level = levelOf(when);
-    if (level < kLevels) {
-        const int slot =
-            static_cast<int>((when >> shiftOf(level)) & (kSlots - 1));
-        cells[level][slot].push_back(idx);
-        occupied[level] |= std::uint64_t{1} << slot;
-        return;
-    }
-    overflow.push_back(FarEvent{when, pool[idx].seq, idx});
-    std::push_heap(overflow.begin(), overflow.end(), FarLater{});
-    ++overflowCount;
-}
-
-void
-TimerWheelQueue::pruneOverflowTop()
-{
-    while (!overflow.empty() &&
-           pool[overflow.front().idx].state == SlotState::kDead) {
-        const std::uint32_t dead = overflow.front().idx;
-        std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
-        overflow.pop_back();
-        freeRecord(dead);
-        --deadParked;
-    }
+    const int slot = static_cast<int>((when >> shiftOf(level)) & (kSlots - 1));
+    cells[level][slot].push_back(idx);
+    occupied[level] |= std::uint64_t{1} << slot;
+    if (level == kLevels - 1)
+        ++overflowCount;
 }
 
 void
@@ -220,32 +202,21 @@ TimerWheelQueue::Head
 TimerWheelQueue::ensureNext(TimePs limit, bool exact)
 {
     while (true) {
-        // The due buffer holds the wheel's earliest events: the wheel
+        // The due buffer holds the earliest parked events: the wheel
         // time lies in its level-0 slot, so later arrivals for that slot
         // land in the one cell merged here and every other parked event
-        // is strictly later. Only the overflow heap can hold an earlier
-        // one.
+        // is strictly later.
         if (dueSlotAbs >= 0) {
             mergeDueArrivals();
-            if (dueFrontLive()) {
-                pruneOverflowTop();
-                const DueEntry &front = due[duePos];
-                if (!overflow.empty() && earlier(overflow.front(), front))
-                    return {Next::kOverflow, overflow.front().when};
-                return {Next::kDue, front.when};
-            }
+            if (dueFrontLive())
+                return {Next::kDue, due[duePos].when};
         }
-        pruneOverflowTop();
 
         int level = 0;
         while (level < kLevels && occupied[level] == 0)
             ++level;
-        if (level == kLevels) {
-            // Wheel empty: the overflow heap alone orders what is left.
-            if (overflow.empty())
-                return {Next::kNone, kTimeNever};
-            return {Next::kOverflow, overflow.front().when};
-        }
+        if (level == kLevels)
+            return {Next::kNone, kTimeNever};
 
         // The first occupied slot of the lowest occupied level holds the
         // earliest parked events. Its events go to the due buffer when
@@ -254,19 +225,14 @@ TimerWheelQueue::ensureNext(TimePs limit, bool exact)
         // which takes that one straight to level 0.
         const int slot = std::countr_zero(occupied[level]);
         auto &cell = cells[level][slot];
-        TimePs base =
-            ((wheelTime >> shiftOf(1)) << shiftOf(1)) |
-            (static_cast<TimePs>(slot) << kSlotShift0);
+        TimePs base = slotStart(0, slot);
         TimePs first = kTimeNever;
         bool oneSlot = true;
         if (level > 0 || base > limit) {
             // No event in the slot is earlier than its start: past the
             // limit, that bound serves unless an exact time is asked for.
-            const TimePs start =
-                ((wheelTime >> shiftOf(level + 1)) << shiftOf(level + 1)) |
-                (static_cast<TimePs>(slot) << shiftOf(level));
-            if (!exact && start > limit &&
-                (overflow.empty() || overflow.front().when >= start))
+            const TimePs start = slotStart(level, slot);
+            if (!exact && start > limit)
                 return {Next::kLater, start};
             TimePs last = 0;
             std::size_t live = 0;
@@ -288,14 +254,9 @@ TimerWheelQueue::ensureNext(TimePs limit, bool exact)
             }
             base = (first >> kSlotShift0) << kSlotShift0;
             oneSlot = (first >> kSlotShift0) == (last >> kSlotShift0);
-            // The wheel time never passes the head, nor `limit`.
-            if (!overflow.empty() && overflow.front().when < base)
-                return {Next::kOverflow, overflow.front().when};
+            // The wheel time never passes `limit`.
             if (base > limit)
-                return {Next::kLater,
-                        overflow.empty()
-                            ? first
-                            : std::min(first, overflow.front().when)};
+                return {Next::kLater, first};
         }
         wheelTime = base;
         occupied[level] &= ~(std::uint64_t{1} << slot);
@@ -333,10 +294,9 @@ TimerWheelQueue::locate(TimePs limit)
         return parked;
     const DueEntry &first = head[headSize - 1];
     const bool parkedFirst =
-        parked.src == Next::kDue || parked.src == Next::kOverflow
+        parked.src == Next::kDue
             ? parked.when < first.when ||
-                  (parked.when == first.when &&
-                   headSeq(parked.src) < first.seq)
+                  (parked.when == first.when && due[duePos].seq < first.seq)
             : parked.when < first.when;  // both are then after `limit`
     return parkedFirst ? parked : Head{Next::kList, first.when};
 }
@@ -352,22 +312,14 @@ TimerWheelQueue::detach(Next src)
     }
     // The parked head leaves: the bound stays a lower bound, inexact.
     parkedExact = false;
-    if (src == Next::kOverflow) {
-        const std::uint32_t idx = overflow.front().idx;
-        std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
-        overflow.pop_back();
-        return idx;
-    }
     const std::uint32_t idx = due[duePos++].idx;
     // Raise it to the earliest of what is left, so that a new event can
-    // tell whether it may be next: the due buffer's next entry, the
+    // tell whether it may be next: the due buffer's next entry, and the
     // start of the first occupied slot (whose events precede every other
-    // cell's), and the overflow top.
+    // cell's).
     TimePs bound = firstSlotStart();
     if (duePos < due.size())
         bound = std::min(bound, due[duePos].when);
-    if (!overflow.empty())
-        bound = std::min(bound, overflow.front().when);
     parkedBound = bound;
     return idx;
 }
@@ -376,11 +328,8 @@ TimePs
 TimerWheelQueue::firstSlotStart() const
 {
     for (int level = 0; level < kLevels; ++level) {
-        if (occupied[level] != 0) {
-            const int slot = std::countr_zero(occupied[level]);
-            return ((wheelTime >> shiftOf(level + 1)) << shiftOf(level + 1)) |
-                   (static_cast<TimePs>(slot) << shiftOf(level));
-        }
+        if (occupied[level] != 0)
+            return slotStart(level, std::countr_zero(occupied[level]));
     }
     return kTimeNever;
 }
@@ -562,12 +511,6 @@ TimerWheelQueue::maybeSweep()
         if (duePos >= due.size())
             dueFrontLive();  // resets the buffer if fully consumed
     }
-    auto last = std::remove_if(overflow.begin(), overflow.end(),
-                               [&](const FarEvent &e) {
-                                   return isDead(e.idx);
-                               });
-    overflow.erase(last, overflow.end());
-    std::make_heap(overflow.begin(), overflow.end(), FarLater{});
     deadParked = 0;
 }
 
@@ -633,12 +576,6 @@ TimerWheelQueue::pastRunAhead(TimePs t) const
 {
     panicf("EventQueue run-ahead: time ", t, " is in the past (now ",
            currentTime, ")");
-}
-
-std::uint64_t
-TimerWheelQueue::headSeq(Next src) const
-{
-    return src == Next::kDue ? due[duePos].seq : overflow.front().seq;
 }
 
 }  // namespace ccsim::sim

@@ -8,14 +8,15 @@
  *
  * `EventQueue` is a **TimerWheelQueue**: a hierarchical timing wheel
  * tuned for ccsim's bimodal delay distribution (sub-ns flit/link hops
- * vs. multi-µs LTL retransmit timers): 8 levels of 64 slots with
- * 4.096 ns level-0 slots, all anchored at one wheel time, a far-future
- * overflow heap, freelist-pooled event records, inline small-buffer
- * closures (sim::EventFn), and generation-counted handles giving O(1)
- * cancel() that destroys the closure — and releases everything it
- * captured — immediately. A sorted head list of up to 16 events in front
- * of the wheel runs the events of a sparse queue, and an event that is
- * the earliest from birth, without ever parking them in the wheel.
+ * vs. multi-µs LTL retransmit timers): 9 levels of 64 slots with
+ * 4.096 ns level-0 slots, all anchored at one wheel time, whose top
+ * level covers every time, freelist-pooled event records, inline
+ * small-buffer closures (sim::EventFn), and generation-counted handles
+ * giving O(1) cancel() that destroys the closure — and releases
+ * everything it captured — immediately. A sorted head list of up to 16
+ * events in front of the wheel runs the events of a sparse queue, and an
+ * event that is the earliest from birth, without ever parking them in
+ * the wheel.
  *
  * The property tests check it against the original binary-heap queue
  * (tests/binary_heap_queue.hpp): both execute events in exactly the same
@@ -82,9 +83,11 @@ inline constexpr EventId kNoEvent = 0;
  *    live events never parks at all, nor does a chain of events that each
  *    schedule the next earliest one; a dense workload, whose new events
  *    land behind a parked head, rarely uses the list.
- *  - 8 levels × 64 slots; level L slots are 2^(12+6L) ps wide: 4.096 ns
+ *  - 9 levels × 64 slots; level L slots are 2^(12+6L) ps wide: 4.096 ns
  *    at level 0, 262 ns at level 1, 16.8 µs at level 2, 1.07 ms at
- *    level 3, up to 5.0 h at level 7. Sub-slot order is restored by
+ *    level 3, 5.0 h at level 7 and 2^60 ps (≈ 13.3 simulated days) at
+ *    level 8, whose span is all of time: every time has a level, and
+ *    the top level's span starts at 0. Sub-slot order is restored by
  *    sorting a level-0 slot when it is drained, which is cheap because
  *    slots are short at this width.
  *  - every level is anchored at one wheel time, which never passes
@@ -117,11 +120,6 @@ inline constexpr EventId kNoEvent = 0;
  *  - nextEventTime() and a runUntil() that stops short of the next
  *    event never move the wheel time past now(), so every event
  *    scheduled afterwards, at any time >= now(), still finds its level.
- *  - only events beyond the horizon — whose time differs from the wheel
- *    time above bit 60, i.e. that lie past the end of the aligned 2^60 ps
- *    (≈ 13.3 simulated days) span holding the wheel time — go to a
- *    far-future overflow heap ordered by (time, seq), which the take
- *    path compares with the wheel's head.
  *
  * cancel() checks the handle's generation against the pool record and,
  * when live, destroys the closure in place: O(1), no heap walk, and any
@@ -285,7 +283,10 @@ class TimerWheelQueue
     std::uint64_t eventsExecuted() const { return executedCount; }
     /** Total number of events cancelled so far. */
     std::uint64_t eventsCancelled() const { return cancelledCount; }
-    /** Events that were routed to the far-future overflow heap. */
+    /**
+     * Events parked at the top wheel level: those past the aligned
+     * 2^60 ps (≈ 13.3 simulated days) span holding the wheel time.
+     */
     std::uint64_t wheelOverflows() const { return overflowCount; }
     /** Highest number of simultaneously live events seen. */
     std::size_t peakLiveEvents() const { return peakLive; }
@@ -296,13 +297,23 @@ class TimerWheelQueue
     friend class ShardedEventQueue;
 
     // Wheel geometry. Level L slots are 2^(kSlotShift0 + 6L) ps wide.
-    static constexpr int kLevels = 8;
+    static constexpr int kLevels = 9;
     static constexpr int kSlotBits = 6;
     static constexpr int kSlots = 1 << kSlotBits;           // 64
     static constexpr int kSlotShift0 = 12;                  // 4.096 ns
     static constexpr int shiftOf(int level)
     {
         return kSlotShift0 + kSlotBits * level;
+    }
+    /**
+     * The start of slot @p slot of @p level in the span of that level
+     * holding the wheel time. Two shifts, because one by the top level's
+     * 66-bit span would be undefined; they make that span start at 0.
+     */
+    TimePs slotStart(int level, int slot) const
+    {
+        const TimePs span = (wheelTime >> shiftOf(level)) >> kSlotBits;
+        return ((span << kSlotBits) | slot) << shiftOf(level);
     }
 
     /** A record's state; kLive and kListed records are live events. */
@@ -317,26 +328,10 @@ class TimerWheelQueue
         EventFn fn;
     };
 
-    /** Overflow-heap key; kept tiny so sift operations stay cheap. */
-    struct FarEvent {
-        TimePs when;
-        std::uint64_t seq;
-        std::uint32_t idx;
-    };
-    struct FarLater {
-        bool operator()(const FarEvent &a, const FarEvent &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     std::vector<Record> pool;
     std::vector<std::uint32_t> freeList;
     std::vector<std::uint32_t> cells[kLevels][kSlots];
     std::uint64_t occupied[kLevels] = {};  ///< bit s: cells[L][s] non-empty
-    std::vector<FarEvent> overflow;        ///< min-heap by (when, seq)
     /**
      * The anchor of every level (see the class comment): never above a
      * pending event, and never above now() when a callback runs or a
@@ -456,14 +451,12 @@ class TimerWheelQueue
                static_cast<EventId>(idx + 1);
     }
     void freeRecord(std::uint32_t idx);
-    /** The wheel level for @p when; kLevels or more: past the horizon. */
+    /** The wheel level for @p when. */
     int levelOf(TimePs when) const;
-    /** Park @p idx at its level, or in the overflow heap past the horizon. */
+    /** Park @p idx at its level. */
     void place(std::uint32_t idx, TimePs when);
     /** Move the wheel time up to now() if no parked event changes level. */
     void catchUp();
-    /** Pop cancelled records off the overflow heap's top. */
-    void pruneOverflowTop();
     /** Move @p cell, whose events share level-0 slot @p slotAbs, to `due`. */
     void loadDue(std::vector<std::uint32_t> &cell, std::int64_t slotAbs);
     /** Append new same-slot arrivals to `due` and restore sort order. */
@@ -472,21 +465,20 @@ class TimerWheelQueue
     bool dueFrontLive();
     /**
      * Where the next event is: at the head list's end, at the due front,
-     * at the overflow top, or (kLater) still in a wheel cell because it
-     * is due after the limit; `when` is its exact time (for kLater, a
-     * lower bound above the limit unless an exact one is asked for),
-     * kTimeNever for kNone.
+     * or (kLater) still in a wheel cell because it is due after the
+     * limit; `when` is its exact time (for kLater, a lower bound above
+     * the limit unless an exact one is asked for), kTimeNever for kNone.
      */
-    enum class Next { kNone, kList, kDue, kOverflow, kLater };
+    enum class Next { kNone, kList, kDue, kLater };
     struct Head {
         Next src;
         TimePs when;
     };
     /**
      * Locate the parked head, draining and re-placing wheel slots as
-     * needed, without moving the wheel time past @p limit: a kDue or
-     * kOverflow head is then readable. A head past @p limit is reported
-     * as kLater with its exact time if @p exact, else with a lower bound.
+     * needed, without moving the wheel time past @p limit: a kDue head
+     * is then readable. A head past @p limit is reported as kLater with
+     * its exact time if @p exact, else with a lower bound.
      */
     Head ensureNext(TimePs limit, bool exact);
     /**
@@ -497,7 +489,7 @@ class TimerWheelQueue
      * both.
      */
     Head locate(TimePs limit);
-    /** Detach the next event's record from @p src (kList, kDue, kOverflow). */
+    /** Detach the next event's record from @p src (kList, kDue). */
     std::uint32_t detach(Next src);
     /** The start of the first occupied wheel slot; kTimeNever if none. */
     TimePs firstSlotStart() const;
@@ -511,8 +503,6 @@ class TimerWheelQueue
     [[noreturn]] void pastSchedule(TimePs when) const;
     /** Run ahead to a time in the past: panics. */
     [[noreturn]] void pastRunAhead(TimePs t) const;
-    /** The sequence number of the parked head at @p src (kDue, kOverflow). */
-    std::uint64_t headSeq(Next src) const;
     void maybeSweep();
 };
 

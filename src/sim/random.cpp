@@ -155,20 +155,6 @@ Rng::poisson(double lambda)
     return x < 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
 }
 
-std::uint64_t
-Rng::geometric(double p)
-{
-    if (p <= 0.0 || p > 1.0)
-        panic("Rng::geometric: p out of (0,1]");
-    if (p == 1.0)
-        return 0;
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
-}
-
 Rng
 Rng::split()
 {

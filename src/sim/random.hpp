@@ -90,9 +90,6 @@ class Rng
     /** Poisson variate with rate lambda (Knuth for small, PTRS for large). */
     std::uint64_t poisson(double lambda);
 
-    /** Geometric: number of failures before first success, prob p. */
-    std::uint64_t geometric(double p);
-
     /** Split off an independent child stream (for per-component RNGs). */
     Rng split();
 

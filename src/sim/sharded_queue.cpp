@@ -82,15 +82,13 @@ cpuRelax()
 
 ShardedEventQueue::ShardedEventQueue() : ShardedEventQueue(Config{}) {}
 
-ShardedEventQueue::ShardedEventQueue(Config cfg) : config(cfg)
+ShardedEventQueue::ShardedEventQueue(Config cfg)
 {
     if (cfg.partitions < 1)
         panicf("ShardedEventQueue: partitions must be >= 1, got ",
                cfg.partitions);
     if (cfg.threads < 1)
         panicf("ShardedEventQueue: threads must be >= 1, got ", cfg.threads);
-    if (cfg.window < 0)
-        panicf("ShardedEventQueue: window must be >= 0, got ", cfg.window);
     nThreads = std::min(cfg.threads, cfg.partitions);
     if (nThreads > 1 && static_cast<std::uint64_t>(cfg.partitions) > kFieldMask)
         panicf("ShardedEventQueue: at most ", kFieldMask,
@@ -161,12 +159,6 @@ ShardedEventQueue::registerCrossEdge(int src, int dst, TimePs minLatency)
     if (minLatency < 1)
         panicf("ShardedEventQueue::registerCrossEdge: edge (", src, " -> ",
                dst, ") needs positive lookahead, got ", minLatency);
-    if (config.window > 0 && minLatency < config.window)
-        panicf("ShardedEventQueue: sub-lookahead link: edge (", src, " -> ",
-               dst, ") latency ", minLatency,
-               " ps is below the configured sync window ", config.window,
-               " ps; a message could arrive inside the window it was sent "
-               "in. Shorten the window or slow the link.");
     TimePs &cell =
         edgeLatency[static_cast<std::size_t>(src)][static_cast<std::size_t>(
             dst)];
@@ -235,15 +227,10 @@ ShardedEventQueue::start()
     if (started)
         return;
     started = true;
-    if (config.window > 0) {
-        resolvedWindow = config.window;
-    } else {
-        resolvedWindow = kTimeNever;
-        for (const auto &row : edgeLatency)
-            for (const TimePs lat : row)
-                if (lat > 0)
-                    resolvedWindow = std::min(resolvedWindow, lat);
-    }
+    for (const auto &row : edgeLatency)
+        for (const TimePs lat : row)
+            if (lat > 0)
+                resolvedWindow = std::min(resolvedWindow, lat);
     if (nThreads > 1) {
         // Spinning only pays when every thread has a core of its own.
         const unsigned cores = std::thread::hardware_concurrency();

@@ -23,8 +23,7 @@
  * Partitions may interact only through cross-partition *channels*
  * registered up front via registerCrossEdge(src, dst, minLatency). The
  * *lookahead* W is the minimum registered latency (propagation +
- * serialization of the slowest-case first bit), or an explicit
- * Config::window no larger than every edge's latency. Each round the
+ * serialization of the slowest-case first bit). Each round the
  * coordinator computes
  *
  *     t0 = min over partitions of next-event-time
@@ -43,9 +42,8 @@
  * per-src sequence) — a total order independent of thread count — then
  * scheduled into the destination queue in that order so the queue's FIFO
  * tie-break preserves it. The flush panics if any message's timestamp
- * is at or below the window just executed (causality violation), and
- * registerCrossEdge rejects any edge whose latency is below the
- * configured window (sub-lookahead links are a configuration error).
+ * is at or below the window just executed (causality violation): a
+ * handler posted sooner than its edge's registered latency.
  *
  * ## Barrier cost
  *
@@ -140,13 +138,6 @@ class ShardedEventQueue
          * Clamped to `partitions`.
          */
         int threads = 1;
-        /**
-         * Synchronization window (lookahead) in ps. 0 = derive
-         * automatically as the minimum latency over registered cross
-         * edges (unbounded if none, i.e. fully independent partitions).
-         * An explicit value must be <= every registered edge latency.
-         */
-        TimePs window = 0;
     };
 
     /**
@@ -166,10 +157,10 @@ class ShardedEventQueue
     int threadCount() const { return nThreads; }
 
     /**
-     * The resolved synchronization window, or kTimeNever if unbounded
-     * (no cross edges). Before the first run this reflects the explicit
-     * Config::window only; the automatic derivation happens at first
-     * run.
+     * The synchronization window (lookahead): the minimum latency over
+     * registered cross edges, or kTimeNever if there are none (fully
+     * independent partitions). Derived at the first run; kTimeNever
+     * before it.
      */
     TimePs window() const { return resolvedWindow; }
 
@@ -185,8 +176,7 @@ class ShardedEventQueue
     /**
      * Declare that partition @p src may post cross events to partition
      * @p dst with delivery latency >= @p minLatency. Must be called
-     * before the first run; panics if @p minLatency is below an
-     * explicit Config::window (sub-lookahead link).
+     * before the first run.
      */
     void registerCrossEdge(int src, int dst, TimePs minLatency);
 
@@ -280,7 +270,6 @@ class ShardedEventQueue
 
     std::vector<std::unique_ptr<Partition>> parts;
     std::vector<std::vector<TimePs>> edgeLatency;  ///< [src][dst], 0 = none
-    Config config;
     int nThreads = 1;
     TimePs resolvedWindow = kTimeNever;
     TimePs floorTime = -1;  ///< all partitions have executed times <= this

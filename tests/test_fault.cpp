@@ -446,13 +446,6 @@ TEST(ConfigValidation, BadCloudConfigsDie)
     };
     EXPECT_DEATH(zero_servers(), "no servers");
 
-    auto negative_cable = [&] {
-        core::CloudConfig cfg;
-        cfg.topology.hostCableMeters = -1.0;
-        core::ConfigurableCloud cloud(eq, cfg);
-    };
-    EXPECT_DEATH(negative_cable(), "cable lengths");
-
     auto flow_tracing_without_hub = [&] {
         auto cfg = smallCloud();
         cfg.flowSampleEvery = 1;
