@@ -29,6 +29,7 @@
 #include "core/cloud.hpp"
 #include "fpga/shell.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "scenario_util.hpp"
 #include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
@@ -146,15 +147,18 @@ main(int argc, char **argv)
     cfg.shellTemplate.ltl.maxConnections = 64;
     cfg.shellTemplate.roleSlots = 8;
     cfg.obs = &hub;
+    // The one probe sampler: rolls every registry metric at a barrier
+    // every 100 us of simulated time and (when CCSIM_TRACE is set) draws
+    // the counter tracks of the exported trace.
+    obs::TimeSeriesHub ts(
+        obs::TimeSeriesConfig{.window = 100 * sim::kMicrosecond});
+    cfg.timeSeries = &ts;
     if (attribution) {
         cfg.flowSampleEvery = 1;
         cfg.flowTailCapacity = 32;
     }
     core::ConfigurableCloud cloud(sq.partition(0), cfg);
-
-    // Periodic probe sampling: feeds time-weighted averages and (when
-    // CCSIM_TRACE is set) the counter tracks of the exported trace.
-    hub.registry.startSampling(sq, 100 * sim::kMicrosecond, &hub.trace);
+    ts.startSampling(sq);
 
     const int kPings = quick ? 60 : 300;
     const int kPairs = quick ? 2 : 6;

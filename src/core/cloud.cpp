@@ -106,8 +106,8 @@ ConfigurableCloud::build()
         topo = std::make_unique<net::Topology>(queue, config.topology);
     } else {
         // Kernel-health probes land in shard 0's registry; they are read
-        // only at barriers (sampleAt runs from a barrier hook), where the
-        // per-partition counters are quiescent.
+        // only at barriers (a TimeSeriesHub rolls from a barrier hook),
+        // where the per-partition counters are quiescent.
         if (config.shardObs)
             obs::registerShardProbes(config.shardObs->shard(0).registry,
                                      *shards);

@@ -99,29 +99,6 @@ FaultInjector::flapHostLink(int host, sim::TimePs down_for)
 }
 
 void
-FaultInjector::flapTrunkLink(int index, sim::TimePs down_for)
-{
-    if (index < 0 || index >= cloud.topology().numTrunkLinks())
-        sim::fatalf("FaultInjector::flapTrunkLink: trunk ", index,
-                    " out of range (fabric has ",
-                    cloud.topology().numTrunkLinks(), " trunk cables)");
-    if (down_for <= 0)
-        sim::fatal("FaultInjector::flapTrunkLink: duration must be "
-                   "positive");
-    ++statInjected;
-    ++statLinkFlaps;
-    traceInstant("trunk_down." + std::to_string(index));
-    if (trunkDepth[index]++ == 0)
-        cloud.topology().trunkLink(index).setAdminDown(true);
-    scheduleAction(nowPs() + down_for, [this, index] {
-        if (--trunkDepth[index] == 0)
-            cloud.topology().trunkLink(index).setAdminDown(false);
-        ++statRecovered;
-        traceInstant("trunk_up." + std::to_string(index));
-    });
-}
-
-void
 FaultInjector::corruptionBurst(int host, double drop_prob,
                                sim::TimePs duration)
 {

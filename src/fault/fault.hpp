@@ -132,8 +132,6 @@ class FaultInjector
 
     /** Cut the host's FPGA<->TOR cable for @p down_for. */
     void flapHostLink(int host, sim::TimePs down_for);
-    /** Cut an inter-switch trunk cable for @p down_for. */
-    void flapTrunkLink(int index, sim::TimePs down_for);
     /**
      * Corrupt packets on the host's FPGA<->TOR cable (both directions)
      * with probability @p drop_prob for @p duration. Corrupted frames
@@ -244,7 +242,6 @@ class FaultInjector
     std::map<int, sim::TimePs> downSince;
     std::map<int, sim::TimePs> downAccum;
     std::map<int, bool> hardFailed;
-    std::map<int, int> trunkDepth;
     /** Generation counter per host so nested bursts end last-wins. */
     std::map<int, std::uint64_t> burstGen;
     /** Racks (global id) whose TOR is currently hard-failed. */

@@ -5,20 +5,6 @@
 namespace ccsim::net {
 
 std::string
-MacAddr::str() const
-{
-    char buf[18];
-    std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x",
-                  static_cast<unsigned>((value >> 40) & 0xFF),
-                  static_cast<unsigned>((value >> 32) & 0xFF),
-                  static_cast<unsigned>((value >> 24) & 0xFF),
-                  static_cast<unsigned>((value >> 16) & 0xFF),
-                  static_cast<unsigned>((value >> 8) & 0xFF),
-                  static_cast<unsigned>(value & 0xFF));
-    return buf;
-}
-
-std::string
 Ipv4Addr::str() const
 {
     char buf[16];

@@ -20,9 +20,6 @@ struct MacAddr {
 
     constexpr bool operator==(const MacAddr &) const = default;
     constexpr bool operator<(const MacAddr &o) const { return value < o.value; }
-
-    /** Render as aa:bb:cc:dd:ee:ff. */
-    std::string str() const;
 };
 
 /** An IPv4 address in host byte order. */

@@ -8,7 +8,6 @@
 
 #include "obs/json_util.hpp"
 #include "sim/logging.hpp"
-#include "sim/sharded_queue.hpp"
 
 namespace ccsim::obs {
 
@@ -323,25 +322,9 @@ MetricsRegistry::probeValue(Loc loc) const
 }
 
 double
-MetricsRegistry::probeAverage(Loc loc) const
-{
-    const std::vector<Sampled> &s =
-        loc.fam != nullptr ? loc.fam->sampled : sampled;
-    const std::uint32_t i =
-        loc.fam != nullptr ? loc.at : entries[loc.at].slot;
-    return i < s.size() ? s[i].tw.average() : 0.0;
-}
-
-double
 MetricsRegistry::probeValue(const std::string &path) const
 {
     return probeValue(probeAt(path));
-}
-
-double
-MetricsRegistry::probeTimeAverage(const std::string &path) const
-{
-    return probeAverage(probeAt(path));
 }
 
 double
@@ -598,8 +581,7 @@ MetricsRegistry::writeValue(std::ostream &os, Loc loc) const
     using detail::jsonFields;
     if (loc.fam != nullptr) {
         os << "{";
-        jsonFields(os, {{"value", probeValue(loc)},
-                        {"avg", probeAverage(loc)}});
+        jsonFields(os, {{"value", probeValue(loc)}});
         os << "}";
         return;
     }
@@ -631,8 +613,7 @@ MetricsRegistry::writeValue(std::ostream &os, Loc loc) const
     }
     case Kind::kProbe:
         os << "{";
-        jsonFields(os, {{"value", probeValue(loc)},
-                        {"avg", probeAverage(loc)}});
+        jsonFields(os, {{"value", probeValue(loc)}});
         break;
     }
     os << "}";
@@ -653,60 +634,6 @@ MetricsRegistry::snapshotJson() const
     std::ostringstream oss;
     writeSnapshot(oss);
     return oss.str();
-}
-
-void
-MetricsRegistry::startSampling(sim::ShardedEventQueue &sq, sim::TimePs period,
-                               TraceWriter *trace)
-{
-    if (period <= 0)
-        sim::fatal("MetricsRegistry::startSampling: period must be > 0");
-    if (samplerStarted)
-        sim::panic("MetricsRegistry::startSampling: already sampling "
-                   "(barrier hooks cannot be deregistered)");
-    samplerStarted = true;
-    samplerTrace = trace;
-    const sim::TimePs first = sq.now() + period;
-    sq.atBarrier(
-        [this, period, due = first](sim::TimePs e) mutable -> sim::TimePs {
-            // The hook runs at every barrier; deadlines guarantee one
-            // lands exactly on each sampling instant.
-            if (e == due) {
-                sampleAt(e);
-                due += period;
-            }
-            return due;
-        },
-        first);
-}
-
-void
-MetricsRegistry::sampleAt(sim::TimePs now)
-{
-    ++samplerTicks;
-    sampled.resize(probes.size());
-    for (Family &f : families)
-        f.sampled.resize(f.count);
-    const bool tracing = samplerTrace != nullptr && samplerTrace->enabled();
-    PathBuf buf;
-    for (const Id id : sortedIds()) {
-        const Loc loc = locate(id);
-        if (loc.fam == nullptr && entries[loc.at].kind != Kind::kProbe)
-            continue;
-        Sampled &s = loc.fam != nullptr
-                         ? families[loc.fam - families.data()].sampled[loc.at]
-                         : sampled[entries[loc.at].slot];
-        const double v = probeValue(loc);
-        s.tw.update(now, v);
-        if (tracing && (!s.everEmitted || v != s.lastEmitted)) {
-            // Category = first dotted segment (component family).
-            const std::string_view path = pathAt(loc, buf);
-            samplerTrace->counter(path.substr(0, path.find('.')), path, now,
-                                  v);
-            s.everEmitted = true;
-            s.lastEmitted = v;
-        }
-    }
 }
 
 void

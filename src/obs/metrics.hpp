@@ -11,23 +11,21 @@
  *  - **gauges**     — time-weighted piecewise-constant signals set
  *                     explicitly by the component;
  *  - **probes**     — callback gauges that *read* a live component value
- *                     on demand (snapshot or periodic sampling), so
+ *                     on demand (a snapshot or a time-series window), so
  *                     existing component statistics can be exported
  *                     without duplicating bookkeeping in hot paths.
  *
  * The registry offers a deterministic JSON snapshot (paths emitted in
- * sorted order, fixed number formatting) and periodic sampling at the
- * barriers of the ShardedEventQueue that drives the simulation: every
- * period the sampler reads all probes, folds the values into
- * time-weighted averages, and (when a TraceWriter is attached) emits
- * Chrome counter events — on the first tick for every probe, afterwards
- * only for probes whose value changed.
+ * sorted order, fixed number formatting) and access by dense id. It
+ * does no periodic sampling of its own: a TimeSeriesHub
+ * (obs/timeseries.hpp) watching the registry reads every metric at the
+ * barriers of the ShardedEventQueue that drives the simulation, and
+ * draws the readings as Chrome counter tracks.
  *
  * Storage is sized for the paper's ~250k-host fabric, where the registry
  * holds ~200k paths: each path is interned once in a chunked character
- * arena and gets a dense id, metrics sit in per-kind chunked arrays
- * indexed through the id, and a probe's sampling state exists only once
- * sampling starts. An empty registry owns no heap.
+ * arena and gets a dense id, and metrics sit in per-kind chunked arrays
+ * indexed through the id. An empty registry owns no heap.
  *
  * A component kind with many members registers a **probe family**
  * instead: one entry covering `<stem>.<member>.<leaf>` for every member
@@ -38,7 +36,7 @@
  * family's paths exactly as if each had been registered on its own.
  *
  * Observability is strictly read-only with respect to simulation state:
- * attaching a registry, sampling, or exporting never changes component
+ * attaching a registry, reading it, or exporting never changes component
  * behaviour, so instrumented and bare runs are bit-identical.
  */
 #pragma once
@@ -57,10 +55,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/stable_vector.hpp"
 #include "sim/stats.hpp"
-
-namespace ccsim::sim {
-class ShardedEventQueue;
-}
 
 namespace ccsim::obs {
 
@@ -128,10 +122,10 @@ class MetricsRegistry
               int bins_per_octave = kDefaultHistBinsPerOctave);
 
     /**
-     * Register a callback gauge: @p fn is invoked at snapshot time and on
-     * every sampling tick. Re-registering a path replaces the callback
-     * (components attached to a fresh prefix never collide; replacement
-     * supports re-attachment).
+     * Register a callback gauge: @p fn is invoked at snapshot time and
+     * whenever a watching TimeSeriesHub rolls a window. Re-registering a
+     * path replaces the callback (components attached to a fresh prefix
+     * never collide; replacement supports re-attachment).
      */
     void registerProbe(const std::string &path, std::function<double()> fn);
 
@@ -169,12 +163,6 @@ class MetricsRegistry
 
     /** Invoke the probe at @p path now. Panics if no such probe. */
     double probeValue(const std::string &path) const;
-
-    /**
-     * Time-weighted average of a probe as accumulated by the periodic
-     * sampler (0 before the first tick).
-     */
-    double probeTimeAverage(const std::string &path) const;
 
     // --- access by id ---
 
@@ -248,33 +236,6 @@ class MetricsRegistry
     static std::string
     mergedSnapshotJson(const std::vector<const MetricsRegistry *> &regs);
 
-    // --- periodic sampling -------------------------------------------------
-
-    /**
-     * Sample all probes every @p period of simulated time at barriers of
-     * @p sq: registers a barrier hook whose deadlines force a window end
-     * at each multiple of the period, the first one period from now. A
-     * sample at time T sees the state after every event at T. When
-     * @p trace is non-null, each tick emits Chrome counter events (first
-     * tick: all probes; later ticks: probes whose value changed). Call
-     * at most once: barrier hooks cannot be deregistered, so the
-     * registry must also outlive every later run of @p sq.
-     */
-    void startSampling(sim::ShardedEventQueue &sq, sim::TimePs period,
-                       TraceWriter *trace = nullptr);
-
-    /** Number of sampling ticks executed. */
-    std::uint64_t samplesTaken() const { return samplerTicks; }
-
-    /**
-     * Take one sampling tick at simulated time @p now: reads every probe
-     * and folds it into the time-weighted averages (and the Chrome
-     * trace, when one was attached via startSampling). The sampling hook
-     * calls this with no window in flight, so probes read quiescent
-     * state at deterministic times.
-     */
-    void sampleAt(sim::TimePs now);
-
   private:
     /** One interned path: 16 B, plus its characters in the arena. */
     struct Entry {
@@ -282,12 +243,6 @@ class MetricsRegistry
         std::uint32_t slot;  ///< index into the kind's array
         std::uint16_t len;
         Kind kind;
-    };
-    /** A probe's sampler state, allocated by its first sampling tick. */
-    struct Sampled {
-        sim::TimeWeighted tw;
-        double lastEmitted = 0.0;
-        bool everEmitted = false;
     };
     static constexpr Id kNoId = ~Id{0};
     /** A registered family and the id range its paths take. */
@@ -301,7 +256,6 @@ class MetricsRegistry
         mutable std::vector<std::uint32_t> rank;
         /** Open-addressing name -> member index, built by a lookup. */
         mutable std::vector<std::uint32_t> byName;
-        std::vector<Sampled> sampled;  ///< by path offset; empty until sampled
     };
     /**
      * Where an id or path lives: @p at is an offset into @p fam 's paths
@@ -326,13 +280,8 @@ class MetricsRegistry
     sim::StableVector<Gauge> gauges;
     sim::StableVector<sim::LogHistogram> histograms;
     sim::StableVector<std::function<double()>> probes;
-    std::vector<Sampled> sampled;  ///< by probe slot; empty until sampled
     /** Ids in path order, extended by the paths() family on demand. */
     mutable std::vector<Id> sorted;
-
-    bool samplerStarted = false;
-    TraceWriter *samplerTrace = nullptr;
-    std::uint64_t samplerTicks = 0;
 
     std::string_view entryPath(std::uint32_t e) const
     {
@@ -356,7 +305,6 @@ class MetricsRegistry
     /** Where the probe @p path lives (panics when it is no probe). */
     Loc probeAt(const std::string &path) const;
     double probeValue(Loc loc) const;
-    double probeAverage(Loc loc) const;
     /** The kind-array slot of @p id, which must be of @p kind. */
     std::uint32_t slotOf(Id id, Kind kind) const;
     /**

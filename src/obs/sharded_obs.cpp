@@ -80,14 +80,6 @@ ShardedObservability::mergedSpanDumpJson() const
 }
 
 void
-ShardedObservability::startSampling(sim::ShardedEventQueue &sq,
-                                    sim::TimePs period)
-{
-    for (const auto &hub : hubs)
-        hub->registry.startSampling(sq, period);
-}
-
-void
 registerShardProbes(MetricsRegistry &registry,
                     const sim::ShardedEventQueue &sq)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability for partitioned simulations: one hub per shard, merged
- * deterministic exports, probe sampling at barrier sync points.
+ * Observability for partitioned simulations: one hub per shard and
+ * merged deterministic exports.
  *
  * A sharded simulation cannot share one MetricsRegistry across worker
  * threads — registry maps are not thread-safe, and locking the metrics
@@ -11,7 +11,8 @@
  * worker that owns the partition, Envoy-thread-local-store style. The
  * "flush" is lock-free by construction: the barrier that ends a window
  * already publishes every shard's writes to the coordinator, which then
- * reads the registries (sampling, snapshots) between windows only.
+ * reads the registries (a TimeSeriesHub watching every shard, snapshots)
+ * between windows only.
  *
  * Exports stay deterministic and byte-identical across thread counts:
  * merged snapshots are sorted path merges of per-shard registries
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/time.hpp"
 
 namespace ccsim::sim {
 class ShardedEventQueue;
@@ -63,15 +63,6 @@ class ShardedObservability
      */
     void writeMergedSpanDump(std::ostream &os) const;
     std::string mergedSpanDumpJson() const;
-
-    /**
-     * Sample every shard's probes every @p period of simulated time, at
-     * barrier sync points: MetricsRegistry::startSampling on each shard's
-     * registry, in shard order. Probes are therefore read at
-     * deterministic simulated times with no window in flight, not
-     * mid-execution from another thread.
-     */
-    void startSampling(sim::ShardedEventQueue &sq, sim::TimePs period);
 
   private:
     std::vector<std::unique_ptr<Observability>> hubs;

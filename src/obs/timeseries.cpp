@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json_util.hpp"
 #include "obs/metric_names.hpp"
@@ -406,42 +407,49 @@ TimeSeriesHub::traceWindow(sim::TimePs now)
 {
     if (trace == nullptr || !trace->enabled())
         return;
-    auto emit = [&](const std::string &name, SeriesKind kind,
-                    const Rollup &r) {
+    // A fresh track's NaNs differ from any reading, so it draws once.
+    auto draw = [&](const std::string &name, SeriesKind kind, Rollup &r) {
         if (!r.last || r.last->t != now)
             return;
         const TsPoint &p = *r.last;
-        switch (kind) {
-        case SeriesKind::kGauge:
-            trace->counter("ts", "ts." + name, now, p.value);
-            break;
-        case SeriesKind::kCounter:
-        case SeriesKind::kProbe:
-            trace->counter("ts", "ts." + name, now, p.rate);
-            break;
-        case SeriesKind::kHistogram:
-            trace->counterMulti("ts", "ts." + name, now,
+        const std::string_view cat =
+            std::string_view(name).substr(0, name.find('.'));
+        if (kind == SeriesKind::kHistogram) {
+            if (p.p50 == r.drawn[0] && p.p99 == r.drawn[1])
+                return;
+            trace->counterMulti(cat, name, now,
                                 {{"p50", p.p50}, {"p99", p.p99}});
-            break;
+            r.drawn[0] = p.p50;
+            r.drawn[1] = p.p99;
+            return;
         }
+        const double v = kind == SeriesKind::kCounter ? p.rate : p.value;
+        if (v == r.drawn[0])
+            return;
+        trace->counter(cat, name, now, v);
+        r.drawn[0] = v;
     };
-    for (const auto &[name, s] : series)
-        emit(name, s.kind, s.roll);
-    for (const auto &[name, agg] : aggregates) {
+    for (auto &[name, s] : series)
+        draw(name, s.kind, s.roll);
+    for (auto &[name, agg] : aggregates) {
         if (!agg.members.empty())
-            emit(name, agg.kind, agg.roll);
+            draw(name, agg.kind, agg.roll);
     }
 }
 
 void
 TimeSeriesHub::startSampling(sim::ShardedEventQueue &sq)
 {
+    if (sampling)
+        sim::panic("TimeSeriesHub::startSampling: already sampling "
+                   "(barrier hooks cannot be deregistered)");
+    sampling = true;
     const sim::TimePs first = sq.now() + cfg.window;
     sq.atBarrier(
         [this, w = cfg.window, due = first](sim::TimePs e) mutable
         -> sim::TimePs {
             // Deadlines guarantee a barrier lands exactly on each
-            // window end (the ShardedObservability mechanism).
+            // window end.
             if (e == due) {
                 rollAt(e);
                 due += w;

@@ -23,14 +23,20 @@
  *    series — the thing an SLO is written against.
  *  - A streaming JSONL exporter (gated by the `CCSIM_TS` environment
  *    variable, like CCSIM_TRACE/CCSIM_SPANS) writes one line per window
- *    in deterministic formatting, and an attached TraceWriter renders
- *    every series as Chrome counter events on the trace timeline.
+ *    in deterministic formatting.
+ *  - An attached TraceWriter draws each series as a Chrome counter
+ *    track named after the series, in the category of its first dotted
+ *    segment (`ltl.node0.frames_sent` under `ltl`). Gauges and probes
+ *    draw their value, counters their rate, histograms their windowed
+ *    p50/p99. A track is drawn in its first window and afterwards only
+ *    when what it draws changes, so idle series cost no trace events.
  *
- * Driving: the hub registers a ShardedEventQueue barrier hook whose
- * deadlines land exactly on window ends, so a window sees every event
- * up to and including its end, and windowed series are byte-identical
- * across 1/2/4/8 worker threads. A single-queue simulation is a
- * one-partition kernel and rolls the same way.
+ * Driving: the hub is the simulator's one periodic probe sampler. It
+ * registers a ShardedEventQueue barrier hook whose deadlines land
+ * exactly on window ends, so a window sees every event up to and
+ * including its end, and windowed series are byte-identical across
+ * 1/2/4/8 worker threads. A single-queue simulation is a one-partition
+ * kernel and rolls the same way.
  * Rolling only ever *reads* simulation state: instrumented and bare
  * runs stay bit-identical.
  */
@@ -38,6 +44,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -133,7 +140,10 @@ class TimeSeriesHub
      */
     void exportTo(std::ostream *os);
 
-    /** Render every series as Chrome counter events on @p tw. */
+    /**
+     * Draw every series as a Chrome counter track on @p tw, by the rules
+     * in the file comment.
+     */
     void attachTrace(TraceWriter *tw) { trace = tw; }
 
     /**
@@ -162,7 +172,9 @@ class TimeSeriesHub
      * Barrier-hook driving (first window one period from now): window
      * ends become hook deadlines, so rolls happen at exact simulated
      * times on the coordinator thread and the stream is byte-identical
-     * across worker thread counts.
+     * across worker thread counts. Call at most once (panics otherwise):
+     * barrier hooks cannot be deregistered, and a second hook would roll
+     * every window twice.
      */
     void startSampling(sim::ShardedEventQueue &sq);
 
@@ -199,13 +211,21 @@ class TimeSeriesHub
     static std::string envPath();
 
   private:
-    /** Rollup state of one series: what it rolls from, its newest point. */
+    static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+    /**
+     * Rollup state of one series: what it rolls from, its newest point
+     * and what its trace track last drew.
+     */
     struct Rollup {
         double prevValue = 0.0;
         std::vector<std::uint64_t> prevBins;  ///< histogram series only
         double prevSum = 0.0;
         std::optional<TsPoint> last;  ///< unset before the first window
+        /** Last drawn value (histograms: p50, p99); NaN before any. */
+        double drawn[2] = {kNaN, kNaN};
     };
+
 
     /** One concrete series bound to a registry metric. */
     struct Series {
@@ -245,6 +265,7 @@ class TimeSeriesHub
     std::ostream *out = nullptr;
     TraceWriter *trace = nullptr;
 
+    bool sampling = false;  ///< startSampling() has run
     std::uint64_t windowSeq = 0;
     std::uint64_t linesOut = 0;
     /** The window line being built; reused so its buffer stays warm. */

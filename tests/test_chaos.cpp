@@ -170,6 +170,14 @@ TEST(DomainConviction, DeadTorConvictsRackAsOneEvent)
         .withDomainConviction(2, 4);
     haas::HealthMonitor hm(eq, cloud.resourceManager(), hc);
     cloud.attachHealthMonitor(hm);
+    // Watch the dying rack (hosts 4-7) and one host beyond it: no other
+    // host may ever be probed.
+    std::set<int> probed;
+    hm.setProbe([&](int host) {
+        probed.insert(host);
+        return cloud.nodeReachable(host);
+    });
+    hm.watchHosts({8, 7, 6, 5, 4, 4});
 
     FaultInjector inj(sq, cloud, FaultConfig{}.withSelfReport(false));
     hm.startSharded(sq);
@@ -184,6 +192,7 @@ TEST(DomainConviction, DeadTorConvictsRackAsOneEvent)
     EXPECT_EQ(hm.detections(), 0u) << "a convicted rack must not also "
                                       "count per-host detections";
     EXPECT_EQ(cloud.resourceManager().failedCount(), 4);
+    EXPECT_EQ(probed, (std::set<int>{4, 5, 6, 7, 8}));
     hm.stop();
 }
 
@@ -352,18 +361,23 @@ TEST(ChaosEngine, TimedAndTriggeredPhasesFireInOrder)
     fault::ChaosEngine chaos(sq, sc);
     chaos.setPollPeriod(50 * sim::kMicrosecond);
     chaos.setMarkerHub(&hub);
+    obs::Observability ob;
+    chaos.attachObservability(&ob);
     chaos.start();
 
     sq.runFor(sim::fromMicros(400));
     EXPECT_EQ(torKilled, 1);
     EXPECT_EQ(drained, 0) << "trigger must wait for its predicate";
     EXPECT_FALSE(chaos.done());
+    EXPECT_EQ(ob.registry.probeValue("chaos.phases"), 2.0);
+    EXPECT_EQ(ob.registry.probeValue("chaos.phases_fired"), 1.0);
 
     armed = true;
     sq.runFor(sim::fromMicros(400));
     EXPECT_EQ(drained, 1);
     EXPECT_TRUE(chaos.done());
     EXPECT_EQ(chaos.phasesFired(), 2u);
+    EXPECT_EQ(ob.registry.probeValue("chaos.phases_fired"), 2.0);
     EXPECT_EQ(chaos.firedPhases(),
               (std::vector<std::string>{"tor-death", "drain"}));
 

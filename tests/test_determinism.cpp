@@ -15,6 +15,7 @@
 #include "host/load_generator.hpp"
 #include "host/ranking_server.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
@@ -115,8 +116,12 @@ runLtlWorkload(bool observed, bool traced)
     cfg.topology.l2Count = 1;
     cfg.createNics = false;
     cfg.shellTemplate.ltl.maxConnections = 8;
-    if (observed)
+    obs::TimeSeriesHub sampler(
+        obs::TimeSeriesConfig{.window = 50 * sim::kMicrosecond});
+    if (observed) {
         cfg.obs = &hub;
+        cfg.timeSeries = &sampler;
+    }
     core::ConfigurableCloud cloud(eq, cfg);
 
     fpga::NullRole sink;
@@ -126,7 +131,7 @@ runLtlWorkload(bool observed, bool traced)
     ObservedRun out;
     engine->setRttObserver([&out](double us) { out.rtt.push_back(us); });
     if (observed)
-        hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
+        sampler.startSampling(sq);
     for (int i = 0; i < 40; ++i) {
         eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                          [engine, conn = ch.sendConn()] {

@@ -466,8 +466,6 @@ TEST(ConfigValidation, BadFaultConfigsDie)
     EXPECT_DEATH(inj.corruptionBurst(0, 1.5, d), "must be in");
     EXPECT_DEATH(inj.switchBrownout(7, 0, 0.1, false, d),
                  "outside the fabric");
-    EXPECT_DEATH(inj.flapTrunkLink(cloud.topology().numTrunkLinks(), d),
-                 "out of range");
     EXPECT_DEATH(inj.graySpineDegrade(0, 0.0, 0), "would do nothing");
     EXPECT_DEATH(inj.failTor(0, 2), "rack-in-pod 2 out of range");
     EXPECT_EQ(inj.injected(), 0u);

@@ -19,6 +19,7 @@
 #include "haas/health_monitor.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -181,6 +182,9 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
         obs::Observability hub;
         auto cfg = podScaleConfig(lazy);
         cfg.obs = &hub;
+        obs::TimeSeriesHub sampler(
+            obs::TimeSeriesConfig{.window = 50 * sim::kMicrosecond});
+        cfg.timeSeries = &sampler;
         core::ConfigurableCloud cloud(eq, cfg);
         if (lazy)
             for (int h = 0; h < cloud.numServers(); ++h)
@@ -193,7 +197,7 @@ TEST(LazyFabric, AscendingTouchOrderIsByteIdenticalToEager)
         auto *engine = cloud.shell(src).ltlEngine();
         std::vector<double> rtt;
         engine->setRttObserver([&rtt](double us) { rtt.push_back(us); });
-        hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
+        sampler.startSampling(sq);
         for (int i = 0; i < 40; ++i)
             eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                              [engine, conn = ch.sendConn()] {
@@ -328,6 +332,9 @@ TEST(LazyFabric, FabricMemoryStatsAndGaugesTrackMaterialization)
     obs::Observability hub;
     auto cfg = podScaleConfig(true);
     cfg.obs = &hub;
+    obs::TimeSeriesHub sampler(
+        obs::TimeSeriesConfig{.window = 50 * sim::kMicrosecond});
+    cfg.timeSeries = &sampler;
     core::ConfigurableCloud cloud(eq, cfg);
 
     auto before = cloud.fabricMemoryStats();
@@ -347,7 +354,7 @@ TEST(LazyFabric, FabricMemoryStatsAndGaugesTrackMaterialization)
     EXPECT_LT(after.bytesPerHost, double(after.bytesPerServer));
 
     // The same numbers back the sim.mem.* gauges.
-    hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
+    sampler.startSampling(sq);
     sq.runFor(sim::fromMillis(1));
     const std::string snap = hub.registry.snapshotJson();
     EXPECT_NE(snap.find("sim.mem.hosts"), std::string::npos);

@@ -214,7 +214,6 @@ struct RegistryOracle {
         obs::Gauge gauge;
         std::unique_ptr<sim::LogHistogram> hist;
         std::shared_ptr<double> probe;  ///< the registered callback's cell
-        sim::TimeWeighted sampled;
     };
     std::map<std::string, Metric> metrics;
 
@@ -267,8 +266,6 @@ struct RegistryOracle {
                 } else {
                     os << "{\"value\":";
                     jsonNumber(os, *m.probe);
-                    os << ",\"avg\":";
-                    jsonNumber(os, m.sampled.average());
                     os << "}";
                 }
             }
@@ -387,14 +384,8 @@ TEST(MetricsRegistryDeathTest, MatchesMapOracleOnRandomOps)
                 }
                 break;
             }
-            if (rng.bernoulli(0.1)) {
+            if (rng.bernoulli(0.1))
                 now += 1 + static_cast<sim::TimePs>(rng.uniformInt(5000));
-                for (MetricsRegistry &r : regs)
-                    r.sampleAt(now);
-                for (auto &[p, om] : oracle.metrics)
-                    if (om.kind == Kind::kProbe)
-                        om.sampled.update(now, *om.probe);
-            }
 
             // Point lookups agree on a random path.
             const std::string &q = universe[rng.uniformInt(universe.size())];
@@ -413,8 +404,6 @@ TEST(MetricsRegistryDeathTest, MatchesMapOracleOnRandomOps)
             }
             if (is(Kind::kProbe)) {
                 ASSERT_EQ(qr.probeValue(q), *qit->second.probe);
-                ASSERT_EQ(qr.probeTimeAverage(q),
-                          qit->second.sampled.average());
             }
         }
 
@@ -497,92 +486,6 @@ TEST(TraceWriter, ExportIsValidChromeTraceJson)
 }
 
 // ---------------------------------------------------------------------------
-// Periodic sampler.
-// ---------------------------------------------------------------------------
-
-TEST(Sampler, FollowsHandComputedSchedule)
-{
-    sim::ShardedEventQueue sq;
-    EventQueue &eq = sq.partition(0);
-    MetricsRegistry reg;
-    double signal = 0.0;
-    std::vector<sim::TimePs> tick_times;
-    reg.registerProbe("test.signal", [&] {
-        tick_times.push_back(0);  // size used as a call count below
-        return signal;
-    });
-
-    const sim::TimePs period = 10 * sim::kMicrosecond;
-    reg.startSampling(sq, period);
-
-    // Signal becomes 100 at t=35us: ticks at 10,20,30 see 0; ticks at
-    // 40..90 see 100.
-    eq.scheduleAfter(35 * sim::kMicrosecond, [&signal] { signal = 100.0; });
-    sq.runUntil(95 * sim::kMicrosecond);
-
-    EXPECT_EQ(reg.samplesTaken(), 9u);  // ticks at 10,20,...,90 us
-    EXPECT_EQ(tick_times.size(), 9u);
-
-    // Time-weighted average over [10us, 90us): value 0 held 30us
-    // (10->40), 100 held 50us (40->90) => 100*50/80 = 62.5.
-    EXPECT_DOUBLE_EQ(reg.probeTimeAverage("test.signal"), 62.5);
-
-    sq.runAll();  // terminates: sampling deadlines do not bound runAll()
-    EXPECT_EQ(reg.samplesTaken(), 9u);
-}
-
-TEST(Sampler, SampleSeesEveryEventAtItsInstant)
-{
-    // The sampler runs at the barrier after every event at its instant,
-    // including events scheduled after sampling started.
-    sim::ShardedEventQueue sq;
-    MetricsRegistry reg;
-    double signal = 0.0;
-    std::vector<double> seen;
-    reg.registerProbe("test.signal", [&] {
-        seen.push_back(signal);
-        return signal;
-    });
-    reg.startSampling(sq, 10 * sim::kMicrosecond);
-    sq.partition(0).schedule(10 * sim::kMicrosecond,
-                             [&signal] { signal = 1.0; });
-    sq.runUntil(20 * sim::kMicrosecond);
-    EXPECT_EQ(seen, (std::vector<double>{1.0, 1.0}));
-}
-
-TEST(Sampler, EmitsTraceCountersOnFirstTickThenOnChange)
-{
-    sim::ShardedEventQueue sq;
-    Observability hub;
-    hub.trace.setEnabled(true);
-    double changing = 0.0;
-    hub.registry.registerProbe("a.changing", [&] { return changing; });
-    hub.registry.registerProbe("b.constant", [] { return 5.0; });
-
-    hub.registry.startSampling(sq, 10 * sim::kMicrosecond, &hub.trace);
-    sq.partition(0).scheduleAfter(15 * sim::kMicrosecond,
-                                  [&] { changing = 1.0; });
-    sq.runUntil(45 * sim::kMicrosecond);  // ticks at 10,20,30,40
-
-    // First tick: both probes emit. Later ticks: only a.changing, and
-    // only once (at t=20) when its value actually changed.
-    EXPECT_EQ(hub.trace.eventCount(), 3u);
-    EXPECT_EQ(hub.trace.categories(),
-              (std::vector<std::string>{"a", "b"}));
-}
-
-TEST(SamplerDeathTest, SecondStartDies)
-{
-    // Barrier hooks cannot be deregistered, so a restart cannot replace
-    // the first schedule.
-    sim::ShardedEventQueue sq;
-    MetricsRegistry reg;
-    reg.startSampling(sq, 10 * sim::kMicrosecond);
-    EXPECT_DEATH(reg.startSampling(sq, 25 * sim::kMicrosecond),
-                 "already sampling");
-}
-
-// ---------------------------------------------------------------------------
 // End to end: an instrumented cloud produces a multi-component trace.
 // ---------------------------------------------------------------------------
 
@@ -603,6 +506,9 @@ TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
     cfg.shellTemplate.ltl.maxConnections = 8;
     cfg.obs = &hub;
     cfg.flowSampleEvery = 1;
+    obs::TimeSeriesHub sampler(
+        obs::TimeSeriesConfig{.window = 50 * sim::kMicrosecond});
+    cfg.timeSeries = &sampler;
     core::ConfigurableCloud cloud(eq, cfg);
 
     fpga::NullRole sink;
@@ -610,7 +516,7 @@ TEST(ObservabilityIntegration, SmallCloudTraceCoversAllComponentFamilies)
     auto ch = cloud.openLtl(0, 5, sink.port);
     auto *engine = cloud.shell(0).ltlEngine();
 
-    hub.registry.startSampling(sq, 50 * sim::kMicrosecond, &hub.trace);
+    sampler.startSampling(sq);
     for (int i = 0; i < 20; ++i) {
         eq.scheduleAfter(i * 10 * sim::kMicrosecond,
                          [engine, conn = ch.sendConn()] {

@@ -18,10 +18,12 @@
 #include "core/cloud.hpp"
 #include "haas/haas.hpp"
 #include "haas/health_monitor.hpp"
+#include "obs/json_util.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_queue.hpp"
 #include "sim/stats.hpp"
@@ -367,14 +369,98 @@ TEST(TimeSeriesHub, SingleQueueSamplingRollsOnCadence)
     std::vector<obs::TsPoint> pts;
     collectWindows(hub, "q.ticks", pts);
     hub.startSampling(sq);
+    // An event exactly at a window end lands in that window, even one
+    // scheduled after the rolls started.
+    eq.schedule(200 * sim::kMicrosecond, [&c] { c.inc(); });
     sq.runFor(350 * sim::kMicrosecond);
-    sq.runAll();
+    sq.runAll();  // terminates: window deadlines do not bound runAll()
 
     EXPECT_EQ(hub.windowsClosed(), 3u);
     ASSERT_EQ(pts.size(), 3u);
+    EXPECT_EQ(pts[1].t, 200 * sim::kMicrosecond);
     EXPECT_DOUBLE_EQ(pts[0].delta, 1.0);
-    EXPECT_DOUBLE_EQ(pts[1].delta, 1.0);
+    EXPECT_DOUBLE_EQ(pts[1].delta, 2.0);
     EXPECT_DOUBLE_EQ(pts[2].delta, 0.0);
+}
+
+TEST(Sampler, SampleSeesEveryEventAtItsInstant)
+{
+    // A window rolls at the barrier after every event at its end
+    // instant, including events scheduled after sampling started.
+    sim::ShardedEventQueue sq;
+    obs::MetricsRegistry reg;
+    double signal = 0.0;
+    std::vector<double> seen;
+    reg.registerProbe("test.signal", [&] {
+        seen.push_back(signal);
+        return signal;
+    });
+    obs::TimeSeriesHub hub(
+        obs::TimeSeriesConfig{.window = 10 * sim::kMicrosecond});
+    hub.watchRegistry(&reg);
+    hub.startSampling(sq);
+    sq.partition(0).schedule(10 * sim::kMicrosecond,
+                             [&signal] { signal = 1.0; });
+    sq.runUntil(20 * sim::kMicrosecond);
+    EXPECT_EQ(seen, (std::vector<double>{1.0, 1.0}));
+}
+
+TEST(TimeSeriesHub, TraceDrawsEachTrackFirstThenOnChange)
+{
+    sim::ShardedEventQueue sq;
+    sim::EventQueue &eq = sq.partition(0);
+    obs::MetricsRegistry reg;
+    double changing = 0.0;
+    reg.registerProbe("a.changing", [&] { return changing; });
+    reg.registerProbe("b.constant", [] { return 5.0; });
+    sim::Counter &ops = reg.counter("c.ops");
+    sim::LogHistogram &lat = reg.histogram("d.lat_us");
+    obs::TraceWriter tw;
+    tw.setEnabled(true);
+
+    obs::TimeSeriesHub hub(
+        obs::TimeSeriesConfig{.window = 10 * sim::kMicrosecond});
+    hub.watchRegistry(&reg);
+    hub.attachTrace(&tw);
+    hub.startSampling(sq);
+    eq.scheduleAfter(5 * sim::kMicrosecond, [&] {
+        ops.inc();
+        lat.add(2.0);
+    });
+    eq.scheduleAfter(15 * sim::kMicrosecond, [&] { changing = 1.0; });
+    sq.runUntil(45 * sim::kMicrosecond);  // windows end at 10,20,30,40
+
+    // The first window draws every track. Afterwards a track is drawn
+    // only when what it draws changes: the probe's value once, the
+    // counter's rate and the histogram's p50/p99 once each (back to 0
+    // in the empty second window), the constant never.
+    const obs::JsonValue root = obs::parseJson(tw.json()).value();
+    std::vector<std::string> drawn;
+    for (const obs::JsonValue &e : root.at("traceEvents").arr) {
+        if (e.at("ph").str != "C")
+            continue;
+        // The track's category is its name's first dotted segment.
+        EXPECT_EQ(e.at("cat").str, e.at("name").str.substr(0, 1));
+        drawn.push_back(e.at("name").str + "@" +
+                        std::to_string(static_cast<int>(
+                            e.at("ts").number)));
+        const obs::JsonValue &args = e.at("args");
+        if (e.at("name").str == "c.ops") {
+            EXPECT_DOUBLE_EQ(args.at("value").number,
+                             e.at("ts").number == 10 ? 1e5 : 0.0);
+        }
+        if (e.at("name").str == "d.lat_us") {
+            const double want = e.at("ts").number == 10 ? 2.0 : 0.0;
+            EXPECT_NEAR(args.at("p50").number, want, 0.05);
+            EXPECT_NEAR(args.at("p99").number, want, 0.05);
+        }
+    }
+    EXPECT_EQ(drawn, (std::vector<std::string>{
+                         "a.changing@10", "b.constant@10", "c.ops@10",
+                         "d.lat_us@10", "a.changing@20", "c.ops@20",
+                         "d.lat_us@20"}));
+    EXPECT_EQ(tw.categories(),
+              (std::vector<std::string>{"a", "b", "c", "d"}));
 }
 
 TEST(TimeSeriesHub, SelfProbesAndMetricPatternsAreDocumented)
@@ -401,6 +487,17 @@ TEST(TimeSeriesHubDeathTest, ConfigValidation)
                  "window");
     obs::TimeSeriesHub hub;
     EXPECT_DEATH(hub.kindOf("no.such.series"), "unknown series");
+}
+
+TEST(TimeSeriesHubDeathTest, SecondStartDies)
+{
+    // Barrier hooks cannot be deregistered: a second start would add a
+    // second hook and roll every window twice.
+    sim::ShardedEventQueue sq;
+    obs::TimeSeriesHub hub(
+        obs::TimeSeriesConfig{.window = 10 * sim::kMicrosecond});
+    hub.startSampling(sq);
+    EXPECT_DEATH(hub.startSampling(sq), "already sampling");
 }
 
 // ---------------------------------------------------------------------
