@@ -298,12 +298,14 @@ ConfigurableCloud::memoryEstimate() const
                          ? static_cast<std::size_t>(materializedCount)
                          : 0);
     // Empty queues own no heap (sim::Fifo allocates on its first push)
-    // and a channel's per-priority queues and PFC state are born with its
-    // first packet, so an idle cable (link, two channels, two PFC shims),
-    // LTL connection or router VC costs its sizeof(). Tables, names and
-    // buffers behind pointers are still not counted, so treat this as an
-    // order-of-magnitude gauge of the growth the RSS assertions bound,
-    // not an audit.
+    // and a channel's per-priority queues, PFC state and fault state are
+    // born with its first packet, pause or fault, so an idle cable (one
+    // allocation: link, two channels, two PFC shims) or router VC costs
+    // its sizeof(). Not counted: the LTL connection slots a server's
+    // opens allocate (a few hundred bytes for its one or two
+    // connections), and other tables, names and buffers behind pointers,
+    // so treat this as an order-of-magnitude gauge of the growth the RSS
+    // assertions bound, not an audit.
     s.bytesPerServer = sizeof(HostState) + sizeof(fpga::Shell) +
                        sizeof(haas::FpgaManager) + net::Link::idleBytes() +
                        (config.createNics

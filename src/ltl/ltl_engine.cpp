@@ -10,8 +10,6 @@ LtlEngine::LtlEngine(sim::EventQueue &eq, LtlConfig config, NetworkTx tx)
 {
     if (!networkTx)
         sim::fatal("LtlEngine: a network transmit function is required");
-    sendTable.resize(cfg.maxConnections);
-    recvTable.resize(cfg.maxConnections);
 }
 
 LtlEngine::SendConnection &
@@ -28,6 +26,28 @@ LtlEngine::recvConn(std::uint16_t conn)
     if (conn >= recvTable.size() || !recvTable[conn].valid)
         sim::panicf("LtlEngine: bad receive connection ", conn);
     return recvTable[conn];
+}
+
+template <typename Table>
+std::uint16_t
+LtlEngine::freeSlot(Table &table, const char *kind)
+{
+    // Lowest free id first, as a table of maxConnections slots would give.
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (!table[i].valid)
+            return static_cast<std::uint16_t>(i);
+    }
+    if (table.size() >= cfg.maxConnections)
+        sim::fatalf("LtlEngine: ", kind, " connection table exhausted");
+    table.emplace_back();
+    return static_cast<std::uint16_t>(table.size() - 1);
+}
+
+bool
+LtlEngine::holdsFrames(const SendConnection &sc)
+{
+    return sc.valid && !sc.failed &&
+           (!sc.unacked.empty() || !sc.sendQueue.empty());
 }
 
 void
@@ -105,37 +125,28 @@ LtlEngine::abandonSendState(SendConnection &sc)
 std::uint16_t
 LtlEngine::openSend(net::Ipv4Addr remote_ip, std::uint16_t remote_conn)
 {
-    for (std::uint16_t i = 0; i < sendTable.size(); ++i) {
-        if (!sendTable[i].valid) {
-            SendConnection &sc = sendTable[i];
-            sc = SendConnection{};
-            sc.valid = true;
-            sc.remoteIp = remote_ip;
-            sc.remoteConn = remote_conn;
-            if (cfg.enableDcqcn) {
-                DcqcnConfig dc = cfg.dcqcn;
-                dc.lineRateGbps =
-                    std::min(dc.lineRateGbps, cfg.bandwidthLimitGbps);
-                sc.dcqcn = std::make_unique<DcqcnController>(queue, dc);
-            }
-            return i;
-        }
+    const std::uint16_t i = freeSlot(sendTable, "send");
+    SendConnection &sc = sendTable[i];
+    sc = SendConnection{};
+    sc.valid = true;
+    sc.remoteIp = remote_ip;
+    sc.remoteConn = remote_conn;
+    if (cfg.enableDcqcn) {
+        DcqcnConfig dc = cfg.dcqcn;
+        dc.lineRateGbps = std::min(dc.lineRateGbps, cfg.bandwidthLimitGbps);
+        sc.dcqcn = std::make_unique<DcqcnController>(queue, dc);
     }
-    sim::fatal("LtlEngine: send connection table exhausted");
+    return i;
 }
 
 std::uint16_t
 LtlEngine::openReceive(std::uint8_t vc)
 {
-    for (std::uint16_t i = 0; i < recvTable.size(); ++i) {
-        if (!recvTable[i].valid) {
-            recvTable[i] = ReceiveConnection{};
-            recvTable[i].valid = true;
-            recvTable[i].vc = vc;
-            return i;
-        }
-    }
-    sim::fatal("LtlEngine: receive connection table exhausted");
+    const std::uint16_t i = freeSlot(recvTable, "receive");
+    recvTable[i] = ReceiveConnection{};
+    recvTable[i].valid = true;
+    recvTable[i].vc = vc;
+    return i;
 }
 
 void
@@ -164,10 +175,9 @@ LtlEngine::closeReceive(std::uint16_t conn)
 double
 LtlEngine::currentRateGbps(std::uint16_t conn) const
 {
-    const SendConnection &sc = sendTable.at(conn);
-    if (!sc.valid)
+    if (conn >= sendTable.size() || !sendTable[conn].valid)
         return 0.0;
-    return effectiveRateGbps(sc);
+    return effectiveRateGbps(sendTable[conn]);
 }
 
 double
@@ -417,9 +427,8 @@ LtlEngine::failConnection(std::uint16_t conn, const char *why)
 bool
 LtlEngine::allDrained() const
 {
-    for (const auto &sc : sendTable) {
-        if (sc.valid && !sc.failed &&
-            (!sc.unacked.empty() || !sc.sendQueue.empty()))
+    for (std::size_t i = 0; i < sendTable.size(); ++i) {
+        if (holdsFrames(sendTable[i]))
             return false;
     }
     return true;
@@ -477,10 +486,9 @@ LtlEngine::beginQuiesce(sim::TimePs drain_timeout,
         drainDeadlineEvent = sim::kNoEvent;
         // Drain deadline: write off whatever refuses to complete so
         // reconfiguration is never held hostage by a dead peer.
-        for (auto &sc : sendTable) {
-            if (sc.valid && !sc.failed &&
-                (!sc.unacked.empty() || !sc.sendQueue.empty()))
-                abandonSendState(sc);
+        for (std::size_t i = 0; i < sendTable.size(); ++i) {
+            if (holdsFrames(sendTable[i]))
+                abandonSendState(sendTable[i]);
         }
         finishQuiesce();
     });

@@ -6,7 +6,10 @@
  * FPGAs across the datacenter Ethernet fabric:
  *
  *  - UDP encapsulation, IP routing, lossless traffic class;
- *  - statically allocated, persistent send/receive connection tables;
+ *  - persistent send/receive connection tables, capped at
+ *    LtlConfig::maxConnections (the paper's tables are sized at
+ *    synthesis; here a slot is allocated by the first open that needs
+ *    it, so an engine pays only for the connections it opens);
  *  - an unacknowledged frame store with ACK/NACK-based retransmission
  *    (NACKs request timely retransmit when reordering is detected,
  *    without waiting for the 50 us timeout);
@@ -18,7 +21,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "ltl/dcqcn.hpp"
 #include "ltl/ltl_frame.hpp"
@@ -26,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fifo.hpp"
+#include "sim/stable_vector.hpp"
 #include "sim/stats.hpp"
 
 namespace ccsim::ltl {
@@ -76,6 +79,11 @@ struct LtlConfig {
     sim::TimePs cnpMinInterval = 50 * sim::kMicrosecond;
     DcqcnConfig dcqcn;
 
+    /**
+     * Cap on open send (and, separately, receive) connections; opening
+     * one more is fatal. Each table grows to the most connections open
+     * at once, never past this.
+     */
     std::uint16_t maxConnections = 1024;
 
     /**
@@ -334,14 +342,23 @@ class LtlEngine
     FailureFn onFailure;
     TimeoutObserver onTimeoutStreak;
 
-    std::vector<SendConnection> sendTable;
+    /**
+     * The connection tables. An open takes the lowest free id and appends
+     * a slot only when every slot is in use, so a table's size is the
+     * most connections ever open at once; an id in [size, maxConnections)
+     * reads as a closed slot. Slots never move: handleData() keeps its
+     * receive slot across a delivery handler that opens or closes
+     * connections. A server opens one or two, so the first chunk holds
+     * two.
+     */
+    sim::StableVector<SendConnection, 2> sendTable;
+    sim::StableVector<ReceiveConnection, 2> recvTable;
     /**
      * Frames in the `unacked` stores of all send connections. A failed
      * connection's store is emptied when it fails, so this counts only
      * open, unfailed connections.
      */
     std::uint64_t inFlightFrames = 0;
-    std::vector<ReceiveConnection> recvTable;
 
     QuiesceState qState = QuiesceState::kActive;
     std::function<void()> drainedCb;
@@ -372,6 +389,14 @@ class LtlEngine
     std::uint64_t statRejectsReceived = 0;
     std::uint64_t statQuiesces = 0;
 
+    /**
+     * The lowest closed id of @p table, appending a slot when all are
+     * open; fatal when that would pass maxConnections.
+     */
+    template <typename Table>
+    std::uint16_t freeSlot(Table &table, const char *kind);
+    /** An open, unfailed connection with frames queued or unacked. */
+    static bool holdsFrames(const SendConnection &sc);
     SendConnection &sendConn(std::uint16_t conn);
     void abandonSendState(SendConnection &sc);
     ReceiveConnection &recvConn(std::uint16_t conn);

@@ -42,6 +42,14 @@ Channel::priorityState()
     return *prioState;
 }
 
+Channel::FaultState &
+Channel::faultState()
+{
+    if (!faults)
+        faults = std::make_unique<FaultState>();
+    return *faults;
+}
+
 bool
 Channel::send(const PacketPtr &pkt, TxReleaseListener *release, int port)
 {
@@ -80,11 +88,11 @@ Channel::pausedTimeNow(std::uint8_t priority) const
 void
 Channel::pausePriority(std::uint8_t priority, sim::TimePs duration)
 {
-    ++pauses;
     const sim::TimePs now = queue.now();
     // Fold the elapsed part of any current pause into the clock, then
     // start the new interval (zero duration = X-ON, closes it).
     PriorityState &ps = priorityState();
+    ++ps.pauses;
     PauseClock &pc = ps.pauseClock[priority];
     const sim::TimePs cur = std::min(pc.curEnd, now) - pc.curStart;
     pc.accum += cur > 0 ? cur : 0;
@@ -134,9 +142,10 @@ Channel::tryTransmit()
     if (prio < 0) {
         // Everything pending is paused; re-arm at the earliest unpause.
         const sim::TimePs when = earliestUnpause();
-        if (when != sim::kTimeNever && resumeEvent == sim::kNoEvent) {
-            resumeEvent = queue.schedule(when, [this] {
-                resumeEvent = sim::kNoEvent;
+        if (when != sim::kTimeNever &&
+            prioState->resumeEvent == sim::kNoEvent) {
+            prioState->resumeEvent = queue.schedule(when, [this] {
+                prioState->resumeEvent = sim::kNoEvent;
                 tryTransmit();
             });
         }
@@ -188,18 +197,19 @@ Channel::finishTransmit(TxEntry entry)
     // Fault model: a cut cable or corrupted-on-the-wire frame fails CRC
     // at the receiving MAC and is dropped there. The transmitter never
     // learns — ingress accounting (the release hook) proceeds as normal.
-    const bool lost =
-        adminDown ||
-        (faultHook && !entry.pkt->isPfc() && faultHook(entry.pkt));
+    const bool lost = adminDown || (faults && faults->hook &&
+                                    !entry.pkt->isPfc() &&
+                                    faults->hook(entry.pkt));
     if (lost) {
-        ++faultDropped;
+        ++faultState().dropped;
         CCSIM_LOG(sim::LogLevel::kDebug, label, queue.now(),
                   "fault drop of packet ", entry.pkt->id,
                   adminDown ? " (link down)" : " (corrupted)");
     } else if (sink) {
         // Gray-fault latency inflation rides on top of propagation; it
         // only ever adds, so cross-shard lookahead is unaffected.
-        const sim::TimePs prop = propDelay + extraDelay;
+        const sim::TimePs prop =
+            propDelay + (faults ? faults->extraDelay : 0);
         if (entry.pkt->trace.sampled && flowRec && prop > 0)
             flowRec->recordSpan(entry.pkt->trace, label,
                                 obs::Component::kPropagation, queue.now(),
@@ -239,42 +249,40 @@ Link::Link(sim::EventQueue &eq, std::string name, double gbps,
 {
 }
 
+// PFC received at end A throttles A's transmitter (the ab channel).
+// Both shims live on their own end's queue: shimA runs inside B-to-A
+// delivery events (A's partition) and touches only ab.
 Link::Link(sim::EventQueue &eq_a, sim::EventQueue &eq_b, std::string name,
            double gbps, double length_meters, std::uint32_t queue_cap_bytes)
+    : ab(eq_a, name + ".ab", gbps, sim::propagationDelay(length_meters),
+         queue_cap_bytes),
+      ba(eq_b, name + ".ba", gbps, sim::propagationDelay(length_meters),
+         queue_cap_bytes),
+      shimA(&ab), shimB(&ba)
 {
-    const sim::TimePs prop = sim::propagationDelay(length_meters);
-    ab = std::make_unique<Channel>(eq_a, name + ".ab", gbps, prop,
-                                   queue_cap_bytes);
-    ba = std::make_unique<Channel>(eq_b, name + ".ba", gbps, prop,
-                                   queue_cap_bytes);
-    // PFC received at end A throttles A's transmitter (the ab channel).
-    // Both shims live on their own end's queue: shimA runs inside
-    // B-to-A delivery events (A's partition) and touches only ab.
-    shimA = std::make_unique<PfcShim>(ab.get());
-    shimB = std::make_unique<PfcShim>(ba.get());
-    ba->setSink(shimA.get());  // traffic toward A passes through A's shim
-    ab->setSink(shimB.get());
+    ba.setSink(&shimA);  // traffic toward A passes through A's shim
+    ab.setSink(&shimB);
 }
 
 void
 Link::setCrossShard(sim::ShardedEventQueue &sq, int lp_a, int lp_b)
 {
-    sq.registerCrossEdge(lp_a, lp_b, ab->propagationDelay());
-    sq.registerCrossEdge(lp_b, lp_a, ba->propagationDelay());
-    ab->setCrossShardDelivery(&sq, lp_a, lp_b);
-    ba->setCrossShardDelivery(&sq, lp_b, lp_a);
+    sq.registerCrossEdge(lp_a, lp_b, ab.propagationDelay());
+    sq.registerCrossEdge(lp_b, lp_a, ba.propagationDelay());
+    ab.setCrossShardDelivery(&sq, lp_a, lp_b);
+    ba.setCrossShardDelivery(&sq, lp_b, lp_a);
 }
 
 void
 Link::attachA(PacketSink *a)
 {
-    shimA->setInner(a);
+    shimA.setInner(a);
 }
 
 void
 Link::attachB(PacketSink *b)
 {
-    shimB->setInner(b);
+    shimB.setInner(b);
 }
 
 void

@@ -5,9 +5,11 @@
  * A Channel is one direction of a cable: it serializes packets at the link
  * rate, applies propagation delay, keeps per-priority transmit queues, and
  * honors 802.1Qbb PFC pause per priority (queues and pause state are
- * allocated when the first packet or pause arrives). A Link bundles two
- * channels and transparently intercepts PFC frames: a pause frame received
- * at one end throttles that end's transmitter, exactly as a MAC would.
+ * allocated when the first packet or pause arrives, fault state by the
+ * first fault call). A Link bundles two channels and transparently
+ * intercepts PFC frames: a pause frame received at one end throttles that
+ * end's transmitter, exactly as a MAC would. A link and everything in it
+ * is one allocation.
  */
 #pragma once
 
@@ -173,11 +175,11 @@ class Channel
      */
     void setFaultHook(std::function<bool(const PacketPtr &)> hook)
     {
-        faultHook = std::move(hook);
+        faultState().hook = std::move(hook);
     }
 
     /** Packets lost to admin-down or the fault hook. */
-    std::uint64_t faultDrops() const { return faultDropped; }
+    std::uint64_t faultDrops() const { return faults ? faults->dropped : 0; }
 
     /**
      * Inflate delivery latency by @p extra on top of the propagation
@@ -188,7 +190,10 @@ class Channel
      * above the registered cross-edge minimum, so the conservative
      * lookahead still holds.
      */
-    void setExtraLatency(sim::TimePs extra) { extraDelay = extra; }
+    void setExtraLatency(sim::TimePs extra)
+    {
+        faultState().extraDelay = extra;
+    }
 
     // --- flow tracing (ccsim::obs) ---
 
@@ -203,14 +208,16 @@ class Channel
     // --- statistics ---
     std::uint64_t bytesSent() const { return txBytes; }
     std::uint64_t packetsDropped() const { return drops; }
-    std::uint64_t pausesReceived() const { return pauses; }
+    std::uint64_t pausesReceived() const
+    {
+        return prioState ? prioState->pauses : 0;
+    }
 
   private:
     sim::EventQueue &queue;
     std::string label;
     double gbps;
     sim::TimePs propDelay;
-    std::uint32_t queueCapBytes;
     PacketSink *sink = nullptr;
 
     struct TxEntry {
@@ -238,34 +245,46 @@ class Channel
      * packet, so the block is allocated by the first send() or
      * pausePriority(), on the partition that owns this transmitter.
      * Transmission only ever starts from one of those two, so the
-     * transmit path always finds the block; queuedBytes() reads a
-     * missing one as empty queues.
+     * transmit path always finds the block; queuedBytes() and
+     * pausesReceived() read a missing one as empty queues and no pause.
      */
     struct PriorityState {
         std::array<sim::Fifo<TxEntry>, kNumTrafficClasses> txQueues;
         std::array<std::uint32_t, kNumTrafficClasses> queueBytes{};
         std::array<sim::TimePs, kNumTrafficClasses> pausedUntil{};
         std::array<PauseClock, kNumTrafficClasses> pauseClock{};
+        sim::EventId resumeEvent = sim::kNoEvent;
+        std::uint64_t pauses = 0;
+    };
+    /**
+     * Fault-injection state, allocated by the first setFaultHook(),
+     * setExtraLatency() or drop; absent, the channel is healthy (only
+     * adminDown, which the fluid model reads on every fold, stays
+     * inline).
+     */
+    struct FaultState {
+        std::function<bool(const PacketPtr &)> hook;
+        sim::TimePs extraDelay = 0;
+        std::uint64_t dropped = 0;
     };
     std::unique_ptr<PriorityState> prioState;
+    std::unique_ptr<FaultState> faults;
     obs::FlightRecorder *flowRec = nullptr;
-    bool transmitting = false;
-    sim::EventId resumeEvent = sim::kNoEvent;
-    bool adminDown = false;
-    sim::TimePs extraDelay = 0;
-    std::function<bool(const PacketPtr &)> faultHook;
     sim::ShardedEventQueue *crossShard = nullptr;
-    int crossSrc = 0;
-    int crossDst = 0;
     std::uint64_t fluidRateBps = 0;
     std::uint64_t fluidBytes = 0;
 
     std::uint64_t txBytes = 0;
     std::uint64_t drops = 0;
-    std::uint64_t pauses = 0;
-    std::uint64_t faultDropped = 0;
+    // Narrow fields last, so they share padding.
+    std::uint32_t queueCapBytes;
+    int crossSrc = 0;
+    int crossDst = 0;
+    bool transmitting = false;
+    bool adminDown = false;
 
     PriorityState &priorityState();
+    FaultState &faultState();
     void tryTransmit();
     void finishTransmit(TxEntry entry);
     double effectiveGbps() const;
@@ -308,10 +327,13 @@ class Link
      */
     void setCrossShard(sim::ShardedEventQueue &sq, int lp_a, int lp_b);
 
+    Link(const Link &) = delete;
+    Link &operator=(const Link &) = delete;
+
     /** The A-to-B direction (device A transmits here). */
-    Channel &aToB() { return *ab; }
+    Channel &aToB() { return ab; }
     /** The B-to-A direction. */
-    Channel &bToA() { return *ba; }
+    Channel &bToA() { return ba; }
 
     /** Attach the device at end A (receives B-to-A traffic). */
     void attachA(PacketSink *a);
@@ -321,37 +343,35 @@ class Link
     /** Cut (or restore) both directions of the cable at once. */
     void setAdminDown(bool down)
     {
-        ab->setAdminDown(down);
-        ba->setAdminDown(down);
+        ab.setAdminDown(down);
+        ba.setAdminDown(down);
     }
 
     /** True if either direction is administratively down. */
     bool isAdminDown() const
     {
-        return ab->isAdminDown() || ba->isAdminDown();
+        return ab.isAdminDown() || ba.isAdminDown();
     }
 
     /** Attach a flight recorder to both directions (nullptr detaches). */
     void setFlowRecorder(obs::FlightRecorder *r)
     {
-        ab->setFlowRecorder(r);
-        ba->setFlowRecorder(r);
+        ab.setFlowRecorder(r);
+        ba.setFlowRecorder(r);
     }
 
     /** Channels of this cable that hold per-priority queue state. */
     int channelsHoldingQueueState() const
     {
-        return int(ab->holdsQueueState()) + int(ba->holdsQueueState());
+        return int(ab.holdsQueueState()) + int(ba.holdsQueueState());
     }
 
     /**
-     * Bytes an idle cable owns: the link, its two channels and its two
-     * PFC shims (names and hooks behind pointers not counted).
+     * Bytes an idle cable owns: the link, which holds its two channels
+     * and its two PFC shims (channel names longer than the string's
+     * inline buffer not counted).
      */
-    static constexpr std::size_t idleBytes()
-    {
-        return sizeof(Link) + 2 * sizeof(Channel) + 2 * sizeof(PfcShim);
-    }
+    static constexpr std::size_t idleBytes() { return sizeof(Link); }
 
   private:
     /** Shim that consumes PFC frames and forwards the rest. */
@@ -367,10 +387,10 @@ class Link
         PacketSink *inner = nullptr;
     };
 
-    std::unique_ptr<Channel> ab;
-    std::unique_ptr<Channel> ba;
-    std::unique_ptr<PfcShim> shimA;  ///< sits in front of device A
-    std::unique_ptr<PfcShim> shimB;  ///< sits in front of device B
+    Channel ab;
+    Channel ba;
+    PfcShim shimA;  ///< sits in front of device A
+    PfcShim shimB;  ///< sits in front of device B
 };
 
 }  // namespace ccsim::net

@@ -18,14 +18,18 @@
 
 namespace ccsim::net {
 
-/** Interface: sample an additional per-packet delay. */
+/**
+ * Interface: sample an additional per-packet delay. A model keeps no
+ * state of its own (the caller's Rng carries the stream), so one model
+ * can serve many switches, on any number of threads.
+ */
 class DelayModel
 {
   public:
     virtual ~DelayModel() = default;
 
     /** Draw one delay sample. */
-    virtual sim::TimePs sample(sim::Rng &rng) = 0;
+    virtual sim::TimePs sample(sim::Rng &rng) const = 0;
 };
 
 /** Always returns the same delay (possibly zero). */
@@ -33,7 +37,7 @@ class FixedDelay : public DelayModel
 {
   public:
     explicit FixedDelay(sim::TimePs d) : delay(d) {}
-    sim::TimePs sample(sim::Rng &) override { return delay; }
+    sim::TimePs sample(sim::Rng &) const override { return delay; }
 
   private:
     sim::TimePs delay;
@@ -54,7 +58,7 @@ class LognormalDelay : public DelayModel
     {
     }
 
-    sim::TimePs sample(sim::Rng &rng) override
+    sim::TimePs sample(sim::Rng &rng) const override
     {
         if (meanPs <= 0)
             return 0;
@@ -85,7 +89,7 @@ class MixtureDelay : public DelayModel
     {
     }
 
-    sim::TimePs sample(sim::Rng &rng) override
+    sim::TimePs sample(sim::Rng &rng) const override
     {
         if (rng.bernoulli(tailProb))
             return baseModel->sample(rng) + tailModel->sample(rng);

@@ -32,7 +32,7 @@ struct SwitchConfig {
     /** Cut-through forwarding latency (first bit in to first bit out). */
     sim::TimePs forwardingLatency = 450 * sim::kNanosecond;
     /** Optional extra per-packet delay modelling background traffic. */
-    std::shared_ptr<DelayModel> jitter;
+    std::shared_ptr<const DelayModel> jitter;
     /** Mark ECN (on ECT packets) when egress queue exceeds this. */
     std::uint32_t ecnThresholdBytes = 80 * 1024;
     /** Bitmask of priorities treated as lossless (PFC-protected). */

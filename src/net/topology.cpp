@@ -51,7 +51,7 @@ Topology::podQueue(int pod)
     return shards ? shards->partition(pod) : queue;
 }
 
-std::shared_ptr<DelayModel>
+std::shared_ptr<const DelayModel>
 Topology::makeJitter(const TierParams &p)
 {
     if (p.jitterMean <= 0)
@@ -59,7 +59,7 @@ Topology::makeJitter(const TierParams &p)
     auto base = std::make_unique<LognormalDelay>(p.jitterMean, p.jitterCv,
                                                  p.jitterCap);
     if (p.tailProb <= 0.0)
-        return std::shared_ptr<DelayModel>(std::move(base));
+        return std::shared_ptr<const DelayModel>(std::move(base));
     auto tail = std::make_unique<LognormalDelay>(p.tailMean, p.tailCv,
                                                  p.tailCap);
     return std::make_shared<MixtureDelay>(p.tailProb, std::move(base),
@@ -68,12 +68,13 @@ Topology::makeJitter(const TierParams &p)
 
 SwitchConfig
 Topology::makeSwitchConfig(const std::string &name, const TierParams &p,
+                           std::shared_ptr<const DelayModel> jitter,
                            std::uint64_t seed)
 {
     SwitchConfig sc;
     sc.name = name;
     sc.forwardingLatency = p.forwardingLatency;
-    sc.jitter = makeJitter(p);
+    sc.jitter = std::move(jitter);
     sc.seed = seed;
     return sc;
 }
@@ -173,12 +174,18 @@ Topology::build()
     hostLinks.assign(static_cast<std::size_t>(config.pods) *
                          config.racksPerPod * config.hostsPerRack,
                      nullptr);
+    // One jitter model per tier, shared by its switches: a model is
+    // stateless and each switch draws from it with its own Rng.
+    const auto l2_jitter = makeJitter(config.l2Params);
+    const auto l1_jitter = makeJitter(config.l1Params);
+    const auto tor_jitter = makeJitter(config.torParams);
 
     // --- L2 spine (the spine partition in sharded mode) ---
     for (int i = 0; i < config.l2Count; ++i) {
         l2Switches.push_back(std::make_unique<Switch>(
             queue, makeSwitchConfig("l2." + std::to_string(i),
-                                    config.l2Params, next_seed())));
+                                    config.l2Params, l2_jitter,
+                                    next_seed())));
     }
 
     // --- pods: L1 switches and TORs ---
@@ -190,7 +197,8 @@ Topology::build()
             auto name = "l1." + std::to_string(pod) + "." + std::to_string(i);
             l1Switches.push_back(std::make_unique<Switch>(
                 podQueue(pod),
-                makeSwitchConfig(name, config.l1Params, next_seed())));
+                makeSwitchConfig(name, config.l1Params, l1_jitter,
+                                 next_seed())));
             Switch &l1sw = *l1Switches.back();
 
             // Uplinks: this L1 to every L2. These are the only cables
@@ -231,7 +239,8 @@ Topology::build()
                 "tor." + std::to_string(pod) + "." + std::to_string(rack);
             tors.push_back(std::make_unique<Switch>(
                 podQueue(pod),
-                makeSwitchConfig(tor_name, config.torParams, next_seed())));
+                makeSwitchConfig(tor_name, config.torParams, tor_jitter,
+                                 next_seed())));
             Switch &torsw = *tors.back();
 
             // Uplinks: this TOR to every L1 in the pod.

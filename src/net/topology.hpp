@@ -282,9 +282,11 @@ class Topology
     /** Hub per partition (empty = detached); read by lazy cables too. */
     std::vector<obs::Observability *> partitionHubs;
 
-    static std::shared_ptr<DelayModel> makeJitter(const TierParams &p);
-    SwitchConfig makeSwitchConfig(const std::string &name,
-                                  const TierParams &p, std::uint64_t seed);
+    static std::shared_ptr<const DelayModel>
+    makeJitter(const TierParams &p);
+    static SwitchConfig makeSwitchConfig(
+        const std::string &name, const TierParams &p,
+        std::shared_ptr<const DelayModel> jitter, std::uint64_t seed);
     sim::EventQueue &podQueue(int pod);
     void build();
     void validateConfig() const;

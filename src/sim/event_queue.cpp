@@ -126,7 +126,7 @@ TimerWheelQueue::place(std::uint32_t idx, TimePs when)
         catchUp();
     const int level = levelOf(when);
     const int slot = static_cast<int>((when >> shiftOf(level)) & (kSlots - 1));
-    cells[level][slot].push_back(idx);
+    cellAt(level, slot).push_back(idx);
     occupied[level] |= std::uint64_t{1} << slot;
     if (level == kLevels - 1)
         ++overflowCount;
@@ -162,7 +162,7 @@ TimerWheelQueue::loadDue(std::vector<std::uint32_t> &cell,
 void
 TimerWheelQueue::mergeDueArrivals()
 {
-    auto &cell = cells[0][dueSlotAbs & (kSlots - 1)];
+    auto &cell = cellAt(0, static_cast<int>(dueSlotAbs & (kSlots - 1)));
     if (cell.empty())
         return;
     due.erase(due.begin(), due.begin() + static_cast<std::ptrdiff_t>(duePos));
@@ -224,7 +224,7 @@ TimerWheelQueue::ensureNext(TimePs limit, bool exact)
         // the wheel time at the level-0 slot of the earliest of them,
         // which takes that one straight to level 0.
         const int slot = std::countr_zero(occupied[level]);
-        auto &cell = cells[level][slot];
+        auto &cell = cellAt(level, slot);
         TimePs base = slotStart(0, slot);
         TimePs first = kTimeNever;
         bool oneSlot = true;
@@ -492,8 +492,9 @@ TimerWheelQueue::maybeSweep()
         return true;
     };
     for (int level = 0; level < kLevels; ++level) {
-        for (int s = 0; s < kSlots; ++s) {
-            auto &cell = cells[level][s];
+        const int slots = level == kLevels - 1 ? kTopSlots : kSlots;
+        for (int s = 0; s < slots; ++s) {
+            auto &cell = cellAt(level, s);
             if (cell.empty())
                 continue;
             cell.erase(std::remove_if(cell.begin(), cell.end(), isDead),

@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/event_fn.hpp"
@@ -306,6 +307,20 @@ class TimerWheelQueue
         return kSlotShift0 + kSlotBits * level;
     }
     /**
+     * The top level holds time bits 60-65, of which a non-negative int64
+     * time sets only 60-62: 8 of its 64 slots can ever hold an event, so
+     * only those 8 have cells.
+     */
+    static constexpr int kTopSlots = 8;
+    static_assert(std::numeric_limits<TimePs>::max() >>
+                      (kSlotShift0 + kSlotBits * (kLevels - 1)) ==
+                  kTopSlots - 1);
+    /** Slot @p slot of @p level: the levels' cells, one after another. */
+    std::vector<std::uint32_t> &cellAt(int level, int slot)
+    {
+        return cells[level * kSlots + slot];
+    }
+    /**
      * The start of slot @p slot of @p level in the span of that level
      * holding the wheel time. Two shifts, because one by the top level's
      * 66-bit span would be undefined; they make that span start at 0.
@@ -330,8 +345,8 @@ class TimerWheelQueue
 
     std::vector<Record> pool;
     std::vector<std::uint32_t> freeList;
-    std::vector<std::uint32_t> cells[kLevels][kSlots];
-    std::uint64_t occupied[kLevels] = {};  ///< bit s: cells[L][s] non-empty
+    std::vector<std::uint32_t> cells[(kLevels - 1) * kSlots + kTopSlots];
+    std::uint64_t occupied[kLevels] = {};  ///< bit s: cellAt(L, s) non-empty
     /**
      * The anchor of every level (see the class comment): never above a
      * pending event, and never above now() when a callback runs or a

@@ -2,8 +2,9 @@
  * @file
  * Append-only vector whose elements never move.
  *
- * Chunk k holds 16 << k elements, so index -> (chunk, offset) is two bit
- * operations, growth allocates one new chunk and copies nothing, and
+ * Chunk k holds First << k elements (First a power of two, 16 unless
+ * the owner expects only a handful), so index -> (chunk, offset) is two
+ * bit operations, growth allocates one new chunk and copies nothing, and
  * references to elements stay valid for the container's lifetime. Like
  * `Fifo`, an empty `StableVector` owns no heap. Slack is at most the
  * unfilled tail of the last chunk, and pages of a large chunk that were
@@ -18,7 +19,7 @@
 
 namespace ccsim::sim {
 
-template <typename T>
+template <typename T, std::size_t First = 16>
 class StableVector
 {
   public:
@@ -46,7 +47,8 @@ class StableVector
     }
 
   private:
-    static constexpr std::size_t kFirst = 16;
+    static constexpr std::size_t kFirst = First;
+    static_assert(std::has_single_bit(kFirst));
     /** Each chunk is reserved once and never grows past it. */
     std::vector<std::vector<T>> chunks;
     std::size_t count = 0;

@@ -1,8 +1,10 @@
 /**
  * @file
  * Heap budgets. Idle fabric: an idle cable must cost little more than
- * its two Channel objects and its names, because an empty queue owns no
- * heap (sim::Fifo allocates on its first push). Busy fabric: once warm,
+ * its one allocation (the link with both channels and both PFC shims)
+ * and its names, because an empty queue owns no heap (sim::Fifo
+ * allocates on its first push), and an idle shell owns no LTL
+ * connection slot, because the tables grow by open. Busy fabric: once warm,
  * moving a packet through a switch allocates nothing, because every
  * per-hop closure fits sim::EventFn's inline buffer. Metrics registry:
  * a switch probe costs its interned path, a dense-id record and its
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "fpga/shell.hpp"
 #include "host/ranking_server.hpp"
 #include "net/channel.hpp"
 #include "net/packet.hpp"
@@ -100,8 +103,8 @@ namespace {
 
 using namespace ccsim;
 
-/** Budget for one idle cable: the Link, its two Channels and names. */
-constexpr std::size_t kIdleLinkBudget = 2048;
+/** Budget for one idle cable: the Link (channels inside) and names. */
+constexpr std::size_t kIdleLinkBudget = 440;
 /**
  * Budget per trunk for a whole lazy fabric: its idle trunks plus the
  * switches, routes and host stubs they connect, amortized.
@@ -126,6 +129,32 @@ TEST(AllocBudget, IdleTrunkLinkStaysUnderBudget)
                                            300.0);
     });
     EXPECT_LE(bytes, kIdleLinkBudget) << "heap bytes for one idle link";
+}
+
+/**
+ * Budget for one idle shell: its Elastic Router, LTL engine, packet
+ * switch and router endpoints, but no LTL connection slot.
+ */
+constexpr std::size_t kIdleShellBudget = 6500;
+
+TEST(AllocBudget, IdleShellStaysUnderBudget)
+{
+    // A fresh queue each time, so both shells pay for the same wheel
+    // cells and pool records.
+    auto shellHeap = [](std::uint16_t max_connections) {
+        sim::EventQueue eq;
+        fpga::ShellConfig cfg;
+        cfg.ip = {10};
+        cfg.ltl.maxConnections = max_connections;
+        std::unique_ptr<fpga::Shell> shell;
+        return heapOf(
+            [&] { shell = std::make_unique<fpga::Shell>(eq, cfg); });
+    };
+    const std::size_t bytes = shellHeap(64);
+    // Connection slots are allocated by the opens that need them: until
+    // one opens, the cap costs no heap.
+    EXPECT_EQ(bytes, shellHeap(1)) << "heap bytes, 64 vs 1 connection cap";
+    EXPECT_LE(bytes, kIdleShellBudget) << "heap bytes for one idle shell";
 }
 
 TEST(AllocBudget, LazyTopologyTrunksStayUnderBudget)

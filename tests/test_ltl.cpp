@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <sstream>
@@ -406,6 +407,117 @@ TEST(Ltl, RateRecoversAfterCongestionClears)
         pair.a->sendMessage(conn, 256);
     pair.eq.runUntil(sim::fromMicros(3000));
     EXPECT_GT(pair.a->currentRateGbps(conn), reduced);
+}
+
+/** Draws the same lowest-free ids as a table of maxConnections slots. */
+struct EagerIdTable {
+    std::vector<bool> open;
+    explicit EagerIdTable(std::uint16_t max) : open(max, false) {}
+    std::uint16_t take()
+    {
+        const auto it = std::find(open.begin(), open.end(), false);
+        *it = true;
+        return static_cast<std::uint16_t>(it - open.begin());
+    }
+};
+
+TEST(LtlTables, IdsAreLowestFreeLikeAnEagerTable)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        LtlConfig cfg;
+        cfg.maxConnections = 40;
+        cfg.localIp = {1};
+        EventQueue eq;
+        LtlEngine eng(eq, cfg, [](const net::PacketPtr &) {});
+        EagerIdTable sendRef(cfg.maxConnections), recvRef(cfg.maxConnections);
+        std::vector<std::uint16_t> sends, recvs;
+        sim::Rng rng(seed);
+        std::size_t most = 0;
+        for (int op = 0; op < 4000; ++op) {
+            // Opens outnumber closes, so the tables fill and run full.
+            if (rng.bernoulli(0.55) && sends.size() < cfg.maxConnections) {
+                const std::uint16_t id = eng.openSend({2}, 0);
+                ASSERT_EQ(id, sendRef.take()) << "seed " << seed;
+                sends.push_back(id);
+            } else if (!sends.empty()) {
+                const std::size_t k = rng.uniformInt(sends.size());
+                eng.closeSend(sends[k]);
+                sendRef.open[sends[k]] = false;
+                sends.erase(sends.begin() + static_cast<std::ptrdiff_t>(k));
+            }
+            if (rng.bernoulli(0.55) && recvs.size() < cfg.maxConnections) {
+                const std::uint16_t id = eng.openReceive();
+                ASSERT_EQ(id, recvRef.take()) << "seed " << seed;
+                recvs.push_back(id);
+            } else if (!recvs.empty()) {
+                const std::size_t k = rng.uniformInt(recvs.size());
+                eng.closeReceive(recvs[k]);
+                recvRef.open[recvs[k]] = false;
+                recvs.erase(recvs.begin() + static_cast<std::ptrdiff_t>(k));
+            }
+            most = std::max({most, sends.size(), recvs.size()});
+        }
+        EXPECT_EQ(most, cfg.maxConnections) << "seed " << seed;
+    }
+}
+
+TEST(LtlTables, UnopenedIdsReadAsClosed)
+{
+    LtlConfig cfg;
+    cfg.maxConnections = 64;
+    cfg.localIp = {1};
+    EventQueue eq;
+    LtlEngine eng(eq, cfg, [](const net::PacketPtr &) {});
+    ASSERT_EQ(eng.openSend({2}, 0), 0);
+    // Ids the table has not grown to, inside and past the cap.
+    for (std::uint16_t id : {std::uint16_t{5}, std::uint16_t{63},
+                             std::uint16_t{64}, std::uint16_t{1000}}) {
+        EXPECT_EQ(eng.currentRateGbps(id), 0.0) << id;
+        EXPECT_EQ(eng.unackedFrames(id), 0u) << id;
+        EXPECT_FALSE(eng.sendConnectionFailed(id)) << id;
+        eng.closeSend(id);
+        eng.closeReceive(id);
+    }
+    EXPECT_GT(eng.currentRateGbps(0), 0.0);
+}
+
+TEST(LtlTablesDeathTest, OpeningPastTheCapDies)
+{
+    LtlConfig cfg;
+    cfg.maxConnections = 3;
+    cfg.localIp = {1};
+    EventQueue eq;
+    LtlEngine eng(eq, cfg, [](const net::PacketPtr &) {});
+    for (int i = 0; i < 3; ++i) {
+        eng.openSend({2}, 0);
+        eng.openReceive();
+    }
+    EXPECT_DEATH(eng.openSend({2}, 0), "send connection table exhausted");
+    EXPECT_DEATH(eng.openReceive(), "receive connection table exhausted");
+}
+
+TEST(LtlTables, DeliveryHandlerGrowsAndClosesTheReceiveTable)
+{
+    // The handler runs inside handleData(), which reads its receive slot
+    // again after the handler returns: growing the table past its first
+    // chunk (at most four slots) must not move that slot.
+    Pair pair;
+    const auto conn = pair.connect();
+    std::vector<std::uint16_t> opened;
+    pair.b->setDeliveryHandler([&](const LtlMessage &m) {
+        pair.delivered.push_back(m);
+        for (int i = 0; i < 9; ++i)
+            opened.push_back(pair.b->openReceive(1));
+        pair.b->closeReceive(m.conn);
+    });
+    pair.a->sendMessage(conn, 128);
+    pair.eq.runUntil(sim::fromMicros(100));
+    ASSERT_EQ(pair.delivered.size(), 1u);
+    const std::vector<std::uint16_t> expected{1, 2, 3, 4, 5, 6, 7, 8, 9};
+    EXPECT_EQ(opened, expected);
+    // The handler's own slot is free again, and lowest.
+    EXPECT_EQ(pair.b->openReceive(), 0);
+    EXPECT_EQ(pair.b->openReceive(), 10);
 }
 
 TEST(Dcqcn, CutsRateMultiplicativelyAndRecovers)
